@@ -170,6 +170,29 @@ impl Waiter {
     }
 }
 
+/// A ring-entry pointer in `Send` form, so wait registrations and deferred
+/// wakeups can cross threads and `.await`s. The pointee is kept alive by the
+/// queue-owned `Arc` reference (see `TxCtx::wait`).
+#[derive(Clone, Copy)]
+pub(crate) struct RawWaiter(*const Waiter);
+// SAFETY: the pointer is an `Arc`-derived reference to a `Waiter`
+// (`Send + Sync`); this wrapper only moves the *address* between threads,
+// never shares unsynchronized state.
+unsafe impl Send for RawWaiter {}
+unsafe impl Sync for RawWaiter {}
+
+impl RawWaiter {
+    pub(crate) fn new(ptr: *const Waiter) -> Self {
+        RawWaiter(ptr)
+    }
+
+    /// The address (a method, so closures capture the whole wrapper rather
+    /// than its non-`Send` field).
+    pub(crate) fn ptr(self) -> *const Waiter {
+        self.0
+    }
+}
+
 /// A condition variable usable from elided critical sections under every
 /// [`AlgoMode`](crate::AlgoMode).
 pub struct TxCondvar {

@@ -6,7 +6,8 @@
 //! simulated HTM). This mirrors how the C++ TMTS lets one source body
 //! compile into lock, STM and HTM flavours.
 
-use crate::condvar::{TxCondvar, Waiter};
+use crate::condvar::{RawWaiter, TxCondvar, Waiter};
+use crate::runner::{drop_ring_ref, Driver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tle_base::history;
@@ -30,12 +31,12 @@ pub enum TxError {
     /// decision points (never mid-attempt, and never once the section has
     /// entered serial or locked mode, whose effects cannot be undone);
     /// surfaces to callers through
-    /// [`ThreadHandle::try_critical`](crate::ThreadHandle::try_critical).
+    /// [`TxRequest::try_run`](crate::TxRequest::try_run) and its async twin.
     DeadlineExceeded,
     /// The lock's admission controller is in its shed step: the section was
     /// refused at dispatch so a hot lock fails fast instead of collapsing
     /// every caller. Surfaces through
-    /// [`ThreadHandle::try_critical`](crate::ThreadHandle::try_critical).
+    /// [`TxRequest::try_run`](crate::TxRequest::try_run) and its async twin.
     Overloaded,
 }
 
@@ -46,18 +47,16 @@ impl From<AbortCause> for TxError {
 }
 
 pub(crate) enum CtxKind<'a> {
-    /// Baseline: the real mutex is held; direct memory access.
-    Locked {
-        guard: Option<parking_lot::MutexGuard<'a, ()>>,
-    },
+    /// Direct memory access under an exclusion the runner holds: the
+    /// baseline mutex (`baseline`), else the global serial gate or the
+    /// adaptive lock word.
+    Direct { baseline: bool },
     /// Software transaction (of the domain's selected [`tle_stm::StmAlgo`]).
     /// `spin_waits` selects the paper's "STM + Spin" degradation where
     /// waiting becomes polling.
     Stm { tx: SoftTx<'a>, spin_waits: bool },
     /// Simulated hardware transaction.
     Htm { tx: HtmTx<'a> },
-    /// Serial-irrevocable mode: global exclusion is held; direct access.
-    Serial,
 }
 
 /// A recorded wait request, consumed by the runner after the transaction
@@ -66,9 +65,10 @@ pub(crate) struct PendingWait<'a> {
     /// Private wakeup channel (None for baseline/spin waits, which do not
     /// enqueue).
     pub waiter: Option<Arc<Waiter>>,
-    /// The extra `Arc` reference owned by the condvar queue entry; the
-    /// runner reclaims it if the enqueue transaction fails to commit.
-    pub raw: *const Waiter,
+    /// The extra `Arc` reference owned by the condvar queue entry (null
+    /// when nothing was enqueued); the runner reclaims it if the enqueue
+    /// transaction fails to commit.
+    pub raw: RawWaiter,
     pub cv: &'a TxCondvar,
     pub timeout: Option<Duration>,
 }
@@ -82,7 +82,7 @@ pub struct TxCtx<'a> {
     /// Absolute expiry of the section's retry-time budget
     /// ([`crate::TxHints::with_deadline`]); `None` when unbounded.
     pub(crate) deadline: Option<Instant>,
-    /// Set by the async runner: waits must produce a pollable registration
+    /// Set under the async driver: waits must produce a pollable registration
     /// instead of relying on OS parking. Only the baseline path behaves
     /// differently (it enqueues into the transactional ring — safe under
     /// the held mutex — rather than using the native condvar channel).
@@ -90,13 +90,13 @@ pub struct TxCtx<'a> {
 }
 
 impl<'a> TxCtx<'a> {
-    pub(crate) fn new(kind: CtxKind<'a>) -> Self {
+    pub(crate) fn new(kind: CtxKind<'a>, deadline: Option<Instant>, driver: Driver) -> Self {
         TxCtx {
             kind,
             defers: Vec::new(),
             pending_wait: None,
-            deadline: None,
-            async_waits: false,
+            deadline,
+            async_waits: driver == Driver::Async,
         }
     }
 
@@ -126,7 +126,7 @@ impl<'a> TxCtx<'a> {
     /// Raw read used by both the public API and the condvar machinery.
     pub(crate) fn mem_read<T: TxVal>(&mut self, c: &TCell<T>) -> Result<T, AbortCause> {
         match &mut self.kind {
-            CtxKind::Locked { .. } | CtxKind::Serial => {
+            CtxKind::Direct { .. } => {
                 // Interleaving point: on real hardware a lock/serial
                 // section's plain loads race freely with everything a
                 // broken elision lets run concurrently, so the explorer
@@ -145,7 +145,7 @@ impl<'a> TxCtx<'a> {
     /// Raw write used by both the public API and the condvar machinery.
     pub(crate) fn mem_write<T: TxVal>(&mut self, c: &TCell<T>, v: T) -> Result<(), AbortCause> {
         match &mut self.kind {
-            CtxKind::Locked { .. } | CtxKind::Serial => {
+            CtxKind::Direct { .. } => {
                 // Interleaving point: see `mem_read`.
                 sched::yield_point(YieldPoint::MemStore);
                 c.store_direct(v);
@@ -212,7 +212,7 @@ impl<'a> TxCtx<'a> {
     /// serial-irrevocable mode.
     pub fn unsafe_op(&mut self) -> Result<(), TxError> {
         match &mut self.kind {
-            CtxKind::Locked { .. } | CtxKind::Serial => Ok(()),
+            CtxKind::Direct { .. } => Ok(()),
             CtxKind::Stm { .. } => Err(TxError::Abort(AbortCause::Unsafe)),
             CtxKind::Htm { tx } => {
                 tx.unsafe_op()?;
@@ -248,45 +248,34 @@ impl<'a> TxCtx<'a> {
         // held mutex, exactly as in [`signal`](Self::signal) — and the
         // runner awaits the waiter's waker.
         let ring_wait = match &self.kind {
-            CtxKind::Locked { .. } => self.async_waits,
-            CtxKind::Stm {
-                spin_waits: true, ..
-            } => false,
-            CtxKind::Stm { .. } | CtxKind::Htm { .. } | CtxKind::Serial => true,
+            CtxKind::Direct { baseline } => !baseline || self.async_waits,
+            CtxKind::Stm { spin_waits, .. } => !spin_waits,
+            CtxKind::Htm { .. } => true,
         };
-        match &mut self.kind {
-            _ if !ring_wait => {
-                self.pending_wait = Some(PendingWait {
-                    waiter: None,
-                    raw: std::ptr::null(),
-                    cv,
-                    timeout,
-                });
-                Err(TxError::Wait)
-            }
-            CtxKind::Locked { .. }
-            | CtxKind::Stm { .. }
-            | CtxKind::Htm { .. }
-            | CtxKind::Serial => {
-                let waiter = Arc::new(Waiter::new());
-                let raw = Arc::into_raw(Arc::clone(&waiter));
-                if let Err(cause) = cv.enqueue(self, raw) {
-                    // The enqueue writes rolled back with the attempt;
-                    // reclaim the queue's reference here.
-                    // SAFETY: `raw` came from `Arc::into_raw` above and the
-                    // failed enqueue published it nowhere.
-                    unsafe { drop(Arc::from_raw(raw)) };
-                    return Err(TxError::Abort(cause));
-                }
-                self.pending_wait = Some(PendingWait {
-                    waiter: Some(waiter),
-                    raw,
-                    cv,
-                    timeout,
-                });
-                Err(TxError::Wait)
-            }
+        if !ring_wait {
+            self.pending_wait = Some(PendingWait {
+                waiter: None,
+                raw: RawWaiter::new(std::ptr::null()),
+                cv,
+                timeout,
+            });
+            return Err(TxError::Wait);
         }
+        let waiter = Arc::new(Waiter::new());
+        let raw = RawWaiter::new(Arc::into_raw(Arc::clone(&waiter)));
+        if let Err(cause) = cv.enqueue(self, raw.ptr()) {
+            // The enqueue writes rolled back with the attempt; reclaim the
+            // queue's reference here.
+            drop_ring_ref(raw);
+            return Err(TxError::Abort(cause));
+        }
+        self.pending_wait = Some(PendingWait {
+            waiter: Some(waiter),
+            raw,
+            cv,
+            timeout,
+        });
+        Err(TxError::Wait)
     }
 
     /// Wake one waiter of `cv`. Under transactions the wakeup is a deferred
@@ -300,7 +289,7 @@ impl<'a> TxCtx<'a> {
     /// their predicate.
     pub fn signal(&mut self, cv: &TxCondvar) -> Result<(), TxError> {
         match &mut self.kind {
-            CtxKind::Locked { .. } => {
+            CtxKind::Direct { baseline: true } => {
                 // Direct ring access is safe here: the raw mutex is held,
                 // and the flip that made this lock baseline excluded (and
                 // doomed) all transactional ring users first.
@@ -325,7 +314,7 @@ impl<'a> TxCtx<'a> {
     /// natively parked pre-flip waiters; see [`signal`](Self::signal)).
     pub fn broadcast(&mut self, cv: &TxCondvar) -> Result<(), TxError> {
         match &mut self.kind {
-            CtxKind::Locked { .. } => {
+            CtxKind::Direct { baseline: true } => {
                 while let Some(raw) = cv.dequeue(self)? {
                     self.defer_notify(raw);
                 }
@@ -345,21 +334,11 @@ impl<'a> TxCtx<'a> {
     }
 
     fn defer_notify(&mut self, raw: *const Waiter) {
-        // Raw pointers are not Send; wrap for the deferred closure. (Edition
-        // 2021 closures capture disjoint fields, so expose the pointer via a
-        // method to keep the whole wrapper captured.)
-        struct SendPtr(*const Waiter);
-        unsafe impl Send for SendPtr {}
-        impl SendPtr {
-            fn get(&self) -> *const Waiter {
-                self.0
-            }
-        }
-        let p = SendPtr(raw);
+        let raw = RawWaiter::new(raw);
         self.defers.push(Box::new(move || {
             // SAFETY: the pointer is the queue-owned Arc reference produced
             // by `wait`; dequeue transferred ownership to this action.
-            let w = unsafe { Arc::from_raw(p.get()) };
+            let w = unsafe { Arc::from_raw(raw.ptr()) };
             w.notify();
         }));
     }

@@ -1,26 +1,31 @@
-//! Async mirror of the TLE execution engine (`runner`): the same
-//! attempt → retry → backoff → serialize ladder, with every blocking edge
-//! turned into a suspension point.
+//! The async driver of the TLE execution engine: the same core as the sync
+//! driver (`runner`: [`dispatch`](runner::dispatch), the [`Ladder`] with
+//! its `gate` / `attempt` / `settle`,
+//! [`exclusive_body`](runner::exclusive_body)), with every wait edge turned
+//! into a suspension point.
 //!
-//! ## Structure: synchronous attempts, asynchronous waits
+//! ## Synchronous attempts, asynchronous waits
 //!
 //! An atomic block never suspends mid-speculation: each *attempt* (begin →
-//! closure → commit) is a plain synchronous call that starts and finishes
-//! inside one `poll`, exactly as in the sync runner — suspending with orecs
-//! or line claims held would pin them across arbitrary scheduling delays
-//! (`tle-lint` rule R6 rejects `.await` inside atomic-block closures for
-//! the same reason). Only the edges where the sync runner would block an OS
-//! thread become `.await`s:
+//! closure → commit) is a plain synchronous core call that starts and
+//! finishes inside one `poll` — suspending with orecs or line claims held
+//! would pin them across arbitrary scheduling delays (`tle-lint` rule R6
+//! rejects `.await` inside atomic-block closures for the same reason).
+//! What this driver does differently from the sync one is the edge table of
+//! DESIGN.md §16, nothing else:
 //!
-//! - serial-gate entry (`Gate::enter_concurrent_async` /
-//!   `Gate::enter_serial_async`),
-//! - condvar blocks (`Waiter::poll_signaled` plus executor timers for
-//!   timed waits),
-//! - post-commit quiescence drains (`StmTx::commit_publish` splits the
-//!   commit; the returned ticket is polled one sweep per
-//!   `StmGlobal::quiesce_pass`),
-//! - inter-attempt backoff, lock-word spins, and HTM invalidation waits
-//!   (`HtmGlobal::try_invalidate` + executor yields).
+//! - serial-gate entry suspends (`Gate::enter_concurrent_async` /
+//!   `Gate::enter_serial_async`);
+//! - slots come from a transient [`SlotClaim`], not the handle (below);
+//! - a post-commit quiescence drain comes back from the core as a ticket
+//!   and is polled one slot sweep per `StmGlobal::quiesce_pass`;
+//! - backoff is the core's bounded spin plus an executor yield;
+//! - condvar blocks arm a waker (`Waiter::poll_signaled`, plus executor
+//!   timers for timed waits) instead of parking;
+//! - waits for the adaptive lock word, and the doom sweeps of its
+//!   acquisition (`HtmGlobal::try_invalidate`), yield instead of spinning;
+//! - the nested-section guard is held per closure call
+//!   ([`Driver::Async`](runner::Driver)), not across the dispatch.
 //!
 //! This split is also what makes the returned futures `Send` without extra
 //! locking: no transaction, context, or lock guard is ever live across an
@@ -48,78 +53,26 @@
 //!
 //! ## Cancellation
 //!
-//! Dropping one of these futures between a committed wait registration and
-//! its wakeup used to abandon the ring entry (a later signal could then be
-//! consumed by the ghost waiter). Ring entries now self-cancel:
-//! [`WaitEntryGuard`] removes the entry synchronously when the suspended
-//! wait is dropped, so a later signal always reaches a live waiter. See
+//! Ring entries self-cancel: [`WaitEntryGuard`] removes the entry
+//! synchronously when a suspended wait is dropped instead of polled to
+//! completion, so a later signal always reaches a live waiter. See
 //! DESIGN.md §16.
 
-use crate::condvar::{TxCondvar, Waiter};
-use crate::ctx::{CtxKind, PendingWait, TxCtx, TxError};
-use crate::domain::AdmissionStep;
+use crate::condvar::{RawWaiter, TxCondvar, Waiter};
+use crate::ctx::{PendingWait, TxCtx, TxError};
 use crate::elide::ElidableMutex;
-use crate::runner::{self, Budget, NestGuard, PoisonOnPanic, QueueExitOnDrop};
+use crate::runner::{
+    self, Budget, Committed, Doom, Driver, Early, Engine, Exclusion, Ladder, Next, Outcome,
+    Section, SerialOutcome, SerialStep,
+};
 use crate::system::{AlgoMode, ThreadHandle, TmSystem, TxHints};
-use std::sync::Arc;
+use std::future::Future as _;
 use std::task::Poll;
 use std::time::{Duration, Instant};
 use tle_base::exec;
-use tle_base::fault;
-use tle_base::history;
-use tle_base::mutant::{self, Mutant};
 use tle_base::sched::{self, YieldPoint};
 use tle_base::trace::{self, TraceKind, TxMode};
-use tle_base::AbortCause;
 use tle_stm::QuiesceTicket;
-
-/// What a per-mode async runner produced (mirror of `runner::Outcome`).
-enum Outcome<R> {
-    Done(R),
-    Redispatch,
-    Expired(TxError),
-}
-
-/// Mirror of `runner::SerialOutcome`.
-enum SerialOutcome<R> {
-    Done(R),
-    Retry,
-    Redispatch,
-}
-
-/// Deferred post-commit actions carried out of a synchronous attempt.
-type Defers = Vec<Box<dyn FnOnce() + Send + 'static>>;
-
-/// A ring-entry pointer carried across `.await`s. The pointee is kept alive
-/// by the queue-owned `Arc` reference (see `TxCtx::wait`), and cancel-time
-/// ownership transfer happens inside synchronous blocks only.
-#[derive(Clone, Copy)]
-struct RawWaiter(*const Waiter);
-// SAFETY: the pointer is an `Arc`-derived reference to a `Waiter`
-// (`Send + Sync`); this wrapper only moves the *address* between workers,
-// never shares unsynchronized state.
-unsafe impl Send for RawWaiter {}
-unsafe impl Sync for RawWaiter {}
-
-/// A committed wait registration, in `Send` form (the async analogue of
-/// `PendingWait`).
-struct AsyncWait<'a> {
-    waiter: Option<Arc<Waiter>>,
-    raw: RawWaiter,
-    cv: &'a TxCondvar,
-    timeout: Option<Duration>,
-}
-
-impl<'a> AsyncWait<'a> {
-    fn from_pending(pw: PendingWait<'a>) -> Self {
-        AsyncWait {
-            waiter: pw.waiter,
-            raw: RawWaiter(pw.raw),
-            cv: pw.cv,
-            timeout: pw.timeout,
-        }
-    }
-}
 
 /// A transient STM + HTM slot pair claimed for one attempt; both slots are
 /// returned to the registries on drop.
@@ -152,26 +105,14 @@ async fn claim_slots(sys: &TmSystem) -> SlotClaim<'_> {
     }
 }
 
-/// What one synchronous transactional attempt produced.
-enum TxStep<'a, R> {
-    /// Committed with a result; drain the ticket (if any), run defers, done.
-    Done(R, Option<QuiesceTicket>, Defers),
-    /// Committed a wait registration; drain, run defers, park, re-run.
-    Wait(AsyncWait<'a>, Option<QuiesceTicket>, Defers),
-    /// The attempt aborted; retry with backoff.
-    Abort(AbortCause),
-    /// Unsafe operation: serialize.
-    Unsafe,
-    /// The closure manufactured a runner-level error.
-    RunnerErr(TxError),
+/// One spin-hinted executor yield: the async form of every lock-word wait.
+async fn yield_on_lock_word() {
+    sched::spin_hint(YieldPoint::LockWord);
+    exec::yield_now().await;
 }
 
-/// What one synchronous serial/locked body produced.
-enum SerialStep<'a, R> {
-    Done(R, Defers),
-    Wait(AsyncWait<'a>, Defers),
-}
-
+/// Run one critical section as a future. `fallible` selects
+/// `try_run_async` semantics (see `runner::run`).
 pub(crate) async fn run_async<'a, R, F>(
     th: &'a ThreadHandle,
     lock: &'a ElidableMutex,
@@ -183,56 +124,22 @@ where
     F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
 {
     let f = &mut f;
-    fault::tick();
-    // Same unwind guards as the sync entry (`runner::run_inner`): poison
-    // the lock if the section panics, and keep the queue-depth gauge
-    // balanced on every exit path — including the future being dropped.
-    let _poison = PoisonOnPanic(lock);
-    lock.domain().enter_queue();
-    let _dequeue = QueueExitOnDrop(lock);
-    let budget = Budget {
-        deadline: hints.deadline.map(|d| Instant::now() + d),
-        fallible,
-    };
+    let section = Section::enter(lock, hints, fallible);
+    let budget = section.budget;
     loop {
-        let epoch = lock.domain().epoch();
-        let mode = lock.resolved_mode(th.sys.mode());
-        // Admission ladder (see `runner::run_inner` for the rationale).
-        if mode.is_transactional() && !mode.is_glibc_family() && th.sys.admission_enabled() {
-            let step = lock.domain().admission_step();
-            if step != AdmissionStep::Elide {
-                if fallible && step == AdmissionStep::Shed {
-                    let depth = lock.domain().queue_depth();
-                    th.sys.stats.sheds.inc(th.stm_slot);
-                    trace::emit(TraceKind::Shed, TxMode::Serial, None, depth);
-                    return Err(TxError::Overloaded);
-                }
-                trace::emit(TraceKind::Fallback, TxMode::Serial, None, 0);
-                match run_serial_async(th, lock, epoch, budget.deadline, f).await {
+        let (epoch, mode, early) = runner::dispatch(th, lock, budget);
+        let outcome = match early {
+            Some(Early::Refuse(e)) => return Err(e),
+            Some(Early::Serialize) => {
+                match exclusive_async(th, lock, None, epoch, budget.deadline, f).await {
                     SerialOutcome::Done(r) => return Ok(r),
                     SerialOutcome::Retry | SerialOutcome::Redispatch => continue,
                 }
             }
-        }
-        if budget.fallible && budget.expired() {
-            th.sys.stats.deadline_exceeded.inc(th.stm_slot);
-            trace::emit(TraceKind::DeadlineExceeded, TxMode::Serial, None, 0);
-            return Err(TxError::DeadlineExceeded);
-        }
-        let outcome = match mode {
-            AlgoMode::Baseline => run_locked_async(th, lock, epoch, budget.deadline, f).await,
-            AlgoMode::StmSpin => run_stm_async(th, lock, epoch, hints, budget, f, true).await,
-            AlgoMode::StmCondvar | AlgoMode::StmCondvarNoQuiesce => {
-                run_stm_async(th, lock, epoch, hints, budget, f, false).await
-            }
-            AlgoMode::HtmCondvar => run_htm_async(th, lock, epoch, hints, budget, f).await,
-            AlgoMode::AdaptiveHtm | AlgoMode::AdaptiveHtmLazy => {
-                run_adaptive_async(th, lock, epoch, hints, budget, f, mode).await
-            }
-            #[cfg(any(test, debug_assertions, feature = "unsafe-modes"))]
-            AlgoMode::AdaptiveHtmLazyUnsafe => {
-                run_adaptive_async(th, lock, epoch, hints, budget, f, mode).await
-            }
+            None => match Engine::of(mode) {
+                None => run_locked_async(th, lock, epoch, budget.deadline, f).await,
+                Some(engine) => drive_async(th, lock, engine, epoch, hints, budget, f).await,
+            },
         };
         match outcome {
             Outcome::Done(r) => return Ok(r),
@@ -242,15 +149,76 @@ where
     }
 }
 
-/// Mirror of `runner::propagate_runner_error` for the async ladders.
-fn propagate_runner_error<R>(budget: Budget, e: TxError) -> Outcome<R> {
-    if budget.fallible {
-        Outcome::Expired(e)
-    } else {
-        panic!(
-            "{e:?} returned from a closure run via run_async(); \
-             use try_run_async to observe deadline/shed errors"
-        )
+/// The ladder loop, suspending at every wait edge.
+async fn drive_async<'a, R, F>(
+    th: &'a ThreadHandle,
+    lock: &'a ElidableMutex,
+    engine: Engine,
+    epoch: u64,
+    hints: TxHints,
+    budget: Budget,
+    f: &mut F,
+) -> Outcome<R>
+where
+    F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
+{
+    let sys = &*th.sys;
+    let lock_path = engine.lock_path();
+    let mut ladder = Ladder::new(th, lock, engine, epoch, hints, budget);
+    let mut left = Committed::default();
+    loop {
+        let next = match ladder.gate() {
+            Some(next) => next,
+            None => {
+                let token = match lock_path {
+                    Some(mode) => {
+                        // Don't start while the lock is held (see the sync
+                        // driver); yield the worker instead of spinning.
+                        while !mode.is_lazy() && lock.held_cell().load_direct() {
+                            yield_on_lock_word().await;
+                        }
+                        None
+                    }
+                    None => {
+                        let token = sys.gate.enter_concurrent_async().await;
+                        if lock.domain().epoch() != epoch {
+                            return Outcome::Redispatch;
+                        }
+                        Some(token)
+                    }
+                };
+                let slots = claim_slots(sys).await;
+                let claimed = (slots.stm, slots.htm);
+                let step = ladder.attempt(claimed, Driver::Async, &mut left, f);
+                if let Some(ticket) = left.take_owed() {
+                    left.quiesced(drain_ticket(sys, ticket).await);
+                }
+                drop(slots);
+                drop(token);
+                ladder.settle(step, &mut left)
+            }
+        };
+        match next {
+            Next::Done(r) => return Outcome::Done(r),
+            Next::Park => block_on_async(th, lock, left.take_wait()).await,
+            Next::Backoff => {
+                // The bounded spin stays inside one poll; the yield gives
+                // co-scheduled tasks — possibly the conflicting one — the
+                // worker.
+                ladder.backoff();
+                exec::yield_now().await;
+            }
+            Next::RetryNow => {}
+            Next::Fallback => {
+                match exclusive_async(th, lock, lock_path, epoch, budget.deadline, f).await {
+                    SerialOutcome::Done(r) => return Outcome::Done(r),
+                    SerialOutcome::Retry => ladder.rearm(),
+                    SerialOutcome::Redispatch => return Outcome::Redispatch,
+                }
+            }
+            Next::Redispatch => return Outcome::Redispatch,
+            Next::Err(e) => return Outcome::Expired(e),
+        }
     }
 }
 
@@ -268,396 +236,17 @@ async fn drain_ticket(sys: &TmSystem, mut t: QuiesceTicket) -> u64 {
     }
 }
 
-/// One synchronous STM attempt on a claimed slot (async twin of the heart
-/// of `runner::run_stm`). Nothing in here suspends.
-fn attempt_stm<'a, R, F>(
-    th: &'a ThreadHandle,
-    slot: usize,
-    lock: &'a ElidableMutex,
-    budget: Budget,
-    spin: bool,
-    f: &mut F,
-) -> TxStep<'a, R>
-where
-    F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-{
-    let sys = &*th.sys;
-    let mut tx = sys.stm.begin_soft(slot);
-    if lock.is_no_quiesce() {
-        tx.no_quiesce();
-    }
-    tx.set_deadline(budget.deadline);
-    let mut ctx = TxCtx::new(CtxKind::Stm {
-        tx,
-        spin_waits: spin,
-    });
-    ctx.deadline = budget.deadline;
-    ctx.async_waits = true;
-    let res = {
-        let _nest = NestGuard::enter(lock);
-        f(&mut ctx)
-    };
-    let TxCtx {
-        kind,
-        defers,
-        pending_wait,
-        ..
-    } = ctx;
-    let tx = match kind {
-        CtxKind::Stm { tx, .. } => tx,
-        _ => unreachable!("context kind changed mid-transaction"),
-    };
-    match res {
-        Ok(r) => {
-            debug_assert!(pending_wait.is_none(), "wait() result must be propagated");
-            match tx.commit_publish() {
-                Ok((_info, ticket)) => TxStep::Done(r, ticket, defers),
-                Err(cause) => TxStep::Abort(cause),
-            }
-        }
-        Err(TxError::Wait) => {
-            let pw = pending_wait.expect("Wait reported without a wait request");
-            match tx.commit_publish() {
-                Ok((_info, ticket)) => TxStep::Wait(AsyncWait::from_pending(pw), ticket, defers),
-                Err(cause) => {
-                    runner::reclaim_enqueue_ref(&pw);
-                    TxStep::Abort(cause)
-                }
-            }
-        }
-        Err(TxError::Abort(AbortCause::Unsafe)) => {
-            tx.abort(AbortCause::Unsafe);
-            TxStep::Unsafe
-        }
-        Err(TxError::Abort(c)) => {
-            tx.abort(c);
-            if let Some(pw) = pending_wait {
-                runner::reclaim_enqueue_ref(&pw);
-            }
-            TxStep::Abort(c)
-        }
-        Err(e @ (TxError::DeadlineExceeded | TxError::Overloaded)) => {
-            tx.abort(AbortCause::Explicit);
-            if let Some(pw) = pending_wait {
-                runner::reclaim_enqueue_ref(&pw);
-            }
-            TxStep::RunnerErr(e)
-        }
-    }
-}
-
-/// One synchronous HTM attempt on a claimed slot (async twin of the heart
-/// of `runner::run_htm`).
-fn attempt_htm<'a, R, F>(
-    th: &'a ThreadHandle,
-    slot: usize,
-    lock: &'a ElidableMutex,
-    budget: Budget,
-    f: &mut F,
-) -> TxStep<'a, R>
-where
-    F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-{
-    let sys = &*th.sys;
-    let tx = sys.htm.begin(slot);
-    let mut ctx = TxCtx::new(CtxKind::Htm { tx });
-    ctx.deadline = budget.deadline;
-    ctx.async_waits = true;
-    let res = {
-        let _nest = NestGuard::enter(lock);
-        f(&mut ctx)
-    };
-    let TxCtx {
-        kind,
-        defers,
-        pending_wait,
-        ..
-    } = ctx;
-    let tx = match kind {
-        CtxKind::Htm { tx } => tx,
-        _ => unreachable!("context kind changed mid-transaction"),
-    };
-    match res {
-        Ok(r) => {
-            debug_assert!(pending_wait.is_none(), "wait() result must be propagated");
-            match tx.commit() {
-                Ok(()) => TxStep::Done(r, None, defers),
-                Err(cause) => TxStep::Abort(cause),
-            }
-        }
-        Err(TxError::Wait) => {
-            let pw = pending_wait.expect("Wait reported without a wait request");
-            match tx.commit() {
-                Ok(()) => TxStep::Wait(AsyncWait::from_pending(pw), None, defers),
-                Err(cause) => {
-                    runner::reclaim_enqueue_ref(&pw);
-                    TxStep::Abort(cause)
-                }
-            }
-        }
-        Err(TxError::Abort(AbortCause::Unsafe)) => {
-            tx.abort(AbortCause::Unsafe);
-            TxStep::Unsafe
-        }
-        Err(TxError::Abort(c)) => {
-            tx.abort(c);
-            if let Some(pw) = pending_wait {
-                runner::reclaim_enqueue_ref(&pw);
-            }
-            TxStep::Abort(c)
-        }
-        Err(e @ (TxError::DeadlineExceeded | TxError::Overloaded)) => {
-            tx.abort(AbortCause::Explicit);
-            if let Some(pw) = pending_wait {
-                runner::reclaim_enqueue_ref(&pw);
-            }
-            TxStep::RunnerErr(e)
-        }
-    }
-}
-
-/// Backoff between async attempts: the sync bounded spin (short; stays
-/// inside one poll) followed by an executor yield so co-scheduled tasks —
-/// possibly including the conflicting one — get the worker.
-async fn backoff_async(salt: usize, attempts: u32, consec: u32, ceiling: u32) {
-    runner::backoff(salt, attempts, consec, ceiling);
-    exec::yield_now().await;
-}
-
-async fn run_stm_async<'a, R, F>(
+/// Async form of the sync driver's `exclusive`: suspend into the adaptive
+/// lock word (`lock_path`) or the serial gate, run the core's exclusive
+/// body inside one poll, release, then await a committed wait.
+///
+/// Cancel audit: the serial token releases the gate in its `Drop` impl, so
+/// this future being dropped while suspended reopens the gate; the lock
+/// word is only ever held inside one poll.
+async fn exclusive_async<'a, R, F>(
     th: &'a ThreadHandle,
     lock: &'a ElidableMutex,
-    epoch: u64,
-    hints: TxHints,
-    budget: Budget,
-    f: &mut F,
-    spin: bool,
-) -> Outcome<R>
-where
-    F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-{
-    let sys = &*th.sys;
-    let stm_retries = hints
-        .stm_retries
-        .unwrap_or_else(|| lock.domain().stm_retries(sys.policy().stm_retries));
-    let mut attempts: u32 = 0;
-    loop {
-        let deadline_up = budget.expired();
-        if deadline_up && budget.fallible {
-            sys.stats.deadline_exceeded.inc(th.stm_slot);
-            trace::emit(
-                TraceKind::DeadlineExceeded,
-                TxMode::Stm,
-                None,
-                attempts as u64,
-            );
-            return Outcome::Expired(TxError::DeadlineExceeded);
-        }
-        if attempts >= stm_retries
-            || deadline_up
-            || runner::escalation_due(th)
-            || runner::serial_storm_due()
-        {
-            trace::emit(TraceKind::Fallback, TxMode::Serial, None, attempts as u64);
-            match run_serial_async(th, lock, epoch, budget.deadline, f).await {
-                SerialOutcome::Done(r) => return Outcome::Done(r),
-                SerialOutcome::Retry => {
-                    attempts = 0;
-                    continue;
-                }
-                SerialOutcome::Redispatch => return Outcome::Redispatch,
-            }
-        }
-        let token = sys.gate.enter_concurrent_async().await;
-        if lock.domain().epoch() != epoch {
-            drop(token);
-            return Outcome::Redispatch;
-        }
-        let slots = claim_slots(sys).await;
-        let step = attempt_stm(th, slots.stm, lock, budget, spin, f);
-        match step {
-            TxStep::Done(r, ticket, defers) => {
-                let wait_ns = match ticket {
-                    Some(t) => drain_ticket(sys, t).await,
-                    None => 0,
-                };
-                th.consec_aborts
-                    .store(0, std::sync::atomic::Ordering::Relaxed);
-                lock.domain().window.record_commit(wait_ns);
-                drop(slots);
-                drop(token);
-                for d in defers {
-                    d();
-                }
-                return Outcome::Done(r);
-            }
-            TxStep::Wait(w, ticket, defers) => {
-                let wait_ns = match ticket {
-                    Some(t) => drain_ticket(sys, t).await,
-                    None => 0,
-                };
-                th.consec_aborts
-                    .store(0, std::sync::atomic::Ordering::Relaxed);
-                lock.domain().window.record_commit(wait_ns);
-                drop(slots);
-                drop(token);
-                for d in defers {
-                    d();
-                }
-                attempts = 0;
-                block_on_async(th, lock, w).await;
-            }
-            TxStep::Abort(cause) => {
-                drop(slots);
-                drop(token);
-                attempts += 1;
-                runner::note_abort(th);
-                lock.domain().window.record_abort(cause);
-                trace::emit(TraceKind::Retry, TxMode::Stm, Some(cause), attempts as u64);
-                backoff_async(
-                    th.stm_slot,
-                    attempts,
-                    th.consecutive_aborts(),
-                    sys.policy().backoff_ceiling,
-                )
-                .await;
-            }
-            TxStep::Unsafe => {
-                drop(slots);
-                drop(token);
-                trace::emit(
-                    TraceKind::Fallback,
-                    TxMode::Serial,
-                    Some(AbortCause::Unsafe),
-                    attempts as u64,
-                );
-                match run_serial_async(th, lock, epoch, budget.deadline, f).await {
-                    SerialOutcome::Done(r) => return Outcome::Done(r),
-                    SerialOutcome::Retry => attempts = 0,
-                    SerialOutcome::Redispatch => return Outcome::Redispatch,
-                }
-            }
-            TxStep::RunnerErr(e) => {
-                drop(slots);
-                drop(token);
-                return propagate_runner_error(budget, e);
-            }
-        }
-    }
-}
-
-async fn run_htm_async<'a, R, F>(
-    th: &'a ThreadHandle,
-    lock: &'a ElidableMutex,
-    epoch: u64,
-    hints: TxHints,
-    budget: Budget,
-    f: &mut F,
-) -> Outcome<R>
-where
-    F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-{
-    let sys = &*th.sys;
-    let htm_retries = hints
-        .htm_retries
-        .unwrap_or_else(|| lock.domain().htm_retries(sys.policy().htm_retries));
-    let mut attempts: u32 = 0;
-    loop {
-        let deadline_up = budget.expired();
-        if deadline_up && budget.fallible {
-            sys.stats.deadline_exceeded.inc(th.stm_slot);
-            trace::emit(
-                TraceKind::DeadlineExceeded,
-                TxMode::Htm,
-                None,
-                attempts as u64,
-            );
-            return Outcome::Expired(TxError::DeadlineExceeded);
-        }
-        if attempts >= htm_retries
-            || deadline_up
-            || runner::escalation_due(th)
-            || runner::serial_storm_due()
-        {
-            trace::emit(TraceKind::Fallback, TxMode::Serial, None, attempts as u64);
-            match run_serial_async(th, lock, epoch, budget.deadline, f).await {
-                SerialOutcome::Done(r) => return Outcome::Done(r),
-                SerialOutcome::Retry => {
-                    attempts = 0;
-                    continue;
-                }
-                SerialOutcome::Redispatch => return Outcome::Redispatch,
-            }
-        }
-        let token = sys.gate.enter_concurrent_async().await;
-        if lock.domain().epoch() != epoch {
-            drop(token);
-            return Outcome::Redispatch;
-        }
-        let slots = claim_slots(sys).await;
-        let step = attempt_htm(th, slots.htm, lock, budget, f);
-        drop(slots);
-        match step {
-            TxStep::Done(r, _ticket, defers) => {
-                th.consec_aborts
-                    .store(0, std::sync::atomic::Ordering::Relaxed);
-                lock.domain().window.record_commit(0);
-                drop(token);
-                for d in defers {
-                    d();
-                }
-                return Outcome::Done(r);
-            }
-            TxStep::Wait(w, _ticket, defers) => {
-                th.consec_aborts
-                    .store(0, std::sync::atomic::Ordering::Relaxed);
-                lock.domain().window.record_commit(0);
-                drop(token);
-                for d in defers {
-                    d();
-                }
-                attempts = 0;
-                block_on_async(th, lock, w).await;
-            }
-            TxStep::Abort(cause) => {
-                drop(token);
-                attempts += 1;
-                runner::note_abort(th);
-                lock.domain().window.record_abort(cause);
-                trace::emit(TraceKind::Retry, TxMode::Htm, Some(cause), attempts as u64);
-                backoff_async(
-                    th.htm_slot,
-                    attempts,
-                    th.consecutive_aborts(),
-                    sys.policy().backoff_ceiling,
-                )
-                .await;
-            }
-            TxStep::Unsafe => {
-                drop(token);
-                trace::emit(
-                    TraceKind::Fallback,
-                    TxMode::Serial,
-                    Some(AbortCause::Unsafe),
-                    attempts as u64,
-                );
-                match run_serial_async(th, lock, epoch, budget.deadline, f).await {
-                    SerialOutcome::Done(r) => return Outcome::Done(r),
-                    SerialOutcome::Retry => attempts = 0,
-                    SerialOutcome::Redispatch => return Outcome::Redispatch,
-                }
-            }
-            TxStep::RunnerErr(e) => {
-                drop(token);
-                return propagate_runner_error(budget, e);
-            }
-        }
-    }
-}
-
-async fn run_serial_async<'a, R, F>(
-    th: &'a ThreadHandle,
-    lock: &'a ElidableMutex,
+    lock_path: Option<AlgoMode>,
     epoch: u64,
     deadline: Option<Instant>,
     f: &mut F,
@@ -666,82 +255,40 @@ where
     F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
 {
     let sys = &*th.sys;
-    // Unwind/cancel audit: the serial token releases the gate in its Drop
-    // impl, so both a panic inside `f` and this future being dropped while
-    // suspended reopen the gate.
-    let token = sys.gate.enter_serial_async().await;
-    if lock.domain().epoch() != epoch {
-        drop(token);
-        return SerialOutcome::Redispatch;
-    }
-    let step = {
-        history::begin(TxMode::Serial);
-        let mut ctx = TxCtx::new(CtxKind::Serial);
-        ctx.deadline = deadline;
-        ctx.async_waits = true;
-        let res = {
-            let _nest = NestGuard::enter(lock);
-            f(&mut ctx)
-        };
-        let TxCtx {
-            kind: _,
-            defers,
-            pending_wait,
-            ..
-        } = ctx;
-        sys.stats.serial_fallbacks.inc(th.stm_slot);
-        lock.domain().window.record_serial();
-        match res {
-            Ok(r) => {
-                debug_assert!(pending_wait.is_none(), "wait() result must be propagated");
-                sys.stats.commits.inc(th.stm_slot);
-                trace::emit(TraceKind::Commit, TxMode::Serial, None, 0);
-                history::commit();
-                SerialStep::Done(r, defers)
+    let step = match lock_path {
+        Some(mode) => {
+            adaptive_acquire_async(sys, lock, mode).await;
+            if lock.domain().epoch() != epoch {
+                runner::adaptive_release(lock, mode);
+                return SerialOutcome::Redispatch;
             }
-            Err(TxError::Wait) => {
-                sys.stats.commits.inc(th.stm_slot);
-                trace::emit(TraceKind::Commit, TxMode::Serial, None, 0);
-                history::commit();
-                let pw = pending_wait.expect("Wait reported without a wait request");
-                SerialStep::Wait(AsyncWait::from_pending(pw), defers)
+            let step =
+                runner::exclusive_body(th, lock, Exclusion::LockWord, deadline, Driver::Async, f);
+            runner::adaptive_release(lock, mode);
+            step
+        }
+        None => {
+            let _token = sys.gate.enter_serial_async().await;
+            if lock.domain().epoch() != epoch {
+                return SerialOutcome::Redispatch;
             }
-            Err(TxError::Abort(c)) => {
-                panic!(
-                    "operation aborted ({c}) in serial-irrevocable mode: effects cannot be undone"
-                )
-            }
-            Err(e @ (TxError::DeadlineExceeded | TxError::Overloaded)) => {
-                panic!("{e:?} raised in serial-irrevocable mode: effects cannot be undone")
-            }
+            runner::exclusive_body(th, lock, Exclusion::SerialGate, deadline, Driver::Async, f)
         }
     };
-    drop(token);
-    match step {
-        SerialStep::Done(r, defers) => {
-            for d in defers {
-                d();
-            }
-            SerialOutcome::Done(r)
-        }
-        SerialStep::Wait(w, defers) => {
-            for d in defers {
-                d();
-            }
-            block_on_async(th, lock, w).await;
+    match step.run_defers() {
+        Ok(r) => SerialOutcome::Done(r),
+        Err(pw) => {
+            block_on_async(th, lock, pw).await;
             SerialOutcome::Retry
         }
     }
 }
 
-/// What one baseline acquisition round produced.
-enum LockedStep<'a, R> {
-    WouldBlock,
-    Redispatch,
-    Done(R, Defers),
-    Wait(AsyncWait<'a>, Defers),
-}
-
+/// Baseline mode on a worker that must never park: `try_lock` + yield, and
+/// a waiting section *releases* the mutex and awaits its ring registration
+/// (the core enqueued it under the held mutex, `Driver::Async`) — where the
+/// sync `run_locked` keeps the guard alive across a native condvar wait.
+/// The guard never crosses an `.await`.
 async fn run_locked_async<'a, R, F>(
     th: &'a ThreadHandle,
     lock: &'a ElidableMutex,
@@ -752,481 +299,53 @@ async fn run_locked_async<'a, R, F>(
 where
     F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
 {
-    let _ = th;
     sched::yield_point(YieldPoint::LockWord);
     loop {
-        let step = {
-            // Acquire without parking the worker; the guard never crosses
-            // an await (everything under it is synchronous).
-            match lock.raw().try_lock() {
-                None => LockedStep::WouldBlock,
-                Some(guard) => {
-                    if lock.domain().epoch() != epoch {
-                        LockedStep::Redispatch
-                    } else {
-                        history::begin(TxMode::Locked);
-                        let mut ctx = TxCtx::new(CtxKind::Locked { guard: Some(guard) });
-                        ctx.deadline = deadline;
-                        ctx.async_waits = true;
-                        let res = {
-                            let _nest = NestGuard::enter(lock);
-                            f(&mut ctx)
-                        };
-                        let TxCtx {
-                            kind,
-                            defers,
-                            pending_wait,
-                            ..
-                        } = ctx;
-                        let g = match kind {
-                            CtxKind::Locked { guard: Some(g) } => g,
-                            _ => unreachable!("baseline context lost its guard"),
-                        };
-                        match res {
-                            Ok(r) => {
-                                debug_assert!(
-                                    pending_wait.is_none(),
-                                    "wait() result must be propagated"
-                                );
-                                lock.domain().window.record_serial();
-                                history::commit();
-                                drop(g);
-                                LockedStep::Done(r, defers)
-                            }
-                            Err(TxError::Wait) => {
-                                // The wait itself is the section's commit
-                                // point; the registration went into the
-                                // transactional ring under the held mutex
-                                // (async_waits), so release and await it.
-                                history::commit();
-                                let pw =
-                                    pending_wait.expect("Wait reported without a wait request");
-                                drop(g);
-                                LockedStep::Wait(AsyncWait::from_pending(pw), defers)
-                            }
-                            Err(TxError::Abort(c)) => {
-                                panic!("cannot abort ({c}) while holding the baseline lock")
-                            }
-                            Err(e @ (TxError::DeadlineExceeded | TxError::Overloaded)) => {
-                                panic!(
-                                    "{e:?} raised while holding the baseline lock: \
-                                     effects cannot be undone"
-                                )
-                            }
-                        }
-                    }
-                }
-            }
+        // `None`: the mutex was busy. It is released across a wait, so a
+        // flip may have completed in between: the epoch is checked on
+        // every round. The guard never crosses an `.await`.
+        let step = match lock.raw().try_lock() {
+            None => None,
+            Some(_) if lock.domain().epoch() != epoch => return Outcome::Redispatch,
+            Some(_guard) => Some(runner::exclusive_body(
+                th,
+                lock,
+                Exclusion::Mutex,
+                deadline,
+                Driver::Async,
+                f,
+            )),
         };
-        match step {
-            LockedStep::WouldBlock => {
-                sched::spin_hint(YieldPoint::LockWord);
-                exec::yield_now().await;
-            }
-            LockedStep::Redispatch => return Outcome::Redispatch,
-            LockedStep::Done(r, defers) => {
-                for d in defers {
-                    d();
-                }
-                return Outcome::Done(r);
-            }
-            LockedStep::Wait(w, defers) => {
-                for d in defers {
-                    d();
-                }
-                block_on_async(th, lock, w).await;
-                // The mutex was released across the wait; a flip may have
-                // completed in between (mirrors the sync epoch re-check).
-                if lock.domain().epoch() != epoch {
-                    return Outcome::Redispatch;
-                }
-            }
-        }
-    }
-}
-
-async fn run_adaptive_async<'a, R, F>(
-    th: &'a ThreadHandle,
-    lock: &'a ElidableMutex,
-    epoch: u64,
-    hints: TxHints,
-    budget: Budget,
-    f: &mut F,
-    mode: AlgoMode,
-) -> Outcome<R>
-where
-    F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-{
-    /// glibc's skip_lock_internal_abort analogue (see `run_adaptive_htm`).
-    const SKIP_AFTER_FAILURE: u32 = 3;
-    let sys = &*th.sys;
-    let htm_retries = hints
-        .htm_retries
-        .unwrap_or_else(|| lock.domain().htm_retries(sys.policy().htm_retries));
-    let mut attempts: u32 = 0;
-    loop {
-        if lock.domain().epoch() != epoch {
-            return Outcome::Redispatch;
-        }
-        let deadline_up = budget.expired();
-        if deadline_up && budget.fallible {
-            sys.stats.deadline_exceeded.inc(th.stm_slot);
-            trace::emit(
-                TraceKind::DeadlineExceeded,
-                TxMode::Htm,
-                None,
-                attempts as u64,
-            );
-            return Outcome::Expired(TxError::DeadlineExceeded);
-        }
-        if lock.consume_skip() || attempts >= htm_retries || deadline_up {
-            if attempts >= htm_retries {
-                lock.set_skip(SKIP_AFTER_FAILURE);
-                sys.stats.serial_fallbacks.inc(th.stm_slot);
-            }
-            trace::emit(TraceKind::Fallback, TxMode::Locked, None, attempts as u64);
-            match adaptive_lock_path_async(th, lock, epoch, budget.deadline, f, mode).await {
-                SerialOutcome::Done(r) => return Outcome::Done(r),
-                SerialOutcome::Retry => {
-                    attempts = 0;
-                    continue;
-                }
-                SerialOutcome::Redispatch => return Outcome::Redispatch,
-            }
-        }
-        if !mode.is_lazy() {
-            // Don't start while the lock is held (immediate subscription
-            // abort is wasted work); yield the worker instead of spinning.
-            // Lazy modes skip this — not touching the lock word before
-            // commit is their point.
-            while lock.held_cell().load_direct() {
-                sched::spin_hint(YieldPoint::LockWord);
-                exec::yield_now().await;
-            }
-        }
-        let slots = claim_slots(sys).await;
-        let step = attempt_adaptive(th, slots.htm, lock, epoch, budget, f, mode);
-        drop(slots);
-        match step {
-            AdaptiveStep::Done(r, defers) => {
-                lock.domain().window.record_commit(0);
-                for d in defers {
-                    d();
-                }
-                return Outcome::Done(r);
-            }
-            AdaptiveStep::Wait(w, defers) => {
-                lock.domain().window.record_commit(0);
-                for d in defers {
-                    d();
-                }
-                attempts = 0;
-                block_on_async(th, lock, w).await;
-            }
-            AdaptiveStep::SubscribedHeld => {
-                attempts += 1;
-                lock.domain().window.record_abort(AbortCause::Conflict);
-                trace::emit(
-                    TraceKind::Retry,
-                    TxMode::Htm,
-                    Some(AbortCause::Conflict),
-                    attempts as u64,
-                );
-            }
-            AdaptiveStep::Abort(cause) => {
-                attempts += 1;
-                lock.domain().window.record_abort(cause);
-                trace::emit(TraceKind::Retry, TxMode::Htm, Some(cause), attempts as u64);
-                backoff_async(th.htm_slot, attempts, 0, sys.policy().backoff_ceiling).await;
-            }
-            AdaptiveStep::Redispatch => return Outcome::Redispatch,
-            AdaptiveStep::Unsafe => {
-                sys.stats.serial_fallbacks.inc(th.stm_slot);
-                trace::emit(
-                    TraceKind::Fallback,
-                    TxMode::Locked,
-                    Some(AbortCause::Unsafe),
-                    attempts as u64,
-                );
-                match adaptive_lock_path_async(th, lock, epoch, budget.deadline, f, mode).await {
-                    SerialOutcome::Done(r) => return Outcome::Done(r),
-                    SerialOutcome::Retry => attempts = 0,
-                    SerialOutcome::Redispatch => return Outcome::Redispatch,
-                }
-            }
-            AdaptiveStep::RunnerErr(e) => return propagate_runner_error(budget, e),
-        }
-    }
-}
-
-enum AdaptiveStep<'a, R> {
-    Done(R, Defers),
-    Wait(AsyncWait<'a>, Defers),
-    /// The lock-word subscription read `true`: retry without backoff.
-    SubscribedHeld,
-    Abort(AbortCause),
-    Redispatch,
-    Unsafe,
-    RunnerErr(TxError),
-}
-
-/// One synchronous adaptive-elision attempt on a claimed HTM slot. `mode`
-/// selects the subscription discipline: eager (subscribe the lock word at
-/// begin) or lazy (seqlock window capture + commit-time check; see
-/// `runner::run_adaptive_htm` for the guard ordering).
-fn attempt_adaptive<'a, R, F>(
-    th: &'a ThreadHandle,
-    slot: usize,
-    lock: &'a ElidableMutex,
-    epoch: u64,
-    budget: Budget,
-    f: &mut F,
-    mode: AlgoMode,
-) -> AdaptiveStep<'a, R>
-where
-    F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-{
-    let sys = &*th.sys;
-    let lazy = mode.is_lazy();
-    // Seeded bug (reorder hazard): capture hoisted above begin; see the
-    // sync runner.
-    let hoisted_g0 = if lazy && mutant::armed(Mutant::LazySubscriptionReorder) {
-        let g = lock.elision_seq();
-        sched::yield_point(YieldPoint::LockWord);
-        Some(g)
-    } else {
-        None
-    };
-    let mut tx = sys.htm.begin(slot);
-    let g0 = if lazy {
-        hoisted_g0.unwrap_or_else(|| lock.elision_seq())
-    } else {
-        0
-    };
-    if !lazy {
-        match tx.read(lock.held_cell()) {
-            Ok(false) => {}
-            Ok(true) => {
-                tx.abort(AbortCause::Conflict);
-                return AdaptiveStep::SubscribedHeld;
-            }
-            Err(e) => {
-                tx.abort(e);
-                return AdaptiveStep::Abort(e);
-            }
-        }
-    } else if !mode.is_lazy_unsafe()
-        && g0 & 1 == 1
-        && !mutant::armed(Mutant::LazyCommitWithLockHeld)
-    {
-        // Begin-refusal: the window opened with the lock held.
-        tx.abort(AbortCause::Conflict);
-        return AdaptiveStep::SubscribedHeld;
-    }
-    if lock.domain().epoch() != epoch {
-        tx.abort(AbortCause::Explicit);
-        return AdaptiveStep::Redispatch;
-    }
-    let mut ctx = TxCtx::new(CtxKind::Htm { tx });
-    ctx.deadline = budget.deadline;
-    ctx.async_waits = true;
-    let res = {
-        let _nest = NestGuard::enter(lock);
-        f(&mut ctx)
-    };
-    let TxCtx {
-        kind,
-        defers,
-        pending_wait,
-        ..
-    } = ctx;
-    let tx = match kind {
-        CtxKind::Htm { tx } => tx,
-        _ => unreachable!("context kind changed mid-transaction"),
-    };
-    match res {
-        Ok(r) => {
-            debug_assert!(pending_wait.is_none(), "wait() result must be propagated");
-            let commit = match runner::lazy_precommit_gate(lock, mode, g0, lazy) {
-                Ok(()) => tx.commit(),
-                Err(cause) => {
-                    tx.abort(cause);
-                    Err(cause)
-                }
-            };
-            match commit {
-                Ok(()) => AdaptiveStep::Done(r, defers),
-                Err(cause) => AdaptiveStep::Abort(cause),
-            }
-        }
-        Err(TxError::Wait) => {
-            let pw = pending_wait.expect("Wait reported without a wait request");
-            let commit = match runner::lazy_precommit_gate(lock, mode, g0, lazy) {
-                Ok(()) => tx.commit(),
-                Err(cause) => {
-                    tx.abort(cause);
-                    Err(cause)
-                }
-            };
-            match commit {
-                Ok(()) => AdaptiveStep::Wait(AsyncWait::from_pending(pw), defers),
-                Err(cause) => {
-                    runner::reclaim_enqueue_ref(&pw);
-                    AdaptiveStep::Abort(cause)
-                }
-            }
-        }
-        Err(TxError::Abort(AbortCause::Unsafe)) => {
-            tx.abort(AbortCause::Unsafe);
-            AdaptiveStep::Unsafe
-        }
-        Err(TxError::Abort(c)) => {
-            tx.abort(c);
-            if let Some(pw) = pending_wait {
-                runner::reclaim_enqueue_ref(&pw);
-            }
-            AdaptiveStep::Abort(c)
-        }
-        Err(e @ (TxError::DeadlineExceeded | TxError::Overloaded)) => {
-            tx.abort(AbortCause::Explicit);
-            if let Some(pw) = pending_wait {
-                runner::reclaim_enqueue_ref(&pw);
-            }
-            AdaptiveStep::RunnerErr(e)
+        match step.map(SerialStep::run_defers) {
+            None => yield_on_lock_word().await,
+            Some(Ok(r)) => return Outcome::Done(r),
+            Some(Err(pw)) => block_on_async(th, lock, pw).await,
         }
     }
 }
 
 /// Acquire the adaptive lock word without monopolizing a worker: CAS with
-/// executor yields, then make the acquisition visible to speculators.
-/// Eager modes doom subscribed transactions via the non-blocking
-/// [`try_invalidate`](tle_htm::HtmGlobal::try_invalidate), yielding while a
-/// victim is mid-commit; safe-lazy bumps the acquisition seqlock and
-/// sweep-dooms every active transaction ([`try_doom_all_active`]
-/// (tle_htm::HtmGlobal::try_doom_all_active) + yields); naive-lazy
-/// deliberately does neither (see `runner::adaptive_acquire`).
+/// executor yields, then doom whoever `runner::announce_acquisition` names
+/// through the non-blocking sweeps
+/// ([`try_invalidate`](tle_htm::HtmGlobal::try_invalidate),
+/// [`try_doom_all_active`](tle_htm::HtmGlobal::try_doom_all_active)),
+/// yielding while a victim is mid-commit.
 async fn adaptive_acquire_async(sys: &TmSystem, lock: &ElidableMutex, mode: AlgoMode) {
     sched::yield_point(YieldPoint::LockWord);
+    while !runner::try_acquire_word(lock) {
+        yield_on_lock_word().await;
+    }
+    let doom = runner::announce_acquisition(lock, mode);
     loop {
-        if !lock.held_cell().load_direct()
-            && lock
-                .held_cell()
-                .word()
-                .compare_exchange(
-                    0,
-                    1,
-                    std::sync::atomic::Ordering::SeqCst,
-                    std::sync::atomic::Ordering::SeqCst,
-                )
-                .is_ok()
-        {
-            break;
-        }
-        sched::spin_hint(YieldPoint::LockWord);
-        exec::yield_now().await;
-    }
-    if mode.is_lazy() {
-        lock.seq_bump();
-        if mode.is_lazy_unsafe() {
-            while !sys.htm.try_invalidate(lock.held_cell()) {
-                sched::spin_hint(YieldPoint::LockWord);
-                exec::yield_now().await;
-            }
-        } else if !mutant::armed(Mutant::LazyZombieEscape) {
-            while !sys.htm.try_doom_all_active() {
-                sched::spin_hint(YieldPoint::LockWord);
-                exec::yield_now().await;
-            }
-        }
-    } else {
-        while !sys.htm.try_invalidate(lock.held_cell()) {
-            sched::spin_hint(YieldPoint::LockWord);
-            exec::yield_now().await;
-        }
-    }
-}
-
-/// Release the adaptive lock word, restoring the lazy seqlock to even.
-fn adaptive_release(lock: &ElidableMutex, mode: AlgoMode) {
-    lock.held_cell().store_direct(false);
-    if mode.is_lazy() {
-        lock.seq_bump();
-    }
-}
-
-/// Async twin of `runner::run_adaptive_lock_path`.
-async fn adaptive_lock_path_async<'a, R, F>(
-    th: &'a ThreadHandle,
-    lock: &'a ElidableMutex,
-    epoch: u64,
-    deadline: Option<Instant>,
-    f: &mut F,
-    mode: AlgoMode,
-) -> SerialOutcome<R>
-where
-    F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-{
-    let sys = &*th.sys;
-    adaptive_acquire_async(sys, lock, mode).await;
-    if lock.domain().epoch() != epoch {
-        adaptive_release(lock, mode);
-        return SerialOutcome::Redispatch;
-    }
-    let step = {
-        history::begin(TxMode::Locked);
-        let mut ctx = TxCtx::new(CtxKind::Serial);
-        ctx.deadline = deadline;
-        ctx.async_waits = true;
-        let res = {
-            let _nest = NestGuard::enter(lock);
-            f(&mut ctx)
+        let swept = match doom {
+            Doom::Subscribers => sys.htm.try_invalidate(lock.held_cell()),
+            Doom::AllActive => sys.htm.try_doom_all_active(),
+            Doom::Nobody => true,
         };
-        let TxCtx {
-            kind: _,
-            defers,
-            pending_wait,
-            ..
-        } = ctx;
-        if matches!(res, Ok(_) | Err(TxError::Wait)) {
-            history::commit();
+        if swept {
+            return;
         }
-        adaptive_release(lock, mode);
-        match res {
-            Ok(r) => {
-                debug_assert!(pending_wait.is_none(), "wait() result must be propagated");
-                lock.domain().window.record_serial();
-                SerialStep::Done(r, defers)
-            }
-            Err(TxError::Wait) => {
-                lock.domain().window.record_serial();
-                let pw = pending_wait.expect("Wait reported without a wait request");
-                SerialStep::Wait(AsyncWait::from_pending(pw), defers)
-            }
-            Err(TxError::Abort(c)) => {
-                panic!(
-                    "operation aborted ({c}) while holding the elided lock: \
-                     effects cannot be undone"
-                )
-            }
-            Err(e @ (TxError::DeadlineExceeded | TxError::Overloaded)) => {
-                panic!("{e:?} raised while holding the elided lock: effects cannot be undone")
-            }
-        }
-    };
-    match step {
-        SerialStep::Done(r, defers) => {
-            for d in defers {
-                d();
-            }
-            SerialOutcome::Done(r)
-        }
-        SerialStep::Wait(w, defers) => {
-            for d in defers {
-                d();
-            }
-            block_on_async(th, lock, w).await;
-            SerialOutcome::Retry
-        }
+        yield_on_lock_word().await;
     }
 }
 
@@ -1248,15 +367,15 @@ struct WaitEntryGuard<'a> {
 impl Drop for WaitEntryGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            runner::cancel_wait(self.th, self.lock, self.cv, self.raw.0);
+            runner::cancel_wait(self.th, self.lock, self.cv, self.raw);
         }
     }
 }
 
 /// Suspend on a committed wait registration (or just yield under spin-mode
-/// polling). Async twin of `runner::block_on`.
-async fn block_on_async<'a>(th: &'a ThreadHandle, lock: &'a ElidableMutex, w: AsyncWait<'a>) {
-    match w.waiter {
+/// polling).
+async fn block_on_async<'a>(th: &'a ThreadHandle, lock: &'a ElidableMutex, pw: PendingWait<'a>) {
+    match pw.waiter {
         None => {
             // Spin/poll degradation: re-run the section after giving the
             // worker away once.
@@ -1267,15 +386,15 @@ async fn block_on_async<'a>(th: &'a ThreadHandle, lock: &'a ElidableMutex, w: As
             let mut guard = WaitEntryGuard {
                 th,
                 lock,
-                cv: w.cv,
-                raw: w.raw,
+                cv: pw.cv,
+                raw: pw.raw,
                 armed: true,
             };
-            let signaled = wait_signaled(&waiter, w.timeout).await;
+            let signaled = wait_signaled(&waiter, pw.timeout).await;
             guard.armed = false;
             trace::emit(TraceKind::WaitPark, TxMode::Serial, None, !signaled as u64);
             if !signaled {
-                cancel_wait_async(th, lock, w.cv, w.raw).await;
+                cancel_wait_async(th, lock, pw.cv, pw.raw).await;
             }
         }
     }
@@ -1308,11 +427,9 @@ async fn wait_signaled(waiter: &Waiter, timeout: Option<Duration>) -> bool {
     }
 }
 
-use std::future::Future as _;
-
 /// Timed-out waiter: remove our ring entry, as `runner::cancel_wait` does,
-/// but with async gate entry, transient slot claims, and an async-safe
-/// excluded path.
+/// but with async gate entry, transient slot claims, a polled drain and an
+/// async-safe excluded path.
 async fn cancel_wait_async<'a>(
     th: &'a ThreadHandle,
     lock: &'a ElidableMutex,
@@ -1327,67 +444,31 @@ async fn cancel_wait_async<'a>(
         }
         let token = sys.gate.enter_concurrent_async().await;
         let mode = lock.resolved_mode(sys.mode());
-        if mode == AlgoMode::Baseline || mode.is_glibc_family() {
+        if !runner::ring_is_transactional(mode) {
             drop(token);
             break remove_waiter_excluded_async(th, lock, cv, raw).await;
         }
         let slots = claim_slots(sys).await;
-        let outcome = if mode == AlgoMode::HtmCondvar {
-            let tx = sys.htm.begin(slots.htm);
-            let mut ctx = TxCtx::new(CtxKind::Htm { tx });
-            let r = cv.remove(&mut ctx, raw.0);
-            let tx = match ctx.kind {
-                CtxKind::Htm { tx } => tx,
-                _ => unreachable!(),
-            };
-            match r {
-                Ok(found) => tx.commit().map(|_| (found, None)),
-                Err(e) => {
-                    tx.abort(e);
-                    Err(e)
-                }
-            }
-        } else {
-            let tx = sys.stm.begin_soft(slots.stm);
-            let mut ctx = TxCtx::new(CtxKind::Stm {
-                tx,
-                spin_waits: false,
-            });
-            let r = cv.remove(&mut ctx, raw.0);
-            let tx = match ctx.kind {
-                CtxKind::Stm { tx, .. } => tx,
-                _ => unreachable!(),
-            };
-            match r {
-                Ok(found) => tx.commit_publish().map(|(_, t)| (found, t)),
-                Err(e) => {
-                    tx.abort(e);
-                    Err(e)
-                }
-            }
-        };
-        match outcome {
-            Ok((found, ticket)) => {
-                if let Some(t) = ticket {
-                    drain_ticket(sys, t).await;
-                }
-                drop(slots);
-                drop(token);
-                break found;
-            }
+        let claimed = (slots.stm, slots.htm);
+        let mut owed = None;
+        let removal =
+            runner::remove_waiter_tx(sys, mode, claimed, cv, raw, Driver::Async, &mut owed);
+        if let Some(ticket) = owed {
+            drain_ticket(sys, ticket).await;
+        }
+        drop(slots);
+        drop(token);
+        match removal {
+            Ok(found) => break found,
             Err(_) => {
-                drop(slots);
-                drop(token);
                 attempts += 1;
-                backoff_async(th.stm_slot, attempts, 0, sys.policy().backoff_ceiling).await;
+                runner::backoff(th.stm_slot, attempts, 0, sys.policy().backoff_ceiling);
+                exec::yield_now().await;
             }
         }
     };
     if removed {
-        // SAFETY: the queue entry held an `Arc` reference produced by
-        // `Arc::into_raw` in `TxCtx::wait`; removing the entry transfers
-        // that reference to us.
-        unsafe { drop(Arc::from_raw(raw.0)) };
+        runner::drop_ring_ref(raw);
     }
 }
 
@@ -1407,30 +488,21 @@ async fn remove_waiter_excluded_async<'a>(
     raw: RawWaiter,
 ) -> bool {
     let sys = &*th.sys;
-    let token = sys.gate.enter_serial_async().await;
+    let _token = sys.gate.enter_serial_async().await;
     // Serial token held: the resolved mode cannot flip under us, so the
     // acquire/release pair keeps the lazy seqlock parity consistent.
     let mode = lock.resolved_mode(sys.mode());
     adaptive_acquire_async(sys, lock, mode).await;
     let removed = loop {
-        let r = {
-            match lock.raw().try_lock() {
-                None => None,
-                Some(_guard) => {
-                    let mut ctx = TxCtx::new(CtxKind::Serial);
-                    Some(
-                        cv.remove(&mut ctx, raw.0)
-                            .expect("direct access cannot abort"),
-                    )
-                }
-            }
-        };
-        match r {
+        let removed = lock
+            .raw()
+            .try_lock()
+            .map(|_guard| runner::remove_waiter_direct(cv, raw));
+        match removed {
             Some(found) => break found,
             None => exec::yield_now().await,
         }
     };
-    adaptive_release(lock, mode);
-    drop(token);
+    runner::adaptive_release(lock, mode);
     removed
 }

@@ -251,9 +251,9 @@ pub struct TxHints {
     /// Retry-time budget for this section, measured from dispatch. The
     /// runner checks it before every retry tier and serial-gate entry and
     /// clamps condvar waits to the remainder. Under
-    /// [`ThreadHandle::try_critical_with`] expiry surfaces as
+    /// [`TxRequest::try_run`] expiry surfaces as
     /// [`TxError::DeadlineExceeded`]; under the infallible
-    /// [`ThreadHandle::critical_with`] it forces the serial path instead
+    /// [`TxRequest::run`] it forces the serial path instead
     /// (bounded retry time, no error channel needed).
     pub deadline: Option<Duration>,
 }
@@ -1130,7 +1130,12 @@ impl<'a> TxRequest<'a> {
     /// caller always gets the body's `Ok` value.
     #[inline]
     pub fn run<R>(self, body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>) -> R {
-        runner::run(self.th, self.lock, self.hints, body)
+        match runner::run(self.th, self.lock, self.hints, body, false) {
+            Ok(r) => r,
+            // Infallible entry: deadline expiry serializes instead of
+            // erroring and shed degrades to serialize, so neither escapes.
+            Err(e) => unreachable!("infallible run produced {e:?}"),
+        }
     }
 
     /// Run the section, fallibly: deadline expiry
@@ -1150,7 +1155,7 @@ impl<'a> TxRequest<'a> {
         self,
         body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
     ) -> Result<R, TxError> {
-        runner::try_run(self.th, self.lock, self.hints, body)
+        runner::run(self.th, self.lock, self.hints, body, true)
     }
 
     /// Async twin of [`run`](TxRequest::run): resolves to the body's `Ok`

@@ -554,3 +554,77 @@ fn async_dropped_wait_future_self_cancels_ring_entry() {
         assert_eq!(cv.approx_len(), 0, "ring not drained under {mode:?}");
     }
 }
+
+/// The sync/async drift the shared ladder ended: a safe-lazy begin refusal
+/// (the lock is held right now) must back off — on the async driver that
+/// includes a yield — like every other conflict abort. The old async ladder
+/// folded it into the eager "subscribed, held" step and retried it hot, so
+/// one poll against a held lock burned the whole `htm_retries` budget,
+/// armed the skip counter and queued on the lock path behind the holder.
+#[test]
+fn async_lazy_refusal_backs_off_instead_of_burning_the_retry_budget() {
+    use std::future::Future;
+    use std::sync::mpsc;
+    use std::task::{Context, Poll, Wake, Waker};
+
+    struct NoopWake;
+    impl Wake for NoopWake {
+        fn wake(self: Arc<Self>) {}
+    }
+
+    let sys = Arc::new(TmSystem::new(AlgoMode::AdaptiveHtmLazy));
+    let lock = Arc::new(ElidableMutex::new("lazy-held"));
+    let cell = Arc::new(TCell::new(0u64));
+
+    // A sync section holds the lock path (odd acquisition seqlock) until told
+    // to leave.
+    let (holding_tx, holding_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let holder = {
+        let (sys, lock, cell) = (Arc::clone(&sys), Arc::clone(&lock), Arc::clone(&cell));
+        std::thread::spawn(move || {
+            let th = sys.register();
+            th.tx(&lock).run(|ctx| {
+                ctx.unsafe_op()?; // speculative run aborts here; the lock path passes
+                holding_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                ctx.update(&*cell, |v| v + 1)?;
+                Ok(())
+            });
+        })
+    };
+    holding_rx.recv().unwrap();
+
+    // One poll of an async section against the held lock: exactly one
+    // refused attempt, then a suspension.
+    let th = sys.register();
+    let aborts_before = sys.htm.stats.tx.aborts.get();
+    let fut = th.tx(&lock).run_async(|ctx| {
+        ctx.update(&*cell, |v| v + 1)?;
+        Ok(())
+    });
+    let mut fut = std::pin::pin!(fut);
+    let waker = Waker::from(Arc::new(NoopWake));
+    let mut cx = Context::from_waker(&waker);
+    assert!(fut.as_mut().poll(&mut cx).is_pending());
+    assert_eq!(
+        sys.htm.stats.tx.aborts.get() - aborts_before,
+        1,
+        "a refused lazy begin must yield after one attempt"
+    );
+    assert_eq!(
+        lock.skip_credits(),
+        0,
+        "one refusal must not exhaust the retry budget and arm the skip counter"
+    );
+
+    release_tx.send(()).unwrap();
+    holder.join().unwrap();
+    loop {
+        if let Poll::Ready(()) = fut.as_mut().poll(&mut cx) {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    assert_eq!(cell.load_direct(), 2);
+}

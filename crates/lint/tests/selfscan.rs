@@ -38,10 +38,10 @@ fn workspace_self_scan_is_clean() {
         complaints.is_empty(),
         "workspace self-scan must be clean:{complaints}"
     );
-    // The scan actually saw the codebase: 142 files, 211 atomic blocks at
-    // the time of writing (the workspace-engine PR added the call-graph,
-    // lock-order and ordering-audit layers plus this suite's new fixtures)
-    // — use generous floors so growth never trips this.
+    // The scan actually saw the codebase: 143 files, 215 atomic blocks at
+    // the time of writing (PR 16, after the two runner ladders became one
+    // core and `tests/runner_parity.rs` arrived) — use generous floors so
+    // growth never trips this.
     assert!(
         report.files_scanned >= 130,
         "suspiciously few files scanned: {}",
@@ -63,7 +63,9 @@ fn workspace_self_scan_is_clean() {
     // The workspace layers really ran: the symbol table indexed the tree,
     // atomic blocks resolved calls, lock names were harvested, and the
     // ordering audit saw the kernel's atomics. Measured at the time of
-    // writing: 2005 fns, 25 resolved calls, 13 lock names, 247 accesses.
+    // writing: 2046 fns, 25 resolved calls, 13 lock names, 237 accesses
+    // (10 fewer than before PR 16: the duplicated runner loops took their
+    // epoch/skip/consec-abort accesses with them).
     let stats = report.stats;
     assert!(
         stats.fns_indexed >= 1500,

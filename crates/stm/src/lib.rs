@@ -223,24 +223,39 @@ impl StmGlobal {
     /// Run one non-blocking sweep of a pending post-commit drain
     /// ([`StmTx::commit_publish`]). `Some(info)` once the drain completes —
     /// quiescence statistics are recorded at that point — and `None` while
-    /// an older transaction is still inside the window (the async runner
+    /// an older transaction is still inside the window (the async driver
     /// yields its worker and polls again).
     pub fn quiesce_pass(&self, t: &mut QuiesceTicket) -> Option<CommitInfo> {
-        let dog = Watchdog {
+        let wait_ns = t.pass(&self.slots, &self.watchdog(t))?;
+        Some(self.quiesced(t, wait_ns))
+    }
+
+    /// Spin a pending post-commit drain out on the calling thread (the back
+    /// half of the blocking [`StmTx::commit`]).
+    pub(crate) fn quiesce_blocking(&self, t: &QuiesceTicket) -> CommitInfo {
+        let wait_ns = drain_watched(&self.slots, t.slot_idx, t.upto, Some(&self.watchdog(t)));
+        self.quiesced(t, wait_ns)
+    }
+
+    fn watchdog(&self, t: &QuiesceTicket) -> Watchdog<'_> {
+        Watchdog {
             deadline_ns: self.quiesce_deadline_ns(),
             stats: &self.stats,
             shard: t.slot_idx,
             tx_deadline: t.tx_deadline,
-        };
-        let wait_ns = t.pass(&self.slots, &dog)?;
+        }
+    }
+
+    /// Account for a completed drain.
+    fn quiesced(&self, t: &QuiesceTicket, wait_ns: u64) -> CommitInfo {
         self.stats.quiesces.inc(t.slot_idx);
         self.stats.quiesce_wait_ns.add(t.slot_idx, wait_ns);
         self.stats.quiesce_hist.record(wait_ns);
-        Some(CommitInfo {
-            end_time: t.end_time,
+        CommitInfo {
+            end_time: t.upto,
             quiesced: true,
             quiesce_wait_ns: wait_ns,
-        })
+        }
     }
 }
 

@@ -207,12 +207,13 @@ pub fn drain_watched(
     ns
 }
 
-/// A post-commit drain split out of an async commit
+/// A post-commit drain owed by a committed transaction
 /// ([`StmTx::commit_publish`](crate::StmTx::commit_publish)).
 ///
 /// The commit itself has already happened — clock advanced, orecs released,
-/// slot deactivated — and only the privatization drain remains. Instead of
-/// spinning, the async runner calls
+/// slot deactivated — and only the privatization drain remains. The blocking
+/// [`StmTx::commit`](crate::StmTx::commit) spins it out through
+/// [`drain_watched`]; the async driver instead calls
 /// [`StmGlobal::quiesce_pass`](crate::StmGlobal::quiesce_pass) once per
 /// poll, yielding the executor worker between passes; each pass is a single
 /// non-blocking sweep of the slot registry. Termination mirrors the
@@ -226,29 +227,23 @@ pub fn drain_watched(
 /// polling — abandoning the drain would break privatization safety.
 pub struct QuiesceTicket {
     pub(crate) upto: u64,
-    pub(crate) end_time: u64,
     pub(crate) slot_idx: usize,
     pub(crate) tx_deadline: Option<Instant>,
-    started: Instant,
-    announced: bool,
+    /// When the first blocked pass was seen (`None` until a sweep finds a
+    /// straggler: a ticket that drains on its first sweep never reads the
+    /// clock).
+    blocked_since: Option<Instant>,
     tripped: bool,
     budget_noted: bool,
 }
 
 impl QuiesceTicket {
-    pub(crate) fn new(
-        upto: u64,
-        end_time: u64,
-        slot_idx: usize,
-        tx_deadline: Option<Instant>,
-    ) -> Self {
+    pub(crate) fn new(upto: u64, slot_idx: usize, tx_deadline: Option<Instant>) -> Self {
         QuiesceTicket {
             upto,
-            end_time,
             slot_idx,
             tx_deadline,
-            started: Instant::now(),
-            announced: false,
+            blocked_since: None,
             tripped: false,
             budget_noted: false,
         }
@@ -256,7 +251,7 @@ impl QuiesceTicket {
 
     /// Commit timestamp of the transaction that owes this drain.
     pub fn end_time(&self) -> u64 {
-        self.end_time
+        self.upto
     }
 
     /// One non-blocking sweep. `Some(waited_ns)` once every older slot has
@@ -268,19 +263,19 @@ impl QuiesceTicket {
             .scan()
             .any(|(idx, v)| idx != self.slot_idx && v < self.upto);
         if !blocked {
-            if !self.announced {
+            let Some(since) = self.blocked_since else {
                 return Some(0);
-            }
-            let ns = self.started.elapsed().as_nanos() as u64;
+            };
+            let ns = since.elapsed().as_nanos() as u64;
             trace::emit(TraceKind::QuiesceEnd, TxMode::Stm, None, ns);
             return Some(ns);
         }
-        if !self.announced {
-            self.announced = true;
+        let since = *self.blocked_since.get_or_insert_with(|| {
             trace::emit(TraceKind::QuiesceStart, TxMode::Stm, None, self.upto);
-        }
+            Instant::now()
+        });
         sched::spin_hint(YieldPoint::QuiesceScan);
-        let ns = self.started.elapsed().as_nanos() as u64;
+        let ns = since.elapsed().as_nanos() as u64;
         if !self.tripped && ns > dog.deadline_ns {
             self.tripped = true;
             dog.trip(ns, self.upto);
@@ -380,7 +375,7 @@ mod tests {
             shard: me,
             tx_deadline: None,
         };
-        let mut t = QuiesceTicket::new(100, 100, me, None);
+        let mut t = QuiesceTicket::new(100, me, None);
         assert_eq!(t.pass(&slots, &dog), Some(0));
     }
 
@@ -397,7 +392,7 @@ mod tests {
             shard: me,
             tx_deadline: None,
         };
-        let mut t = QuiesceTicket::new(100, 100, me, None);
+        let mut t = QuiesceTicket::new(100, me, None);
         assert_eq!(t.pass(&slots, &dog), None);
         assert_eq!(t.pass(&slots, &dog), None, "still blocked");
         slots.publish_raw(other, INACTIVE);
@@ -418,7 +413,7 @@ mod tests {
             shard: me,
             tx_deadline: None,
         };
-        let mut t = QuiesceTicket::new(100, 100, me, None);
+        let mut t = QuiesceTicket::new(100, me, None);
         assert_eq!(t.pass(&slots, &dog), None);
         assert_eq!(t.pass(&slots, &dog), None);
         assert_eq!(

@@ -2,7 +2,7 @@
 //! acquisition, timestamp extension, commit-time validation, and the
 //! post-commit quiescence drain.
 
-use crate::quiesce::{drain_watched, QuiescePolicy, QuiesceTicket, Watchdog};
+use crate::quiesce::{QuiescePolicy, QuiesceTicket};
 use crate::sets::{self, BufLease};
 use crate::StmGlobal;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,7 +126,7 @@ impl<'g> StmTx<'g> {
 
     /// Attach the transaction's retry-time budget so the post-commit
     /// quiescence drain can observe an overrun (see
-    /// [`Watchdog::tx_deadline`]).
+    /// [`Watchdog::tx_deadline`](crate::Watchdog::tx_deadline)).
     #[inline]
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.deadline = deadline;
@@ -334,9 +334,36 @@ impl<'g> StmTx<'g> {
         Ok(())
     }
 
-    /// Attempt to commit. On success returns drain information; on failure
-    /// the transaction has already rolled back and the caller retries.
-    pub fn commit(mut self) -> Result<CommitInfo, AbortCause> {
+    /// Attempt to commit, blocking through the post-commit quiescence drain.
+    /// On success returns drain information; on failure the transaction has
+    /// already rolled back and the caller retries.
+    ///
+    /// This is [`StmTx::commit_publish`] followed by the blocking drain of
+    /// whatever ticket it returned — the validate → release → publish front
+    /// half exists once, there.
+    pub fn commit(self) -> Result<CommitInfo, AbortCause> {
+        let g = self.g;
+        let (info, ticket) = self.commit_publish()?;
+        Ok(match ticket {
+            None => info,
+            Some(t) => g.quiesce_blocking(&t),
+        })
+    }
+
+    /// The commit front half: validate, release the orecs at the new
+    /// timestamp, publish `INACTIVE`. When a post-commit drain is required
+    /// it is *returned* as a pending [`QuiesceTicket`] instead of being spun
+    /// out inline. Everything executed here is non-blocking (clock CAS, orec
+    /// releases, slot store), so the async driver may call it from an
+    /// executor worker and poll the ticket via
+    /// [`StmGlobal::quiesce_pass`](crate::StmGlobal::quiesce_pass) with
+    /// yields in between. When the ticket is `None` the returned
+    /// [`CommitInfo`] is final.
+    // Inlined into `commit` on purpose: as a call, the by-memory return of
+    // `(CommitInfo, Option<QuiesceTicket>)` cost the raw commit ~8 ns
+    // (`stm.tx_ro.ns` / `stm.tx_rw.ns` in the repo benchmark).
+    #[inline]
+    pub fn commit_publish(mut self) -> Result<(CommitInfo, Option<QuiesceTicket>), AbortCause> {
         debug_assert!(!self.finished);
         let shard = self.slot_idx;
         if self.bufs.locks.is_empty() {
@@ -363,75 +390,6 @@ impl<'g> StmTx<'g> {
                 self.g.stats.quiesce_skipped.inc(shard);
                 self.g.stats.commits.inc(shard);
                 trace::emit(TraceKind::Commit, TxMode::Stm, None, 0);
-                return Ok(CommitInfo {
-                    end_time: 0,
-                    quiesced: false,
-                    quiesce_wait_ns: 0,
-                });
-            }
-            let info = self.maybe_quiesce(self.g.clock.now());
-            self.g.stats.commits.inc(shard);
-            trace::emit(TraceKind::Commit, TxMode::Stm, None, info.end_time);
-            return Ok(info);
-        }
-
-        sched::yield_point(YieldPoint::ClockAdvance);
-        let end = self.g.clock.advance();
-        if end > self.start + 1 && !mutant::armed(Mutant::SkipCommitValidation) {
-            // Someone committed since our (possibly extended) start; the
-            // read set must still hold. A failure here is a *commit-time*
-            // validation abort, distinct from mid-transaction validation.
-            if self.validate().is_err() {
-                let cause = AbortCause::CommitValidation;
-                self.rollback();
-                self.finished = true;
-                self.g.stats.count_abort(shard, cause);
-                trace::emit(TraceKind::Abort, TxMode::Stm, Some(cause), end);
-                history::abort();
-                return Err(cause);
-            }
-        }
-        // The commit event is recorded *before* the orecs are released: no
-        // other thread can read our writes until release, so log order of
-        // `Commit` events is a valid serialization order (see
-        // `tle_base::history` module docs).
-        history::commit();
-        sched::yield_point(YieldPoint::OrecRelease);
-        for &(oi, _) in self.bufs.locks.iter() {
-            self.g.orecs.release(oi as usize, end);
-        }
-        self.finished = true;
-        self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
-        let info = self.maybe_quiesce(end);
-        self.g.stats.commits.inc(shard);
-        trace::emit(TraceKind::Commit, TxMode::Stm, None, end);
-        Ok(info)
-    }
-
-    /// The async commit split: identical to [`StmTx::commit`] up to and
-    /// including publishing `INACTIVE`, but when a post-commit drain is
-    /// required it is *returned* as a pending [`QuiesceTicket`] instead of
-    /// being spun out inline. Everything executed here is non-blocking
-    /// (clock CAS, orec releases, slot store), so the async runner may call
-    /// it from an executor worker and poll the ticket via
-    /// [`StmGlobal::quiesce_pass`](crate::StmGlobal::quiesce_pass) with
-    /// yields in between. When the ticket is `None` the returned
-    /// [`CommitInfo`] is final.
-    pub fn commit_publish(mut self) -> Result<(CommitInfo, Option<QuiesceTicket>), AbortCause> {
-        debug_assert!(!self.finished);
-        let shard = self.slot_idx;
-        if self.bufs.locks.is_empty() {
-            self.finished = true;
-            history::commit();
-            self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
-            if self.g.ro_commit_fast_path()
-                && !self.must_quiesce
-                && !(self.no_quiesce && self.g.audit_noquiesce_enabled())
-            {
-                // Same soundness argument as the sync read-only fast path.
-                self.g.stats.quiesce_skipped.inc(shard);
-                self.g.stats.commits.inc(shard);
-                trace::emit(TraceKind::Commit, TxMode::Stm, None, 0);
                 return Ok((
                     CommitInfo {
                         end_time: 0,
@@ -449,6 +407,9 @@ impl<'g> StmTx<'g> {
 
         sched::yield_point(YieldPoint::ClockAdvance);
         let end = self.g.clock.advance();
+        // Someone committed since our (possibly extended) start: the read
+        // set must still hold. A failure here is a *commit-time* validation
+        // abort, distinct from mid-transaction validation.
         if end > self.start + 1
             && !mutant::armed(Mutant::SkipCommitValidation)
             && self.validate().is_err()
@@ -461,6 +422,10 @@ impl<'g> StmTx<'g> {
             history::abort();
             return Err(cause);
         }
+        // The commit event is recorded *before* the orecs are released: no
+        // other thread can read our writes until release, so log order of
+        // `Commit` events is a valid serialization order (see
+        // `tle_base::history` module docs).
         history::commit();
         sched::yield_point(YieldPoint::OrecRelease);
         for &(oi, _) in self.bufs.locks.iter() {
@@ -539,57 +504,22 @@ impl<'g> StmTx<'g> {
         }
     }
 
-    /// The deferring counterpart of [`StmTx::maybe_quiesce`]: same policy
-    /// decision and skip accounting, but a required drain becomes a pending
-    /// [`QuiesceTicket`] for the caller to poll.
+    /// The post-commit drain decision: skip (with the skip accounting) or
+    /// owe a drain, handed to the caller as a pending [`QuiesceTicket`].
+    #[inline]
     fn defer_quiesce(&self, upto: u64) -> (CommitInfo, Option<QuiesceTicket>) {
-        if !self.quiesce_needed() {
+        let ticket = if self.quiesce_needed() {
+            Some(QuiesceTicket::new(upto, self.slot_idx, self.deadline))
+        } else {
             self.note_quiesce_skip(upto);
-            return (
-                CommitInfo {
-                    end_time: upto,
-                    quiesced: false,
-                    quiesce_wait_ns: 0,
-                },
-                None,
-            );
-        }
-        let ticket = QuiesceTicket::new(upto, upto, self.slot_idx, self.deadline);
-        (
-            CommitInfo {
-                end_time: upto,
-                quiesced: true,
-                quiesce_wait_ns: 0,
-            },
-            Some(ticket),
-        )
-    }
-
-    fn maybe_quiesce(&self, upto: u64) -> CommitInfo {
-        let end_time = upto;
-        if !self.quiesce_needed() {
-            self.note_quiesce_skip(upto);
-            return CommitInfo {
-                end_time,
-                quiesced: false,
-                quiesce_wait_ns: 0,
-            };
-        }
-        let dog = Watchdog {
-            deadline_ns: self.g.quiesce_deadline_ns(),
-            stats: &self.g.stats,
-            shard: self.slot_idx,
-            tx_deadline: self.deadline,
+            None
         };
-        let wait_ns = drain_watched(&self.g.slots, self.slot_idx, upto, Some(&dog));
-        self.g.stats.quiesces.inc(self.slot_idx);
-        self.g.stats.quiesce_wait_ns.add(self.slot_idx, wait_ns);
-        self.g.stats.quiesce_hist.record(wait_ns);
-        CommitInfo {
-            end_time,
-            quiesced: true,
-            quiesce_wait_ns: wait_ns,
-        }
+        let info = CommitInfo {
+            end_time: upto,
+            quiesced: ticket.is_some(),
+            quiesce_wait_ns: 0,
+        };
+        (info, ticket)
     }
 }
 
