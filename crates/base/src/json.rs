@@ -1,8 +1,8 @@
 //! A dependency-free JSON value type with a deterministic emitter and a
 //! small recursive-descent parser.
 //!
-//! `BENCH_<n>.json` is a *committed artifact*: CI re-emits it and diffs
-//! against the checked-in copy, so the emitter must be byte-deterministic —
+//! Its documents are diffed and committed (`tle-bench emit` reports, the
+//! lint SARIF and baseline), so the emitter must be byte-deterministic —
 //! objects keep their insertion order (the schema fixes that order), floats
 //! are carried as raw token strings ([`Json::Num`]) so that
 //! emit → parse → emit is byte-identical, and indentation is fixed at two
@@ -95,7 +95,7 @@ impl Json {
     }
 
     /// Render with two-space indentation and a trailing newline — the
-    /// canonical on-disk form of `BENCH_<n>.json`.
+    /// canonical on-disk form.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);

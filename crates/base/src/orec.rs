@@ -54,8 +54,9 @@ impl OrecValue {
 /// data is disjoint — classic false sharing, and measurable on the
 /// fig5 microbenchmarks. The padded layout gives every orec its own line
 /// at 8x the footprint (4 MiB vs 512 KiB at the default size). Padded is
-/// the default; the compact layout is kept so `tle-bench` can measure the
-/// before/after (`BENCH_<n>.json`, `optimizations.orec-padding`).
+/// the default; the compact layout is kept because the A/B is unsettled
+/// (`tle-bench emit`'s `optimizations.orec-padding` read 0.96–1.02× on a
+/// 2-core host; ROADMAP item 2(a) owns the decision).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrecLayout {
     /// One orec per cache line (no false sharing between stripes).

@@ -61,7 +61,7 @@ impl Counter {
     }
 
     /// Sum across shards. Saturates instead of wrapping: these totals flow
-    /// into committed `BENCH_<n>.json` files, where a silently wrapped
+    /// into emitted reports (`tle-bench emit`), where a silently wrapped
     /// counter would read as a plausible small number.
     pub fn get(&self) -> u64 {
         self.shards

@@ -12,7 +12,14 @@
 //! | `ablate_htm_retry`  | §VII-A retry tuning   |
 //! | `ablate_quiesce`    | §IV drain scaling     |
 //! | `ablate_ready_flag` | §V Listing 3 vs 4     |
+//! | `ablate_stm_algo`   | `ml_wt` vs NOrec      |
+//! | `ablate_fallback`   | §II-C serial vs lock  |
+//! | `adapt_policy`      | per-lock controller   |
 //! | `crit_primitives`   | primitive-op latency  |
+//!
+//! [`perf`] emits the same measurements as one JSON document
+//! (`tle-bench emit`). Neither the benches nor the emit gate anything: the
+//! repo's regression gate is `BENCHMARK.json` + `benchmark/`.
 //!
 //! Benches run **reduced sweeps by default** so `cargo bench` finishes in
 //! minutes; set `TLE_BENCH_FULL=1` for the paper-scale sweep and
@@ -23,13 +30,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use tle_core::{AlgoMode, TmSystem};
 
-// The JSON tree moved to `tle-base` (the lint crate's SARIF emitter builds
-// on it too); the `tle_bench::json` path keeps working via this re-export.
-pub use tle_base::json;
-
 pub mod perf;
 pub mod torture;
-pub mod trajectory;
 pub mod workloads;
 
 /// Whether the full paper-scale sweep was requested.

@@ -1,25 +1,25 @@
-//! The perf-trajectory subsystem behind `BENCH_<n>.json`.
+//! The machine-readable figure emit behind `tle-bench emit`.
 //!
-//! Each PR that claims a performance effect commits one machine-readable
-//! trajectory file: per-figure/per-workload throughput, the per-cause abort
-//! breakdown, the quiescence-latency histogram, and a `baseline` /
-//! `optimized` pair for every optimization it lands. CI re-emits a quick
-//! report and runs [`compare`] against the committed artifact, so a later
-//! change that silently costs >10% throughput on any recorded run fails the
-//! build (schema drift — a run disappearing — fails even harder).
+//! One JSON document holds what the figure benches print as tables:
+//! per-figure/per-workload throughput, the per-cause abort breakdown, the
+//! quiescence-latency histogram, and a `baseline` / `optimized` pair for
+//! each A/B that is still open. It reproduces the paper's evaluation in a
+//! form a script can read; it gates nothing — `BENCHMARK.json` and
+//! `benchmark/` are the repo's regression gate.
 //!
 //! Everything here is dependency-free: the document is a [`Json`] tree with
-//! a fixed key order, and [`stable_view`] strips every `"measured"` subtree
-//! so two runs of the same emitter on the same machine produce identical
-//! stable views (determinism modulo timing).
+//! a fixed key order, [`validate`] accepts exactly the schema version
+//! [`emit_report`] writes, and [`stable_view`] strips every `"measured"`
+//! subtree so two runs of the same emitter on the same machine produce
+//! identical stable views (determinism modulo timing).
 
-use crate::json::Json;
 use crate::workloads::{
     lazy_subscription_trial, micro_trial_opts, pbzip_compress_trial, pbzip_decompress_trial,
     x265_trial, MicroOpts, Mix, TrialStats, VideoSize,
 };
 use std::sync::Arc;
 use std::time::Duration;
+use tle_base::json::Json;
 use tle_base::stats::HIST_BUCKETS;
 use tle_base::{AbortCause, OrecLayout};
 use tle_core::{AlgoMode, TmSystem};
@@ -32,27 +32,20 @@ use tle_stm::QuiescePolicy;
 
 /// Document type tag.
 pub const SCHEMA: &str = "tle-bench-trajectory";
-/// Bumped on any incompatible schema change. Version 2 adds the `kv`
-/// serving-workload runs, whose `measured` subtree carries `latency` and
-/// `requests` objects on top of the version-1 fields. Version 3 adds the
-/// `kv-sessions` figure: the async session-multiplexing curve, same
-/// `measured` shape as the `kv` runs.
+/// Bumped on any incompatible schema change; [`validate`] accepts this
+/// version only. (Version 2 added the `kv` serving-workload runs, whose
+/// `measured` subtree carries `latency` and `requests` objects; version 3
+/// the `kv-sessions` figure, same `measured` shape.)
 pub const SCHEMA_VERSION: u64 = 3;
-/// Oldest schema version [`validate`] still accepts: version-1 artifacts
-/// (`BENCH_6.json` and earlier) remain parseable and comparable.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
-/// The PR that committed this artifact generation.
-pub const PR: u64 = 9;
-/// Throughput regressions beyond this fraction fail [`compare`].
-pub const TOLERANCE: f64 = 0.10;
+/// The PR that last changed what the report contains.
+pub const PR: u64 = 17;
 /// Executor workers for every `kv-sessions` async run (the acceptance bar
 /// is "≥ 1000 sessions on ≤ 8 workers").
 pub const SESSION_WORKERS: usize = 8;
 
-/// Emission knobs. `quick` and `full` deliberately share `threads` so their
-/// run keys match: CI's quick emit compares cleanly against a committed
-/// full-size artifact (only `ops`/input sizes differ, and those are not
-/// part of the match key).
+/// Emission knobs. `quick` and `full` share `threads` and the session
+/// curve, so both produce the same set of runs (only `ops`/input sizes
+/// differ).
 #[derive(Debug, Clone, Copy)]
 pub struct EmitConfig {
     /// Human tag recorded in the document (`quick`, `full`, ...).
@@ -68,11 +61,9 @@ pub struct EmitConfig {
     /// Include the application figures (fig2 PBZip2, fig3 x265). The
     /// microbenchmarks and optimization A/Bs always run.
     pub apps: bool,
-    /// Session counts for the `kv-sessions` curve. Part of each run's
-    /// match key, so quick and full share the same curve (a quick CI emit
-    /// must produce every run the committed artifact records).
+    /// Session counts for the `kv-sessions` curve (each run's `mix`).
     pub sessions_curve: &'static [usize],
-    /// Requests each logical session issues (not part of the match key).
+    /// Requests each logical session issues.
     pub session_requests: u64,
     /// Per-request think time. With a closed loop this bounds goodput at
     /// `sessions / (think + service)`, so quick and full keep it equal and
@@ -96,7 +87,7 @@ impl EmitConfig {
         }
     }
 
-    /// Artifact sizing for the committed `BENCH_<n>.json`.
+    /// Sizing for numbers worth quoting (minutes, not seconds).
     pub fn full() -> Self {
         EmitConfig {
             label: "full",
@@ -171,8 +162,8 @@ fn measured_json(secs: f64, tput: f64, stats: &TrialStats) -> Json {
 }
 
 /// `measured` for a kv serving run: the version-1 fields (goodput stands in
-/// for `ops_per_sec`, so [`compare`] guards it like any throughput), plus
-/// the latency and request-outcome objects version 2 adds.
+/// for `ops_per_sec`), plus the latency and request-outcome objects
+/// version 2 added.
 fn kv_measured_json(r: &KvReport, stats: &TrialStats) -> Json {
     let Json::Obj(mut fields) = measured_json(r.secs, r.goodput_per_sec, stats) else {
         unreachable!("measured_json returns an object")
@@ -312,7 +303,7 @@ fn ab_entry(spec: &AbSpec, baseline: Json, optimized: Json, speedup: f64) -> Jso
     ])
 }
 
-/// Run the trajectory suite and build the document.
+/// Run the figure suite and build the document.
 pub fn emit_report(cfg: &EmitConfig) -> Json {
     let mut runs = Vec::new();
     let warm = cfg.micro_ops / 10;
@@ -501,8 +492,8 @@ pub fn emit_report(cfg: &EmitConfig) -> Json {
         ));
     }
 
-    // Optimization A/Bs: one knob flipped per entry, both sides measured in
-    // this same process so the numbers are an honest pair.
+    // Open A/Bs: one knob flipped per entry, both sides measured in this
+    // same process so the numbers are an honest pair.
     let mut optimizations = Vec::new();
     let warmed = MicroOpts::warmed(cfg.micro_ops);
 
@@ -540,91 +531,6 @@ pub fn emit_report(cfg: &EmitConfig) -> Json {
         ab_side("orec-layout=compact", compact_t, vec![]),
         ab_side("orec-layout=padded", padded_t, vec![]),
         padded_t / compact_t,
-    ));
-
-    // Read-only commit fast path, measured where it bites: read-mostly mix
-    // under the drain-everything (`Always`) policy.
-    let (slow_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Always,
-        cfg.threads,
-        Mix::ReadMostly,
-        cfg.micro_ops,
-        MicroOpts {
-            ro_fast_path: false,
-            ..warmed
-        },
-    );
-    let (fast_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Always,
-        cfg.threads,
-        Mix::ReadMostly,
-        cfg.micro_ops,
-        warmed,
-    );
-    optimizations.push(ab_entry(
-        &AbSpec {
-            name: "ro-fast-path",
-            figure: "fig5",
-            workload: "hash",
-            mix: Mix::ReadMostly.label(),
-            policy: QuiescePolicy::Always.label(),
-            threads: cfg.threads,
-        },
-        ab_side("ro-fast-path=off", slow_t, vec![]),
-        ab_side("ro-fast-path=on", fast_t, vec![]),
-        fast_t / slow_t,
-    ));
-
-    // Transaction-buffer reuse across retries: throughput plus the
-    // allocation counters that prove the churn is gone.
-    let alloc_fields = |s: tle_stm::BufAllocStats| {
-        vec![
-            ("fresh_allocs".to_string(), Json::u64(s.fresh_allocs)),
-            ("reuse_hits".to_string(), Json::u64(s.reused)),
-            ("spills".to_string(), Json::u64(s.spills)),
-        ]
-    };
-    tle_stm::reset_buf_alloc_stats();
-    let (churn_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Selective,
-        cfg.threads,
-        Mix::HalfLookup,
-        cfg.micro_ops,
-        MicroOpts {
-            buf_reuse: false,
-            ..warmed
-        },
-    );
-    let churn_alloc = tle_stm::buf_alloc_stats();
-    tle_stm::reset_buf_alloc_stats();
-    let (reuse_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Selective,
-        cfg.threads,
-        Mix::HalfLookup,
-        cfg.micro_ops,
-        warmed,
-    );
-    let reuse_alloc = tle_stm::buf_alloc_stats();
-    optimizations.push(ab_entry(
-        &AbSpec {
-            name: "txbuf-reuse",
-            figure: "fig5",
-            workload: "hash",
-            mix: Mix::HalfLookup.label(),
-            policy: QuiescePolicy::Selective.label(),
-            threads: cfg.threads,
-        },
-        ab_side("buf-reuse=off", churn_t, alloc_fields(churn_alloc)),
-        ab_side("buf-reuse=on", reuse_t, alloc_fields(reuse_alloc)),
-        reuse_t / churn_t,
     ));
 
     // Lazy lock-word subscription (PR 9): the capacity-edge scan, where the
@@ -669,33 +575,36 @@ pub fn emit_report(cfg: &EmitConfig) -> Json {
         lazy_t / eager_t,
     ));
 
+    let config = Json::Obj(vec![
+        ("label".into(), Json::str(cfg.label)),
+        ("threads".into(), Json::u64(cfg.threads as u64)),
+        ("micro_ops".into(), Json::u64(cfg.micro_ops)),
+        ("warmup_ops".into(), Json::u64(warm)),
+        ("pbzip_kib".into(), Json::u64(cfg.pbzip_kib as u64)),
+        ("trials".into(), Json::u64(cfg.trials as u64)),
+        ("apps".into(), Json::Bool(cfg.apps)),
+        (
+            "sessions_curve".into(),
+            Json::Arr(
+                cfg.sessions_curve
+                    .iter()
+                    .map(|&s| Json::u64(s as u64))
+                    .collect(),
+            ),
+        ),
+        ("session_requests".into(), Json::u64(cfg.session_requests)),
+        ("session_think_ns".into(), Json::u64(cfg.session_think_ns)),
+    ]);
+    document(config, runs, optimizations)
+}
+
+/// The top-level object, in schema key order.
+fn document(config: Json, runs: Vec<Json>, optimizations: Vec<Json>) -> Json {
     Json::Obj(vec![
         ("schema".into(), Json::str(SCHEMA)),
         ("schema_version".into(), Json::u64(SCHEMA_VERSION)),
         ("pr".into(), Json::u64(PR)),
-        (
-            "config".into(),
-            Json::Obj(vec![
-                ("label".into(), Json::str(cfg.label)),
-                ("threads".into(), Json::u64(cfg.threads as u64)),
-                ("micro_ops".into(), Json::u64(cfg.micro_ops)),
-                ("warmup_ops".into(), Json::u64(warm)),
-                ("pbzip_kib".into(), Json::u64(cfg.pbzip_kib as u64)),
-                ("trials".into(), Json::u64(cfg.trials as u64)),
-                ("apps".into(), Json::Bool(cfg.apps)),
-                (
-                    "sessions_curve".into(),
-                    Json::Arr(
-                        cfg.sessions_curve
-                            .iter()
-                            .map(|&s| Json::u64(s as u64))
-                            .collect(),
-                    ),
-                ),
-                ("session_requests".into(), Json::u64(cfg.session_requests)),
-                ("session_think_ns".into(), Json::u64(cfg.session_think_ns)),
-            ]),
-        ),
+        ("config".into(), config),
         ("runs".into(), Json::Arr(runs)),
         ("optimizations".into(), Json::Arr(optimizations)),
     ])
@@ -739,16 +648,17 @@ fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("key '{key}' is not a number"))
 }
 
-/// Check a document against the `tle-bench-trajectory` schema.
+/// Check a document against the `tle-bench-trajectory` schema, at exactly
+/// the version [`emit_report`] writes.
 pub fn validate(doc: &Json) -> Result<(), String> {
     let schema = req_str(doc, "schema")?;
     if schema != SCHEMA {
         return Err(format!("schema is '{schema}', expected '{SCHEMA}'"));
     }
     let version = req_u64(doc, "schema_version")?;
-    if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
+    if version != SCHEMA_VERSION {
         return Err(format!(
-            "schema_version is {version}, expected {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
+            "schema_version is {version}, expected {SCHEMA_VERSION}"
         ));
     }
     req_u64(doc, "pr")?;
@@ -817,9 +727,8 @@ fn validate_run(run: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// The version-2 serving-run extensions: every `figure == "kv"` (and,
-/// from version 3, `"kv-sessions"`) run must carry the latency quantiles
-/// and the request-outcome ledger.
+/// The serving-run extensions: every `"kv"` and `"kv-sessions"` run must
+/// carry the latency quantiles and the request-outcome ledger.
 fn validate_kv_measured(m: &Json) -> Result<(), String> {
     let lat = req(m, "latency")?;
     for key in ["p50_ns", "p99_ns", "p999_ns"] {
@@ -852,131 +761,30 @@ fn validate_opt(o: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// The identity of one run: everything that must match for an old/new
-/// throughput comparison to be meaningful.
-fn run_key(run: &Json) -> Result<String, String> {
-    Ok(format!(
-        "{}/{} mix={} mode={} policy={} threads={}",
-        req_str(run, "figure")?,
-        req_str(run, "workload")?,
-        req_str(run, "mix")?,
-        req_str(run, "mode")?,
-        req_str(run, "policy")?,
-        req_u64(run, "threads")?,
-    ))
-}
-
-/// Outcome of [`compare`]. `regressions` non-empty means the new report
-/// lost more than [`TOLERANCE`] throughput on at least one recorded run.
-#[derive(Debug, Default)]
-pub struct CompareOutcome {
-    /// Runs matched and compared.
-    pub compared: usize,
-    /// Human-readable lines, one per regressed run.
-    pub regressions: Vec<String>,
-    /// Runs that got more than [`TOLERANCE`] faster (informational).
-    pub improvements: Vec<String>,
-}
-
-/// Compare two trajectory documents. Every run recorded in `old` must
-/// still exist in `new` (a vanished run is schema drift and a hard error,
-/// regardless of any warn flag at the CLI layer); new runs may appear
-/// freely. Returns the per-run throughput verdicts.
-pub fn compare(old: &Json, new: &Json) -> Result<CompareOutcome, String> {
-    validate(old).map_err(|e| format!("old report: {e}"))?;
-    validate(new).map_err(|e| format!("new report: {e}"))?;
-    let old_runs = old.get("runs").and_then(Json::as_arr).expect("validated");
-    let new_runs = new.get("runs").and_then(Json::as_arr).expect("validated");
-    let mut out = CompareOutcome::default();
-    for run in old_runs {
-        let key = run_key(run)?;
-        let Some(newer) = new_runs.iter().find(|r| run_key(r).as_ref() == Ok(&key)) else {
-            return Err(format!("run '{key}' is missing from the new report"));
-        };
-        let old_t = req_f64(req(run, "measured")?, "ops_per_sec")?;
-        let new_t = req_f64(req(newer, "measured")?, "ops_per_sec")?;
-        out.compared += 1;
-        if old_t <= 0.0 {
-            continue;
-        }
-        let delta = new_t / old_t - 1.0;
-        let line = format!(
-            "{key}: {old_t:.0} -> {new_t:.0} ops/sec ({:+.1}%)",
-            delta * 100.0
-        );
-        if new_t < old_t * (1.0 - TOLERANCE) {
-            out.regressions.push(line);
-        } else if new_t > old_t * (1.0 + TOLERANCE) {
-            out.improvements.push(line);
-        }
-    }
-    Ok(out)
-}
-
-/// A minimal schema-valid document with the given `(workload, ops_per_sec)`
-/// fig5 runs — for comparator tests, which must not depend on timing.
-#[doc(hidden)]
-pub fn synthetic_report(workloads: &[(&str, f64)]) -> Json {
-    let runs = workloads
-        .iter()
-        .map(|&(w, tput)| {
-            run_json(
-                &RunSpec {
-                    figure: "fig5",
-                    workload: w.into(),
-                    mix: Mix::HalfLookup.label().into(),
-                    mode: AlgoMode::StmCondvar.label().into(),
-                    policy: QuiescePolicy::Selective.label().into(),
-                    threads: 2,
-                    ops: 1_000,
-                    warmup: 100,
-                    unit: "ops/sec",
-                },
-                1.0,
-                tput,
-                &TrialStats::default(),
-            )
-        })
-        .collect();
-    Json::Obj(vec![
-        ("schema".into(), Json::str(SCHEMA)),
-        ("schema_version".into(), Json::u64(SCHEMA_VERSION)),
-        ("pr".into(), Json::u64(PR)),
-        (
-            "config".into(),
-            Json::Obj(vec![("label".into(), Json::str("synthetic"))]),
-        ),
-        ("runs".into(), Json::Arr(runs)),
-        ("optimizations".into(), Json::Arr(Vec::new())),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn synthetic_report_passes_validation() {
-        let doc = synthetic_report(&[("hash", 1000.0), ("tree", 500.0)]);
-        validate(&doc).unwrap();
-        // And survives a byte-identical round trip through the parser.
-        let rendered = doc.render();
-        assert_eq!(Json::parse(&rendered).unwrap().render(), rendered);
+    /// A minimal schema-valid document: one fig5 run at `tput` ops/sec.
+    fn fixture(tput: f64) -> Json {
+        let spec = RunSpec {
+            figure: "fig5",
+            workload: "hash".into(),
+            mix: Mix::HalfLookup.label().into(),
+            mode: AlgoMode::StmCondvar.label().into(),
+            policy: QuiescePolicy::Selective.label().into(),
+            threads: 2,
+            ops: 1_000,
+            warmup: 100,
+            unit: "ops/sec",
+        };
+        let run = run_json(&spec, 1.0, tput, &TrialStats::default());
+        document(Json::Obj(Vec::new()), vec![run], Vec::new())
     }
 
     #[test]
-    fn accepts_version_1_documents() {
-        // BENCH_6.json and earlier carry schema_version 1 with no kv runs;
-        // they must keep validating (and comparing) under the v2 code.
-        let mut doc = synthetic_report(&[("hash", 1000.0)]);
-        if let Json::Obj(fields) = &mut doc {
-            assert_eq!(fields[1].0, "schema_version");
-            fields[1].1 = Json::u64(MIN_SCHEMA_VERSION);
-        }
-        validate(&doc).unwrap();
-        let old_v1 = doc;
-        let new_v2 = synthetic_report(&[("hash", 1000.0)]);
-        compare(&old_v1, &new_v2).unwrap();
+    fn fixture_passes_validation() {
+        validate(&fixture(1000.0)).unwrap();
     }
 
     #[test]
@@ -1003,7 +811,7 @@ mod tests {
         replace_key(&mut broken, "latency", &Json::u64(0));
         let err = validate_run(&broken).unwrap_err();
         assert!(err.contains("latency"), "unexpected error: {err}");
-        // ...but the same gap on a non-kv figure is fine (v1 shape).
+        // ...but the same gap on a non-kv figure is fine.
         let mut non_kv = broken;
         replace_key(&mut non_kv, "figure", &Json::str("fig5"));
         validate_run(&non_kv).unwrap();
@@ -1016,27 +824,16 @@ mod tests {
 
     #[test]
     fn validate_rejects_schema_drift() {
-        let doc = synthetic_report(&[("hash", 1000.0)]);
-        let mutate = |f: &dyn Fn(&mut Vec<(String, Json)>)| {
-            let mut d = doc.clone();
-            if let Json::Obj(fields) = &mut d {
-                f(fields);
-            }
-            d
-        };
-        let bad_schema = mutate(&|f| f[0].1 = Json::str("something-else"));
+        let mut bad_schema = fixture(1000.0);
+        replace_key(&mut bad_schema, "schema", &Json::str("something-else"));
         assert!(validate(&bad_schema).unwrap_err().contains("schema"));
-        let bad_version = mutate(&|f| f[1].1 = Json::u64(99));
-        assert!(validate(&bad_version)
-            .unwrap_err()
-            .contains("schema_version"));
-        let no_runs = mutate(&|f| f.retain(|(k, _)| k != "runs"));
+        let mut no_runs = fixture(1000.0);
+        if let Json::Obj(fields) = &mut no_runs {
+            fields.retain(|(k, _)| k != "runs");
+        }
         assert!(validate(&no_runs).unwrap_err().contains("runs"));
-        let empty_runs = mutate(&|f| {
-            if let Some((_, v)) = f.iter_mut().find(|(k, _)| k == "runs") {
-                *v = Json::Arr(Vec::new());
-            }
-        });
+        let mut empty_runs = fixture(1000.0);
+        replace_key(&mut empty_runs, "runs", &Json::Arr(Vec::new()));
         assert!(validate(&empty_runs).unwrap_err().contains("empty"));
     }
 
@@ -1063,59 +860,21 @@ mod tests {
 
     #[test]
     fn validate_checks_histogram_width_and_causes() {
-        let mut doc = synthetic_report(&[("hash", 1000.0)]);
+        let mut doc = fixture(1000.0);
         replace_key(&mut doc, "hist", &Json::Arr(vec![Json::u64(0); 4]));
         let err = validate(&doc).unwrap_err();
         assert!(err.contains("hist"), "unexpected error: {err}");
 
-        let mut doc = synthetic_report(&[("hash", 1000.0)]);
+        let mut doc = fixture(1000.0);
         replace_key(&mut doc, "by_cause", &Json::Obj(Vec::new()));
         let err = validate(&doc).unwrap_err();
         assert!(err.contains("by_cause"), "unexpected error: {err}");
     }
 
     #[test]
-    fn compare_flags_regression_beyond_tolerance() {
-        let old = synthetic_report(&[("hash", 1000.0), ("tree", 500.0)]);
-        let new = synthetic_report(&[("hash", 850.0), ("tree", 495.0)]);
-        let out = compare(&old, &new).unwrap();
-        assert_eq!(out.compared, 2);
-        assert_eq!(out.regressions.len(), 1, "{:?}", out.regressions);
-        assert!(out.regressions[0].contains("hash"));
-    }
-
-    #[test]
-    fn compare_passes_within_tolerance() {
-        let old = synthetic_report(&[("hash", 1000.0)]);
-        let new = synthetic_report(&[("hash", 905.0)]);
-        let out = compare(&old, &new).unwrap();
-        assert!(out.regressions.is_empty(), "{:?}", out.regressions);
-        assert!(out.improvements.is_empty());
-    }
-
-    #[test]
-    fn compare_reports_improvements() {
-        let old = synthetic_report(&[("hash", 1000.0)]);
-        let new = synthetic_report(&[("hash", 1500.0)]);
-        let out = compare(&old, &new).unwrap();
-        assert_eq!(out.improvements.len(), 1);
-        assert!(out.regressions.is_empty());
-    }
-
-    #[test]
-    fn compare_hard_fails_on_missing_run() {
-        let old = synthetic_report(&[("hash", 1000.0), ("tree", 500.0)]);
-        let new = synthetic_report(&[("hash", 1000.0)]);
-        let err = compare(&old, &new).unwrap_err();
-        assert!(err.contains("missing"), "unexpected error: {err}");
-        // New runs appearing is NOT an error (additions are fine).
-        compare(&new, &old).unwrap();
-    }
-
-    #[test]
     fn stable_view_strips_every_measured_subtree() {
-        let a = synthetic_report(&[("hash", 1000.0)]);
-        let b = synthetic_report(&[("hash", 123.0)]);
+        let a = fixture(1000.0);
+        let b = fixture(123.0);
         assert_ne!(a, b);
         assert_eq!(stable_view(&a), stable_view(&b));
         fn has_measured(v: &Json) -> bool {

@@ -301,7 +301,7 @@ pub enum Mix {
     /// 50% lookup, 25% insert, 25% remove (right column).
     HalfLookup,
     /// 90% lookup, 5% insert, 5% remove — the read-mostly mix the
-    /// read-only commit fast path targets (`BENCH_<n>.json` A/B runs).
+    /// read-only commit fast path targets.
     ReadMostly,
 }
 
@@ -418,18 +418,14 @@ pub fn micro_trial_algo(
 }
 
 /// Runtime knobs for [`micro_trial_opts`] beyond the classic figure
-/// parameters. Every `BENCH_<n>.json` optimization A/B run is expressed as
-/// a pair of these with exactly one field flipped.
+/// parameters. Each micro A/B in `tle-bench emit` is a pair of these with
+/// exactly one field flipped.
 #[derive(Debug, Clone, Copy)]
 pub struct MicroOpts {
     /// STM algorithm (paper default: `ml_wt`).
     pub algo: tle_stm::StmAlgo,
     /// Orec-table layout (padded vs compact, for the false-sharing A/B).
     pub orec_layout: OrecLayout,
-    /// Read-only commit fast path on/off.
-    pub ro_fast_path: bool,
-    /// Transaction-buffer reuse across retries on/off.
-    pub buf_reuse: bool,
     /// Per-thread warmup operations executed before the measured window;
     /// stats reset at the steady-state boundary.
     pub warmup_ops: u64,
@@ -440,8 +436,6 @@ impl Default for MicroOpts {
         MicroOpts {
             algo: tle_stm::StmAlgo::MlWt,
             orec_layout: OrecLayout::default(),
-            ro_fast_path: true,
-            buf_reuse: true,
             warmup_ops: 0,
         }
     }
@@ -477,13 +471,10 @@ pub fn micro_trial_opts(
         TmSystem::builder()
             .mode(AlgoMode::StmCondvar)
             .orec_layout(opts.orec_layout)
-            .ro_commit_fast_path(opts.ro_fast_path)
             .build(),
     );
     sys.stm.set_policy(policy);
     sys.set_stm_algo(opts.algo);
-    let reuse_before = tle_stm::buf_reuse_enabled();
-    tle_stm::set_buf_reuse(opts.buf_reuse);
     let set = make_set(kind);
     {
         let th = sys.register();
@@ -523,7 +514,6 @@ pub fn micro_trial_opts(
     }
     let secs = t0.elapsed().as_secs_f64();
     let stats = TrialStats::capture(&sys);
-    tle_stm::set_buf_reuse(reuse_before);
     let total_ops = threads as f64 * ops_per_thread as f64;
     (total_ops / secs, stats)
 }
@@ -727,72 +717,6 @@ mod tests {
             );
             assert!(stats.serial_fallbacks >= 1, "{label}: no serial fallback");
         }
-
-        // --- Fault plane: the robustness trace kinds stay pinned, and each
-        //     injected abort class surfaces as exactly its mapped cause ---
-        use tle_base::fault::{self, FaultPlan, FaultRule, Hazard};
-        use tle_base::trace::TraceKind;
-        assert_eq!(TraceKind::FaultInject as u8, 12);
-        assert_eq!(TraceKind::Escalate as u8, 13);
-        assert_eq!(TraceKind::QuiesceStall as u8, 14);
-        assert_eq!(TraceKind::FaultInject.label(), "fault-inject");
-        assert_eq!(TraceKind::Escalate.label(), "escalate");
-        assert_eq!(TraceKind::QuiesceStall.label(), "quiesce-stall");
-        for h in Hazard::ALL {
-            if let Some(c) = h.cause() {
-                assert!(
-                    matches!(
-                        c,
-                        AbortCause::Event | AbortCause::Capacity | AbortCause::Conflict
-                    ),
-                    "injected {h:?} must map into the existing taxonomy"
-                );
-            }
-        }
-        // One delivery of each abort-class hazard, then the oracle goes
-        // quiet (limit 1) so concurrently running tests see a clean plane.
-        fault::install(
-            FaultPlan::new(0xFA17)
-                .rule(FaultRule::new(Hazard::HtmEvent, 1).limit(1))
-                .rule(FaultRule::new(Hazard::HtmCapacity, 1).limit(1))
-                .rule(FaultRule::new(Hazard::HtmConflict, 1).limit(1)),
-        );
-        fault::set_lane(0);
-        let sys = Arc::new(
-            TmSystem::builder()
-                .mode(AlgoMode::HtmCondvar)
-                .htm_config(HtmConfig {
-                    event_prob: 0.0, // injected Events only — keeps counts exact
-                    ..HtmConfig::default()
-                })
-                .build(),
-        );
-        let lock = ElidableMutex::new("fault-pins");
-        let cell = Padded(TCell::new(0u64));
-        let th = sys.register();
-        for _ in 0..4 {
-            th.tx(&lock).run(|ctx| {
-                let v = ctx.read(&*cell)?;
-                ctx.write(&*cell, v + 1)?;
-                Ok(())
-            });
-        }
-        let snap = fault::snapshot();
-        fault::clear();
-        assert_eq!(cell.load_direct(), 4, "faulted sections must all commit");
-        let stats = TrialStats::capture(&sys);
-        for (hazard, cause) in [
-            (Hazard::HtmEvent, AbortCause::Event),
-            (Hazard::HtmCapacity, AbortCause::Capacity),
-            (Hazard::HtmConflict, AbortCause::Conflict),
-        ] {
-            assert_eq!(snap.fired(hazard), 1, "{hazard:?} should fire exactly once");
-            assert!(
-                stats.cause(cause) >= 1,
-                "injected {hazard:?} not counted as {cause}; breakdown: {}",
-                stats.abort_breakdown()
-            );
-        }
     }
 
     /// Satellite (a): the steady-state window excludes warmup work. Every
@@ -835,11 +759,11 @@ mod tests {
 
     /// The read-mostly mix drives the read-only commit fast path: under the
     /// `Always` drain policy, skipped drains can only come from the fast
-    /// path, and disabling it for an A/B run restores drain-everything.
+    /// path.
     #[test]
     fn read_mostly_mix_exercises_the_ro_fast_path() {
         assert_eq!(Mix::ReadMostly.label(), "90l/5i/5r");
-        let (_, on) = micro_trial_opts(
+        let (_, stats) = micro_trial_opts(
             "hash",
             QuiescePolicy::Always,
             2,
@@ -847,22 +771,7 @@ mod tests {
             2_000,
             MicroOpts::warmed(2_000),
         );
-        assert!(on.stm.quiesce_skipped > 0, "fast path never taken");
-        let (_, off) = micro_trial_opts(
-            "hash",
-            QuiescePolicy::Always,
-            2,
-            Mix::ReadMostly,
-            2_000,
-            MicroOpts {
-                ro_fast_path: false,
-                ..MicroOpts::warmed(2_000)
-            },
-        );
-        assert_eq!(
-            off.stm.quiesce_skipped, 0,
-            "disabled fast path still skipped"
-        );
+        assert!(stats.stm.quiesce_skipped > 0, "fast path never taken");
     }
 
     /// Both orec layouts produce working trials (the A/B pair behind the

@@ -1,20 +1,10 @@
-//! Satellite tests for the perf-trajectory subsystem: the comparator's
-//! regression verdicts, byte-identical round-trips, and determinism of the
-//! report's stable view across repeated emits.
+//! Integration tests for the figure emit: a tiny real report satisfies its
+//! own schema, round-trips byte-identically, carries every figure family
+//! and the two open A/Bs, and is deterministic modulo timing.
 
-use tle_bench::json::Json;
-use tle_bench::perf::{
-    compare, emit_report, stable_view, synthetic_report, validate, EmitConfig, TOLERANCE,
-};
-
-/// Emits toggle process-global knobs (buffer reuse, its alloc counters)
-/// for the A/B entries, so tests that emit must not overlap.
-static EMIT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn emit_serialized(cfg: &EmitConfig) -> Json {
-    let _guard = EMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    emit_report(cfg)
-}
+use std::sync::OnceLock;
+use tle_base::json::Json;
+use tle_bench::perf::{emit_report, stable_view, validate, EmitConfig, SCHEMA_VERSION};
 
 /// A tiny real-emit configuration: microbenchmarks only, small op counts,
 /// so the full pipeline (workload -> stats -> JSON) runs in test time.
@@ -32,63 +22,75 @@ fn tiny() -> EmitConfig {
     }
 }
 
-#[test]
-fn injected_regression_is_flagged_and_tolerance_respected() {
-    let old = synthetic_report(&[("hash", 1000.0), ("tree", 2000.0)]);
+/// One emit of [`tiny`], shared by every test that only reads it.
+fn report() -> &'static Json {
+    static REPORT: OnceLock<Json> = OnceLock::new();
+    REPORT.get_or_init(|| emit_report(&tiny()))
+}
 
-    // Just inside the tolerance band: not a regression.
-    let edge = synthetic_report(&[("hash", 1000.0 * (1.0 - TOLERANCE) + 1.0), ("tree", 2000.0)]);
-    let out = compare(&old, &edge).unwrap();
-    assert!(out.regressions.is_empty(), "{:?}", out.regressions);
-
-    let beyond = synthetic_report(&[("hash", 880.0), ("tree", 2000.0)]);
-    let out = compare(&old, &beyond).unwrap();
-    assert_eq!(out.regressions.len(), 1);
-    assert!(out.regressions[0].contains("hash"), "{:?}", out.regressions);
-    assert!(
-        out.regressions[0].contains("-12.0%"),
-        "{:?}",
-        out.regressions
-    );
+fn runs_of<'a>(doc: &'a Json, figure: &str) -> Vec<&'a Json> {
+    doc.get("runs")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .filter(|r| r.get("figure").and_then(Json::as_str) == Some(figure))
+        .collect()
 }
 
 #[test]
 fn real_emit_validates_and_round_trips_byte_identically() {
-    let report = emit_serialized(&tiny());
-    validate(&report).expect("real emit must satisfy its own schema");
-    let rendered = report.render();
+    validate(report()).expect("real emit must satisfy its own schema");
+    let rendered = report().render();
     let reparsed = Json::parse(&rendered).expect("emitted JSON must parse");
     assert_eq!(
         reparsed.render(),
         rendered,
         "emit -> parse -> emit must be byte-identical"
     );
+    for figure in ["fig5", "kv", "kv-sessions"] {
+        assert!(
+            !runs_of(report(), figure).is_empty(),
+            "no {figure} run in the emit"
+        );
+    }
+}
+
+/// `validate` accepts exactly the version `emit_report` writes: the two
+/// retired versions and an unknown future one are rejected by name.
+#[test]
+fn validate_rejects_other_schema_versions_by_name() {
+    for version in [1, 2, 99] {
+        assert_ne!(version, SCHEMA_VERSION);
+        let mut doc = report().clone();
+        let Json::Obj(fields) = &mut doc else {
+            panic!("report is not an object");
+        };
+        let slot = fields
+            .iter_mut()
+            .find(|(k, _)| k == "schema_version")
+            .expect("report carries schema_version");
+        slot.1 = Json::u64(version);
+        let err = validate(&doc).unwrap_err();
+        assert!(
+            err.contains(&format!("schema_version is {version}")),
+            "unexpected error: {err}"
+        );
+    }
 }
 
 #[test]
 fn repeated_emits_are_deterministic_modulo_timing() {
-    let a = emit_serialized(&tiny());
-    let b = emit_serialized(&tiny());
+    let again = emit_report(&tiny());
     assert_eq!(
-        stable_view(&a).render(),
-        stable_view(&b).render(),
+        stable_view(report()).render(),
+        stable_view(&again).render(),
         "two emits of the same config must differ only in measured subtrees"
     );
-    // And a report always compares clean against itself.
-    let self_cmp = compare(&a, &a).unwrap();
-    assert!(self_cmp.regressions.is_empty());
-    assert!(self_cmp.improvements.is_empty());
-    assert!(self_cmp.compared >= 5, "expected all fig5 runs compared");
 }
 
 #[test]
 fn emitted_session_curve_pairs_async_against_threads() {
-    let report = emit_serialized(&tiny());
-    let runs = report.get("runs").and_then(Json::as_arr).unwrap();
-    let session_runs: Vec<&Json> = runs
-        .iter()
-        .filter(|r| r.get("figure").and_then(Json::as_str) == Some("kv-sessions"))
-        .collect();
+    let session_runs = runs_of(report(), "kv-sessions");
     // One async + one thread-per-session run per curve point.
     assert_eq!(session_runs.len(), 2 * tiny().sessions_curve.len());
     for (i, &sessions) in tiny().sessions_curve.iter().enumerate() {
@@ -107,21 +109,15 @@ fn emitted_session_curve_pairs_async_against_threads() {
 
 #[test]
 fn emitted_optimization_entries_carry_before_and_after_numbers() {
-    let report = emit_serialized(&tiny());
-    let opts = report.get("optimizations").and_then(Json::as_arr).unwrap();
+    let opts = report()
+        .get("optimizations")
+        .and_then(Json::as_arr)
+        .unwrap();
     let names: Vec<&str> = opts
         .iter()
         .map(|o| o.get("name").and_then(Json::as_str).unwrap())
         .collect();
-    assert_eq!(
-        names,
-        [
-            "orec-padding",
-            "ro-fast-path",
-            "txbuf-reuse",
-            "lazy-subscription"
-        ]
-    );
+    assert_eq!(names, ["orec-padding", "lazy-subscription"]);
     for o in opts {
         for side in ["baseline", "optimized"] {
             let t = o
@@ -140,26 +136,4 @@ fn emitted_optimization_entries_carry_before_and_after_numbers() {
                 > 0.0
         );
     }
-    // txbuf-reuse must prove the allocation churn went away: with reuse
-    // off every transaction leases a fresh block, with reuse on the pool
-    // hits dominate.
-    let reuse = &opts[2];
-    let alloc = |side: &str, key: &str| {
-        reuse
-            .get(side)
-            .and_then(|s| s.get("measured"))
-            .and_then(|m| m.get(key))
-            .and_then(Json::as_u64)
-            .unwrap()
-    };
-    assert!(
-        alloc("baseline", "fresh_allocs") > alloc("optimized", "fresh_allocs"),
-        "buf reuse must cut fresh allocations ({} -> {})",
-        alloc("baseline", "fresh_allocs"),
-        alloc("optimized", "fresh_allocs"),
-    );
-    assert!(
-        alloc("optimized", "reuse_hits") > 0,
-        "buf reuse must record pool hits"
-    );
 }

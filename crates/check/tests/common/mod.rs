@@ -2,7 +2,7 @@
 //!
 //! Each builder returns a *fresh* [`Scenario`] — new `TmSystem`, new lock,
 //! new cells — so the explorer can run it once per schedule. The closures
-//! use the same public API as the stress tests (`ThreadHandle::critical`
+//! use the same public API as the stress tests (`ThreadHandle::tx`
 //! over `TCell`s), which is exactly what makes the harness meaningful: the
 //! kernels under deterministic exploration are the production kernels.
 

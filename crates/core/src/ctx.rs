@@ -73,8 +73,8 @@ pub(crate) struct PendingWait<'a> {
     pub timeout: Option<Duration>,
 }
 
-/// The critical-section handle passed to closures run by
-/// [`ThreadHandle::critical`](crate::ThreadHandle::critical).
+/// The critical-section handle passed to closures run by the
+/// [`ThreadHandle::tx`](crate::ThreadHandle::tx) terminals.
 pub struct TxCtx<'a> {
     pub(crate) kind: CtxKind<'a>,
     pub(crate) defers: Vec<Box<dyn FnOnce() + Send + 'static>>,

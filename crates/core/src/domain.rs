@@ -251,7 +251,7 @@ pub enum AdmissionStep {
     /// Overload confirmed: fallible sections are refused at dispatch with
     /// [`TxError::Overloaded`](crate::TxError::Overloaded) so the hot lock
     /// fails fast instead of collapsing every caller. Infallible sections
-    /// (plain [`critical`](crate::ThreadHandle::critical)) cannot observe
+    /// (plain [`run`](crate::TxRequest::run)) cannot observe
     /// errors and are serialized instead.
     Shed = 2,
 }

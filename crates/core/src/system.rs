@@ -283,22 +283,9 @@ impl TxHints {
         self.deadline = Some(d);
         self
     }
-
-    /// Hint more (or fewer) hardware retries.
-    #[deprecated(since = "0.4.0", note = "use TxHints::new().with_htm_retries(n)")]
-    pub fn htm_retries(n: u32) -> Self {
-        TxHints::new().with_htm_retries(n)
-    }
-
-    /// Hint more (or fewer) software retries.
-    #[deprecated(since = "0.4.0", note = "use TxHints::new().with_stm_retries(n)")]
-    pub fn stm_retries(n: u32) -> Self {
-        TxHints::new().with_stm_retries(n)
-    }
 }
 
-/// `(htm_retries, stm_retries)` shorthand for
-/// [`ThreadHandle::critical_with`].
+/// `(htm_retries, stm_retries)` shorthand for [`TxRequest::hints`].
 impl From<(u32, u32)> for TxHints {
     fn from((htm, stm): (u32, u32)) -> Self {
         TxHints::new().with_htm_retries(htm).with_stm_retries(stm)
@@ -317,9 +304,6 @@ pub struct TmSystemBuilder {
     adaptive: Option<AdaptiveConfig>,
     admission: Option<AdmissionConfig>,
     orec_layout: OrecLayout,
-    /// `None` keeps the STM default (on); benches set `Some(false)` for
-    /// before/after runs.
-    ro_fast_path: Option<bool>,
 }
 
 impl TmSystemBuilder {
@@ -386,21 +370,11 @@ impl TmSystemBuilder {
         self
     }
 
-    /// Enable/disable the read-only STM commit fast path (default: on).
-    pub fn ro_commit_fast_path(mut self, on: bool) -> Self {
-        self.ro_fast_path = Some(on);
-        self
-    }
-
     /// Assemble the runtime.
     pub fn build(self) -> TmSystem {
         let mode = self.mode.unwrap_or(AlgoMode::HtmCondvar);
-        let stm = StmGlobal::with_layout(mode.quiesce_policy(), self.orec_layout);
-        if let Some(on) = self.ro_fast_path {
-            stm.set_ro_commit_fast_path(on);
-        }
         TmSystem {
-            stm,
+            stm: StmGlobal::with_layout(mode.quiesce_policy(), self.orec_layout),
             htm: HtmGlobal::new(self.htm_cfg),
             gate: Gate::new(),
             stats: TxStats::new(),
@@ -450,19 +424,6 @@ impl TmSystem {
     /// (sugar for `TmSystem::builder().mode(mode).build()`).
     pub fn new(mode: AlgoMode) -> Self {
         Self::builder().mode(mode).build()
-    }
-
-    /// Build a system with explicit policy and HTM configuration.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use TmSystem::builder().mode(..).policy(..).htm_config(..).build()"
-    )]
-    pub fn with_policy(mode: AlgoMode, policy: TlePolicy, htm_cfg: HtmConfig) -> Self {
-        Self::builder()
-            .mode(mode)
-            .policy(policy)
-            .htm_config(htm_cfg)
-            .build()
     }
 
     /// The global algorithm (locks may carry per-lock overrides; see
@@ -994,63 +955,6 @@ impl ThreadHandle {
             hints: TxHints::default(),
         }
     }
-
-    /// Run `body` as the critical section guarded by `lock`.
-    #[deprecated(since = "0.8.0", note = "use tx(lock).run(body)")]
-    #[inline]
-    pub fn critical<'a, R>(
-        &'a self,
-        lock: &'a ElidableMutex,
-        body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-    ) -> R {
-        self.tx(lock).run(body)
-    }
-
-    /// Like `critical`, with per-section policy hints.
-    #[deprecated(since = "0.8.0", note = "use tx(lock).hints(h).run(body)")]
-    #[inline]
-    pub fn critical_with<'a, R>(
-        &'a self,
-        lock: &'a ElidableMutex,
-        hints: impl Into<TxHints>,
-        body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-    ) -> R {
-        self.tx(lock).hints(hints).run(body)
-    }
-
-    /// Like `critical`, but fallible (see [`TxRequest::try_run`]).
-    #[deprecated(since = "0.8.0", note = "use tx(lock).try_run(body)")]
-    #[inline]
-    pub fn try_critical<'a, R>(
-        &'a self,
-        lock: &'a ElidableMutex,
-        body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-    ) -> Result<R, TxError> {
-        self.tx(lock).try_run(body)
-    }
-
-    /// Like `try_critical`, with per-section policy hints.
-    #[deprecated(since = "0.8.0", note = "use tx(lock).hints(h).try_run(body)")]
-    #[inline]
-    pub fn try_critical_with<'a, R>(
-        &'a self,
-        lock: &'a ElidableMutex,
-        hints: impl Into<TxHints>,
-        body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-    ) -> Result<R, TxError> {
-        self.tx(lock).hints(hints).try_run(body)
-    }
-
-    /// Like `critical`, with per-section policy hints.
-    #[deprecated(since = "0.4.0", note = "use tx(lock).hints(h).run(body)")]
-    pub fn critical_hinted<'a, R>(
-        &'a self,
-        lock: &'a ElidableMutex,
-        hints: TxHints,
-        body: impl FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-    ) -> R {
-        self.tx(lock).hints(hints).run(body)
-    }
 }
 
 /// A critical-section request under construction: the lock, the policy
@@ -1344,16 +1248,6 @@ mod tests {
         assert_eq!(h.stm_retries, Some(9));
         let t: TxHints = (4u32, 8u32).into();
         assert_eq!(t, TxHints::new().with_htm_retries(4).with_stm_retries(8));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_hint_constructors_delegate() {
-        assert_eq!(TxHints::htm_retries(7), TxHints::new().with_htm_retries(7));
-        assert_eq!(
-            TxHints::stm_retries(11),
-            TxHints::new().with_stm_retries(11)
-        );
     }
 
     #[test]

@@ -1,11 +1,9 @@
 //! API-surface and equivalence tests for the rebuilt construction API:
-//! the `TmSystem` builder must exactly reproduce the legacy constructors,
-//! the deprecated shims must delegate, and the fallible conversions must
-//! reject what the old `from_u8` silently clamped.
+//! the `TmSystem` builder must exactly reproduce `TmSystem::new`, and the
+//! fallible conversions must reject what the old `from_u8` silently clamped.
 
 use std::sync::Arc;
-use tle_core::{AlgoMode, ElidableMutex, InvalidAlgoMode, TlePolicy, TmSystem, TxHints, ALL_MODES};
-use tle_htm::HtmConfig;
+use tle_core::{AlgoMode, ElidableMutex, InvalidAlgoMode, TmSystem, TxHints, ALL_MODES};
 
 /// `TmSystem::new(mode)` and the bare builder agree on every observable
 /// configuration default.
@@ -22,32 +20,6 @@ fn builder_defaults_reproduce_new() {
     }
     // The builder's default mode is HtmCondvar, like the README quickstart.
     assert_eq!(TmSystem::builder().build().mode(), AlgoMode::HtmCondvar);
-}
-
-/// The deprecated positional constructor and the builder produce the same
-/// system for the same inputs.
-#[test]
-fn with_policy_shim_delegates_to_builder() {
-    let policy = TlePolicy {
-        htm_retries: 7,
-        stm_retries: 11,
-        ..TlePolicy::default()
-    };
-    let htm_cfg = HtmConfig {
-        write_cap_lines: 32,
-        ..HtmConfig::default()
-    };
-    #[allow(deprecated)]
-    let legacy = TmSystem::with_policy(AlgoMode::HtmCondvar, policy.clone(), htm_cfg.clone());
-    let built = TmSystem::builder()
-        .mode(AlgoMode::HtmCondvar)
-        .policy(policy)
-        .htm_config(htm_cfg)
-        .build();
-    assert_eq!(legacy.mode(), built.mode());
-    assert_eq!(legacy.policy(), built.policy());
-    assert_eq!(legacy.policy().htm_retries, 7);
-    assert_eq!(built.policy().stm_retries, 11);
 }
 
 /// Both systems behave identically on a real critical section.
@@ -75,28 +47,8 @@ fn legacy_and_builder_systems_run_identically() {
     );
 }
 
-/// `critical_hinted` (deprecated) delegates to `critical_with`.
-#[test]
-fn critical_hinted_shim_delegates() {
-    let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
-    let th = sys.register();
-    let lock = ElidableMutex::new("hinted");
-    let cell = tle_base::TCell::new(5u64);
-    #[allow(deprecated)]
-    let a = th.critical_hinted(&lock, TxHints::new().with_htm_retries(4), |ctx| {
-        ctx.read(&cell)
-    });
-    let b = th
-        .tx(&lock)
-        .hints(TxHints::new().with_htm_retries(4))
-        .run(|ctx| ctx.read(&cell));
-    assert_eq!(a, b);
-    assert_eq!(a, 5);
-}
-
 /// The fluent hint type can set both budgets at once; the tuple shorthand
-/// converts; the deprecated one-shot constructors still produce the same
-/// values they used to.
+/// converts.
 #[test]
 fn tx_hints_fluent_and_conversions() {
     let both = TxHints::new().with_htm_retries(3).with_stm_retries(9);
@@ -109,55 +61,12 @@ fn tx_hints_fluent_and_conversions() {
     assert_eq!(TxHints::new(), TxHints::default());
     assert_eq!(TxHints::default().htm_retries, None);
 
-    #[allow(deprecated)]
-    {
-        assert_eq!(TxHints::htm_retries(3), TxHints::new().with_htm_retries(3));
-        assert_eq!(TxHints::stm_retries(9), TxHints::new().with_stm_retries(9));
-    }
-
-    // `critical_with` accepts anything Into<TxHints>.
+    // `hints()` accepts anything Into<TxHints>.
     let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
     let th = sys.register();
     let lock = ElidableMutex::new("into-hints");
     let got = th.tx(&lock).hints((2u32, 2u32)).run(|_ctx| Ok(42u64));
     assert_eq!(got, 42);
-}
-
-/// Every deprecated `critical*` entry point delegates to the `tx()`
-/// request builder and returns identical results.
-#[test]
-fn deprecated_critical_family_matches_builder() {
-    let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
-    let th = sys.register();
-    let lock = ElidableMutex::new("shims");
-    let cell = tle_base::TCell::new(10u64);
-
-    #[allow(deprecated)]
-    let a = th.critical(&lock, |ctx| ctx.read(&cell));
-    let b = th.tx(&lock).run(|ctx| ctx.read(&cell));
-    assert_eq!((a, b), (10, 10));
-
-    #[allow(deprecated)]
-    let a = th.critical_with(&lock, (4u32, 4u32), |ctx| ctx.update(&cell, |v| v + 1));
-    let b = th
-        .tx(&lock)
-        .hints((4u32, 4u32))
-        .run(|ctx| ctx.update(&cell, |v| v + 1));
-    let _ = (a, b);
-    assert_eq!(cell.load_direct(), 12);
-
-    #[allow(deprecated)]
-    let a = th.try_critical(&lock, |ctx| ctx.read(&cell));
-    let b = th.tx(&lock).try_run(|ctx| ctx.read(&cell));
-    assert_eq!(a.unwrap(), 12);
-    assert_eq!(b.unwrap(), 12);
-
-    let hints = TxHints::new().with_stm_retries(6);
-    #[allow(deprecated)]
-    let a = th.try_critical_with(&lock, hints, |ctx| ctx.read(&cell));
-    let b = th.tx(&lock).hints(hints).try_run(|ctx| ctx.read(&cell));
-    assert_eq!(a.unwrap(), 12);
-    assert_eq!(b.unwrap(), 12);
 }
 
 /// `deadline_us` is sugar for a deadline hint, and the request's `hints()`

@@ -3,7 +3,7 @@
 //!
 //! A section's retry-time budget ([`TxHints::with_deadline`]) is checked at
 //! dispatch and before every retry tier, never mid-attempt — so an expired
-//! budget must surface as `Err(DeadlineExceeded)` from `try_critical_with`
+//! budget must surface as `Err(DeadlineExceeded)` from `tx().hints(h).try_run`
 //! with *no effects*, while the infallible API (which has no error channel)
 //! must complete by serializing instead. A condvar wait inside a budgeted
 //! section clamps its park time to the remaining budget, so a waiter nobody

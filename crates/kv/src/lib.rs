@@ -1079,7 +1079,6 @@ mod tests {
                 write_pct: 100,
                 ..KvConfig::quick()
             },
-            ..SessionConfig::quick()
         };
         let sys = build_system(&cfg.base);
         let a = run_session_driver_threads_on(&sys, &cfg);

@@ -5,8 +5,9 @@
 //! scanning annotations, PR overlays), so the emitter is the piece that
 //! turns tle-lint from a console tool into a pipeline stage. It is
 //! hand-rolled on the [`tle_base::json::Json`] tree — the same
-//! byte-deterministic emitter that renders `BENCH_<n>.json` — so the
-//! document is stable across runs and can itself be archived and diffed.
+//! byte-deterministic emitter that renders `tle-bench emit` reports — so
+//! the document is stable across runs and can itself be archived and
+//! diffed.
 //!
 //! The baseline file answers the adoption problem every new rule has: a
 //! workspace with pre-existing findings can't turn on `--deny` without

@@ -38,10 +38,10 @@ fn workspace_self_scan_is_clean() {
         complaints.is_empty(),
         "workspace self-scan must be clean:{complaints}"
     );
-    // The scan actually saw the codebase: 143 files, 215 atomic blocks at
-    // the time of writing (PR 16, after the two runner ladders became one
-    // core and `tests/runner_parity.rs` arrived) — use generous floors so
-    // growth never trips this.
+    // The scan actually saw the codebase: 141 files, 202 atomic blocks at
+    // the time of writing (PR 17, after the trajectory comparator, its
+    // artifact test and the deprecated-shim delegation tests left) — use
+    // generous floors so growth never trips this.
     assert!(
         report.files_scanned >= 130,
         "suspiciously few files scanned: {}",
@@ -63,9 +63,9 @@ fn workspace_self_scan_is_clean() {
     // The workspace layers really ran: the symbol table indexed the tree,
     // atomic blocks resolved calls, lock names were harvested, and the
     // ordering audit saw the kernel's atomics. Measured at the time of
-    // writing: 2046 fns, 25 resolved calls, 13 lock names, 237 accesses
-    // (10 fewer than before PR 16: the duplicated runner loops took their
-    // epoch/skip/consec-abort accesses with them).
+    // writing: 2007 fns, 25 resolved calls, 13 lock names, 233 accesses
+    // (4 fewer than before PR 17: the store/load pairs of the two settled
+    // A/B switches, buffer reuse and the read-only commit fast path).
     let stats = report.stats;
     assert!(
         stats.fns_indexed >= 1500,

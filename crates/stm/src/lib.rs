@@ -36,13 +36,13 @@ mod tx;
 pub use norec::NorecTx;
 pub use quiesce::{drain, drain_watched, QuiescePolicy, QuiesceTicket, Watchdog};
 pub use sets::{
-    buf_alloc_stats, buf_reuse_enabled, drain_buf_pool, reset_buf_alloc_stats, set_buf_reuse,
-    BufAllocStats, SmallSet, INLINE_READS, INLINE_WRITES,
+    buf_alloc_stats, drain_buf_pool, reset_buf_alloc_stats, BufAllocStats, SmallSet, INLINE_READS,
+    INLINE_WRITES,
 };
 pub use soft::{SoftTx, StmAlgo};
 pub use tx::{CommitInfo, StmTx};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use tle_base::stats::TxStats;
 use tle_base::{Clock, OrecLayout, OrecTable, SlotRegistry};
 
@@ -68,9 +68,6 @@ pub struct StmGlobal {
     policy: AtomicU8,
     algo: AtomicU8,
     audit_noquiesce: std::sync::atomic::AtomicBool,
-    /// Whether read-only `ml_wt` commits may return before the quiescence
-    /// machinery (on by default; see [`StmGlobal::set_ro_commit_fast_path`]).
-    ro_fast: AtomicBool,
     /// Quiescence-watchdog deadline (ns); a drain waiting longer trips the
     /// watchdog (report + counter, see [`Watchdog`]).
     quiesce_deadline_ns: AtomicU64,
@@ -103,26 +100,8 @@ impl StmGlobal {
             policy: AtomicU8::new(policy as u8),
             algo: AtomicU8::new(StmAlgo::MlWt as u8),
             audit_noquiesce: std::sync::atomic::AtomicBool::new(false),
-            ro_fast: AtomicBool::new(true),
             quiesce_deadline_ns: AtomicU64::new(DEFAULT_QUIESCE_DEADLINE_NS),
         }
-    }
-
-    /// Whether the read-only commit fast path is enabled.
-    ///
-    /// Ordering audit: `Relaxed` is sufficient — the flag only chooses
-    /// between two correct commit paths (the fast path is sound under every
-    /// policy, see the commit-site comment in `tx.rs`); observing a flip
-    /// late changes nothing but which path one commit takes.
-    #[inline]
-    pub fn ro_commit_fast_path(&self) -> bool {
-        self.ro_fast.load(Ordering::Relaxed)
-    }
-
-    /// Enable/disable the read-only commit fast path (on by default; the
-    /// benches flip it off to measure the before/after).
-    pub fn set_ro_commit_fast_path(&self, on: bool) {
-        self.ro_fast.store(on, Ordering::Relaxed);
     }
 
     /// The quiescence-watchdog deadline in nanoseconds.

@@ -22,13 +22,13 @@
 //! The pool keeps at most one buffer block per thread (the steady state is
 //! one live transaction per thread; a same-thread *nested/interleaved*
 //! second transaction — the model-checking harness does this — simply takes
-//! a fresh block). Reuse can be disabled globally with [`set_buf_reuse`] so
-//! `tle-bench` can measure the before/after; [`buf_alloc_stats`] exposes
-//! fresh-allocation, reuse and spill counts for the emitted JSON.
+//! a fresh block). [`buf_alloc_stats`] exposes fresh-allocation, reuse and
+//! spill counts: a handful per run, not per op, is the healthy reading the
+//! repo benchmark's `stm.buf.*` rows watch.
 
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use tle_base::stats::Counter;
 
 /// Inline capacity of the read-set tiers (entries before heap spill).
@@ -187,23 +187,9 @@ thread_local! {
     static POOL: Cell<Option<Box<TxBufs>>> = const { Cell::new(None) };
 }
 
-/// Global reuse switch (on by default; `tle-bench` flips it for A/B runs).
-static REUSE: AtomicBool = AtomicBool::new(true);
 static FRESH_ALLOCS: Counter = Counter::new();
 static REUSED: Counter = Counter::new();
 static SPILLS: Counter = Counter::new();
-
-/// Enable or disable cross-retry buffer reuse (process-global). With reuse
-/// off every transaction attempt allocates a fresh block and drops it on
-/// completion — the pre-fix behaviour, kept measurable for `BENCH_<n>.json`.
-pub fn set_buf_reuse(on: bool) {
-    REUSE.store(on, Ordering::Relaxed);
-}
-
-/// Whether cross-retry buffer reuse is currently enabled.
-pub fn buf_reuse_enabled() -> bool {
-    REUSE.load(Ordering::Relaxed)
-}
 
 /// Allocation counters for the transaction-set pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,24 +238,21 @@ pub(crate) struct BufLease {
     shard: usize,
 }
 
-/// Lease a buffer block for one transaction attempt on `shard`'s thread.
+/// Lease a buffer block for one transaction attempt on `shard`'s thread:
+/// the block this thread parked last, else a fresh one.
 pub(crate) fn lease(shard: usize) -> BufLease {
-    lease_with(shard, buf_reuse_enabled())
-}
-
-fn lease_with(shard: usize, reuse: bool) -> BufLease {
-    if reuse {
-        if let Some(b) = POOL.with(|p| p.take()) {
+    let bufs = match POOL.with(|p| p.take()) {
+        Some(b) => {
             REUSED.inc(shard);
-            return BufLease {
-                bufs: Some(b),
-                shard,
-            };
+            b
         }
-    }
-    FRESH_ALLOCS.inc(shard);
+        None => {
+            FRESH_ALLOCS.inc(shard);
+            Box::new(TxBufs::new())
+        }
+    };
     BufLease {
-        bufs: Some(Box::new(TxBufs::new())),
+        bufs: Some(bufs),
         shard,
     }
 }
@@ -296,11 +279,9 @@ impl Drop for BufLease {
                 SPILLS.inc(self.shard);
             }
             b.clear();
-            if buf_reuse_enabled() {
-                // A same-thread interleaved transaction may have parked a
-                // block already; keep the most recently used one.
-                POOL.with(|p| p.set(Some(b)));
-            }
+            // A same-thread interleaved transaction may have parked a
+            // block already; keep the most recently used one.
+            POOL.with(|p| p.set(Some(b)));
         }
     }
 }
@@ -356,7 +337,7 @@ mod tests {
         // Simulates abort-retry: attempt 1 spills, "aborts" (lease drops),
         // attempt 2 must get the same block back, capacity intact.
         let cap = {
-            let mut l = lease_with(0, true);
+            let mut l = lease(0);
             for i in 0..(INLINE_READS + 40) as u32 {
                 l.reads.push((i, 0));
             }
@@ -364,7 +345,7 @@ mod tests {
             l.reads.spill_capacity()
         };
         assert!(cap >= 40);
-        let l = lease_with(0, true);
+        let l = lease(0);
         assert!(l.reads.is_empty(), "reused block must arrive cleared");
         assert!(
             l.reads.spill_capacity() >= cap,
@@ -374,23 +355,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_reuse_always_leases_fresh_blocks() {
-        // Park a warmed block in this thread's pool first.
-        {
-            let mut l = lease_with(0, true);
-            for i in 0..(INLINE_READS + 8) as u32 {
-                l.reads.push((i, 0));
-            }
-        }
-        // With reuse off the pool is bypassed: fresh block, zero capacity.
-        let l = lease_with(0, false);
-        assert_eq!(l.reads.spill_capacity(), 0);
-    }
-
-    #[test]
     fn interleaved_same_thread_leases_get_distinct_blocks() {
-        let a = lease_with(0, true);
-        let b = lease_with(0, true);
+        let a = lease(0);
+        let b = lease(0);
         let pa = &*a as *const TxBufs;
         let pb = &*b as *const TxBufs;
         assert_ne!(pa, pb, "overlapping leases must never alias");

@@ -372,10 +372,7 @@ impl<'g> StmTx<'g> {
             self.finished = true;
             history::commit();
             self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
-            if self.g.ro_commit_fast_path()
-                && !self.must_quiesce
-                && !(self.no_quiesce && self.g.audit_noquiesce_enabled())
-            {
+            if !(self.must_quiesce || (self.no_quiesce && self.g.audit_noquiesce_enabled())) {
                 // Fast path: return before the quiescence machinery. Sound
                 // because only a *writer* commit can transfer data into
                 // private use: a privatizing reader observes the transfer
@@ -721,7 +718,6 @@ mod tests {
         let g = StmGlobal::new(crate::QuiescePolicy::Always);
         let slot = g.slots.register_raw().unwrap();
         let a = TCell::new(1u64);
-        assert!(g.ro_commit_fast_path(), "fast path must default on");
 
         let mut tx = g.begin(slot);
         tx.read(&a).unwrap();
@@ -735,20 +731,6 @@ mod tests {
         tx.read(&a).unwrap();
         tx.will_free_memory();
         assert!(tx.commit().unwrap().quiesced);
-        g.slots.unregister_raw(slot);
-    }
-
-    #[test]
-    fn ro_fast_path_can_be_disabled_for_ab_runs() {
-        let g = StmGlobal::new(crate::QuiescePolicy::Always);
-        g.set_ro_commit_fast_path(false);
-        let slot = g.slots.register_raw().unwrap();
-        let a = TCell::new(1u64);
-        let mut tx = g.begin(slot);
-        tx.read(&a).unwrap();
-        let info = tx.commit().unwrap();
-        assert!(info.quiesced, "with the flag off, Always must drain");
-        assert_eq!(g.stats.quiesces.get(), 1);
         g.slots.unregister_raw(slot);
     }
 

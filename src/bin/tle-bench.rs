@@ -1,20 +1,19 @@
-//! `tle-bench` — the machine-readable perf trajectory (`BENCH_<n>.json`).
+//! `tle-bench` — the paper's figures as one machine-readable report, plus
+//! the kv serving-workload drivers.
 //!
 //! ```text
-//! cargo run --release --bin tle-bench -- emit --out BENCH_6.json
-//! cargo run --release --bin tle-bench -- emit --quick --out /tmp/new.json
-//! cargo run --release --bin tle-bench -- validate BENCH_6.json
-//! cargo run --release --bin tle-bench -- compare BENCH_6.json /tmp/new.json
+//! cargo run --release --bin tle-bench -- emit --quick --out /tmp/figures.json
+//! cargo run --release --bin tle-bench -- kv --storm --plane
+//! cargo run --release --bin tle-bench -- kv-sessions --sessions 1000
 //! ```
 //!
-//! Exit codes: 0 clean, 1 regression or schema error (`--warn` downgrades
-//! *timing* regressions only — schema errors always fail), 2 usage error.
+//! Nothing here gates: the repo's regression gate is `BENCHMARK.json` +
+//! `benchmark/`. Exit codes: 0 clean, 1 a report that fails its own schema
+//! or a `--min-ratio` miss, 2 usage error.
 
 use std::process::ExitCode;
 use std::time::Duration;
-use tle_bench::json::Json;
-use tle_bench::perf::{compare, emit_report, stable_view, validate, EmitConfig, TOLERANCE};
-use tle_bench::trajectory;
+use tle_bench::perf::{emit_report, validate, EmitConfig};
 use tle_bench::workloads::TrialStats;
 use tle_kv::{
     build_system, run_driver_on, run_session_driver_async, run_session_driver_threads, KvConfig,
@@ -22,21 +21,15 @@ use tle_kv::{
 };
 
 const USAGE: &str = "\
-tle-bench: emit, validate, and compare BENCH_<n>.json perf trajectories
+tle-bench: emit the paper's figures as JSON; drive the kv serving workloads
 
 USAGE: tle-bench <COMMAND> [OPTIONS]
 
 COMMANDS:
-  emit                    run the bench suite and print the JSON report
-    --quick               CI smoke sizing (default: full artifact sizing)
+  emit                    run the figure suite, check the report against
+                          its schema and print it as JSON
+    --quick               CI smoke sizing (default: full sizing)
     --out <file>          write to <file> instead of stdout
-  validate <file>         check a report against the schema
-  compare <old> <new>     fail on >10% throughput loss on any recorded run
-    --warn                report timing regressions without failing
-    --stable              also require identical stable views (schema bytes)
-  trajectory [files...]   print the per-figure ops/sec history across every
-                          committed BENCH_<n>.json (default: discover them
-                          in the working directory)
   kv-sessions             A/B one session-mode point: async multiplexing
                           versus thread-per-session, printing the goodput
                           ratio
@@ -60,13 +53,15 @@ COMMANDS:
   -h, --help              this help
 ";
 
+/// Parse the value following `flag`.
+fn num<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+    let v = v.ok_or_else(|| format!("{flag} expects a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag}: `{v}` is not a valid value"))
+}
+
 /// The `kv` subcommand body; `Err` is a usage error (exit 2 at the caller).
 fn kv_cmd(rest: &[String]) -> Result<ExitCode, String> {
-    fn num<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
-        let v = v.ok_or_else(|| format!("{flag} expects a value"))?;
-        v.parse()
-            .map_err(|_| format!("{flag}: `{v}` is not a valid value"))
-    }
     let mut kv = KvConfig {
         requests: 20_000,
         ..KvConfig::quick()
@@ -130,11 +125,6 @@ fn kv_cmd(rest: &[String]) -> Result<ExitCode, String> {
 /// The `kv-sessions` subcommand: run one curve point both ways and print
 /// the async/threads goodput ratio (the PR-8 acceptance metric).
 fn kv_sessions_cmd(rest: &[String]) -> Result<ExitCode, String> {
-    fn num<T: std::str::FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
-        let v = v.ok_or_else(|| format!("{flag} expects a value"))?;
-        v.parse()
-            .map_err(|_| format!("{flag}: `{v}` is not a valid value"))
-    }
     let mut scfg = SessionConfig {
         sessions: 256,
         workers: 8,
@@ -191,9 +181,39 @@ fn kv_sessions_cmd(rest: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn read_report(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+/// The `emit` subcommand: run the figure suite, self-validate, write.
+fn emit_cmd(rest: &[String]) -> Result<ExitCode, String> {
+    let mut cfg = EmitConfig::full();
+    let mut out_path: Option<&String> = None;
+    let mut it = rest.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--quick" => cfg = EmitConfig::quick(),
+            "--out" => out_path = Some(it.next().ok_or("--out expects a file path")?),
+            other => return Err(format!("unknown emit option `{other}`")),
+        }
+    }
+    eprintln!(
+        "tle-bench: emitting {} report ({} threads, {} micro ops/thread)...",
+        cfg.label, cfg.threads, cfg.micro_ops
+    );
+    let report = emit_report(&cfg);
+    if let Err(e) = validate(&report) {
+        eprintln!("tle-bench: emitted report failed self-validation: {e}");
+        return Ok(ExitCode::FAILURE);
+    }
+    let text = report.render();
+    match out_path {
+        Some(p) => {
+            if let Err(e) = std::fs::write(p, &text) {
+                eprintln!("tle-bench: cannot write {p}: {e}");
+                return Ok(ExitCode::FAILURE);
+            }
+            eprintln!("tle-bench: wrote {p}");
+        }
+        None => print!("{text}"),
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -203,182 +223,20 @@ fn usage_error(msg: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(cmd) = args.first() else {
+        return usage_error("missing command");
+    };
+    let rest = &args[1..];
     // Accept both `emit` and `--emit` spellings for the subcommand.
-    let cmd = match args.first().map(|s| s.trim_start_matches("--")) {
-        Some("emit") => "emit",
-        Some("validate") => "validate",
-        Some("compare") => "compare",
-        Some("trajectory") => "trajectory",
-        Some("kv") => "kv",
-        Some("kv-sessions") => "kv-sessions",
-        Some("help") | Some("h") => {
+    let outcome = match cmd.trim_start_matches("--") {
+        "emit" => emit_cmd(rest),
+        "kv" => kv_cmd(rest),
+        "kv-sessions" => kv_sessions_cmd(rest),
+        "help" | "h" => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        Some(other) => return usage_error(&format!("unknown command `{other}`")),
-        None => return usage_error("missing command"),
+        other => Err(format!("unknown command `{other}`")),
     };
-    let rest = &args[1..];
-
-    match cmd {
-        "emit" => {
-            let mut cfg = EmitConfig::full();
-            let mut out_path: Option<String> = None;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--quick" => cfg = EmitConfig::quick(),
-                    "--out" => match it.next() {
-                        Some(p) => out_path = Some(p.clone()),
-                        None => return usage_error("--out expects a file path"),
-                    },
-                    other => return usage_error(&format!("unknown emit option `{other}`")),
-                }
-            }
-            eprintln!(
-                "tle-bench: emitting {} report ({} threads, {} micro ops/thread)...",
-                cfg.label, cfg.threads, cfg.micro_ops
-            );
-            let report = emit_report(&cfg);
-            if let Err(e) = validate(&report) {
-                eprintln!("tle-bench: emitted report failed self-validation: {e}");
-                return ExitCode::FAILURE;
-            }
-            let text = report.render();
-            match out_path {
-                Some(p) => {
-                    if let Err(e) = std::fs::write(&p, &text) {
-                        eprintln!("tle-bench: cannot write {p}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("tle-bench: wrote {p}");
-                }
-                None => print!("{text}"),
-            }
-            ExitCode::SUCCESS
-        }
-        "validate" => {
-            let [path] = rest else {
-                return usage_error("validate expects exactly one file");
-            };
-            let report = match read_report(path) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("tle-bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match validate(&report) {
-                Ok(()) => {
-                    println!("{path}: valid tle-bench-trajectory document");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("tle-bench: {path}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "trajectory" => {
-            // Explicit files, or every committed BENCH_<n>.json in the
-            // working directory.
-            let paths: Vec<std::path::PathBuf> = if rest.is_empty() {
-                match trajectory::discover(std::path::Path::new(".")) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("tle-bench: cannot scan for BENCH_<n>.json: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                rest.iter().map(std::path::PathBuf::from).collect()
-            };
-            if paths.is_empty() {
-                return usage_error("trajectory: no BENCH_<n>.json artifacts found");
-            }
-            match trajectory::load(&paths) {
-                Ok(t) => {
-                    println!(
-                        "tle-bench trajectory: {} artifact(s), PRs {:?}, {} run row(s)",
-                        paths.len(),
-                        t.prs,
-                        t.rows.len()
-                    );
-                    print!("{}", trajectory::render(&t));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("tle-bench: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "kv" => match kv_cmd(rest) {
-            Ok(code) => code,
-            Err(msg) => usage_error(&msg),
-        },
-        "kv-sessions" => match kv_sessions_cmd(rest) {
-            Ok(code) => code,
-            Err(msg) => usage_error(&msg),
-        },
-        "compare" => {
-            let mut warn = false;
-            let mut stable = false;
-            let mut files: Vec<&String> = Vec::new();
-            for a in rest {
-                match a.as_str() {
-                    "--warn" => warn = true,
-                    "--stable" => stable = true,
-                    f if !f.starts_with('-') => files.push(a),
-                    other => return usage_error(&format!("unknown compare option `{other}`")),
-                }
-            }
-            let [old_path, new_path] = files[..] else {
-                return usage_error("compare expects exactly two files: <old> <new>");
-            };
-            let (old, new) = match (read_report(old_path), read_report(new_path)) {
-                (Ok(o), Ok(n)) => (o, n),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("tle-bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // Schema errors (including a run vanishing) are hard failures
-            // regardless of --warn; only timing verdicts are downgradable.
-            let outcome = match compare(&old, &new) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("tle-bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if stable && stable_view(&old) != stable_view(&new) {
-                eprintln!("tle-bench: stable views differ (schema drift between reports)");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "compared {} run(s): {} regression(s), {} improvement(s) \
-                 (tolerance {:.0}%)",
-                outcome.compared,
-                outcome.regressions.len(),
-                outcome.improvements.len(),
-                TOLERANCE * 100.0
-            );
-            for line in &outcome.improvements {
-                println!("  faster: {line}");
-            }
-            for line in &outcome.regressions {
-                println!("  REGRESSION: {line}");
-            }
-            if outcome.regressions.is_empty() {
-                ExitCode::SUCCESS
-            } else if warn {
-                println!("(--warn: regressions reported as warnings only)");
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        _ => unreachable!(),
-    }
+    outcome.unwrap_or_else(|msg| usage_error(&msg))
 }
