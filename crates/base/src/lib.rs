@@ -19,8 +19,10 @@
 //!   the concurrent side, irrevocable/serialized work takes the exclusive
 //!   side (this is the GCC libitm "serial mode" used both for unsafe
 //!   operations and as the abort-storm fallback).
-//! - [`stats`] — cheap sharded statistics counters, per-abort-cause
+//! - [`stats`] — per-slot single-writer statistics rows, per-abort-cause
 //!   breakdowns and latency histograms.
+//! - [`sets`] — the inline-first transaction sets and the per-thread lease
+//!   pool every transaction flavour draws its read/write logs from.
 //! - [`trace`] — feature-gated per-thread event rings for reconstructing
 //!   whole elision episodes (enable with the `trace` cargo feature).
 //! - [`rng`] — tiny deterministic RNGs (splitmix64 / xorshift64*) used for
@@ -53,6 +55,7 @@ pub mod orec;
 pub mod park;
 pub mod rng;
 pub mod sched;
+pub mod sets;
 pub mod slots;
 pub mod stats;
 pub mod trace;

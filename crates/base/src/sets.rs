@@ -2,13 +2,13 @@
 //! thread-local lease pool.
 //!
 //! Profiling the fig5 microbenchmarks showed two allocation pathologies on
-//! the STM hot path:
+//! the transaction hot path:
 //!
-//! 1. **Retry churn**: every [`crate::StmTx`] attempt allocated fresh
-//!    `reads`/`undo`/`locks` vectors, so a transaction that aborts `k` times
-//!    pays `3(k+1)` heap round-trips before it commits. The paper's
-//!    high-contention figures retry constantly — exactly where the allocator
-//!    traffic hurts most.
+//! 1. **Retry churn**: every attempt allocated fresh read/undo/lock vectors
+//!    (STM) or redo-log and line-set vectors (simulated HTM), so a
+//!    transaction that aborts `k` times pays `3(k+1)` heap round-trips
+//!    before it commits. The paper's high-contention figures retry
+//!    constantly — exactly where the allocator traffic hurts most.
 //! 2. **Tiny sets on the heap at all**: the common critical section touches
 //!    a handful of words; even the *first* attempt's vectors are pure
 //!    overhead.
@@ -16,20 +16,22 @@
 //! [`SmallSet`] fixes (2) with an inline array tier that spills to a `Vec`
 //! only past `N` entries, and the [`lease`]/[`BufLease`] pool fixes (1) by
 //! handing each attempt the previous attempt's (cleared, capacity-intact)
-//! buffers. One pooled [`TxBufs`] block serves both STM flavours (`ml_wt`
-//! and NOrec), so switching algorithms mid-bench reuses the same storage.
+//! buffers. One pooled [`TxBufs`] block serves every transaction flavour
+//! (`ml_wt`, NOrec and the simulated HTM), so switching algorithms
+//! mid-bench reuses the same storage — which is why the pool lives down
+//! here, below both TM crates.
 //!
 //! The pool keeps at most one buffer block per thread (the steady state is
 //! one live transaction per thread; a same-thread *nested/interleaved*
 //! second transaction — the model-checking harness does this — simply takes
-//! a fresh block). [`buf_alloc_stats`] exposes fresh-allocation, reuse and
-//! spill counts: a handful per run, not per op, is the healthy reading the
-//! repo benchmark's `stm.buf.*` rows watch.
+//! a fresh block). [`buf_alloc_stats`] exposes fresh-allocation and spill
+//! counts: a handful per run, not per op, is the healthy reading the repo
+//! benchmark's `stm.buf.*` rows watch.
 
+use crate::stats::Counter;
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::AtomicU64;
-use tle_base::stats::Counter;
 
 /// Inline capacity of the read-set tiers (entries before heap spill).
 /// Sized from the fig5 microbenchmarks: list traversals log tens of reads,
@@ -139,9 +141,15 @@ impl<T: Copy, const N: usize> SmallSet<T, N> {
 
 /// The full per-transaction buffer block, pooled per thread.
 ///
-/// `ml_wt` uses `reads`/`undo`/`locks`; NOrec uses `nreads`/`nwrites`. The
-/// block is boxed so a lease moves a pointer, not ~3 KiB of arrays.
-pub(crate) struct TxBufs {
+/// `ml_wt` uses `reads`/`undo`/`locks`; NOrec uses `nreads`/`nwrites`; the
+/// simulated HTM uses `redo`/`read_lines`/`write_lines`. The block is boxed
+/// so a lease moves a pointer, not ~3 KiB of arrays.
+///
+/// The HTM's three are plain `Vec`s: every transactional access scans them
+/// (is this line marked? is this address buffered?), and a one-tier slice
+/// scan is what keeps that per-access path short. Pooled, they allocate
+/// once per thread like the inline tiers do — `clear` keeps their capacity.
+pub struct TxBufs {
     /// `ml_wt`: (orec index, orec word observed at read time).
     pub reads: SmallSet<(u32, u64), INLINE_READS>,
     /// `ml_wt`: (cell pointer, old word), rolled back in reverse order.
@@ -152,6 +160,15 @@ pub(crate) struct TxBufs {
     pub nreads: SmallSet<(*const AtomicU64, u64), INLINE_READS>,
     /// NOrec redo log: (cell pointer, address, value).
     pub nwrites: SmallSet<(*const AtomicU64, usize, u64), INLINE_WRITES>,
+    /// HTM redo log: (cell pointer, address, value), applied in order at
+    /// commit. Looked up by linear scan: hardware write sets are tiny, so
+    /// this beats any hash table.
+    pub redo: Vec<(*const AtomicU64, usize, u64)>,
+    /// HTM: distinct conflict-table entries read (cleanup + capacity), also
+    /// scanned linearly.
+    pub read_lines: Vec<u32>,
+    /// HTM: distinct conflict-table entries written.
+    pub write_lines: Vec<u32>,
 }
 
 impl TxBufs {
@@ -162,6 +179,9 @@ impl TxBufs {
             locks: SmallSet::with_fill((0, 0)),
             nreads: SmallSet::with_fill((std::ptr::null(), 0)),
             nwrites: SmallSet::with_fill((std::ptr::null(), 0, 0)),
+            redo: Vec::with_capacity(8),
+            read_lines: Vec::with_capacity(16),
+            write_lines: Vec::with_capacity(8),
         }
     }
 
@@ -179,6 +199,9 @@ impl TxBufs {
         self.locks.clear();
         self.nreads.clear();
         self.nwrites.clear();
+        self.redo.clear();
+        self.read_lines.clear();
+        self.write_lines.clear();
     }
 }
 
@@ -188,7 +211,6 @@ thread_local! {
 }
 
 static FRESH_ALLOCS: Counter = Counter::new();
-static REUSED: Counter = Counter::new();
 static SPILLS: Counter = Counter::new();
 
 /// Allocation counters for the transaction-set pool.
@@ -196,8 +218,6 @@ static SPILLS: Counter = Counter::new();
 pub struct BufAllocStats {
     /// Buffer blocks allocated fresh from the heap.
     pub fresh_allocs: u64,
-    /// Leases served from the thread-local pool (no allocation).
-    pub reused: u64,
     /// Leases returned with at least one set spilled past its inline tier.
     pub spills: u64,
 }
@@ -206,7 +226,6 @@ pub struct BufAllocStats {
 pub fn buf_alloc_stats() -> BufAllocStats {
     BufAllocStats {
         fresh_allocs: FRESH_ALLOCS.get(),
-        reused: REUSED.get(),
         spills: SPILLS.get(),
     }
 }
@@ -214,7 +233,6 @@ pub fn buf_alloc_stats() -> BufAllocStats {
 /// Reset the pool's allocation counters (between benchmark trials).
 pub fn reset_buf_alloc_stats() {
     FRESH_ALLOCS.reset();
-    REUSED.reset();
     SPILLS.reset();
 }
 
@@ -233,28 +251,28 @@ pub fn drain_buf_pool() {
 
 /// A leased buffer block. Derefs to [`TxBufs`]; on drop the block is
 /// cleared (capacity kept) and returned to this thread's pool.
-pub(crate) struct BufLease {
+pub struct BufLease {
     bufs: Option<Box<TxBufs>>,
     shard: usize,
 }
 
 /// Lease a buffer block for one transaction attempt on `shard`'s thread:
 /// the block this thread parked last, else a fresh one.
-pub(crate) fn lease(shard: usize) -> BufLease {
-    let bufs = match POOL.with(|p| p.take()) {
-        Some(b) => {
-            REUSED.inc(shard);
-            b
-        }
-        None => {
-            FRESH_ALLOCS.inc(shard);
-            Box::new(TxBufs::new())
-        }
-    };
+#[inline]
+pub fn lease(shard: usize) -> BufLease {
+    let bufs = POOL
+        .with(|p| p.take())
+        .unwrap_or_else(|| fresh_block(shard));
     BufLease {
         bufs: Some(bufs),
         shard,
     }
+}
+
+#[cold]
+fn fresh_block(shard: usize) -> Box<TxBufs> {
+    FRESH_ALLOCS.inc(shard);
+    Box::new(TxBufs::new())
 }
 
 impl Deref for BufLease {

@@ -1,9 +1,12 @@
-//! Sharded statistics counters.
+//! Statistics counters.
 //!
 //! The paper's evaluation reports commit counts, abort rates (Figure 4,
 //! §VII-A in-text numbers) and serial-fallback percentages; the benches need
-//! these to be cheap enough to leave enabled. [`Counter`] shards its word by
-//! thread to avoid turning statistics into a contention source.
+//! these to be cheap enough to leave enabled. [`TxStats`] keeps one row of
+//! counters per thread slot, written only by the slot's owner — a committed
+//! section pays a load and a store on a line it already owns, no atomic
+//! read-modify-write — and sums the rows at snapshot. [`Counter`] is the
+//! stand-alone sharded word for the cold singletons that have no slot row.
 //!
 //! Beyond the coarse totals, [`TxStats`] attributes every abort to its
 //! [`AbortCause`] (the tentpole of the diagnostics layer: Figure 4's
@@ -11,6 +14,7 @@
 //! synthesized) and records quiescence-drain latencies in a log2 histogram
 //! so the §VII-C congestion-control observation can be quantified.
 
+use crate::slots::MAX_SLOTS;
 use crate::AbortCause;
 use crate::Padded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,8 +98,8 @@ impl std::fmt::Debug for Counter {
 /// cover 1 ns .. ~4 s, far beyond any realistic drain.
 pub const HIST_BUCKETS: usize = 32;
 
-/// A log2 latency histogram (unsharded: one sample per drain, so contention
-/// is negligible next to the drain itself).
+/// A log2 latency histogram (unsharded: its users record one sample per
+/// blocked drain or per served request, next to which the RMW is noise).
 #[derive(Debug, Default)]
 pub struct LatencyHist {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -205,40 +209,93 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Statistics common to both TM flavours and the TLE runtime.
-#[derive(Debug, Default)]
-pub struct TxStats {
+/// The scalar counters of a [`TxStats`] row. The discriminant is the word's
+/// index in the row, so the commit path's counters (`Commits` … `QuiesceWaitNs`)
+/// share the row's first cache line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(usize)]
+pub enum Stat {
     /// Transactions that committed.
-    pub commits: Counter,
+    Commits = 0,
     /// Transactions that aborted at least once (counted per abort event).
-    pub aborts: Counter,
-    /// Per-cause abort counters, indexed by [`AbortCause::index`]. Always
-    /// on (sharded, write-only on the abort path) — unlike the event trace,
-    /// which is feature-gated.
-    pub by_cause: [Counter; AbortCause::COUNT],
+    Aborts = 1,
     /// Transactions that gave up and took the serial fallback.
-    pub serial_fallbacks: Counter,
+    SerialFallbacks = 2,
     /// Commits that performed a quiescence drain.
-    pub quiesces: Counter,
+    Quiesces = 3,
     /// Commits that skipped quiescence (`TM_NoQuiesce`, a skipping policy,
     /// or the read-only commit fast path).
-    pub quiesce_skipped: Counter,
+    QuiesceSkipped = 4,
     /// Nanoseconds spent spinning in quiescence drains.
-    pub quiesce_wait_ns: Counter,
-    /// Distribution of per-drain wait times.
-    pub quiesce_hist: LatencyHist,
+    QuiesceWaitNs = 5,
     /// Starvation-ladder escalations: a thread exceeded its consecutive
     /// abort bound and was forced straight to serial-irrevocable mode.
-    pub escalations: Counter,
+    Escalations = 6,
     /// Quiescence-watchdog trips: a drain exceeded its deadline (the drain
     /// still completes; this counts the detection events).
-    pub watchdog_trips: Counter,
+    WatchdogTrips = 7,
     /// Sections abandoned because their per-transaction retry-time budget
     /// expired before a commit (`TxError::DeadlineExceeded`).
-    pub deadline_exceeded: Counter,
+    DeadlineExceeded = 8,
     /// Sections shed at dispatch by the admission controller's degradation
     /// ladder (`TxError::Overloaded`).
-    pub sheds: Counter,
+    Sheds = 9,
+}
+
+impl Stat {
+    /// Number of scalar counters.
+    pub const COUNT: usize = 10;
+}
+
+/// One slot's counters: the [`Stat`] words, then one word per
+/// [`AbortCause`] (always on — unlike the event trace, which is
+/// feature-gated). 19 words, so a padded row is three cache lines and a
+/// commit dirties only the first.
+type Row = [AtomicU64; Stat::COUNT + AbortCause::COUNT];
+
+/// Statistics common to both TM flavours and the TLE runtime: one
+/// cache-line-aligned row of counters per slot, summed at snapshot.
+///
+/// # The owned / shared contract
+///
+/// A row has **one writer at a time**: whoever holds the claim on that slot
+/// in the registry the stats belong to. That writer uses the *owned*
+/// primitives ([`bump_owned`](Self::bump_owned),
+/// [`count_abort`](Self::count_abort),
+/// [`record_quiesce`](Self::record_quiesce)) — a relaxed load and a relaxed
+/// store, no `lock`-prefixed instruction. Claim hand-over orders successive
+/// owners (`SlotRegistry::unregister_raw` is a release store,
+/// `register_raw` an acquiring CAS), so no increment is lost when a slot is
+/// recycled. Every transaction descriptor bumps the row of the slot it runs
+/// on and nothing else, including the post-commit drain accounting, which
+/// both drivers finish before they give the slot up.
+///
+/// A caller that cannot prove it is the row's only writer — the runner-level
+/// sites keyed by a `ThreadHandle`'s slot, since one handle may serve many
+/// executor workers at once — uses [`bump_shared`](Self::bump_shared)
+/// (`fetch_add`). The two kinds must not race on the same word: an owned
+/// bump overwrites a concurrent shared one. In this workspace each
+/// `TxStats` is bumped with one kind only (`TmSystem::stats` shared, the
+/// STM and HTM domains' owned).
+#[derive(Debug)]
+pub struct TxStats {
+    rows: [Padded<Row>; MAX_SLOTS],
+    /// Drains that found a straggler, by how long they waited. A drain that
+    /// passed on its first sweep is not recorded here: the snapshot derives
+    /// the zero-wait bucket as `Quiesces` minus the recorded samples, so
+    /// `quiesce_hist.count() == quiesces` holds without the commit path
+    /// touching a shared line. Unsharded: a sample follows a blocked drain,
+    /// so contention is negligible next to the wait itself.
+    quiesce_waits: LatencyHist,
+}
+
+impl Default for TxStats {
+    fn default() -> Self {
+        TxStats {
+            rows: std::array::from_fn(|_| Padded(std::array::from_fn(|_| AtomicU64::new(0)))),
+            quiesce_waits: LatencyHist::new(),
+        }
+    }
 }
 
 impl TxStats {
@@ -247,55 +304,95 @@ impl TxStats {
         Self::default()
     }
 
-    /// Count one abort under its cause.
+    /// Add `n` to a word of `slot`'s row; the caller holds the slot claim.
     #[inline]
-    pub fn count_abort(&self, shard_hint: usize, cause: AbortCause) {
-        self.aborts.inc(shard_hint);
-        self.by_cause[cause.index()].inc(shard_hint);
+    fn add_word_owned(&self, slot: usize, word: usize, n: u64) {
+        let w = &self.rows[slot][word];
+        w.store(w.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+    }
+
+    /// Increment `stat` in `slot`'s row. *Owned*: the caller holds the claim
+    /// on `slot` (see the type docs).
+    #[inline]
+    pub fn bump_owned(&self, slot: usize, stat: Stat) {
+        self.add_word_owned(slot, stat as usize, 1);
+    }
+
+    /// Increment `stat` in `slot`'s row with an atomic RMW. *Shared*: safe
+    /// from any number of threads keyed to the same row.
+    #[inline]
+    pub fn bump_shared(&self, slot: usize, stat: Stat) {
+        self.rows[slot][stat as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count one abort under its cause. *Owned*.
+    #[inline]
+    pub fn count_abort(&self, slot: usize, cause: AbortCause) {
+        self.add_word_owned(slot, Stat::Aborts as usize, 1);
+        self.add_word_owned(slot, Stat::COUNT + cause.index(), 1);
+    }
+
+    /// Account for one completed quiescence drain that waited `wait_ns`
+    /// (0: it passed on its first sweep). *Owned*.
+    #[inline]
+    pub fn record_quiesce(&self, slot: usize, wait_ns: u64) {
+        self.bump_owned(slot, Stat::Quiesces);
+        if wait_ns > 0 {
+            self.add_word_owned(slot, Stat::QuiesceWaitNs as usize, wait_ns);
+            self.quiesce_waits.record(wait_ns);
+        }
+    }
+
+    /// Sum one word over the rows. Saturates instead of wrapping: these
+    /// totals flow into emitted reports, where a silently wrapped counter
+    /// would read as a plausible small number.
+    fn sum_word(&self, word: usize) -> u64 {
+        self.rows.iter().fold(0u64, |acc, r| {
+            acc.saturating_add(r[word].load(Ordering::Relaxed))
+        })
+    }
+
+    /// Total of one counter.
+    pub fn get(&self, stat: Stat) -> u64 {
+        self.sum_word(stat as usize)
     }
 
     /// Total aborts recorded for one cause.
     pub fn cause(&self, cause: AbortCause) -> u64 {
-        self.by_cause[cause.index()].get()
+        self.sum_word(Stat::COUNT + cause.index())
     }
 
-    /// Reset every counter (between benchmark trials).
+    /// Reset every row (between benchmark trials, with no transaction in
+    /// flight).
     pub fn reset(&self) {
-        self.commits.reset();
-        self.aborts.reset();
-        for c in &self.by_cause {
-            c.reset();
+        for row in &self.rows {
+            for w in row.iter() {
+                w.store(0, Ordering::Relaxed);
+            }
         }
-        self.serial_fallbacks.reset();
-        self.quiesces.reset();
-        self.quiesce_skipped.reset();
-        self.quiesce_wait_ns.reset();
-        self.quiesce_hist.reset();
-        self.escalations.reset();
-        self.watchdog_trips.reset();
-        self.deadline_exceeded.reset();
-        self.sheds.reset();
+        self.quiesce_waits.reset();
     }
 
     /// A point-in-time copy, for printing.
     pub fn snapshot(&self) -> TxStatsSnapshot {
-        let mut by_cause = [0u64; AbortCause::COUNT];
-        for (o, c) in by_cause.iter_mut().zip(&self.by_cause) {
-            *o = c.get();
-        }
+        let quiesces = self.get(Stat::Quiesces);
+        let mut quiesce_hist = self.quiesce_waits.snapshot();
+        // The drains nobody recorded passed on their first sweep.
+        let first_sweep = quiesces.saturating_sub(quiesce_hist.count());
+        quiesce_hist.buckets[0] = quiesce_hist.buckets[0].saturating_add(first_sweep);
         TxStatsSnapshot {
-            commits: self.commits.get(),
-            aborts: self.aborts.get(),
-            by_cause,
-            serial_fallbacks: self.serial_fallbacks.get(),
-            quiesces: self.quiesces.get(),
-            quiesce_skipped: self.quiesce_skipped.get(),
-            quiesce_wait_ns: self.quiesce_wait_ns.get(),
-            quiesce_hist: self.quiesce_hist.snapshot(),
-            escalations: self.escalations.get(),
-            watchdog_trips: self.watchdog_trips.get(),
-            deadline_exceeded: self.deadline_exceeded.get(),
-            sheds: self.sheds.get(),
+            commits: self.get(Stat::Commits),
+            aborts: self.get(Stat::Aborts),
+            by_cause: std::array::from_fn(|i| self.sum_word(Stat::COUNT + i)),
+            serial_fallbacks: self.get(Stat::SerialFallbacks),
+            quiesces,
+            quiesce_skipped: self.get(Stat::QuiesceSkipped),
+            quiesce_wait_ns: self.get(Stat::QuiesceWaitNs),
+            quiesce_hist,
+            escalations: self.get(Stat::Escalations),
+            watchdog_trips: self.get(Stat::WatchdogTrips),
+            deadline_exceeded: self.get(Stat::DeadlineExceeded),
+            sheds: self.get(Stat::Sheds),
         }
     }
 }
@@ -386,13 +483,13 @@ mod tests {
     fn rates_are_sane() {
         let s = TxStats::new();
         for _ in 0..90 {
-            s.commits.inc(0);
+            s.bump_owned(0, Stat::Commits);
         }
         for _ in 0..10 {
-            s.aborts.inc(0);
+            s.bump_owned(0, Stat::Aborts);
         }
         for _ in 0..9 {
-            s.serial_fallbacks.inc(0);
+            s.bump_shared(0, Stat::SerialFallbacks);
         }
         let snap = s.snapshot();
         assert!((snap.abort_rate() - 0.1).abs() < 1e-9);
@@ -424,6 +521,56 @@ mod tests {
         assert_eq!(snap.aborts, total, "aborts must equal the cause sum");
         s.reset();
         assert_eq!(s.snapshot().by_cause, [0; AbortCause::COUNT]);
+    }
+
+    #[test]
+    fn rows_sum_at_snapshot_and_reset_zeroes_every_row() {
+        let s = TxStats::new();
+        for slot in 0..MAX_SLOTS {
+            s.bump_owned(slot, Stat::Commits);
+            s.bump_shared(slot, Stat::Sheds);
+            s.count_abort(slot, AbortCause::Conflict);
+            s.record_quiesce(slot, slot as u64);
+        }
+        let n = MAX_SLOTS as u64;
+        let snap = s.snapshot();
+        assert_eq!(
+            (snap.commits, snap.sheds, snap.aborts, snap.quiesces),
+            (n, n, n, n)
+        );
+        assert_eq!(snap.cause(AbortCause::Conflict), n);
+        assert_eq!(s.get(Stat::Commits), n);
+        assert_eq!(snap.quiesce_wait_ns, (0..n).sum::<u64>());
+        s.reset();
+        assert_eq!(s.snapshot(), TxStatsSnapshot::default());
+    }
+
+    #[test]
+    fn first_sweep_drains_are_the_derived_zero_bucket() {
+        let s = TxStats::new();
+        for _ in 0..99 {
+            s.record_quiesce(3, 0);
+        }
+        s.record_quiesce(3, 1_000_000); // bucket 19
+        let snap = s.snapshot();
+        assert_eq!(snap.quiesces, 100);
+        assert_eq!(snap.quiesce_hist.count(), snap.quiesces);
+        assert_eq!(snap.quiesce_hist.buckets[0], 99);
+        assert_eq!(snap.quiesce_hist.buckets[19], 1);
+        assert_eq!(
+            snap.quiesce_hist.quantile_ns(0.5),
+            Some(2),
+            "p50 in bucket 0"
+        );
+        assert_eq!(snap.quiesce_wait_ns, 1_000_000);
+    }
+
+    #[test]
+    fn stats_block_stays_within_its_memory_budget() {
+        // `rss_peak_mb` is a gated benchmark metric: three `TxStats` per
+        // `TmSystem`, each ~20 kB before the per-slot rows.
+        assert_eq!(std::mem::size_of::<Padded<Row>>(), 192);
+        assert!(std::mem::size_of::<TxStats>() <= 20 * 1024);
     }
 
     #[test]

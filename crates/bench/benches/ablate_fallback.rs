@@ -14,6 +14,7 @@
 //! thread — while `AdaptiveHTM(glibc)` falls back to the one affected lock.
 
 use std::sync::Arc;
+use tle_base::stats::Stat;
 use tle_base::Padded;
 use tle_bench::{fmt_pct, fmt_secs, thread_sweep, Table};
 use tle_core::{AlgoMode, ElidableMutex, TmSystem};
@@ -73,7 +74,7 @@ fn run(mode: AlgoMode, threads: usize, event_prob: f64) -> (f64, f64) {
         assert_eq!(c.load_direct(), OPS_PER_THREAD);
     }
     let total = threads as f64 * OPS_PER_THREAD as f64;
-    let fallback_rate = sys.stats.serial_fallbacks.get() as f64 / total;
+    let fallback_rate = sys.stats.get(Stat::SerialFallbacks) as f64 / total;
     (secs, fallback_rate)
 }
 

@@ -27,7 +27,6 @@
 //! applications, 3 for the microbenchmarks).
 
 use std::sync::Arc;
-use std::time::Instant;
 use tle_core::{AlgoMode, TmSystem};
 
 pub mod perf;
@@ -56,22 +55,6 @@ pub fn thread_sweep() -> Vec<usize> {
     } else {
         vec![1, 2, 4, 8]
     }
-}
-
-/// Time a closure.
-pub fn time_secs(f: impl FnOnce()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
-}
-
-/// Mean over `n` timed trials.
-pub fn mean_secs(n: usize, mut f: impl FnMut()) -> f64 {
-    let mut total = 0.0;
-    for _ in 0..n {
-        total += time_secs(&mut f);
-    }
-    total / n as f64
 }
 
 /// Build a fresh system for one trial of `mode`.

@@ -1,7 +1,7 @@
 //! Shared workload runners used by the figure benches.
 
 use std::sync::Arc;
-use tle_base::stats::TxStatsSnapshot;
+use tle_base::stats::{Stat, TxStatsSnapshot};
 use tle_base::{AbortCause, OrecLayout, Padded, TCell};
 use tle_core::{AlgoMode, ElidableMutex, ThreadHandle, TmSystem};
 use tle_pbz::{compress_parallel, decompress_parallel, PipelineConfig};
@@ -18,24 +18,19 @@ pub struct TrialStats {
     pub htm: TxStatsSnapshot,
     pub htm_commits: u64,
     pub htm_aborts: u64,
-    pub htm_conflicts: u64,
-    pub htm_capacity: u64,
-    pub htm_events: u64,
     pub serial_fallbacks: u64,
 }
 
 impl TrialStats {
     /// Capture from a system.
     pub fn capture(sys: &TmSystem) -> Self {
+        let htm = sys.htm.stats.snapshot();
         TrialStats {
             stm: sys.stm.stats.snapshot(),
-            htm: sys.htm.stats.tx.snapshot(),
-            htm_commits: sys.htm.stats.tx.commits.get(),
-            htm_aborts: sys.htm.stats.tx.aborts.get(),
-            htm_conflicts: sys.htm.stats.conflict_aborts.get(),
-            htm_capacity: sys.htm.stats.capacity_aborts.get(),
-            htm_events: sys.htm.stats.event_aborts.get(),
-            serial_fallbacks: sys.stats.serial_fallbacks.get(),
+            htm_commits: htm.commits,
+            htm_aborts: htm.aborts,
+            htm,
+            serial_fallbacks: sys.stats.get(Stat::SerialFallbacks),
         }
     }
 
@@ -654,7 +649,7 @@ mod tests {
         let e = t1.commit().unwrap_err();
         assert_eq!(e, AbortCause::Conflict);
         t2.commit().unwrap();
-        assert!(hg.stats.tx.snapshot().cause(AbortCause::Conflict) >= 1);
+        assert!(hg.stats.cause(AbortCause::Conflict) >= 1);
         hg.slots.unregister_raw(h1);
         hg.slots.unregister_raw(h2);
 

@@ -60,6 +60,7 @@ pub const ALL_MODES: [AlgoMode; 5] = [
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use tle_base::stats::Stat;
     use tle_base::TCell;
 
     #[test]
@@ -249,7 +250,7 @@ mod tests {
                 });
             }
             assert_eq!(cell.load_direct(), 500);
-            sys.stats.serial_fallbacks.get()
+            sys.stats.get(Stat::SerialFallbacks)
         };
         let default_fallbacks = run(TxHints::default());
         let hinted_fallbacks = run(TxHints::new().with_htm_retries(64));
@@ -439,7 +440,7 @@ mod tests {
         assert_eq!(a.load_direct(), 12_000);
         assert_eq!(b.load_direct(), 12_000);
         assert!(
-            sys.stats.serial_fallbacks.get() > 0,
+            sys.stats.get(Stat::SerialFallbacks) > 0,
             "test wanted lock-path traffic but got none"
         );
     }
@@ -487,7 +488,7 @@ mod tests {
             Ok(())
         });
         assert_eq!(cell.load_direct(), 1);
-        assert!(sys.stats.serial_fallbacks.get() >= 1);
+        assert!(sys.stats.get(Stat::SerialFallbacks) >= 1);
         // Lock path acquired and released once each: seqlock back to even.
         assert_eq!(lock.elision_seq() % 2, 0, "lazy seqlock parity corrupted");
     }
@@ -560,7 +561,7 @@ mod tests {
         assert_eq!(a.load_direct(), 12_000);
         assert_eq!(b.load_direct(), 12_000);
         assert!(
-            sys.stats.serial_fallbacks.get() > 0,
+            sys.stats.get(Stat::SerialFallbacks) > 0,
             "test wanted lock-path traffic but got none"
         );
     }
@@ -641,7 +642,7 @@ mod tests {
             Ok(())
         });
         assert_eq!(cell.load_direct(), 1);
-        assert!(sys.stats.serial_fallbacks.get() >= 1);
+        assert!(sys.stats.get(Stat::SerialFallbacks) >= 1);
         assert!(
             !sys.gate.serial_held(),
             "adaptive mode must not use the global gate"

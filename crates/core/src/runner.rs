@@ -77,6 +77,7 @@ use tle_base::history;
 use tle_base::mutant::{self, Mutant};
 use tle_base::rng::splitmix64;
 use tle_base::sched::{self, YieldPoint};
+use tle_base::stats::Stat;
 use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::AbortCause;
 use tle_htm::HtmTx;
@@ -344,7 +345,7 @@ pub(crate) fn dispatch(
         if step != AdmissionStep::Elide {
             if budget.fallible && step == AdmissionStep::Shed {
                 let depth = lock.domain().queue_depth();
-                stats.sheds.inc(th.stm_slot);
+                stats.bump_shared(th.stm_slot, Stat::Sheds);
                 trace::emit(TraceKind::Shed, TxMode::Serial, None, depth);
                 return (epoch, mode, Some(Early::Refuse(TxError::Overloaded)));
             }
@@ -355,7 +356,7 @@ pub(crate) fn dispatch(
     // Deadline gate at dispatch: a fallible section whose budget is already
     // spent fails fast before any speculation.
     if budget.fallible && budget.expired() {
-        stats.deadline_exceeded.inc(th.stm_slot);
+        stats.bump_shared(th.stm_slot, Stat::DeadlineExceeded);
         trace::emit(TraceKind::DeadlineExceeded, TxMode::Serial, None, 0);
         return (epoch, mode, Some(Early::Refuse(TxError::DeadlineExceeded)));
     }
@@ -606,8 +607,8 @@ where
         }
     };
     if serial {
-        stats.serial_fallbacks.inc(th.stm_slot);
-        stats.commits.inc(th.stm_slot);
+        stats.bump_shared(th.stm_slot, Stat::SerialFallbacks);
+        stats.bump_shared(th.stm_slot, Stat::Commits);
         trace::emit(TraceKind::Commit, TxMode::Serial, None, 0);
     }
     history::commit();
@@ -773,7 +774,7 @@ impl<'a> Ladder<'a> {
         // either way).
         let deadline_up = self.budget.expired();
         if deadline_up && self.budget.fallible {
-            stats.deadline_exceeded.inc(th.stm_slot);
+            stats.bump_shared(th.stm_slot, Stat::DeadlineExceeded);
             trace::emit(
                 TraceKind::DeadlineExceeded,
                 self.engine.tx_mode(),
@@ -795,7 +796,7 @@ impl<'a> Ladder<'a> {
         }
         if adaptive && spent {
             lock.set_skip(SKIP_AFTER_FAILURE);
-            stats.serial_fallbacks.inc(th.stm_slot);
+            stats.bump_shared(th.stm_slot, Stat::SerialFallbacks);
         }
         trace::emit(
             TraceKind::Fallback,
@@ -974,7 +975,7 @@ impl<'a> Ladder<'a> {
                 // serial gate; adaptive elision, like glibc TLE, has only
                 // the lock itself).
                 if adaptive {
-                    th.sys.stats.serial_fallbacks.inc(th.stm_slot);
+                    th.sys.stats.bump_shared(th.stm_slot, Stat::SerialFallbacks);
                 }
                 trace::emit(
                     TraceKind::Fallback,
@@ -1068,7 +1069,7 @@ fn escalation_due(th: &ThreadHandle) -> bool {
         return false;
     }
     th.consec_aborts.store(0, Ordering::Relaxed);
-    th.sys.stats.escalations.inc(th.stm_slot);
+    th.sys.stats.bump_shared(th.stm_slot, Stat::Escalations);
     trace::emit(TraceKind::Escalate, TxMode::Serial, None, n as u64);
     true
 }

@@ -741,7 +741,7 @@ impl TmSystem {
             mode: self.mode(),
             tle: self.stats.snapshot(),
             stm: self.stm.stats.snapshot(),
-            htm: self.htm.stats.tx.snapshot(),
+            htm: self.htm.stats.snapshot(),
         }
     }
 

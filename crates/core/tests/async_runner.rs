@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 use tle_base::exec::Exec;
+use tle_base::stats::Stat;
 use tle_base::TCell;
 use tle_core::{AlgoMode, ElidableMutex, TmSystem, TxCondvar, TxError, ALL_MODES};
 
@@ -598,7 +599,7 @@ fn async_lazy_refusal_backs_off_instead_of_burning_the_retry_budget() {
     // One poll of an async section against the held lock: exactly one
     // refused attempt, then a suspension.
     let th = sys.register();
-    let aborts_before = sys.htm.stats.tx.aborts.get();
+    let aborts_before = sys.htm.stats.get(Stat::Aborts);
     let fut = th.tx(&lock).run_async(|ctx| {
         ctx.update(&*cell, |v| v + 1)?;
         Ok(())
@@ -608,7 +609,7 @@ fn async_lazy_refusal_backs_off_instead_of_burning_the_retry_budget() {
     let mut cx = Context::from_waker(&waker);
     assert!(fut.as_mut().poll(&mut cx).is_pending());
     assert_eq!(
-        sys.htm.stats.tx.aborts.get() - aborts_before,
+        sys.htm.stats.get(Stat::Aborts) - aborts_before,
         1,
         "a refused lazy begin must yield after one attempt"
     );

@@ -19,6 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tle_base::stats::Stat;
 use tle_base::trace::TraceKind;
 use tle_base::TCell;
 use tle_core::{
@@ -297,7 +298,7 @@ fn overload_shed_is_reachable_counted_and_recoverable() {
         "shed step produced {res:?}"
     );
     assert_eq!(cell.load_direct(), 2);
-    assert_eq!(sys.stats.sheds.get(), 1);
+    assert_eq!(sys.stats.get(Stat::Sheds), 1);
     // Infallible sections cannot observe errors; Shed serializes them.
     th.tx(&lock).run(bump);
     assert_eq!(cell.load_direct(), 3);
@@ -332,7 +333,7 @@ fn admission_off_never_sheds() {
     }
     assert_eq!(sys.controller_step(), 0);
     assert_eq!(lock.admission_step(), AdmissionStep::Elide);
-    assert_eq!(sys.stats.sheds.get(), 0);
+    assert_eq!(sys.stats.get(Stat::Sheds), 0);
 }
 
 /// The observability contract downstream tools rely on: trace kinds 16/17

@@ -6,6 +6,7 @@
 //! the `GUARD` mutex (integration tests in one binary run concurrently).
 
 use std::sync::{Arc, Mutex, MutexGuard};
+use tle_base::exec::Exec;
 use tle_base::fault::{self, FaultPlan, FaultRule, Hazard};
 use tle_base::trace::TraceKind;
 use tle_base::{AbortCause, TCell};
@@ -72,7 +73,7 @@ fn injected_abort_classes_surface_as_their_mapped_cause() {
     let snap = fault::snapshot();
     fault::clear();
     assert_eq!(cell.load_direct(), 4, "faulted sections must all commit");
-    let htm = sys.htm.stats.tx.snapshot();
+    let htm = sys.htm.stats.snapshot();
     for (hazard, cause) in [
         (Hazard::HtmEvent, AbortCause::Event),
         (Hazard::HtmCapacity, AbortCause::Capacity),
@@ -174,6 +175,48 @@ fn quiesce_watchdog_trips_on_injected_stall_then_drains() {
         Ok(())
     });
     assert_eq!(sys.stm.stats.snapshot().watchdog_trips, before);
+}
+
+/// The async twin of the case above: `run_async` polls its post-commit
+/// drain through the same `QuiesceTicket::pass` the sync commit spins, so
+/// the fault plane reaches it too (it did not while the injection lived in
+/// a sync-only drain loop: 0 deliveries, no trip).
+#[test]
+fn async_quiesce_watchdog_trips_on_injected_stall_then_drains() {
+    let _g = guard();
+    let exec = Exec::new(1);
+    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+    let lock = ElidableMutex::new("adrain");
+    let cell = TCell::new(0u64);
+    sys.stm.set_quiesce_deadline_ns(1);
+    fault::install(
+        FaultPlan::new(0xD06).rule(FaultRule::new(Hazard::QuiesceDelay, 1).stall(50_000)),
+    );
+    let th = sys.register();
+    let increment = || {
+        // `block_on` polls on this thread: one lane, one tick per section.
+        exec.block_on(th.tx(&lock).run_async(|ctx| {
+            let v = ctx.read(&cell)?;
+            ctx.write(&cell, v + 1)?;
+            Ok(())
+        }))
+    };
+    increment();
+    let fired = fault::snapshot().fired(Hazard::QuiesceDelay);
+    fault::clear();
+    assert!(fired >= 1, "the async drain must consult the fault plane");
+    let snap = sys.stm.stats.snapshot();
+    assert!(
+        snap.watchdog_trips >= 1,
+        "the stalled async drain must trip the watchdog (got {})",
+        snap.watchdog_trips
+    );
+    assert_eq!(snap.quiesces, 1);
+    assert!(snap.quiesce_wait_ns > 0, "the stall counts as drain time");
+    assert_eq!(cell.load_direct(), 1, "the drain completed after the stall");
+    // Back to the silent fast path once injection is off.
+    increment();
+    assert_eq!(sys.stm.stats.snapshot().watchdog_trips, snap.watchdog_trips);
 }
 
 #[test]

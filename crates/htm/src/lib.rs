@@ -36,7 +36,7 @@ pub use table::LineTable;
 pub use tx::HtmTx;
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use tle_base::stats::{Counter, TxStats};
+use tle_base::stats::TxStats;
 use tle_base::{AbortCause, Padded, SlotRegistry};
 
 /// Tuning knobs for the simulated hardware.
@@ -82,44 +82,6 @@ pub(crate) enum DoomOutcome {
     Gone,
 }
 
-/// HTM-specific statistics (extends the common [`TxStats`]).
-#[derive(Debug, Default)]
-pub struct HtmStats {
-    /// Common commit/abort counters.
-    pub tx: TxStats,
-    /// Aborts caused by data conflicts (dooming).
-    pub conflict_aborts: Counter,
-    /// Aborts caused by capacity overflow.
-    pub capacity_aborts: Counter,
-    /// Aborts caused by simulated asynchronous events.
-    pub event_aborts: Counter,
-    /// Aborts caused by unsafe (irrevocable) operations.
-    pub unsafe_aborts: Counter,
-}
-
-impl HtmStats {
-    /// Reset all counters (between benchmark trials).
-    pub fn reset(&self) {
-        self.tx.reset();
-        self.conflict_aborts.reset();
-        self.capacity_aborts.reset();
-        self.event_aborts.reset();
-        self.unsafe_aborts.reset();
-    }
-
-    pub(crate) fn count_abort(&self, shard: usize, cause: AbortCause) {
-        // Per-cause attribution lives in tx.by_cause; the coarse legacy
-        // counters below are kept in sync for existing consumers.
-        self.tx.count_abort(shard, cause);
-        match cause {
-            AbortCause::Capacity => self.capacity_aborts.inc(shard),
-            AbortCause::Event => self.event_aborts.inc(shard),
-            AbortCause::Unsafe => self.unsafe_aborts.inc(shard),
-            _ => self.conflict_aborts.inc(shard),
-        }
-    }
-}
-
 /// Shared state of the simulated HTM: the conflict table, per-slot
 /// lifecycle words, and statistics.
 pub struct HtmGlobal {
@@ -128,8 +90,9 @@ pub struct HtmGlobal {
     /// reader bitmap is a `u64`).
     pub slots: SlotRegistry,
     pub(crate) tx_state: [Padded<AtomicU32>; tle_base::slots::MAX_SLOTS],
-    /// Statistics.
-    pub stats: HtmStats,
+    /// Statistics (aborts by cause in [`TxStats::cause`]), one row per
+    /// slot, bumped by the transaction running on it.
+    pub stats: TxStats,
     pub(crate) config: HtmConfig,
 }
 
@@ -140,7 +103,7 @@ impl HtmGlobal {
             table: LineTable::new(),
             slots: SlotRegistry::new(),
             tx_state: std::array::from_fn(|_| Padded(AtomicU32::new(state::IDLE))),
-            stats: HtmStats::default(),
+            stats: TxStats::new(),
             config,
         }
     }
@@ -320,6 +283,7 @@ impl Default for HtmGlobal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tle_base::stats::Stat;
     use tle_base::TCell;
 
     fn quiet_config() -> HtmConfig {
@@ -343,7 +307,7 @@ mod tests {
         assert_eq!(b.load_direct(), 2);
         tx.commit().unwrap();
         assert_eq!(b.load_direct(), 11);
-        assert_eq!(g.stats.tx.commits.get(), 1);
+        assert_eq!(g.stats.get(Stat::Commits), 1);
         g.slots.unregister_raw(slot);
     }
 
@@ -389,7 +353,7 @@ mod tests {
         let r = reader.read(&a);
         assert!(r.is_err(), "doomed reader must observe its doom");
         reader.abort(r.unwrap_err());
-        assert!(g.stats.conflict_aborts.get() >= 1);
+        assert!(g.stats.cause(AbortCause::Conflict) >= 1);
         g.slots.unregister_raw(s1);
         g.slots.unregister_raw(s2);
     }
@@ -438,7 +402,7 @@ mod tests {
         }
         assert_eq!(failed, Some(AbortCause::Capacity));
         tx.abort(AbortCause::Capacity);
-        assert_eq!(g.stats.capacity_aborts.get(), 1);
+        assert_eq!(g.stats.cause(AbortCause::Capacity), 1);
         g.slots.unregister_raw(slot);
     }
 

@@ -8,6 +8,8 @@ use tle_base::history;
 use tle_base::mutant::{self, Mutant};
 use tle_base::rng::XorShift64;
 use tle_base::sched::{self, YieldPoint};
+use tle_base::sets::{self, BufLease};
+use tle_base::stats::Stat;
 use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::{AbortCause, TCell, TxVal};
 
@@ -25,14 +27,11 @@ use tle_base::{AbortCause, TCell, TxVal};
 pub struct HtmTx<'g> {
     g: &'g HtmGlobal,
     slot: usize,
-    /// Buffered stores `(cell, address, value)`, applied in order at
-    /// commit. Looked up by linear scan: hardware write sets are tiny, so
-    /// this beats any hash table.
-    redo: Vec<(*const AtomicU64, usize, u64)>,
-    /// Distinct table entries read / written (for cleanup + capacity),
-    /// also scanned linearly.
-    read_lines: Vec<u32>,
-    write_lines: Vec<u32>,
+    /// Pooled redo log (`redo`) and line sets (`read_lines`,
+    /// `write_lines`; see [`tle_base::sets`]): the per-thread block the STM
+    /// uses too, leased for this attempt. A lease, not inline arrays — the
+    /// runner moves the transaction through its context by value.
+    bufs: BufLease,
     rng: XorShift64,
     /// Per-attempt access index, the coordinate the fault oracle's
     /// `at_access` rules key on.
@@ -55,9 +54,7 @@ impl<'g> HtmTx<'g> {
         HtmTx {
             g,
             slot,
-            redo: Vec::with_capacity(8),
-            read_lines: Vec::with_capacity(16),
-            write_lines: Vec::with_capacity(8),
+            bufs: sets::lease(slot),
             rng: XorShift64::new(seed),
             accesses: 0,
             finished: false,
@@ -71,23 +68,37 @@ impl<'g> HtmTx<'g> {
     }
 
     /// Transactionally read a cell.
+    #[inline]
     pub fn read<T: TxVal>(&mut self, cell: &TCell<T>) -> Result<T, AbortCause> {
+        self.read_word(cell.word(), cell.addr()).map(T::from_word)
+    }
+
+    /// Transactionally write a cell (buffered until commit).
+    #[inline]
+    pub fn write<T: TxVal>(&mut self, cell: &TCell<T>, v: T) -> Result<(), AbortCause> {
+        self.write_word(cell.word(), cell.addr(), v.to_word())
+    }
+
+    // The access paths are word-level and non-generic, like `StmTx`'s: a
+    // generic body would be instantiated (and inlined) in every downstream
+    // closure, where its size decides whether `TxCtx::mem_read` — and with
+    // it the *lock* path's direct access — still gets inlined.
+    fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortCause> {
         // Seeded bug (`SkipDoomCheck`): pretend the read path forgot both of
         // its doom checks, so a transaction invalidated by a committing
         // writer keeps consuming values.
         let skip_doom = mutant::armed(Mutant::SkipDoomCheck);
         self.access_checks(skip_doom)?;
-        let addr = cell.addr();
         let li = self.g.table.index_of(addr) as u32;
-        if !self.write_lines.contains(&li) && !self.read_lines.contains(&li) {
+        if !self.bufs.write_lines.contains(&li) && !self.bufs.read_lines.contains(&li) {
             self.mark_read_line(li)?;
         }
         // Read-own-write: return the buffered value.
-        if let Some(&(_, _, w)) = self.redo.iter().find(|&&(_, a, _)| a == addr) {
-            history::read(addr, w);
-            return Ok(T::from_word(w));
+        if let Some(&(_, _, buffered)) = self.bufs.redo.iter().find(|&&(_, a, _)| a == addr) {
+            history::read(addr, buffered);
+            return Ok(buffered);
         }
-        let word = cell.word().load(Ordering::SeqCst);
+        let word = w.load(Ordering::SeqCst);
         // The load and the line marking are not one atomic step; a writer
         // that committed in between doomed us — re-check before returning.
         if !skip_doom && self.g.is_doomed(self.slot) {
@@ -95,23 +106,19 @@ impl<'g> HtmTx<'g> {
         }
         trace::emit(TraceKind::Read, TxMode::Htm, None, li as u64);
         history::read(addr, word);
-        Ok(T::from_word(word))
+        Ok(word)
     }
 
-    /// Transactionally write a cell (buffered until commit).
-    pub fn write<T: TxVal>(&mut self, cell: &TCell<T>, v: T) -> Result<(), AbortCause> {
+    fn write_word(&mut self, w: &AtomicU64, addr: usize, word: u64) -> Result<(), AbortCause> {
         self.access_checks(false)?;
-        let addr = cell.addr();
         let li = self.g.table.index_of(addr) as u32;
-        if !self.write_lines.contains(&li) {
+        if !self.bufs.write_lines.contains(&li) {
             self.mark_write_line(li)?;
         }
-        let word = v.to_word();
-        if let Some(entry) = self.redo.iter_mut().find(|&&mut (_, a, _)| a == addr) {
+        if let Some(entry) = self.bufs.redo.iter_mut().find(|&&mut (_, a, _)| a == addr) {
             entry.2 = word;
         } else {
-            self.redo
-                .push((cell.word() as *const AtomicU64, addr, word));
+            self.bufs.redo.push((w as *const AtomicU64, addr, word));
         }
         if self.g.is_doomed(self.slot) {
             return Err(AbortCause::Conflict);
@@ -213,8 +220,8 @@ impl<'g> HtmTx<'g> {
                 }
             }
         }
-        self.read_lines.push(li);
-        if self.read_lines.len() > self.g.config.read_cap_lines {
+        self.bufs.read_lines.push(li);
+        if self.bufs.read_lines.len() > self.g.config.read_cap_lines {
             trace::emit(
                 TraceKind::Conflict,
                 TxMode::Htm,
@@ -259,8 +266,8 @@ impl<'g> HtmTx<'g> {
                 return Err(AbortCause::Conflict);
             }
         }
-        self.write_lines.push(li);
-        if self.write_lines.len() > self.g.config.write_cap_lines {
+        self.bufs.write_lines.push(li);
+        if self.bufs.write_lines.len() > self.g.config.write_cap_lines {
             trace::emit(
                 TraceKind::Conflict,
                 TxMode::Htm,
@@ -304,16 +311,16 @@ impl<'g> HtmTx<'g> {
         // will abort before recording anything. Record the commit *here*,
         // before publishing, so log order matches visibility order.
         history::commit();
-        for &(cell, _, val) in &self.redo {
+        for &(cell, _, val) in &self.bufs.redo {
             // SAFETY: cells outlive the transaction (documented invariant).
             unsafe { (*cell).store(val, Ordering::SeqCst) };
             // Half-published redo log: only doomed transactions can see it.
             sched::yield_point(YieldPoint::MemStore);
         }
-        let published = self.redo.len() as u64;
+        let published = self.bufs.redo.len() as u64;
         self.cleanup();
         self.finished = true;
-        self.g.stats.tx.commits.inc(self.slot);
+        self.g.stats.bump_owned(self.slot, Stat::Commits);
         trace::emit(TraceKind::Commit, TxMode::Htm, None, published);
         Ok(())
     }
@@ -328,10 +335,10 @@ impl<'g> HtmTx<'g> {
     }
 
     fn cleanup(&mut self) {
-        for &li in &self.read_lines {
+        for &li in &self.bufs.read_lines {
             self.g.table.line(li as usize).remove_reader(self.slot);
         }
-        for &li in &self.write_lines {
+        for &li in &self.bufs.write_lines {
             let line = self.g.table.line(li as usize);
             let _ = line.cas_writer(self.slot as u64 + 1, 0);
         }

@@ -38,10 +38,10 @@ fn workspace_self_scan_is_clean() {
         complaints.is_empty(),
         "workspace self-scan must be clean:{complaints}"
     );
-    // The scan actually saw the codebase: 141 files, 202 atomic blocks at
-    // the time of writing (PR 17, after the trajectory comparator, its
-    // artifact test and the deprecated-shim delegation tests left) — use
-    // generous floors so growth never trips this.
+    // The scan actually saw the codebase: 143 files, 210 atomic blocks at
+    // the time of writing (PR 18: the allocation-budget and stat-row tests
+    // joined the root package) — use generous floors so growth never trips
+    // this.
     assert!(
         report.files_scanned >= 130,
         "suspiciously few files scanned: {}",
@@ -63,9 +63,10 @@ fn workspace_self_scan_is_clean() {
     // The workspace layers really ran: the symbol table indexed the tree,
     // atomic blocks resolved calls, lock names were harvested, and the
     // ordering audit saw the kernel's atomics. Measured at the time of
-    // writing: 2007 fns, 25 resolved calls, 13 lock names, 233 accesses
-    // (4 fewer than before PR 17: the store/load pairs of the two settled
-    // A/B switches, buffer reuse and the read-only commit fast path).
+    // writing: 2030 fns, 25 resolved calls, 15 lock names, 241 accesses
+    // (8 more than before PR 18, which moved the statistics from
+    // `fetch_add`s on 16-shard counters to load + store on per-slot rows:
+    // the row primitives and the new stat-row test's attempt tallies).
     let stats = report.stats;
     assert!(
         stats.fns_indexed >= 1500,

@@ -29,17 +29,16 @@
 
 mod norec;
 mod quiesce;
-mod sets;
 mod soft;
 mod tx;
 
 pub use norec::NorecTx;
-pub use quiesce::{drain, drain_watched, QuiescePolicy, QuiesceTicket, Watchdog};
-pub use sets::{
+pub use quiesce::{QuiescePolicy, QuiesceTicket, Watchdog};
+pub use soft::{SoftTx, StmAlgo};
+pub use tle_base::sets::{
     buf_alloc_stats, drain_buf_pool, reset_buf_alloc_stats, BufAllocStats, SmallSet, INLINE_READS,
     INLINE_WRITES,
 };
-pub use soft::{SoftTx, StmAlgo};
 pub use tx::{CommitInfo, StmTx};
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -211,9 +210,9 @@ impl StmGlobal {
 
     /// Spin a pending post-commit drain out on the calling thread (the back
     /// half of the blocking [`StmTx::commit`]).
-    pub(crate) fn quiesce_blocking(&self, t: &QuiesceTicket) -> CommitInfo {
-        let wait_ns = drain_watched(&self.slots, t.slot_idx, t.upto, Some(&self.watchdog(t)));
-        self.quiesced(t, wait_ns)
+    pub(crate) fn quiesce_blocking(&self, mut t: QuiesceTicket) -> CommitInfo {
+        let wait_ns = t.spin(&self.slots, &self.watchdog(&t));
+        self.quiesced(&t, wait_ns)
     }
 
     fn watchdog(&self, t: &QuiesceTicket) -> Watchdog<'_> {
@@ -221,15 +220,13 @@ impl StmGlobal {
             deadline_ns: self.quiesce_deadline_ns(),
             stats: &self.stats,
             shard: t.slot_idx,
-            tx_deadline: t.tx_deadline,
         }
     }
 
-    /// Account for a completed drain.
+    /// Account for a completed drain on the drainer's own stats row: both
+    /// drivers finish the drain before they give the ticket's slot up.
     fn quiesced(&self, t: &QuiesceTicket, wait_ns: u64) -> CommitInfo {
-        self.stats.quiesces.inc(t.slot_idx);
-        self.stats.quiesce_wait_ns.add(t.slot_idx, wait_ns);
-        self.stats.quiesce_hist.record(wait_ns);
+        self.stats.record_quiesce(t.slot_idx, wait_ns);
         CommitInfo {
             end_time: t.upto,
             quiesced: true,
@@ -247,6 +244,7 @@ impl Default for StmGlobal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tle_base::stats::Stat;
     use tle_base::TCell;
 
     #[test]
@@ -265,7 +263,7 @@ mod tests {
 
         assert_eq!(a.load_direct(), 3);
         assert_eq!(b.load_direct(), 0);
-        assert_eq!(g.stats.commits.get(), 1);
+        assert_eq!(g.stats.get(Stat::Commits), 1);
         g.slots.unregister_raw(slot);
     }
 
@@ -286,7 +284,7 @@ mod tests {
             10,
             "undo log must restore the oldest value"
         );
-        assert_eq!(g.stats.aborts.get(), 1);
+        assert_eq!(g.stats.get(Stat::Aborts), 1);
         g.slots.unregister_raw(slot);
     }
 

@@ -20,13 +20,14 @@
 //! ablation against `ml_wt` (`ablate_stm_algo` bench): the drain the paper
 //! optimizes is an artifact of *in-place* STMs.
 
-use crate::sets::{self, BufLease};
 use crate::tx::CommitInfo;
 use crate::StmGlobal;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tle_base::fault::{self, Hazard};
 use tle_base::history;
 use tle_base::sched::{self, YieldPoint};
+use tle_base::sets::{self, BufLease};
+use tle_base::stats::Stat;
 use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::{AbortCause, TCell, TxVal};
 
@@ -170,7 +171,7 @@ impl<'g> NorecTx<'g> {
             self.finished = true;
             history::commit();
             self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
-            self.g.stats.commits.inc(shard);
+            self.g.stats.bump_owned(shard, Stat::Commits);
             trace::emit(TraceKind::Commit, TxMode::Norec, None, self.snapshot);
             return Ok(CommitInfo {
                 end_time: self.snapshot,
@@ -217,7 +218,7 @@ impl<'g> NorecTx<'g> {
         self.g.norec_seq.store(end, Ordering::Release);
         self.finished = true;
         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
-        self.g.stats.commits.inc(shard);
+        self.g.stats.bump_owned(shard, Stat::Commits);
         trace::emit(TraceKind::Commit, TxMode::Norec, None, end);
         Ok(CommitInfo {
             end_time: end,
@@ -320,7 +321,7 @@ mod tests {
         tx.write(&a, 9u64).unwrap();
         tx.abort(AbortCause::Explicit);
         assert_eq!(a.load_direct(), 3);
-        assert_eq!(g.stats.aborts.get(), 1);
+        assert_eq!(g.stats.get(Stat::Aborts), 1);
         g.slots.unregister_raw(slot);
     }
 

@@ -8,8 +8,8 @@
 //! committing thread waits until every concurrent transaction with an older
 //! start time has committed, or aborted and finished rolling back.
 //!
-//! The drain is the RCU-style epoch scan in [`drain`]: walk every thread
-//! slot and spin until its published start time is `INACTIVE` or ≥ `upto`.
+//! The drain is the RCU-style epoch scan of [`QuiesceTicket`]: sweep every
+//! thread slot until each published start time is `INACTIVE` or ≥ `upto`.
 //! Doomed transactions are guaranteed to make progress out of the window:
 //! their next read observes the advanced clock, fails validation, and the
 //! abort path deactivates the slot; a transaction that instead keeps running
@@ -26,7 +26,7 @@
 use std::time::Instant;
 use tle_base::fault::{self, Hazard};
 use tle_base::sched::{self, YieldPoint};
-use tle_base::stats::{fmt_ns, TxStats};
+use tle_base::stats::{fmt_ns, Stat, TxStats};
 use tle_base::trace::{self, TraceKind, TxMode};
 #[cfg(test)]
 use tle_base::INACTIVE;
@@ -74,7 +74,7 @@ impl QuiescePolicy {
 /// Deadline supervision for a quiescence drain.
 ///
 /// A drain that waits past `deadline_ns` *trips* the watchdog: the trip is
-/// counted in [`TxStats::watchdog_trips`], a `QuiesceStall` trace event is
+/// counted in [`Stat::WatchdogTrips`], a `QuiesceStall` trace event is
 /// emitted, and a per-cause abort report is dumped to stderr — then the
 /// drain keeps waiting. The watchdog turns a silent stall into a diagnosed
 /// one; it never gives up, because abandoning the drain would break
@@ -84,21 +84,15 @@ pub struct Watchdog<'a> {
     pub deadline_ns: u64,
     /// Where to count the trip (and the source of the dumped report).
     pub stats: &'a TxStats,
-    /// Shard hint for the counter (typically the draining slot).
+    /// The draining slot, whose stats row takes the trip (an *owned* bump:
+    /// the drainer holds the slot claim until the drain completes).
     pub shard: usize,
-    /// The committing *transaction's* retry-time budget, when it has one
-    /// (`TxHints::with_deadline` upstream). A drain that outlives it emits
-    /// one `DeadlineExceeded` trace event — observation only: the commit
-    /// has already happened and abandoning the drain would break
-    /// privatization safety, so the drain still runs to completion and the
-    /// budget overrun surfaces to the *next* retry-ladder decision point.
-    pub tx_deadline: Option<Instant>,
 }
 
 impl Watchdog<'_> {
     /// Record a trip and dump the diagnosis. Called at most once per drain.
     fn trip(&self, waited_ns: u64, upto: u64) {
-        self.stats.watchdog_trips.inc(self.shard);
+        self.stats.bump_owned(self.shard, Stat::WatchdogTrips);
         trace::emit(TraceKind::QuiesceStall, TxMode::Stm, None, waited_ns);
         let snap = self.stats.snapshot();
         let mut report = format!(
@@ -120,107 +114,25 @@ impl Watchdog<'_> {
     }
 }
 
-/// Spin until every slot other than `self_idx` is inactive or has a start
-/// time ≥ `upto`. Returns the nanoseconds spent waiting (0 if the scan
-/// passed on the first sweep).
-pub fn drain(slots: &SlotRegistry, self_idx: usize, upto: u64) -> u64 {
-    drain_watched(slots, self_idx, upto, None)
-}
-
-/// [`drain`] under optional watchdog supervision. The commit path always
-/// supplies a watchdog (deadline configured on `StmGlobal`); the plain
-/// [`drain`] entry point keeps the historical unsupervised signature.
-pub fn drain_watched(
-    slots: &SlotRegistry,
-    self_idx: usize,
-    upto: u64,
-    dog: Option<&Watchdog<'_>>,
-) -> u64 {
-    // Fault oracle: delay the drain itself. The timer starts before the
-    // injected stall so the stall counts as waiting time and can drive the
-    // watchdog past its deadline.
-    sched::yield_point(YieldPoint::QuiesceScan);
-    let t0 = Instant::now();
-    let injected = fault::maybe_stall(Hazard::QuiesceDelay);
-    if injected > 0 {
-        trace::emit(
-            TraceKind::FaultInject,
-            TxMode::Stm,
-            None,
-            Hazard::QuiesceDelay.index() as u64,
-        );
-    }
-
-    // Fast path: single sweep with no waiting.
-    let mut blocked = false;
-    for (idx, v) in slots.scan() {
-        if idx != self_idx && v < upto {
-            blocked = true;
-            break;
-        }
-    }
-    if !blocked && injected == 0 {
-        return 0;
-    }
-
-    trace::emit(TraceKind::QuiesceStart, TxMode::Stm, None, upto);
-    let mut tripped = false;
-    let mut budget_noted = false;
-    let mut check_deadline = |t0: &Instant| -> u64 {
-        let ns = t0.elapsed().as_nanos() as u64;
-        if let Some(d) = dog {
-            if !tripped && ns > d.deadline_ns {
-                tripped = true;
-                d.trip(ns, upto);
-            }
-            if !budget_noted && d.tx_deadline.is_some_and(|t| Instant::now() >= t) {
-                budget_noted = true;
-                trace::emit(TraceKind::DeadlineExceeded, TxMode::Stm, None, ns);
-            }
-        }
-        ns
-    };
-    if injected > 0 {
-        check_deadline(&t0);
-    }
-    for (idx, _) in slots.scan() {
-        if idx == self_idx {
-            continue;
-        }
-        let mut spins = 0u32;
-        while slots.value(idx) < upto {
-            spins += 1;
-            sched::spin_hint(YieldPoint::QuiesceScan);
-            if spins < 16 {
-                std::hint::spin_loop();
-            } else {
-                // The straggler is likely descheduled; give it the CPU.
-                std::thread::yield_now();
-                if spins.is_multiple_of(64) {
-                    check_deadline(&t0);
-                }
-            }
-        }
-    }
-    let ns = t0.elapsed().as_nanos() as u64;
-    trace::emit(TraceKind::QuiesceEnd, TxMode::Stm, None, ns);
-    ns
-}
-
 /// A post-commit drain owed by a committed transaction
 /// ([`StmTx::commit_publish`](crate::StmTx::commit_publish)).
 ///
 /// The commit itself has already happened — clock advanced, orecs released,
-/// slot deactivated — and only the privatization drain remains. The blocking
-/// [`StmTx::commit`](crate::StmTx::commit) spins it out through
-/// [`drain_watched`]; the async driver instead calls
+/// slot deactivated — and only the privatization drain remains. There is one
+/// drain, `pass`: a single non-blocking sweep of the slot
+/// registry. The blocking [`StmTx::commit`](crate::StmTx::commit) repeats it
+/// on the calling thread (`spin`); the async driver calls
 /// [`StmGlobal::quiesce_pass`](crate::StmGlobal::quiesce_pass) once per
-/// poll, yielding the executor worker between passes; each pass is a single
-/// non-blocking sweep of the slot registry. Termination mirrors the
-/// blocking drain's argument: atomic blocks never suspend mid-speculation
-/// (they are synchronous closures; lint rule R6 enforces it), so every
-/// straggler the sweep observes is running on some live thread or task and
-/// must commit, abort, or extend past `upto` in bounded steps.
+/// poll, yielding the executor worker between passes. Termination: atomic
+/// blocks never suspend mid-speculation (they are synchronous closures; lint
+/// rule R6 enforces it), so every straggler the sweep observes is running on
+/// some live thread or task and must commit, abort, or extend past `upto` in
+/// bounded steps.
+///
+/// A drain that passes on its first sweep — every uncontended commit — reads
+/// no clock: the timer starts when a sweep first finds a straggler (or
+/// before a stall the fault plane injects, so the stall counts as waiting
+/// time and can drive the watchdog past its deadline).
 ///
 /// Watchdog supervision carries over: a ticket that stays blocked past the
 /// domain's drain deadline trips once (report + counter), then keeps
@@ -228,11 +140,19 @@ pub fn drain_watched(
 pub struct QuiesceTicket {
     pub(crate) upto: u64,
     pub(crate) slot_idx: usize,
-    pub(crate) tx_deadline: Option<Instant>,
+    /// The committing *transaction's* retry-time budget, when it has one
+    /// (`TxHints::with_deadline` upstream). A drain that outlives it emits
+    /// one `DeadlineExceeded` trace event — observation only: the commit
+    /// has already happened and abandoning the drain would break
+    /// privatization safety, so the drain still runs to completion and the
+    /// budget overrun surfaces to the *next* retry-ladder decision point.
+    tx_deadline: Option<Instant>,
     /// When the first blocked pass was seen (`None` until a sweep finds a
     /// straggler: a ticket that drains on its first sweep never reads the
     /// clock).
     blocked_since: Option<Instant>,
+    /// Whether the first pass (the one that consults the fault plane) ran.
+    swept: bool,
     tripped: bool,
     budget_noted: bool,
 }
@@ -244,6 +164,7 @@ impl QuiesceTicket {
             slot_idx,
             tx_deadline,
             blocked_since: None,
+            swept: false,
             tripped: false,
             budget_noted: false,
         }
@@ -259,6 +180,12 @@ impl QuiesceTicket {
     /// while a straggler is still inside the window.
     pub(crate) fn pass(&mut self, slots: &SlotRegistry, dog: &Watchdog<'_>) -> Option<u64> {
         sched::yield_point(YieldPoint::QuiesceScan);
+        if !self.swept {
+            self.swept = true;
+            if fault::enabled() {
+                self.inject_delay(dog);
+            }
+        }
         let blocked = slots
             .scan()
             .any(|(idx, v)| idx != self.slot_idx && v < self.upto);
@@ -275,6 +202,34 @@ impl QuiesceTicket {
             Instant::now()
         });
         sched::spin_hint(YieldPoint::QuiesceScan);
+        self.supervise(since, dog);
+        None
+    }
+
+    /// Fault oracle: delay the drain itself. The timer starts before the
+    /// injected stall so the stall counts as waiting time and can drive the
+    /// watchdog past its deadline.
+    #[cold]
+    fn inject_delay(&mut self, dog: &Watchdog<'_>) {
+        let t0 = Instant::now();
+        if fault::maybe_stall(Hazard::QuiesceDelay) == 0 {
+            return;
+        }
+        trace::emit(
+            TraceKind::FaultInject,
+            TxMode::Stm,
+            None,
+            Hazard::QuiesceDelay.index() as u64,
+        );
+        trace::emit(TraceKind::QuiesceStart, TxMode::Stm, None, self.upto);
+        self.blocked_since = Some(t0);
+        self.supervise(t0, dog);
+    }
+
+    /// Watchdog supervision of a drain that has been waiting since `since`:
+    /// trip once past the domain's drain deadline, note once an overrun of
+    /// the transaction's own budget.
+    fn supervise(&mut self, since: Instant, dog: &Watchdog<'_>) {
         let ns = since.elapsed().as_nanos() as u64;
         if !self.tripped && ns > dog.deadline_ns {
             self.tripped = true;
@@ -284,7 +239,24 @@ impl QuiesceTicket {
             self.budget_noted = true;
             trace::emit(TraceKind::DeadlineExceeded, TxMode::Stm, None, ns);
         }
-        None
+    }
+
+    /// Repeat [`pass`](Self::pass) on the calling thread until the drain
+    /// completes; returns the nanoseconds it waited.
+    pub(crate) fn spin(&mut self, slots: &SlotRegistry, dog: &Watchdog<'_>) -> u64 {
+        let mut spins = 0u32;
+        loop {
+            if let Some(ns) = self.pass(slots, dog) {
+                return ns;
+            }
+            spins += 1;
+            if spins < 16 {
+                std::hint::spin_loop();
+            } else {
+                // The straggler is likely descheduled; give it the CPU.
+                std::thread::yield_now();
+            }
+        }
     }
 }
 
@@ -293,6 +265,20 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+
+    fn dog(stats: &TxStats, me: usize, deadline_ns: u64) -> Watchdog<'_> {
+        Watchdog {
+            deadline_ns,
+            stats,
+            shard: me,
+        }
+    }
+
+    /// The blocking drain of slot `me` up to `upto`, unsupervised.
+    fn drain(slots: &SlotRegistry, me: usize, upto: u64) -> u64 {
+        let stats = TxStats::new();
+        QuiesceTicket::new(upto, me, None).spin(slots, &dog(&stats, me, u64::MAX))
+    }
 
     #[test]
     fn drain_passes_with_no_active_transactions() {
@@ -368,15 +354,9 @@ mod tests {
     fn ticket_first_pass_clean_reports_zero_wait() {
         let slots = SlotRegistry::new();
         let me = slots.register_raw().unwrap();
-        let stats = tle_base::stats::TxStats::new();
-        let dog = Watchdog {
-            deadline_ns: u64::MAX,
-            stats: &stats,
-            shard: me,
-            tx_deadline: None,
-        };
+        let stats = TxStats::new();
         let mut t = QuiesceTicket::new(100, me, None);
-        assert_eq!(t.pass(&slots, &dog), Some(0));
+        assert_eq!(t.pass(&slots, &dog(&stats, me, u64::MAX)), Some(0));
     }
 
     #[test]
@@ -385,13 +365,8 @@ mod tests {
         let me = slots.register_raw().unwrap();
         let other = slots.register_raw().unwrap();
         slots.publish_raw(other, 50);
-        let stats = tle_base::stats::TxStats::new();
-        let dog = Watchdog {
-            deadline_ns: u64::MAX,
-            stats: &stats,
-            shard: me,
-            tx_deadline: None,
-        };
+        let stats = TxStats::new();
+        let dog = dog(&stats, me, u64::MAX);
         let mut t = QuiesceTicket::new(100, me, None);
         assert_eq!(t.pass(&slots, &dog), None);
         assert_eq!(t.pass(&slots, &dog), None, "still blocked");
@@ -406,18 +381,14 @@ mod tests {
         let me = slots.register_raw().unwrap();
         let other = slots.register_raw().unwrap();
         slots.publish_raw(other, 50);
-        let stats = tle_base::stats::TxStats::new();
-        let dog = Watchdog {
-            deadline_ns: 0, // any blocked pass is past the deadline
-            stats: &stats,
-            shard: me,
-            tx_deadline: None,
-        };
+        let stats = TxStats::new();
+        // Deadline 0: any blocked pass is past it.
+        let dog = dog(&stats, me, 0);
         let mut t = QuiesceTicket::new(100, me, None);
         assert_eq!(t.pass(&slots, &dog), None);
         assert_eq!(t.pass(&slots, &dog), None);
         assert_eq!(
-            stats.watchdog_trips.get(),
+            stats.get(Stat::WatchdogTrips),
             1,
             "the trip must fire exactly once per drain"
         );

@@ -3,7 +3,6 @@
 //! post-commit quiescence drain.
 
 use crate::quiesce::{QuiescePolicy, QuiesceTicket};
-use crate::sets::{self, BufLease};
 use crate::StmGlobal;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tle_base::fault::{self, Hazard};
@@ -11,6 +10,8 @@ use tle_base::history;
 use tle_base::mutant::{self, Mutant};
 use tle_base::orec::OrecValue;
 use tle_base::sched::{self, YieldPoint};
+use tle_base::sets::{self, BufLease};
+use tle_base::stats::Stat;
 use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::{AbortCause, TCell, TxVal};
 
@@ -46,7 +47,7 @@ pub struct StmTx<'g> {
     g: &'g StmGlobal,
     slot_idx: usize,
     start: u64,
-    /// Pooled read set / undo log / lock set (see [`crate::sets`]): leased
+    /// Pooled read set / undo log / lock set (see [`tle_base::sets`]): leased
     /// at begin, returned cleared-but-capacity-intact at drop, so retries
     /// stop paying allocator round-trips.
     bufs: BufLease,
@@ -125,8 +126,8 @@ impl<'g> StmTx<'g> {
     }
 
     /// Attach the transaction's retry-time budget so the post-commit
-    /// quiescence drain can observe an overrun (see
-    /// [`Watchdog::tx_deadline`](crate::Watchdog::tx_deadline)).
+    /// quiescence drain can observe an overrun (one `DeadlineExceeded` trace
+    /// event from the [`QuiesceTicket`]; the drain still completes).
     #[inline]
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.deadline = deadline;
@@ -346,7 +347,7 @@ impl<'g> StmTx<'g> {
         let (info, ticket) = self.commit_publish()?;
         Ok(match ticket {
             None => info,
-            Some(t) => g.quiesce_blocking(&t),
+            Some(t) => g.quiesce_blocking(t),
         })
     }
 
@@ -384,8 +385,8 @@ impl<'g> StmTx<'g> {
                 // (allocator contract, §IV-B) and — when the §IV-C
                 // no-quiesce audit is on — `TM_NoQuiesce` transactions, so
                 // the audit's overlap scan stays complete.
-                self.g.stats.quiesce_skipped.inc(shard);
-                self.g.stats.commits.inc(shard);
+                self.g.stats.bump_owned(shard, Stat::QuiesceSkipped);
+                self.g.stats.bump_owned(shard, Stat::Commits);
                 trace::emit(TraceKind::Commit, TxMode::Stm, None, 0);
                 return Ok((
                     CommitInfo {
@@ -397,7 +398,7 @@ impl<'g> StmTx<'g> {
                 ));
             }
             let out = self.defer_quiesce(self.g.clock.now());
-            self.g.stats.commits.inc(shard);
+            self.g.stats.bump_owned(shard, Stat::Commits);
             trace::emit(TraceKind::Commit, TxMode::Stm, None, out.0.end_time);
             return Ok(out);
         }
@@ -431,7 +432,7 @@ impl<'g> StmTx<'g> {
         self.finished = true;
         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
         let out = self.defer_quiesce(end);
-        self.g.stats.commits.inc(shard);
+        self.g.stats.bump_owned(shard, Stat::Commits);
         trace::emit(TraceKind::Commit, TxMode::Stm, None, end);
         Ok(out)
     }
@@ -487,7 +488,7 @@ impl<'g> StmTx<'g> {
 
     /// Account for a skipped drain (counter + the §IV-C overlap audit).
     fn note_quiesce_skip(&self, upto: u64) {
-        self.g.stats.quiesce_skipped.inc(self.slot_idx);
+        self.g.stats.bump_owned(self.slot_idx, Stat::QuiesceSkipped);
         if self.no_quiesce && self.g.audit_noquiesce_enabled() {
             // §IV-C audit: would the skipped drain have waited?
             let overlapped = self
@@ -724,7 +725,7 @@ mod tests {
         let info = tx.commit().unwrap();
         assert!(!info.quiesced, "read-only commit must skip the drain");
         assert_eq!(info.end_time, 0);
-        assert_eq!(g.stats.quiesce_skipped.get(), 1);
+        assert_eq!(g.stats.get(Stat::QuiesceSkipped), 1);
 
         // The allocator contract (§IV-B) still forces a drain.
         let mut tx = g.begin(slot);

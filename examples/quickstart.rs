@@ -8,6 +8,7 @@
 //! statistics show what each algorithm did under the hood.
 
 use std::sync::Arc;
+use tle_repro::base::stats::Stat;
 use tle_repro::prelude::*;
 
 const ACCOUNTS: usize = 32;
@@ -59,9 +60,9 @@ fn main() {
         assert_eq!(total, ACCOUNTS as i64 * 1000, "balance invariant violated!");
 
         let stm = sys.stm.stats.snapshot();
-        let htm_commits = sys.htm.stats.tx.commits.get();
-        let htm_aborts = sys.htm.stats.tx.aborts.get();
-        let serial = sys.stats.serial_fallbacks.get();
+        let htm_commits = sys.htm.stats.get(Stat::Commits);
+        let htm_aborts = sys.htm.stats.get(Stat::Aborts);
+        let serial = sys.stats.get(Stat::SerialFallbacks);
         println!(
             "{:<24} {:>7.1} ms | stm commits {:>6} aborts {:>5} | htm commits {:>6} aborts {:>5} | serial {:>5}",
             mode.label(),

@@ -13,6 +13,7 @@
 
 use std::process::ExitCode;
 use std::time::Duration;
+use tle_base::stats::Stat;
 use tle_bench::perf::{emit_report, validate, EmitConfig};
 use tle_bench::workloads::TrialStats;
 use tle_kv::{
@@ -115,8 +116,8 @@ fn kv_cmd(rest: &[String]) -> Result<ExitCode, String> {
         stats.stm.commits + stats.htm_commits,
         stats.stm.aborts + stats.htm_aborts,
         stats.serial_fallbacks,
-        sys.stats.sheds.get(),
-        sys.stats.deadline_exceeded.get(),
+        sys.stats.get(Stat::Sheds),
+        sys.stats.get(Stat::DeadlineExceeded),
         stats.abort_breakdown(),
     );
     Ok(ExitCode::SUCCESS)

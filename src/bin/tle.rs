@@ -13,6 +13,7 @@
 
 use std::io::{Read, Write};
 use std::sync::Arc;
+use tle_repro::base::stats::Stat;
 use tle_repro::pbz::{PipelineConfig, StreamCompressor, StreamDecompressor};
 use tle_repro::prelude::*;
 use tle_repro::wfe::{encode_video, EncoderConfig, VideoSource};
@@ -88,8 +89,8 @@ fn parse_mode(args: &[String]) -> AlgoMode {
 
 fn print_stats(sys: &TmSystem) {
     let stm = sys.stm.stats.snapshot();
-    let htm_c = sys.htm.stats.tx.commits.get();
-    let htm_a = sys.htm.stats.tx.aborts.get();
+    let htm_c = sys.htm.stats.get(Stat::Commits);
+    let htm_a = sys.htm.stats.get(Stat::Aborts);
     println!(
         "tm-stats: stm commits={} aborts={} quiesces={} skipped={} | \
          htm commits={} aborts={} | serial fallbacks={}",
@@ -99,7 +100,7 @@ fn print_stats(sys: &TmSystem) {
         stm.quiesce_skipped,
         htm_c,
         htm_a,
-        sys.stats.serial_fallbacks.get()
+        sys.stats.get(Stat::SerialFallbacks)
     );
 }
 

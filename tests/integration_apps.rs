@@ -3,6 +3,7 @@
 //! output equality and integrity checks.
 
 use std::sync::Arc;
+use tle_repro::base::stats::Stat;
 use tle_repro::pbz::{
     compress_parallel, compress_serial, decompress_parallel, decompress_serial, gen_text,
     PipelineConfig,
@@ -142,7 +143,7 @@ fn encoder_htm_stats_show_activity() {
         },
     );
     assert!(
-        sys.htm.stats.tx.commits.get() > 100,
+        sys.htm.stats.get(Stat::Commits) > 100,
         "wavefront should commit many hardware transactions"
     );
 }

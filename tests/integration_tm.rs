@@ -3,6 +3,7 @@
 //! through the full public API.
 
 use std::sync::Arc;
+use tle_repro::base::stats::Stat;
 use tle_repro::prelude::*;
 
 /// The paper's privatization pattern: a transaction detaches a node, then
@@ -125,9 +126,9 @@ fn abort_storm_escapes_to_serial() {
     }
     assert_eq!(cell.load_direct(), 200);
     assert!(
-        sys.stats.serial_fallbacks.get() > 100,
+        sys.stats.get(Stat::SerialFallbacks) > 100,
         "expected most sections to serialize, got {}",
-        sys.stats.serial_fallbacks.get()
+        sys.stats.get(Stat::SerialFallbacks)
     );
 }
 

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tle_repro::base::exec::Exec;
-use tle_repro::base::stats::TxStatsSnapshot;
+use tle_repro::base::stats::{Stat, TxStatsSnapshot};
 use tle_repro::base::trace::{self, TraceKind, TxMode};
 use tle_repro::core::TxRequest;
 use tle_repro::htm::HtmConfig;
@@ -108,7 +108,7 @@ fn snapshot(sys: &TmSystem) -> [Counts; 3] {
     [
         counts(sys.stats.snapshot()),
         counts(sys.stm.stats.snapshot()),
-        counts(sys.htm.stats.tx.snapshot()),
+        counts(sys.htm.stats.snapshot()),
     ]
 }
 
@@ -299,8 +299,10 @@ fn wait_then_signal() {
         let entered = AtomicBool::new(false);
         let commits = |sys: &TmSystem| match mode {
             AlgoMode::Baseline => 0,
-            m if m.is_glibc_family() || m == AlgoMode::HtmCondvar => sys.htm.stats.tx.commits.get(),
-            _ => sys.stm.stats.commits.get(),
+            m if m.is_glibc_family() || m == AlgoMode::HtmCondvar => {
+                sys.htm.stats.get(Stat::Commits)
+            }
+            _ => sys.stm.stats.get(Stat::Commits),
         };
         let before = commits(&rig.sys);
         std::thread::scope(|scope| {
