@@ -86,6 +86,19 @@ impl SlotRegistry {
         self.values[idx].load(Ordering::Acquire)
     }
 
+    /// Advance slot `idx`'s value by one (wrapping, so the first call after
+    /// a claim takes [`INACTIVE`] to 0) and return it. *Owned*, like the
+    /// stat rows' `bump_owned`: the caller holds the claim on `idx` and no
+    /// other thread reads the word — a relaxed load and store, nothing
+    /// published. For a registry that uses the word as a private per-claim
+    /// counter (the HTM's begin count), never one whose values are scanned.
+    #[inline]
+    pub fn advance_owned(&self, idx: usize) -> u64 {
+        let v = self.values[idx].load(Ordering::Relaxed).wrapping_add(1);
+        self.values[idx].store(v, Ordering::Relaxed);
+        v
+    }
+
     /// Iterate over `(idx, value)` of every ever-claimed slot. Unclaimed or
     /// released slots read as [`INACTIVE`], so callers can treat the scan as
     /// "all possibly active transactions".
@@ -177,6 +190,20 @@ mod tests {
     }
 
     #[test]
+    fn advance_owned_counts_from_zero_after_every_claim() {
+        let r = SlotRegistry::new();
+        for _ in 0..2 {
+            let idx = r.register_raw().unwrap();
+            assert_eq!(r.value(idx), INACTIVE);
+            assert_eq!(
+                [r.advance_owned(idx), r.advance_owned(idx), r.value(idx)],
+                [0, 1, 1]
+            );
+            r.unregister_raw(idx);
+        }
+    }
+
+    #[test]
     fn scan_covers_high_water_mark() {
         let r = SlotRegistry::new();
         let a = r.register();
@@ -211,9 +238,9 @@ mod tests {
                 std::thread::spawn(move || {
                     b.wait();
                     let s = r.register();
-                    let idx = s.idx();
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    idx
+                    // No slot is given back before all 16 are held.
+                    b.wait();
+                    s.idx()
                 })
             })
             .collect();

@@ -44,11 +44,11 @@ impl<'g> HtmTx<'g> {
         sched::yield_point(YieldPoint::TxState);
         g.tx_state[slot].store(state::ACTIVE, Ordering::SeqCst);
         // Seed differs per (slot, begin) so event aborts are not correlated
-        // across retries, yet the whole run is deterministic.
-        let salt = g.slots.value(slot).wrapping_add(1);
+        // across retries, yet the whole run is deterministic. The begin
+        // count lives in the slot's own registry word, which no other
+        // thread loads and which every claim resets.
+        let salt = g.slots.advance_owned(slot);
         let seed = g.config.seed ^ ((slot as u64) << 32) ^ salt;
-        g.slots
-            .publish_raw(slot, g.slots.value(slot).wrapping_add(1));
         trace::emit(TraceKind::Begin, TxMode::Htm, None, slot as u64);
         history::begin(TxMode::Htm);
         HtmTx {

@@ -15,6 +15,14 @@ impl BitWriter {
         BitWriter::default()
     }
 
+    /// An empty writer with room for `bytes` bytes of output.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter {
+            out: Vec::with_capacity(bytes),
+            ..BitWriter::default()
+        }
+    }
+
     /// Append the low `n` bits of `v` (MSB of the field first). `n <= 32`.
     pub fn put(&mut self, v: u32, n: u32) {
         debug_assert!(n <= 32);

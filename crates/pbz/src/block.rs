@@ -3,41 +3,71 @@
 //! consumer threads execute outside any critical section.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::bwt::{bwt_decode, bwt_encode};
+use crate::bwt::{bwt_decode, bwt_encode_into, BwtScratch};
 use crate::crc::crc32;
 use crate::huffman::{self, ALPHA, EOB};
-use crate::mtf::{mtf_decode, mtf_encode};
-use crate::rle::{rle1_decode, rle1_encode};
+use crate::mtf::{mtf_decode, mtf_encode_in_place};
+use crate::rle::{rle1_decode, rle1_encode_into};
 use crate::CodecError;
+use std::cell::RefCell;
 
 /// Block magic ("TZB1" — TLE-repro bzip-like block, v1).
 const MAGIC: u32 = 0x545A_4231;
 
+/// Bits in front of the symbol stream: five header words, then five bits of
+/// code length per symbol.
+const HEADER_BITS: u64 = 5 * 32 + 5 * ALPHA as u64;
+
+/// The intermediate buffers of [`compress_block`]. A pipeline worker runs
+/// block after block of one size, so each thread keeps its set and the
+/// second block on allocates nothing but its output.
+#[derive(Default)]
+struct Stages {
+    rle: Vec<u8>,
+    sort: BwtScratch,
+    /// The BWT's last column, then its move-to-front ranks in place.
+    ranks: Vec<u8>,
+    syms: Vec<u16>,
+}
+
+thread_local! {
+    static STAGES: RefCell<Stages> = RefCell::default();
+}
+
 /// Compress one block.
 pub fn compress_block(data: &[u8]) -> Vec<u8> {
-    let crc = crc32(data);
-    let rle = rle1_encode(data);
-    let (bwt, primary) = bwt_encode(&rle);
-    let mtf = mtf_encode(&bwt);
-    let syms = huffman::to_symbols(&mtf);
-    let mut freqs = [0u64; ALPHA];
-    for &s in &syms {
-        freqs[s as usize] += 1;
-    }
-    let lens = huffman::code_lengths(&freqs);
+    STAGES.with_borrow_mut(|st| {
+        let crc = crc32(data);
+        rle1_encode_into(data, &mut st.rle);
+        let primary = bwt_encode_into(&st.rle, &mut st.sort, &mut st.ranks);
+        mtf_encode_in_place(&mut st.ranks);
+        huffman::to_symbols_into(&st.ranks, &mut st.syms);
+        let mut freqs = [0u64; ALPHA];
+        for &s in &st.syms {
+            freqs[s as usize] += 1;
+        }
+        let lens = huffman::code_lengths(&freqs);
 
-    let mut w = BitWriter::new();
-    w.put_u32(MAGIC);
-    w.put_u32(data.len() as u32);
-    w.put_u32(crc);
-    w.put_u32(rle.len() as u32);
-    w.put_u32(primary);
-    // Code-length table: 5 bits per symbol (MAX_LEN = 20 < 32).
-    for &l in lens.iter() {
-        w.put(l as u32, 5);
-    }
-    huffman::encode_symbols(&syms, &lens, &mut w);
-    w.finish()
+        // The output's exact size is known before the first bit is written.
+        let bits = HEADER_BITS
+            + freqs
+                .iter()
+                .zip(&lens)
+                .map(|(&f, &l)| f * l as u64)
+                .sum::<u64>();
+        let mut w = BitWriter::with_capacity(bits.div_ceil(8) as usize);
+        w.put_u32(MAGIC);
+        w.put_u32(data.len() as u32);
+        w.put_u32(crc);
+        w.put_u32(st.rle.len() as u32);
+        w.put_u32(primary);
+        // Code-length table: 5 bits per symbol (MAX_LEN = 20 < 32).
+        for &l in lens.iter() {
+            w.put(l as u32, 5);
+        }
+        huffman::encode_symbols(&st.syms, &lens, &mut w);
+        w.finish()
+    })
 }
 
 /// Decompress one block produced by [`compress_block`].

@@ -25,7 +25,15 @@ pub const MAX_LEN: u32 = 20;
 
 /// Convert an MTF byte stream into the RUNA/RUNB symbol stream (with EOB).
 pub fn to_symbols(mtf: &[u8]) -> Vec<u16> {
-    let mut out = Vec::with_capacity(mtf.len() / 2 + 8);
+    let mut out = Vec::new();
+    to_symbols_into(mtf, &mut out);
+    out
+}
+
+/// [`to_symbols`] into `out`, cleared first.
+pub(crate) fn to_symbols_into(mtf: &[u8], out: &mut Vec<u16>) {
+    out.clear();
+    out.reserve(mtf.len() / 2 + 8);
     let mut zeros = 0u64;
     let flush = |zeros: &mut u64, out: &mut Vec<u16>| {
         // Bijective base-2: n -> digits in {1,2} (RUNA=1, RUNB=2).
@@ -45,13 +53,12 @@ pub fn to_symbols(mtf: &[u8]) -> Vec<u16> {
         if b == 0 {
             zeros += 1;
         } else {
-            flush(&mut zeros, &mut out);
+            flush(&mut zeros, out);
             out.push(b as u16 + 1);
         }
     }
-    flush(&mut zeros, &mut out);
+    flush(&mut zeros, out);
     out.push(EOB);
-    out
 }
 
 /// Convert a symbol stream (ending in EOB) back to MTF bytes.
@@ -99,13 +106,11 @@ pub fn from_symbols(syms: &[u16]) -> Result<Vec<u8>, CodecError> {
 /// Compute canonical code lengths for the given symbol frequencies.
 /// Frequencies are rescaled until the deepest code fits in [`MAX_LEN`].
 pub fn code_lengths(freqs: &[u64; ALPHA]) -> [u8; ALPHA] {
-    let mut f: Vec<u64> = freqs.to_vec();
+    let mut f = *freqs;
     loop {
         let lens = huffman_lengths(&f);
         if lens.iter().all(|&l| (l as u32) <= MAX_LEN) {
-            let mut out = [0u8; ALPHA];
-            out.copy_from_slice(&lens);
-            return out;
+            return lens;
         }
         // zlib-style flattening: halve (rounding up) and retry.
         for x in f.iter_mut() {
@@ -117,72 +122,78 @@ pub fn code_lengths(freqs: &[u64; ALPHA]) -> [u8; ALPHA] {
 }
 
 /// Plain Huffman code lengths (unbounded) for non-zero frequencies.
-fn huffman_lengths(freqs: &[u64]) -> Vec<u8> {
-    let n = freqs.len();
-    let present: Vec<usize> = (0..n).filter(|&i| freqs[i] > 0).collect();
-    let mut lens = vec![0u8; n];
-    match present.len() {
+///
+/// Two queues in place of a heap: with the leaves sorted by (weight,
+/// symbol), merged nodes come into being in weight order, so the two
+/// lightest nodes are always at the front of one queue or the other. A tie
+/// goes to the leaf, and among merged nodes to the older one — the order a
+/// heap keyed by (weight, node id) pops them in, leaves numbered first.
+fn huffman_lengths(freqs: &[u64; ALPHA]) -> [u8; ALPHA] {
+    let mut lens = [0u8; ALPHA];
+    let mut leaves = [(0u64, 0u16); ALPHA];
+    let mut n = 0;
+    for (s, &f) in freqs.iter().enumerate() {
+        if f > 0 {
+            leaves[n] = (f, s as u16);
+            n += 1;
+        }
+    }
+    let leaves = &mut leaves[..n];
+    match n {
         0 => return lens,
         1 => {
-            lens[present[0]] = 1;
+            lens[leaves[0].1 as usize] = 1;
             return lens;
         }
         _ => {}
     }
-    // Heap of (weight, node-id); internal nodes get ids >= n.
-    #[derive(PartialEq, Eq)]
-    struct Item(u64, usize);
-    impl Ord for Item {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            // Min-heap via reversed compare; tie-break on id for determinism.
-            (o.0, o.1).cmp(&(self.0, self.1))
+    leaves.sort_unstable();
+    // Node ids: leaf i of the sorted order is i, merged node j is n + j.
+    let mut merged = [0u64; ALPHA];
+    let mut parent = [0usize; 2 * ALPHA];
+    let (mut leaf, mut old) = (0, 0);
+    for new in 0..n - 1 {
+        for _ in 0..2 {
+            let node = if leaf < n && (old == new || leaves[leaf].0 <= merged[old]) {
+                leaf += 1;
+                merged[new] += leaves[leaf - 1].0;
+                leaf - 1
+            } else {
+                old += 1;
+                merged[new] += merged[old - 1];
+                n + old - 1
+            };
+            parent[node] = new;
         }
     }
-    impl PartialOrd for Item {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
+    // A parent is merged after its children: depths fill in from the root,
+    // merged node n - 2, downwards.
+    let mut depth = [0u8; ALPHA];
+    for j in (0..n - 2).rev() {
+        depth[j] = depth[parent[n + j]] + 1;
     }
-    let mut heap = std::collections::BinaryHeap::new();
-    let mut parent = vec![usize::MAX; n + present.len()];
-    for &i in &present {
-        heap.push(Item(freqs[i], i));
-    }
-    let mut next_id = n;
-    while heap.len() > 1 {
-        let a = heap.pop().unwrap();
-        let b = heap.pop().unwrap();
-        parent[a.1] = next_id;
-        parent[b.1] = next_id;
-        heap.push(Item(a.0 + b.0, next_id));
-        next_id += 1;
-    }
-    let root = heap.pop().unwrap().1;
-    for &i in &present {
-        let mut d = 0u8;
-        let mut x = i;
-        while x != root {
-            x = parent[x];
-            d += 1;
-        }
-        lens[i] = d;
+    for (i, &(_, s)) in leaves.iter().enumerate() {
+        lens[s as usize] = depth[parent[i]] + 1;
     }
     lens
 }
 
 /// Assign canonical codes from lengths: shorter codes first, ties by symbol.
 pub fn canonical_codes(lens: &[u8; ALPHA]) -> [u32; ALPHA] {
-    let mut pairs: Vec<(u8, usize)> = lens
-        .iter()
-        .enumerate()
-        .filter(|(_, &l)| l > 0)
-        .map(|(s, &l)| (l, s))
-        .collect();
+    let mut pairs = [(0u8, 0usize); ALPHA];
+    let mut n = 0;
+    for (s, &l) in lens.iter().enumerate() {
+        if l > 0 {
+            pairs[n] = (l, s);
+            n += 1;
+        }
+    }
+    let pairs = &mut pairs[..n];
     pairs.sort_unstable();
     let mut codes = [0u32; ALPHA];
     let mut code = 0u32;
     let mut prev_len = 0u8;
-    for (l, s) in pairs {
+    for &(l, s) in pairs.iter() {
         code <<= l - prev_len;
         codes[s] = code;
         code += 1;
@@ -374,6 +385,74 @@ mod tests {
             .map(|&l| 2f64.powi(-(l as i32)))
             .sum();
         assert!(kraft <= 1.0 + 1e-9, "Kraft violated: {kraft}");
+    }
+
+    /// Code lengths from a heap keyed by (weight, node id) — the
+    /// construction `huffman_lengths` used to run, whose tie-breaks the
+    /// stream format has inherited.
+    fn heap_lengths(freqs: &[u64; ALPHA]) -> [u8; ALPHA] {
+        use std::cmp::Reverse;
+        let mut heap: std::collections::BinaryHeap<_> = (0..ALPHA)
+            .filter(|&s| freqs[s] > 0)
+            .map(|s| Reverse((freqs[s], s)))
+            .collect();
+        let mut lens = [0u8; ALPHA];
+        if heap.len() == 1 {
+            lens[heap.pop().unwrap().0 .1] = 1;
+        }
+        let mut parent = vec![usize::MAX; 2 * ALPHA];
+        let mut next_id = ALPHA;
+        while heap.len() > 1 {
+            let (Reverse(a), Reverse(b)) = (heap.pop().unwrap(), heap.pop().unwrap());
+            parent[a.1] = next_id;
+            parent[b.1] = next_id;
+            heap.push(Reverse((a.0 + b.0, next_id)));
+            next_id += 1;
+        }
+        for s in (0..ALPHA).filter(|&s| freqs[s] > 0 && parent[s] != usize::MAX) {
+            let mut x = s;
+            while parent[x] != usize::MAX {
+                x = parent[x];
+                lens[s] += 1;
+            }
+        }
+        lens
+    }
+
+    #[test]
+    fn two_queue_lengths_break_ties_like_the_heap() {
+        let mut rng = tle_base::rng::XorShift64::new(77);
+        // Narrow weight ranges make ties the rule, not the exception.
+        for (present, max_weight) in [
+            (0, 1),
+            (1, 9),
+            (2, 1),
+            (3, 2),
+            (17, 1),
+            (100, 3),
+            (258, 1),
+            (258, 4),
+            (258, 1000),
+            (40, 1 << 40),
+        ] {
+            for _ in 0..20 {
+                let mut f = [0u64; ALPHA];
+                for _ in 0..present {
+                    f[rng.below(ALPHA as u64) as usize] = rng.below(max_weight) + 1;
+                }
+                assert!(
+                    huffman_lengths(&f) == heap_lengths(&f),
+                    "{present} symbols up to {max_weight}"
+                );
+            }
+        }
+        let mut fib = [0u64; ALPHA];
+        let (mut a, mut b) = (1u64, 1u64);
+        for slot in fib.iter_mut().skip(100).take(60) {
+            *slot = a;
+            (a, b) = (b, a + b);
+        }
+        assert!(huffman_lengths(&fib) == heap_lengths(&fib));
     }
 
     #[test]

@@ -4,15 +4,37 @@
 
 /// MTF-encode `data`.
 pub fn mtf_encode(data: &[u8]) -> Vec<u8> {
-    let mut table: Vec<u8> = (0..=255).collect();
-    let mut out = Vec::with_capacity(data.len());
-    for &b in data {
-        let pos = table.iter().position(|&x| x == b).expect("byte in table") as u8;
-        out.push(pos);
-        table.copy_within(0..pos as usize, 1);
-        table[0] = b;
-    }
+    let mut out = data.to_vec();
+    mtf_encode_in_place(&mut out);
     out
+}
+
+/// [`mtf_encode`], each byte replaced by its rank.
+pub(crate) fn mtf_encode_in_place(data: &mut [u8]) {
+    let mut table: [u8; 256] = std::array::from_fn(|i| i as u8);
+    for b in data {
+        let byte = std::mem::take(b);
+        // After a BWT most bytes repeat their predecessor: rank 0, which
+        // `take` has just written, and the table stays as it is.
+        if table[0] == byte {
+            continue;
+        }
+        // Search and shift in one walk: every entry in front of `byte`
+        // moves one place back. The table holds every byte value, so the
+        // walk ends within it.
+        let mut moved = table[0];
+        let mut rank = 0u8;
+        loop {
+            rank += 1;
+            let here = std::mem::replace(&mut table[rank as usize], moved);
+            if here == byte {
+                break;
+            }
+            moved = here;
+        }
+        table[0] = byte;
+        *b = rank;
+    }
 }
 
 /// MTF-decode `data`.

@@ -182,6 +182,17 @@ mod tests {
     }
 
     #[test]
+    fn serial_stream_is_the_one_recorded_before_the_induced_sorter() {
+        // Length and CRC-32 of this output at PR 18 (prefix-doubling sort,
+        // bytewise CRC, `Vec` move-to-front). A suffix array is unique, so
+        // a faster sorter may not move a byte; unlike the round trip, this
+        // catches a tie-break or header drift the decoder would forgive.
+        let c = compress_serial(&gen_text(42, 300_000), 100_000);
+        assert_eq!(c.len(), 50_959);
+        assert_eq!(crate::crc::crc32(&c), 0x5604_2587);
+    }
+
+    #[test]
     fn empty_input() {
         let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
         let c = compress_parallel(&sys, &[], &cfg(2, 1000));

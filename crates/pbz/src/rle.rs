@@ -8,7 +8,15 @@ use crate::CodecError;
 
 /// Encode `data` with the RLE1 scheme.
 pub fn rle1_encode(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() + data.len() / 128 + 4);
+    let mut out = Vec::new();
+    rle1_encode_into(data, &mut out);
+    out
+}
+
+/// [`rle1_encode`] into `out`, cleared first.
+pub(crate) fn rle1_encode_into(data: &[u8], out: &mut Vec<u8>) {
+    out.clear();
+    out.reserve(data.len() + data.len() / 128 + 4);
     let mut i = 0;
     while i < data.len() {
         let b = data[i];
@@ -26,7 +34,6 @@ pub fn rle1_encode(data: &[u8]) -> Vec<u8> {
         }
         i += run;
     }
-    out
 }
 
 /// Decode the RLE1 scheme.

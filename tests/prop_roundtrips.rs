@@ -6,6 +6,20 @@ use proptest::prelude::*;
 use tle_repro::base::TxVal;
 use tle_repro::pbz::{self, bwt, huffman, mtf, rle};
 
+/// The transform by definition: sort every suffix of `data + $` with slice
+/// comparison (a suffix that is a prefix of another sorts first, as the
+/// sentinel makes it) and read off the byte before each.
+fn bwt_by_definition(data: &[u8]) -> (Vec<u8>, u32) {
+    let mut rows: Vec<usize> = (0..=data.len()).collect();
+    rows.sort_by_key(|&i| &data[i..]);
+    let primary = rows
+        .iter()
+        .position(|&i| i == 0)
+        .expect("suffix 0 is a row");
+    let last_column = rows.iter().filter(|&&i| i > 0).map(|&i| data[i - 1]);
+    (last_column.collect(), primary as u32)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -35,6 +49,13 @@ proptest! {
     fn bwt_roundtrip_low_entropy(data in proptest::collection::vec(0u8..4, 0..1500)) {
         let (b, primary) = bwt::bwt_encode(&data);
         prop_assert_eq!(bwt::bwt_decode(&b, primary), data);
+    }
+
+    #[test]
+    fn bwt_matches_reference(data in proptest::collection::vec(any::<u8>(), 0..1500),
+                             low in proptest::collection::vec(0u8..4, 0..1500)) {
+        prop_assert_eq!(bwt::bwt_encode(&data), bwt_by_definition(&data));
+        prop_assert_eq!(bwt::bwt_encode(&low), bwt_by_definition(&low));
     }
 
     #[test]
