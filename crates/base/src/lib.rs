@@ -15,10 +15,10 @@
 //! - [`SlotRegistry`] — a fixed-size registry of per-thread publication
 //!   slots, used for quiescence epochs (STM) and transaction identities
 //!   (HTM simulation).
-//! - [`Gate`] — the global serial-irrevocability gate: transactions run on
-//!   the concurrent side, irrevocable/serialized work takes the exclusive
-//!   side (this is the GCC libitm "serial mode" used both for unsafe
-//!   operations and as the abort-storm fallback).
+//! - [`Gate`] — the global serial-irrevocability gate: irrevocable and
+//!   serialized work takes it and sweeps the transactions' own presence
+//!   words, transactions only read it (this is the GCC libitm "serial mode"
+//!   used both for unsafe operations and as the abort-storm fallback).
 //! - [`stats`] — per-slot single-writer statistics rows, per-abort-cause
 //!   breakdowns and latency histograms.
 //! - [`sets`] — the inline-first transaction sets and the per-thread lease

@@ -54,11 +54,19 @@ pub enum Mutant {
     /// idle slot and the zombie speculates outside the sandbox (the
     /// compiler/hardware reordering hazard, #3).
     LazySubscriptionReorder,
+    /// A freshly begun transaction ignores a closed serial gate: it runs on
+    /// beside the serial section whose sweep it was supposed to retreat from
+    /// (the concurrent half of the presence handshake deleted).
+    GateSkipClosedCheck,
+    /// Serial entry skips its presence sweep: the serial section starts
+    /// while transactions that began before the gate closed are still in
+    /// flight (the serial half of the handshake deleted).
+    GateSkipSweep,
 }
 
 impl Mutant {
     /// All mutants, for matrix-style tests.
-    pub const ALL: [Mutant; 8] = [
+    pub const ALL: [Mutant; 10] = [
         Mutant::SkipCommitValidation,
         Mutant::DropQuiesce,
         Mutant::EarlyOrecRelease,
@@ -67,6 +75,8 @@ impl Mutant {
         Mutant::LazyCommitWithLockHeld,
         Mutant::LazyZombieEscape,
         Mutant::LazySubscriptionReorder,
+        Mutant::GateSkipClosedCheck,
+        Mutant::GateSkipSweep,
     ];
 }
 
@@ -81,6 +91,8 @@ impl fmt::Display for Mutant {
             Mutant::LazyCommitWithLockHeld => "lazy-commit-with-lock-held",
             Mutant::LazyZombieEscape => "lazy-zombie-escape",
             Mutant::LazySubscriptionReorder => "lazy-subscription-reorder",
+            Mutant::GateSkipClosedCheck => "gate-skip-closed-check",
+            Mutant::GateSkipSweep => "gate-skip-sweep",
         };
         f.write_str(s)
     }

@@ -59,7 +59,10 @@ impl SlotRegistry {
                     .is_ok()
             {
                 self.values[idx].store(INACTIVE, Ordering::Release);
-                self.high_water.fetch_max(idx + 1, Ordering::AcqRel);
+                // `SeqCst`, pairing with [`SlotRegistry::high_water`]: a
+                // serial sweep that misses this slot ordered its gate CAS
+                // before anything the slot's owner publishes from here on.
+                self.high_water.fetch_max(idx + 1, Ordering::SeqCst);
                 return Some(idx);
             }
         }
@@ -105,6 +108,21 @@ impl SlotRegistry {
     pub fn scan(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         let hw = self.high_water.load(Ordering::Acquire);
         (0..hw).map(move |i| (i, self.value(i)))
+    }
+
+    /// One past the highest slot index ever claimed, in the `SeqCst` order
+    /// of slot publications and the serial gate (a serial sweep's bound).
+    #[inline]
+    pub fn high_water(&self) -> usize {
+        self.high_water.load(Ordering::SeqCst)
+    }
+
+    /// The serial side's presence sweep over a registry whose values are
+    /// published start times: whether every ever-claimed slot reads
+    /// [`INACTIVE`], with `SeqCst` loads — the load half of the serial
+    /// handshake whose store half is [`SlotRegistry::publish_raw`].
+    pub fn all_inactive(&self) -> bool {
+        (0..self.high_water()).all(|i| self.values[i].load(Ordering::SeqCst) == INACTIVE)
     }
 
     /// Number of currently claimed slots (diagnostics only).
@@ -214,6 +232,22 @@ mod tests {
         assert_eq!(seen.len(), 2);
         assert_eq!(seen[a.idx()].1, 5);
         assert_eq!(seen[b.idx()].1, 9);
+    }
+
+    #[test]
+    fn all_inactive_sees_every_claimed_slot() {
+        let r = SlotRegistry::new();
+        assert!(r.all_inactive(), "an empty registry is idle");
+        let (a, b) = (r.register(), r.register());
+        assert!(r.all_inactive());
+        b.publish(3);
+        assert!(!r.all_inactive());
+        b.deactivate();
+        a.publish(0);
+        assert!(!r.all_inactive());
+        drop(a);
+        assert!(r.all_inactive(), "a released slot reads inactive");
+        assert_eq!(r.high_water(), 2);
     }
 
     #[test]

@@ -85,9 +85,31 @@ fn bench_tle_modes(c: &mut Criterion) {
     }
 }
 
+/// The side of the serial handshake that pays: an `unsafe_op` section — one
+/// failed speculative attempt, then serial entry with its presence sweep
+/// over four registered handles' slots — on one thread.
+fn bench_tle_serial(c: &mut Criterion) {
+    for (name, mode) in [("STM", AlgoMode::StmCondvar), ("HTM", AlgoMode::HtmCondvar)] {
+        let sys = Arc::new(TmSystem::new(mode));
+        let handles: Vec<_> = (0..4).map(|_| sys.register()).collect();
+        let th = &handles[0];
+        let lock = ElidableMutex::new("bench-serial");
+        let cell = TCell::new(0u64);
+        c.bench_function(format!("tle/serial/{name}"), |b| {
+            b.iter(|| {
+                th.tx(&lock).run(|ctx| {
+                    ctx.unsafe_op()?;
+                    ctx.update(&cell, |v| v + 1)?;
+                    Ok(())
+                })
+            })
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_tcell, bench_orec, bench_stm_tx, bench_tle_modes
+    targets = bench_tcell, bench_orec, bench_stm_tx, bench_tle_modes, bench_tle_serial
 }
 criterion_main!(benches);

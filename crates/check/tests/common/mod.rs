@@ -305,3 +305,85 @@ pub fn handoff_scenario_async(
         }),
     }
 }
+
+/// The engines the serial gate supervises (the adaptive ones fall back to
+/// the lock word instead).
+pub const GATE_ENGINES: [(AlgoMode, StmAlgo); 3] = [
+    (AlgoMode::StmCondvar, StmAlgo::MlWt),
+    (AlgoMode::StmCondvar, StmAlgo::Norec),
+    (AlgoMode::HtmCondvar, StmAlgo::MlWt),
+];
+
+/// Run one critical section on the driver under test: blocking, or as a
+/// future polled by this vthread itself ([`block_on_manual`]).
+pub fn run_section<'a, R>(
+    th: &'a tle_core::ThreadHandle,
+    lock: &'a ElidableMutex,
+    async_driver: bool,
+    body: impl FnMut(&mut tle_core::TxCtx<'a>) -> Result<R, tle_core::TxError>,
+) -> R {
+    if async_driver {
+        block_on_manual(th.tx(lock).run_async(body))
+    } else {
+        th.tx(lock).run(body)
+    }
+}
+
+/// The serial handshake's witness, parameterized by engine and driver. T1
+/// runs an `unsafe_op` section — the serial gate — storing the A/B pair
+/// directly; T0 speculates a read of both. A serial section's plain stores
+/// are invisible to orecs, sequence locks and line marks alike, so the
+/// *only* thing between T0 and a torn pair is the handshake: T0 began
+/// before the gate closed and the sweep waits it out, or it sees the gate
+/// closed and retires. Delete either half (`GateSkipSweep`,
+/// `GateSkipClosedCheck`) and the in-closure assert panics the vthread.
+pub fn serial_torn_pair_scenario(mode: AlgoMode, algo: StmAlgo, async_driver: bool) -> Scenario {
+    let sys = Arc::new(TmSystem::new(mode));
+    sys.set_stm_algo(algo);
+    let lock = Arc::new(ElidableMutex::new("check-serialtorn"));
+    let a = Arc::new(TCell::new(0u64));
+    let b = Arc::new(TCell::new(0u64));
+    let init = vec![(a.addr(), 0), (b.addr(), 0)];
+
+    let t0: Box<dyn FnOnce() + Send> = {
+        let (sys, lock) = (Arc::clone(&sys), Arc::clone(&lock));
+        let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+        Box::new(move || {
+            let th = sys.register();
+            run_section(&th, &lock, async_driver, |ctx| {
+                let va = ctx.read(&*a)?;
+                let vb = ctx.read(&*b)?;
+                assert_eq!(
+                    va, vb,
+                    "torn snapshot: a transaction ran beside the serial section \
+                     under {mode:?}/{algo:?}"
+                );
+                Ok(())
+            });
+        })
+    };
+    let t1: Box<dyn FnOnce() + Send> = {
+        let (sys, lock) = (Arc::clone(&sys), Arc::clone(&lock));
+        let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+        Box::new(move || {
+            let th = sys.register();
+            run_section(&th, &lock, async_driver, |ctx| {
+                ctx.unsafe_op()?;
+                ctx.write(&*a, 1u64)?;
+                ctx.write(&*b, 1u64)?;
+                Ok(())
+            });
+        })
+    };
+    let post = (Arc::clone(&a), Arc::clone(&b));
+    Scenario {
+        threads: vec![t0, t1],
+        init,
+        post: Box::new(
+            move |_| match (post.0.load_direct(), post.1.load_direct()) {
+                (1, 1) => Ok(()),
+                pair => Err(format!("serial section's stores lost: (A, B) = {pair:?}")),
+            },
+        ),
+    }
+}

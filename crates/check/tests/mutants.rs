@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::handoff_scenario;
+use common::{handoff_scenario, serial_torn_pair_scenario, GATE_ENGINES};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 use tle_base::mutant::{self, Mutant};
@@ -350,6 +350,13 @@ fn scenario_for(m: Mutant) -> (fn() -> Scenario, Config) {
             (|| lazy_torn_pair_scenario(AlgoMode::AdaptiveHtmLazy)) as fn() -> Scenario,
             Config::dfs(2, 800),
         ),
+        // Both halves of the serial handshake share one witness (the full
+        // engine × driver sweep is `detects_gate_mutant`).
+        Mutant::GateSkipClosedCheck | Mutant::GateSkipSweep => (
+            (|| serial_torn_pair_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt, false))
+                as fn() -> Scenario,
+            Config::dfs(2, 800),
+        ),
     }
 }
 
@@ -358,10 +365,13 @@ fn scenario_for(m: Mutant) -> (fn() -> Scenario, Config) {
 /// pass clean.
 fn detects(m: Mutant) {
     let (factory, cfg) = scenario_for(m);
+    detects_with(m, factory, &cfg);
+}
 
+fn detects_with(m: Mutant, factory: impl Fn() -> Scenario, cfg: &Config) {
     let (token, kind) = {
         let _armed = Armed::new(m);
-        let report = explore(&cfg, factory);
+        let report = explore(cfg, &factory);
         let (token, kind) = report.expect_failure();
         println!(
             "mutant {m}: caught by schedule {token} after {} schedules: {kind}",
@@ -381,7 +391,7 @@ fn detects(m: Mutant) {
     // test's armed window must not leak into this clean exploration.
     let clean = {
         let _serial = MATRIX_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        explore(&cfg, factory)
+        explore(cfg, &factory)
     };
     if let Some((clean_token, clean_kind)) = &clean.failure {
         panic!(
@@ -418,39 +428,13 @@ fn catches_lost_signal() {
 /// a real lost waker, not just the sync park variant.
 #[test]
 fn catches_lost_signal_async() {
-    let factory =
-        || common::handoff_scenario_async(AlgoMode::StmCondvar, StmAlgo::MlWt, true, true);
     let mut cfg = Config::dfs(2, 60);
     cfg.stall_timeout = Duration::from_millis(800);
-
-    let (token, kind) = {
-        let _armed = Armed::new(Mutant::LostSignal);
-        let report = explore(&cfg, factory);
-        let (token, kind) = report.expect_failure();
-        println!(
-            "mutant LostSignal (async): caught by schedule {token} after {} schedules: {kind}",
-            report.schedules
-        );
-        let replayed = replay(&token, factory(), cfg.stall_timeout);
-        assert!(
-            replayed.is_some(),
-            "mutant LostSignal (async): schedule {token} did not reproduce on replay"
-        );
-        (token, kind)
-    }; // disarmed here, even if the asserts above panic
-
-    // Same serialization as `detects`: the disarmed run must not overlap a
-    // sibling test's armed window.
-    let clean = {
-        let _serial = MATRIX_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        explore(&cfg, factory)
-    };
-    if let Some((clean_token, clean_kind)) = &clean.failure {
-        panic!(
-            "unmutated async waker path failed at {clean_token}: {clean_kind} \
-             (mutant run failed at {token}: {kind})"
-        );
-    }
+    detects_with(
+        Mutant::LostSignal,
+        || common::handoff_scenario_async(AlgoMode::StmCondvar, StmAlgo::MlWt, true, true),
+        &cfg,
+    );
 }
 
 #[test]
@@ -471,6 +455,33 @@ fn catches_lazy_zombie_escape() {
 #[test]
 fn catches_lazy_subscription_reorder() {
     detects(Mutant::LazySubscriptionReorder);
+}
+
+/// A gate mutant under every engine the gate supervises and both drivers:
+/// the handshake is one mechanism, so deleting a half of it must show
+/// everywhere.
+fn detects_gate_mutant(m: Mutant) {
+    let (_, cfg) = scenario_for(m);
+    for (mode, algo) in GATE_ENGINES {
+        for async_driver in [false, true] {
+            println!("{m} under {mode:?}/{algo:?}, async driver: {async_driver}");
+            detects_with(
+                m,
+                || serial_torn_pair_scenario(mode, algo, async_driver),
+                &cfg,
+            );
+        }
+    }
+}
+
+#[test]
+fn catches_gate_skip_closed_check() {
+    detects_gate_mutant(Mutant::GateSkipClosedCheck);
+}
+
+#[test]
+fn catches_gate_skip_sweep() {
+    detects_gate_mutant(Mutant::GateSkipSweep);
 }
 
 /// The naive lazy-subscription mode needs no mutant: its published hazard

@@ -26,9 +26,10 @@
 //! ## Drivers: one loop over the ladder, different only at the wait edges
 //!
 //! A driver is `loop { gate → attempt → settle → act on Next }`. What it may
-//! differ in is exactly the edge table of DESIGN.md §16: how it enters the
-//! serial gate, where its slots come from (the handle's own vs a transient
-//! claim), how it drains a post-commit quiescence ticket (inline in
+//! differ in is exactly the edge table of DESIGN.md §16: how it waits out a
+//! closed serial gate and sweeps on its way into one, where its slots come
+//! from (the handle's own vs a transient claim), how it drains a post-commit
+//! quiescence ticket (inline in
 //! `commit` vs polled), how it backs off, parks and waits for the adaptive
 //! lock word (spin/park vs yield/waker), and how long it holds the
 //! [`NestGuard`]. The [`Driver`] tag carries the three of those that show
@@ -57,12 +58,25 @@
 //! `TmSystem::flip_lock`), so correctness reduces to one invariant: *a
 //! section must not complete under a stale mode after the flip finished*.
 //! [`dispatch`] therefore captures the lock's flip **epoch**, and it is
-//! re-checked immediately after taking each exclusion foothold — the
-//! concurrent gate token (STM/HTM), the raw mutex (baseline), the serial
-//! token (fallback), or the lock-word subscription/acquisition (adaptive
+//! re-checked immediately after taking each exclusion foothold — the begun
+//! transaction's published presence, once it has read the serial gate open
+//! (STM/HTM: a flip's serial entry sweeps every presence word, so it waits
+//! this transaction out), the raw mutex (baseline), the serial token
+//! (fallback), or the lock-word subscription/acquisition (adaptive
 //! elision). While the foothold is held a flip cannot complete, so a
 //! matching epoch stays matched; a mismatch unwinds the foothold and
 //! reports `Redispatch`, and the driver's outer loop re-resolves the mode.
+//!
+//! ## The serial handshake
+//!
+//! Gate-supervised transactions take no token. Their presence is what
+//! `begin` publishes anyway (the STM slot value, the HTM `tx_state`), and
+//! [`Ladder::attempt`] follows the begin with one `SeqCst` load of the gate
+//! word: closed — a serial section runs or is pending — and the transaction
+//! *retires* ([`Step::Retreat`]: presence withdrawn, nothing counted) and
+//! the driver waits for the gate to open. The serial side takes the gate
+//! and then sweeps the presence words (`TmSystem::enter_serial*`, the only
+//! way into a serial token). `tle_base::gate` has the two-line argument.
 
 use crate::condvar::{RawWaiter, TxCondvar};
 use crate::ctx::{CtxKind, PendingWait, TxCtx, TxError};
@@ -195,8 +209,12 @@ pub(crate) enum Step<R> {
     SubscribedHeld,
     /// Unsafe operation: re-run under the engine's exclusive path.
     Unsafe,
-    /// A mode flip landed before the adaptive subscription foothold.
+    /// A mode flip landed before the attempt's foothold (the published
+    /// presence, or the adaptive subscription).
     Redispatch,
+    /// The serial gate was closed when the begun transaction looked: it
+    /// retired, counting nothing. Not an attempt.
+    Retreat,
     /// The closure manufactured a runner-level error.
     RunnerErr(TxError),
 }
@@ -238,6 +256,8 @@ pub(crate) enum Next<R> {
     RetryNow,
     /// Run the section under the engine's exclusive path.
     Fallback,
+    /// Wait for the serial gate to open, then go round again.
+    AwaitGate,
     /// Re-resolve the lock's mode.
     Redispatch,
     /// Abandon the section (fallible entry points only).
@@ -275,7 +295,8 @@ impl Budget {
 /// request spent time in the queue too — and poisons the lock if the
 /// section is unwinding. Unwinding out of the closure already rolls back
 /// speculative state (the context's transaction drops → undo log replayed,
-/// orecs released; gate tokens drop → permits returned); what it cannot
+/// orecs released, presence withdrawn; a serial token drops → the gate
+/// reopens); what it cannot
 /// restore is *application* invariants spanning critical sections, so the
 /// lock is flagged for survivors to inspect (see
 /// [`ElidableMutex::is_poisoned`]).
@@ -411,6 +432,28 @@ fn abort_kind(kind: CtxKind<'_>, cause: AbortCause) {
         CtxKind::Htm { tx } => tx.abort(cause),
         _ => unreachable!("context kind changed mid-transaction"),
     }
+}
+
+fn retire_kind(kind: CtxKind<'_>) {
+    match kind {
+        CtxKind::Stm { tx, .. } => tx.retire(),
+        CtxKind::Htm { tx } => tx.retire(),
+        _ => unreachable!("only a transaction retires"),
+    }
+}
+
+/// The concurrent half of the serial handshake, run right after a begin
+/// published the transaction's presence with a `SeqCst` store: one `SeqCst`
+/// load of the gate word. `true`: a serial section runs or is pending and the
+/// transaction must retire before touching data. `false`: from here until
+/// its last store (`INACTIVE` / `IDLE`) no serial section — a mode flip
+/// included — can start.
+#[inline(always)]
+fn gate_closed(sys: &TmSystem) -> bool {
+    sched::yield_point(YieldPoint::SerialGate);
+    // Seeded bug: the check is deleted and the transaction runs on beside
+    // the serial section that was about to sweep it.
+    sys.gate.closed() && !mutant::armed(Mutant::GateSkipClosedCheck)
 }
 
 /// Drop a ring entry's queue-owned `Arc` reference (null: the wait never
@@ -697,7 +740,7 @@ pub(crate) struct Ladder<'a> {
 #[derive(Default)]
 pub(crate) struct Committed<'a> {
     /// Deferred actions (if there are any), run by [`Ladder::settle`] once
-    /// the driver has released the attempt's token and slots.
+    /// the driver has released the attempt's slots.
     defers: Option<Defers>,
     /// Nanoseconds the post-commit quiescence drain waited.
     quiesce_ns: u64,
@@ -832,6 +875,10 @@ impl<'a> Ladder<'a> {
         match self.engine {
             Engine::Stm { spin } => {
                 let mut tx = sys.stm.begin_soft(stm_slot);
+                if let Some(step) = self.turned_away() {
+                    tx.retire();
+                    return step;
+                }
                 // Per-lock TM_NoQuiesce opt-in (strictly an application
                 // contract; see TmSystem::set_lock_no_quiesce).
                 if lock.is_no_quiesce() {
@@ -846,10 +893,12 @@ impl<'a> Ladder<'a> {
                 self.speculate(ctx, driver, left, f, || Ok(()))
             }
             Engine::Htm => {
-                let kind = CtxKind::Htm {
-                    tx: sys.htm.begin(htm_slot),
-                };
-                let ctx = TxCtx::new(kind, deadline, driver);
+                let tx = sys.htm.begin(htm_slot);
+                if let Some(step) = self.turned_away() {
+                    tx.retire();
+                    return step;
+                }
+                let ctx = TxCtx::new(CtxKind::Htm { tx }, deadline, driver);
                 self.speculate(ctx, driver, left, f, || Ok(()))
             }
             Engine::Adaptive { mode } => {
@@ -870,6 +919,21 @@ impl<'a> Ladder<'a> {
                     }
                 }
             }
+        }
+    }
+
+    /// Whether a freshly begun gate-supervised transaction must retire
+    /// instead of running: the gate is closed ([`gate_closed`]), or — the
+    /// presence being the exclusion foothold — a mode flip completed since
+    /// [`dispatch`] captured the epoch.
+    #[inline(always)]
+    fn turned_away<R>(&self) -> Option<Step<R>> {
+        if gate_closed(&self.th.sys) {
+            Some(Step::Retreat)
+        } else if self.lock.domain().epoch() != self.epoch {
+            Some(Step::Redispatch)
+        } else {
+            None
         }
     }
 
@@ -945,9 +1009,9 @@ impl<'a> Ladder<'a> {
         }
     }
 
-    /// Decide after an attempt, and do its bookkeeping. The driver has
-    /// already released the attempt's gate token and slots: deferred actions
-    /// run here, outside every exclusion.
+    /// Decide after an attempt, and do its bookkeeping. The attempt's
+    /// presence is withdrawn and the driver has released its slots: deferred
+    /// actions run here, outside every exclusion.
     #[inline(always)]
     pub(crate) fn settle<R>(&mut self, step: Step<R>, left: &mut Committed<'a>) -> Next<R> {
         let th = self.th;
@@ -986,6 +1050,10 @@ impl<'a> Ladder<'a> {
                 Next::Fallback
             }
             Step::Redispatch => Next::Redispatch,
+            // A retreat is not an attempt: the retry budget, the starvation
+            // ladder, the lock's outcome window and the backoff state all
+            // stay as they were.
+            Step::Retreat => Next::AwaitGate,
             // The closure manufactured a runner-level error and the attempt
             // rolled back: fallible entries surface it, the infallible ones
             // have no error channel and must refuse loudly.
@@ -1203,19 +1271,35 @@ pub(crate) fn ring_is_transactional(mode: AlgoMode) -> bool {
     mode != AlgoMode::Baseline && !mode.is_glibc_family()
 }
 
+/// What one transactional attempt at a ring removal came to.
+pub(crate) enum Removal {
+    /// Committed; `false`: a signaller already claimed the entry.
+    Done(bool),
+    /// The transaction retired before touching the ring — the serial gate
+    /// was closed, or the lock's mode is no longer the one it was begun for.
+    /// Wait for the gate, read the mode again; not an attempt.
+    Retreat,
+    Aborted,
+}
+
 /// One transactional attempt at cancelling `raw`'s ring entry (a small
-/// transaction of its own, on the engine `mode` runs). `Ok(false)`: a
-/// signaller already claimed the entry. Like [`Ladder::attempt`], leaves a
-/// pending drain in `owed` for the [`Driver::Async`] caller.
+/// transaction of its own, on the engine `mode` runs). `mode` is the
+/// caller's unpinned read of the lock's mode; it is pinned here the way
+/// [`Ladder::attempt`] pins the epoch — begin, read the gate open, read the
+/// mode again under the published presence (a flip's serial entry would have
+/// to sweep this transaction first). Like `attempt`, leaves a pending drain
+/// in `owed` for the [`Driver::Async`] caller.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn remove_waiter_tx(
     sys: &TmSystem,
+    lock: &ElidableMutex,
     mode: AlgoMode,
     (stm_slot, htm_slot): (usize, usize),
     cv: &TxCondvar,
     raw: RawWaiter,
     driver: Driver,
     owed: &mut Option<QuiesceTicket>,
-) -> Result<bool, AbortCause> {
+) -> Removal {
     let kind = if mode == AlgoMode::HtmCondvar {
         CtxKind::Htm {
             tx: sys.htm.begin(htm_slot),
@@ -1226,14 +1310,19 @@ pub(crate) fn remove_waiter_tx(
             spin_waits: false,
         }
     };
+    if gate_closed(sys) || lock.resolved_mode(sys.mode()) != mode {
+        retire_kind(kind);
+        return Removal::Retreat;
+    }
     let mut ctx = TxCtx::new(kind, None, driver);
-    match cv.remove(&mut ctx, raw.ptr()) {
+    let committed = match cv.remove(&mut ctx, raw.ptr()) {
         Ok(found) => commit_kind(ctx.kind, driver, owed).map(|_| found),
         Err(cause) => {
             abort_kind(ctx.kind, cause);
             Err(cause)
         }
-    }
+    };
+    committed.map_or(Removal::Aborted, Removal::Done)
 }
 
 // ---------------------------------------------------------------------------
@@ -1301,43 +1390,25 @@ fn drive<'a, R, F>(
 where
     F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
 {
-    let sys = &*th.sys;
     let mut ladder = Ladder::new(th, lock, engine, epoch, hints, budget);
     let mut left = Committed::default();
     loop {
         let next = match ladder.gate() {
             Some(next) => next,
             None => {
-                let token = match engine.lock_path() {
-                    Some(mode) => {
-                        if !mode.is_lazy() {
-                            // Don't even start while the lock is held (glibc
-                            // spins outside the transaction for the same
-                            // reason: an immediate subscription abort is
-                            // wasted work). The lazy modes skip this — not
-                            // touching the lock word before commit is their
-                            // point.
-                            let mut spins = 0u32;
-                            while lock.held_cell().load_direct() {
-                                pause(&mut spins, 32);
-                            }
-                        }
-                        None
+                if engine.lock_path().is_some_and(|mode| !mode.is_lazy()) {
+                    // Don't even start while the lock is held (glibc spins
+                    // outside the transaction for the same reason: an
+                    // immediate subscription abort is wasted work). The
+                    // lazy modes skip this — not touching the lock word
+                    // before commit is their point.
+                    let mut spins = 0u32;
+                    while lock.held_cell().load_direct() {
+                        pause(&mut spins, 32);
                     }
-                    None => {
-                        let token = sys.gate.enter_concurrent();
-                        // The concurrent token is the foothold: a flip's
-                        // serial entry drains it, so a matching epoch holds
-                        // until the token drops.
-                        if lock.domain().epoch() != epoch {
-                            return Outcome::Redispatch;
-                        }
-                        Some(token)
-                    }
-                };
+                }
                 let slots = (th.stm_slot, th.htm_slot);
                 let step = ladder.attempt(slots, Driver::Sync, &mut left, f);
-                drop(token);
                 ladder.settle(step, &mut left)
             }
         };
@@ -1346,6 +1417,7 @@ where
             Next::Park => block_on(th, lock, left.take_wait()),
             Next::Backoff => ladder.backoff(),
             Next::RetryNow => {}
+            Next::AwaitGate => th.sys.gate.wait_open(),
             Next::Fallback => {
                 match exclusive(th, lock, engine.lock_path(), epoch, budget.deadline, f) {
                     SerialOutcome::Done(r) => return Outcome::Done(r),
@@ -1402,9 +1474,9 @@ where
             // so a panic inside `f` reopens the gate while unwinding.
             // Without that, one panicking serial section would wedge every
             // thread forever (the `serial_gate_reopens_after_panic`
-            // regression test pins this; the same goes for the concurrent
-            // tokens and the baseline mutex guard).
-            let _token = th.sys.gate.enter_serial();
+            // regression test pins this; the same goes for a transaction's
+            // presence and the baseline mutex guard).
+            let _token = th.sys.enter_serial();
             // The serial token is the foothold: a flip needs the gate too.
             if lock.domain().epoch() != epoch {
                 return SerialOutcome::Redispatch;
@@ -1512,9 +1584,10 @@ fn block_on<'a>(th: &'a ThreadHandle, lock: &'a ElidableMutex, pw: PendingWait<'
 /// Only reachable from ring waits (sync baseline waiters use the native
 /// condvar) — but by the time the timeout fires the *lock* may have been
 /// flipped to any mode, so the removal algorithm is chosen per attempt from
-/// the lock's current resolved mode, read under a concurrent token (mode
-/// flips need the serial gate, so the token pins it). Never suspends, so
-/// the async driver's `WaitEntryGuard` may also call it from `Drop`.
+/// the lock's current resolved mode, pinned by the removal transaction's own
+/// presence (mode flips need the serial gate, whose sweep waits it out; see
+/// [`remove_waiter_tx`]). Never suspends, so the async driver's
+/// `WaitEntryGuard` may also call it from `Drop`.
 pub(crate) fn cancel_wait(th: &ThreadHandle, lock: &ElidableMutex, cv: &TxCondvar, raw: RawWaiter) {
     let sys = &*th.sys;
     let mut attempts = 0u32;
@@ -1524,18 +1597,15 @@ pub(crate) fn cancel_wait(th: &ThreadHandle, lock: &ElidableMutex, cv: &TxCondva
         if attempts >= sys.policy().stm_retries {
             break remove_waiter_excluded(th, lock, cv, raw);
         }
-        let token = sys.gate.enter_concurrent();
         let mode = lock.resolved_mode(sys.mode());
         if !ring_is_transactional(mode) {
-            drop(token);
             break remove_waiter_excluded(th, lock, cv, raw);
         }
         let slots = (th.stm_slot, th.htm_slot);
-        let removal = remove_waiter_tx(sys, mode, slots, cv, raw, Driver::Sync, &mut None);
-        drop(token);
-        match removal {
-            Ok(found) => break found,
-            Err(_) => {
+        match remove_waiter_tx(sys, lock, mode, slots, cv, raw, Driver::Sync, &mut None) {
+            Removal::Done(found) => break found,
+            Removal::Retreat => sys.gate.wait_open(),
+            Removal::Aborted => {
                 attempts += 1;
                 backoff(th.stm_slot, attempts, 0, sys.policy().backoff_ceiling);
             }
@@ -1557,7 +1627,7 @@ fn remove_waiter_excluded(
     raw: RawWaiter,
 ) -> bool {
     let sys = &*th.sys;
-    let _token = sys.gate.enter_serial();
+    let _token = sys.enter_serial();
     sched::block_enter();
     let _guard = lock.raw_lock();
     sched::block_exit();
@@ -1620,6 +1690,70 @@ mod tests {
             Err((AbortCause::Conflict, Step::Abort(AbortCause::Conflict)))
         ));
         tx.abort(AbortCause::Conflict);
+    }
+
+    /// A retreat is not an attempt: a section a held gate turns away `K`
+    /// times and that then commits reports one commit and nothing else — no
+    /// abort in any stat row, the retry budget, the starvation ladder and the
+    /// lock's outcome window untouched — on every gate-supervised engine and
+    /// under both drivers.
+    #[test]
+    fn retreats_under_a_held_gate_count_nothing() {
+        use tle_base::TCell;
+        use tle_stm::StmAlgo;
+        const K: usize = 5;
+        for (mode, algo) in [
+            (AlgoMode::StmCondvar, StmAlgo::MlWt),
+            (AlgoMode::StmCondvar, StmAlgo::Norec),
+            (AlgoMode::HtmCondvar, StmAlgo::MlWt),
+        ] {
+            for driver in [Driver::Sync, Driver::Async] {
+                let sys = Arc::new(TmSystem::new(mode));
+                sys.set_stm_algo(algo);
+                let th = sys.register();
+                let lock = ElidableMutex::new("retreat");
+                let cell = TCell::new(0u64);
+                let budget = Budget {
+                    deadline: None,
+                    fallible: false,
+                };
+                let engine = Engine::of(mode).expect("a TM mode");
+                let mut ladder = Ladder::new(&th, &lock, engine, 0, TxHints::default(), budget);
+                let left = &mut Committed::default();
+                let f = &mut |ctx: &mut TxCtx<'_>| ctx.update(&cell, |v| v + 1);
+                let slots = (th.stm_slot, th.htm_slot);
+
+                let pending = sys.gate.request_serial();
+                for _ in 0..K {
+                    assert!(ladder.gate::<u64>().is_none());
+                    let step = ladder.attempt(slots, driver, left, f);
+                    assert!(matches!(step, Step::Retreat), "{mode:?}/{algo:?}");
+                    assert!(sys.presence_idle(), "a retired transaction is not present");
+                    assert!(matches!(ladder.settle(step, left), Next::AwaitGate));
+                }
+                drop(pending);
+                let step = ladder.attempt(slots, driver, left, f);
+                assert!(matches!(step, Step::Done(1)), "{mode:?}/{algo:?}");
+                if let Some(mut ticket) = left.take_owed() {
+                    while sys.stm.quiesce_pass(&mut ticket).is_none() {}
+                }
+                assert!(matches!(ladder.settle(step, left), Next::Done(1)));
+
+                assert_eq!((ladder.attempts, th.consecutive_aborts()), (0, 0));
+                let d = sys.domain_stats();
+                let tm = if mode == AlgoMode::HtmCondvar {
+                    &d.htm
+                } else {
+                    &d.stm
+                };
+                // `core.attempts_per_commit` = (commits + aborts) / commits = 1.
+                assert_eq!((tm.commits, tm.aborts), (1, 0), "{mode:?}/{algo:?}: {d:?}");
+                assert_eq!(d.tle.serial_fallbacks, 0);
+                let w = lock.domain().window.snapshot();
+                assert_eq!((w.commits, w.attempts()), (1, 1), "{mode:?}/{algo:?}");
+                assert_eq!(cell.load_direct(), 1);
+            }
+        }
     }
 
     #[test]

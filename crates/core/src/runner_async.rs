@@ -14,8 +14,10 @@
 //! What this driver does differently from the sync one is the edge table of
 //! DESIGN.md §16, nothing else:
 //!
-//! - serial-gate entry suspends (`Gate::enter_concurrent_async` /
-//!   `Gate::enter_serial_async`);
+//! - waiting out a closed serial gate suspends on the gate's waker registry
+//!   (`Gate::poll_open`), and serial entry suspends on another serial
+//!   section's exit and yields between presence sweeps
+//!   (`TmSystem::enter_serial_async`);
 //! - slots come from a transient [`SlotClaim`], not the handle (below);
 //! - a post-commit quiescence drain comes back from the core as a ticket
 //!   and is polled one slot sweep per `StmGlobal::quiesce_pass`;
@@ -63,7 +65,7 @@ use crate::ctx::{PendingWait, TxCtx, TxError};
 use crate::elide::ElidableMutex;
 use crate::runner::{
     self, Budget, Committed, Doom, Driver, Early, Engine, Exclusion, Ladder, Next, Outcome,
-    Section, SerialOutcome, SerialStep,
+    Removal, Section, SerialOutcome, SerialStep,
 };
 use crate::system::{AlgoMode, ThreadHandle, TmSystem, TxHints};
 use std::future::Future as _;
@@ -103,6 +105,12 @@ async fn claim_slots(sys: &TmSystem) -> SlotClaim<'_> {
         }
         exec::yield_now().await;
     }
+}
+
+/// Suspend until the serial gate is open: the async form of
+/// `Gate::wait_open`, for a task whose transaction has retired.
+async fn gate_open(sys: &TmSystem) {
+    std::future::poll_fn(|cx| sys.gate.poll_open(cx)).await
 }
 
 /// One spin-hinted executor yield: the async form of every lock-word wait.
@@ -170,23 +178,13 @@ where
         let next = match ladder.gate() {
             Some(next) => next,
             None => {
-                let token = match lock_path {
-                    Some(mode) => {
-                        // Don't start while the lock is held (see the sync
-                        // driver); yield the worker instead of spinning.
-                        while !mode.is_lazy() && lock.held_cell().load_direct() {
-                            yield_on_lock_word().await;
-                        }
-                        None
-                    }
-                    None => {
-                        let token = sys.gate.enter_concurrent_async().await;
-                        if lock.domain().epoch() != epoch {
-                            return Outcome::Redispatch;
-                        }
-                        Some(token)
-                    }
-                };
+                // Don't start while the lock is held (see the sync
+                // driver); yield the worker instead of spinning.
+                while lock_path.is_some_and(|mode| !mode.is_lazy())
+                    && lock.held_cell().load_direct()
+                {
+                    yield_on_lock_word().await;
+                }
                 let slots = claim_slots(sys).await;
                 let claimed = (slots.stm, slots.htm);
                 let step = ladder.attempt(claimed, Driver::Async, &mut left, f);
@@ -194,7 +192,6 @@ where
                     left.quiesced(drain_ticket(sys, ticket).await);
                 }
                 drop(slots);
-                drop(token);
                 ladder.settle(step, &mut left)
             }
         };
@@ -209,6 +206,7 @@ where
                 exec::yield_now().await;
             }
             Next::RetryNow => {}
+            Next::AwaitGate => gate_open(sys).await,
             Next::Fallback => {
                 match exclusive_async(th, lock, lock_path, epoch, budget.deadline, f).await {
                     SerialOutcome::Done(r) => return Outcome::Done(r),
@@ -268,7 +266,7 @@ where
             step
         }
         None => {
-            let _token = sys.gate.enter_serial_async().await;
+            let _token = sys.enter_serial_async().await;
             if lock.domain().epoch() != epoch {
                 return SerialOutcome::Redispatch;
             }
@@ -428,8 +426,8 @@ async fn wait_signaled(waiter: &Waiter, timeout: Option<Duration>) -> bool {
 }
 
 /// Timed-out waiter: remove our ring entry, as `runner::cancel_wait` does,
-/// but with async gate entry, transient slot claims, a polled drain and an
-/// async-safe excluded path.
+/// but suspending on a closed gate, with transient slot claims, a polled
+/// drain and an async-safe excluded path.
 async fn cancel_wait_async<'a>(
     th: &'a ThreadHandle,
     lock: &'a ElidableMutex,
@@ -442,25 +440,23 @@ async fn cancel_wait_async<'a>(
         if attempts >= sys.policy().stm_retries {
             break remove_waiter_excluded_async(th, lock, cv, raw).await;
         }
-        let token = sys.gate.enter_concurrent_async().await;
         let mode = lock.resolved_mode(sys.mode());
         if !runner::ring_is_transactional(mode) {
-            drop(token);
             break remove_waiter_excluded_async(th, lock, cv, raw).await;
         }
         let slots = claim_slots(sys).await;
         let claimed = (slots.stm, slots.htm);
         let mut owed = None;
         let removal =
-            runner::remove_waiter_tx(sys, mode, claimed, cv, raw, Driver::Async, &mut owed);
+            runner::remove_waiter_tx(sys, lock, mode, claimed, cv, raw, Driver::Async, &mut owed);
         if let Some(ticket) = owed {
             drain_ticket(sys, ticket).await;
         }
         drop(slots);
-        drop(token);
         match removal {
-            Ok(found) => break found,
-            Err(_) => {
+            Removal::Done(found) => break found,
+            Removal::Retreat => gate_open(sys).await,
+            Removal::Aborted => {
                 attempts += 1;
                 runner::backoff(th.stm_slot, attempts, 0, sys.policy().backoff_ceiling);
                 exec::yield_now().await;
@@ -488,7 +484,7 @@ async fn remove_waiter_excluded_async<'a>(
     raw: RawWaiter,
 ) -> bool {
     let sys = &*th.sys;
-    let _token = sys.gate.enter_serial_async().await;
+    let _token = sys.enter_serial_async().await;
     // Serial token held: the resolved mode cannot flip under us, so the
     // acquire/release pair keeps the lazy seqlock parity consistent.
     let mode = lock.resolved_mode(sys.mode());

@@ -11,6 +11,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
+use tle_base::gate::SerialToken;
+use tle_base::mutant::{self, Mutant};
 use tle_base::stats::{fmt_ns, LatencyHistSnapshot, TxStats, TxStatsSnapshot};
 use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::{AbortCause, Gate, OrecLayout};
@@ -396,7 +398,9 @@ pub struct TmSystem {
     pub stm: StmGlobal,
     /// The simulated hardware TM domain.
     pub htm: HtmGlobal,
-    /// The serialization gate (irrevocability + fallback).
+    /// The serialization gate (irrevocability + fallback). Transactions
+    /// only read it; the runtime's serial entries go through
+    /// `TmSystem::enter_serial`, which sweeps both domains' presence words.
     pub gate: Gate,
     /// TLE-level statistics (serial fallbacks are counted here).
     pub stats: TxStats,
@@ -540,15 +544,44 @@ impl TmSystem {
         }
     }
 
+    /// One sweep of the serial handshake's load half: every STM slot reads
+    /// `INACTIVE` and every HTM lifecycle word `IDLE`, with `SeqCst` loads
+    /// (see `tle_base::gate`).
+    pub(crate) fn presence_idle(&self) -> bool {
+        // Seeded bug: the sweep is deleted and the serial section starts
+        // beside transactions that began before the gate closed.
+        mutant::armed(Mutant::GateSkipSweep)
+            || (self.stm.slots.all_inactive() && self.htm.all_idle())
+    }
+
+    /// Enter serial-irrevocable mode, blocking: take the gate, then sweep
+    /// until no transaction is present. With
+    /// [`enter_serial_async`](Self::enter_serial_async) the only way the
+    /// runtime obtains a serial token — the serial section, a mode flip and
+    /// the excluded ring removal, under both drivers — so none can exist
+    /// that has not swept.
+    pub(crate) fn enter_serial(&self) -> SerialToken<'_> {
+        self.gate.enter_serial(|| self.presence_idle())
+    }
+
+    /// [`enter_serial`](Self::enter_serial) for an executor worker:
+    /// suspends on another serial section's exit, and sweeps once per poll
+    /// with the worker yielded in between.
+    pub(crate) fn enter_serial_async(
+        &self,
+    ) -> impl std::future::Future<Output = SerialToken<'_>> + '_ {
+        self.gate.enter_serial_async(|| self.presence_idle())
+    }
+
     /// Install (or clear) a per-lock mode override under **total
-    /// exclusion**: serial gate (drains and blocks every concurrent and
-    /// serial transactional section), the raw mutex (blocks baseline
+    /// exclusion**: serial gate (waits out and turns away every concurrent
+    /// and serial transactional section), the raw mutex (blocks baseline
     /// sections), and the adaptive lock word (blocks glibc-style lock-path
     /// holders and dooms subscribed hardware transactions). The domain
     /// epoch is bumped inside the exclusion; runners re-check it after
     /// taking their own foothold and re-dispatch on mismatch.
     fn flip_lock(&self, inner: &Arc<LockInner>, to: Option<AlgoMode>, reason: SwitchReason) {
-        let serial = self.gate.enter_serial();
+        let serial = self.enter_serial();
         let guard = inner.raw().lock();
         // Adaptive word: same acquisition as the glibc lock path.
         let word = inner.held_cell().word();

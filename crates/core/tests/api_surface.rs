@@ -5,6 +5,48 @@
 use std::sync::Arc;
 use tle_core::{AlgoMode, ElidableMutex, InvalidAlgoMode, TmSystem, TxHints, ALL_MODES};
 
+/// The serial gate's surface after the presence handshake: transactions
+/// only *read* it (`closed`, the two waits), everything that writes it is a
+/// serial entry, and every serial entry takes a presence probe and hands its
+/// token out only once the probe has answered "nobody present". The
+/// concurrent-side entries and their token are gone.
+#[test]
+fn gate_surface_is_the_serial_side_plus_reads() {
+    use tle_base::gate::{Gate, SerialRequest};
+    let _closed: fn(&Gate) -> bool = Gate::closed;
+    let _wait_open: fn(&Gate) = Gate::wait_open;
+    let _serial_held: fn(&Gate) -> bool = Gate::serial_held;
+    let _request: for<'g> fn(&'g Gate) -> SerialRequest<'g> = Gate::request_serial;
+
+    let sys = TmSystem::new(AlgoMode::StmCondvar);
+    let gate = &sys.gate;
+    assert!(!gate.closed() && !gate.serial_held());
+    let mut probes = 0;
+    let mut req = gate.request_serial();
+    assert!(gate.closed(), "a pending request closes the gate");
+    let busy = req.try_acquire(|| {
+        probes += 1;
+        false
+    });
+    assert!(busy.is_none(), "no token while a transaction is present");
+    assert!(
+        gate.serial_held(),
+        "the sweep runs with the serial bit taken"
+    );
+    let token = req
+        .try_acquire(|| {
+            probes += 1;
+            true
+        })
+        .expect("nobody present");
+    assert_eq!(probes, 2, "one sweep per try");
+    drop(token);
+    drop(req);
+    assert!(!gate.closed());
+    drop(gate.enter_serial(|| true));
+    assert!(!gate.closed());
+}
+
 /// `TmSystem::new(mode)` and the bare builder agree on every observable
 /// configuration default.
 #[test]

@@ -255,6 +255,16 @@ impl HtmGlobal {
         clear
     }
 
+    /// The serial side's presence sweep: whether every ever-claimed slot's
+    /// lifecycle word reads `IDLE`, with `SeqCst` loads — the load half of
+    /// the serial handshake whose store half is a transaction's begin
+    /// (`ACTIVE`) and its last store on every exit path (`IDLE`). A slot
+    /// past its commit point reads busy until its redo log is published.
+    pub fn all_idle(&self) -> bool {
+        (0..self.slots.high_water())
+            .all(|slot| self.tx_state[slot].load(Ordering::SeqCst) == state::IDLE)
+    }
+
     fn wait_not_committed(&self, slot: usize) {
         let mut spins = 0u32;
         while self.tx_state[slot].load(Ordering::SeqCst) == state::COMMITTED {

@@ -334,6 +334,17 @@ impl<'g> HtmTx<'g> {
         history::abort();
     }
 
+    /// Withdraw a begun attempt that must not run: the serial gate was
+    /// closed when it looked (or its dispatch went stale). Releases the
+    /// footprint and the presence and nothing else — a retreat is not an
+    /// attempt, so no stat row, `Abort` trace event or history terminator
+    /// records it; the `SeqCst` `IDLE` store is what the serial side's sweep
+    /// waits for.
+    pub fn retire(mut self) {
+        self.cleanup();
+        self.finished = true;
+    }
+
     fn cleanup(&mut self) {
         for &li in &self.bufs.read_lines {
             self.g.table.line(li as usize).remove_reader(self.slot);
@@ -388,6 +399,24 @@ mod tests {
         assert_eq!(g.table.line(li).readers(), 0);
         assert_eq!(g.table.line(li).writer(), 0);
         assert_eq!(a.load_direct(), 0);
+        g.slots.unregister_raw(slot);
+    }
+
+    #[test]
+    fn retire_releases_the_presence_and_counts_nothing() {
+        let g = quiet();
+        let slot = g.slots.register_raw().unwrap();
+        let a = TCell::new(0u64);
+        let li = g.table.index_of(a.addr());
+        let mut tx = g.begin(slot);
+        assert!(!g.all_idle(), "begin publishes the presence");
+        tx.write(&a, 1u64).unwrap();
+        tx.retire();
+        assert!(g.all_idle());
+        assert_eq!(g.table.line(li).writer(), 0);
+        assert_eq!(a.load_direct(), 0);
+        let snap = g.stats.snapshot();
+        assert_eq!((snap.commits, snap.aborts), (0, 0));
         g.slots.unregister_raw(slot);
     }
 

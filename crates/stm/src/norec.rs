@@ -237,6 +237,16 @@ impl<'g> NorecTx<'g> {
     }
 }
 
+impl NorecTx<'_> {
+    /// Withdraw a begun attempt without counting it (see
+    /// [`StmTx::retire`](crate::StmTx::retire)); lazy versioning leaves
+    /// nothing to roll back.
+    pub fn retire(mut self) {
+        self.finished = true;
+        self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
+    }
+}
+
 impl Drop for NorecTx<'_> {
     fn drop(&mut self) {
         if !self.finished {

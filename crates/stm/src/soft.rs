@@ -137,6 +137,14 @@ impl<'g> SoftTx<'g> {
             SoftTx::Norec(tx) => tx.abort(cause),
         }
     }
+
+    /// Withdraw this attempt without counting it ([`StmTx::retire`]).
+    pub fn retire(self) {
+        match self {
+            SoftTx::MlWt(tx) => tx.retire(),
+            SoftTx::Norec(tx) => tx.retire(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +175,25 @@ mod tests {
             tx.update(&a, |v| v * 2).unwrap();
             tx.commit().unwrap();
             assert_eq!(a.load_direct(), 2);
+            g.slots.unregister_raw(slot);
+        }
+    }
+
+    #[test]
+    fn both_algorithms_retire_without_a_trace() {
+        for algo in [StmAlgo::MlWt, StmAlgo::Norec] {
+            let g = StmGlobal::new(QuiescePolicy::Never);
+            g.set_algo(algo);
+            let slot = g.slots.register_raw().unwrap();
+            let a = TCell::new(5u64);
+            let mut tx = g.begin_soft(slot);
+            tx.write(&a, 100u64).unwrap();
+            assert!(!g.slots.all_inactive());
+            tx.retire();
+            assert!(g.slots.all_inactive(), "{algo:?} stayed present");
+            assert_eq!(a.load_direct(), 5, "{algo:?} leaked a write");
+            let snap = g.stats.snapshot();
+            assert_eq!((snap.commits, snap.aborts), (0, 0), "{algo:?}");
             g.slots.unregister_raw(slot);
         }
     }

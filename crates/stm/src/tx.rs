@@ -448,6 +448,18 @@ impl<'g> StmTx<'g> {
         history::abort();
     }
 
+    /// Withdraw a begun attempt that must not run: the serial gate was
+    /// closed when it looked (or its dispatch went stale). Releases the
+    /// presence and nothing else — a retreat is not an attempt, so no stat
+    /// row, `Abort` trace event or history terminator records it; the
+    /// `SeqCst` `INACTIVE` publication is what the serial side's sweep waits
+    /// for.
+    pub fn retire(mut self) {
+        self.rollback();
+        self.finished = true;
+        self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
+    }
+
     fn rollback(&mut self) {
         if mutant::armed(Mutant::EarlyOrecRelease) && !self.bufs.locks.is_empty() {
             // Seeded bug: hand the orecs back while the undo log is still
@@ -564,6 +576,22 @@ mod tests {
         tx.write(&a, 4u64).unwrap();
         tx.commit().unwrap();
         assert_eq!(a.load_direct(), 4);
+        g.slots.unregister_raw(slot);
+    }
+
+    #[test]
+    fn retire_releases_the_presence_and_counts_nothing() {
+        let g = StmGlobal::default();
+        let slot = g.slots.register_raw().unwrap();
+        let a = TCell::new(3u64);
+        let mut tx = g.begin(slot);
+        assert!(!g.slots.all_inactive(), "begin publishes the presence");
+        tx.write(&a, 8u64).unwrap();
+        tx.retire();
+        assert!(g.slots.all_inactive());
+        assert_eq!(a.load_direct(), 3, "a retired writer still rolls back");
+        let snap = g.stats.snapshot();
+        assert_eq!((snap.commits, snap.aborts), (0, 0));
         g.slots.unregister_raw(slot);
     }
 

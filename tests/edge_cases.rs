@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
+use tle_repro::base::exec::Exec;
 use tle_repro::pbz::TleFifo;
 use tle_repro::prelude::*;
 
@@ -59,35 +60,136 @@ fn condvar_survives_timeout_storm() {
     }
 }
 
-/// A pending serial request must block *new* concurrent entries (writer
+/// A pending serial request closes the gate to *new* transactions (writer
 /// preference), or abort storms could starve the serial fallback forever.
+/// Dropping it unacquired reopens the gate and wakes the entrants it turned
+/// away — a spinning thread and a suspended task alike — and their retreats
+/// were never attempts.
 #[test]
 fn gate_prefers_pending_serial_requests() {
-    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-    let gate = &sys.gate;
-    let c1 = gate.enter_concurrent();
-    let sys2 = Arc::clone(&sys);
-    let serial_thread = std::thread::spawn(move || {
-        let _s = sys2.gate.enter_serial();
-        std::time::Instant::now()
-    });
-    // Give the serial request time to register.
-    std::thread::sleep(Duration::from_millis(20));
-    // A new concurrent entry must now wait for the serial section.
-    let sys3 = Arc::clone(&sys);
-    let late_concurrent = std::thread::spawn(move || {
-        let t0 = std::time::Instant::now();
-        let _c = sys3.gate.enter_concurrent();
-        t0.elapsed()
-    });
-    std::thread::sleep(Duration::from_millis(20));
-    drop(c1); // serial can proceed, then the late concurrent
-    let _serial_done = serial_thread.join().unwrap();
-    let waited = late_concurrent.join().unwrap();
-    assert!(
-        waited >= Duration::from_millis(15),
-        "late concurrent entry jumped the serial queue ({waited:?})"
-    );
+    for mode in [AlgoMode::StmCondvar, AlgoMode::HtmCondvar] {
+        let sys = Arc::new(TmSystem::new(mode));
+        let lock = Arc::new(ElidableMutex::new("pending"));
+        let cell = Arc::new(TCell::new(0u64));
+        let pending = sys.gate.request_serial();
+        assert!(sys.gate.closed() && !sys.gate.serial_held());
+
+        let bump = |ctx: &mut TxCtx<'_>, cell: &TCell<u64>| {
+            let v = ctx.read(cell)?;
+            ctx.write(cell, v + 1)
+        };
+        let sync_entrant = {
+            let (sys, lock, cell) = (Arc::clone(&sys), Arc::clone(&lock), Arc::clone(&cell));
+            std::thread::spawn(move || sys.register().tx(&lock).run(|ctx| bump(ctx, &cell)))
+        };
+        let exec = Exec::new(1);
+        let async_entrant = {
+            let (sys, lock, cell) = (Arc::clone(&sys), Arc::clone(&lock), Arc::clone(&cell));
+            exec.spawn(async move {
+                let th = sys.register();
+                th.tx(&lock).run_async(|ctx| bump(ctx, &cell)).await
+            })
+        };
+        // Nothing gets past a closed gate, however long it stays closed.
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(
+            cell.load_direct(),
+            0,
+            "{mode:?}: an entrant jumped the queue"
+        );
+
+        drop(pending); // abandoned: reopens and wakes
+        sync_entrant.join().unwrap();
+        async_entrant.join();
+        assert_eq!(cell.load_direct(), 2, "{mode:?}");
+        let d = sys.domain_stats();
+        let tm = if mode == AlgoMode::HtmCondvar {
+            &d.htm
+        } else {
+            &d.stm
+        };
+        assert_eq!(
+            (tm.commits, tm.aborts, d.tle.serial_fallbacks),
+            (2, 0, 0),
+            "{mode:?}: a retreat is not an attempt"
+        );
+    }
+}
+
+/// Serial entry sweeps the transactions' own presence words: it blocks until
+/// a raw transaction in flight on another slot — one the runner knows nothing
+/// about — has ended, whichever way it ends.
+#[test]
+fn serial_entry_waits_out_in_flight_raw_transactions() {
+    #[derive(Debug, Clone, Copy)]
+    enum Ending {
+        Commit,
+        Abort,
+        DropOnPanic,
+    }
+    for mode in [AlgoMode::StmCondvar, AlgoMode::HtmCondvar] {
+        for ending in [Ending::Commit, Ending::Abort, Ending::DropOnPanic] {
+            let sys = Arc::new(TmSystem::new(mode));
+            let lock = Arc::new(ElidableMutex::new("sweep"));
+            let cell = TCell::new(0u64);
+            let entered = Arc::new(TCell::new(false));
+            // The in-flight transaction, begun before the gate closes.
+            let (stm_slot, htm_slot) = (
+                sys.stm.slots.register_raw().unwrap(),
+                sys.htm.slots.register_raw().unwrap(),
+            );
+            let end: Box<dyn FnOnce()> = if mode == AlgoMode::HtmCondvar {
+                let mut tx = sys.htm.begin(htm_slot);
+                tx.write(&cell, 1u64).unwrap();
+                match ending {
+                    Ending::Commit => Box::new(move || tx.commit().unwrap()),
+                    Ending::Abort => Box::new(move || tx.abort(AbortCause::Explicit)),
+                    Ending::DropOnPanic => Box::new(move || {
+                        let _tx = tx;
+                        panic!("injected panic inside a raw transaction");
+                    }),
+                }
+            } else {
+                let mut tx = sys.stm.begin(stm_slot);
+                tx.write(&cell, 1u64).unwrap();
+                match ending {
+                    Ending::Commit => Box::new(move || {
+                        tx.commit().unwrap();
+                    }),
+                    Ending::Abort => Box::new(move || tx.abort(AbortCause::Explicit)),
+                    Ending::DropOnPanic => Box::new(move || {
+                        let _tx = tx;
+                        panic!("injected panic inside a raw transaction");
+                    }),
+                }
+            };
+            let serial = {
+                let (sys, lock, entered) =
+                    (Arc::clone(&sys), Arc::clone(&lock), Arc::clone(&entered));
+                std::thread::spawn(move || {
+                    sys.register().tx(&lock).run(|ctx| {
+                        ctx.unsafe_op()?;
+                        ctx.write(&*entered, true)
+                    })
+                })
+            };
+            // Once the serial bit is taken the entry is sweeping, and the
+            // sweep cannot pass our published presence.
+            while !sys.gate.serial_held() {
+                std::thread::yield_now();
+            }
+            assert!(
+                !entered.load_direct(),
+                "{mode:?}/{ending:?}: serial section ran beside a live transaction"
+            );
+            let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(end));
+            assert_eq!(ended.is_err(), matches!(ending, Ending::DropOnPanic));
+            serial.join().unwrap();
+            assert!(entered.load_direct(), "{mode:?}/{ending:?}");
+            sys.stm.slots.unregister_raw(stm_slot);
+            sys.htm.slots.unregister_raw(htm_slot);
+        }
+    }
 }
 
 /// Two cells in the same cache line conflict in HTM even though they are
