@@ -66,7 +66,7 @@ pub use cell::{TCell, TxVal};
 pub use clock::Clock;
 pub use exec::Exec;
 pub use gate::Gate;
-pub use orec::{OrecLayout, OrecTable, OrecValue};
+pub use orec::{OrecTable, OrecValue};
 pub use park::{OsPark, ParkMode, Parker, WakerPark};
 pub use slots::{Slot, SlotRegistry, INACTIVE};
 pub use window::{AbortClass, StatWindow, WindowSnapshot, WINDOW_BUCKETS};

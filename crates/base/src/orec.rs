@@ -1,6 +1,9 @@
 //! Ownership records (orecs): the striped versioned write-lock table.
 //!
-//! Every transactional word hashes to one orec. An orec word is either
+//! The table is one dense array of 2^16 words (512 KiB), as libitm's
+//! `ml_wt` keeps it; [`OrecTable`] says why no orec is padded to a cache
+//! line of its own. Every transactional word hashes to one orec. An orec
+//! word is either
 //!
 //! - **unlocked**: `version << 1` — the commit timestamp of the last writer
 //!   of any location covered by this orec, or
@@ -14,7 +17,6 @@
 //! into a single TM metadata domain.
 
 use crate::OrecValue::{Locked, Unlocked};
-use crate::Padded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Decoded orec state.
@@ -47,43 +49,20 @@ impl OrecValue {
     }
 }
 
-/// Physical layout of the orec array.
+/// The global orec table: one dense array of words, as libitm's `ml_wt`
+/// keeps it.
 ///
-/// Eight packed `AtomicU64` orecs share one 64-byte cache line, so two
-/// threads CASing *adjacent* stripes ping-pong the line even though their
-/// data is disjoint — classic false sharing, and measurable on the
-/// fig5 microbenchmarks. The padded layout gives every orec its own line
-/// at 8x the footprint (4 MiB vs 512 KiB at the default size). Padded is
-/// the default; the compact layout is kept because the A/B is unsettled
-/// (`tle-bench emit`'s `optimizations.orec-padding` read 0.96–1.02× on a
-/// 2-core host; ROADMAP item 2(a) owns the decision).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrecLayout {
-    /// One orec per cache line (no false sharing between stripes).
-    #[default]
-    Padded,
-    /// Eight orecs per cache line (the pre-padding layout, for A/B runs).
-    Compact,
-}
-
-impl OrecLayout {
-    /// Stable label used by the bench JSON emitter.
-    pub fn label(self) -> &'static str {
-        match self {
-            OrecLayout::Padded => "padded",
-            OrecLayout::Compact => "compact",
-        }
-    }
-}
-
-enum Stripes {
-    Padded(Box<[Padded<AtomicU64>]>),
-    Compact(Box<[AtomicU64]>),
-}
-
-/// The global orec table.
+/// Eight orecs share each 64-byte cache line, and none is padded to a line
+/// of its own. Padding would guard against two threads writing
+/// *neighbouring* orecs, but [`index_of`](Self::index_of)'s Fibonacci hash
+/// already scatters neighbouring data words over the whole table. So two
+/// threads' orecs share a line only by chance: with 2^16 orecs in 8 192
+/// lines, 1 in 8 192 for a random pair. A padded table would pay 8× the
+/// footprint for that (4 MiB against 512 KiB per system, more than a kv
+/// store sized to fit L2), and its A/B never read outside 0.96–1.02×
+/// (EXPERIMENTS.md §12).
 pub struct OrecTable {
-    stripes: Stripes,
+    words: Box<[AtomicU64]>,
     mask: usize,
 }
 
@@ -92,56 +71,24 @@ impl OrecTable {
     /// by production word-based STMs.
     pub const DEFAULT_LOG2: usize = 16;
 
-    /// Create a table with `1 << log2` orecs in the given layout.
-    pub fn with_layout(log2: usize, layout: OrecLayout) -> Self {
+    /// Create a table with `1 << log2` orecs.
+    pub fn with_log2(log2: usize) -> Self {
         let n = 1usize << log2;
-        let stripes = match layout {
-            OrecLayout::Padded => Stripes::Padded(
-                (0..n)
-                    .map(|_| Padded(AtomicU64::new(0)))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-            ),
-            OrecLayout::Compact => Stripes::Compact(
-                (0..n)
-                    .map(|_| AtomicU64::new(0))
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-            ),
-        };
         OrecTable {
-            stripes,
+            words: (0..n).map(|_| AtomicU64::new(0)).collect(),
             mask: n - 1,
         }
     }
 
-    /// Create a table with `1 << log2` orecs (padded layout).
-    pub fn with_log2(log2: usize) -> Self {
-        Self::with_layout(log2, OrecLayout::default())
-    }
-
-    /// Create a table of the default size and layout.
+    /// Create a table of the default size.
     pub fn new() -> Self {
         Self::with_log2(Self::DEFAULT_LOG2)
     }
 
-    /// The physical layout of this table.
-    pub fn layout(&self) -> OrecLayout {
-        match self.stripes {
-            Stripes::Padded(_) => OrecLayout::Padded,
-            Stripes::Compact(_) => OrecLayout::Compact,
-        }
-    }
-
-    /// The atomic word backing orec `idx`. The enum branch is perfectly
-    /// predicted (one table, one layout for its whole life), so this costs
-    /// nothing measurable on the hot paths below.
+    /// The atomic word backing orec `idx`.
     #[inline]
     fn word(&self, idx: usize) -> &AtomicU64 {
-        match &self.stripes {
-            Stripes::Padded(s) => &s[idx],
-            Stripes::Compact(s) => &s[idx],
-        }
+        &self.words[idx]
     }
 
     /// Number of orecs in the table.
@@ -255,44 +202,16 @@ mod tests {
     }
 
     #[test]
-    fn padded_layout_puts_each_orec_on_its_own_cache_line() {
-        let t = OrecTable::with_layout(4, OrecLayout::Padded);
-        assert_eq!(t.layout(), OrecLayout::Padded);
+    fn default_table_is_dense_words() {
+        let t = OrecTable::new();
+        assert_eq!(t.len(), 1 << 16);
         let addrs: Vec<usize> = (0..t.len())
             .map(|i| t.word(i) as *const AtomicU64 as usize)
             .collect();
         for pair in addrs.windows(2) {
-            let stride = pair[1] - pair[0];
-            assert!(
-                stride >= crate::CACHE_LINE,
-                "padded stripes only {stride} bytes apart"
-            );
+            assert_eq!(pair[1] - pair[0], 8, "orecs must be adjacent words");
         }
-        assert_eq!(addrs[0] % crate::CACHE_LINE, 0, "first stripe unaligned");
-    }
-
-    #[test]
-    fn compact_layout_packs_orecs_densely() {
-        let t = OrecTable::with_layout(4, OrecLayout::Compact);
-        assert_eq!(t.layout(), OrecLayout::Compact);
-        let a0 = t.word(0) as *const AtomicU64 as usize;
-        let a1 = t.word(1) as *const AtomicU64 as usize;
-        assert_eq!(a1 - a0, 8, "compact stripes should be adjacent words");
-    }
-
-    #[test]
-    fn default_layout_is_padded_and_both_layouts_behave_identically() {
-        assert_eq!(OrecTable::new().layout(), OrecLayout::Padded);
-        assert_eq!(OrecLayout::default().label(), "padded");
-        for layout in [OrecLayout::Padded, OrecLayout::Compact] {
-            let t = OrecTable::with_layout(4, layout);
-            let i = t.index_of(0x2000);
-            let seen = t.load(i);
-            assert!(t.try_lock(i, seen, 3));
-            assert_eq!(t.get(i), Locked(3));
-            t.release(i, 9);
-            assert_eq!(t.get(i), Unlocked(9));
-        }
+        assert_eq!(addrs[t.len() - 1] + 8 - addrs[0], 512 * 1024);
     }
 
     #[test]

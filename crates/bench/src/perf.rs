@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tle_base::json::Json;
 use tle_base::stats::HIST_BUCKETS;
-use tle_base::{AbortCause, OrecLayout};
+use tle_base::AbortCause;
 use tle_core::{AlgoMode, TmSystem};
 use tle_kv::{
     build_system, run_driver_on, run_session_driver_async_on, run_session_driver_threads_on,
@@ -495,43 +495,6 @@ pub fn emit_report(cfg: &EmitConfig) -> Json {
     // Open A/Bs: one knob flipped per entry, both sides measured in this
     // same process so the numbers are an honest pair.
     let mut optimizations = Vec::new();
-    let warmed = MicroOpts::warmed(cfg.micro_ops);
-
-    // Orec-table padding vs the compact (false-sharing) layout.
-    let (compact_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Selective,
-        cfg.threads,
-        Mix::ReadMostly,
-        cfg.micro_ops,
-        MicroOpts {
-            orec_layout: OrecLayout::Compact,
-            ..warmed
-        },
-    );
-    let (padded_t, _) = best_micro(
-        cfg.trials,
-        "hash",
-        QuiescePolicy::Selective,
-        cfg.threads,
-        Mix::ReadMostly,
-        cfg.micro_ops,
-        warmed,
-    );
-    optimizations.push(ab_entry(
-        &AbSpec {
-            name: "orec-padding",
-            figure: "fig5",
-            workload: "hash",
-            mix: Mix::ReadMostly.label(),
-            policy: QuiescePolicy::Selective.label(),
-            threads: cfg.threads,
-        },
-        ab_side("orec-layout=compact", compact_t, vec![]),
-        ab_side("orec-layout=padded", padded_t, vec![]),
-        padded_t / compact_t,
-    ));
 
     // Lazy lock-word subscription (PR 9): the capacity-edge scan, where the
     // eager mode's subscription read is the straw that overflows the read

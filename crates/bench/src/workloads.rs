@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 use tle_base::stats::{Stat, TxStatsSnapshot};
-use tle_base::{AbortCause, OrecLayout, Padded, TCell};
+use tle_base::{AbortCause, Padded, TCell};
 use tle_core::{AlgoMode, ElidableMutex, ThreadHandle, TmSystem};
 use tle_pbz::{compress_parallel, decompress_parallel, PipelineConfig};
 use tle_stm::QuiescePolicy;
@@ -419,8 +419,6 @@ pub fn micro_trial_algo(
 pub struct MicroOpts {
     /// STM algorithm (paper default: `ml_wt`).
     pub algo: tle_stm::StmAlgo,
-    /// Orec-table layout (padded vs compact, for the false-sharing A/B).
-    pub orec_layout: OrecLayout,
     /// Per-thread warmup operations executed before the measured window;
     /// stats reset at the steady-state boundary.
     pub warmup_ops: u64,
@@ -430,7 +428,6 @@ impl Default for MicroOpts {
     fn default() -> Self {
         MicroOpts {
             algo: tle_stm::StmAlgo::MlWt,
-            orec_layout: OrecLayout::default(),
             warmup_ops: 0,
         }
     }
@@ -462,12 +459,7 @@ pub fn micro_trial_opts(
 ) -> (f64, TrialStats) {
     // Microbenchmarks always run the STM (the paper's Figure 5 machine has
     // no HTM); the policy is the independent variable.
-    let sys = Arc::new(
-        TmSystem::builder()
-            .mode(AlgoMode::StmCondvar)
-            .orec_layout(opts.orec_layout)
-            .build(),
-    );
+    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
     sys.stm.set_policy(policy);
     sys.set_stm_algo(opts.algo);
     let set = make_set(kind);
@@ -767,27 +759,6 @@ mod tests {
             MicroOpts::warmed(2_000),
         );
         assert!(stats.stm.quiesce_skipped > 0, "fast path never taken");
-    }
-
-    /// Both orec layouts produce working trials (the A/B pair behind the
-    /// `orec-padding` optimization entry).
-    #[test]
-    fn micro_trial_runs_under_both_orec_layouts() {
-        for layout in [OrecLayout::Padded, OrecLayout::Compact] {
-            let (tput, stats) = micro_trial_opts(
-                "tree",
-                QuiescePolicy::Selective,
-                2,
-                Mix::UpdateOnly,
-                1_000,
-                MicroOpts {
-                    orec_layout: layout,
-                    ..MicroOpts::warmed(1_000)
-                },
-            );
-            assert!(tput > 0.0, "{}: no throughput", layout.label());
-            assert!(stats.stm.commits > 0, "{}: no commits", layout.label());
-        }
     }
 
     #[test]

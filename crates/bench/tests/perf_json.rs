@@ -1,6 +1,6 @@
 //! Integration tests for the figure emit: a tiny real report satisfies its
 //! own schema, round-trips byte-identically, carries every figure family
-//! and the two open A/Bs, and is deterministic modulo timing.
+//! and the open A/B, and is deterministic modulo timing.
 
 use std::sync::OnceLock;
 use tle_base::json::Json;
@@ -117,7 +117,7 @@ fn emitted_optimization_entries_carry_before_and_after_numbers() {
         .iter()
         .map(|o| o.get("name").and_then(Json::as_str).unwrap())
         .collect();
-    assert_eq!(names, ["orec-padding", "lazy-subscription"]);
+    assert_eq!(names, ["lazy-subscription"]);
     for o in opts {
         for side in ["baseline", "optimized"] {
             let t = o

@@ -15,7 +15,7 @@ use tle_base::gate::SerialToken;
 use tle_base::mutant::{self, Mutant};
 use tle_base::stats::{fmt_ns, LatencyHistSnapshot, TxStats, TxStatsSnapshot};
 use tle_base::trace::{self, TraceKind, TxMode};
-use tle_base::{AbortCause, Gate, OrecLayout};
+use tle_base::{AbortCause, Gate};
 use tle_htm::{HtmConfig, HtmGlobal};
 use tle_stm::{QuiescePolicy, StmGlobal};
 
@@ -305,7 +305,6 @@ pub struct TmSystemBuilder {
     htm_cfg: HtmConfig,
     adaptive: Option<AdaptiveConfig>,
     admission: Option<AdmissionConfig>,
-    orec_layout: OrecLayout,
 }
 
 impl TmSystemBuilder {
@@ -364,19 +363,11 @@ impl TmSystemBuilder {
         self
     }
 
-    /// Physical layout of the STM orec table (default: padded, one orec per
-    /// cache line). The compact layout exists so benches can measure the
-    /// false-sharing cost it removes.
-    pub fn orec_layout(mut self, layout: OrecLayout) -> Self {
-        self.orec_layout = layout;
-        self
-    }
-
     /// Assemble the runtime.
     pub fn build(self) -> TmSystem {
         let mode = self.mode.unwrap_or(AlgoMode::HtmCondvar);
         TmSystem {
-            stm: StmGlobal::with_layout(mode.quiesce_policy(), self.orec_layout),
+            stm: StmGlobal::new(mode.quiesce_policy()),
             htm: HtmGlobal::new(self.htm_cfg),
             gate: Gate::new(),
             stats: TxStats::new(),

@@ -78,26 +78,28 @@ impl KvShard {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (self.buckets.len() - 1)
     }
 
-    /// `(prev, cur)` within `key`'s chain, first node with `cur.key >= key`.
-    fn locate(&self, ctx: &mut TxCtx<'_>, key: u64) -> Result<(u32, u32), TxError> {
+    /// `(prev, cur, hit)` within `key`'s chain: `cur` is the first node with
+    /// `cur.key >= key`, and `hit` says whether that key is `key`. The key is
+    /// read once here, so callers never read it again.
+    fn locate(&self, ctx: &mut TxCtx<'_>, key: u64) -> Result<(u32, u32, bool), TxError> {
         let b = &self.buckets[self.bucket_of(key)];
         let mut prev = NIL;
         let mut cur = ctx.read(b)?;
         while cur != NIL {
             let k = ctx.read(&self.nodes[cur as usize].key)?;
             if k >= key {
-                break;
+                return Ok((prev, cur, k == key));
             }
             prev = cur;
             cur = ctx.read(&self.nodes[cur as usize].next)?;
         }
-        Ok((prev, cur))
+        Ok((prev, NIL, false))
     }
 
     /// Transactional lookup; the value when `key` is present.
     pub fn get(&self, ctx: &mut TxCtx<'_>, key: u64) -> Result<Option<u64>, TxError> {
-        let (_, cur) = self.locate(ctx, key)?;
-        if cur != NIL && ctx.read(&self.nodes[cur as usize].key)? == key {
+        let (_, cur, hit) = self.locate(ctx, key)?;
+        if hit {
             let v = ctx.read(&self.nodes[cur as usize].val)?;
             ctx.no_quiesce();
             Ok(Some(v))
@@ -109,8 +111,8 @@ impl KvShard {
 
     /// Transactional insert-or-update; the previous value, if any.
     pub fn put(&self, ctx: &mut TxCtx<'_>, key: u64, val: u64) -> Result<Option<u64>, TxError> {
-        let (prev, cur) = self.locate(ctx, key)?;
-        if cur != NIL && ctx.read(&self.nodes[cur as usize].key)? == key {
+        let (prev, cur, hit) = self.locate(ctx, key)?;
+        if hit {
             let old = ctx.read(&self.nodes[cur as usize].val)?;
             ctx.write(&self.nodes[cur as usize].val, val)?;
             ctx.no_quiesce();
@@ -134,8 +136,8 @@ impl KvShard {
 
     /// Transactional removal; the removed value, if any.
     pub fn remove(&self, ctx: &mut TxCtx<'_>, key: u64) -> Result<Option<u64>, TxError> {
-        let (prev, cur) = self.locate(ctx, key)?;
-        if cur == NIL || ctx.read(&self.nodes[cur as usize].key)? != key {
+        let (prev, cur, hit) = self.locate(ctx, key)?;
+        if !hit {
             ctx.no_quiesce();
             return Ok(None);
         }
@@ -168,8 +170,9 @@ impl KvShard {
     }
 }
 
-/// The sharded store: global key `k` lives in shard `k / key_space` under
-/// shard-local key `k % key_space`.
+/// The sharded store: global key `k < total_keys()` lives in shard
+/// `k / key_space` under shard-local key `k % key_space`. A key outside that
+/// range panics rather than aliasing a key in range.
 pub struct ShardedKv {
     shards: Vec<KvShard>,
     key_space: u64,
@@ -200,9 +203,16 @@ impl ShardedKv {
         self.key_space * self.shards.len() as u64
     }
 
+    /// The shard holding `key` and its shard-local key. Checked before any
+    /// section starts, so an out-of-range key never reaches a transaction.
     #[inline]
     fn split(&self, key: u64) -> (&KvShard, u64) {
-        let shard = (key / self.key_space) as usize % self.shards.len();
+        let total = self.total_keys();
+        assert!(
+            key < total,
+            "kv key {key} out of range: keys are 0..{total}"
+        );
+        let shard = (key / self.key_space) as usize;
         (&self.shards[shard], key % self.key_space)
     }
 
@@ -960,6 +970,28 @@ mod tests {
         assert_eq!(kv.remove(&th, 7), None);
         let n: usize = kv.shards().iter().map(|s| s.len_direct()).sum();
         assert_eq!(n, kv.total_keys() as usize - 1);
+    }
+
+    /// A key at or past `total_keys()` panics before any section starts,
+    /// naming the key and the bound, instead of wrapping onto
+    /// `key % total_keys()`.
+    #[test]
+    fn out_of_range_key_panics_instead_of_aliasing() {
+        let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+        let th = sys.register();
+        let kv = ShardedKv::new(4, 64);
+        kv.put(&th, 0, 7);
+        let total = kv.total_keys();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            kv.put(&th, total, 99);
+        }))
+        .expect_err("an out-of-range put must panic");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert_eq!(
+            msg,
+            &format!("kv key {total} out of range: keys are 0..{total}")
+        );
+        assert_eq!(kv.get(&th, 0), Some(7), "key 0 must be untouched");
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use tx::{CommitInfo, StmTx};
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use tle_base::stats::TxStats;
-use tle_base::{Clock, OrecLayout, OrecTable, SlotRegistry};
+use tle_base::{Clock, OrecTable, SlotRegistry};
 
 /// Shared state of one STM instance: clock, orec table, quiescence epochs.
 ///
@@ -79,19 +79,11 @@ pub struct StmGlobal {
 pub const DEFAULT_QUIESCE_DEADLINE_NS: u64 = 1_000_000_000;
 
 impl StmGlobal {
-    /// A fresh STM domain with the given quiescence policy (default orec
-    /// layout).
+    /// A fresh STM domain with the given quiescence policy.
     pub fn new(policy: QuiescePolicy) -> Self {
-        Self::with_layout(policy, OrecLayout::default())
-    }
-
-    /// A fresh STM domain with an explicit orec-table layout (the compact
-    /// layout exists for false-sharing A/B measurements; see
-    /// [`OrecLayout`]).
-    pub fn with_layout(policy: QuiescePolicy, layout: OrecLayout) -> Self {
         StmGlobal {
             clock: Clock::new(),
-            orecs: OrecTable::with_layout(OrecTable::DEFAULT_LOG2, layout),
+            orecs: OrecTable::new(),
             slots: SlotRegistry::new(),
             stats: TxStats::new(),
             noquiesce_overlaps: tle_base::stats::Counter::new(),

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tle_repro::base::exec::Exec;
+use tle_repro::base::Padded;
 use tle_repro::pbz::TleFifo;
 use tle_repro::prelude::*;
 
@@ -64,13 +65,16 @@ fn condvar_survives_timeout_storm() {
 /// preference), or abort storms could starve the serial fallback forever.
 /// Dropping it unacquired reopens the gate and wakes the entrants it turned
 /// away — a spinning thread and a suspended task alike — and their retreats
-/// were never attempts.
+/// were never attempts. Each entrant bumps its own line-padded cell, so once
+/// the gate reopens the two cannot conflict with each other (on a shared
+/// cell, their sections overlap on two cores and one may abort for real).
 #[test]
 fn gate_prefers_pending_serial_requests() {
     for mode in [AlgoMode::StmCondvar, AlgoMode::HtmCondvar] {
         let sys = Arc::new(TmSystem::new(mode));
         let lock = Arc::new(ElidableMutex::new("pending"));
-        let cell = Arc::new(TCell::new(0u64));
+        let cells: Arc<[Padded<TCell<u64>>; 2]> =
+            Arc::new([Padded(TCell::new(0)), Padded(TCell::new(0))]);
         let pending = sys.gate.request_serial();
         assert!(sys.gate.closed() && !sys.gate.serial_held());
 
@@ -79,29 +83,26 @@ fn gate_prefers_pending_serial_requests() {
             ctx.write(cell, v + 1)
         };
         let sync_entrant = {
-            let (sys, lock, cell) = (Arc::clone(&sys), Arc::clone(&lock), Arc::clone(&cell));
-            std::thread::spawn(move || sys.register().tx(&lock).run(|ctx| bump(ctx, &cell)))
+            let (sys, lock, cells) = (Arc::clone(&sys), Arc::clone(&lock), Arc::clone(&cells));
+            std::thread::spawn(move || sys.register().tx(&lock).run(|ctx| bump(ctx, &cells[0])))
         };
         let exec = Exec::new(1);
         let async_entrant = {
-            let (sys, lock, cell) = (Arc::clone(&sys), Arc::clone(&lock), Arc::clone(&cell));
+            let (sys, lock, cells) = (Arc::clone(&sys), Arc::clone(&lock), Arc::clone(&cells));
             exec.spawn(async move {
                 let th = sys.register();
-                th.tx(&lock).run_async(|ctx| bump(ctx, &cell)).await
+                th.tx(&lock).run_async(|ctx| bump(ctx, &cells[1])).await
             })
         };
+        let bumps = || cells.iter().map(|c| c.load_direct()).collect::<Vec<_>>();
         // Nothing gets past a closed gate, however long it stays closed.
         std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(
-            cell.load_direct(),
-            0,
-            "{mode:?}: an entrant jumped the queue"
-        );
+        assert_eq!(bumps(), [0, 0], "{mode:?}: an entrant jumped the queue");
 
         drop(pending); // abandoned: reopens and wakes
         sync_entrant.join().unwrap();
         async_entrant.join();
-        assert_eq!(cell.load_direct(), 2, "{mode:?}");
+        assert_eq!(bumps(), [1, 1], "{mode:?}");
         let d = sys.domain_stats();
         let tm = if mode == AlgoMode::HtmCondvar {
             &d.htm
