@@ -1,8 +1,8 @@
 //! A dependency-free JSON value type with a deterministic emitter and a
 //! small recursive-descent parser.
 //!
-//! Its documents are diffed and committed (`tle-bench emit` reports, the
-//! lint SARIF and baseline), so the emitter must be byte-deterministic —
+//! Its documents are diffed and committed (the lint SARIF and
+//! baseline), so the emitter must be byte-deterministic —
 //! objects keep their insertion order (the schema fixes that order), floats
 //! are carried as raw token strings ([`Json::Num`]) so that
 //! emit → parse → emit is byte-identical, and indentation is fixed at two

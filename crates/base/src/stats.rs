@@ -65,7 +65,7 @@ impl Counter {
     }
 
     /// Sum across shards. Saturates instead of wrapping: these totals flow
-    /// into emitted reports (`tle-bench emit`), where a silently wrapped
+    /// into printed reports (`tle`, the benches), where a silently wrapped
     /// counter would read as a plausible small number.
     pub fn get(&self) -> u64 {
         self.shards

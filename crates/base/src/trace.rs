@@ -393,7 +393,7 @@ pub fn clear() {
 }
 
 /// Per-kind/per-cause tally of an event list — the summarize half of the
-/// `tle-trace` tool, also handy in tests.
+/// `tle trace` command, also handy in tests.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Event counts indexed by [`TraceKind`] discriminant.

@@ -2,24 +2,24 @@
 //!
 //! One bench target per table/figure (see DESIGN.md §4):
 //!
-//! | target              | reproduces            |
-//! |---------------------|-----------------------|
-//! | `fig2_pbzip`        | Figure 2 (a-f)        |
-//! | `table_pbzip_stats` | §VII-A in-text stats  |
-//! | `fig3_x265`         | Figure 3 (a-c)        |
-//! | `fig4_aborts`       | Figure 4              |
-//! | `fig5_micro`        | Figure 5 (a-f)        |
-//! | `ablate_htm_retry`  | §VII-A retry tuning   |
-//! | `ablate_quiesce`    | §IV drain scaling     |
-//! | `ablate_ready_flag` | §V Listing 3 vs 4     |
-//! | `ablate_stm_algo`   | `ml_wt` vs NOrec      |
-//! | `ablate_fallback`   | §II-C serial vs lock  |
-//! | `adapt_policy`      | per-lock controller   |
-//! | `crit_primitives`   | primitive-op latency  |
+//! | target                     | reproduces                          |
+//! |----------------------------|-------------------------------------|
+//! | `fig2_pbzip`               | Figure 2 (a-f)                      |
+//! | `table_pbzip_stats`        | §VII-A in-text stats                |
+//! | `fig3_x265`                | Figure 3 (a-c)                      |
+//! | `fig4_aborts`              | Figure 4                            |
+//! | `fig5_micro`               | Figure 5 (a-f)                      |
+//! | `ablate_htm_retry`         | §VII-A retry tuning                 |
+//! | `ablate_quiesce`           | §IV drain scaling                   |
+//! | `ablate_ready_flag`        | §V Listing 3 vs 4                   |
+//! | `ablate_stm_algo`          | `ml_wt` vs NOrec                    |
+//! | `ablate_fallback`          | §II-C serial vs lock                |
+//! | `adapt_policy`             | per-lock controller                 |
+//! | `crit_primitives`          | primitive-op latency                |
+//! | `ablate_lazy_subscription` | lock-word subscription (DESIGN §17) |
 //!
-//! [`perf`] emits the same measurements as one JSON document
-//! (`tle-bench emit`). Neither the benches nor the emit gate anything: the
-//! repo's regression gate is `BENCHMARK.json` + `benchmark/`.
+//! The benches reproduce; they gate nothing. The repo's regression gate
+//! is `BENCHMARK.json` + `benchmark/`.
 //!
 //! Benches run **reduced sweeps by default** so `cargo bench` finishes in
 //! minutes; set `TLE_BENCH_FULL=1` for the paper-scale sweep and
@@ -29,15 +29,12 @@
 use std::sync::Arc;
 use tle_core::{AlgoMode, TmSystem};
 
-pub mod perf;
 pub mod torture;
 pub mod workloads;
 
 /// Whether the full paper-scale sweep was requested.
 pub fn full_sweep() -> bool {
-    std::env::var("TLE_BENCH_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+    std::env::var("TLE_BENCH_FULL").is_ok_and(|v| v == "1")
 }
 
 /// Trials per configuration.

@@ -43,40 +43,28 @@ impl TrialStats {
     /// e.g. `conflict=41 capacity=3 event=7`. Returns `"-"` when the trial
     /// recorded no aborts at all.
     pub fn abort_breakdown(&self) -> String {
-        let mut out = String::new();
-        for cause in AbortCause::ALL {
-            let n = self.cause(cause);
-            if n > 0 {
-                if !out.is_empty() {
-                    out.push(' ');
-                }
-                out.push_str(&format!("{}={}", cause.label(), n));
-            }
+        let parts: Vec<String> = AbortCause::ALL
+            .into_iter()
+            .filter(|&c| self.cause(c) > 0)
+            .map(|c| format!("{}={}", c.label(), self.cause(c)))
+            .collect();
+        if parts.is_empty() {
+            "-".into()
+        } else {
+            parts.join(" ")
         }
-        if out.is_empty() {
-            out.push('-');
-        }
-        out
     }
 
     /// HTM abort rate over attempts.
     pub fn htm_abort_rate(&self) -> f64 {
         let attempts = self.htm_commits + self.htm_aborts;
-        if attempts == 0 {
-            0.0
-        } else {
-            self.htm_aborts as f64 / attempts as f64
-        }
+        self.htm_aborts as f64 / attempts.max(1) as f64
     }
 
     /// Serial-fallback rate over completed critical sections.
     pub fn fallback_rate(&self) -> f64 {
         let total = self.htm_commits + self.stm.commits + self.serial_fallbacks;
-        if total == 0 {
-            0.0
-        } else {
-            self.serial_fallbacks as f64 / total as f64
-        }
+        self.serial_fallbacks as f64 / total.max(1) as f64
     }
 }
 
@@ -311,7 +299,7 @@ impl Mix {
 }
 
 /// One operation of `mix` against `set` — the shared inner loop of the
-/// warmup and measured windows of [`micro_trial_opts`].
+/// warmup and measured windows of [`micro_trial_algo`].
 #[inline]
 fn mix_op(
     set: &dyn TxSet,
@@ -322,32 +310,19 @@ fn mix_op(
 ) {
     let key = rng.below(space);
     let dice = rng.below(100);
-    match mix {
-        Mix::UpdateOnly => {
-            if dice < 50 {
-                set.insert(th, key);
-            } else {
-                set.remove(th, key);
-            }
-        }
-        Mix::HalfLookup => {
-            if dice < 50 {
-                set.contains(th, key);
-            } else if dice < 75 {
-                set.insert(th, key);
-            } else {
-                set.remove(th, key);
-            }
-        }
-        Mix::ReadMostly => {
-            if dice < 90 {
-                set.contains(th, key);
-            } else if dice < 95 {
-                set.insert(th, key);
-            } else {
-                set.remove(th, key);
-            }
-        }
+    // Percent thresholds: below `lookup` a lookup, below `insert` an
+    // insert, the rest removes.
+    let (lookup, insert) = match mix {
+        Mix::UpdateOnly => (0, 50),
+        Mix::HalfLookup => (50, 75),
+        Mix::ReadMostly => (90, 95),
+    };
+    if dice < lookup {
+        set.contains(th, key);
+    } else if dice < insert {
+        set.insert(th, key);
+    } else {
+        set.remove(th, key);
     }
 }
 
@@ -390,7 +365,10 @@ pub fn micro_trial(
 }
 
 /// [`micro_trial`] with an explicit STM algorithm (the `ablate_stm_algo`
-/// bench).
+/// bench). The trial runs in three barrier phases: *sync0* (all workers
+/// registered) → `ops_per_thread / 10` warmup ops on a dedicated rng
+/// stream → *sync1* (stats reset, clock armed) → *sync2* (measured window
+/// opens).
 pub fn micro_trial_algo(
     kind: &str,
     policy: QuiescePolicy,
@@ -399,76 +377,18 @@ pub fn micro_trial_algo(
     mix: Mix,
     ops_per_thread: u64,
 ) -> (f64, TrialStats) {
-    micro_trial_opts(
-        kind,
-        policy,
-        threads,
-        mix,
-        ops_per_thread,
-        MicroOpts {
-            algo,
-            ..MicroOpts::warmed(ops_per_thread)
-        },
-    )
-}
-
-/// Runtime knobs for [`micro_trial_opts`] beyond the classic figure
-/// parameters. Each micro A/B in `tle-bench emit` is a pair of these with
-/// exactly one field flipped.
-#[derive(Debug, Clone, Copy)]
-pub struct MicroOpts {
-    /// STM algorithm (paper default: `ml_wt`).
-    pub algo: tle_stm::StmAlgo,
-    /// Per-thread warmup operations executed before the measured window;
-    /// stats reset at the steady-state boundary.
-    pub warmup_ops: u64,
-}
-
-impl Default for MicroOpts {
-    fn default() -> Self {
-        MicroOpts {
-            algo: tle_stm::StmAlgo::MlWt,
-            warmup_ops: 0,
-        }
-    }
-}
-
-impl MicroOpts {
-    /// Defaults plus the standard warmup: 10% of the measured per-thread
-    /// op count.
-    pub fn warmed(ops_per_thread: u64) -> Self {
-        MicroOpts {
-            warmup_ops: ops_per_thread / 10,
-            ..Self::default()
-        }
-    }
-}
-
-/// [`micro_trial`] with the full knob set. The trial runs in three barrier
-/// phases: *sync0* (all workers registered) → warmup ops on a dedicated
-/// rng stream → *sync1* (stats reset, clock armed) → *sync2* (measured
-/// window opens). The measured window replays the same operation sequence
-/// regardless of how much warmup preceded it.
-pub fn micro_trial_opts(
-    kind: &str,
-    policy: QuiescePolicy,
-    threads: usize,
-    mix: Mix,
-    ops_per_thread: u64,
-    opts: MicroOpts,
-) -> (f64, TrialStats) {
     // Microbenchmarks always run the STM (the paper's Figure 5 machine has
     // no HTM); the policy is the independent variable.
     let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
     sys.stm.set_policy(policy);
-    sys.set_stm_algo(opts.algo);
+    sys.set_stm_algo(algo);
     let set = make_set(kind);
     {
         let th = sys.register();
         prefill(&*set, &th);
     }
     let barrier = Arc::new(std::sync::Barrier::new(threads + 1));
-    let warmup_ops = opts.warmup_ops;
+    let warmup_ops = ops_per_thread / 10;
     let handles: Vec<_> = (0..threads)
         .map(|t| {
             let sys = Arc::clone(&sys);
@@ -714,15 +634,12 @@ mod tests {
     fn warmup_ops_are_excluded_from_the_measured_window() {
         let threads = 2;
         let ops = 2_000u64;
-        let opts = MicroOpts::warmed(ops);
-        assert_eq!(opts.warmup_ops, ops / 10);
-        let (tput, stats) = micro_trial_opts(
+        let (tput, stats) = micro_trial(
             "hash",
             QuiescePolicy::Selective,
             threads,
             Mix::HalfLookup,
             ops,
-            opts,
         );
         assert!(tput > 0.0);
         let total = threads as u64 * ops;
@@ -750,14 +667,7 @@ mod tests {
     #[test]
     fn read_mostly_mix_exercises_the_ro_fast_path() {
         assert_eq!(Mix::ReadMostly.label(), "90l/5i/5r");
-        let (_, stats) = micro_trial_opts(
-            "hash",
-            QuiescePolicy::Always,
-            2,
-            Mix::ReadMostly,
-            2_000,
-            MicroOpts::warmed(2_000),
-        );
+        let (_, stats) = micro_trial("hash", QuiescePolicy::Always, 2, Mix::ReadMostly, 2_000);
         assert!(stats.stm.quiesce_skipped > 0, "fast path never taken");
     }
 

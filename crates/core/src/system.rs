@@ -114,8 +114,8 @@ impl std::error::Error for ParseAlgoModeError {}
 impl std::str::FromStr for AlgoMode {
     type Err = ParseAlgoModeError;
 
-    /// Parse the CLI spellings used by the `tle-torture`/`tle-trace`
-    /// binaries (aliases included).
+    /// Parse the CLI spellings of the `tle` binary's `--mode` flags
+    /// (aliases included).
     fn from_str(s: &str) -> Result<Self, ParseAlgoModeError> {
         match s {
             "baseline" | "pthread" => Ok(AlgoMode::Baseline),

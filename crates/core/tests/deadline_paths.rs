@@ -337,7 +337,7 @@ fn admission_off_never_sheds() {
 }
 
 /// The observability contract downstream tools rely on: trace kinds 16/17
-/// and their labels are wire format for `tle-trace` dumps, and the ladder
+/// and their labels are wire format for `tle trace` dumps, and the ladder
 /// steps' labels appear in reports. Pinned so a renumbering shows up here
 /// and not in a consumer.
 #[test]

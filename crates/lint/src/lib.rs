@@ -38,7 +38,7 @@
 //!
 //! A directive without a reason is itself an error (`A1`); a directive
 //! that no longer matches anything is stale (`A2`, enforced under
-//! `--deny-stale`). The `tle-lint` binary (`src/bin/tle-lint.rs` at the
+//! `--deny-stale`). The `tle lint` command (`src/bin/tle/lint.rs` at the
 //! workspace root) wires this into CI with `--deny --format json`.
 
 pub mod callgraph;

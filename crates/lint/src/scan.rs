@@ -300,7 +300,7 @@ mod tests {
         );
         assert_eq!(crate_key(Path::new("examples/queue.rs")), "examples:queue");
         assert_eq!(crate_key(Path::new("tests/smoke.rs")), "tests:smoke");
-        assert_eq!(crate_key(Path::new("src/bin/tle-lint.rs")), "bin");
+        assert_eq!(crate_key(Path::new("src/bin/tle/lint.rs")), "bin");
     }
 
     #[test]

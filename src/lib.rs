@@ -15,8 +15,14 @@
 //!  tle-txset  list/hash/tree set microbenchmarks (Figure 5)
 //!  tle-pbz    PBZip2-style parallel block compressor (Figure 2)
 //!  tle-wfe    x265-style wavefront encoder (Figures 3-4)
-//!  tle-bench  one bench target per paper table/figure
+//!  tle-kv     sharded KV store: the serving workload (deadline plane)
+//!  tle-bench  one bench target per paper table/figure, the torture harness
+//!  tle-lint   transaction-safety static analyzer
 //! ```
+//!
+//! One binary, `tle` (`src/bin/tle`), drives them all: `gen`, `compress`,
+//! `decompress`, `encode`, `micro`, `kv`, `kv-sessions`, `torture`,
+//! `trace summary|dump` and `lint` (`tle help` lists them).
 //!
 //! ## Quickstart
 //!
