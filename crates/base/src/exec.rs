@@ -1,6 +1,6 @@
 //! A small, dependency-free async executor for the TLE runtime.
 //!
-//! The async entry points (`critical_async` and friends in `tle-core`) turn
+//! The async entry points (`run_async` and friends in `tle-core`) turn
 //! every blocking edge of the TM kernels into `Poll::Pending` + a re-armed
 //! [`Waker`]; this module supplies the thing that polls them: a fixed pool
 //! of worker threads sharing one injector queue, a binary-heap timer wheel
@@ -30,7 +30,7 @@
 //! timer heap and the run queue share one lock, so a worker deciding to
 //! sleep holds the whole truth while computing its wake-up time.
 
-use crate::park::{self, WakerPark};
+use crate::park;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
@@ -250,7 +250,7 @@ impl Exec {
                     .spawn(move || {
                         // Workers never OS-park inside kernel wait edges;
                         // the guard lives for the whole worker.
-                        let _park = park::install(&WakerPark);
+                        let _park = park::enter_worker();
                         let _cur = set_current(Some(Handle {
                             inner: Arc::downgrade(&inner),
                         }));
@@ -586,10 +586,9 @@ mod tests {
     #[test]
     fn workers_run_under_waker_park_mode() {
         let ex = Exec::new(1);
-        let mode = ex.spawn(async { crate::park::current_mode() }).join();
-        assert_eq!(mode, crate::park::ParkMode::Waker);
+        assert!(ex.spawn(async { park::is_worker() }).join());
         // The spawning thread is unaffected.
-        assert_eq!(crate::park::current_mode(), crate::park::ParkMode::Os);
+        assert!(!park::is_worker());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Transactional history recorder (feature `check-history`).
+//! Transactional history recorder (feature `check`).
 //!
 //! Opacity is a statement about *histories*: every transaction — committed,
 //! aborted, even a doomed zombie — must have read from some single consistent
@@ -8,7 +8,7 @@
 //! `write` / `commit` / `abort` into one globally ordered log; the checker in
 //! `tle-check` then replays the log against a sequential oracle.
 //!
-//! This is a plane like [`crate::trace`]: without the `check-history` feature
+//! This is a plane like [`crate::trace`]: without the `check` feature
 //! every hook below is an empty `#[inline(always)]` function. With the
 //! feature compiled but recording not armed (the default even in test
 //! builds), a hook is a single relaxed atomic load — stress tests that share
@@ -67,10 +67,10 @@ pub struct HistEvent {
 
 /// Whether the recorder hooks are compiled in.
 pub const fn compiled() -> bool {
-    cfg!(feature = "check-history")
+    cfg!(feature = "check")
 }
 
-#[cfg(feature = "check-history")]
+#[cfg(feature = "check")]
 mod imp {
     use super::{HistEvent, HistKind};
     use crate::trace::TxMode;
@@ -186,7 +186,7 @@ mod imp {
     }
 }
 
-#[cfg(not(feature = "check-history"))]
+#[cfg(not(feature = "check"))]
 mod imp {
     use super::HistEvent;
     use crate::trace::TxMode;
@@ -266,7 +266,7 @@ pub fn abort() {
     imp::abort();
 }
 
-#[cfg(all(test, not(feature = "check-history")))]
+#[cfg(all(test, not(feature = "check")))]
 mod tests_disabled {
     use super::*;
     use crate::trace::TxMode;
@@ -287,7 +287,7 @@ mod tests_disabled {
     }
 }
 
-#[cfg(all(test, feature = "check-history"))]
+#[cfg(all(test, feature = "check"))]
 mod tests_enabled {
     use super::*;
     use crate::trace::TxMode;

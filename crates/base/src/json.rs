@@ -1,13 +1,11 @@
 //! A dependency-free JSON value type with a deterministic emitter and a
 //! small recursive-descent parser.
 //!
-//! Its documents are diffed and committed (the lint SARIF and
-//! baseline), so the emitter must be byte-deterministic —
-//! objects keep their insertion order (the schema fixes that order), floats
-//! are carried as raw token strings ([`Json::Num`]) so that
-//! emit → parse → emit is byte-identical, and indentation is fixed at two
-//! spaces. The string escaper follows tle-lint's `render_json` idiom
-//! (RFC 8259).
+//! Its documents are diffed and archived (the lint SARIF), so the emitter
+//! must be byte-deterministic — objects keep their insertion order (the
+//! schema fixes that order), floats are carried as raw token strings
+//! ([`Json::Num`]) so that emit → parse → emit is byte-identical, and
+//! indentation is fixed at two spaces. Strings are escaped per RFC 8259.
 
 use std::fmt::Write as _;
 

@@ -30,17 +30,16 @@
 //! - [`fault`] — the deterministic fault-injection oracle consulted at the
 //!   runtime's hazard points (always compiled; one relaxed flag load when
 //!   no plan is installed).
-//! - [`sched`] — feature-gated (`check-sched`) yield points for the
-//!   deterministic model-checking scheduler in `tle-check`.
-//! - [`history`] — feature-gated (`check-history`) transactional history
-//!   recorder feeding the offline opacity checker.
-//! - [`mutant`] — feature-gated (`check-mutants`) seeded-bug switches used
-//!   to validate that the checker actually catches bugs.
-//! - [`park`] — the park-abstraction trait separating OS-thread waits from
-//!   waker-driven (`Poll::Pending`) waits, with a debug audit that executor
-//!   workers never reach a real OS park.
+//! - [`sched`], [`history`], [`mutant`] — the check planes, compiled in
+//!   together by the `check` feature: yield points for the deterministic
+//!   model-checking scheduler in `tle-check`, the transactional history
+//!   recorder feeding the offline opacity checker, and seeded-bug switches
+//!   that validate the checker actually catches bugs. Without `check` all
+//!   three are empty inline stubs.
+//! - [`park`] — the per-thread executor-worker flag, with a debug audit
+//!   that executor workers never reach a real OS park.
 //! - [`exec`] — the in-tree, dependency-free async executor that the
-//!   `critical_async` entry points in `tle-core` run on.
+//!   `run_async` / `try_run_async` entry points in `tle-core` run on.
 
 pub mod abort;
 pub mod cell;
@@ -67,7 +66,6 @@ pub use clock::Clock;
 pub use exec::Exec;
 pub use gate::Gate;
 pub use orec::{OrecTable, OrecValue};
-pub use park::{OsPark, ParkMode, Parker, WakerPark};
 pub use slots::{Slot, SlotRegistry, INACTIVE};
 pub use window::{AbortClass, StatWindow, WindowSnapshot, WINDOW_BUCKETS};
 

@@ -1,5 +1,5 @@
 //! Seeded-bug switches for validating the model checker (feature
-//! `check-mutants`).
+//! `check`).
 //!
 //! A checker that has never caught a bug is untested code. This plane lets
 //! the `tle-check` test-suite re-introduce, one at a time, the classic TM
@@ -8,7 +8,7 @@
 //! Each [`Mutant`] names one guard to disable; the kernels consult
 //! [`armed`] at the guarded line.
 //!
-//! Without the `check-mutants` feature, [`armed`] is a `const`-foldable
+//! Without the `check` feature, [`armed`] is a `const`-foldable
 //! `false` and every guard compiles exactly as before — mutants cannot ship.
 //! With the feature, arming is a process-global switch, so tests that arm
 //! mutants must serialize themselves (the mutation matrix runs in its own
@@ -100,10 +100,10 @@ impl fmt::Display for Mutant {
 
 /// Whether the mutant switches are compiled in.
 pub const fn compiled() -> bool {
-    cfg!(feature = "check-mutants")
+    cfg!(feature = "check")
 }
 
-#[cfg(feature = "check-mutants")]
+#[cfg(feature = "check")]
 mod imp {
     use super::Mutant;
     use std::sync::atomic::{AtomicU8, Ordering};
@@ -136,7 +136,7 @@ mod imp {
     }
 }
 
-#[cfg(not(feature = "check-mutants"))]
+#[cfg(not(feature = "check"))]
 mod imp {
     use super::Mutant;
 
@@ -174,7 +174,7 @@ pub fn current() -> Option<Mutant> {
     imp::current()
 }
 
-#[cfg(all(test, not(feature = "check-mutants")))]
+#[cfg(all(test, not(feature = "check")))]
 mod tests_disabled {
     use super::*;
 
@@ -192,7 +192,7 @@ mod tests_disabled {
     }
 }
 
-#[cfg(all(test, feature = "check-mutants"))]
+#[cfg(all(test, feature = "check"))]
 mod tests_enabled {
     use super::*;
 

@@ -1,74 +1,60 @@
-//! The park abstraction: how a stalled wait edge leaves the CPU.
+//! Where a stalled wait edge may leave the CPU.
 //!
 //! The TM kernels have a fixed set of edges where a thread stops making
 //! progress until another thread acts: condvar parks, serial-gate drains,
-//! baseline mutex acquisition, quiescence stragglers. Historically every
-//! such edge parked the *OS thread* (the [`crate::sched::block_enter`] /
-//! [`crate::sched::block_exit`] brackets mark exactly these sites). With the
-//! in-tree async executor ([`crate::exec`]) the same edges must instead
-//! return `Poll::Pending` and re-arm a task [`std::task::Waker`] — an OS
-//! park on an executor worker would freeze every task multiplexed onto it.
+//! baseline mutex acquisition, quiescence stragglers. On a plain thread
+//! every such edge parks the *OS thread* (the [`crate::sched::block_enter`]
+//! / [`crate::sched::block_exit`] brackets mark exactly these sites). On an
+//! in-tree async executor ([`crate::exec`]) worker the same edges must
+//! instead return `Poll::Pending` and re-arm a task [`std::task::Waker`] —
+//! an OS park there would freeze every task multiplexed onto the worker.
 //!
-//! [`Parker`] is the trait naming the two backends; the installed backend is
-//! a per-thread mode switch:
-//!
-//! - [`OsPark`] (default): OS-thread waits are legal. Plain threads, the
-//!   sync `critical` entry points, and `tle-check`'s cooperative explorer
-//!   all run here.
-//! - [`WakerPark`]: installed by executor workers. Reaching a real OS park
-//!   under it is a bug in the runtime — the async runner must have routed
-//!   the wait through a pollable primitive instead — so
-//!   [`enter_os_park`] fails a debug assertion (pinned by a test).
-//!
-//! The assertion piggybacks on the existing `block_enter` sites: every OS
-//! park in the kernels is already bracketed, so auditing the waker backend
-//! reduces to auditing one function.
+//! Each thread carries one flag, "this is an executor worker", set by the
+//! executor for a worker's whole life. Reaching a real OS park with it set
+//! is a bug in the runtime — the async runner must have routed the wait
+//! through a pollable primitive instead — so [`enter_os_park`] fails a
+//! debug assertion (pinned by a test). The assertion piggybacks on the
+//! existing `block_enter` sites: every OS park in the kernels is already
+//! bracketed, so auditing the workers reduces to auditing one function.
 
 use std::cell::Cell;
 
-/// Which backend absorbs a blocking wait on the current thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ParkMode {
-    /// OS-thread waits (`thread::park`, condvar waits, blocking mutex
-    /// acquisition) are legal on this thread.
-    Os,
-    /// This thread is an async executor worker: waits must surface as
-    /// `Poll::Pending` + waker re-arm; OS parks are forbidden.
-    Waker,
+thread_local! {
+    static WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A park backend. The two implementations are zero-sized mode tags — the
-/// kernels consult the *installed mode* ([`current_mode`]) rather than
-/// dynamic dispatch, so the hot path stays one thread-local read (and only
-/// in debug builds).
-pub trait Parker {
-    /// Which mode this backend runs waits under.
-    fn mode(&self) -> ParkMode;
-    /// Called when a kernel edge is about to block the OS thread. The waker
-    /// backend treats this as a contract violation.
-    fn before_os_park(&self) {}
-}
-
-/// The default backend: blocking in the OS is fine.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct OsPark;
-
-impl Parker for OsPark {
-    fn mode(&self) -> ParkMode {
-        ParkMode::Os
+/// Mark the current thread as an executor worker until the returned guard
+/// drops, which restores the previous flag.
+pub(crate) fn enter_worker() -> WorkerGuard {
+    WorkerGuard {
+        prev: WORKER.with(|w| w.replace(true)),
     }
 }
 
-/// The executor-worker backend: a reached OS park is a runtime bug.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WakerPark;
+/// Whether the current thread is an executor worker.
+pub(crate) fn is_worker() -> bool {
+    WORKER.with(Cell::get)
+}
 
-impl Parker for WakerPark {
-    fn mode(&self) -> ParkMode {
-        ParkMode::Waker
+/// Restores the previous worker flag on drop.
+#[must_use = "dropping the guard restores the previous worker flag"]
+pub(crate) struct WorkerGuard {
+    prev: bool,
+}
+
+impl Drop for WorkerGuard {
+    fn drop(&mut self) {
+        WORKER.with(|w| w.set(self.prev));
     }
+}
 
-    fn before_os_park(&self) {
+/// Audit hook fired by [`crate::sched::block_enter`] — i.e. at every real OS
+/// park in the kernels. Debug builds verify no executor worker reaches one;
+/// release builds compile this to nothing (the sync hot path pays no
+/// thread-local read).
+#[inline(always)]
+pub fn enter_os_park() {
+    if cfg!(debug_assertions) && is_worker() {
         panic!(
             "OS park reached under the waker backend: an async executor \
              worker attempted a blocking OS wait; route the wait through a \
@@ -78,91 +64,39 @@ impl Parker for WakerPark {
     }
 }
 
-thread_local! {
-    static MODE: Cell<ParkMode> = const { Cell::new(ParkMode::Os) };
-}
-
-/// Install `backend`'s mode on the current thread, returning a guard that
-/// restores the previous mode when dropped. Executor workers install
-/// [`WakerPark`] for their whole life.
-pub fn install(backend: &dyn Parker) -> ModeGuard {
-    let prev = MODE.with(|m| m.replace(backend.mode()));
-    ModeGuard { prev }
-}
-
-/// The park mode installed on the current thread.
-#[inline]
-pub fn current_mode() -> ParkMode {
-    MODE.with(|m| m.get())
-}
-
-/// Restores the previously installed [`ParkMode`] on drop.
-#[must_use = "dropping the guard restores the previous park mode"]
-pub struct ModeGuard {
-    prev: ParkMode,
-}
-
-impl Drop for ModeGuard {
-    fn drop(&mut self) {
-        MODE.with(|m| m.set(self.prev));
-    }
-}
-
-/// Audit hook fired by [`crate::sched::block_enter`] — i.e. at every real OS
-/// park in the kernels. Debug builds verify the waker backend never reaches
-/// one; release builds compile this to nothing (the sync hot path pays no
-/// thread-local read).
-#[inline(always)]
-pub fn enter_os_park() {
-    #[cfg(debug_assertions)]
-    {
-        if current_mode() == ParkMode::Waker {
-            WakerPark.before_os_park();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_mode_is_os() {
-        assert_eq!(current_mode(), ParkMode::Os);
+    fn plain_threads_may_park() {
+        assert!(!is_worker());
         enter_os_park(); // must not panic
     }
 
     #[test]
-    fn install_and_restore() {
-        assert_eq!(current_mode(), ParkMode::Os);
+    fn guards_nest_and_restore() {
         {
-            let _g = install(&WakerPark);
-            assert_eq!(current_mode(), ParkMode::Waker);
+            let _g = enter_worker();
+            assert!(is_worker());
             {
-                let _g2 = install(&OsPark);
-                assert_eq!(current_mode(), ParkMode::Os);
+                let _g2 = enter_worker();
+                assert!(is_worker());
             }
-            assert_eq!(current_mode(), ParkMode::Waker);
+            assert!(is_worker());
         }
-        assert_eq!(current_mode(), ParkMode::Os);
+        assert!(!is_worker());
     }
 
-    #[test]
-    fn backends_report_their_modes() {
-        assert_eq!(OsPark.mode(), ParkMode::Os);
-        assert_eq!(WakerPark.mode(), ParkMode::Waker);
-        OsPark.before_os_park(); // default impl: no-op
-    }
-
-    /// The blocking-wait audit: the waker backend must never reach an OS
+    /// The blocking-wait audit: an executor worker must never reach an OS
     /// park. This is the pin for the debug assertion wired into
     /// `sched::block_enter`.
     #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "OS park reached"))]
-    fn waker_backend_rejects_os_park() {
-        let _g = install(&WakerPark);
+    #[should_panic(expected = "OS park reached")]
+    fn workers_reject_os_park() {
+        let _g = enter_worker();
         enter_os_park();
-        // Release builds compile the check out; make the test pass there.
+        // Release builds compile the check out; stand in for it there.
         #[cfg(not(debug_assertions))]
         panic!("OS park reached (release-mode stand-in)");
     }

@@ -1,4 +1,4 @@
-//! Deterministic-scheduler instrumentation points (feature `check-sched`).
+//! Deterministic-scheduler instrumentation points (feature `check`).
 //!
 //! The TM kernels are lock-free state machines whose bugs live in specific
 //! interleavings of a handful of atomics: orec acquire/release, version-clock
@@ -11,7 +11,7 @@
 //! runs next.
 //!
 //! Like [`crate::trace`] and [`crate::fault`], this is a *plane*: without the
-//! `check-sched` feature every hook is an empty `#[inline(always)]` function
+//! `check` feature every hook is an empty `#[inline(always)]` function
 //! and the kernels compile exactly as before. With the feature on but no
 //! scheduler registered on the current thread, a hook is one thread-local
 //! read.
@@ -84,10 +84,10 @@ pub trait Scheduler: Send + Sync {
 
 /// Whether the scheduling hooks are compiled in.
 pub const fn compiled() -> bool {
-    cfg!(feature = "check-sched")
+    cfg!(feature = "check")
 }
 
-#[cfg(feature = "check-sched")]
+#[cfg(feature = "check")]
 mod imp {
     use super::{Scheduler, YieldPoint};
     use std::cell::RefCell;
@@ -140,7 +140,7 @@ mod imp {
     }
 }
 
-#[cfg(not(feature = "check-sched"))]
+#[cfg(not(feature = "check"))]
 mod imp {
     use super::{Scheduler, YieldPoint};
     use std::sync::Arc;
@@ -193,8 +193,7 @@ pub fn spin_hint(p: YieldPoint) {
 /// Also the blocking-wait audit point: every real OS park in the kernels is
 /// bracketed by this call, so routing it through
 /// [`crate::park::enter_os_park`] verifies (in debug builds) that an async
-/// executor worker — which installs the waker park backend — never reaches
-/// one.
+/// executor worker never reaches one.
 #[inline(always)]
 pub fn block_enter() {
     crate::park::enter_os_park();
@@ -207,7 +206,7 @@ pub fn block_exit() {
     imp::block_exit();
 }
 
-#[cfg(all(test, not(feature = "check-sched")))]
+#[cfg(all(test, not(feature = "check")))]
 mod tests_disabled {
     use super::*;
 
@@ -224,7 +223,7 @@ mod tests_disabled {
     }
 }
 
-#[cfg(all(test, feature = "check-sched"))]
+#[cfg(all(test, feature = "check"))]
 mod tests_enabled {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};

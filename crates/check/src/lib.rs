@@ -8,11 +8,11 @@
 //!
 //! - [`vthread`] — a loom-style cooperative scheduler: real OS threads, one
 //!   token, a switch decision at every TM-relevant atomic (announced by the
-//!   kernels through `tle_base::sched`, feature `check-sched`).
+//!   kernels through `tle_base::sched`, feature `check`).
 //! - [`cursor`] — replayable schedule descriptions: DFS paths with bounded
 //!   preemptions, seeded random streams, and printed `d:…` / `r:…` tokens.
 //! - [`oracle`] — an offline opacity checker replaying the transactional
-//!   history (`tle_base::history`, feature `check-history`) against a
+//!   history (`tle_base::history`, feature `check`) against a
 //!   sequential oracle: committed writers must replay strictly in commit
 //!   order, and every other transaction — including doomed zombies — must
 //!   have seen *some* consistent snapshot. Violations come with a minimal
@@ -22,7 +22,7 @@
 //!   post-condition, report the first failure with its replay token.
 //!
 //! The harness validates itself by **mutation**: `tle_base::mutant`
-//! (feature `check-mutants`) seeds known TM bugs — skipped commit
+//! (feature `check`) seeds known TM bugs — skipped commit
 //! validation, dropped quiescence, early orec release, a lost condvar
 //! signal, a skipped HTM doom check — and the `check_mutants` test binary
 //! asserts the explorer catches every one with a replayable schedule, while

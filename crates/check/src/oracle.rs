@@ -1,7 +1,7 @@
 //! Offline opacity / serializability checker.
 //!
 //! Input: the globally ordered event log recorded by [`tle_base::history`]
-//! (feature `check-history`). The kernels guarantee (see that module's
+//! (feature `check`). The kernels guarantee (see that module's
 //! placement contract) that a writer's `Commit` event lands in the log
 //! *before* its writes become visible to any other recorded read — so the
 //! order of `Commit` events is the only serialization order that needs

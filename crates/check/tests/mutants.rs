@@ -1,6 +1,6 @@
 //! The mutation matrix: a checker that has never caught a bug is untested
 //! code. Each test re-introduces one classic TM bug via
-//! `tle_base::mutant` (feature `check-mutants`), asserts the explorer
+//! `tle_base::mutant` (feature `check`), asserts the explorer
 //! catches it with a **replayable schedule token**, verifies the token
 //! reproduces the failure, and then re-runs the same exploration unmutated
 //! to show the real kernels pass clean.
@@ -272,15 +272,14 @@ fn lazy_lost_update_scenario() -> Scenario {
     }
 }
 
-/// Lazy-subscription torn snapshot, parameterized by mode. T1 runs the
-/// lock path (`unsafe_op`) writing the A/B pair; T0 speculates a read of
-/// both. Lazy transactions never subscribe the lock word, so the *only*
-/// thing that stops T0 from running on as a zombie across T1's serial
-/// stores is the acquire-side doom sweep (safe mode) — which the naive
-/// unsafe mode omits by design and `LazyZombieEscape` deletes from the
-/// safe mode. The in-closure assert panics the vthread on a torn pair.
-fn lazy_torn_pair_scenario(mode: AlgoMode) -> Scenario {
-    let sys = Arc::new(TmSystem::new(mode));
+/// Lazy-subscription torn snapshot. T1 runs the lock path (`unsafe_op`)
+/// writing the A/B pair; T0 speculates a read of both. Lazy transactions
+/// never subscribe the lock word, so the *only* thing that stops T0 from
+/// running on as a zombie across T1's serial stores is the acquire-side
+/// doom sweep — which `LazyZombieEscape` deletes. The in-closure assert
+/// panics the vthread on a torn pair.
+fn lazy_torn_pair_scenario() -> Scenario {
+    let sys = Arc::new(TmSystem::new(AlgoMode::AdaptiveHtmLazy));
     let lock = Arc::new(ElidableMutex::new("mut-lazytorn"));
     let a = Arc::new(TCell::new(0u64));
     let b = Arc::new(TCell::new(0u64));
@@ -340,14 +339,14 @@ fn scenario_for(m: Mutant) -> (fn() -> Scenario, Config) {
         Mutant::SkipDoomCheck => (htm_torn_pair_scenario, Config::dfs(2, 400)),
         Mutant::LazyCommitWithLockHeld => (lazy_lost_update_scenario, Config::dfs(2, 800)),
         Mutant::LazyZombieEscape => (
-            (|| lazy_torn_pair_scenario(AlgoMode::AdaptiveHtmLazy)) as fn() -> Scenario,
+            lazy_torn_pair_scenario as fn() -> Scenario,
             Config::dfs(2, 800),
         ),
         // The reorder hazard needs the same torn-pair witness: the hoisted
         // window capture opens a begin-side gap the acquire's doom sweep
         // cannot see, so the zombie read is what actually goes wrong.
         Mutant::LazySubscriptionReorder => (
-            (|| lazy_torn_pair_scenario(AlgoMode::AdaptiveHtmLazy)) as fn() -> Scenario,
+            lazy_torn_pair_scenario as fn() -> Scenario,
             Config::dfs(2, 800),
         ),
         // Both halves of the serial handshake share one witness (the full
@@ -484,40 +483,12 @@ fn catches_gate_skip_sweep() {
     detects_gate_mutant(Mutant::GateSkipSweep);
 }
 
-/// The naive lazy-subscription mode needs no mutant: its published hazard
-/// (zombies surviving a lock acquisition because nothing dooms them) is in
-/// the shipped code on purpose. The explorer finds it, the token replays
-/// it — and the *safe* lazy mode passes the identical scenario clean.
-#[test]
-fn lazy_unsafe_mode_exhibits_published_hazard() {
-    let _serial = MATRIX_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let cfg = Config::dfs(2, 800);
-
-    let factory = || lazy_torn_pair_scenario(AlgoMode::AdaptiveHtmLazyUnsafe);
-    let report = explore(&cfg, factory);
-    let (token, kind) = report.expect_failure();
-    println!(
-        "lazy-unsafe hazard: caught by schedule {token} after {} schedules: {kind}",
-        report.schedules
-    );
-    let replayed = replay(&token, factory(), cfg.stall_timeout);
-    assert!(
-        replayed.is_some(),
-        "lazy-unsafe hazard: schedule {token} did not reproduce on replay"
-    );
-
-    let safe = explore(&cfg, || lazy_torn_pair_scenario(AlgoMode::AdaptiveHtmLazy));
-    if let Some((safe_token, safe_kind)) = &safe.failure {
-        panic!("safe lazy mode failed the same scenario at {safe_token}: {safe_kind}");
-    }
-}
-
 /// Belt and braces for the matrix itself: every declared mutant resolves to
 /// a scenario (the exhaustive match makes this a compile-time fact; this
 /// test keeps it visible in the run log) and the feature is compiled in.
 #[test]
 fn matrix_covers_every_mutant() {
-    assert!(mutant::compiled(), "check-mutants must be enabled here");
+    assert!(mutant::compiled(), "the check feature must be enabled here");
     for m in Mutant::ALL {
         let (_factory, cfg) = scenario_for(m);
         match cfg.strategy {

@@ -231,8 +231,6 @@ pub fn decide(
         // own adaptation, and the lazy modes are opt-in only — the
         // controller never enters or leaves any of them.
         AlgoMode::StmCondvarNoQuiesce | AlgoMode::AdaptiveHtm | AlgoMode::AdaptiveHtmLazy => None,
-        #[cfg(any(test, debug_assertions, feature = "unsafe-modes"))]
-        AlgoMode::AdaptiveHtmLazyUnsafe => None,
     }
 }
 
@@ -741,11 +739,6 @@ mod tests {
             None,
             "lazy subscription is opt-in only; the controller must not leave it"
         );
-        assert_eq!(
-            decide(AlgoMode::AdaptiveHtmLazyUnsafe, &storm, 100, None, &cfg()),
-            None,
-            "the unsafe strawman is opt-in only; the controller must not leave it"
-        );
     }
 
     #[test]
@@ -765,7 +758,6 @@ mod tests {
                             AlgoMode::HtmCondvar,
                             AlgoMode::AdaptiveHtm,
                             AlgoMode::AdaptiveHtmLazy,
-                            AlgoMode::AdaptiveHtmLazyUnsafe,
                         ] {
                             if let Some((to, _)) = decide(mode, &w, 100, None, &c) {
                                 assert!(

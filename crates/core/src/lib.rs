@@ -494,29 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_htm_lazy_unsafe_variant_single_threaded() {
-        // The naive variant is still correct when nothing races it; its
-        // hazards need an adversarial interleaving (demonstrated by the
-        // checker, not here — stress would make this flaky by design).
-        let sys = Arc::new(TmSystem::new(AlgoMode::AdaptiveHtmLazyUnsafe));
-        let th = sys.register();
-        let lock = ElidableMutex::new("lazy-naive");
-        let cell = TCell::new(0u64);
-        for _ in 0..100 {
-            th.tx(&lock).run(|ctx| {
-                ctx.update(&cell, |v| v + 1)?;
-                Ok(())
-            });
-        }
-        th.tx(&lock).run(|ctx| {
-            ctx.unsafe_op()?;
-            ctx.update(&cell, |v| v + 1)?;
-            Ok(())
-        });
-        assert_eq!(cell.load_direct(), 101);
-    }
-
-    #[test]
     fn adaptive_htm_subscription_excludes_lock_path() {
         use tle_htm::HtmConfig;
         // Event-heavy hardware: many sections take the lock path, elided

@@ -143,7 +143,7 @@ impl Engine {
                 Some(Engine::Stm { spin: false })
             }
             AlgoMode::HtmCondvar => Some(Engine::Htm),
-            // The glibc family: eager, lazy, and the dev-only naive lazy.
+            // The glibc family: eager and lazy subscription.
             mode => Some(Engine::Adaptive { mode }),
         }
     }
@@ -484,12 +484,11 @@ fn hoisted_window_capture(lock: &ElidableMutex, mode: AlgoMode) -> Option<u64> {
 
 /// Take a freshly begun adaptive-elision transaction's subscription
 /// foothold; `Ok` is the lazy window capture `g0`, `Err` the cause to abort
-/// `tx` with and the step to report. The lazy modes
-/// ([`AlgoMode::AdaptiveHtmLazy`], [`AlgoMode::AdaptiveHtmLazyUnsafe`]) keep
-/// the lock word out of the read set entirely: subscription moves to
-/// [`lazy_precommit_gate`], begin captures (and, in the safe variant,
-/// refuses an odd) acquisition seqlock, and the lock path dooms all active
-/// transactions instead of invalidating one line. See DESIGN.md §17 for the
+/// `tx` with and the step to report. The lazy mode
+/// ([`AlgoMode::AdaptiveHtmLazy`]) keeps the lock word out of the read set
+/// entirely: subscription moves to [`lazy_precommit_gate`], begin captures
+/// (and refuses an odd) acquisition seqlock, and the lock path dooms all
+/// active transactions instead of invalidating one line. See DESIGN.md §17 for the
 /// hazard catalog this ordering defeats.
 #[inline(always)]
 fn adaptive_subscribe<R>(
@@ -517,15 +516,11 @@ fn adaptive_subscribe<R>(
             Ok(true) => return Err((AbortCause::Conflict, Step::SubscribedHeld)),
             Err(e) => return Err((e, Step::Abort(e))),
         }
-    } else if !mode.is_lazy_unsafe()
-        && g0 & 1 == 1
-        && !mutant::armed(Mutant::LazyCommitWithLockHeld)
-    {
-        // Safe lazy begin-refusal: an odd seqlock means the lock is held
-        // right now, and speculating would run as a zombie over the holder's
-        // direct writes (the mutant deletes exactly this guard). The naive
-        // variant has no such check — that is its documented hazard. Unlike
-        // the eager subscription this backs off: nothing made the driver
+    } else if g0 & 1 == 1 && !mutant::armed(Mutant::LazyCommitWithLockHeld) {
+        // Lazy begin-refusal: an odd seqlock means the lock is held right
+        // now, and speculating would run as a zombie over the holder's
+        // direct writes (the mutant deletes exactly this guard). Unlike the
+        // eager subscription this backs off: nothing made the driver
         // wait for the lock word first (not touching it is the point of the
         // lazy modes), so an immediate retry would only spin the retry
         // budget away against a holder that may need this thread's CPU.
@@ -546,21 +541,11 @@ fn adaptive_subscribe<R>(
 /// before the commit point (the doom-on-acquire sweep closes the race
 /// between this check and the commit CAS). Returns the abort cause when the
 /// speculation window overlapped a lock-path hold.
-///
-/// The naive (unsafe) variant does what the literature's strawman does: one
-/// racy read of the lock word and nothing else — no whole-window proof, so
-/// an acquire-and-release inside the window goes undetected.
 fn lazy_precommit_gate(lock: &ElidableMutex, mode: AlgoMode, g0: u64) -> Result<(), AbortCause> {
-    let overlapped = if !mode.is_lazy() {
-        false
-    } else if mode.is_lazy_unsafe() {
-        lock.held_cell().load_direct()
-    } else {
-        // Safe variant: an unchanged even seqlock proves the lock was free
-        // for the whole window (begin refused odd captures; any acquire
-        // since then bumped the counter).
-        lock.elision_seq() != g0
-    };
+    // An unchanged even seqlock proves the lock was free for the whole
+    // window (begin refused odd captures; any acquire since then bumped the
+    // counter).
+    let overlapped = mode.is_lazy() && lock.elision_seq() != g0;
     if overlapped {
         Err(AbortCause::Conflict)
     } else {
@@ -680,21 +665,16 @@ pub(crate) enum Doom {
 /// Make a lock-word acquisition visible to speculating transactions; the
 /// caller carries out the returned sweep (blocking or yielding, per driver).
 /// Eager modes invalidate the lock word's line (dooming every subscriber);
-/// the lazy modes have no subscribers to reach that way, so the safe variant
-/// bumps the acquisition seqlock (new begins refuse) and dooms **every**
-/// active transaction (in-flight speculation cannot run on as zombies),
-/// while the naive variant invalidates a line nobody subscribed — that
-/// omission is the literature's hazard, preserved for the checker to
-/// demonstrate.
+/// the lazy mode has no subscribers to reach that way, so it bumps the
+/// acquisition seqlock (new begins refuse) and dooms **every** active
+/// transaction (in-flight speculation cannot run on as zombies).
 pub(crate) fn announce_acquisition(lock: &ElidableMutex, mode: AlgoMode) -> Doom {
     if !mode.is_lazy() {
         return Doom::Subscribers;
     }
-    // Odd seqlock: safe-lazy begins from here on refuse to speculate.
+    // Odd seqlock: lazy begins from here on refuse to speculate.
     lock.seq_bump();
-    if mode.is_lazy_unsafe() {
-        Doom::Subscribers
-    } else if mutant::armed(Mutant::LazyZombieEscape) {
+    if mutant::armed(Mutant::LazyZombieEscape) {
         // Seeded bug: doom-on-acquire is deleted.
         Doom::Nobody
     } else {

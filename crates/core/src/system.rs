@@ -50,15 +50,6 @@ pub enum AlgoMode {
     /// before the commit point, proving the lock was free for the whole
     /// speculation window. Never a controller target — strictly opt-in.
     AdaptiveHtmLazy = 6,
-    /// **Naive** lazy subscription — the literature's unsafe strawman: the
-    /// lock word is read only once, just before commit, with no
-    /// doom-on-acquire and no whole-window check. Exists so the model
-    /// checker can demonstrate the hazard catalog (DESIGN.md §17) on a
-    /// real mode. Compiled only into dev/check builds (`debug_assertions`,
-    /// tests, or the `unsafe-modes` feature); release binaries reject any
-    /// construction of it at compile time. Never a controller target.
-    #[cfg(any(test, debug_assertions, feature = "unsafe-modes"))]
-    AdaptiveHtmLazyUnsafe = 7,
 }
 
 /// Error returned when a byte is not a valid [`AlgoMode`] discriminant.
@@ -85,8 +76,6 @@ impl TryFrom<u8> for AlgoMode {
             4 => Ok(AlgoMode::HtmCondvar),
             5 => Ok(AlgoMode::AdaptiveHtm),
             6 => Ok(AlgoMode::AdaptiveHtmLazy),
-            #[cfg(any(test, debug_assertions, feature = "unsafe-modes"))]
-            7 => Ok(AlgoMode::AdaptiveHtmLazyUnsafe),
             other => Err(InvalidAlgoMode(other)),
         }
     }
@@ -102,8 +91,7 @@ impl std::fmt::Display for ParseAlgoModeError {
         write!(
             f,
             "unknown algorithm mode {:?} (expected one of: baseline, stm-spin, \
-             stm-condvar, stm-noquiesce, htm, adaptive-htm, adaptive-htm-lazy, \
-             adaptive-htm-lazy-unsafe [dev/check builds only])",
+             stm-condvar, stm-noquiesce, htm, adaptive-htm, adaptive-htm-lazy)",
             self.0
         )
     }
@@ -127,8 +115,6 @@ impl std::str::FromStr for AlgoMode {
             "htm" | "htm-condvar" => Ok(AlgoMode::HtmCondvar),
             "adaptive-htm" | "adaptive" | "glibc" => Ok(AlgoMode::AdaptiveHtm),
             "adaptive-htm-lazy" | "lazy" => Ok(AlgoMode::AdaptiveHtmLazy),
-            #[cfg(any(test, debug_assertions, feature = "unsafe-modes"))]
-            "adaptive-htm-lazy-unsafe" | "lazy-unsafe" => Ok(AlgoMode::AdaptiveHtmLazyUnsafe),
             other => Err(ParseAlgoModeError(other.to_string())),
         }
     }
@@ -145,8 +131,6 @@ impl AlgoMode {
             AlgoMode::HtmCondvar => "HTM+CondVar",
             AlgoMode::AdaptiveHtm => "AdaptiveHTM(glibc)",
             AlgoMode::AdaptiveHtmLazy => "AdaptiveHTM(lazy)",
-            #[cfg(any(test, debug_assertions, feature = "unsafe-modes"))]
-            AlgoMode::AdaptiveHtmLazyUnsafe => "AdaptiveHTM(lazy-unsafe)",
         }
     }
 
@@ -165,37 +149,16 @@ impl AlgoMode {
 
     /// Whether this mode is glibc-family adaptive elision: hardware
     /// transactions fall back to **the lock itself** rather than the
-    /// global serial gate ([`AdaptiveHtm`](Self::AdaptiveHtm) and the two
-    /// lazy-subscription variants).
+    /// global serial gate ([`AdaptiveHtm`](Self::AdaptiveHtm) and its
+    /// lazy-subscription variant).
     pub fn is_glibc_family(self) -> bool {
-        match self {
-            AlgoMode::AdaptiveHtm | AlgoMode::AdaptiveHtmLazy => true,
-            #[cfg(any(test, debug_assertions, feature = "unsafe-modes"))]
-            AlgoMode::AdaptiveHtmLazyUnsafe => true,
-            _ => false,
-        }
+        matches!(self, AlgoMode::AdaptiveHtm | AlgoMode::AdaptiveHtmLazy)
     }
 
     /// Whether this mode defers its fallback-lock subscription to commit
     /// time instead of reading the lock word at transaction begin.
     pub fn is_lazy(self) -> bool {
-        match self {
-            AlgoMode::AdaptiveHtmLazy => true,
-            #[cfg(any(test, debug_assertions, feature = "unsafe-modes"))]
-            AlgoMode::AdaptiveHtmLazyUnsafe => true,
-            _ => false,
-        }
-    }
-
-    /// Whether this is the naive lazy variant, which omits every safety
-    /// guard (dev/check builds only; always `false` in release builds,
-    /// where the variant does not exist).
-    pub fn is_lazy_unsafe(self) -> bool {
-        match self {
-            #[cfg(any(test, debug_assertions, feature = "unsafe-modes"))]
-            AlgoMode::AdaptiveHtmLazyUnsafe => true,
-            _ => false,
-        }
+        matches!(self, AlgoMode::AdaptiveHtmLazy)
     }
 }
 
@@ -1133,10 +1096,6 @@ mod tests {
         );
         assert_eq!(AlgoMode::HtmCondvar.label(), "HTM+CondVar");
         assert_eq!(AlgoMode::AdaptiveHtmLazy.label(), "AdaptiveHTM(lazy)");
-        assert_eq!(
-            AlgoMode::AdaptiveHtmLazyUnsafe.label(),
-            "AdaptiveHTM(lazy-unsafe)"
-        );
     }
 
     #[test]
@@ -1146,12 +1105,11 @@ mod tests {
         }
         assert_eq!(AlgoMode::try_from(5), Ok(AlgoMode::AdaptiveHtm));
         assert_eq!(AlgoMode::try_from(6), Ok(AlgoMode::AdaptiveHtmLazy));
-        assert_eq!(AlgoMode::try_from(7), Ok(AlgoMode::AdaptiveHtmLazyUnsafe));
     }
 
     #[test]
     fn invalid_mode_bytes_are_rejected() {
-        for v in [8u8, 100, u8::MAX] {
+        for v in [7u8, 8, 100, u8::MAX] {
             assert_eq!(AlgoMode::try_from(v), Err(InvalidAlgoMode(v)));
         }
         let msg = InvalidAlgoMode(9).to_string();
@@ -1160,13 +1118,10 @@ mod tests {
 
     #[test]
     fn mode_family_helpers_are_consistent() {
-        for v in 0..=7u8 {
+        for v in 0..=6u8 {
             let m = AlgoMode::try_from(v).unwrap();
             if m.is_lazy() {
                 assert!(m.is_glibc_family(), "{m:?}: lazy implies glibc-family");
-            }
-            if m.is_lazy_unsafe() {
-                assert!(m.is_lazy(), "{m:?}: unsafe implies lazy");
             }
             if m.is_glibc_family() {
                 assert!(m.is_transactional());
@@ -1174,8 +1129,6 @@ mod tests {
         }
         assert!(!AlgoMode::AdaptiveHtm.is_lazy());
         assert!(AlgoMode::AdaptiveHtmLazy.is_lazy());
-        assert!(!AlgoMode::AdaptiveHtmLazy.is_lazy_unsafe());
-        assert!(AlgoMode::AdaptiveHtmLazyUnsafe.is_lazy_unsafe());
     }
 
     #[test]
@@ -1193,8 +1146,6 @@ mod tests {
             ("adaptive", AlgoMode::AdaptiveHtm),
             ("adaptive-htm-lazy", AlgoMode::AdaptiveHtmLazy),
             ("lazy", AlgoMode::AdaptiveHtmLazy),
-            ("adaptive-htm-lazy-unsafe", AlgoMode::AdaptiveHtmLazyUnsafe),
-            ("lazy-unsafe", AlgoMode::AdaptiveHtmLazyUnsafe),
         ] {
             assert_eq!(s.parse::<AlgoMode>(), Ok(m), "{s}");
         }

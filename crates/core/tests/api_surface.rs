@@ -166,16 +166,7 @@ fn algo_mode_tryfrom_rejects_unknown_discriminants() {
         Ok(AlgoMode::AdaptiveHtmLazy),
         "6 is the safe lazy-subscription mode in every build"
     );
-    // 7 is the naive lazy variant, compiled only into dev/check builds;
-    // probe availability through the parser rather than cfg so this test
-    // states the same fact in both build flavors.
-    let unsafe_mode_exists = "lazy-unsafe".parse::<AlgoMode>().is_ok();
-    assert_eq!(
-        AlgoMode::try_from(7u8).is_ok(),
-        unsafe_mode_exists,
-        "discriminant 7 and the lazy-unsafe spelling must agree on availability"
-    );
-    for bad in [8u8, 100, u8::MAX] {
+    for bad in [7u8, 8, 100, u8::MAX] {
         assert_eq!(AlgoMode::try_from(bad), Err(InvalidAlgoMode(bad)));
     }
 }
@@ -204,21 +195,16 @@ fn algo_mode_fromstr_spellings_and_errors() {
     for (spelling, want) in cases {
         assert_eq!(spelling.parse::<AlgoMode>(), Ok(want), "{spelling}");
     }
-    // The naive lazy spellings resolve only where the variant exists
-    // (dev/check builds); both spellings always agree with each other.
-    assert_eq!(
-        "adaptive-htm-lazy-unsafe".parse::<AlgoMode>().is_ok(),
-        "lazy-unsafe".parse::<AlgoMode>().is_ok()
-    );
+    for gone in ["adaptive-htm-lazy-unsafe", "lazy-unsafe"] {
+        assert!(gone.parse::<AlgoMode>().is_err(), "{gone}");
+    }
     let err = "quantum".parse::<AlgoMode>().unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("unknown algorithm mode \"quantum\""), "{msg}");
     assert!(msg.contains("baseline"), "{msg}");
     assert!(msg.contains("adaptive-htm-lazy"), "{msg}");
-    assert!(
-        msg.contains("adaptive-htm-lazy-unsafe [dev/check builds only]"),
-        "{msg}"
-    );
+    assert!(msg.ends_with("adaptive-htm-lazy)"), "{msg}");
+    assert!(!msg.contains("dev/check"), "{msg}");
 }
 
 /// Locks accept static and owned (dynamically generated) names — the

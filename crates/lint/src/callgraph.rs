@@ -2,7 +2,7 @@
 //! it.
 //!
 //! PR 5's engine inspected only the literal closure body of each atomic
-//! block, so `critical(|| helper())` where `helper` does I/O, takes a
+//! block, so `tx(&l).run(|ctx| helper())` where `helper` does I/O, takes a
 //! second lock, parks on an OS condvar or awaits passed clean. This layer
 //! closes that hole: it resolves simple intra-crate calls out of each
 //! block body, walks the reachable function bodies (bounded depth,
@@ -48,11 +48,8 @@ pub const MAX_DEPTH: usize = 8;
 /// hazard surface itself (flagged directly where they appear) or std
 /// methods so common that a workspace-unique `fn` of the same name is
 /// coincidence, not a receiver.
-const METHOD_EDGE_DENYLIST: [&str; 36] = [
+const METHOD_EDGE_DENYLIST: [&str; 33] = [
     // hazard / TM surface (flagged in place, not descended into)
-    "critical",
-    "critical_with",
-    "critical_hinted",
     "run",
     "try_run",
     "run_async",
@@ -304,7 +301,7 @@ mod tests {
     #[test]
     fn hazard_through_one_helper_is_found_with_chain() {
         let found = run("fn log_it(v: u64) { println!(\"{v}\"); }\n\
-             fn f(th: &T, l: &L) { th.critical(l, |ctx| { log_it(1); Ok(()) }); }");
+             fn f(th: &T, l: &L) { th.tx(l).run(|ctx| { log_it(1); Ok(()) }); }");
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, Rule::IrrevocableEffect);
         assert!(found[0].message.contains("block -> log_it"));
@@ -317,7 +314,7 @@ mod tests {
     fn two_hop_chain_and_cycle_safety() {
         let found = run("fn a() { b(); }\n\
              fn b() { a(); std::thread::sleep(d); }\n\
-             fn f(th: &T, l: &L) { th.critical(l, |ctx| { a(); Ok(()) }); }");
+             fn f(th: &T, l: &L) { th.tx(l).run(|ctx| { a(); Ok(()) }); }");
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].message.contains("block -> a -> b"));
     }
@@ -325,7 +322,7 @@ mod tests {
     #[test]
     fn ctx_calls_and_defer_args_are_not_edges() {
         let found = run("fn helper() { println!(\"x\"); }\n\
-             fn f(th: &T, l: &L) { th.critical(l, |ctx| { \
+             fn f(th: &T, l: &L) { th.tx(l).run(|ctx| { \
              ctx.defer(move || helper()); ctx.write(&c, 1) }); }");
         assert!(found.is_empty(), "{found:?}");
     }
@@ -333,7 +330,7 @@ mod tests {
     #[test]
     fn unsafe_op_serializes_later_transitive_r1() {
         let found = run("fn helper() { println!(\"x\"); }\n\
-             fn f(th: &T, l: &L) { th.critical(l, |ctx| { \
+             fn f(th: &T, l: &L) { th.tx(l).run(|ctx| { \
              ctx.unsafe_op()?; helper(); Ok(()) }); }");
         assert!(found.is_empty(), "{found:?}");
     }
@@ -341,7 +338,7 @@ mod tests {
     #[test]
     fn transitive_nested_lock_is_found() {
         let found = run("fn push_side(s: &S) { s.side.lock().push(1); }\n\
-             fn f(th: &T, l: &L) { th.critical(l, |ctx| { push_side(s); Ok(()) }); }");
+             fn f(th: &T, l: &L) { th.tx(l).run(|ctx| { push_side(s); Ok(()) }); }");
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, Rule::NestedLock);
     }
@@ -350,7 +347,7 @@ mod tests {
     fn ambiguous_method_names_do_not_resolve() {
         let found = run("fn process(x: u32) { println!(\"{x}\"); }\n\
              fn g() { fn process(y: u32) { y; } }\n\
-             fn f(th: &T, l: &L) { th.critical(l, |ctx| { q.process(1); Ok(()) }); }");
+             fn f(th: &T, l: &L) { th.tx(l).run(|ctx| { q.process(1); Ok(()) }); }");
         assert!(found.is_empty(), "{found:?}");
     }
 
@@ -358,7 +355,7 @@ mod tests {
     fn unique_method_name_resolves() {
         let found = run(
             "fn flush_row(r: &R) { r.file.write_all(b\"x\"); std::thread::sleep(d); }\n\
-             fn f(th: &T, l: &L) { th.critical(l, |ctx| { row.flush_row(); Ok(()) }); }",
+             fn f(th: &T, l: &L) { th.tx(l).run(|ctx| { row.flush_row(); Ok(()) }); }",
         );
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, Rule::IrrevocableEffect);
@@ -367,7 +364,7 @@ mod tests {
     #[test]
     fn std_paths_and_denylisted_methods_are_skipped() {
         let (t, _) = setup("fn get() { println!(\"shadow\"); }");
-        let flat_src = "fn f(th: &T, l: &L) { th.critical(l, |ctx| { \
+        let flat_src = "fn f(th: &T, l: &L) { th.tx(l).run(|ctx| { \
                         m.get(1); std::mem::drop(x); Ok(()) }); }";
         let forest = parse(lex(flat_src).unwrap().0).unwrap();
         let sites = find_sites(&forest);

@@ -1,24 +1,19 @@
-//! Locating atomic blocks: every `.critical(...)` / `.critical_with(...)`
-//! call site — and every `tx(..)` request-builder terminal
-//! (`.tx(..).run(|ctx| ..)`, `.tx(..).hints(..).try_run_async(|ctx| ..)`)
-//! — with its closure body flattened for rule scanning.
+//! Locating atomic blocks: every `tx(..)` request-builder terminal
+//! (`.tx(..).run(|ctx| ..)`, `.tx(..).hints(..).try_run_async(|ctx| ..)`),
+//! with its closure body flattened for rule scanning.
 //!
-//! Call sites are recognized by shape — a `.` followed by one of the
-//! critical-section method names followed by a parenthesized argument
-//! group. Definitions (`pub fn critical<'a, R>(...)`) never match because
-//! they are not preceded by `.`. Builder terminals only count when the
-//! method chain walks back through `hints`/`deadline_us` links to a
-//! `.tx(..)` origin, so an unrelated `.run(..)` (criterion, builders)
-//! never matches. The search descends into *every* group, so call sites
+//! Call sites are recognized by shape — a `.` followed by a terminal
+//! method name followed by a parenthesized argument group — and only count
+//! when the method chain walks back through `hints`/`deadline_us` links to
+//! a `.tx(..)` origin, so an unrelated `.run(..)` (criterion, builders)
+//! never matches, and neither do definitions (`pub fn run<R>(...)`, not
+//! preceded by `.`). The search descends into *every* group, so call sites
 //! inside `macro_rules!` bodies, nested modules, closures and test
-//! functions are all found; nested `critical`/`tx` calls surface both as
-//! their own site and as an R2 finding in the enclosing body.
+//! functions are all found; nested `tx` calls surface both as their own
+//! site and as an R2 finding in the enclosing body.
 
 use crate::lexer::{Delim, Span, TokKind};
 use crate::tree::{Group, Tree};
-
-/// Method names that open an atomic block (legacy direct surface).
-pub const CRITICAL_METHODS: [&str; 3] = ["critical", "critical_with", "critical_hinted"];
 
 /// Terminal methods of the `tx(..)` request builder; each consumes the
 /// request and takes the atomic-block closure as its argument.
@@ -69,8 +64,8 @@ impl Flat {
 /// One located atomic block.
 #[derive(Debug)]
 pub struct Site {
-    /// `critical`, `critical_with`, `critical_hinted`, or a builder
-    /// terminal (`run`, `try_run`, `run_async`, `try_run_async`).
+    /// The builder terminal (`run`, `try_run`, `run_async`,
+    /// `try_run_async`).
     pub method: String,
     /// Span of the method-name token.
     pub span: Span,
@@ -79,13 +74,13 @@ pub struct Site {
     pub ctx: Option<String>,
     /// The closure body, flattened.
     pub body: Vec<Flat>,
-    /// The lock-argument expression, flattened: the first argument of
-    /// `critical(..)` / the argument of the `.tx(..)` origin. The
-    /// lock-order analysis resolves this to an `ElidableMutex` name key.
+    /// The lock-argument expression, flattened: the argument of the
+    /// `.tx(..)` origin. The lock-order analysis resolves this to an
+    /// `ElidableMutex` name key.
     pub lock: Vec<Flat>,
 }
 
-/// Find every critical-section call site in the forest.
+/// Find every atomic-block call site in the forest.
 pub fn find_sites(trees: &[Tree]) -> Vec<Site> {
     let mut out = Vec::new();
     walk(trees, &mut out);
@@ -97,11 +92,9 @@ fn walk(kids: &[Tree], out: &mut Vec<Site>) {
         if let Tree::Group(g) = t {
             if g.delim == Delim::Paren && i >= 2 && kids[i - 2].is_punct('.') {
                 if let Some(m) = kids[i - 1].ident() {
-                    if CRITICAL_METHODS.contains(&m) {
-                        out.push(extract_site(m, kids[i - 1].span(), g, Some(g)));
-                    } else if TX_TERMINALS.contains(&m) {
+                    if TX_TERMINALS.contains(&m) {
                         if let Some(origin) = tx_origin(kids, i) {
-                            out.push(extract_site(m, kids[i - 1].span(), g, Some(origin)));
+                            out.push(extract_site(m, kids[i - 1].span(), g, origin));
                         }
                     }
                 }
@@ -135,26 +128,13 @@ fn tx_origin(kids: &[Tree], idx: usize) -> Option<&Group> {
     None
 }
 
-/// Pull the trailing closure out of a critical call's argument group.
-/// `lock_group` is the group whose first argument names the lock (the call
-/// group itself for `critical*`, the `.tx(..)` origin for builder
-/// terminals).
-fn extract_site(method: &str, span: Span, args: &Group, lock_group: Option<&Group>) -> Site {
+/// Pull the trailing closure out of a terminal's argument group. `origin`
+/// is the `.tx(..)` group, whose argument names the lock.
+fn extract_site(method: &str, span: Span, args: &Group, origin: &Group) -> Site {
     let kids = &args.kids;
-    // The lock argument: everything in the lock group before its first
-    // top-level comma (for `critical(&lock, ..)`) or the whole group (for
-    // `.tx(&lock)`).
     let mut lock = Vec::new();
-    if let Some(lg) = lock_group {
-        let first_arg_end = lg
-            .kids
-            .iter()
-            .position(|t| t.is_punct(','))
-            .unwrap_or(lg.kids.len());
-        flatten(&lg.kids[..first_arg_end], false, &mut lock);
-    }
-    // First top-level `|` opens the closure parameter list (the preceding
-    // arguments — lock reference, hints — never contain a bare `|`).
+    flatten(&origin.kids, false, &mut lock);
+    // First top-level `|` opens the closure parameter list.
     let Some(p0) = kids.iter().position(|t| t.is_punct('|')) else {
         // No closure literal (e.g. a function path was passed); nothing to
         // scan structurally.
@@ -247,36 +227,20 @@ mod tests {
     }
 
     #[test]
-    fn finds_simple_site_and_ctx_name() {
-        let s = sites("fn f() { th.critical(&lock, |ctx| { ctx.read(&c) }); }");
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].method, "critical");
-        assert_eq!(s[0].ctx.as_deref(), Some("ctx"));
-        assert!(s[0].body.iter().any(|f| f.ident() == Some("read")));
-    }
-
-    #[test]
     fn definitions_are_not_sites() {
-        let s = sites("pub fn critical(&self, body: F) -> R { run(body) }");
+        let s = sites("pub fn run(self, body: F) -> R { tx(self.lock).go(body) }");
         assert!(s.is_empty());
     }
 
     #[test]
-    fn critical_with_skips_hint_args() {
-        let s = sites("th.critical_with(&lock, (2, 8), move |tx| { tx.write(&c, 1) });");
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].ctx.as_deref(), Some("tx"));
-    }
-
-    #[test]
     fn nested_sites_are_both_found() {
-        let s = sites("th.critical(&a, |ctx| { th.critical(&b, |c2| { Ok(()) }) });");
+        let s = sites("th.tx(&a).run(|ctx| { th.tx(&b).run(|c2| { Ok(()) }) });");
         assert_eq!(s.len(), 2);
     }
 
     #[test]
     fn defer_args_are_marked() {
-        let s = sites("th.critical(&a, |ctx| { ctx.defer(move || println!(\"x\")); Ok(()) });");
+        let s = sites("th.tx(&a).run(|ctx| { ctx.defer(move || println!(\"x\")); Ok(()) });");
         let println_tok = s[0]
             .body
             .iter()
@@ -321,7 +285,7 @@ mod tests {
 
     #[test]
     fn sites_record_their_lock_argument() {
-        let s = sites("th.critical(&self.shard[i], |ctx| { Ok(()) });");
+        let s = sites("th.tx(&self.shard[i]).run(|ctx| { Ok(()) });");
         let idents: Vec<_> = s[0].lock.iter().filter_map(|f| f.ident()).collect();
         assert_eq!(idents, vec!["self", "shard", "i"]);
         let s = sites("th.tx(&queue_lock).hints(h).run(|ctx| { Ok(()) });");
@@ -332,7 +296,7 @@ mod tests {
     #[test]
     fn macro_body_sites_are_found() {
         let s = sites(
-            "macro_rules! m { ($th:ident, $l:expr) => { $th.critical($l, |ctx| { Ok(()) }) }; }",
+            "macro_rules! m { ($th:ident, $l:expr) => { $th.tx($l).run(|ctx| { Ok(()) }) }; }",
         );
         assert_eq!(s.len(), 1);
     }

@@ -6,13 +6,13 @@
 //! crate finds them before the torture harness has to: it lexes the
 //! workspace's Rust sources with an in-tree lexer (no `syn` — the
 //! workspace builds offline), matches delimiters into token trees, locates
-//! every `critical`/`critical_with` call site, and runs five token-shape
-//! rules over each closure body.
+//! every `tx(&lock).run*(..)` atomic block, and runs token-shape rules over
+//! each closure body.
 //!
 //! | id | slug | paper hazard |
 //! |----|------|--------------|
 //! | R1 | `irrevocable-effect` | §VI: I/O or sleep inside the speculative body |
-//! | R2 | `nested-lock` | §V: second lock / re-entrant `critical` (x265 bug) |
+//! | R2 | `nested-lock` | §V: second lock / re-entrant atomic block (x265 bug) |
 //! | R3 | `escape-hazard` | direct atomics / raw pointers bypassing the ctx |
 //! | R4 | `noquiesce-privatization` | §IV-B: no-quiesce + privatizing body |
 //! | R5 | `condvar-misuse` | §III: OS condvar/park instead of `TxCondvar` |
@@ -27,8 +27,7 @@
 //! across files, and R8 ([`ordering`]) audits relaxed atomics against the
 //! publication pairs the rest of the crate establishes. Findings carry
 //! `related` spans (the far end of a call chain, the opposite edge of a
-//! cycle), and [`sarif`] renders the whole report as SARIF 2.1.0 with a
-//! `--baseline` mode for incremental adoption.
+//! cycle), and [`sarif`] renders the whole report as SARIF 2.1.0.
 //!
 //! Findings are suppressed with a reviewed, reasoned directive:
 //!
@@ -39,7 +38,7 @@
 //! A directive without a reason is itself an error (`A1`); a directive
 //! that no longer matches anything is stale (`A2`, enforced under
 //! `--deny-stale`). The `tle lint` command (`src/bin/tle/lint.rs` at the
-//! workspace root) wires this into CI with `--deny --format json`.
+//! workspace root) wires this into CI with `--deny --deny-stale`.
 
 pub mod callgraph;
 pub mod extract;
@@ -54,9 +53,9 @@ pub mod suppress;
 pub mod symbols;
 pub mod tree;
 
-pub use report::{render_human, render_json};
+pub use report::render_human;
 pub use rules::{Finding, Related, Rule, LINT_RULES};
-pub use sarif::{check_baseline, render_baseline, render_sarif};
+pub use sarif::render_sarif;
 pub use scan::{
     collect_rs_files, lint_paths, lint_source, lint_sources, FileReport, Report, WorkspaceStats,
 };

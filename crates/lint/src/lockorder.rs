@@ -21,7 +21,7 @@
 //! ## Edges
 //!
 //! While inside the body of an atomic block on lock A, an edge A → B is
-//! recorded for: a nested `.critical*(&B, ..)` or `.tx(&B)..` block, a
+//! recorded for: a nested `.tx(&B)..` block, a
 //! bare `.lock()`/`.try_lock()`/`.raw_lock()` on B, and any of those
 //! reached through resolvable calls (the [`crate::callgraph`] walk).
 //! `.defer(..)` bodies run post-unlock and contribute nothing.
@@ -29,7 +29,7 @@
 //! a one-lock "cycle" is not an ordering bug.
 
 use crate::callgraph::{calls_in, MAX_DEPTH};
-use crate::extract::{Flat, Site, CRITICAL_METHODS};
+use crate::extract::{Flat, Site};
 use crate::lexer::{Delim, Span, TokKind};
 use crate::rules::{Finding, Related, Rule};
 use crate::symbols::SymbolTable;
@@ -187,9 +187,9 @@ fn acquisitions_in(flat: &[Flat], names: &LockNames) -> Vec<(String, Span)> {
         if !prev_dot || !next_open {
             continue;
         }
-        if CRITICAL_METHODS.contains(&m) || m == "tx" {
-            // Key is the first argument: tokens after the open paren up to
-            // the matching close or a top-level comma.
+        if m == "tx" {
+            // Key is the argument: tokens after the open paren up to the
+            // matching close.
             let mut depth = 0usize;
             let mut arg = Vec::new();
             for t in &flat[i + 2..] {
@@ -197,7 +197,6 @@ fn acquisitions_in(flat: &[Flat], names: &LockNames) -> Vec<(String, Span)> {
                     TokKind::Open(_) => depth += 1,
                     TokKind::Close(_) if depth == 0 => break,
                     TokKind::Close(_) => depth -= 1,
-                    TokKind::Punct(',') if depth == 0 => break,
                     _ => {}
                 }
                 arg.push(t.clone());
@@ -477,8 +476,8 @@ mod tests {
     fn opposite_order_blocks_form_a_reported_cycle() {
         let found = analyze(
             "let a = ElidableMutex::new(\"a\"); let b = ElidableMutex::new(\"b\");\n\
-             fn f(th: &T) { th.critical(&a, |ctx| { th.critical(&b, |c2| { Ok(()) }) }); }\n\
-             fn g(th: &T) { th.critical(&b, |ctx| { th.critical(&a, |c2| { Ok(()) }) }); }",
+             fn f(th: &T) { th.tx(&a).run(|ctx| { th.tx(&b).run(|c2| { Ok(()) }) }); }\n\
+             fn g(th: &T) { th.tx(&b).run(|ctx| { th.tx(&a).run(|c2| { Ok(()) }) }); }",
         );
         assert_eq!(found.len(), 2, "{found:?}");
         assert!(found[0].1.message.contains("lock-order cycle"));
@@ -488,8 +487,8 @@ mod tests {
     fn consistent_order_is_clean_and_self_nesting_is_not_a_cycle() {
         let found = analyze(
             "let a = ElidableMutex::new(\"a\"); let b = ElidableMutex::new(\"b\");\n\
-             fn f(th: &T) { th.critical(&a, |ctx| { th.critical(&b, |c2| { Ok(()) }) }); }\n\
-             fn g(th: &T) { th.critical(&a, |ctx| { th.critical(&a, |c2| { Ok(()) }) }); }",
+             fn f(th: &T) { th.tx(&a).run(|ctx| { th.tx(&b).run(|c2| { Ok(()) }) }); }\n\
+             fn g(th: &T) { th.tx(&a).run(|ctx| { th.tx(&a).run(|c2| { Ok(()) }) }); }",
         );
         assert!(found.is_empty(), "{found:?}");
     }
@@ -498,8 +497,8 @@ mod tests {
     fn cycle_through_helper_function_is_found() {
         let found = analyze(
             "let a = ElidableMutex::new(\"a\"); let b = ElidableMutex::new(\"b\");\n\
-             fn take_b(th: &T) { th.critical(&b, |c2| { Ok(()) }); }\n\
-             fn f(th: &T) { th.critical(&a, |ctx| { take_b(th); Ok(()) }); }\n\
+             fn take_b(th: &T) { th.tx(&b).run(|c2| { Ok(()) }); }\n\
+             fn f(th: &T) { th.tx(&a).run(|ctx| { take_b(th); Ok(()) }); }\n\
              fn g(th: &T) { th.tx(&b).run(|ctx| { th.tx(&a).run(|c2| { Ok(()) }) }); }",
         );
         assert_eq!(found.len(), 2, "{found:?}");
@@ -514,16 +513,16 @@ mod tests {
     fn plain_lock_calls_key_into_the_graph() {
         let found = analyze(
             "let a = ElidableMutex::new(\"a\");\n\
-             fn f(th: &T) { th.critical(&a, |ctx| { side.lock(); Ok(()) }); }\n\
-             fn g(th: &T) { side.lock(); th.critical(&a, |c| { Ok(()) }); }",
+             fn f(th: &T) { th.tx(&a).run(|ctx| { side.lock(); Ok(()) }); }\n\
+             fn g(th: &T) { side.lock(); th.tx(&a).run(|c| { Ok(()) }); }",
         );
         // `side` alone nests under `a`; no opposite edge exists (the bare
         // `side.lock()` outside any block carries no held-lock context).
         assert!(found.is_empty(), "{found:?}");
         let found = analyze(
             "let a = ElidableMutex::new(\"a\"); let s2 = ElidableMutex::new(\"s2\");\n\
-             fn f(th: &T) { th.critical(&a, |ctx| { s2.lock(); Ok(()) }); }\n\
-             fn g(th: &T) { th.critical(&s2, |ctx| { th.critical(&a, |c| { Ok(()) }) }); }",
+             fn f(th: &T) { th.tx(&a).run(|ctx| { s2.lock(); Ok(()) }); }\n\
+             fn g(th: &T) { th.tx(&s2).run(|ctx| { th.tx(&a).run(|c| { Ok(()) }) }); }",
         );
         assert_eq!(found.len(), 2, "{found:?}");
     }
@@ -533,9 +532,9 @@ mod tests {
         let found = analyze(
             "let a = ElidableMutex::new(\"a\"); let b = ElidableMutex::new(\"b\"); \
              let c = ElidableMutex::new(\"c\");\n\
-             fn f(th: &T) { th.critical(&a, |x| { th.critical(&b, |y| { Ok(()) }) }); }\n\
-             fn g(th: &T) { th.critical(&b, |x| { th.critical(&c, |y| { Ok(()) }) }); }\n\
-             fn h(th: &T) { th.critical(&c, |x| { th.critical(&a, |y| { Ok(()) }) }); }",
+             fn f(th: &T) { th.tx(&a).run(|x| { th.tx(&b).run(|y| { Ok(()) }) }); }\n\
+             fn g(th: &T) { th.tx(&b).run(|x| { th.tx(&c).run(|y| { Ok(()) }) }); }\n\
+             fn h(th: &T) { th.tx(&c).run(|x| { th.tx(&a).run(|y| { Ok(()) }) }); }",
         );
         assert_eq!(found.len(), 3, "{found:?}");
     }

@@ -1,8 +1,5 @@
-//! Rendering: human-readable and `--format json` output.
-//!
-//! The JSON emitter is hand-rolled (the crate is dependency-free by
-//! design); the schema is flat and stable so CI can archive the output as a
-//! build artifact and diff it across runs.
+//! Rendering the human-readable report: one line per finding, then the
+//! counts. The machine-readable format is SARIF ([`crate::sarif`]).
 
 use crate::rules::Finding;
 use crate::scan::Report;
@@ -59,148 +56,5 @@ fn line(out: &mut String, path: &Path, f: &Finding) {
     );
     for r in &f.related {
         let _ = writeln!(out, "    -> {}:{}: {}", r.path.display(), r.span, r.note);
-    }
-}
-
-/// Render the JSON report (single line per top-level key group, stable key
-/// order).
-pub fn render_json(report: &Report) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"findings\": [");
-    let mut first = true;
-    for file in &report.files {
-        for f in &file.findings {
-            json_finding(&mut out, &mut first, &file.path, f, "active", None);
-        }
-        for (f, reason) in &file.suppressed {
-            json_finding(
-                &mut out,
-                &mut first,
-                &file.path,
-                f,
-                "suppressed",
-                Some(reason),
-            );
-        }
-        for f in &file.stale {
-            json_finding(&mut out, &mut first, &file.path, f, "stale", None);
-        }
-    }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-    let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
-    let _ = writeln!(out, "  \"sites\": {},", report.total_sites());
-    let _ = writeln!(out, "  \"active\": {},", report.total_findings());
-    let _ = writeln!(out, "  \"suppressed\": {},", report.total_suppressed());
-    let _ = writeln!(out, "  \"stale\": {},", report.total_stale());
-    let s = &report.stats;
-    let _ = writeln!(
-        out,
-        "  \"workspace\": {{\"fns_indexed\": {}, \"calls_resolved\": {}, \
-         \"lock_names\": {}, \"lock_edges\": {}, \"atomic_accesses\": {}}}",
-        s.fns_indexed, s.calls_resolved, s.lock_names, s.lock_edges, s.atomic_accesses
-    );
-    out.push('}');
-    out
-}
-
-fn json_finding(
-    out: &mut String,
-    first: &mut bool,
-    path: &Path,
-    f: &Finding,
-    status: &str,
-    reason: Option<&str>,
-) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    let _ = write!(
-        out,
-        "\n    {{\"rule\": \"{}\", \"slug\": \"{}\", \"file\": {}, \"line\": {}, \
-         \"col\": {}, \"status\": \"{}\", \"message\": {}",
-        f.rule.id(),
-        f.rule.slug(),
-        json_str(&path.display().to_string()),
-        f.span.line,
-        f.span.col,
-        status,
-        json_str(&f.message)
-    );
-    if let Some(reason) = reason {
-        let _ = write!(out, ", \"reason\": {}", json_str(reason));
-    }
-    if !f.related.is_empty() {
-        out.push_str(", \"related\": [");
-        for (i, r) in f.related.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"file\": {}, \"line\": {}, \"col\": {}, \"note\": {}}}",
-                json_str(&r.path.display().to_string()),
-                r.span.line,
-                r.span.col,
-                json_str(&r.note)
-            );
-        }
-        out.push(']');
-    }
-    out.push('}');
-}
-
-/// Escape a string per RFC 8259.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::scan::lint_source;
-
-    #[test]
-    fn json_escapes_quotes_and_newlines() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn json_report_is_parseable_shape() {
-        let fr = lint_source(
-            "t.rs",
-            "fn f(th: &T, l: &L) { th.critical(l, |ctx| { println!(\"x\"); Ok(()) }); }",
-        );
-        let report = Report {
-            files: vec![fr],
-            files_scanned: 1,
-            ..Report::default()
-        };
-        let js = render_json(&report);
-        assert!(js.contains("\"rule\": \"R1\""));
-        assert!(js.contains("\"status\": \"active\""));
-        assert!(js.ends_with('}'));
-        // Balanced braces/brackets as a cheap well-formedness probe.
-        assert_eq!(js.matches('{').count(), js.matches('}').count());
-        assert_eq!(js.matches('[').count(), js.matches(']').count());
     }
 }

@@ -4,7 +4,7 @@
 //! | rule | paper hazard |
 //! |------|--------------|
 //! | R1 `irrevocable-effect` | §VI TM-unsafe actions: I/O, sleeps and other unrevertible effects force serial-irrevocable execution; the paper routes them through deferred actions |
-//! | R2 `nested-lock` | §V the x265 two-phase-locking violation: acquiring another lock (or re-entering `critical`) inside an atomic block |
+//! | R2 `nested-lock` | §V the x265 two-phase-locking violation: acquiring another lock (or re-entering `tx(..)`) inside an atomic block |
 //! | R3 `escape-hazard` | mixed transactional/non-transactional access: direct atomics or `load_direct`/`store_direct` inside the closure bypass the TM read/write sets |
 //! | R4 `noquiesce-privatization` | §IV-B: `TM_NoQuiesce` asserted by a transaction that privatizes (frees/drops shared data) — readers may still hold speculative references |
 //! | R5 `condvar-misuse` | §III: OS condition variables or `park` inside a transaction deadlock or lose wakeups; waiting must go through `TxCondvar` (Wang's construction) |
@@ -18,7 +18,7 @@
 //! call (the runner re-executes the section serial-irrevocably, so later
 //! effects are not speculative).
 
-use crate::extract::{Flat, Site, CRITICAL_METHODS};
+use crate::extract::{Flat, Site};
 use crate::lexer::{Delim, Span, TokKind};
 use std::path::PathBuf;
 
@@ -220,9 +220,8 @@ const PRIVATIZE: [&str; 3] = ["drop", "from_raw", "dealloc"];
 /// OS blocking primitives (R5).
 const PARK_CALLS: [&str; 2] = ["park", "park_timeout"];
 /// Async section entry points (R6): awaiting any of these inside an atomic
-/// block is a suspension hazard; `critical_async` is the free-function
-/// spelling some front-ends use.
-const ASYNC_ENTRIES: [&str; 3] = ["run_async", "try_run_async", "critical_async"];
+/// block is a suspension hazard.
+const ASYNC_ENTRIES: [&str; 2] = ["run_async", "try_run_async"];
 const CONDVAR_METHODS: [&str; 3] = ["notify_one", "notify_all", "wait_timeout"];
 
 /// Run every rule over one atomic block.
@@ -309,16 +308,6 @@ pub fn scan_site(site: &Site) -> Vec<Finding> {
                  inner critical sections (the x265 2PL bug); merge the sections or hand \
                  off via a ready flag"
                     .into(),
-            ));
-        } else if prev_dot && CRITICAL_METHODS.contains(&name) && next_open {
-            out.push(finding(
-                Rule::NestedLock,
-                f.span,
-                format!(
-                    "re-entrant `{name}` inside an atomic block: TLE cannot subsume inner \
-                     critical sections (the x265 2PL bug); merge the sections or hand off \
-                     via a ready flag"
-                ),
             ));
         } else if prev_dot && LOCK_METHODS.contains(&name) && next_open {
             out.push(finding(
@@ -530,8 +519,8 @@ fn finding(rule: Rule, span: Span, message: String) -> Finding {
 /// The hazards worth chasing *through a call* — the reduced rule set the
 /// call-graph layer runs over every function body reachable from an atomic
 /// block. R1/R5/R6 keep their local shapes; R2 keeps only the
-/// unambiguous acquisition shapes (`.lock()`-family, re-entrant
-/// `critical*`/chained `.run(..)`, `.tx(..)`) because the zero-argument
+/// unambiguous acquisition shapes (`.lock()`-family, re-entrant `.tx(..)`)
+/// because the zero-argument
 /// `.read()`/`.write()` guard heuristic is too weak a signal outside the
 /// closure it was written for. R3/R4 stay local by design: the kernel
 /// crates legitimately use raw atomics, and privatization is a property of
@@ -576,7 +565,7 @@ pub fn scan_reachable_hazards(flat: &[Flat]) -> Vec<Finding> {
                     f.span,
                     format!("lock acquisition `.{name}(..)`"),
                 ));
-            } else if CRITICAL_METHODS.contains(&name) || name == "tx" {
+            } else if name == "tx" {
                 out.push(finding(
                     Rule::NestedLock,
                     f.span,

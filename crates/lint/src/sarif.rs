@@ -1,22 +1,15 @@
-//! `--format sarif`: a SARIF 2.1.0 emitter, plus the `--baseline`
-//! write/check mode.
+//! `--format sarif`: a SARIF 2.1.0 emitter, the one machine-readable
+//! format.
 //!
 //! SARIF is the interchange format CI forges ingest natively (code
 //! scanning annotations, PR overlays), so the emitter is the piece that
 //! turns tle-lint from a console tool into a pipeline stage. It is
-//! hand-rolled on the [`tle_base::json::Json`] tree — the same
-//! byte-deterministic emitter the committed baseline uses — so the
-//! document is stable across runs and can itself be archived and diffed.
-//!
-//! The baseline file answers the adoption problem every new rule has: a
-//! workspace with pre-existing findings can't turn on `--deny` without
-//! either fixing everything first or suppressing everything first.
-//! `--baseline write <file>` records the current *active* findings as
-//! fingerprints; `--baseline check <file>` fails only on findings not in
-//! the recorded set, so CI gates new hazards while the backlog is paid
-//! down deliberately. Fingerprints are `rule:path:line:col` — stable
-//! under message rewording, invalidated by real code motion (which is the
-//! correct time to re-review a finding anyway).
+//! hand-rolled on the [`tle_base::json::Json`] tree, a byte-deterministic
+//! emitter, so the document is stable across runs and can be archived and
+//! diffed. Each result carries its status (`level`: error = active,
+//! note = suppressed with the `suppressions` justification, warning =
+//! stale), its related locations, and a `rule:path:line:col` fingerprint —
+//! stable under message rewording, invalidated by real code motion.
 
 use crate::rules::{Finding, Rule};
 use crate::scan::Report;
@@ -170,7 +163,7 @@ pub fn render_sarif(report: &Report) -> String {
     doc.render()
 }
 
-/// The stable identity of one active finding.
+/// The stable identity of one finding.
 fn fingerprint(path: &std::path::Path, f: &Finding) -> String {
     format!(
         "{}:{}:{}:{}",
@@ -181,68 +174,20 @@ fn fingerprint(path: &std::path::Path, f: &Finding) -> String {
     )
 }
 
-/// Render the baseline document: the sorted fingerprint set of every
-/// *active* finding (suppressed and stale findings are already handled by
-/// their own machinery).
-pub fn render_baseline(report: &Report) -> String {
-    let mut fps: Vec<String> = report
-        .files
-        .iter()
-        .flat_map(|file| file.findings.iter().map(|f| fingerprint(&file.path, f)))
-        .collect();
-    fps.sort();
-    fps.dedup();
-    Json::Obj(vec![
-        ("schema".into(), Json::str("tle-lint-baseline")),
-        ("version".into(), Json::u64(1)),
-        (
-            "findings".into(),
-            Json::Arr(fps.into_iter().map(Json::Str).collect()),
-        ),
-    ])
-    .render()
-}
-
-/// Check the report against a previously written baseline. Returns the
-/// fingerprints of findings *not* covered by the baseline (empty = pass),
-/// or an error when the baseline file doesn't parse.
-pub fn check_baseline(report: &Report, baseline_src: &str) -> Result<Vec<String>, String> {
-    let doc = Json::parse(baseline_src).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    if doc.get("schema").and_then(Json::as_str) != Some("tle-lint-baseline") {
-        return Err("baseline is missing `\"schema\": \"tle-lint-baseline\"`".into());
-    }
-    let known: std::collections::HashSet<&str> = doc
-        .get("findings")
-        .and_then(Json::as_arr)
-        .ok_or("baseline is missing the `findings` array")?
-        .iter()
-        .filter_map(Json::as_str)
-        .collect();
-    let mut fresh: Vec<String> = report
-        .files
-        .iter()
-        .flat_map(|file| file.findings.iter().map(|f| fingerprint(&file.path, f)))
-        .filter(|fp| !known.contains(fp.as_str()))
-        .collect();
-    fresh.sort();
-    fresh.dedup();
-    Ok(fresh)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::{lint_source, lint_sources};
+    use crate::scan::lint_sources;
     use std::path::PathBuf;
 
     fn dirty_report() -> Report {
         lint_sources(vec![(
             PathBuf::from("crates/demo/src/a.rs"),
             "fn log_it() { println!(\"x\"); }\n\
-             fn f(th: &T, l: &L) { th.critical(l, |ctx| { log_it(); Ok(()) }); }\n\
+             fn f(th: &T, l: &L) { th.tx(l).run(|ctx| { log_it(); Ok(()) }); }\n\
              fn g(th: &T, l: &L) {\n\
                  // tle-lint: allow(R1, \"demo allows logging\")\n\
-                 th.critical(l, |ctx| { println!(\"y\"); Ok(()) });\n\
+                 th.tx(l).run(|ctx| { println!(\"y\"); Ok(()) });\n\
              }"
             .to_owned(),
         )])
@@ -280,6 +225,15 @@ mod tests {
             .find(|r| r.get("level").and_then(Json::as_str) == Some("error"))
             .expect("active result present");
         assert!(active.get("relatedLocations").is_some());
+        let fingerprint = active
+            .get("partialFingerprints")
+            .and_then(|p| p.get("tleLint/v1"))
+            .and_then(Json::as_str)
+            .unwrap();
+        assert!(
+            fingerprint.starts_with("R1:crates/demo/src/a.rs:2:"),
+            "{fingerprint}"
+        );
         let suppressed = results
             .iter()
             .find(|r| r.get("suppressions").is_some())
@@ -297,56 +251,5 @@ mod tests {
     fn sarif_render_is_byte_deterministic_through_a_round_trip() {
         let doc = render_sarif(&dirty_report());
         assert_eq!(Json::parse(&doc).unwrap().render(), doc);
-    }
-
-    #[test]
-    fn baseline_write_then_check_passes_and_new_findings_fail() {
-        let report = dirty_report();
-        let baseline = render_baseline(&report);
-        assert!(check_baseline(&report, &baseline).unwrap().is_empty());
-
-        // A second workspace with one extra finding: only the new one trips.
-        let dirtier = lint_sources(vec![(
-            PathBuf::from("crates/demo/src/a.rs"),
-            "fn log_it() { println!(\"x\"); }\n\
-             fn f(th: &T, l: &L) { th.critical(l, |ctx| { log_it(); Ok(()) }); }\n\
-             fn g(th: &T, l: &L) {\n\
-                 // tle-lint: allow(R1, \"demo allows logging\")\n\
-                 th.critical(l, |ctx| { println!(\"y\"); Ok(()) });\n\
-             }\n\
-             fn h(th: &T, l: &L) { th.critical(l, |ctx| { side.lock(); Ok(()) }); }"
-                .to_owned(),
-        )]);
-        let fresh = check_baseline(&dirtier, &baseline).unwrap();
-        assert_eq!(fresh.len(), 1, "{fresh:?}");
-        assert!(fresh[0].starts_with("R2:"), "{fresh:?}");
-    }
-
-    #[test]
-    fn clean_reports_produce_an_empty_baseline() {
-        let fr = lint_source("ok.rs", "fn f() { let x = 1; }");
-        let report = Report {
-            files: vec![fr],
-            files_scanned: 1,
-            ..Report::default()
-        };
-        let baseline = render_baseline(&report);
-        let v = Json::parse(&baseline).unwrap();
-        assert_eq!(
-            v.get("findings").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(0)
-        );
-    }
-
-    #[test]
-    fn malformed_baselines_are_named_errors() {
-        let report = dirty_report();
-        assert!(check_baseline(&report, "not json").is_err());
-        assert!(check_baseline(&report, "{\"schema\": \"other\"}").is_err());
-        assert!(check_baseline(
-            &report,
-            "{\"schema\": \"tle-lint-baseline\", \"version\": 1}"
-        )
-        .is_err());
     }
 }

@@ -334,7 +334,7 @@ mod tests {
             "fn log_it() { println!(\"x\"); }\n\
              fn f(th: &T, l: &L) {\n\
                  // tle-lint: allow(R1, \"test helper logs on purpose\")\n\
-                 th.critical(l, |ctx| { log_it(); Ok(()) });\n\
+                 th.tx(l).run(|ctx| { log_it(); Ok(()) });\n\
              }",
         );
         assert!(fr.findings.is_empty(), "{:?}", fr.findings);

@@ -1,7 +1,7 @@
 //! Brace/bracket/paren token trees over the flat token stream.
 //!
 //! The analyzer works structurally — "the argument group of this
-//! `critical(...)` call", "the body of this closure" — so the only parsing
+//! `run(...)` call", "the body of this closure" — so the only parsing
 //! it needs is delimiter matching. Everything else stays a flat token
 //! sequence inside its group.
 

@@ -6,7 +6,7 @@
 //     runner re-executes it serially, so later effects never speculate.
 
 fn deferred_logging(th: &ThreadHandle, lock: &ElidableMutex, cell: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let v = ctx.read(cell)?;
         ctx.defer(move || println!("committed with {v}"));
         ctx.write(cell, v + 1)?;
@@ -15,7 +15,7 @@ fn deferred_logging(th: &ThreadHandle, lock: &ElidableMutex, cell: &TCell<u64>) 
 }
 
 fn serial_io(th: &ThreadHandle, lock: &ElidableMutex, cell: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         ctx.unsafe_op()?;
         // Serial-irrevocable from here on: the effect happens exactly once.
         println!("running serially");

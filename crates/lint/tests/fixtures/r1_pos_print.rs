@@ -3,7 +3,7 @@
 // the call.
 
 fn account_log(th: &ThreadHandle, lock: &ElidableMutex, cell: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let v = ctx.read(cell)?;
         println!("balance now {v}"); //~ R1
         ctx.write(cell, v + 1)?;
@@ -12,7 +12,7 @@ fn account_log(th: &ThreadHandle, lock: &ElidableMutex, cell: &TCell<u64>) {
 }
 
 fn account_debug(th: &ThreadHandle, lock: &ElidableMutex, cell: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         dbg!(ctx.read(cell)?); //~ R1
         Ok(())
     });

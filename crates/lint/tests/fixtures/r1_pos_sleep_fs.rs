@@ -3,7 +3,7 @@
 // execution — or worse, execute speculatively and then unwind.
 
 fn throttle(th: &ThreadHandle, lock: &ElidableMutex, cell: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let v = ctx.read(cell)?;
         std::thread::sleep(Duration::from_millis(v)); //~ R1
         Ok(())
@@ -11,7 +11,7 @@ fn throttle(th: &ThreadHandle, lock: &ElidableMutex, cell: &TCell<u64>) {
 }
 
 fn checkpoint(th: &ThreadHandle, lock: &ElidableMutex, cell: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let v = ctx.read(cell)?;
         File::create("checkpoint.bin")?; //~ R1
         std::fs::remove_file("checkpoint.old")?; //~ R1

@@ -8,7 +8,7 @@ fn log_progress(done: u64) {
 }
 
 fn drain(th: &Thread, lock: &ElidableMutex<u64>, cell: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let done = ctx.read(cell)?;
         log_progress(done); //~ R1 @9
         Ok(())

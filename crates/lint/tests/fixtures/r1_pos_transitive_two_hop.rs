@@ -10,7 +10,7 @@ fn flush(buf: &Buffer) {
 }
 
 fn commit(th: &Thread, lock: &ElidableMutex<u64>, buf: &Buffer) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         flush(buf); //~ R1
         Ok(())
     });

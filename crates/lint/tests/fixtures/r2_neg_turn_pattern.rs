@@ -4,7 +4,7 @@
 // fine; only nesting is the hazard.
 
 fn submit(th: &ThreadHandle, lock: &ElidableMutex, out: &Mutex<Vec<u8>>, next: &TCell<u64>, id: u64) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         if ctx.read(next)? != id {
             return ctx.wait_turn();
         }
@@ -15,14 +15,14 @@ fn submit(th: &ThreadHandle, lock: &ElidableMutex, out: &Mutex<Vec<u8>>, next: &
         let mut buf = out.lock();
         buf.push(id as u8);
     }
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         ctx.write(next, id + 1)?;
         Ok(())
     });
 }
 
 fn transactional_read_write(th: &ThreadHandle, lock: &ElidableMutex, cell: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         // ctx.read/ctx.write take arguments — these are the transactional
         // accessors, not RwLock guards.
         let v = ctx.read(cell)?;

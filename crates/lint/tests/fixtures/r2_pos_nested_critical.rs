@@ -3,9 +3,9 @@
 // transactional metadata the outer section still depends on.
 
 fn transfer(th: &ThreadHandle, a: &ElidableMutex, b: &ElidableMutex, c: &TCell<u64>) {
-    th.critical(a, |ctx| {
+    th.tx(a).run(|ctx| {
         let v = ctx.read(c)?;
-        th.critical(b, |inner| { //~ R2
+        th.tx(b).run(|inner| { //~ R2
             inner.write(c, v + 1)?;
             Ok(())
         });
@@ -14,9 +14,9 @@ fn transfer(th: &ThreadHandle, a: &ElidableMutex, b: &ElidableMutex, c: &TCell<u
 }
 
 fn reserve_then_fill(th: &ThreadHandle, q: &ElidableMutex, c: &TCell<u64>) {
-    th.critical(q, |ctx| {
+    th.tx(q).run(|ctx| {
         ctx.write(c, 1)?;
-        th.critical_with(q, (2, 8), |inner| { //~ R2
+        th.tx(q).hints((2, 8)).run(|inner| { //~ R2
             inner.write(c, 2)?;
             Ok(())
         });

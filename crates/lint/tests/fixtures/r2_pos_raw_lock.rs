@@ -3,7 +3,7 @@
 // the two-phase-locking discipline the paper's x265 fix restores.
 
 fn double_lock(th: &ThreadHandle, lock: &ElidableMutex, side: &Mutex<Vec<u8>>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let mut out = side.lock(); //~ R2
         out.push(ctx.read_byte()?);
         Ok(())
@@ -11,7 +11,7 @@ fn double_lock(th: &ThreadHandle, lock: &ElidableMutex, side: &Mutex<Vec<u8>>) {
 }
 
 fn guarded_read(th: &ThreadHandle, lock: &ElidableMutex, table: &RwLock<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let snapshot = table.read(); //~ R2
         ctx.write_snapshot(snapshot)?;
         Ok(())
@@ -19,7 +19,7 @@ fn guarded_read(th: &ThreadHandle, lock: &ElidableMutex, table: &RwLock<u64>) {
 }
 
 fn try_side_lock(th: &ThreadHandle, lock: &ElidableMutex, side: &Mutex<u64>) {
-    th.critical(lock, |_ctx| {
+    th.tx(lock).run(|_ctx| {
         if let Some(g) = side.try_lock() { //~ R2
             drop(g);
         }

@@ -6,7 +6,7 @@ fn push_pending(q: &Queue, item: u64) {
 }
 
 fn submit(th: &Thread, lock: &ElidableMutex<u64>, q: &Queue) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         push_pending(q, 7); //~ R2
         Ok(())
     });

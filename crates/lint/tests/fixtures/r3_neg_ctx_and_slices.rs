@@ -5,7 +5,7 @@
 
 fn disciplined(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<u64>, ops: &AtomicU64) {
     ops.fetch_add(1, Ordering::Relaxed); // outside: fine
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let v = ctx.read(c)?;
         ctx.write(c, v + 1)?;
         ctx.update(c, |x| x * 2)?;
@@ -16,7 +16,7 @@ fn disciplined(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<u64>, ops: &At
 
 fn shuffles(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<u64>) {
     let mut scratch = [1u64, 2, 3];
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         scratch.swap(0, 2); // slice swap, no Ordering: fine
         ctx.write(c, scratch[0])?;
         Ok(())

@@ -3,7 +3,7 @@
 // nor rolls back, so an aborted attempt leaves the counter bumped.
 
 fn count_inside(th: &ThreadHandle, lock: &ElidableMutex, ops: &AtomicU64, c: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         ops.fetch_add(1, Ordering::Relaxed); //~ R3
         ctx.write(c, 1)?;
         Ok(())
@@ -11,7 +11,7 @@ fn count_inside(th: &ThreadHandle, lock: &ElidableMutex, ops: &AtomicU64, c: &TC
 }
 
 fn flag_inside(th: &ThreadHandle, lock: &ElidableMutex, flag: &AtomicBool, c: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         if flag.load(Ordering::Acquire) { //~ R3
             ctx.write(c, 1)?;
         }

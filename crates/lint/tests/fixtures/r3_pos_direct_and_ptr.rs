@@ -3,7 +3,7 @@
 // under speculation they read around the transaction's own write set.
 
 fn peek_around(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let shadow = c.load_direct(); //~ R3
         ctx.write(c, shadow + 1)?;
         Ok(())
@@ -11,7 +11,7 @@ fn peek_around(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<u64>) {
 }
 
 fn poke_around(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<u64>, p: *mut u64) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         c.store_direct(9); //~ R3
         let v = unsafe { std::ptr::read(p) }; //~ R3
         ctx.write(c, v)?;

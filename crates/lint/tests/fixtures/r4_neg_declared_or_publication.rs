@@ -4,7 +4,7 @@
 // allocator-mandated drain.
 
 fn publish_only(th: &ThreadHandle, lock: &ElidableMutex, slot: &TCell<u64>, tail: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let t = ctx.read(tail)?;
         ctx.write(slot, t)?;
         ctx.write(tail, t + 1)?;
@@ -15,7 +15,7 @@ fn publish_only(th: &ThreadHandle, lock: &ElidableMutex, slot: &TCell<u64>, tail
 }
 
 fn declared_free(th: &ThreadHandle, lock: &ElidableMutex, slot: &TCell<*mut u8>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let p = ctx.read(slot)?;
         ctx.write(slot, core::ptr::null_mut())?;
         drop(unsafe { Box::from_raw(p) });

@@ -3,7 +3,7 @@
 // doomed transactions that still hold speculative references to it.
 
 fn pop_and_free(th: &ThreadHandle, lock: &ElidableMutex, slot: &TCell<*mut u8>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let p = ctx.read(slot)?;
         ctx.write(slot, core::ptr::null_mut())?;
         drop(unsafe { Box::from_raw(p) });
@@ -13,7 +13,7 @@ fn pop_and_free(th: &ThreadHandle, lock: &ElidableMutex, slot: &TCell<*mut u8>) 
 }
 
 fn recycle(th: &ThreadHandle, lock: &ElidableMutex, slot: &TCell<*mut u8>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let p = ctx.read(slot)?;
         unsafe { dealloc(p, layout()) };
         ctx.no_quiesce(); //~ R4

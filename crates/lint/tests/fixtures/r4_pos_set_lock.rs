@@ -7,7 +7,7 @@ fn setup(sys: &TmSystem, lock: &ElidableMutex) {
 }
 
 fn drain_one(th: &ThreadHandle, lock: &ElidableMutex, slot: &TCell<*mut u8>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let p = ctx.read(slot)?;
         ctx.write(slot, core::ptr::null_mut())?;
         drop(unsafe { Box::from_raw(p) });

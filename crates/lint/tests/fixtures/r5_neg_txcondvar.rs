@@ -4,7 +4,7 @@
 // commit, so an aborted signaller wakes no one.
 
 fn tx_wait(th: &ThreadHandle, lock: &ElidableMutex, cv: &TxCondvar, c: &TCell<bool>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         if !ctx.read(c)? {
             return ctx.wait(cv, None);
         }
@@ -13,7 +13,7 @@ fn tx_wait(th: &ThreadHandle, lock: &ElidableMutex, cv: &TxCondvar, c: &TCell<bo
 }
 
 fn tx_signal(th: &ThreadHandle, lock: &ElidableMutex, cv: &TxCondvar, c: &TCell<bool>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         ctx.write(c, true)?;
         ctx.signal(cv)?;
         Ok(())
@@ -21,7 +21,7 @@ fn tx_signal(th: &ThreadHandle, lock: &ElidableMutex, cv: &TxCondvar, c: &TCell<
 }
 
 fn tx_broadcast(th: &ThreadHandle, lock: &ElidableMutex, cv: &TxCondvar, c: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         ctx.update(c, |v| v + 1)?;
         ctx.broadcast(cv)?;
         Ok(())

@@ -4,7 +4,7 @@
 // wakeups — and under elision the parked thread holds the section open.
 
 fn os_wait(th: &ThreadHandle, lock: &ElidableMutex, cv: &Condvar, c: &TCell<bool>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         while !ctx.read(c)? {
             cv.wait_timeout(guard(), TIMEOUT); //~ R5
         }
@@ -13,7 +13,7 @@ fn os_wait(th: &ThreadHandle, lock: &ElidableMutex, cv: &Condvar, c: &TCell<bool
 }
 
 fn os_signal(th: &ThreadHandle, lock: &ElidableMutex, cv: &StdCondvar, c: &TCell<bool>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         ctx.write(c, true)?;
         cv.notify_one(); //~ R5
         Ok(())
@@ -21,7 +21,7 @@ fn os_signal(th: &ThreadHandle, lock: &ElidableMutex, cv: &StdCondvar, c: &TCell
 }
 
 fn cv_built_inside(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<bool>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let cv = Condvar::new(); //~ R5
         ctx.write(c, true)?;
         Ok(())

@@ -3,7 +3,7 @@
 // fallback), and nothing ever aborts it to let the unpark happen.
 
 fn spin_park(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<bool>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         if !ctx.read(c)? {
             std::thread::park(); //~ R5
         }
@@ -12,7 +12,7 @@ fn spin_park(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<bool>) {
 }
 
 fn timed_park(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<bool>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         if !ctx.read(c)? {
             park_timeout(TIMEOUT); //~ R5
         }

@@ -25,7 +25,7 @@ fn block_on_in_section(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<u64>) 
 }
 
 fn block_on_in_legacy_section(th: &ThreadHandle, lock: &ElidableMutex, c: &TCell<u64>) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         exec.block_on(refresh()); //~ R6
         ctx.update(c, |v| v + 1)?;
         Ok(())

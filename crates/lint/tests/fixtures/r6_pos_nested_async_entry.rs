@@ -17,7 +17,7 @@ async fn nested_async_entry(th: &ThreadHandle, a: &ElidableMutex, b: &ElidableMu
 }
 
 fn nested_try_entry_from_sync(th: &ThreadHandle, a: &ElidableMutex, b: &ElidableMutex) {
-    th.critical(a, |ctx| {
+    th.tx(a).run(|ctx| {
         let fut = th
             .tx(b) //~ R2
             .try_run_async(|inner| Ok(())); //~ R6
@@ -26,9 +26,9 @@ fn nested_try_entry_from_sync(th: &ThreadHandle, a: &ElidableMutex, b: &Elidable
     });
 }
 
-fn legacy_async_spelling(th: &ThreadHandle, a: &ElidableMutex, b: &ElidableMutex) {
+fn request_built_outside(th: &ThreadHandle, a: &ElidableMutex, req: TxRequest<'_>) {
     th.tx(a).run(|ctx| {
-        th.critical_async(b, |inner| Ok(())); //~ R6
+        req.run_async(|inner| Ok(())); //~ R6
         Ok(())
     });
 }

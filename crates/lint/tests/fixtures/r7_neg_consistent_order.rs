@@ -6,13 +6,13 @@ static PARENT: ElidableMutex<u64> = ElidableMutex::new("parent");
 static CHILD: ElidableMutex<u64> = ElidableMutex::new("child");
 
 fn path_one(th: &Thread) {
-    th.critical(&PARENT, |ctx| {
-        th.critical(&CHILD, |inner| { Ok(()) }) //~ R2
+    th.tx(&PARENT).run(|ctx| {
+        th.tx(&CHILD).run(|inner| { Ok(()) }) //~ R2
     });
 }
 
 fn path_two(th: &Thread) {
-    th.critical(&PARENT, |ctx| {
-        th.critical(&CHILD, |inner| { Ok(()) }) //~ R2
+    th.tx(&PARENT).run(|ctx| {
+        th.tx(&CHILD).run(|inner| { Ok(()) }) //~ R2
     });
 }

@@ -7,13 +7,13 @@ static PAGE: ElidableMutex<u64> = ElidableMutex::new("page");
 static ROW: ElidableMutex<u64> = ElidableMutex::new("row");
 
 fn forward(th: &Thread) {
-    th.critical(&PAGE, |ctx| {
-        th.critical(&ROW, |inner| { Ok(()) }) //~ R2,R7 @12
+    th.tx(&PAGE).run(|ctx| {
+        th.tx(&ROW).run(|inner| { Ok(()) }) //~ R2,R7 @12
     });
 }
 
 fn reverse(th: &Thread) {
-    th.critical(&ROW, |ctx| {
-        th.critical(&PAGE, |inner| { Ok(()) }) //~ R2,R7 @12
+    th.tx(&ROW).run(|ctx| {
+        th.tx(&PAGE).run(|inner| { Ok(()) }) //~ R2,R7 @12
     });
 }

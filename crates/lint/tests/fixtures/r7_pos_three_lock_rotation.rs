@@ -8,19 +8,19 @@ static BLOCKS: ElidableMutex<u64> = ElidableMutex::new("blocks");
 static JOURNAL: ElidableMutex<u64> = ElidableMutex::new("journal");
 
 fn index_then_blocks(th: &Thread) {
-    th.critical(&INDEX, |ctx| {
-        th.critical(&BLOCKS, |inner| { Ok(()) }) //~ R2,R7
+    th.tx(&INDEX).run(|ctx| {
+        th.tx(&BLOCKS).run(|inner| { Ok(()) }) //~ R2,R7
     });
 }
 
 fn blocks_then_journal(th: &Thread) {
-    th.critical(&BLOCKS, |ctx| {
+    th.tx(&BLOCKS).run(|ctx| {
         th.tx(&JOURNAL).run(|inner| { Ok(()) }) //~ R2,R7
     });
 }
 
 fn journal_then_index(th: &Thread) {
-    th.critical(&JOURNAL, |ctx| {
-        th.critical(&INDEX, |inner| { Ok(()) }) //~ R2,R7
+    th.tx(&JOURNAL).run(|ctx| {
+        th.tx(&INDEX).run(|inner| { Ok(()) }) //~ R2,R7
     });
 }

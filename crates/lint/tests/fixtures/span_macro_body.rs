@@ -5,7 +5,7 @@
 
 macro_rules! logged_bump {
     ($th:expr, $lock:expr, $cell:expr) => {
-        $th.critical($lock, |ctx| {
+        $th.tx($lock).run(|ctx| {
             let v = ctx.read($cell)?;
             println!("bump to {}", v + 1); //~ R1 @13
             ctx.write($cell, v + 1)?;
@@ -16,7 +16,7 @@ macro_rules! logged_bump {
 
 macro_rules! locked_push {
     ($th:expr, $lock:expr, $side:expr) => {
-        $th.critical($lock, |ctx| {
+        $th.tx($lock).run(|ctx| {
             let mut g = $side.lock(); //~ R2 @31
             g.push(ctx.tag()?);
             Ok(())

@@ -1,9 +1,9 @@
 // Span quality: in a long multi-line closure the finding must anchor on
-// the offending token's own line and column, not the `critical` call line.
+// the offending token's own line and column, not the `tx(..).run` call line.
 // The `@<col>` markers pin exact columns.
 
 fn long_body(th: &ThreadHandle, lock: &ElidableMutex, cells: &[TCell<u64>], ops: &AtomicU64) {
-    th.critical(lock, |ctx| {
+    th.tx(lock).run(|ctx| {
         let mut acc = 0u64;
         for c in cells {
             acc = acc.wrapping_add(ctx.read(c)?);

@@ -115,11 +115,11 @@ proptest! {
         let hazard_text = match hazard {
             0 => format!("println!({payload})"),
             1 => format!("side.lock() {payload}"),
-            2 => format!("th.critical(&l, {payload}"),
+            2 => format!("th.tx(&l).run({payload}"),
             _ => payload.clone(),
         };
         let src = format!(
-            "fn f(th: &T, lock: &L) {{\n    th.critical(&lock, |ctx| {{\n        \
+            "fn f(th: &T, lock: &L) {{\n    th.tx(&lock).run(|ctx| {{\n        \
              let msg = \"{hazard_text}\";\n        // note: {hazard_text}\n        \
              ctx.write(&cell, 1)?;\n        Ok(())\n    }});\n}}\n"
         );

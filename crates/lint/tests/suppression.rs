@@ -3,12 +3,12 @@
 
 use tle_lint::{lint_source, Rule};
 
-const VIOLATION: &str = "th.critical(&lock, |ctx| {\n    println!(\"x\");\n    Ok(())\n});\n";
+const VIOLATION: &str = "th.tx(&lock).run(|ctx| {\n    println!(\"x\");\n    Ok(())\n});\n";
 
 fn with_directive(directive: &str) -> String {
     // Own-line directive immediately above the offending line.
     format!(
-        "fn f(th: &T, lock: &L) {{\n    th.critical(&lock, |ctx| {{\n        {directive}\n        println!(\"x\");\n        Ok(())\n    }});\n}}\n"
+        "fn f(th: &T, lock: &L) {{\n    th.tx(&lock).run(|ctx| {{\n        {directive}\n        println!(\"x\");\n        Ok(())\n    }});\n}}\n"
     )
 }
 
@@ -28,7 +28,7 @@ fn reasoned_allow_suppresses_next_line() {
 
 #[test]
 fn trailing_allow_suppresses_own_line() {
-    let src = "fn f(th: &T, lock: &L) {\n    th.critical(&lock, |ctx| {\n        println!(\"x\"); // tle-lint: allow(irrevocable-effect, \"slug form works too\")\n        Ok(())\n    });\n}\n";
+    let src = "fn f(th: &T, lock: &L) {\n    th.tx(&lock).run(|ctx| {\n        println!(\"x\"); // tle-lint: allow(irrevocable-effect, \"slug form works too\")\n        Ok(())\n    });\n}\n";
     let r = lint_source("t.rs", src);
     assert!(r.findings.is_empty());
     assert_eq!(r.suppressed.len(), 1);
@@ -79,7 +79,7 @@ fn unknown_rule_is_a_lint_error() {
 #[test]
 fn stale_allow_is_reported() {
     // Directive present, but the line below is clean.
-    let src = "fn f(th: &T, lock: &L) {\n    th.critical(&lock, |ctx| {\n        // tle-lint: allow(R1, \"was needed before the defer rewrite\")\n        ctx.write(&c, 1)?;\n        Ok(())\n    });\n}\n";
+    let src = "fn f(th: &T, lock: &L) {\n    th.tx(&lock).run(|ctx| {\n        // tle-lint: allow(R1, \"was needed before the defer rewrite\")\n        ctx.write(&c, 1)?;\n        Ok(())\n    });\n}\n";
     let r = lint_source("t.rs", src);
     assert!(r.findings.is_empty());
     assert_eq!(r.stale.len(), 1);
@@ -107,7 +107,7 @@ fn allow_is_rule_specific_and_line_specific() {
 
 #[test]
 fn one_comment_can_carry_multiple_clauses() {
-    let src = "fn f(th: &T, lock: &L) {\n    th.critical(&lock, |ctx| {\n        // tle-lint: allow(R1, \"demo io\") allow(R2, \"demo lock\")\n        println!(\"{}\", side.lock().len());\n        Ok(())\n    });\n}\n";
+    let src = "fn f(th: &T, lock: &L) {\n    th.tx(&lock).run(|ctx| {\n        // tle-lint: allow(R1, \"demo io\") allow(R2, \"demo lock\")\n        println!(\"{}\", side.lock().len());\n        Ok(())\n    });\n}\n";
     let r = lint_source("t.rs", src);
     assert!(
         r.findings.is_empty(),

@@ -118,12 +118,10 @@ static COMMANDS: &[Command] = &[
         about: "Transaction-safety static analysis for TLE atomic blocks.\n\
                 PATHS default to: crates examples src tests",
         flags: "\
---format F              human|json|sarif (default human)
---baseline MODE FILE    write: record the active findings in FILE;
-                        check: fail only on findings FILE lacks
---deny                  exit 1 when any finding is active
---deny-stale            also exit 1 on stale suppressions (A2)
---list-rules            print the rule table and exit" },
+--format F      human|sarif (default human)
+--deny          exit 1 when any finding is active
+--deny-stale    also exit 1 on stale suppressions (A2)
+--list-rules    print the rule table and exit" },
 ];
 
 /// Report a failed run (exit 1) with `msg` on stderr.

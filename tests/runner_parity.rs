@@ -39,9 +39,6 @@ enum Drive {
 fn modes() -> Vec<AlgoMode> {
     let mut modes = ALL_MODES.to_vec();
     modes.extend([AlgoMode::AdaptiveHtm, AlgoMode::AdaptiveHtmLazy]);
-    // The naive lazy variant is compiled out of release builds.
-    #[cfg(debug_assertions)]
-    modes.push(AlgoMode::AdaptiveHtmLazyUnsafe);
     modes
 }
 
