@@ -68,9 +68,7 @@ pub fn from_symbols(syms: &[u16]) -> Result<Vec<u8>, CodecError> {
     let mut place = 1u64;
     let mut in_run = false;
     let flush = |run: &mut u64, place: &mut u64, in_run: &mut bool, out: &mut Vec<u8>| {
-        for _ in 0..*run {
-            out.push(0);
-        }
+        out.resize(out.len() + *run as usize, 0);
         *run = 0;
         *place = 1;
         *in_run = false;
@@ -205,17 +203,41 @@ pub fn canonical_codes(lens: &[u8; ALPHA]) -> [u32; ALPHA] {
 /// Encode `syms` with the canonical code described by `lens`.
 pub fn encode_symbols(syms: &[u16], lens: &[u8; ALPHA], w: &mut BitWriter) {
     let codes = canonical_codes(lens);
+    // Codes gather into 32-bit words; the writer takes a word at a time.
+    let (mut acc, mut n) = (0u64, 0u32);
     for &s in syms {
-        let l = lens[s as usize];
+        let l = u32::from(lens[s as usize]);
         debug_assert!(l > 0, "symbol {s} has no code");
-        w.put(codes[s as usize], l as u32);
+        acc = (acc << l) | u64::from(codes[s as usize]);
+        n += l;
+        if n >= 32 {
+            n -= 32;
+            w.put((acc >> n) as u32, 32);
+        }
     }
+    w.put((acc & ((1 << n) - 1)) as u32, n);
+}
+
+/// Codes up to this many bits long decode in one table lookup.
+const LOOKUP_BITS: u32 = 10;
+
+/// The codes of one length: `first..end`, the first of them standing for
+/// `symbols[base]` of the [`Decoder`].
+struct Class {
+    len: u32,
+    first: u64,
+    end: u64,
+    base: usize,
 }
 
 /// Canonical decoding tables.
 pub struct Decoder {
-    /// For each length `l`: (first code of length l, first canonical index).
-    limits: Vec<(u32, u32, u32)>, // (len, max_code_exclusive, base_index)
+    /// For each `LOOKUP_BITS`-bit prefix that starts with a code of at most
+    /// `LOOKUP_BITS` bits: that code's symbol `<< 8 |` its length. 0 where
+    /// a longer code starts, or none.
+    lookup: Vec<u32>,
+    /// One class per code length in use, shortest first.
+    classes: Vec<Class>,
     /// Symbols in canonical order.
     symbols: Vec<u16>,
 }
@@ -234,60 +256,74 @@ impl Decoder {
             return Err(CodecError::Malformed("empty Huffman table"));
         }
         let symbols: Vec<u16> = pairs.iter().map(|&(_, s)| s).collect();
-        let mut limits = Vec::new();
-        let mut code = 0u32;
-        let mut idx = 0u32;
-        let mut prev_len = 0u8;
-        let mut i = 0;
-        while i < pairs.len() {
-            let l = pairs[i].0;
-            code <<= l - prev_len;
-            let start = i;
-            while i < pairs.len() && pairs[i].0 == l {
-                i += 1;
+        let mut classes: Vec<Class> = Vec::new();
+        let mut code = 0u64;
+        for (base, &(l, _)) in pairs.iter().enumerate() {
+            match classes.last_mut() {
+                Some(c) if c.len == u32::from(l) => c.end += 1,
+                last => {
+                    code <<= u32::from(l) - last.map_or(0, |c| c.len);
+                    classes.push(Class {
+                        len: l.into(),
+                        first: code,
+                        end: code + 1,
+                        base,
+                    });
+                }
             }
-            let count = (i - start) as u32;
-            limits.push((l as u32, code + count, idx));
-            code += count;
-            idx += count;
-            prev_len = l;
+            code += 1;
         }
-        Ok(Decoder { limits, symbols })
+        // As `LOOKUP_BITS`-bit prefixes, a class's codes start where the
+        // shorter classes' end, so the classes fill disjoint ranges in
+        // order. Codes past `1 << len` (a table with too many short codes)
+        // have no bit pattern to match.
+        let mut lookup = vec![0u32; 1 << LOOKUP_BITS];
+        for c in classes.iter().take_while(|c| c.len <= LOOKUP_BITS) {
+            let shift = LOOKUP_BITS - c.len;
+            for code in c.first..c.end.min(1 << c.len) {
+                let sym = symbols[c.base + (code - c.first) as usize];
+                let lo = (code as usize) << shift;
+                lookup[lo..lo + (1 << shift)].fill(u32::from(sym) << 8 | c.len);
+            }
+        }
+        Ok(Decoder {
+            lookup,
+            classes,
+            symbols,
+        })
     }
 
     /// Decode one symbol.
+    #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, CodecError> {
-        let mut code = 0u32;
-        let mut len = 0u32;
-        for &(l, max_code, base) in &self.limits {
-            while len < l {
-                code = (code << 1) | r.bit().ok_or(CodecError::Truncated)?;
-                len += 1;
+        let hit = self.lookup[r.peek(LOOKUP_BITS) as usize];
+        let len = hit & 0xFF;
+        // A hit on zero padding past the end is left to the walk.
+        if len != 0 && len as usize <= r.remaining() {
+            r.skip(len);
+            return Ok((hit >> 8) as u16);
+        }
+        self.walk(r)
+    }
+
+    /// The canonical walk: each length in turn takes as many bits as it
+    /// needs and matches if its code is below the class's end. Input that
+    /// ends before a match is `Truncated`; no match at all is invalid.
+    #[cold]
+    fn walk(&self, r: &mut BitReader<'_>) -> Result<u16, CodecError> {
+        let left = r.remaining();
+        let next = u64::from(r.peek(32));
+        for c in &self.classes {
+            if c.len as usize > left {
+                return Err(CodecError::Truncated);
             }
-            if code < max_code {
-                // Offset within this length class: count codes before it.
-                let first_code = max_code - (self.count_at(l));
-                let off = code - first_code;
-                return Ok(self.symbols[(base + off) as usize]);
+            let code = next >> (32 - c.len);
+            if code < c.end {
+                r.skip(c.len);
+                return Ok(self.symbols[c.base + (code - c.first) as usize]);
             }
         }
         Err(CodecError::Malformed("invalid Huffman code"))
-    }
-
-    fn count_at(&self, l: u32) -> u32 {
-        // Number of codes with length l.
-        for (i, &(ll, max_code, base)) in self.limits.iter().enumerate() {
-            if ll == l {
-                let next_base = self
-                    .limits
-                    .get(i + 1)
-                    .map(|&(_, _, b)| b)
-                    .unwrap_or(self.symbols.len() as u32);
-                let _ = max_code;
-                return next_base - base;
-            }
-        }
-        0
     }
 }
 
@@ -470,6 +506,163 @@ mod tests {
                 }
                 let shifted = codes[b] >> (lens[b] - lens[a]);
                 assert!(shifted != codes[a], "code {a} is a prefix of code {b}");
+            }
+        }
+    }
+
+    /// The bit-at-a-time decoder the table-driven one replaced: read bits
+    /// until the next code length, match below its limit, repeat.
+    struct RefDecoder {
+        /// `(len, end code, index of its first symbol)` per length.
+        limits: Vec<(u32, u32, u32)>,
+        symbols: Vec<u16>,
+    }
+
+    impl RefDecoder {
+        fn new(lens: &[u8; ALPHA]) -> Self {
+            let mut pairs: Vec<(u8, u16)> = (0..ALPHA)
+                .filter(|&s| lens[s] > 0)
+                .map(|s| (lens[s], s as u16))
+                .collect();
+            pairs.sort_unstable();
+            let (mut limits, mut code, mut prev) = (Vec::new(), 0u32, 0u8);
+            for (i, &(l, _)) in pairs.iter().enumerate() {
+                if i == 0 || l != prev {
+                    code <<= l - prev;
+                    limits.push((l as u32, code, i as u32));
+                    prev = l;
+                }
+                limits.last_mut().unwrap().1 += 1;
+                code += 1;
+            }
+            let symbols = pairs.iter().map(|&(_, s)| s).collect();
+            RefDecoder { limits, symbols }
+        }
+
+        fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, CodecError> {
+            let (mut code, mut len) = (0u32, 0u32);
+            for (i, &(l, end, base)) in self.limits.iter().enumerate() {
+                while len < l {
+                    code = (code << 1) | r.bit().ok_or(CodecError::Truncated)?;
+                    len += 1;
+                }
+                if code < end {
+                    let next = self
+                        .limits
+                        .get(i + 1)
+                        .map_or(self.symbols.len(), |x| x.2 as usize);
+                    let first = end - (next as u32 - base);
+                    return Ok(self.symbols[(base + code - first) as usize]);
+                }
+            }
+            Err(CodecError::Malformed("invalid Huffman code"))
+        }
+    }
+
+    /// Decode `bytes` with both decoders until either fails: same
+    /// symbols, same errors, at the same bit positions.
+    fn agree_with_reference(lens: &[u8; ALPHA], bytes: &[u8]) -> usize {
+        let (dec, reference) = (Decoder::new(lens).unwrap(), RefDecoder::new(lens));
+        let (mut r, mut q) = (BitReader::new(bytes), BitReader::new(bytes));
+        for n in 0.. {
+            let got = dec.decode(&mut r);
+            assert_eq!(got, reference.decode(&mut q), "symbol {n}");
+            if got.is_err() {
+                return n;
+            }
+            assert_eq!(r.remaining(), q.remaining(), "symbol {n}");
+        }
+        unreachable!()
+    }
+
+    /// Lengths for a skewed table: symbol `s` of `n` gets length `s + 1`,
+    /// the last two the same, so the code is complete and `n` deep.
+    fn staircase(n: usize) -> [u8; ALPHA] {
+        let mut lens = [0u8; ALPHA];
+        for (s, l) in lens.iter_mut().enumerate().take(n) {
+            *l = (s + 1).min(n - 1) as u8;
+        }
+        lens
+    }
+
+    #[test]
+    fn long_codes_take_the_walk_and_short_ones_the_table() {
+        let lens = staircase(MAX_LEN as usize + 1);
+        assert!(lens.iter().any(|&l| l as u32 > LOOKUP_BITS));
+        let syms: Vec<u16> = (0..2000u32).map(|i| (i * 7 % 21) as u16).collect();
+        let mut w = BitWriter::new();
+        encode_symbols(&syms, &lens, &mut w);
+        let bytes = w.finish();
+        let dec = Decoder::new(&lens).unwrap();
+        let mut r = BitReader::new(&bytes);
+        for &s in &syms {
+            assert_eq!(dec.decode(&mut r), Ok(s));
+        }
+        assert!(r.remaining() < 8);
+        // Every cut of the stream fails where the bit-at-a-time walk does.
+        for cut in 0..=bytes.len() {
+            agree_with_reference(&lens, &bytes[..cut]);
+        }
+    }
+
+    #[test]
+    fn unused_patterns_of_an_incomplete_table_stay_invalid() {
+        // Codes 0, 10 and 110: any pattern starting 111 matches nothing.
+        let mut lens = [0u8; ALPHA];
+        (lens[5], lens[9], lens[EOB as usize]) = (1, 2, 3);
+        let dec = Decoder::new(&lens).unwrap();
+        let invalid = Err(CodecError::Malformed("invalid Huffman code"));
+        for bytes in [&[0xE0u8][..], &[0xFF, 0xFF], &[0x7F]] {
+            let mut r = BitReader::new(bytes);
+            while let Ok(s) = dec.decode(&mut r) {
+                assert_eq!(s, 5, "only the 1-bit code precedes the 111");
+            }
+            agree_with_reference(&lens, bytes);
+        }
+        assert_eq!(dec.decode(&mut BitReader::new(&[0xE0])), invalid);
+        // Short of three bits a 11 prefix is truncated, not invalid.
+        let mut r = BitReader::new(&[0x7F]);
+        r.get(6);
+        assert_eq!(dec.decode(&mut r), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn random_tables_and_streams_decode_like_the_reference() {
+        let mut rng = tle_base::rng::XorShift64::new(35);
+        for round in 0..300 {
+            // Complete codes, Kraft-incomplete ones and over-full ones.
+            let mut lens = match round % 3 {
+                0 => staircase(2 + rng.below(MAX_LEN as u64) as usize),
+                _ => [0u8; ALPHA],
+            };
+            let present = 1 + rng.below(ALPHA as u64) as usize;
+            for _ in 0..present * (round % 3) / 2 {
+                lens[rng.below(ALPHA as u64) as usize] = 1 + rng.below(MAX_LEN as u64) as u8;
+            }
+            if lens.iter().all(|&l| l == 0) {
+                lens[0] = 1;
+            }
+            let bytes: Vec<u8> = (0..rng.below(300)).map(|_| rng.next_u64() as u8).collect();
+            agree_with_reference(&lens, &bytes);
+            // And a stream of the table's own codes, cut short.
+            let mut f = [0u64; ALPHA];
+            for _ in 0..present {
+                f[rng.below(ALPHA as u64) as usize] += 1 + rng.below(1000);
+            }
+            let lens = code_lengths(&f);
+            let syms: Vec<u16> = (0..ALPHA as u16)
+                .filter(|&s| lens[s as usize] > 0)
+                .collect();
+            let stream: Vec<u16> = (0..500)
+                .map(|_| syms[rng.below(syms.len() as u64) as usize])
+                .collect();
+            let mut w = BitWriter::new();
+            encode_symbols(&stream, &lens, &mut w);
+            let bytes = w.finish();
+            let cut = rng.below(bytes.len() as u64 + 1) as usize;
+            let decoded = agree_with_reference(&lens, &bytes[..cut]);
+            if cut == bytes.len() {
+                assert!(decoded >= stream.len());
             }
         }
     }

@@ -39,15 +39,18 @@ pub(crate) fn mtf_encode_in_place(data: &mut [u8]) {
 
 /// MTF-decode `data`.
 pub fn mtf_decode(data: &[u8]) -> Vec<u8> {
-    let mut table: Vec<u8> = (0..=255).collect();
-    let mut out = Vec::with_capacity(data.len());
-    for &pos in data {
-        let b = table[pos as usize];
-        out.push(b);
-        table.copy_within(0..pos as usize, 1);
-        table[0] = b;
-    }
-    out
+    let mut table: [u8; 256] = std::array::from_fn(|i| i as u8);
+    data.iter()
+        .map(|&rank| {
+            let b = table[rank as usize];
+            // Rank 0, most of a BWT's output, leaves the table as it is.
+            if rank != 0 {
+                table.copy_within(..rank as usize, 1);
+                table[0] = b;
+            }
+            b
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -89,6 +92,26 @@ mod tests {
         roundtrip(&data);
         let data: Vec<u8> = (0..=255u8).rev().cycle().take(1000).collect();
         roundtrip(&data);
+    }
+
+    #[test]
+    fn decode_matches_the_shifting_vec_reference() {
+        let mut rng = tle_base::rng::XorShift64::new(35);
+        let ranks: Vec<u8> = (0..20_000)
+            .map(|i| match i % 3 {
+                0 => 0,
+                1 => rng.below(4) as u8,
+                _ => rng.next_u64() as u8,
+            })
+            .collect();
+        let mut table: Vec<u8> = (0..=255).collect();
+        let mut reference = Vec::new();
+        for &rank in &ranks {
+            let b = table.remove(rank as usize);
+            table.insert(0, b);
+            reference.push(b);
+        }
+        assert_eq!(mtf_decode(&ranks), reference);
     }
 
     #[test]

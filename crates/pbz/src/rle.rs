@@ -17,44 +17,42 @@ pub fn rle1_encode(data: &[u8]) -> Vec<u8> {
 pub(crate) fn rle1_encode_into(data: &[u8], out: &mut Vec<u8>) {
     out.clear();
     out.reserve(data.len() + data.len() / 128 + 4);
-    let mut i = 0;
-    while i < data.len() {
+    let mut at = 0;
+    while let Some(i) = next_quad(data, at) {
+        out.extend_from_slice(&data[at..i]);
         let b = data[i];
-        let mut run = 1usize;
-        while i + run < data.len() && data[i + run] == b && run < 255 {
-            run += 1;
-        }
-        if run >= 4 {
-            out.extend_from_slice(&[b, b, b, b]);
-            out.push((run - 4) as u8);
-        } else {
-            for _ in 0..run {
-                out.push(b);
-            }
-        }
-        i += run;
+        let run = 4 + data[i + 4..]
+            .iter()
+            .take(251)
+            .take_while(|&&x| x == b)
+            .count();
+        out.extend_from_slice(&[b, b, b, b, (run - 4) as u8]);
+        at = i + run;
     }
+    out.extend_from_slice(&data[at..]);
 }
 
 /// Decode the RLE1 scheme.
 pub fn rle1_decode(data: &[u8]) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::with_capacity(data.len());
-    let mut i = 0;
-    while i < data.len() {
-        let b = data[i];
-        // Detect a literal run of four identical bytes: a count follows.
-        if i + 3 < data.len() && data[i + 1] == b && data[i + 2] == b && data[i + 3] == b {
-            let count = *data.get(i + 4).ok_or(CodecError::Truncated)? as usize;
-            for _ in 0..4 + count {
-                out.push(b);
-            }
-            i += 5;
-        } else {
-            out.push(b);
-            i += 1;
-        }
+    let mut at = 0;
+    while let Some(i) = next_quad(data, at) {
+        out.extend_from_slice(&data[at..i]);
+        let count = *data.get(i + 4).ok_or(CodecError::Truncated)?;
+        out.resize(out.len() + 4 + count as usize, data[i]);
+        at = i + 5;
     }
+    out.extend_from_slice(&data[at..]);
     Ok(out)
+}
+
+/// Where the first four equal bytes at or after `from` start. Both passes
+/// copy the span in front of them whole: only such a run changes bytes, and
+/// a shorter run cannot hide one (from inside a run of fewer than four, the
+/// rest of it is shorter still).
+fn next_quad(data: &[u8], from: usize) -> Option<usize> {
+    let quad = |w: &[u8]| w[0] == w[1] && w[0] == w[2] && w[0] == w[3];
+    Some(from + data.get(from..)?.windows(4).position(quad)?)
 }
 
 #[cfg(test)]
@@ -110,6 +108,74 @@ mod tests {
     fn truncated_count_byte_is_an_error() {
         // Four identical bytes with no count byte following.
         assert_eq!(rle1_decode(b"qqqq"), Err(CodecError::Truncated));
+    }
+
+    /// The byte-at-a-time encoder the span-copying one replaced.
+    fn reference_encode(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < data.len() {
+            let b = data[i];
+            let mut run = 1usize;
+            while i + run < data.len() && data[i + run] == b && run < 255 {
+                run += 1;
+            }
+            if run >= 4 {
+                out.extend_from_slice(&[b, b, b, b]);
+                out.push((run - 4) as u8);
+            } else {
+                out.extend(std::iter::repeat_n(b, run));
+            }
+            i += run;
+        }
+        out
+    }
+
+    #[test]
+    fn span_copy_matches_the_reference_on_every_run_length() {
+        for run in 1..=600 {
+            // The run alone (it touches both ends), then between literals.
+            let alone = vec![b'r'; run];
+            assert_eq!(rle1_encode(&alone), reference_encode(&alone), "{run}");
+            let mut framed = b"ab".to_vec();
+            framed.extend_from_slice(&alone);
+            framed.extend_from_slice(b"rcd");
+            assert_eq!(rle1_encode(&framed), reference_encode(&framed), "{run}");
+            framed.truncate(framed.len() - 3);
+            assert_eq!(rle1_encode(&framed), reference_encode(&framed), "{run}");
+        }
+    }
+
+    /// The byte-at-a-time decoder the span-copying one replaced.
+    fn reference_decode(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < data.len() {
+            let b = data[i];
+            if i + 3 < data.len() && data[i + 1] == b && data[i + 2] == b && data[i + 3] == b {
+                let count = *data.get(i + 4).ok_or(CodecError::Truncated)? as usize;
+                out.extend(std::iter::repeat_n(b, 4 + count));
+                i += 5;
+            } else {
+                out.push(b);
+                i += 1;
+            }
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn span_copy_matches_the_reference_on_small_alphabets() {
+        let mut rng = tle_base::rng::XorShift64::new(35);
+        for alphabet in [1u64, 2, 3, 4, 256] {
+            for _ in 0..50 {
+                let len = rng.below(2000) as usize;
+                let data: Vec<u8> = (0..len).map(|_| rng.below(alphabet) as u8).collect();
+                assert_eq!(rle1_encode(&data), reference_encode(&data));
+                // Any bytes at all decode (or fail) as they did.
+                assert_eq!(rle1_decode(&data), reference_decode(&data));
+            }
+        }
     }
 
     #[test]

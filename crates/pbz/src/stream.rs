@@ -31,8 +31,10 @@ pub struct StreamCompressor<W: Write> {
 }
 
 impl<W: Write> StreamCompressor<W> {
-    /// Wrap `inner` with the given pipeline configuration.
-    pub fn new(sys: Arc<TmSystem>, cfg: PipelineConfig, inner: W) -> Self {
+    /// Wrap `inner` with the given pipeline configuration. A block size
+    /// of 0 means 1, as in [`compress_parallel`].
+    pub fn new(sys: Arc<TmSystem>, mut cfg: PipelineConfig, inner: W) -> Self {
+        cfg.block_size = cfg.block_size.max(1);
         StreamCompressor {
             sys,
             cfg,
@@ -248,6 +250,18 @@ mod tests {
             out.extend_from_slice(&buf[..n]);
         }
         assert_eq!(out, data);
+    }
+
+    #[test]
+    fn block_size_zero_means_one() {
+        let data = gen_text(4, 300);
+        let mut c = StreamCompressor::new(sys(), cfg(0), Vec::new());
+        c.write_all(&data[..100]).unwrap();
+        c.flush().unwrap();
+        c.write_all(&data[100..]).unwrap();
+        let compressed = c.finish().unwrap();
+        assert_eq!(compressed, crate::compress_serial(&data, 1));
+        assert_eq!(decompress_all(&compressed).unwrap(), data);
     }
 
     #[test]

@@ -40,9 +40,13 @@ pub fn gen(args: &Args) -> Result<ExitCode, String> {
 
 pub fn compress(args: &Args) -> Result<ExitCode, String> {
     let threads: usize = args.get("--threads", 4)?;
+    let block_size: usize = args.get("--block", 300_000)?;
+    if block_size == 0 {
+        return Err("--block must be non-zero".into());
+    }
     let cfg = PipelineConfig {
         workers: threads,
-        block_size: args.get("--block", 300_000)?,
+        block_size,
         fifo_cap: 2 * threads.max(2),
     };
     codec(args, args.get("--mode", AlgoMode::StmCondvar)?, Some(cfg))

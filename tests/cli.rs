@@ -61,6 +61,10 @@ fn malformed_values_are_usage_errors_naming_the_flag() {
     usage_error(&["encode", "--frames", "x"], "--frames: `x`");
     usage_error(&["micro", "--bogus", "1"], "unknown flag `--bogus`");
     usage_error(&["trace", "--ops", "1"], "expected summary|dump");
+    usage_error(
+        &["compress", "--block", "0", "in", "out"],
+        "--block must be non-zero",
+    );
 }
 
 #[test]
