@@ -62,11 +62,19 @@ pub enum Mutant {
     /// while transactions that began before the gate closed are still in
     /// flight (the serial half of the handshake deleted).
     GateSkipSweep,
+    /// Simulated-HTM claim-on-update deleted: the read half of an `update`
+    /// marks no line, so a writer that commits between the load and the
+    /// write claim goes unseen (lost update).
+    HtmUpdateSkipsClaim,
+    /// Simulated-HTM read-only commit skips its state load: a reader doomed
+    /// after its last read commits a snapshot its commit point no longer
+    /// sees.
+    HtmReadOnlyCommitIgnoresDoom,
 }
 
 impl Mutant {
     /// All mutants, for matrix-style tests.
-    pub const ALL: [Mutant; 10] = [
+    pub const ALL: [Mutant; 12] = [
         Mutant::SkipCommitValidation,
         Mutant::DropQuiesce,
         Mutant::EarlyOrecRelease,
@@ -77,6 +85,8 @@ impl Mutant {
         Mutant::LazySubscriptionReorder,
         Mutant::GateSkipClosedCheck,
         Mutant::GateSkipSweep,
+        Mutant::HtmUpdateSkipsClaim,
+        Mutant::HtmReadOnlyCommitIgnoresDoom,
     ];
 }
 
@@ -93,6 +103,8 @@ impl fmt::Display for Mutant {
             Mutant::LazySubscriptionReorder => "lazy-subscription-reorder",
             Mutant::GateSkipClosedCheck => "gate-skip-closed-check",
             Mutant::GateSkipSweep => "gate-skip-sweep",
+            Mutant::HtmUpdateSkipsClaim => "htm-update-skips-claim",
+            Mutant::HtmReadOnlyCommitIgnoresDoom => "htm-read-only-commit-ignores-doom",
         };
         f.write_str(s)
     }

@@ -20,6 +20,12 @@
 //!    "commits before its end". Doomed zombies matter: TLE kernels let
 //!    transactions run doomed, and the paper's opacity requirement is
 //!    exactly that they still never see a torn snapshot.
+//!    A read-only committed **hardware** transaction is the exception: the
+//!    simulated HTM commits it at one state-word load (DESIGN.md §2), and
+//!    that load is its linearization point, so it must match exactly the
+//!    prefix of writers committed before its `Commit` event. A doomed
+//!    reader that commits anyway — its reads consistent, but replaced by a
+//!    writer that committed first — fails here and nowhere else.
 //! 3. **Initial values bind at first read.** The log does not include
 //!    initial memory; the first read of an address (scanning committed
 //!    writers first, then the rest) defines it, and every later read must
@@ -267,8 +273,12 @@ fn check_once(
         if tx.ops.iter().all(|e| e.kind != HistKind::Read) {
             continue; // nothing observable
         }
-        let lo = commits_before(tx.begin_seq);
         let hi = commits_before(tx.end_seq);
+        let lo = if tx.committed && tx.mode == TxMode::Htm {
+            hi
+        } else {
+            commits_before(tx.begin_seq)
+        };
         let mut last_err = String::new();
         let mut ok = false;
         for state in states.iter().take(hi + 1).skip(lo) {
@@ -396,6 +406,33 @@ mod tests {
             ev(7, 0, Abort, 0, 0),
         ];
         assert!(check_history(&h).is_consistent());
+    }
+
+    #[test]
+    fn read_only_htm_commit_is_judged_at_its_commit_point() {
+        // Both reads predate the writer, so an STM (or aborted) reader is
+        // explained by the empty prefix; a committed HTM reader is judged at
+        // its commit event, after the writer's, and its snapshot is stale.
+        let shape = |mode: TxMode, end: HistKind| {
+            let mut h = [
+                ev(0, 0, Begin, 0, 0),
+                ev(1, 0, Read, 0xa, 0),
+                ev(2, 0, Read, 0xb, 0),
+                ev(3, 1, Begin, 0, 0),
+                ev(4, 1, Write, 0xa, 1),
+                ev(5, 1, Write, 0xb, 1),
+                ev(6, 1, Commit, 0, 0),
+                ev(7, 0, end, 0, 0),
+            ];
+            for e in h.iter_mut().filter(|e| e.thread == 0) {
+                e.mode = mode;
+            }
+            check_history_with_init(&h, [(0xa, 0), (0xb, 0)])
+        };
+        assert!(shape(TxMode::Stm, Commit).is_consistent());
+        assert!(shape(TxMode::Htm, Abort).is_consistent());
+        let v = shape(TxMode::Htm, Commit);
+        assert!(!v.is_consistent(), "stale HTM read-only commit passed: {v}");
     }
 
     #[test]

@@ -329,21 +329,34 @@ pub fn run_section<'a, R>(
     }
 }
 
-/// The serial handshake's witness, parameterized by engine and driver. T1
-/// runs an `unsafe_op` section — the serial gate — storing the A/B pair
-/// directly; T0 speculates a read of both. A serial section's plain stores
-/// are invisible to orecs, sequence locks and line marks alike, so the
-/// *only* thing between T0 and a torn pair is the handshake: T0 began
-/// before the gate closed and the sweep waits it out, or it sees the gate
-/// closed and retires. Delete either half (`GateSkipSweep`,
-/// `GateSkipClosedCheck`) and the in-closure assert panics the vthread.
-pub fn serial_torn_pair_scenario(mode: AlgoMode, algo: StmAlgo, async_driver: bool) -> Scenario {
+/// The torn-pair witness, parameterized by engine, writer and driver. T0
+/// speculates a read of the A/B pair; T1 stores both, on the lock path
+/// (`unsafe_op`) when `locked`, transactionally otherwise. The in-closure
+/// assert panics the vthread on a torn pair.
+///
+/// - Locked under the gate-supervised engines, it is the serial
+///   handshake's witness: a serial section's plain stores are invisible to
+///   orecs, sequence locks and line marks alike, so the *only* thing
+///   between T0 and a torn pair is the handshake — T0 began before the
+///   gate closed and the sweep waits it out, or it sees the gate closed and
+///   retires. Delete either half (`GateSkipSweep`, `GateSkipClosedCheck`).
+/// - Under the HTM, T0 writes nothing, so it commits on one state-word
+///   load and the opacity oracle judges it at that commit (DESIGN.md §2): a
+///   reader doomed before the load must abort, not commit a snapshot T1
+///   has since replaced (`HtmReadOnlyCommitIgnoresDoom`). Locked under the
+///   lazy mode, T1's acquisition is what dooms it.
+pub fn torn_pair_scenario(
+    mode: AlgoMode,
+    algo: StmAlgo,
+    locked: bool,
+    async_driver: bool,
+) -> Scenario {
     let sys = Arc::new(TmSystem::new(mode));
     sys.set_stm_algo(algo);
     let lock = Arc::new(ElidableMutex::new("check-serialtorn"));
-    let a = Arc::new(TCell::new(0u64));
-    let b = Arc::new(TCell::new(0u64));
-    let init = vec![(a.addr(), 0), (b.addr(), 0)];
+    let a = Arc::new(OwnLine(TCell::new(0u64)));
+    let b = Arc::new(OwnLine(TCell::new(0u64)));
+    let init = vec![(a.0.addr(), 0), (b.0.addr(), 0)];
 
     let t0: Box<dyn FnOnce() + Send> = {
         let (sys, lock) = (Arc::clone(&sys), Arc::clone(&lock));
@@ -351,11 +364,11 @@ pub fn serial_torn_pair_scenario(mode: AlgoMode, algo: StmAlgo, async_driver: bo
         Box::new(move || {
             let th = sys.register();
             run_section(&th, &lock, async_driver, |ctx| {
-                let va = ctx.read(&*a)?;
-                let vb = ctx.read(&*b)?;
+                let va = ctx.read(&a.0)?;
+                let vb = ctx.read(&b.0)?;
                 assert_eq!(
                     va, vb,
-                    "torn snapshot: a transaction ran beside the serial section \
+                    "torn snapshot: a transaction saw T1's stores half done \
                      under {mode:?}/{algo:?}"
                 );
                 Ok(())
@@ -368,9 +381,11 @@ pub fn serial_torn_pair_scenario(mode: AlgoMode, algo: StmAlgo, async_driver: bo
         Box::new(move || {
             let th = sys.register();
             run_section(&th, &lock, async_driver, |ctx| {
-                ctx.unsafe_op()?;
-                ctx.write(&*a, 1u64)?;
-                ctx.write(&*b, 1u64)?;
+                if locked {
+                    ctx.unsafe_op()?;
+                }
+                ctx.write(&a.0, 1u64)?;
+                ctx.write(&b.0, 1u64)?;
                 Ok(())
             });
         })
@@ -380,10 +395,48 @@ pub fn serial_torn_pair_scenario(mode: AlgoMode, algo: StmAlgo, async_driver: bo
         threads: vec![t0, t1],
         init,
         post: Box::new(
-            move |_| match (post.0.load_direct(), post.1.load_direct()) {
+            move |_| match (post.0 .0.load_direct(), post.1 .0.load_direct()) {
                 (1, 1) => Ok(()),
-                pair => Err(format!("serial section's stores lost: (A, B) = {pair:?}")),
+                pair => Err(format!("T1's stores lost: (A, B) = {pair:?}")),
             },
         ),
     }
 }
+
+/// Claim-on-update's witness: both threads run `update(A, +1)` on the
+/// driver under test. The read half of each update claims A's line before
+/// loading it, so whichever claims second dooms the first (or retries
+/// against its commit); a read that marks nothing lets both commit on the
+/// same stale value. The post-condition pins the sum.
+pub fn update_pair_scenario(mode: AlgoMode, async_driver: bool) -> Scenario {
+    let sys = Arc::new(TmSystem::new(mode));
+    let lock = Arc::new(ElidableMutex::new("check-updatepair"));
+    let a = Arc::new(TCell::new(0u64));
+    let init = vec![(a.addr(), 0)];
+
+    let mut threads: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+    for _ in 0..2 {
+        let (sys, lock, a) = (Arc::clone(&sys), Arc::clone(&lock), Arc::clone(&a));
+        threads.push(Box::new(move || {
+            let th = sys.register();
+            run_section(&th, &lock, async_driver, |ctx| ctx.update(&*a, |v| v + 1));
+        }));
+    }
+    let post_a = Arc::clone(&a);
+    Scenario {
+        threads,
+        init,
+        post: Box::new(move |_| match post_a.load_direct() {
+            2 => Ok(()),
+            v => Err(format!(
+                "lost update: counter = {v}, expected 2 under {mode:?}"
+            )),
+        }),
+    }
+}
+
+/// A cell alone on its cache line. The simulated HTM conflicts by line, so
+/// whether two heap cells share one decides which line marks — and which
+/// yield points — a schedule has; a token must not depend on the heap.
+#[repr(align(64))]
+pub struct OwnLine(pub TCell<u64>);

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{run_section, serial_torn_pair_scenario, GATE_ENGINES};
+use common::{run_section, torn_pair_scenario, GATE_ENGINES};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tle_base::TCell;
@@ -31,7 +31,7 @@ fn dfs_clean_serial_section_beside_a_speculating_reader() {
     let cfg = Config::dfs(2, 400);
     for (mode, algo) in GATE_ENGINES {
         for async_driver in [false, true] {
-            explore(&cfg, || serial_torn_pair_scenario(mode, algo, async_driver)).assert_clean();
+            explore(&cfg, || torn_pair_scenario(mode, algo, true, async_driver)).assert_clean();
         }
     }
 }

@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{handoff_scenario, serial_torn_pair_scenario, GATE_ENGINES};
+use common::{handoff_scenario, torn_pair_scenario, update_pair_scenario, OwnLine, GATE_ENGINES};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 use tle_base::mutant::{self, Mutant};
@@ -181,9 +181,9 @@ fn dirty_read_scenario() -> Scenario {
 fn htm_torn_pair_scenario() -> Scenario {
     let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
     let lock = Arc::new(ElidableMutex::new("mut-torn"));
-    let a = Arc::new(TCell::new(0u64));
-    let b = Arc::new(TCell::new(0u64));
-    let init = vec![(a.addr(), 0), (b.addr(), 0)];
+    let a = Arc::new(OwnLine(TCell::new(0u64)));
+    let b = Arc::new(OwnLine(TCell::new(0u64)));
+    let init = vec![(a.0.addr(), 0), (b.0.addr(), 0)];
 
     let t0: Box<dyn FnOnce() + Send> = {
         let (sys, lock) = (Arc::clone(&sys), Arc::clone(&lock));
@@ -191,8 +191,8 @@ fn htm_torn_pair_scenario() -> Scenario {
         Box::new(move || {
             let th = sys.register();
             th.tx(&lock).run(|ctx| {
-                let va = ctx.read(&*a)?;
-                let vb = ctx.read(&*b)?;
+                let va = ctx.read(&a.0)?;
+                let vb = ctx.read(&b.0)?;
                 assert_eq!(va, vb, "torn snapshot: doomed reader kept going");
                 Ok(())
             });
@@ -204,8 +204,8 @@ fn htm_torn_pair_scenario() -> Scenario {
         Box::new(move || {
             let th = sys.register();
             th.tx(&lock).run(|ctx| {
-                ctx.write(&*a, 1u64)?;
-                ctx.write(&*b, 1u64)?;
+                ctx.write(&a.0, 1u64)?;
+                ctx.write(&b.0, 1u64)?;
                 Ok(())
             });
         })
@@ -281,9 +281,9 @@ fn lazy_lost_update_scenario() -> Scenario {
 fn lazy_torn_pair_scenario() -> Scenario {
     let sys = Arc::new(TmSystem::new(AlgoMode::AdaptiveHtmLazy));
     let lock = Arc::new(ElidableMutex::new("mut-lazytorn"));
-    let a = Arc::new(TCell::new(0u64));
-    let b = Arc::new(TCell::new(0u64));
-    let init = vec![(a.addr(), 0), (b.addr(), 0)];
+    let a = Arc::new(OwnLine(TCell::new(0u64)));
+    let b = Arc::new(OwnLine(TCell::new(0u64)));
+    let init = vec![(a.0.addr(), 0), (b.0.addr(), 0)];
 
     let t0: Box<dyn FnOnce() + Send> = {
         let (sys, lock) = (Arc::clone(&sys), Arc::clone(&lock));
@@ -291,8 +291,8 @@ fn lazy_torn_pair_scenario() -> Scenario {
         Box::new(move || {
             let th = sys.register();
             th.tx(&lock).run(|ctx| {
-                let va = ctx.read(&*a)?;
-                let vb = ctx.read(&*b)?;
+                let va = ctx.read(&a.0)?;
+                let vb = ctx.read(&b.0)?;
                 assert_eq!(va, vb, "torn snapshot: lazy zombie outlived the acquire");
                 Ok(())
             });
@@ -305,8 +305,8 @@ fn lazy_torn_pair_scenario() -> Scenario {
             let th = sys.register();
             th.tx(&lock).run(|ctx| {
                 ctx.unsafe_op()?;
-                ctx.write(&*a, 1u64)?;
-                ctx.write(&*b, 1u64)?;
+                ctx.write(&a.0, 1u64)?;
+                ctx.write(&b.0, 1u64)?;
                 Ok(())
             });
         })
@@ -352,9 +352,18 @@ fn scenario_for(m: Mutant) -> (fn() -> Scenario, Config) {
         // Both halves of the serial handshake share one witness (the full
         // engine × driver sweep is `detects_gate_mutant`).
         Mutant::GateSkipClosedCheck | Mutant::GateSkipSweep => (
-            (|| serial_torn_pair_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt, false))
+            (|| torn_pair_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt, true, false))
                 as fn() -> Scenario,
             Config::dfs(2, 800),
+        ),
+        Mutant::HtmUpdateSkipsClaim => (
+            (|| update_pair_scenario(AlgoMode::HtmCondvar, false)) as fn() -> Scenario,
+            Config::dfs(2, 400),
+        ),
+        Mutant::HtmReadOnlyCommitIgnoresDoom => (
+            (|| torn_pair_scenario(AlgoMode::HtmCondvar, StmAlgo::MlWt, false, false))
+                as fn() -> Scenario,
+            Config::dfs(2, 400),
         ),
     }
 }
@@ -466,7 +475,7 @@ fn detects_gate_mutant(m: Mutant) {
             println!("{m} under {mode:?}/{algo:?}, async driver: {async_driver}");
             detects_with(
                 m,
-                || serial_torn_pair_scenario(mode, algo, async_driver),
+                || torn_pair_scenario(mode, algo, true, async_driver),
                 &cfg,
             );
         }
@@ -481,6 +490,36 @@ fn catches_gate_skip_closed_check() {
 #[test]
 fn catches_gate_skip_sweep() {
     detects_gate_mutant(Mutant::GateSkipSweep);
+}
+
+/// An HTM fast-path mutant under the gate-supervised and the lazy HTM, on
+/// both drivers; `witness` builds the scenario for a mode and a driver.
+fn detects_htm_mutant(m: Mutant, witness: fn(AlgoMode, bool) -> Scenario) {
+    let (_, cfg) = scenario_for(m);
+    for mode in [AlgoMode::HtmCondvar, AlgoMode::AdaptiveHtmLazy] {
+        for async_driver in [false, true] {
+            println!("{m} under {mode:?}, async driver: {async_driver}");
+            detects_with(m, || witness(mode, async_driver), &cfg);
+        }
+    }
+}
+
+#[test]
+fn catches_htm_update_skips_claim() {
+    detects_htm_mutant(Mutant::HtmUpdateSkipsClaim, update_pair_scenario);
+}
+
+/// The read-only commit against a committing hardware writer, and, under
+/// the lazy mode, against a lock acquisition (the holder's doom-all sweep).
+#[test]
+fn catches_htm_read_only_commit_ignores_doom() {
+    detects_htm_mutant(
+        Mutant::HtmReadOnlyCommitIgnoresDoom,
+        |mode, async_driver| {
+            let locked = mode == AlgoMode::AdaptiveHtmLazy;
+            torn_pair_scenario(mode, StmAlgo::MlWt, locked, async_driver)
+        },
+    );
 }
 
 /// Belt and braces for the matrix itself: every declared mutant resolves to

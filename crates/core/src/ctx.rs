@@ -142,6 +142,18 @@ impl<'a> TxCtx<'a> {
         }
     }
 
+    /// [`mem_read`](Self::mem_read) of a cell the section writes next: the
+    /// HTM claims the line on the read ([`HtmTx::read_for_write`]). Every
+    /// other kind *is* `mem_read`, called, not restated: a restated lock
+    /// arm compiles into the shared runner instance differently and moved
+    /// the lock path 3–5 % (EXPERIMENTS.md §21).
+    fn mem_read_owned<T: TxVal>(&mut self, c: &TCell<T>) -> Result<T, AbortCause> {
+        if let CtxKind::Htm { tx } = &mut self.kind {
+            return tx.read_for_write(c);
+        }
+        self.mem_read(c)
+    }
+
     /// Raw write used by both the public API and the condvar machinery.
     pub(crate) fn mem_write<T: TxVal>(&mut self, c: &TCell<T>, v: T) -> Result<(), AbortCause> {
         match &mut self.kind {
@@ -169,10 +181,11 @@ impl<'a> TxCtx<'a> {
         self.mem_write(c, v).map_err(TxError::from)
     }
 
-    /// Read-modify-write convenience.
+    /// Read-modify-write convenience. Under the HTM the read claims the
+    /// line for writing ([`HtmTx::read_for_write`]).
     #[inline]
     pub fn update<T: TxVal>(&mut self, c: &TCell<T>, f: impl FnOnce(T) -> T) -> Result<T, TxError> {
-        let old = self.read(c)?;
+        let old = self.mem_read_owned(c).map_err(TxError::from)?;
         let new = f(old);
         self.write(c, new)?;
         Ok(new)

@@ -79,19 +79,53 @@ impl<'g> HtmTx<'g> {
         self.write_word(cell.word(), cell.addr(), v.to_word())
     }
 
+    /// Read a cell the transaction is about to write (claim-on-update):
+    /// the line's writer word is claimed *before* the value is loaded, as a
+    /// read-for-ownership would, so the line never carries this slot's
+    /// reader bit. A plain [`read`](Self::read) followed by a
+    /// [`write`](Self::write) marks the line twice (reader bit, then writer
+    /// word) and clears the bit again at cleanup; this path does neither.
+    #[inline]
+    pub fn read_for_write<T: TxVal>(&mut self, cell: &TCell<T>) -> Result<T, AbortCause> {
+        self.read_word_owned(cell.word(), cell.addr())
+            .map(T::from_word)
+    }
+
     // The access paths are word-level and non-generic, like `StmTx`'s: a
     // generic body would be instantiated (and inlined) in every downstream
     // closure, where its size decides whether `TxCtx::mem_read` — and with
     // it the *lock* path's direct access — still gets inlined.
     fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortCause> {
+        self.load_word(w, addr, false)
+    }
+
+    fn read_word_owned(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortCause> {
+        self.load_word(w, addr, true)
+    }
+
+    /// The one read path: `claim` selects the line mark taken before the
+    /// load (the writer word for [`read_for_write`](Self::read_for_write),
+    /// the reader bit otherwise). Every other step — the access checks, both
+    /// doom checks, the capacity accounting and the events — is shared.
+    #[inline(always)]
+    fn load_word(&mut self, w: &AtomicU64, addr: usize, claim: bool) -> Result<u64, AbortCause> {
         // Seeded bug (`SkipDoomCheck`): pretend the read path forgot both of
         // its doom checks, so a transaction invalidated by a committing
         // writer keeps consuming values.
         let skip_doom = mutant::armed(Mutant::SkipDoomCheck);
         self.access_checks(skip_doom)?;
         let li = self.g.table.index_of(addr) as u32;
-        if !self.bufs.write_lines.contains(&li) && !self.bufs.read_lines.contains(&li) {
-            self.mark_read_line(li)?;
+        if !self.bufs.write_lines.contains(&li) {
+            if claim {
+                // Seeded bug (`HtmUpdateSkipsClaim`): the update's read marks
+                // nothing, so a writer committing between this load and the
+                // later write claim is never seen — a lost update.
+                if !mutant::armed(Mutant::HtmUpdateSkipsClaim) {
+                    self.mark_write_line(li)?;
+                }
+            } else if !self.bufs.read_lines.contains(&li) {
+                self.mark_read_line(li)?;
+            }
         }
         // Read-own-write: return the buffered value.
         if let Some(&(_, _, buffered)) = self.bufs.redo.iter().find(|&&(_, a, _)| a == addr) {
@@ -128,13 +162,14 @@ impl<'g> HtmTx<'g> {
         Ok(())
     }
 
-    /// Read-modify-write convenience.
+    /// Read-modify-write convenience; the read claims the line
+    /// ([`read_for_write`](Self::read_for_write)).
     pub fn update<T: TxVal>(
         &mut self,
         cell: &TCell<T>,
         f: impl FnOnce(T) -> T,
     ) -> Result<T, AbortCause> {
-        let old = self.read(cell)?;
+        let old = self.read_for_write(cell)?;
         let new = f(old);
         self.write(cell, new)?;
         Ok(new)
@@ -280,42 +315,48 @@ impl<'g> HtmTx<'g> {
     }
 
     /// Attempt to commit: win the commit point, publish the redo log,
-    /// release the footprint.
+    /// release the footprint. A read-only attempt (empty redo log) has
+    /// nothing to publish and no commit point to win: one `SeqCst` load of
+    /// its state word decides it.
     pub fn commit(mut self) -> Result<(), AbortCause> {
         debug_assert!(!self.finished);
         sched::yield_point(YieldPoint::TxState);
-        if self.g.tx_state[self.slot]
-            .compare_exchange(
-                state::ACTIVE,
-                state::COMMITTED,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_err()
-        {
-            // Doomed before the commit point.
-            self.cleanup();
-            self.finished = true;
-            self.g.stats.count_abort(self.slot, AbortCause::Conflict);
-            trace::emit(
-                TraceKind::Abort,
-                TxMode::Htm,
-                Some(AbortCause::Conflict),
-                self.slot as u64,
-            );
-            history::abort();
-            return Err(AbortCause::Conflict);
-        }
-        // The CAS above is the linearization point: every line we touched is
-        // still ours, so readers of our yet-unpublished values are doomed and
-        // will abort before recording anything. Record the commit *here*,
-        // before publishing, so log order matches visibility order.
-        history::commit();
-        for &(cell, _, val) in &self.bufs.redo {
-            // SAFETY: cells outlive the transaction (documented invariant).
-            unsafe { (*cell).store(val, Ordering::SeqCst) };
-            // Half-published redo log: only doomed transactions can see it.
-            sched::yield_point(YieldPoint::MemStore);
+        if self.bufs.redo.is_empty() {
+            // Read-only: every read already passed its post-load doom
+            // check, so a party that dooms us after this load only meets
+            // reads that pre-date its own writes — nothing to wait out.
+            // Seeded bug (`HtmReadOnlyCommitIgnoresDoom`): the load is
+            // skipped and a doomed reader commits a snapshot its commit
+            // point no longer sees.
+            if !mutant::armed(Mutant::HtmReadOnlyCommitIgnoresDoom) && self.g.is_doomed(self.slot) {
+                return self.doomed_at_commit();
+            }
+            // The load above is the linearization point.
+            history::commit();
+        } else {
+            if self.g.tx_state[self.slot]
+                .compare_exchange(
+                    state::ACTIVE,
+                    state::COMMITTED,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                )
+                .is_err()
+            {
+                return self.doomed_at_commit();
+            }
+            // The CAS above is the linearization point: every line we
+            // touched is still ours, so readers of our yet-unpublished
+            // values are doomed and will abort before recording anything.
+            // Record the commit *here*, before publishing, so log order
+            // matches visibility order.
+            history::commit();
+            for &(cell, _, val) in &self.bufs.redo {
+                // SAFETY: cells outlive the transaction (documented invariant).
+                unsafe { (*cell).store(val, Ordering::SeqCst) };
+                // Half-published redo log: only doomed transactions can see it.
+                sched::yield_point(YieldPoint::MemStore);
+            }
         }
         let published = self.bufs.redo.len() as u64;
         self.cleanup();
@@ -323,6 +364,21 @@ impl<'g> HtmTx<'g> {
         self.g.stats.bump_owned(self.slot, Stat::Commits);
         trace::emit(TraceKind::Commit, TxMode::Htm, None, published);
         Ok(())
+    }
+
+    /// Doomed before the commit point: the attempt ends as a conflict abort.
+    fn doomed_at_commit(mut self) -> Result<(), AbortCause> {
+        self.cleanup();
+        self.finished = true;
+        self.g.stats.count_abort(self.slot, AbortCause::Conflict);
+        trace::emit(
+            TraceKind::Abort,
+            TxMode::Htm,
+            Some(AbortCause::Conflict),
+            self.slot as u64,
+        );
+        history::abort();
+        Err(AbortCause::Conflict)
     }
 
     /// Abort this attempt, discarding buffered writes.

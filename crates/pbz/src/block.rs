@@ -88,7 +88,9 @@ pub fn decompress_block(data: &[u8]) -> Result<Vec<u8>, CodecError> {
         return Ok(Vec::new());
     }
     let dec = huffman::Decoder::new(&lens)?;
-    let mut syms = Vec::with_capacity(rle_len / 2 + 8);
+    // Sized by what is decoded, not by the header: `rle_len` is read from
+    // the stream and may claim up to 4 GiB.
+    let mut syms = Vec::new();
     loop {
         let s = dec.decode(&mut r)?;
         syms.push(s);
@@ -99,7 +101,7 @@ pub fn decompress_block(data: &[u8]) -> Result<Vec<u8>, CodecError> {
             return Err(CodecError::Malformed("runaway symbol stream"));
         }
     }
-    let mtf = huffman::from_symbols(&syms)?;
+    let mtf = huffman::from_symbols(&syms, rle_len)?;
     if mtf.len() != rle_len {
         return Err(CodecError::Malformed("RLE length mismatch"));
     }

@@ -61,36 +61,33 @@ pub(crate) fn to_symbols_into(mtf: &[u8], out: &mut Vec<u16>) {
     out.push(EOB);
 }
 
-/// Convert a symbol stream (ending in EOB) back to MTF bytes.
-pub fn from_symbols(syms: &[u16]) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::with_capacity(syms.len() * 2);
+/// Convert a symbol stream (ending in EOB) back to MTF bytes, at most
+/// `limit` of them (the block header's MTF length). A RUNA/RUNB digit run
+/// doubles its place value per symbol, so a few dozen digits can ask for
+/// terabytes: a run that would end past `limit` is `Malformed` the moment
+/// it does, before anything is allocated for it.
+pub fn from_symbols(syms: &[u16], limit: usize) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::with_capacity((syms.len() * 2).min(limit));
+    // `out.len() + run <= limit` holds while a run grows, and
+    // `place <= run + 1`, so neither can overflow.
     let mut run = 0u64;
     let mut place = 1u64;
-    let mut in_run = false;
-    let flush = |run: &mut u64, place: &mut u64, in_run: &mut bool, out: &mut Vec<u8>| {
-        out.resize(out.len() + *run as usize, 0);
-        *run = 0;
-        *place = 1;
-        *in_run = false;
-    };
     for &s in syms {
         match s {
-            RUNA => {
-                run += place;
+            RUNA | RUNB => {
+                run += if s == RUNA { place } else { 2 * place };
                 place *= 2;
-                in_run = true;
-            }
-            RUNB => {
-                run += 2 * place;
-                place *= 2;
-                in_run = true;
-            }
-            EOB => {
-                flush(&mut run, &mut place, &mut in_run, &mut out);
-                return Ok(out);
+                if out.len() as u64 + run > limit as u64 {
+                    return Err(CodecError::Malformed("zero run past the block length"));
+                }
             }
             b => {
-                flush(&mut run, &mut place, &mut in_run, &mut out);
+                out.resize(out.len() + run as usize, 0);
+                run = 0;
+                place = 1;
+                if b == EOB {
+                    return Ok(out);
+                }
                 if b as usize >= ALPHA {
                     return Err(CodecError::Malformed("symbol out of range"));
                 }
@@ -357,7 +354,7 @@ mod tests {
         for n in 0..200usize {
             let mtf = vec![0u8; n];
             let syms = to_symbols(&mtf);
-            let back = from_symbols(&syms).unwrap();
+            let back = from_symbols(&syms, n).unwrap();
             assert_eq!(back, mtf, "zero-run of length {n}");
         }
     }
@@ -366,13 +363,13 @@ mod tests {
     fn symbols_roundtrip_mixed_content() {
         let mtf = [0u8, 0, 0, 5, 0, 1, 255, 0, 0, 0, 0, 7];
         let syms = to_symbols(&mtf);
-        assert_eq!(from_symbols(&syms).unwrap(), mtf);
+        assert_eq!(from_symbols(&syms, mtf.len()).unwrap(), mtf);
         assert_eq!(*syms.last().unwrap(), EOB);
     }
 
     #[test]
     fn missing_eob_is_error() {
-        assert!(from_symbols(&[RUNA, RUNB, 5]).is_err());
+        assert!(from_symbols(&[RUNA, RUNB, 5], 100).is_err());
     }
 
     #[test]
@@ -686,6 +683,6 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(from_symbols(&got).unwrap(), mtf);
+        assert_eq!(from_symbols(&got, mtf.len()).unwrap(), mtf);
     }
 }

@@ -11,7 +11,7 @@ use crate::block::{compress_block, decompress_block};
 use crate::fifo::TleFifo;
 use crate::sink::OrderedSink;
 use crate::CodecError;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use tle_core::TmSystem;
 
 /// Pipeline configuration.
@@ -45,11 +45,14 @@ struct WorkItem {
 /// blocks (readable by [`decompress_parallel`] and [`decompress_serial`]).
 pub fn compress_parallel(sys: &Arc<TmSystem>, input: &[u8], cfg: &PipelineConfig) -> Vec<u8> {
     run_pipeline(sys, cfg, split_blocks(input, cfg.block_size), |d| {
-        compress_block(&d)
+        Ok(compress_block(&d))
     })
+    .unwrap_or_else(|e| unreachable!("compressing a block cannot fail: {e}"))
 }
 
-/// Decompress a stream produced by the compressor, in parallel.
+/// Decompress a stream produced by the compressor, in parallel. A corrupt
+/// block ends the run early with that block's error (the first one, when
+/// several fail).
 pub fn decompress_parallel(
     sys: &Arc<TmSystem>,
     compressed: &[u8],
@@ -57,9 +60,7 @@ pub fn decompress_parallel(
 ) -> Result<Vec<u8>, CodecError> {
     let frames = OrderedSink::split_frames(compressed)?;
     let blocks: Vec<Vec<u8>> = frames.iter().map(|f| f.to_vec()).collect();
-    let framed = run_pipeline(sys, cfg, blocks, |d| {
-        decompress_block(&d).expect("corrupt block in parallel decompress")
-    });
+    let framed = run_pipeline(sys, cfg, blocks, |d| decompress_block(&d))?;
     // The sink re-frames; flatten back to raw bytes.
     let out_frames = OrderedSink::split_frames(&framed)?;
     let mut out = Vec::with_capacity(out_frames.iter().map(|f| f.len()).sum());
@@ -80,14 +81,24 @@ fn split_blocks(input: &[u8], block_size: usize) -> Vec<Vec<u8>> {
 }
 
 /// The generic serial→parallel→serial skeleton.
+///
+/// A block whose `work` fails stores its error (the first one wins) and
+/// closes the queue. The close is a transaction that broadcasts both of the
+/// queue's condition variables, so a producer asleep on the full queue
+/// wakes to a refused `push` and stops, and an idle worker wakes to drain
+/// what is left. The failed block still takes its turn at the sink, empty,
+/// so no worker waits for its predecessor for ever. Nobody polls a shared
+/// flag to learn of the error: every blocked party is woken by the close or
+/// by the turn it waits for.
 fn run_pipeline(
     sys: &Arc<TmSystem>,
     cfg: &PipelineConfig,
     blocks: Vec<Vec<u8>>,
-    work: impl Fn(Vec<u8>) -> Vec<u8> + Send + Sync + 'static,
-) -> Vec<u8> {
+    work: impl Fn(Vec<u8>) -> Result<Vec<u8>, CodecError> + Send + Sync + 'static,
+) -> Result<Vec<u8>, CodecError> {
     let queue: Arc<TleFifo<WorkItem>> = Arc::new(TleFifo::new("pbz-input", cfg.fifo_cap));
     let sink = Arc::new(OrderedSink::new());
+    let failed: Arc<Mutex<Option<CodecError>>> = Arc::new(Mutex::new(None));
     // Enroll the pipeline's locks in the per-lock adaptive controller
     // (no-ops unless the system was built with `.adaptive(true)`).
     sys.adopt_lock(queue.lock());
@@ -99,6 +110,7 @@ fn run_pipeline(
             let sys = Arc::clone(sys);
             let queue = Arc::clone(&queue);
             let sink = Arc::clone(&sink);
+            let failed = Arc::clone(&failed);
             let work = Arc::clone(&work);
             std::thread::spawn(move || {
                 let th = sys.register();
@@ -106,36 +118,47 @@ fn run_pipeline(
                     let WorkItem { id, data } = *item;
                     // The heavy lifting happens outside every critical
                     // section, exactly as in PBZip2.
-                    let out = work(data);
-                    sink.submit(&th, id, &out);
+                    match work(data) {
+                        Ok(out) => sink.submit(&th, id, &out),
+                        Err(e) => {
+                            failed
+                                .lock()
+                                .unwrap_or_else(|e| e.into_inner())
+                                .get_or_insert(e);
+                            queue.close(&th);
+                            sink.submit(&th, id, &[]);
+                        }
+                    }
                 }
             })
         })
         .collect();
 
-    // Producer stage (this thread).
+    // Producer stage (this thread): a refused push means a worker failed
+    // and closed the queue.
     {
         let th = sys.register();
         for (id, data) in blocks.into_iter().enumerate() {
-            queue
-                .push(
-                    &th,
-                    Box::new(WorkItem {
-                        id: id as u64,
-                        data,
-                    }),
-                )
-                .unwrap_or_else(|_| panic!("queue closed during production"));
+            let item = Box::new(WorkItem {
+                id: id as u64,
+                data,
+            });
+            if queue.push(&th, item).is_err() {
+                break;
+            }
         }
         queue.close(&th);
     }
     for c in consumers {
         c.join().unwrap();
     }
-    Arc::try_unwrap(sink)
+    if let Some(e) = failed.lock().unwrap_or_else(|e| e.into_inner()).take() {
+        return Err(e);
+    }
+    Ok(Arc::try_unwrap(sink)
         .ok()
         .expect("all pipeline threads joined")
-        .into_bytes()
+        .into_bytes())
 }
 
 /// Single-threaded reference compressor (same stream format).
@@ -250,6 +273,46 @@ mod tests {
             let d = decompress_parallel(&sys, &c, &cfg(2, 1000)).unwrap();
             assert_eq!(d, data, "len {len}");
         }
+    }
+
+    #[test]
+    fn a_corrupt_block_fails_the_parallel_decode_under_every_mode() {
+        // Twelve blocks through a two-slot queue: the producer is asleep on
+        // the full queue when the worker meets the corrupt block, so only
+        // the close can wake it.
+        let data = gen_text(91, 12 * 1_500);
+        let mut c = compress_serial(&data, 1_500);
+        let frames: Vec<usize> = {
+            let base = c.as_ptr() as usize;
+            OrderedSink::split_frames(&c)
+                .unwrap()
+                .iter()
+                .map(|f| f.as_ptr() as usize - base)
+                .collect()
+        };
+        for bad in [0, 1, frames.len() - 1] {
+            c[frames[bad]] ^= 0xFF; // the block magic
+            let want = decompress_serial(&c).unwrap_err();
+            assert_eq!(want, CodecError::Malformed("bad block magic"));
+            for mode in ALL_MODES {
+                for workers in [1, 4] {
+                    let sys = Arc::new(TmSystem::new(mode));
+                    let cfg = PipelineConfig {
+                        workers,
+                        block_size: 1_500,
+                        fifo_cap: 2,
+                    };
+                    assert_eq!(
+                        decompress_parallel(&sys, &c, &cfg),
+                        Err(want.clone()),
+                        "block {bad} under {mode:?} at {workers} workers"
+                    );
+                }
+            }
+            c[frames[bad]] ^= 0xFF;
+        }
+        let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
+        assert_eq!(decompress_parallel(&sys, &c, &cfg(4, 1_500)).unwrap(), data);
     }
 
     #[test]

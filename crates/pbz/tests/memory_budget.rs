@@ -1,6 +1,7 @@
 //! The codec's memory budget: the forward BWT works within 12 B per input
-//! byte (plus the byte of output), and a pipeline worker's second block
-//! allocates nothing but the compressed block it returns.
+//! byte (plus the byte of output), a pipeline worker's second block
+//! allocates nothing but the compressed block it returns, and the decoder
+//! holds memory linear in the stream whatever the stream claims.
 //!
 //! The counting `#[global_allocator]` of the root `tests/no_alloc.rs`,
 //! extended to live bytes. It tallies per thread (the libtest harness runs
@@ -106,4 +107,81 @@ fn a_warmed_worker_allocates_only_the_block_it_returns() {
     );
     assert_eq!(first, second);
     assert_eq!(decompress_block(&second).unwrap(), data);
+}
+
+/// A block whose header claims the largest MTF length and whose symbols are
+/// forty RUNB digits: a zero run of ~2⁴¹ bytes. The decoder must refuse it
+/// as `Malformed` without allocating the run (or the header's 4 GiB).
+#[test]
+fn a_crafted_zero_run_is_malformed_before_it_is_allocated() {
+    use tle_pbz::bitio::BitWriter;
+    use tle_pbz::huffman::{encode_symbols, ALPHA, EOB, RUNB};
+    use tle_pbz::CodecError;
+
+    let mut lens = [0u8; ALPHA];
+    lens[RUNB as usize] = 1;
+    lens[EOB as usize] = 1;
+    let mut syms = vec![RUNB; 40];
+    syms.push(EOB);
+    let mut w = BitWriter::new();
+    w.put_u32(0x545A_4231); // "TZB1"
+    w.put_u32(1_000); // original length
+    w.put_u32(0); // CRC
+    w.put_u32(u32::MAX); // MTF (RLE) length
+    w.put_u32(0); // primary index
+    for &l in lens.iter() {
+        w.put(l as u32, 5);
+    }
+    encode_symbols(&syms, &lens, &mut w);
+    let block = w.finish();
+
+    let mut got = None;
+    let peak = peak_live_during(|| got = Some(decompress_block(&block)));
+    assert_eq!(
+        got,
+        Some(Err(CodecError::Malformed("zero run past the block length")))
+    );
+    assert!(peak < 64 << 10, "refusing the run held {peak} B live");
+}
+
+/// Three small golden streams (text over two blocks, incompressible noise,
+/// one long zero run) with every single bit flipped and cut at every
+/// length: each must decode or return an error — never panic — and hold at
+/// most a budget linear in the stream live at once.
+#[test]
+fn every_bit_flip_and_truncation_decodes_or_errors_within_budget() {
+    use tle_pbz::{compress_serial, decompress_serial};
+
+    let streams = [
+        ("text", compress_serial(&gen_text(3, 2_400), 1_200)),
+        ("noise", compress_serial(&random_bytes(3, 300), 300)),
+        ("zeros", compress_serial(&[0u8; 1_500], 1_500)),
+    ];
+    for (what, golden) in &streams {
+        // The clean decode's own peak sets the scale; a corrupt variant may
+        // not hold more than a small multiple of the stream beyond it.
+        let budget = 64 * golden.len() + (256 << 10);
+        let check = |input: &[u8], how: &str| {
+            let mut ok = false;
+            let peak = peak_live_during(|| {
+                let r = std::panic::catch_unwind(|| decompress_serial(input));
+                ok = r.is_ok();
+            });
+            assert!(ok, "{what}: decoding {how} panicked");
+            assert!(
+                peak <= budget,
+                "{what}: decoding {how} held {peak} B live (budget {budget} B)"
+            );
+        };
+        check(golden, "the golden stream");
+        let mut bad = golden.clone();
+        for bit in 0..bad.len() * 8 {
+            bad[bit / 8] ^= 1 << (bit % 8);
+            check(&bad, &format!("with bit {bit} flipped"));
+            bad[bit / 8] ^= 1 << (bit % 8);
+        }
+        for cut in 0..golden.len() {
+            check(&golden[..cut], &format!("cut at {cut} B"));
+        }
+    }
 }

@@ -66,7 +66,7 @@ proptest! {
     #[test]
     fn zero_run_symbols_roundtrip(data in proptest::collection::vec(0u8..8, 0..2000)) {
         let syms = huffman::to_symbols(&data);
-        prop_assert_eq!(huffman::from_symbols(&syms).unwrap(), data);
+        prop_assert_eq!(huffman::from_symbols(&syms, data.len()).unwrap(), data);
     }
 
     #[test]
