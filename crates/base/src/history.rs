@@ -1,158 +1,72 @@
-//! Transactional history recorder (feature `check`).
+//! Opacity-log sessions: the `check` sink of [`crate::trace::emit`].
 //!
 //! Opacity is a statement about *histories*: every transaction — committed,
 //! aborted, even a doomed zombie — must have read from some single consistent
 //! snapshot, and committed writers must serialize in their commit order
 //! (paper §IV, "transactional sequential consistency"). To check that
-//! offline, the kernels record every transactional `begin` / `read` /
-//! `write` / `commit` / `abort` into one globally ordered log; the checker in
-//! `tle-check` then replays the log against a sequential oracle.
+//! offline, the kernels' `Begin` / `Read` / `Write` / `Commit` / `Abort`
+//! events (the [history kinds](crate::trace::TraceKind::is_history)) go to
+//! one global log in stamp order; the checker in `tle-check` replays it
+//! against a sequential oracle. What makes the log checkable is the
+//! placement contract in [`crate::trace`]'s module docs.
 //!
-//! This is a plane like [`crate::trace`]: without the `check` feature
-//! every hook below is an empty `#[inline(always)]` function. With the
-//! feature compiled but recording not armed (the default even in test
-//! builds), a hook is a single relaxed atomic load — stress tests that share
-//! the binary pay nothing noticeable. Recording is armed per *session*
-//! ([`record`]), which serializes concurrent recording tests on a global
-//! mutex.
-//!
-//! Event-placement contract (what makes the log checkable):
-//!
-//! - a writer's `Commit` event is pushed **before** its writes become visible
-//!   to other threads' recorded reads (ml_wt: before orec release; NOrec:
-//!   before the sequence lock goes even; HTM: at the `ACTIVE→COMMITTED` CAS,
-//!   before redo publish — mid-publish readers are doomed and abort before
-//!   recording), so the log order of `Commit` events is a valid serialization
-//!   order of the writers;
-//! - `Read` events record the value actually returned to the closure, after
-//!   all consistency checks on that read;
-//! - every transaction body ends in exactly one `Commit` or `Abort`; a
-//!   missing terminator means the thread died mid-transaction and the checker
-//!   treats the tail as an in-flight zombie.
+//! The log is written only while a session is armed ([`record`]); with the
+//! feature compiled in but no session armed (the default even in test
+//! builds), a history hook costs one relaxed atomic load and takes no
+//! stamp. Sessions serialize on a global mutex, so two recording tests in
+//! one binary cannot interleave their histories. Without the `check`
+//! feature nothing here records anything.
 
-use crate::trace::TxMode;
-
-/// What a [`HistEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistKind {
-    /// A transaction (or serial/locked section) started.
-    Begin,
-    /// A transactional read returned `val` from `addr`.
-    Read,
-    /// A transactional write of `val` to `addr` (visibility per mode).
-    Write,
-    /// The transaction committed; its writes are (about to be) visible.
-    Commit,
-    /// The transaction aborted; its writes were (or will be) undone.
-    Abort,
-}
-
-/// One recorded event. `seq` is the event's position in the global total
-/// order; `thread` is a dense per-process recorder id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistEvent {
-    /// Global total-order position (0-based).
-    pub seq: u64,
-    /// Dense recorder thread id.
-    pub thread: u32,
-    /// Event kind.
-    pub kind: HistKind,
-    /// Execution mode of the enclosing section.
-    pub mode: TxMode,
-    /// Cell address for `Read`/`Write`, 0 otherwise.
-    pub addr: usize,
-    /// Value read or written, 0 otherwise.
-    pub val: u64,
-}
-
-/// Whether the recorder hooks are compiled in.
+/// Whether the opacity log is compiled in.
 pub const fn compiled() -> bool {
     cfg!(feature = "check")
 }
 
 #[cfg(feature = "check")]
 mod imp {
-    use super::{HistEvent, HistKind};
-    use crate::trace::TxMode;
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+    use crate::trace::{self, TraceKind, TxEvent, TxMode};
+    use crate::AbortCause;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Mutex, MutexGuard};
 
     static ARMED: AtomicBool = AtomicBool::new(false);
-    static LOG: Mutex<Vec<HistEvent>> = Mutex::new(Vec::new());
-    /// Serializes recording sessions: two tests in one binary cannot
-    /// interleave their histories.
+    /// One `Vec` behind one mutex: the explorer's heap layout, and with it
+    /// its schedule tokens, depends on how this log grows.
+    static LOG: Mutex<Vec<TxEvent>> = Mutex::new(Vec::new());
+    /// Serializes recording sessions.
     static SESSION: Mutex<()> = Mutex::new(());
-    static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 
-    thread_local! {
-        static THREAD_ID: Cell<Option<u32>> = const { Cell::new(None) };
-        /// Mode of the innermost recorded section on this thread, so
-        /// read/write hooks don't need the mode threaded through.
-        static CUR_MODE: Cell<TxMode> = const { Cell::new(TxMode::Serial) };
-    }
-
-    fn thread_id() -> u32 {
-        THREAD_ID.with(|id| match id.get() {
-            Some(t) => t,
-            None => {
-                let t = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
-                id.set(Some(t));
-                t
-            }
-        })
-    }
-
-    fn lock_log() -> MutexGuard<'static, Vec<HistEvent>> {
+    fn lock_log() -> MutexGuard<'static, Vec<TxEvent>> {
         LOG.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    #[inline]
-    fn push(kind: HistKind, mode: TxMode, addr: usize, val: u64) {
-        if !ARMED.load(Ordering::Relaxed) {
-            return;
-        }
-        let thread = thread_id();
+    #[inline(always)]
+    pub fn enabled() -> bool {
+        ARMED.load(Ordering::Relaxed)
+    }
+
+    /// Stamp an event under the log's lock and append it, so the log is in
+    /// stamp order; the ring stores the same event.
+    pub fn log(
+        kind: TraceKind,
+        mode: TxMode,
+        cause: Option<AbortCause>,
+        detail: u64,
+        val: u64,
+    ) -> TxEvent {
+        let thread = trace::thread_id();
         let mut log = lock_log();
-        let seq = log.len() as u64;
-        log.push(HistEvent {
-            seq,
+        let e = TxEvent {
+            ts: trace::stamp(),
             thread,
             kind,
             mode,
-            addr,
+            cause,
+            detail,
             val,
-        });
-    }
-
-    #[inline]
-    pub fn begin(mode: TxMode) {
-        CUR_MODE.with(|m| m.set(mode));
-        push(HistKind::Begin, mode, 0, 0);
-    }
-
-    #[inline]
-    pub fn read(addr: usize, val: u64) {
-        push(HistKind::Read, CUR_MODE.with(|m| m.get()), addr, val);
-    }
-
-    #[inline]
-    pub fn write(addr: usize, val: u64) {
-        push(HistKind::Write, CUR_MODE.with(|m| m.get()), addr, val);
-    }
-
-    #[inline]
-    pub fn commit() {
-        push(HistKind::Commit, CUR_MODE.with(|m| m.get()), 0, 0);
-    }
-
-    #[inline]
-    pub fn abort() {
-        push(HistKind::Abort, CUR_MODE.with(|m| m.get()), 0, 0);
-    }
-
-    pub fn enabled() -> bool {
-        ARMED.load(Ordering::Relaxed)
+        };
+        log.push(e);
+        e
     }
 
     pub struct Recording {
@@ -167,13 +81,13 @@ mod imp {
     }
 
     impl Recording {
-        pub fn finish(self) -> Vec<HistEvent> {
+        pub fn finish(self) -> Vec<TxEvent> {
             ARMED.store(false, Ordering::SeqCst);
             std::mem::take(&mut *lock_log())
             // `self._session` drops here, releasing the session lock.
         }
 
-        pub fn snapshot(&self) -> Vec<HistEvent> {
+        pub fn snapshot(&self) -> Vec<TxEvent> {
             lock_log().clone()
         }
     }
@@ -188,19 +102,9 @@ mod imp {
 
 #[cfg(not(feature = "check"))]
 mod imp {
-    use super::HistEvent;
-    use crate::trace::TxMode;
+    use crate::trace::TxEvent;
 
     #[inline(always)]
-    pub fn begin(_mode: TxMode) {}
-    #[inline(always)]
-    pub fn read(_addr: usize, _val: u64) {}
-    #[inline(always)]
-    pub fn write(_addr: usize, _val: u64) {}
-    #[inline(always)]
-    pub fn commit() {}
-    #[inline(always)]
-    pub fn abort() {}
     pub fn enabled() -> bool {
         false
     }
@@ -212,76 +116,49 @@ mod imp {
     }
 
     impl Recording {
-        pub fn finish(self) -> Vec<HistEvent> {
+        pub fn finish(self) -> Vec<TxEvent> {
             Vec::new()
         }
-        pub fn snapshot(&self) -> Vec<HistEvent> {
+        pub fn snapshot(&self) -> Vec<TxEvent> {
             Vec::new()
         }
     }
 }
 
+#[cfg(feature = "check")]
+pub(crate) use imp::log;
 pub use imp::Recording;
 
-/// Start a recording session: clears the log, arms the hooks, and holds a
-/// global session lock until the guard is dropped or [`Recording::finish`]ed.
-/// Without the feature this returns an inert guard and records nothing.
+/// Start a recording session: clears the log, arms the history hooks, and
+/// holds a global session lock until the guard is dropped or
+/// [`Recording::finish`]ed. Without the feature this returns an inert guard
+/// and records nothing.
 pub fn record() -> Recording {
     imp::record()
 }
 
 /// Whether recording is currently armed.
+#[inline(always)]
 pub fn enabled() -> bool {
     imp::enabled()
-}
-
-/// A section began in `mode`. Also latches `mode` for subsequent
-/// read/write/commit/abort hooks on this thread.
-#[inline(always)]
-pub fn begin(mode: TxMode) {
-    imp::begin(mode);
-}
-
-/// A transactional read of `addr` returned `val` to the closure.
-#[inline(always)]
-pub fn read(addr: usize, val: u64) {
-    imp::read(addr, val);
-}
-
-/// The section wrote `val` to `addr`.
-#[inline(always)]
-pub fn write(addr: usize, val: u64) {
-    imp::write(addr, val);
-}
-
-/// The section committed (see module docs for placement rules).
-#[inline(always)]
-pub fn commit() {
-    imp::commit();
-}
-
-/// The section aborted; its writes are rolled back or discarded.
-#[inline(always)]
-pub fn abort() {
-    imp::abort();
 }
 
 #[cfg(all(test, not(feature = "check")))]
 mod tests_disabled {
     use super::*;
-    use crate::trace::TxMode;
+    use crate::trace::{emit, emit_access, TraceKind, TxMode};
 
     /// Mirror of `trace::hooks_compile_to_noops_without_feature`.
     #[test]
     fn history_hooks_compile_to_noops_without_feature() {
+        #[cfg(feature = "trace")]
+        let _emitters = crate::trace::emitters();
         assert!(!compiled());
         assert!(!enabled());
         let rec = record();
-        begin(TxMode::Stm);
-        read(0x40, 7);
-        write(0x40, 8);
-        commit();
-        abort();
+        emit(TraceKind::Begin, TxMode::Stm, None, 0);
+        emit_access(TraceKind::Read, TxMode::Stm, 0x40, 7);
+        emit(TraceKind::Commit, TxMode::Stm, None, 0);
         assert!(rec.snapshot().is_empty());
         assert!(rec.finish().is_empty());
     }
@@ -290,56 +167,68 @@ mod tests_disabled {
 #[cfg(all(test, feature = "check"))]
 mod tests_enabled {
     use super::*;
-    use crate::trace::TxMode;
+    use crate::trace::{emit, emit_access, TraceKind, TxMode};
 
     #[test]
-    fn records_events_in_global_order() {
+    fn records_history_kinds_in_stamp_order() {
+        let _emitters = crate::trace::emitters();
         let rec = record();
         assert!(enabled());
-        begin(TxMode::Stm);
-        read(0x100, 1);
-        write(0x100, 2);
-        commit();
+        emit(TraceKind::Begin, TxMode::Locked, None, 9);
+        emit_access(TraceKind::Read, TxMode::Locked, 0x100, 1);
+        emit(TraceKind::Extend, TxMode::Locked, None, 10);
+        emit_access(TraceKind::Write, TxMode::Locked, 0x100, 2);
+        emit(TraceKind::Commit, TxMode::Locked, None, 11);
         let events = rec.finish();
         assert!(!enabled());
-        assert_eq!(events.len(), 4);
+        assert_eq!(events.len(), 4, "only the history kinds reach the log");
         assert_eq!(
             events.iter().map(|e| e.kind).collect::<Vec<_>>(),
             vec![
-                HistKind::Begin,
-                HistKind::Read,
-                HistKind::Write,
-                HistKind::Commit
+                TraceKind::Begin,
+                TraceKind::Read,
+                TraceKind::Write,
+                TraceKind::Commit
             ]
         );
-        for (i, e) in events.iter().enumerate() {
-            assert_eq!(e.seq, i as u64);
-            assert_eq!(e.mode, TxMode::Stm);
+        for e in &events {
+            assert_eq!(e.mode, TxMode::Locked);
+            assert_eq!(e.thread, events[0].thread);
         }
-        assert_eq!(events[1].addr, 0x100);
-        assert_eq!(events[1].val, 1);
-        assert_eq!(events[2].val, 2);
+        assert!(events.windows(2).all(|w| w[0].ts < w[1].ts));
+        assert_eq!((events[0].detail, events[3].detail), (9, 11));
+        assert_eq!((events[1].detail, events[1].val), (0x100, 1));
+        assert_eq!((events[2].detail, events[2].val), (0x100, 2));
     }
 
     #[test]
     fn nothing_recorded_when_not_armed() {
-        begin(TxMode::Htm);
-        read(0x8, 3);
-        commit();
+        let _emitters = crate::trace::emitters();
+        emit(TraceKind::Begin, TxMode::Htm, None, 0);
+        emit_access(TraceKind::Read, TxMode::Htm, 0x8, 3);
+        emit(TraceKind::Commit, TxMode::Htm, None, 0);
         let rec = record();
         assert!(rec.finish().is_empty());
     }
 
     #[test]
     fn drop_disarms_and_clears() {
+        let _emitters = crate::trace::emitters();
         {
             let _rec = record();
-            begin(TxMode::Norec);
-            abort();
+            emit(TraceKind::Begin, TxMode::Norec, None, 0xD0);
+            emit(TraceKind::Abort, TxMode::Norec, None, 0xD0);
         }
         assert!(!enabled());
         let rec = record();
         assert!(rec.snapshot().is_empty());
         drop(rec);
+    }
+
+    /// The log keeps the size of its element: the explorer's heap layout
+    /// (and so its schedule tokens) depends on how the log grows.
+    #[test]
+    fn a_logged_event_is_four_words() {
+        assert_eq!(std::mem::size_of::<crate::trace::TxEvent>(), 32);
     }
 }

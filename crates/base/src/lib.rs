@@ -23,8 +23,9 @@
 //!   breakdowns and latency histograms.
 //! - [`sets`] — the inline-first transaction sets and the per-thread lease
 //!   pool every transaction flavour draws its read/write logs from.
-//! - [`trace`] — feature-gated per-thread event rings for reconstructing
-//!   whole elision episodes (enable with the `trace` cargo feature).
+//! - [`trace`] — the one event hook every kernel point calls, and its
+//!   diagnostic sink: per-thread event rings for reconstructing whole
+//!   elision episodes (enable with the `trace` cargo feature).
 //! - [`rng`] — tiny deterministic RNGs (splitmix64 / xorshift64*) used for
 //!   seeded workload generation and simulated "event" aborts.
 //! - [`fault`] — the deterministic fault-injection oracle consulted at the
@@ -32,10 +33,10 @@
 //!   no plan is installed).
 //! - [`sched`], [`history`], [`mutant`] — the check planes, compiled in
 //!   together by the `check` feature: yield points for the deterministic
-//!   model-checking scheduler in `tle-check`, the transactional history
-//!   recorder feeding the offline opacity checker, and seeded-bug switches
-//!   that validate the checker actually catches bugs. Without `check` all
-//!   three are empty inline stubs.
+//!   model-checking scheduler in `tle-check`, the sessions of the opacity
+//!   log (the event hook's second sink) feeding the offline checker, and
+//!   seeded-bug switches that validate the checker actually catches bugs.
+//!   Without `check` all three are empty inline stubs.
 //! - [`park`] — the per-thread executor-worker flag, with a debug audit
 //!   that executor workers never reach a real OS park.
 //! - [`exec`] — the in-tree, dependency-free async executor that the

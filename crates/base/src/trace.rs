@@ -1,30 +1,71 @@
-//! Transaction event tracing: lock-free per-thread ring buffers.
+//! Transaction events: one hook per kernel point, two sinks.
 //!
 //! The statistics counters ([`crate::stats`]) tell us *how many* aborts of
 //! each cause occurred; this module records *what happened*, in order: every
 //! begin/read/write/commit/abort, quiescence-drain span, retry and serial
-//! fallback, stamped with a process-wide logical timestamp. A whole elision
-//! episode — attempt, conflict on orec 17, backoff, retry in serial mode —
-//! is reconstructable from the merged event stream ([`snapshot`]).
+//! fallback. Each kernel point calls one hook once — [`emit`], or
+//! [`emit_access`] for a read or write — and the one stream feeds two
+//! sinks, each behind its cargo feature:
 //!
-//! # Design
+//! - **the event ring** (`trace`): per-thread rings of the last
+//!   [`RING_CAP`] events, merged by [`snapshot`]. A whole elision episode —
+//!   attempt, conflict on line 17, backoff, retry in serial mode — is
+//!   reconstructable from it; `tle trace` prints it.
+//! - **the opacity log** (`check`): while a [`crate::history::record`]
+//!   session is armed, the [history kinds](TraceKind::is_history) (`Begin`,
+//!   `Read`, `Write`, `Commit`, `Abort`) also go to one global log, which
+//!   `tle-check`'s oracle replays.
 //!
-//! - **Per-thread rings, single writer.** Each thread owns a fixed-size ring
-//!   ([`RING_CAP`] events). [`emit`] appends to the calling thread's ring
-//!   with plain relaxed stores; no CAS, no sharing on the write path.
-//! - **Logical time.** A global `AtomicU64` orders events across threads;
-//!   merging sorts by it. (The raw counter bump is the only cross-thread
-//!   traffic per event.)
-//! - **Packed events.** An event is three `u64` words (timestamp, detail,
-//!   packed kind/mode/cause), stored as atomics so concurrent readers are
-//!   race-free by construction. A [`snapshot`] taken while writers are
-//!   running may see a *torn* oldest event as the ring wraps; tolerated, the
-//!   tool is diagnostic.
-//! - **Feature-gated.** Without the `trace` cargo feature every function
-//!   here is an empty `#[inline]` stub and `TxEvent` construction is dead
-//!   code — the hooks in `tle-stm`/`tle-htm`/`tle-core` compile to nothing
-//!   (asserted by a `#[cfg]` test below), so tier-1 performance is
-//!   untouched.
+//! # One record, one clock
+//!
+//! Both sinks store a [`TxEvent`]: kind, mode, optional abort cause, a
+//! `detail` word and a `val` word — for `Read`/`Write` the cell address and
+//! the value, otherwise a kind-specific payload (see [`TraceKind`]). Its
+//! stamp comes from one process-wide logical clock, the order of both
+//! sinks: an armed history event is stamped under the log's lock (so the
+//! log is in stamp order) and the ring stores the same stamp. The ring
+//! stamps every event; the log stamps only what it records, so a `check`
+//! build with no session armed pays one relaxed load per history hook and
+//! never bumps the clock.
+//!
+//! # Placement contract
+//!
+//! What makes the stream checkable against the paper's §IV contract
+//! ("transactional sequential consistency"):
+//!
+//! - a writer's `Commit` is emitted **before** its writes become visible to
+//!   other threads' reads (ml_wt: before orec release; NOrec: while the
+//!   sequence lock is odd; HTM: at the `ACTIVE→COMMITTED` CAS, before the
+//!   redo publish, whose mid-publish readers are doomed and abort before
+//!   emitting; lock and serial sections: before the exclusion is released),
+//!   so the stamp order of `Commit` events is a valid serialization order of
+//!   the writers. A read-only commit is emitted at its linearization point
+//!   (ml_wt and NOrec: before the slot goes `INACTIVE`; HTM: at its state
+//!   load);
+//! - `Read` carries the value actually returned to the closure (read-own-write
+//!   included) and is emitted after every consistency check on that read;
+//! - every section ends in exactly one `Commit` or `Abort`; a missing
+//!   terminator means the thread died mid-transaction, and the oracle treats
+//!   the tail as an in-flight zombie.
+//!
+//! # Ring design
+//!
+//! - **Per-thread rings, single writer.** [`emit`] appends to the calling
+//!   thread's ring with plain relaxed stores; no CAS, no sharing on the
+//!   write path beyond the clock bump. When a thread exits its ring goes to
+//!   a free list and the next new thread reuses it (fresh thread id, head
+//!   reset), so memory follows the live threads, not every thread ever
+//!   spawned; [`snapshot`] still sees an exited thread's events until then.
+//! - **Packed events.** Four `u64` words (timestamp, detail, value, packed
+//!   kind/mode/cause), stored as atomics so concurrent readers are race-free
+//!   by construction. A [`snapshot`] taken while writers are running may see
+//!   a *torn* oldest event as the ring wraps; tolerated, the tool is
+//!   diagnostic.
+//! - **Feature-gated.** With neither feature [`emit`] is an empty
+//!   `#[inline(always)]` function and its arguments are dead code — the
+//!   hooks in `tle-stm`/`tle-htm`/`tle-core` compile to nothing (asserted by
+//!   a `#[cfg]` test below, and for whole binaries by `ci/codegen_diff.sh`),
+//!   so release kernels are untouched.
 
 use crate::AbortCause;
 
@@ -71,21 +112,26 @@ impl TxMode {
     }
 }
 
-/// What happened. `detail` in [`TxEvent`] is kind-specific (orec index,
+/// What happened. `detail` in [`TxEvent`] is kind-specific (cell address,
 /// cache-line index, wait nanoseconds, attempt number, ...); see each
-/// variant.
+/// variant. The first five kinds are the [history
+/// kinds](TraceKind::is_history).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum TraceKind {
-    /// A transaction attempt started. detail: start timestamp / snapshot.
+    /// A transaction attempt or a lock/serial section started. detail:
+    /// start timestamp (ml_wt), snapshot (NOrec), slot (HTM), 0 (lock and
+    /// serial sections).
     Begin = 0,
-    /// A transactional read was recorded. detail: orec index (STM),
-    /// cache-line table index (HTM), or cell address (NOrec).
+    /// A read returned a value to the section (read-own-write included).
+    /// detail: cell address; val: the value.
     Read = 1,
-    /// A transactional write was recorded. detail: as for `Read`.
+    /// The section wrote a cell (buffered or in place). detail: cell
+    /// address; val: the value.
     Write = 2,
-    /// The attempt committed. detail: commit timestamp (STM/NOrec) or
-    /// redo-log length (HTM).
+    /// The attempt committed. detail: commit timestamp (ml_wt writer, NOrec),
+    /// 0 (ml_wt read-only, lock and serial sections) or redo-log length
+    /// (HTM).
     Commit = 3,
     /// The attempt aborted (cause attached). detail: kind-specific.
     Abort = 4,
@@ -100,8 +146,8 @@ pub enum TraceKind {
     /// A quiescence drain finished. detail: nanoseconds waited.
     QuiesceEnd = 8,
     /// The runner is about to retry after a failed attempt (cause
-    /// attached). detail: attempt number (backoff is `~16 << attempt` spins,
-    /// bounded by the policy ceiling).
+    /// attached). detail: attempt number (the backoff before the retry is
+    /// decorrelated jitter under the policy ceiling).
     Retry = 9,
     /// The runner gave up on concurrent attempts and entered the serial
     /// fallback. detail: attempts consumed before serializing.
@@ -164,6 +210,13 @@ impl TraceKind {
         Self::ALL.get(v as usize).copied()
     }
 
+    /// Whether the kind is one of the five the opacity log records
+    /// (`Begin`, `Read`, `Write`, `Commit`, `Abort`).
+    #[inline(always)]
+    pub fn is_history(self) -> bool {
+        self as u8 <= TraceKind::Abort as u8
+    }
+
     /// Short stable label.
     pub fn label(self) -> &'static str {
         match self {
@@ -189,19 +242,22 @@ impl TraceKind {
     }
 }
 
-/// One decoded trace event.
+/// One event of the stream, as both sinks store it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxEvent {
-    /// Process-wide logical timestamp (total order across threads).
+    /// Logical timestamp: the one total order across threads and sinks.
     pub ts: u64,
-    /// Tracing thread id (dense, assigned at first emit per thread).
+    /// Event-thread id (dense, assigned at a thread's first event).
     pub thread: u32,
     pub kind: TraceKind,
     pub mode: TxMode,
     /// Abort cause, for `Abort`/`Conflict`/`Retry` events.
     pub cause: Option<AbortCause>,
-    /// Kind-specific payload; see [`TraceKind`].
+    /// Kind-specific payload; see [`TraceKind`]. The cell address for
+    /// `Read`/`Write`.
     pub detail: u64,
+    /// The value read or written (`Read`/`Write`); 0 for every other kind.
+    pub val: u64,
 }
 
 impl std::fmt::Display for TxEvent {
@@ -225,44 +281,104 @@ impl std::fmt::Display for TxEvent {
 /// Events retained per thread. Power of two; older events are overwritten.
 pub const RING_CAP: usize = 4096;
 
-/// Whether event tracing is compiled in (`trace` cargo feature).
+/// Whether the event ring is compiled in (`trace` cargo feature).
 pub const fn compiled() -> bool {
     cfg!(feature = "trace")
 }
 
-#[cfg(feature = "trace")]
-mod imp {
-    use super::*;
+/// The clock and the thread ids both sinks share.
+#[cfg(any(feature = "trace", feature = "check"))]
+mod stamp {
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
 
-    /// Global logical clock: one bump per event.
+    /// Global logical clock: one bump per stamped event.
     static LOGICAL_CLOCK: AtomicU64 = AtomicU64::new(0);
-    /// Dense tracing-thread ids.
     static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 
-    fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
-        static REGISTRY: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+    thread_local! {
+        static THREAD_ID: Cell<Option<u32>> = const { Cell::new(None) };
+    }
+
+    #[inline]
+    pub fn next() -> u64 {
+        LOGICAL_CLOCK.fetch_add(1, Ordering::Relaxed)
+    }
+
+    pub fn thread_id() -> u32 {
+        THREAD_ID.with(|id| match id.get() {
+            Some(t) => t,
+            None => {
+                let t = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+                id.set(Some(t));
+                t
+            }
+        })
+    }
+}
+
+#[cfg(any(feature = "trace", feature = "check"))]
+pub(crate) use stamp::{next as stamp, thread_id};
+
+#[cfg(feature = "trace")]
+mod ring {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex, MutexGuard};
+
+    /// Every ring ever allocated: what [`snapshot`] merges.
+    static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
+    /// Rings of exited threads, oldest exit first, handed to new threads.
+    static FREE: Mutex<VecDeque<Arc<Ring>>> = Mutex::new(VecDeque::new());
+
+    fn lock<T>(m: &'static Mutex<T>) -> MutexGuard<'static, T> {
+        m.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A thread's hold on its ring; dropped at thread exit, it returns the
+    /// ring to [`FREE`], so memory follows the live threads, not every
+    /// thread ever spawned.
+    struct Held(Arc<Ring>);
+
+    impl Drop for Held {
+        fn drop(&mut self) {
+            lock(&FREE).push_back(Arc::clone(&self.0));
+        }
     }
 
     thread_local! {
-        static MY_RING: Arc<Ring> = {
-            let ring = Arc::new(Ring::new(NEXT_THREAD.fetch_add(1, Ordering::Relaxed)));
-            registry().lock().unwrap().push(Arc::clone(&ring));
-            ring
-        };
+        static MY_RING: Held = Held(take());
     }
 
-    /// Three packed words per event: ts, detail, meta.
+    /// A ring for a new thread: the longest-freed one (fresh thread id, head
+    /// reset) if any, else a newly registered one. A freed ring stays
+    /// visible to [`snapshot`] until this reuse, so the threads that exited
+    /// last keep their events longest.
+    fn take() -> Arc<Ring> {
+        let thread = super::thread_id();
+        let reused = lock(&FREE).pop_front();
+        if let Some(ring) = reused {
+            ring.thread.store(thread, Ordering::Relaxed);
+            ring.head.store(0, Ordering::Release);
+            return ring;
+        }
+        let ring = Arc::new(Ring::new(thread));
+        lock(&RINGS).push(Arc::clone(&ring));
+        ring
+    }
+
+    /// Four packed words per event: ts, detail, val, meta.
+    #[derive(Default)]
     struct Slot {
         ts: AtomicU64,
         detail: AtomicU64,
+        val: AtomicU64,
         meta: AtomicU64,
     }
 
-    pub(super) struct Ring {
-        thread: u32,
+    struct Ring {
+        thread: AtomicU32,
         /// Monotonic write cursor; the slot index is `head % RING_CAP`.
         head: AtomicU64,
         slots: Box<[Slot]>,
@@ -271,28 +387,22 @@ mod imp {
     impl Ring {
         fn new(thread: u32) -> Self {
             Ring {
-                thread,
+                thread: AtomicU32::new(thread),
                 head: AtomicU64::new(0),
-                slots: (0..RING_CAP)
-                    .map(|_| Slot {
-                        ts: AtomicU64::new(0),
-                        detail: AtomicU64::new(0),
-                        meta: AtomicU64::new(0),
-                    })
-                    .collect(),
+                slots: (0..RING_CAP).map(|_| Slot::default()).collect(),
             }
         }
 
         #[inline]
-        fn push(&self, kind: TraceKind, mode: TxMode, cause: Option<AbortCause>, detail: u64) {
-            let ts = LOGICAL_CLOCK.fetch_add(1, Ordering::Relaxed);
+        fn push(&self, e: &TxEvent) {
             // tle-lint: allow(R8, "single-writer ring: this load reads the owning thread's own prior store; the Release below is what orders the payload for snapshot readers")
             let h = self.head.load(Ordering::Relaxed);
             let slot = &self.slots[(h as usize) & (RING_CAP - 1)];
-            let cause_code = cause.map(|c| c.index() as u64 + 1).unwrap_or(0);
-            let meta = kind as u64 | (mode as u64) << 8 | cause_code << 16;
-            slot.ts.store(ts, Ordering::Relaxed);
-            slot.detail.store(detail, Ordering::Relaxed);
+            let cause_code = e.cause.map(|c| c.index() as u64 + 1).unwrap_or(0);
+            let meta = e.kind as u64 | (e.mode as u64) << 8 | cause_code << 16;
+            slot.ts.store(e.ts, Ordering::Relaxed);
+            slot.detail.store(e.detail, Ordering::Relaxed);
+            slot.val.store(e.val, Ordering::Relaxed);
             slot.meta.store(meta, Ordering::Relaxed);
             // Publish after the payload so a reader that observes the new
             // head sees initialized (if possibly torn-on-wrap) words.
@@ -302,6 +412,7 @@ mod imp {
         fn snapshot_into(&self, out: &mut Vec<TxEvent>) {
             let h = self.head.load(Ordering::Acquire);
             let n = h.min(RING_CAP as u64);
+            let thread = self.thread.load(Ordering::Relaxed);
             for i in (h - n)..h {
                 let slot = &self.slots[(i as usize) & (RING_CAP - 1)];
                 let meta = slot.meta.load(Ordering::Relaxed);
@@ -321,24 +432,27 @@ mod imp {
                 };
                 out.push(TxEvent {
                     ts: slot.ts.load(Ordering::Relaxed),
-                    thread: self.thread,
+                    thread,
                     kind,
                     mode,
                     cause,
                     detail: slot.detail.load(Ordering::Relaxed),
+                    val: slot.val.load(Ordering::Relaxed),
                 });
             }
         }
     }
 
+    /// Append to the calling thread's ring. A hook that runs during thread
+    /// teardown, after the ring went back to [`FREE`], is dropped.
     #[inline]
-    pub fn emit(kind: TraceKind, mode: TxMode, cause: Option<AbortCause>, detail: u64) {
-        MY_RING.with(|r| r.push(kind, mode, cause, detail));
+    pub fn push(e: TxEvent) {
+        let _ = MY_RING.try_with(|held| held.0.push(&e));
     }
 
     pub fn snapshot() -> Vec<TxEvent> {
         let mut out = Vec::new();
-        for ring in registry().lock().unwrap().iter() {
+        for ring in lock(&RINGS).iter() {
             ring.snapshot_into(&mut out);
         }
         out.sort_by_key(|e| e.ts);
@@ -349,47 +463,102 @@ mod imp {
         // Rings belong to their writer threads; "clearing" just forgets
         // everything published so far by resetting each ring's cursor. A
         // concurrent writer may lose a handful of in-flight events, which is
-        // fine between benchmark trials (the only time this is called).
-        for ring in registry().lock().unwrap().iter() {
+        // fine between benchmark trials and test phases, where it is called.
+        for ring in lock(&RINGS).iter() {
             ring.head.store(0, Ordering::Release);
         }
     }
-}
 
-#[cfg(not(feature = "trace"))]
-mod imp {
-    use super::*;
-
-    /// No-op: the `trace` feature is disabled.
-    #[inline(always)]
-    pub fn emit(_kind: TraceKind, _mode: TxMode, _cause: Option<AbortCause>, _detail: u64) {}
-
-    /// Always empty: the `trace` feature is disabled.
-    pub fn snapshot() -> Vec<TxEvent> {
-        Vec::new()
+    #[cfg(test)]
+    pub fn rings() -> usize {
+        lock(&RINGS).len()
     }
-
-    /// No-op: the `trace` feature is disabled.
-    pub fn clear() {}
 }
 
-/// Record one event in the calling thread's ring (no-op unless the `trace`
-/// feature is enabled).
+/// Record one event: append it to the calling thread's ring (`trace`
+/// feature) and, while a [`crate::history::record`] session is armed, a
+/// [history kind](TraceKind::is_history) to the opacity log too (`check`
+/// feature), both under one stamp. With neither feature this is an empty
+/// function and the arguments are dead code. `detail` is kind-specific (see
+/// [`TraceKind`]); reads and writes go through [`emit_access`].
 #[inline(always)]
 pub fn emit(kind: TraceKind, mode: TxMode, cause: Option<AbortCause>, detail: u64) {
-    imp::emit(kind, mode, cause, detail);
+    fan_out(kind, mode, cause, detail, 0);
+}
+
+/// [`emit`] a `Read` or `Write` of the cell at `addr`, with the value read
+/// or written.
+#[inline(always)]
+pub fn emit_access(kind: TraceKind, mode: TxMode, addr: u64, val: u64) {
+    fan_out(kind, mode, None, addr, val);
+}
+
+#[inline(always)]
+fn fan_out(kind: TraceKind, mode: TxMode, cause: Option<AbortCause>, detail: u64, val: u64) {
+    #[cfg(feature = "check")]
+    if kind.is_history() && crate::history::enabled() {
+        let _e = crate::history::log(kind, mode, cause, detail, val);
+        #[cfg(feature = "trace")]
+        ring::push(_e);
+        return;
+    }
+    #[cfg(feature = "trace")]
+    ring::push(TxEvent {
+        ts: stamp(),
+        thread: 0, // the ring keeps its own
+        kind,
+        mode,
+        cause,
+        detail,
+        val,
+    });
+    #[cfg(not(feature = "trace"))]
+    let _ = (kind, mode, cause, detail, val);
+}
+
+thread_local! {
+    /// The mode of the lock or serial section running on this thread. Its
+    /// accesses go through `TxCtx`'s direct arm, which does not carry the
+    /// mode: threading it there changes the lock path's machine code even
+    /// with every hook compiled out.
+    static DIRECT_MODE: std::cell::Cell<TxMode> = const { std::cell::Cell::new(TxMode::Serial) };
+}
+
+/// Emit the `Begin` of a lock or serial section and latch its `mode` for
+/// the section's [`emit_direct`] accesses on this thread.
+#[inline(always)]
+pub fn begin_direct(mode: TxMode) {
+    if compiled() || crate::history::compiled() {
+        DIRECT_MODE.with(|m| m.set(mode));
+    }
+    emit(TraceKind::Begin, mode, None, 0);
+}
+
+/// [`emit_access`] for a lock or serial section, in the mode its
+/// [`begin_direct`] latched. An unarmed `check`-only build still pays only
+/// the one relaxed load.
+#[inline(always)]
+pub fn emit_direct(kind: TraceKind, addr: u64, val: u64) {
+    if compiled() || crate::history::enabled() {
+        emit_access(kind, DIRECT_MODE.with(|m| m.get()), addr, val);
+    }
 }
 
 /// Merge every thread's ring into one timestamp-ordered event list. Events
 /// older than [`RING_CAP`]-per-thread have been overwritten. Empty when the
 /// `trace` feature is disabled.
 pub fn snapshot() -> Vec<TxEvent> {
-    imp::snapshot()
+    #[cfg(feature = "trace")]
+    return ring::snapshot();
+    #[cfg(not(feature = "trace"))]
+    Vec::new()
 }
 
-/// Forget all recorded events (between benchmark trials).
+/// Forget all recorded ring events (between benchmark trials or test
+/// phases; the opacity log has its own sessions).
 pub fn clear() {
-    imp::clear()
+    #[cfg(feature = "trace")]
+    ring::clear()
 }
 
 /// Per-kind/per-cause tally of an event list — the summarize half of the
@@ -433,6 +602,18 @@ impl TraceSummary {
     }
 }
 
+/// Held by every test in this crate that emits. Each test runs on a new
+/// thread, and a thread's first event takes a freed ring if there is one:
+/// unserialized, one test's thread could wipe the ring another test just
+/// freed before that test read it back. Held, it also keeps other tests'
+/// events out of a recording session, so `history`'s tests assert on the
+/// whole log.
+#[cfg(all(test, any(feature = "trace", feature = "check")))]
+pub(crate) fn emitters() -> std::sync::MutexGuard<'static, ()> {
+    static EMITTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    EMITTERS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(all(test, feature = "trace"))]
 mod tests_enabled {
     use super::*;
@@ -444,6 +625,7 @@ mod tests_enabled {
     #[test]
     fn emit_and_snapshot_roundtrip() {
         let marker = 0xDEAD_0001u64;
+        let _emitters = emitters();
         emit(TraceKind::Begin, TxMode::Stm, None, marker);
         emit(
             TraceKind::Abort,
@@ -470,32 +652,68 @@ mod tests_enabled {
     #[test]
     fn ring_wraps_keeping_newest() {
         let marker = 0xDEAD_0002u64;
+        let _emitters = emitters();
         for i in 0..(RING_CAP as u64 + 10) {
-            emit(TraceKind::Read, TxMode::Htm, None, marker + (i << 32));
+            emit_access(TraceKind::Read, TxMode::Htm, marker + (i << 32), i);
         }
         let mine: Vec<_> = snapshot()
             .into_iter()
             .filter(|e| e.detail & 0xFFFF_FFFF == marker)
             .collect();
         assert!(mine.len() <= RING_CAP);
-        // The newest event must survive the wrap.
-        assert!(mine.iter().any(|e| e.detail >> 32 == RING_CAP as u64 + 9));
+        // The newest event must survive the wrap, value and all.
+        assert!(mine
+            .iter()
+            .any(|e| e.detail >> 32 == RING_CAP as u64 + 9 && e.val == RING_CAP as u64 + 9));
     }
 
     #[test]
     fn events_merge_across_threads() {
         let marker = 0xDEAD_0003u64;
+        let _emitters = emitters();
+        // This thread emits first: its first event takes the oldest freed
+        // ring, which is the spawned thread's own if no other is free.
+        emit(TraceKind::Commit, TxMode::Stm, None, marker);
         let h = std::thread::spawn(move || {
             emit(TraceKind::Commit, TxMode::Norec, None, marker);
         });
         h.join().unwrap();
-        emit(TraceKind::Commit, TxMode::Stm, None, marker);
         let mine: Vec<_> = snapshot()
             .into_iter()
             .filter(|e| e.detail == marker)
             .collect();
         assert_eq!(mine.len(), 2);
         assert_ne!(mine[0].thread, mine[1].thread);
+    }
+
+    /// An exited thread's ring goes back to the free list and the next
+    /// new thread takes it, so spawning thread after thread does not grow
+    /// the registry with each one.
+    #[test]
+    fn exited_threads_hand_their_rings_on() {
+        let marker = 0xDEAD_0004u64;
+        let _emitters = emitters();
+        let before = ring::rings();
+        let mut ids = std::collections::HashSet::new();
+        for i in 0..64u64 {
+            std::thread::spawn(move || emit_access(TraceKind::Write, TxMode::Stm, marker, i))
+                .join()
+                .unwrap();
+            // The last thread's event survives its exit until the next
+            // thread reuses the ring.
+            let mine: Vec<_> = snapshot()
+                .into_iter()
+                .filter(|e| e.detail == marker && e.val == i)
+                .collect();
+            assert_eq!(mine.len(), 1, "thread {i}'s event is visible after join");
+            ids.insert(mine[0].thread);
+        }
+        assert_eq!(ids.len(), 64, "a reused ring carries a fresh thread id");
+        let grown = ring::rings() - before;
+        assert!(
+            grown < 16,
+            "64 sequential threads grew the registry by {grown} rings"
+        );
     }
 
     #[test]
@@ -508,6 +726,7 @@ mod tests_enabled {
                 mode: TxMode::Stm,
                 cause: None,
                 detail: 0,
+                val: 0,
             },
             TxEvent {
                 ts: 1,
@@ -516,6 +735,7 @@ mod tests_enabled {
                 mode: TxMode::Htm,
                 cause: Some(AbortCause::Capacity),
                 detail: 0,
+                val: 0,
             },
         ];
         let s = TraceSummary::of(&events);
@@ -535,8 +755,11 @@ mod tests_disabled {
     /// records nothing and snapshot is always empty.
     #[test]
     fn hooks_compile_to_noops_without_feature() {
+        #[cfg(feature = "check")]
+        let _emitters = emitters();
         assert!(!compiled());
         emit(TraceKind::Begin, TxMode::Stm, None, 1);
+        emit_access(TraceKind::Read, TxMode::Stm, 0x40, 7);
         emit(TraceKind::Abort, TxMode::Htm, Some(AbortCause::Conflict), 2);
         assert!(snapshot().is_empty());
         clear();
@@ -578,6 +801,7 @@ mod tests_common {
             mode: TxMode::Htm,
             cause: Some(AbortCause::Capacity),
             detail: 7,
+            val: 0,
         };
         let s = format!("{e}");
         assert!(s.contains("abort"));

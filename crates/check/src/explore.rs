@@ -18,7 +18,8 @@ use crate::cursor::Cursor;
 use crate::oracle::{self, Verdict};
 use crate::vthread::{run_schedule, Failure};
 use std::time::Duration;
-use tle_base::history::{self, HistEvent};
+use tle_base::history;
+use tle_base::trace::TxEvent;
 
 /// How to enumerate schedules.
 #[derive(Debug, Clone)]
@@ -80,7 +81,7 @@ pub struct Scenario {
     /// Post-condition over the final state, run after the threads joined.
     /// Return `Err` to fail the schedule.
     #[allow(clippy::type_complexity)]
-    pub post: Box<dyn FnOnce(&[HistEvent]) -> Result<(), String>>,
+    pub post: Box<dyn FnOnce(&[TxEvent]) -> Result<(), String>>,
 }
 
 /// Why an explored schedule failed.

@@ -12,7 +12,7 @@
 //! - [`cursor`] — replayable schedule descriptions: DFS paths with bounded
 //!   preemptions, seeded random streams, and printed `d:…` / `r:…` tokens.
 //! - [`oracle`] — an offline opacity checker replaying the transactional
-//!   history (`tle_base::history`, feature `check`) against a
+//!   history (the `check` sink of `tle_base::trace::emit`) against a
 //!   sequential oracle: committed writers must replay strictly in commit
 //!   order, and every other transaction — including doomed zombies — must
 //!   have seen *some* consistent snapshot. Violations come with a minimal

@@ -1,11 +1,15 @@
 //! Offline opacity / serializability checker.
 //!
-//! Input: the globally ordered event log recorded by [`tle_base::history`]
-//! (feature `check`). The kernels guarantee (see that module's
-//! placement contract) that a writer's `Commit` event lands in the log
-//! *before* its writes become visible to any other recorded read — so the
-//! order of `Commit` events is the only serialization order that needs
-//! checking, not one of many to search for.
+//! Input: the history events — `Begin`, `Read`, `Write`, `Commit`, `Abort`
+//! — of one run in stamp order, as the opacity log of
+//! [`tle_base::history`] records them (feature `check`) or as a filtered
+//! ring snapshot of [`tle_base::trace`] holds them; any other kind is
+//! skipped. The kernels guarantee (the placement contract in
+//! [`tle_base::trace`]) that a writer's `Commit` event is stamped *before*
+//! its writes become visible to any other emitted read — so the order of
+//! `Commit` events is the only serialization order that needs checking, not
+//! one of many to search for. An event is identified by its position in
+//! the slice, which is the order the checker reasons in.
 //!
 //! The checker verifies **transactional sequential consistency** (the
 //! paper's §IV formulation of opacity):
@@ -37,25 +41,28 @@
 //! reason.
 
 use std::collections::HashMap;
-use tle_base::history::{HistEvent, HistKind};
-use tle_base::trace::TxMode;
+use tle_base::trace::{TraceKind, TxEvent, TxMode};
 
 /// One reconstructed transaction (or serial/locked section).
 #[derive(Debug, Clone)]
 struct Tx {
     thread: u32,
     mode: TxMode,
-    begin_seq: u64,
-    /// Seq of the Commit/Abort terminator; `u64::MAX` for in-flight tails.
-    end_seq: u64,
-    /// Read/Write events in program order.
-    ops: Vec<HistEvent>,
+    begin_pos: usize,
+    /// Position of the Commit/Abort terminator; `usize::MAX` for in-flight
+    /// tails.
+    end_pos: usize,
+    /// Reads and writes in program order, with their slice positions.
+    ops: Vec<(usize, TxEvent)>,
     committed: bool,
 }
 
 impl Tx {
-    fn writes(&self) -> impl Iterator<Item = &HistEvent> {
-        self.ops.iter().filter(|e| e.kind == HistKind::Write)
+    fn writes(&self) -> impl Iterator<Item = &TxEvent> {
+        self.ops
+            .iter()
+            .map(|(_, e)| e)
+            .filter(|e| e.kind == TraceKind::Write)
     }
 
     fn is_writer(&self) -> bool {
@@ -104,7 +111,7 @@ impl std::fmt::Display for Verdict {
 
 /// Check a recorded history with no prior knowledge of initial memory
 /// (first reads bind it). See the module docs for the algorithm.
-pub fn check_history(events: &[HistEvent]) -> Verdict {
+pub fn check_history(events: &[TxEvent]) -> Verdict {
     check_history_with_init(events, [])
 }
 
@@ -114,10 +121,10 @@ pub fn check_history(events: &[HistEvent]) -> Verdict {
 /// being flagged. Harness scenarios know their cells' addresses and starting
 /// contents, so they should always use this form.
 pub fn check_history_with_init(
-    events: &[HistEvent],
+    events: &[TxEvent],
     init: impl IntoIterator<Item = (usize, u64)>,
 ) -> Verdict {
-    let init: HashMap<usize, u64> = init.into_iter().collect();
+    let init: HashMap<u64, u64> = init.into_iter().map(|(a, v)| (a as u64, v)).collect();
     match check_once(events, &init) {
         Ok((txs, commits)) => Verdict::Consistent { txs, commits },
         Err(full_reason) => {
@@ -141,19 +148,19 @@ pub fn check_history_with_init(
 }
 
 /// Split the log into transactions, preserving global order inside each.
-fn reconstruct(events: &[HistEvent]) -> Result<Vec<Tx>, String> {
+fn reconstruct(events: &[TxEvent]) -> Result<Vec<Tx>, String> {
     let mut done: Vec<Tx> = Vec::new();
     let mut open: HashMap<u32, Tx> = HashMap::new();
-    for e in events {
+    for (pos, e) in events.iter().enumerate() {
         match e.kind {
-            HistKind::Begin => {
+            TraceKind::Begin => {
                 if let Some(prev) = open.insert(
                     e.thread,
                     Tx {
                         thread: e.thread,
                         mode: e.mode,
-                        begin_seq: e.seq,
-                        end_seq: u64::MAX,
+                        begin_pos: pos,
+                        end_pos: usize::MAX,
                         ops: Vec::new(),
                         committed: false,
                     },
@@ -165,24 +172,25 @@ fn reconstruct(events: &[HistEvent]) -> Result<Vec<Tx>, String> {
                     done.push(prev);
                 }
             }
-            HistKind::Read | HistKind::Write => {
+            TraceKind::Read | TraceKind::Write => {
                 let tx = open
                     .get_mut(&e.thread)
                     .ok_or_else(|| format!("event {e:?} outside any transaction"))?;
-                tx.ops.push(*e);
+                tx.ops.push((pos, *e));
             }
-            HistKind::Commit | HistKind::Abort => {
+            TraceKind::Commit | TraceKind::Abort => {
                 let mut tx = open
                     .remove(&e.thread)
                     .ok_or_else(|| format!("terminator {e:?} without a Begin"))?;
-                tx.end_seq = e.seq;
-                tx.committed = e.kind == HistKind::Commit;
+                tx.end_pos = pos;
+                tx.committed = e.kind == TraceKind::Commit;
                 done.push(tx);
             }
+            _ => {}
         }
     }
     done.extend(open.into_values());
-    done.sort_by_key(|t| t.begin_seq);
+    done.sort_by_key(|t| t.begin_pos);
     Ok(done)
 }
 
@@ -192,45 +200,42 @@ fn reconstruct(events: &[HistEvent]) -> Result<Vec<Tx>, String> {
 /// staged into `staged` so a failed probe leaks nothing.
 fn simulate(
     tx: &Tx,
-    base: &HashMap<usize, u64>,
-    init: &HashMap<usize, u64>,
-    staged: &mut HashMap<usize, u64>,
+    base: &HashMap<u64, u64>,
+    init: &HashMap<u64, u64>,
+    staged: &mut HashMap<u64, u64>,
 ) -> Result<(), String> {
-    let mut own: HashMap<usize, u64> = HashMap::new();
-    for op in &tx.ops {
-        match op.kind {
-            HistKind::Write => {
-                own.insert(op.addr, op.val);
+    let mut own: HashMap<u64, u64> = HashMap::new();
+    for &(pos, op) in &tx.ops {
+        let addr = op.detail;
+        if op.kind == TraceKind::Write {
+            own.insert(addr, op.val);
+            continue;
+        }
+        let expected = own
+            .get(&addr)
+            .or_else(|| base.get(&addr))
+            .or_else(|| init.get(&addr))
+            .or_else(|| staged.get(&addr))
+            .copied();
+        match expected {
+            Some(v) if v == op.val => {}
+            Some(v) => {
+                return Err(format!(
+                    "thread {} ({:?}) read {:#x}={} at event {pos}, expected {}",
+                    tx.thread, tx.mode, addr, op.val, v
+                ));
             }
-            HistKind::Read => {
-                let expected = own
-                    .get(&op.addr)
-                    .or_else(|| base.get(&op.addr))
-                    .or_else(|| init.get(&op.addr))
-                    .or_else(|| staged.get(&op.addr))
-                    .copied();
-                match expected {
-                    Some(v) if v == op.val => {}
-                    Some(v) => {
-                        return Err(format!(
-                            "thread {} ({:?}) read {:#x}={} at event {}, expected {}",
-                            tx.thread, tx.mode, op.addr, op.val, op.seq, v
-                        ));
-                    }
-                    None => {
-                        staged.insert(op.addr, op.val);
-                    }
-                }
+            None => {
+                staged.insert(addr, op.val);
             }
-            _ => unreachable!("ops hold only reads and writes"),
         }
     }
     Ok(())
 }
 
 fn check_once(
-    events: &[HistEvent],
-    known_init: &HashMap<usize, u64>,
+    events: &[TxEvent],
+    known_init: &HashMap<u64, u64>,
 ) -> Result<(usize, usize), String> {
     let txs = reconstruct(events)?;
     let n_txs = txs.len();
@@ -243,11 +248,11 @@ fn check_once(
             .iter()
             .filter(|t| t.committed && t.is_writer())
             .collect();
-        w.sort_by_key(|t| t.end_seq);
+        w.sort_by_key(|t| t.end_pos);
         w
     };
-    let mut states: Vec<HashMap<usize, u64>> = vec![HashMap::new()];
-    let mut init: HashMap<usize, u64> = known_init.clone();
+    let mut states: Vec<HashMap<u64, u64>> = vec![HashMap::new()];
+    let mut init: HashMap<u64, u64> = known_init.clone();
 
     // Pass 1: strict replay of committed writers (binds inits as it goes).
     for (k, w) in writers.iter().enumerate() {
@@ -257,7 +262,7 @@ fn check_once(
         init.extend(staged);
         let mut next = states[k].clone();
         for op in w.writes() {
-            next.insert(op.addr, op.val);
+            next.insert(op.detail, op.val);
         }
         states.push(next);
     }
@@ -265,19 +270,19 @@ fn check_once(
     // Pass 2: snapshot-existence for everyone else. A transaction that
     // began after `lo` commits and ended before the `hi+1`-th must match
     // memory after some k in [lo, hi].
-    let commits_before = |seq: u64| writers.iter().filter(|w| w.end_seq < seq).count();
+    let commits_before = |pos: usize| writers.iter().filter(|w| w.end_pos < pos).count();
     for tx in &txs {
         if tx.committed && tx.is_writer() {
             continue; // pass 1
         }
-        if tx.ops.iter().all(|e| e.kind != HistKind::Read) {
+        if tx.ops.iter().all(|(_, e)| e.kind != TraceKind::Read) {
             continue; // nothing observable
         }
-        let hi = commits_before(tx.end_seq);
+        let hi = commits_before(tx.end_pos);
         let lo = if tx.committed && tx.mode == TxMode::Htm {
             hi
         } else {
-            commits_before(tx.begin_seq)
+            commits_before(tx.begin_pos)
         };
         let mut last_err = String::new();
         let mut ok = false;
@@ -295,7 +300,7 @@ fn check_once(
         if !ok {
             let kind = if tx.committed {
                 "read-only committed"
-            } else if tx.end_seq == u64::MAX {
+            } else if tx.end_pos == usize::MAX {
                 "in-flight"
             } else {
                 "aborted"
@@ -313,18 +318,19 @@ fn check_once(
 mod tests {
     use super::*;
 
-    fn ev(seq: u64, thread: u32, kind: HistKind, addr: usize, val: u64) -> HistEvent {
-        HistEvent {
-            seq,
+    fn ev(ts: u64, thread: u32, kind: TraceKind, addr: u64, val: u64) -> TxEvent {
+        TxEvent {
+            ts,
             thread,
             kind,
             mode: TxMode::Stm,
-            addr,
+            cause: None,
+            detail: addr,
             val,
         }
     }
 
-    use HistKind::{Abort, Begin, Commit, Read, Write};
+    use TraceKind::{Abort, Begin, Commit, Read, Write};
 
     #[test]
     fn empty_history_is_consistent() {
@@ -413,7 +419,7 @@ mod tests {
         // Both reads predate the writer, so an STM (or aborted) reader is
         // explained by the empty prefix; a committed HTM reader is judged at
         // its commit event, after the writer's, and its snapshot is stale.
-        let shape = |mode: TxMode, end: HistKind| {
+        let shape = |mode: TxMode, end: TraceKind| {
             let mut h = [
                 ev(0, 0, Begin, 0, 0),
                 ev(1, 0, Read, 0xa, 0),

@@ -17,9 +17,8 @@
 mod common;
 
 use std::sync::Arc;
-use tle_base::history;
 use tle_base::sched::{self, YieldPoint};
-use tle_base::trace::TxMode;
+use tle_base::trace::{emit, emit_access, TraceKind, TxMode};
 use tle_base::{AbortCause, TCell};
 use tle_check::{explore, Config, Scenario};
 use tle_htm::{HtmConfig, HtmGlobal};
@@ -35,10 +34,10 @@ fn quiet_htm() -> Arc<HtmGlobal> {
 /// elision lock paths record theirs — the opacity oracle needs the event
 /// to order transactional reads against.
 fn locked_store(c: &TCell<u64>, v: u64) {
-    history::begin(TxMode::Locked);
+    emit(TraceKind::Begin, TxMode::Locked, None, 0);
     c.store_direct(v);
-    history::write(c.addr(), v);
-    history::commit();
+    emit_access(TraceKind::Write, TxMode::Locked, c.addr() as u64, v);
+    emit(TraceKind::Commit, TxMode::Locked, None, 0);
 }
 
 /// Run one raw hardware-transaction attempt: begin on `slot`, apply `body`,
@@ -273,13 +272,13 @@ fn doom_all_scenario(blocking: bool) -> Scenario {
             // reader subscribed: only the sweep protects the pair. Recorded
             // as one locked section, with a yield between the stores so the
             // explorer can interleave the reader mid-pair.
-            history::begin(TxMode::Locked);
+            emit(TraceKind::Begin, TxMode::Locked, None, 0);
             a.store_direct(1u64);
-            history::write(a.addr(), 1);
+            emit_access(TraceKind::Write, TxMode::Locked, a.addr() as u64, 1);
             sched::yield_point(YieldPoint::MemStore);
             b.store_direct(1u64);
-            history::write(b.addr(), 1);
-            history::commit();
+            emit_access(TraceKind::Write, TxMode::Locked, b.addr() as u64, 1);
+            emit(TraceKind::Commit, TxMode::Locked, None, 0);
             held.store_direct(0u64);
         })
     };

@@ -10,8 +10,8 @@ use crate::condvar::{RawWaiter, TxCondvar, Waiter};
 use crate::runner::{drop_ring_ref, Driver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tle_base::history;
 use tle_base::sched::{self, YieldPoint};
+use tle_base::trace::{self, TraceKind};
 use tle_base::{AbortCause, TCell, TxVal};
 use tle_htm::HtmTx;
 use tle_stm::SoftTx;
@@ -134,7 +134,7 @@ impl<'a> TxCtx<'a> {
                 // (the lazy-subscription hazards are invisible otherwise).
                 sched::yield_point(YieldPoint::MemStore);
                 let v = c.load_direct();
-                history::read(c.addr(), v.to_word());
+                trace::emit_direct(TraceKind::Read, c.addr() as u64, v.to_word());
                 Ok(v)
             }
             CtxKind::Stm { tx, .. } => tx.read(c),
@@ -161,7 +161,7 @@ impl<'a> TxCtx<'a> {
                 // Interleaving point: see `mem_read`.
                 sched::yield_point(YieldPoint::MemStore);
                 c.store_direct(v);
-                history::write(c.addr(), v.to_word());
+                trace::emit_direct(TraceKind::Write, c.addr() as u64, v.to_word());
                 Ok(())
             }
             CtxKind::Stm { tx, .. } => tx.write(c, v),

@@ -87,7 +87,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use tle_base::fault::{self, Hazard};
-use tle_base::history;
 use tle_base::mutant::{self, Mutant};
 use tle_base::rng::splitmix64;
 use tle_base::sched::{self, YieldPoint};
@@ -592,11 +591,12 @@ where
     let stats = &th.sys.stats;
     let serial = excl == Exclusion::SerialGate;
     let baseline = excl == Exclusion::Mutex;
-    history::begin(if serial {
+    let mode = if serial {
         TxMode::Serial
     } else {
         TxMode::Locked
-    });
+    };
+    trace::begin_direct(mode);
     let mut ctx = TxCtx::new(CtxKind::Direct { baseline }, deadline, driver);
     let res = call_body(lock, driver, f, &mut ctx);
     let step = match res {
@@ -637,9 +637,8 @@ where
     if serial {
         stats.bump_shared(th.stm_slot, Stat::SerialFallbacks);
         stats.bump_shared(th.stm_slot, Stat::Commits);
-        trace::emit(TraceKind::Commit, TxMode::Serial, None, 0);
     }
-    history::commit();
+    trace::emit(TraceKind::Commit, mode, None, 0);
     step
 }
 

@@ -4,7 +4,6 @@
 use crate::{state, DoomOutcome, HtmGlobal};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tle_base::fault::{self, Hazard};
-use tle_base::history;
 use tle_base::mutant::{self, Mutant};
 use tle_base::rng::XorShift64;
 use tle_base::sched::{self, YieldPoint};
@@ -50,7 +49,6 @@ impl<'g> HtmTx<'g> {
         let salt = g.slots.advance_owned(slot);
         let seed = g.config.seed ^ ((slot as u64) << 32) ^ salt;
         trace::emit(TraceKind::Begin, TxMode::Htm, None, slot as u64);
-        history::begin(TxMode::Htm);
         HtmTx {
             g,
             slot,
@@ -129,7 +127,7 @@ impl<'g> HtmTx<'g> {
         }
         // Read-own-write: return the buffered value.
         if let Some(&(_, _, buffered)) = self.bufs.redo.iter().find(|&&(_, a, _)| a == addr) {
-            history::read(addr, buffered);
+            trace::emit_access(TraceKind::Read, TxMode::Htm, addr as u64, buffered);
             return Ok(buffered);
         }
         let word = w.load(Ordering::SeqCst);
@@ -138,8 +136,7 @@ impl<'g> HtmTx<'g> {
         if !skip_doom && self.g.is_doomed(self.slot) {
             return Err(AbortCause::Conflict);
         }
-        trace::emit(TraceKind::Read, TxMode::Htm, None, li as u64);
-        history::read(addr, word);
+        trace::emit_access(TraceKind::Read, TxMode::Htm, addr as u64, word);
         Ok(word)
     }
 
@@ -157,8 +154,7 @@ impl<'g> HtmTx<'g> {
         if self.g.is_doomed(self.slot) {
             return Err(AbortCause::Conflict);
         }
-        trace::emit(TraceKind::Write, TxMode::Htm, None, li as u64);
-        history::write(addr, word);
+        trace::emit_access(TraceKind::Write, TxMode::Htm, addr as u64, word);
         Ok(())
     }
 
@@ -332,7 +328,7 @@ impl<'g> HtmTx<'g> {
                 return self.doomed_at_commit();
             }
             // The load above is the linearization point.
-            history::commit();
+            trace::emit(TraceKind::Commit, TxMode::Htm, None, 0);
         } else {
             if self.g.tx_state[self.slot]
                 .compare_exchange(
@@ -347,10 +343,15 @@ impl<'g> HtmTx<'g> {
             }
             // The CAS above is the linearization point: every line we
             // touched is still ours, so readers of our yet-unpublished
-            // values are doomed and will abort before recording anything.
-            // Record the commit *here*, before publishing, so log order
+            // values are doomed and will abort before emitting anything.
+            // Emit the commit *here*, before publishing, so stamp order
             // matches visibility order.
-            history::commit();
+            trace::emit(
+                TraceKind::Commit,
+                TxMode::Htm,
+                None,
+                self.bufs.redo.len() as u64,
+            );
             for &(cell, _, val) in &self.bufs.redo {
                 // SAFETY: cells outlive the transaction (documented invariant).
                 unsafe { (*cell).store(val, Ordering::SeqCst) };
@@ -358,11 +359,9 @@ impl<'g> HtmTx<'g> {
                 sched::yield_point(YieldPoint::MemStore);
             }
         }
-        let published = self.bufs.redo.len() as u64;
         self.cleanup();
         self.finished = true;
         self.g.stats.bump_owned(self.slot, Stat::Commits);
-        trace::emit(TraceKind::Commit, TxMode::Htm, None, published);
         Ok(())
     }
 
@@ -377,7 +376,6 @@ impl<'g> HtmTx<'g> {
             Some(AbortCause::Conflict),
             self.slot as u64,
         );
-        history::abort();
         Err(AbortCause::Conflict)
     }
 
@@ -387,15 +385,13 @@ impl<'g> HtmTx<'g> {
         self.finished = true;
         self.g.stats.count_abort(self.slot, cause);
         trace::emit(TraceKind::Abort, TxMode::Htm, Some(cause), self.slot as u64);
-        history::abort();
     }
 
     /// Withdraw a begun attempt that must not run: the serial gate was
     /// closed when it looked (or its dispatch went stale). Releases the
     /// footprint and the presence and nothing else — a retreat is not an
-    /// attempt, so no stat row, `Abort` trace event or history terminator
-    /// records it; the `SeqCst` `IDLE` store is what the serial side's sweep
-    /// waits for.
+    /// attempt, so no stat row or `Abort` event records it; the `SeqCst`
+    /// `IDLE` store is what the serial side's sweep waits for.
     pub fn retire(mut self) {
         self.cleanup();
         self.finished = true;
@@ -424,7 +420,6 @@ impl Drop for HtmTx<'_> {
                 Some(AbortCause::Explicit),
                 self.slot as u64,
             );
-            history::abort();
         }
     }
 }

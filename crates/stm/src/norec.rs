@@ -24,7 +24,6 @@ use crate::tx::CommitInfo;
 use crate::StmGlobal;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tle_base::fault::{self, Hazard};
-use tle_base::history;
 use tle_base::sched::{self, YieldPoint};
 use tle_base::sets::{self, BufLease};
 use tle_base::stats::Stat;
@@ -51,7 +50,6 @@ impl<'g> NorecTx<'g> {
         // Publish for the (ml_wt-oriented) drain scans; harmless here.
         g.slots.publish_raw(slot_idx, snapshot);
         trace::emit(TraceKind::Begin, TxMode::Norec, None, snapshot);
-        history::begin(TxMode::Norec);
         NorecTx {
             g,
             slot_idx,
@@ -78,14 +76,14 @@ impl<'g> NorecTx<'g> {
         sched::yield_point(YieldPoint::SeqLock);
         let addr = cell.addr();
         if let Some(&(_, _, w)) = self.bufs.nwrites.iter().find(|&&(_, a, _)| a == addr) {
-            history::read(addr, w);
+            trace::emit_access(TraceKind::Read, TxMode::Norec, addr as u64, w);
             return Ok(T::from_word(w));
         }
         loop {
             let v = cell.word().load(Ordering::Acquire);
             if self.g.norec_seq.load(Ordering::Acquire) == self.snapshot {
                 self.bufs.nreads.push((cell.word() as *const AtomicU64, v));
-                history::read(addr, v);
+                trace::emit_access(TraceKind::Read, TxMode::Norec, addr as u64, v);
                 return Ok(T::from_word(v));
             }
             // The world moved: value-validate and adopt the newer snapshot,
@@ -105,7 +103,7 @@ impl<'g> NorecTx<'g> {
                 .nwrites
                 .push((cell.word() as *const AtomicU64, addr, word));
         }
-        history::write(addr, word);
+        trace::emit_access(TraceKind::Write, TxMode::Norec, addr as u64, word);
         Ok(())
     }
 
@@ -169,10 +167,9 @@ impl<'g> NorecTx<'g> {
         let shard = self.slot_idx;
         if self.bufs.nwrites.is_empty() {
             self.finished = true;
-            history::commit();
+            trace::emit(TraceKind::Commit, TxMode::Norec, None, self.snapshot);
             self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
             self.g.stats.bump_owned(shard, Stat::Commits);
-            trace::emit(TraceKind::Commit, TxMode::Norec, None, self.snapshot);
             return Ok(CommitInfo {
                 end_time: self.snapshot,
                 quiesced: false,
@@ -199,16 +196,17 @@ impl<'g> NorecTx<'g> {
                         self.g.stats.count_abort(shard, cause);
                         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
                         trace::emit(TraceKind::Abort, TxMode::Norec, Some(cause), self.snapshot);
-                        history::abort();
                         return Err(cause);
                     }
                 }
             }
         }
-        // Commit event recorded while the sequence lock is still held (odd):
-        // no reader records a value we publish below until the lock goes
-        // even, so the log's `Commit` order serializes NOrec writers.
-        history::commit();
+        // Commit event emitted while the sequence lock is still held (odd):
+        // no reader emits a value we publish below until the lock goes
+        // even, so the stamp order of `Commit`s serializes NOrec writers.
+        // (`end` is not bound here: hoisting its load above the write-back
+        // changes this function's release code even with the hook off.)
+        trace::emit(TraceKind::Commit, TxMode::Norec, None, self.snapshot + 2);
         sched::yield_point(YieldPoint::MemStore);
         for &(c, _, v) in self.bufs.nwrites.iter() {
             // SAFETY: cells outlive the transaction.
@@ -219,7 +217,6 @@ impl<'g> NorecTx<'g> {
         self.finished = true;
         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
         self.g.stats.bump_owned(shard, Stat::Commits);
-        trace::emit(TraceKind::Commit, TxMode::Norec, None, end);
         Ok(CommitInfo {
             end_time: end,
             quiesced: false,
@@ -233,7 +230,6 @@ impl<'g> NorecTx<'g> {
         self.g.stats.count_abort(self.slot_idx, cause);
         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
         trace::emit(TraceKind::Abort, TxMode::Norec, Some(cause), self.snapshot);
-        history::abort();
     }
 }
 
@@ -260,7 +256,6 @@ impl Drop for NorecTx<'_> {
                 Some(AbortCause::Explicit),
                 self.snapshot,
             );
-            history::abort();
         }
     }
 }

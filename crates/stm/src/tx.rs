@@ -6,7 +6,6 @@ use crate::quiesce::{QuiescePolicy, QuiesceTicket};
 use crate::StmGlobal;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tle_base::fault::{self, Hazard};
-use tle_base::history;
 use tle_base::mutant::{self, Mutant};
 use tle_base::orec::OrecValue;
 use tle_base::sched::{self, YieldPoint};
@@ -63,7 +62,6 @@ impl<'g> StmTx<'g> {
         let start = g.clock.now();
         g.slots.publish_raw(slot_idx, start);
         trace::emit(TraceKind::Begin, TxMode::Stm, None, start);
-        history::begin(TxMode::Stm);
         StmTx {
             g,
             slot_idx,
@@ -168,7 +166,7 @@ impl<'g> StmTx<'g> {
                 OrecValue::Locked(owner) if owner == self.slot_idx => {
                     // Read-own-write: value is in place.
                     let val = w.load(Ordering::Acquire);
-                    history::read(addr, val);
+                    trace::emit_access(TraceKind::Read, TxMode::Stm, addr as u64, val);
                     return Ok(val);
                 }
                 OrecValue::Locked(_) => {
@@ -200,8 +198,7 @@ impl<'g> StmTx<'g> {
                         continue;
                     }
                     self.bufs.reads.push((oi as u32, v1));
-                    trace::emit(TraceKind::Read, TxMode::Stm, None, oi as u64);
-                    history::read(addr, val);
+                    trace::emit_access(TraceKind::Read, TxMode::Stm, addr as u64, val);
                     return Ok(val);
                 }
             }
@@ -221,7 +218,7 @@ impl<'g> StmTx<'g> {
                         // tle-lint: allow(R8, "undo capture under the owned orec: the CAS that locked the orec ordered this word; no concurrent writer exists")
                         .push((w as *const AtomicU64, w.load(Ordering::Relaxed)));
                     w.store(val, Ordering::Release);
-                    history::write(addr, val);
+                    trace::emit_access(TraceKind::Write, TxMode::Stm, addr as u64, val);
                     return Ok(());
                 }
                 OrecValue::Locked(_) => {
@@ -267,8 +264,7 @@ impl<'g> StmTx<'g> {
                             // tle-lint: allow(R8, "undo capture under the orec lock just acquired by try_lock; the acquiring CAS provides the ordering")
                             .push((w as *const AtomicU64, w.load(Ordering::Relaxed)));
                         w.store(val, Ordering::Release);
-                        trace::emit(TraceKind::Write, TxMode::Stm, None, oi as u64);
-                        history::write(addr, val);
+                        trace::emit_access(TraceKind::Write, TxMode::Stm, addr as u64, val);
                         return Ok(());
                     }
                     // CAS raced with another transaction; re-examine.
@@ -371,7 +367,7 @@ impl<'g> StmTx<'g> {
             // Read-only commit: reads were validated incrementally, no
             // clock advance needed (GCC/TinySTM do the same).
             self.finished = true;
-            history::commit();
+            trace::emit(TraceKind::Commit, TxMode::Stm, None, 0);
             self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
             if !(self.must_quiesce || (self.no_quiesce && self.g.audit_noquiesce_enabled())) {
                 // Fast path: return before the quiescence machinery. Sound
@@ -387,7 +383,6 @@ impl<'g> StmTx<'g> {
                 // the audit's overlap scan stays complete.
                 self.g.stats.bump_owned(shard, Stat::QuiesceSkipped);
                 self.g.stats.bump_owned(shard, Stat::Commits);
-                trace::emit(TraceKind::Commit, TxMode::Stm, None, 0);
                 return Ok((
                     CommitInfo {
                         end_time: 0,
@@ -399,7 +394,6 @@ impl<'g> StmTx<'g> {
             }
             let out = self.defer_quiesce(self.g.clock.now());
             self.g.stats.bump_owned(shard, Stat::Commits);
-            trace::emit(TraceKind::Commit, TxMode::Stm, None, out.0.end_time);
             return Ok(out);
         }
 
@@ -417,14 +411,13 @@ impl<'g> StmTx<'g> {
             self.finished = true;
             self.g.stats.count_abort(shard, cause);
             trace::emit(TraceKind::Abort, TxMode::Stm, Some(cause), end);
-            history::abort();
             return Err(cause);
         }
-        // The commit event is recorded *before* the orecs are released: no
-        // other thread can read our writes until release, so log order of
-        // `Commit` events is a valid serialization order (see
-        // `tle_base::history` module docs).
-        history::commit();
+        // The commit event is emitted *before* the orecs are released: no
+        // other thread can read our writes until release, so the stamp
+        // order of `Commit` events is a valid serialization order (see the
+        // placement contract in `tle_base::trace`).
+        trace::emit(TraceKind::Commit, TxMode::Stm, None, end);
         sched::yield_point(YieldPoint::OrecRelease);
         for &(oi, _) in self.bufs.locks.iter() {
             self.g.orecs.release(oi as usize, end);
@@ -433,7 +426,6 @@ impl<'g> StmTx<'g> {
         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
         let out = self.defer_quiesce(end);
         self.g.stats.bump_owned(shard, Stat::Commits);
-        trace::emit(TraceKind::Commit, TxMode::Stm, None, end);
         Ok(out)
     }
 
@@ -445,15 +437,13 @@ impl<'g> StmTx<'g> {
         self.g.stats.count_abort(self.slot_idx, cause);
         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
         trace::emit(TraceKind::Abort, TxMode::Stm, Some(cause), self.start);
-        history::abort();
     }
 
     /// Withdraw a begun attempt that must not run: the serial gate was
     /// closed when it looked (or its dispatch went stale). Releases the
     /// presence and nothing else — a retreat is not an attempt, so no stat
-    /// row, `Abort` trace event or history terminator records it; the
-    /// `SeqCst` `INACTIVE` publication is what the serial side's sweep waits
-    /// for.
+    /// row or `Abort` event records it; the `SeqCst` `INACTIVE` publication
+    /// is what the serial side's sweep waits for.
     pub fn retire(mut self) {
         self.rollback();
         self.finished = true;
@@ -549,7 +539,6 @@ impl Drop for StmTx<'_> {
                 Some(AbortCause::Explicit),
                 self.start,
             );
-            history::abort();
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 use tle_check::{explore, Config, Scenario};
-use tle_repro::base::history::HistKind;
+use tle_repro::base::trace::TraceKind;
 use tle_repro::base::TCell;
 use tle_repro::prelude::*;
 use tle_repro::stm::StmAlgo;
@@ -166,7 +166,7 @@ fn check_history_carries_all_commits() {
             inner(events)?;
             let commits = events
                 .iter()
-                .filter(|e| matches!(e.kind, HistKind::Commit))
+                .filter(|e| e.kind == TraceKind::Commit)
                 .count() as u64;
             if commits < threads as u64 * ops {
                 return Err(format!(

@@ -7,9 +7,9 @@
 use proptest::prelude::*;
 use std::time::Duration;
 use tle_check::{run_schedule, Cursor};
-use tle_repro::base::history::{self, HistEvent};
+use tle_repro::base::history;
 use tle_repro::base::sched::{self, YieldPoint};
-use tle_repro::base::trace::TxMode;
+use tle_repro::base::trace::{emit, emit_access, TraceKind, TxEvent, TxMode};
 
 const STALL: Duration = Duration::from_secs(2);
 
@@ -18,9 +18,9 @@ const STALL: Duration = Duration::from_secs(2);
 /// fresh dense ids per OS thread and scenarios allocate fresh cells per
 /// run, so the raw fields differ between two runs of the *same* schedule;
 /// the renamed sequence is equal iff the interleavings are.
-fn fingerprint(events: &[HistEvent]) -> Vec<(usize, &'static str, usize, u64)> {
+fn fingerprint(events: &[TxEvent]) -> Vec<(usize, &'static str, usize, u64)> {
     let mut threads: Vec<u32> = Vec::new();
-    let mut addrs: Vec<usize> = Vec::new();
+    let mut addrs: Vec<u64> = Vec::new();
     let dense = |v: u32, pool: &mut Vec<u32>| -> usize {
         match pool.iter().position(|&x| x == v) {
             Some(i) => i,
@@ -34,31 +34,20 @@ fn fingerprint(events: &[HistEvent]) -> Vec<(usize, &'static str, usize, u64)> {
         .iter()
         .map(|e| {
             let t = dense(e.thread, &mut threads);
-            let a = if e.addr == 0 {
+            let a = if e.detail == 0 {
                 0
             } else {
-                match addrs.iter().position(|&x| x == e.addr) {
+                match addrs.iter().position(|&x| x == e.detail) {
                     Some(i) => i + 1,
                     None => {
-                        addrs.push(e.addr);
+                        addrs.push(e.detail);
                         addrs.len()
                     }
                 }
             };
-            (t, kind_name(e), a, e.val)
+            (t, e.kind.label(), a, e.val)
         })
         .collect()
-}
-
-fn kind_name(e: &HistEvent) -> &'static str {
-    use tle_repro::base::history::HistKind::*;
-    match e.kind {
-        Begin => "begin",
-        Read => "read",
-        Write => "write",
-        Commit => "commit",
-        Abort => "abort",
-    }
 }
 
 /// A small scenario whose recorded history is schedule-sensitive: two
@@ -69,13 +58,14 @@ fn recording_threads(nops: usize) -> Vec<Box<dyn FnOnce() + Send>> {
         .map(|t| {
             let body: Box<dyn FnOnce() + Send> = Box::new(move || {
                 for k in 0..nops as u64 {
-                    history::begin(TxMode::Htm);
+                    emit(TraceKind::Begin, TxMode::Htm, None, 0);
                     sched::yield_point(YieldPoint::MemStore);
                     // Distinct fake addresses per (thread, op); never
                     // dereferenced — only the recorder sees them.
-                    history::write(16 * (t * 8 + k + 1) as usize, 100 * t + k);
+                    let addr = 16 * (t * 8 + k + 1);
+                    emit_access(TraceKind::Write, TxMode::Htm, addr, 100 * t + k);
                     sched::yield_point(YieldPoint::MemStore);
-                    history::commit();
+                    emit(TraceKind::Commit, TxMode::Htm, None, 0);
                     sched::yield_point(YieldPoint::TxState);
                 }
             });
