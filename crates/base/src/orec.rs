@@ -61,43 +61,43 @@ impl OrecValue {
 /// footprint for that (4 MiB against 512 KiB per system, more than a kv
 /// store sized to fit L2), and its A/B never read outside 0.96–1.02×
 /// (EXPERIMENTS.md §12).
+///
+/// The table's size is a constant, so [`index_of`](Self::index_of)'s mask
+/// is an immediate and no access carries a bounds check or reloads a
+/// length: an orec's index is masked, which costs one `and` where a checked
+/// index costs a compare and a branch.
 pub struct OrecTable {
-    words: Box<[AtomicU64]>,
-    mask: usize,
+    words: Box<[AtomicU64; OrecTable::LEN]>,
 }
 
 impl OrecTable {
-    /// Default table size: 2^16 orecs, matching the order of magnitude used
-    /// by production word-based STMs.
-    pub const DEFAULT_LOG2: usize = 16;
+    /// Number of orecs in every table: 2^16, the order of magnitude used by
+    /// production word-based STMs.
+    pub const LEN: usize = 1 << 16;
 
-    /// Create a table with `1 << log2` orecs.
-    pub fn with_log2(log2: usize) -> Self {
-        let n = 1usize << log2;
+    const MASK: usize = Self::LEN - 1;
+
+    /// Create a table, every orec unlocked at version 0.
+    pub fn new() -> Self {
+        let words: Box<[AtomicU64]> = (0..Self::LEN).map(|_| AtomicU64::new(0)).collect();
         OrecTable {
-            words: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            mask: n - 1,
+            words: words.try_into().expect("collected exactly LEN orecs"),
         }
     }
 
-    /// Create a table of the default size.
-    pub fn new() -> Self {
-        Self::with_log2(Self::DEFAULT_LOG2)
-    }
-
-    /// The atomic word backing orec `idx`.
+    /// The atomic word backing orec `idx` (indices wrap at [`Self::LEN`]).
     #[inline]
     fn word(&self, idx: usize) -> &AtomicU64 {
-        &self.words[idx]
+        &self.words[idx & Self::MASK]
     }
 
     /// Number of orecs in the table.
     #[inline]
     pub fn len(&self) -> usize {
-        self.mask + 1
+        Self::LEN
     }
 
-    /// Whether the table is empty (never true in practice).
+    /// Whether the table is empty (never true).
     #[inline]
     pub fn is_empty(&self) -> bool {
         false
@@ -110,7 +110,7 @@ impl OrecTable {
         let w = (addr >> 3) as u64;
         // Fibonacci hashing: multiply by 2^64/phi, take high bits.
         let h = w.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize & self.mask
+        (h >> 32) as usize & Self::MASK
     }
 
     /// Load the raw orec word at `idx`.
@@ -171,8 +171,8 @@ mod tests {
 
     #[test]
     fn fresh_table_is_unlocked_at_version_zero() {
-        let t = OrecTable::with_log2(4);
-        assert_eq!(t.len(), 16);
+        let t = OrecTable::new();
+        assert_eq!(t.len(), 1 << 16);
         for i in 0..t.len() {
             assert_eq!(t.get(i), Unlocked(0));
         }
@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn lock_release_cycle() {
-        let t = OrecTable::with_log2(4);
+        let t = OrecTable::new();
         let i = t.index_of(0x1000);
         let seen = t.load(i);
         assert!(t.try_lock(i, seen, 7));

@@ -69,12 +69,32 @@ impl<T: Copy, const N: usize> SmallSet<T, N> {
     /// Append an entry (inline until `N`, then heap).
     #[inline]
     pub fn push(&mut self, v: T) {
+        if !self.push_inline(v) {
+            self.push_spill(v);
+        }
+    }
+
+    /// Append an entry to the inline tier, or return `false` and store
+    /// nothing once it is full. A barrier's fast path calls this and leaves
+    /// a full tier to its slow path, so the fast path contains no call.
+    #[inline]
+    pub fn push_inline(&mut self, v: T) -> bool {
         if self.len < N {
             self.inline[self.len] = v;
             self.len += 1;
+            true
         } else {
-            self.spill.push(v);
+            false
         }
+    }
+
+    /// The heap tier's append, on a cold branch. `#[cold]` and not
+    /// `#[inline(never)]`: as a forced call inside NOrec's write arm it made
+    /// the runner stop inlining `TxCtx::mem_write`, which cost every lock
+    /// section 16 instructions (`tle count`).
+    #[cold]
+    fn push_spill(&mut self, v: T) {
+        self.spill.push(v);
     }
 
     /// Remove and return the most recently pushed entry.
@@ -291,17 +311,35 @@ impl DerefMut for BufLease {
 }
 
 impl Drop for BufLease {
+    /// Inlined, so the caller sees the block taken and drops no `Option`
+    /// after it; the two rare exits (a spill to count, an older parked
+    /// block to free) are out-of-line calls.
+    #[inline]
     fn drop(&mut self) {
         if let Some(mut b) = self.bufs.take() {
             if b.any_spilled() {
-                SPILLS.inc(self.shard);
+                count_spill(self.shard);
             }
             b.clear();
             // A same-thread interleaved transaction may have parked a
             // block already; keep the most recently used one.
-            POOL.with(|p| p.set(Some(b)));
+            if let Some(older) = POOL.with(|p| p.replace(Some(b))) {
+                free_block(older);
+            }
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn count_spill(shard: usize) {
+    SPILLS.inc(shard);
+}
+
+#[cold]
+#[inline(never)]
+fn free_block(b: Box<TxBufs>) {
+    drop(b);
 }
 
 #[cfg(test)]

@@ -194,6 +194,34 @@ fn reconstruct(events: &[TxEvent]) -> Result<Vec<Tx>, String> {
     Ok(done)
 }
 
+/// How a verdict names cells and threads: by rank of first appearance in
+/// the log. Heap addresses and thread numbers differ from run to run, so two
+/// runs of one schedule print the same reason only when the log names them.
+struct Names {
+    cells: HashMap<u64, usize>,
+    threads: HashMap<u64, usize>,
+}
+
+impl Names {
+    fn of(events: &[TxEvent]) -> Names {
+        fn ranks(keys: impl Iterator<Item = u64>) -> HashMap<u64, usize> {
+            let mut out = HashMap::new();
+            for k in keys {
+                let next = out.len();
+                out.entry(k).or_insert(next);
+            }
+            out
+        }
+        let accesses = events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::Read | TraceKind::Write));
+        Names {
+            cells: ranks(accesses.map(|e| e.detail)),
+            threads: ranks(events.iter().map(|e| u64::from(e.thread))),
+        }
+    }
+}
+
 /// Replay a transaction's ops against `base` (memory after some committed
 /// prefix) with own-write shadowing. Reads of addresses no committed writer
 /// has touched consult — and on first sight bind — `init`; bindings are
@@ -203,6 +231,7 @@ fn simulate(
     base: &HashMap<u64, u64>,
     init: &HashMap<u64, u64>,
     staged: &mut HashMap<u64, u64>,
+    names: &Names,
 ) -> Result<(), String> {
     let mut own: HashMap<u64, u64> = HashMap::new();
     for &(pos, op) in &tx.ops {
@@ -221,8 +250,12 @@ fn simulate(
             Some(v) if v == op.val => {}
             Some(v) => {
                 return Err(format!(
-                    "thread {} ({:?}) read {:#x}={} at event {pos}, expected {}",
-                    tx.thread, tx.mode, addr, op.val, v
+                    "thread#{} ({:?}) read cell#{}={} at event {pos}, expected {}",
+                    names.threads[&u64::from(tx.thread)],
+                    tx.mode,
+                    names.cells[&addr],
+                    op.val,
+                    v
                 ));
             }
             None => {
@@ -238,6 +271,7 @@ fn check_once(
     known_init: &HashMap<u64, u64>,
 ) -> Result<(usize, usize), String> {
     let txs = reconstruct(events)?;
+    let names = Names::of(events);
     let n_txs = txs.len();
     let n_commits = txs.iter().filter(|t| t.committed).count();
 
@@ -257,7 +291,7 @@ fn check_once(
     // Pass 1: strict replay of committed writers (binds inits as it goes).
     for (k, w) in writers.iter().enumerate() {
         let mut staged = HashMap::new();
-        simulate(w, &states[k], &init, &mut staged)
+        simulate(w, &states[k], &init, &mut staged, &names)
             .map_err(|e| format!("committed writer at commit position {k} inconsistent: {e}"))?;
         init.extend(staged);
         let mut next = states[k].clone();
@@ -288,7 +322,7 @@ fn check_once(
         let mut ok = false;
         for state in states.iter().take(hi + 1).skip(lo) {
             let mut staged = HashMap::new();
-            match simulate(tx, state, &init, &mut staged) {
+            match simulate(tx, state, &init, &mut staged, &names) {
                 Ok(()) => {
                     init.extend(staged);
                     ok = true;
@@ -374,6 +408,32 @@ mod tests {
                 // whole history.
                 assert_eq!(prefix_len, 8);
             }
+            Verdict::Consistent { .. } => panic!("lost update not flagged"),
+        }
+    }
+
+    #[test]
+    fn verdicts_name_cells_and_threads_by_first_appearance() {
+        // The lost update again, with heap-like addresses and thread
+        // numbers: the reason names both by first appearance in the log, so
+        // two runs of one schedule print the same text.
+        let (t0, t1, a, b) = (70, 41, 0x7f3a_2000_1c50, 0x7f3a_2000_0008);
+        let h = [
+            ev(0, t0, Begin, 0, 0),
+            ev(1, t0, Read, b, 0),
+            ev(2, t0, Read, a, 0),
+            ev(3, t1, Begin, 0, 0),
+            ev(4, t1, Read, a, 0),
+            ev(5, t1, Write, a, 1),
+            ev(6, t1, Commit, 0, 0),
+            ev(7, t0, Write, a, 1),
+            ev(8, t0, Commit, 0, 0),
+        ];
+        match check_history(&h) {
+            Verdict::Violation { reason, .. } => assert!(
+                reason.ends_with("thread#0 (Stm) read cell#1=0 at event 2, expected 1"),
+                "{reason}"
+            ),
             Verdict::Consistent { .. } => panic!("lost update not flagged"),
         }
     }

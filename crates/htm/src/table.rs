@@ -66,17 +66,20 @@ impl Line {
             .is_ok()
     }
 
-    /// Whether a transaction other than `self_slot` currently holds this
-    /// line (as reader or writer) — i.e. the access about to be marked will
-    /// contend. Emits a [`TraceKind::Conflict`] event tagged with the table
-    /// index when it does, so traces show conflicts at the line where the
-    /// coherence protocol detected them, before the doom protocol picks a
-    /// victim.
-    pub fn trace_contention(&self, idx: usize, self_slot: usize) -> bool {
+    /// When a transaction other than `self_slot` currently holds this line
+    /// (as reader or writer), so the access about to be marked will contend,
+    /// emit a [`TraceKind::Conflict`] event tagged with the table index: traces
+    /// show conflicts at the line where the coherence protocol detected them,
+    /// before the doom protocol picks a victim. Without the `trace` feature
+    /// nothing would record the event, so the two loads are not made.
+    #[inline]
+    pub fn trace_contention(&self, idx: usize, self_slot: usize) {
+        if !trace::compiled() {
+            return;
+        }
         let w = self.writer();
         let other_readers = self.readers() & !(1u64 << self_slot);
-        let contended = (w != 0 && w as usize != self_slot + 1) || other_readers != 0;
-        if contended {
+        if (w != 0 && w as usize != self_slot + 1) || other_readers != 0 {
             trace::emit(
                 TraceKind::Conflict,
                 TxMode::Htm,
@@ -84,7 +87,6 @@ impl Line {
                 idx as u64,
             );
         }
-        contended
     }
 }
 

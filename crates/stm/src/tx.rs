@@ -156,9 +156,38 @@ impl<'g> StmTx<'g> {
         Ok(new)
     }
 
+    /// The read barrier's fast path: an unlocked orec no newer than
+    /// `start` whose second sample matches the first, with room in the read
+    /// set's inline tier. It makes two orec loads, loads the cell, appends
+    /// to the read set and calls nothing; its one saved register keeps the
+    /// result slot across the slow-path call. Every other case (an owned or
+    /// foreign lock, a newer orec, a torn sample, a full inline tier) goes
+    /// to [`Self::read_slow`].
+    #[inline(never)]
     fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortCause> {
         sched::yield_point(YieldPoint::OrecLoad);
-        let oi = self.g.orecs.index_of(addr);
+        let orecs = &self.g.orecs;
+        let oi = orecs.index_of(addr);
+        let v1 = orecs.load(oi);
+        if let OrecValue::Unlocked(ver) = OrecValue::decode(v1) {
+            if ver <= self.start {
+                let val = w.load(Ordering::Acquire);
+                if orecs.load(oi) == v1 && self.bufs.reads.push_inline((oi as u32, v1)) {
+                    trace::emit_access(TraceKind::Read, TxMode::Stm, addr as u64, val);
+                    return Ok(val);
+                }
+            }
+        }
+        self.read_slow(w, addr, oi)
+    }
+
+    /// The whole read loop: read-own-write, spinning on a foreign lock,
+    /// timestamp extension and a torn sample's retry. No yield point lies
+    /// between the fast path's samples and this loop's first, so under the
+    /// explorer the split is invisible.
+    #[cold]
+    #[inline(never)]
+    fn read_slow(&mut self, w: &AtomicU64, addr: usize, oi: usize) -> Result<u64, AbortCause> {
         let mut spins = 0u32;
         loop {
             let v1 = self.g.orecs.load(oi);
@@ -205,20 +234,48 @@ impl<'g> StmTx<'g> {
         }
     }
 
+    /// The write barrier's fast path: an orec this transaction already
+    /// owns, or an unlocked one no newer than `start` whose `try_lock`
+    /// wins. A foreign lock, a newer orec and a lost CAS go to
+    /// [`Self::write_slow`].
+    #[inline(never)]
     fn write_word(&mut self, w: &AtomicU64, addr: usize, val: u64) -> Result<(), AbortCause> {
         sched::yield_point(YieldPoint::OrecAcquire);
         let oi = self.g.orecs.index_of(addr);
+        let cur = self.g.orecs.load(oi);
+        match OrecValue::decode(cur) {
+            OrecValue::Locked(owner) if owner == self.slot_idx => {
+                self.store_owned(w, addr, val);
+                Ok(())
+            }
+            OrecValue::Unlocked(ver)
+                if ver <= self.start && self.g.orecs.try_lock(oi, cur, self.slot_idx) =>
+            {
+                self.store_acquired(w, addr, val, oi, cur);
+                Ok(())
+            }
+            _ => self.write_slow(w, addr, val, oi),
+        }
+    }
+
+    /// The whole write loop: spinning on a foreign lock, timestamp
+    /// extension and a lost CAS's re-examination. As for reads, no yield
+    /// point separates it from the fast path's sample.
+    #[cold]
+    #[inline(never)]
+    fn write_slow(
+        &mut self,
+        w: &AtomicU64,
+        addr: usize,
+        val: u64,
+        oi: usize,
+    ) -> Result<(), AbortCause> {
         let mut spins = 0u32;
         loop {
             let cur = self.g.orecs.load(oi);
             match OrecValue::decode(cur) {
                 OrecValue::Locked(owner) if owner == self.slot_idx => {
-                    self.bufs
-                        .undo
-                        // tle-lint: allow(R8, "undo capture under the owned orec: the CAS that locked the orec ordered this word; no concurrent writer exists")
-                        .push((w as *const AtomicU64, w.load(Ordering::Relaxed)));
-                    w.store(val, Ordering::Release);
-                    trace::emit_access(TraceKind::Write, TxMode::Stm, addr as u64, val);
+                    self.store_owned(w, addr, val);
                     return Ok(());
                 }
                 OrecValue::Locked(_) => {
@@ -242,35 +299,54 @@ impl<'g> StmTx<'g> {
                         continue;
                     }
                     if self.g.orecs.try_lock(oi, cur, self.slot_idx) {
-                        self.bufs.locks.push((oi as u32, cur));
-                        // In-flight window: the orec is held but the new value
-                        // is not yet stored; the explorer probes it here.
-                        sched::yield_point(YieldPoint::MemStore);
-                        // Fault oracle: stall while *holding* the orec lock,
-                        // simulating lock-holder preemption. Concurrent
-                        // readers/writers of this orec must spin out and
-                        // report a conflict, never corrupt state.
-                        let stalled = fault::maybe_stall(Hazard::OrecStall);
-                        if stalled > 0 {
-                            trace::emit(
-                                TraceKind::FaultInject,
-                                TxMode::Stm,
-                                None,
-                                Hazard::OrecStall.index() as u64,
-                            );
-                        }
-                        self.bufs
-                            .undo
-                            // tle-lint: allow(R8, "undo capture under the orec lock just acquired by try_lock; the acquiring CAS provides the ordering")
-                            .push((w as *const AtomicU64, w.load(Ordering::Relaxed)));
-                        w.store(val, Ordering::Release);
-                        trace::emit_access(TraceKind::Write, TxMode::Stm, addr as u64, val);
+                        self.store_acquired(w, addr, val, oi, cur);
                         return Ok(());
                     }
                     // CAS raced with another transaction; re-examine.
                 }
             }
         }
+    }
+
+    /// Write under an orec this transaction already holds: capture the
+    /// old word for rollback, then store in place.
+    #[inline(always)]
+    fn store_owned(&mut self, w: &AtomicU64, addr: usize, val: u64) {
+        self.bufs
+            .undo
+            // tle-lint: allow(R8, "undo capture under the owned orec: the CAS that locked the orec ordered this word; no concurrent writer exists")
+            .push((w as *const AtomicU64, w.load(Ordering::Relaxed)));
+        w.store(val, Ordering::Release);
+        trace::emit_access(TraceKind::Write, TxMode::Stm, addr as u64, val);
+    }
+
+    /// Write under the orec `oi` that `try_lock` just took from the
+    /// unlocked word `seen`: record the lock, pass the in-flight window's
+    /// hooks, then capture the old word and store.
+    #[inline(always)]
+    fn store_acquired(&mut self, w: &AtomicU64, addr: usize, val: u64, oi: usize, seen: u64) {
+        self.bufs.locks.push((oi as u32, seen));
+        // In-flight window: the orec is held but the new value is not yet
+        // stored; the explorer probes it here.
+        sched::yield_point(YieldPoint::MemStore);
+        // Fault oracle: stall while *holding* the orec lock, simulating
+        // lock-holder preemption. Concurrent readers/writers of this orec
+        // must spin out and report a conflict, never corrupt state.
+        let stalled = fault::maybe_stall(Hazard::OrecStall);
+        if stalled > 0 {
+            trace::emit(
+                TraceKind::FaultInject,
+                TxMode::Stm,
+                None,
+                Hazard::OrecStall.index() as u64,
+            );
+        }
+        self.bufs
+            .undo
+            // tle-lint: allow(R8, "undo capture under the orec lock just acquired by try_lock; the acquiring CAS provides the ordering")
+            .push((w as *const AtomicU64, w.load(Ordering::Relaxed)));
+        w.store(val, Ordering::Release);
+        trace::emit_access(TraceKind::Write, TxMode::Stm, addr as u64, val);
     }
 
     /// Timestamp extension: validate every recorded read, then advance the
@@ -749,6 +825,123 @@ mod tests {
         tx.read(&a).unwrap();
         tx.will_free_memory();
         assert!(tx.commit().unwrap().quiesced);
+        g.slots.unregister_raw(slot);
+    }
+
+    // The exits of the barriers' slow paths. The fast paths take only an
+    // unlocked orec no newer than `start` (and, for writes, an owned one);
+    // each test below makes the fast path decline and checks where the
+    // slow path ends.
+
+    #[test]
+    fn read_own_write_records_no_read_set_entry() {
+        let g = StmGlobal::new(crate::QuiescePolicy::Never);
+        let slot = g.slots.register_raw().unwrap();
+        let a = TCell::new(1u64);
+        let mut tx = g.begin(slot);
+        tx.write(&a, 5u64).unwrap();
+        assert_eq!(tx.read(&a), Ok(5), "reads its own in-place write");
+        assert_eq!(tx.read_set_len(), 0, "an owned orec needs no validation");
+        tx.commit().unwrap();
+        g.slots.unregister_raw(slot);
+    }
+
+    #[test]
+    fn a_foreign_lock_ends_in_read_and_write_conflicts() {
+        let g = StmGlobal::new(crate::QuiescePolicy::Never);
+        let (s1, s2) = (
+            g.slots.register_raw().unwrap(),
+            g.slots.register_raw().unwrap(),
+        );
+        let a = TCell::new(1u64);
+        let mut owner = g.begin(s1);
+        owner.write(&a, 2u64).unwrap();
+        let mut other = g.begin(s2);
+        assert_eq!(other.read(&a), Err(AbortCause::ReadConflict));
+        assert_eq!(other.write(&a, 3u64), Err(AbortCause::WriteConflict));
+        assert_eq!(other.read_set_len(), 0);
+        assert!(!other.is_writer());
+        other.abort(AbortCause::WriteConflict);
+        owner.commit().unwrap();
+        assert_eq!(a.load_direct(), 2);
+        g.slots.unregister_raw(s1);
+        g.slots.unregister_raw(s2);
+    }
+
+    #[test]
+    fn a_newer_orec_extends_start_for_reads_and_writes() {
+        let g = StmGlobal::new(crate::QuiescePolicy::Never);
+        let (s1, s2) = (
+            g.slots.register_raw().unwrap(),
+            g.slots.register_raw().unwrap(),
+        );
+        let (a, b) = (TCell::new(1u64), TCell::new(1u64));
+        let mut reader = g.begin(s1);
+        let start = reader.start_time();
+        // A commit after `reader` began stamps both orecs past its start.
+        let mut w = g.begin(s2);
+        w.write(&a, 2u64).unwrap();
+        w.write(&b, 2u64).unwrap();
+        w.commit().unwrap();
+        assert_eq!(reader.read(&a), Ok(2), "extension, then the new value");
+        let extended = reader.start_time();
+        assert!(extended > start, "start {start} not extended");
+        assert_eq!(reader.read_set_len(), 1);
+        reader.commit().unwrap();
+
+        let mut writer = g.begin(s1);
+        let start = writer.start_time();
+        let mut w = g.begin(s2);
+        w.write(&b, 3u64).unwrap();
+        w.commit().unwrap();
+        writer.write(&b, 4u64).unwrap();
+        assert!(writer.start_time() > start, "a write extends too");
+        writer.commit().unwrap();
+        assert_eq!(b.load_direct(), 4);
+        g.slots.unregister_raw(s1);
+        g.slots.unregister_raw(s2);
+    }
+
+    #[test]
+    fn a_lost_try_lock_is_re_examined_not_fatal() {
+        // A second slot takes and drops the orec at an unchanged version as
+        // fast as it can, so the writer's samples keep going stale between
+        // its load and its CAS: every write must still land exactly once,
+        // through the slow path's re-examination or after an abort. The
+        // writer runs until the thief has struck often, however late the
+        // thief's thread is scheduled.
+        use std::sync::atomic::AtomicBool;
+        let g = Arc::new(StmGlobal::new(crate::QuiescePolicy::Never));
+        let cell = Arc::new(TCell::new(0u64));
+        let stop = Arc::new(AtomicBool::new(false));
+        let stolen = Arc::new(AtomicU64::new(0));
+        let oi = g.orecs.index_of(cell.addr());
+        let thief = {
+            let (g, stop, stolen) = (Arc::clone(&g), Arc::clone(&stop), Arc::clone(&stolen));
+            std::thread::spawn(move || {
+                let slot = g.slots.register_raw().unwrap();
+                while !stop.load(Ordering::Relaxed) {
+                    let seen = g.orecs.load(oi);
+                    if seen & 1 == 0 && g.orecs.try_lock(oi, seen, slot) {
+                        g.orecs.release(oi, seen >> 1);
+                        stolen.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                g.slots.unregister_raw(slot);
+            })
+        };
+        let slot = g.slots.register_raw().unwrap();
+        let mut done = 0u64;
+        while done < 2_000 || stolen.load(Ordering::Relaxed) < 10_000 {
+            let mut tx = g.begin(slot);
+            match tx.update(&*cell, |v| v + 1) {
+                Ok(_) => done += u64::from(tx.commit().is_ok()),
+                Err(c) => tx.abort(c),
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        thief.join().unwrap();
+        assert_eq!(cell.load_direct(), done);
         g.slots.unregister_raw(slot);
     }
 

@@ -63,20 +63,22 @@ impl TxHashSet {
         Ok(())
     }
 
-    /// `(prev, cur)` within `key`'s bucket chain, first `cur.key >= key`.
-    fn locate(&self, ctx: &mut TxCtx<'_>, key: u64) -> Result<(u32, u32), TxError> {
+    /// `(prev, cur, hit)` within `key`'s bucket chain: `cur` is the first
+    /// node with `cur.key >= key`, and `hit` says it holds `key`, so no
+    /// caller re-reads the key the walk stopped at.
+    fn locate(&self, ctx: &mut TxCtx<'_>, key: u64) -> Result<(u32, u32, bool), TxError> {
         let b = &self.buckets[Self::bucket_of(key)];
         let mut prev = NIL;
         let mut cur = ctx.read(b)?;
         while cur != NIL {
             let k = ctx.read(&self.nodes[cur as usize].key)?;
             if k >= key {
-                break;
+                return Ok((prev, cur, k == key));
             }
             prev = cur;
             cur = ctx.read(&self.nodes[cur as usize].next)?;
         }
-        Ok((prev, cur))
+        Ok((prev, NIL, false))
     }
 }
 
@@ -90,8 +92,8 @@ impl TxSet for TxHashSet {
     fn insert(&self, th: &ThreadHandle, key: u64) -> bool {
         debug_assert!(key < KEY_SPACE);
         th.tx(&self.lock).run(|ctx| {
-            let (prev, cur) = self.locate(ctx, key)?;
-            if cur != NIL && ctx.read(&self.nodes[cur as usize].key)? == key {
+            let (prev, cur, hit) = self.locate(ctx, key)?;
+            if hit {
                 ctx.no_quiesce();
                 return Ok(false);
             }
@@ -111,8 +113,8 @@ impl TxSet for TxHashSet {
     fn remove(&self, th: &ThreadHandle, key: u64) -> bool {
         debug_assert!(key < KEY_SPACE);
         th.tx(&self.lock).run(|ctx| {
-            let (prev, cur) = self.locate(ctx, key)?;
-            if cur == NIL || ctx.read(&self.nodes[cur as usize].key)? != key {
+            let (prev, cur, hit) = self.locate(ctx, key)?;
+            if !hit {
                 ctx.no_quiesce();
                 return Ok(false);
             }
@@ -131,9 +133,9 @@ impl TxSet for TxHashSet {
     fn contains(&self, th: &ThreadHandle, key: u64) -> bool {
         debug_assert!(key < KEY_SPACE);
         th.tx(&self.lock).run(|ctx| {
-            let (_, cur) = self.locate(ctx, key)?;
+            let (_, _, hit) = self.locate(ctx, key)?;
             ctx.no_quiesce();
-            Ok(cur != NIL && ctx.read(&self.nodes[cur as usize].key)? == key)
+            Ok(hit)
         })
     }
 

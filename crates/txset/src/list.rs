@@ -57,20 +57,21 @@ impl TxListSet {
         Ok(())
     }
 
-    /// Find `(prev, cur)` such that `cur` is the first node with
-    /// `node.key >= key` (`NIL` allowed on either side).
-    fn locate(&self, ctx: &mut TxCtx<'_>, key: u64) -> Result<(u32, u32), TxError> {
+    /// Find `(prev, cur, hit)` such that `cur` is the first node with
+    /// `node.key >= key` (`NIL` allowed on either side) and `hit` says it
+    /// holds `key`, so no caller re-reads the key the walk stopped at.
+    fn locate(&self, ctx: &mut TxCtx<'_>, key: u64) -> Result<(u32, u32, bool), TxError> {
         let mut prev = NIL;
         let mut cur = ctx.read(&self.head)?;
         while cur != NIL {
             let k = ctx.read(&self.nodes[cur as usize].key)?;
             if k >= key {
-                break;
+                return Ok((prev, cur, k == key));
             }
             prev = cur;
             cur = ctx.read(&self.nodes[cur as usize].next)?;
         }
-        Ok((prev, cur))
+        Ok((prev, NIL, false))
     }
 }
 
@@ -84,8 +85,8 @@ impl TxSet for TxListSet {
     fn insert(&self, th: &ThreadHandle, key: u64) -> bool {
         debug_assert!(key < KEY_SPACE);
         th.tx(&self.lock).run(|ctx| {
-            let (prev, cur) = self.locate(ctx, key)?;
-            if cur != NIL && ctx.read(&self.nodes[cur as usize].key)? == key {
+            let (prev, cur, hit) = self.locate(ctx, key)?;
+            if hit {
                 // Present: nothing privatized -> no quiescence needed.
                 ctx.no_quiesce();
                 return Ok(false);
@@ -108,8 +109,8 @@ impl TxSet for TxListSet {
     fn remove(&self, th: &ThreadHandle, key: u64) -> bool {
         debug_assert!(key < KEY_SPACE);
         th.tx(&self.lock).run(|ctx| {
-            let (prev, cur) = self.locate(ctx, key)?;
-            if cur == NIL || ctx.read(&self.nodes[cur as usize].key)? != key {
+            let (prev, cur, hit) = self.locate(ctx, key)?;
+            if !hit {
                 ctx.no_quiesce();
                 return Ok(false);
             }
@@ -130,9 +131,9 @@ impl TxSet for TxListSet {
     fn contains(&self, th: &ThreadHandle, key: u64) -> bool {
         debug_assert!(key < KEY_SPACE);
         th.tx(&self.lock).run(|ctx| {
-            let (_, cur) = self.locate(ctx, key)?;
+            let (_, _, hit) = self.locate(ctx, key)?;
             ctx.no_quiesce();
-            Ok(cur != NIL && ctx.read(&self.nodes[cur as usize].key)? == key)
+            Ok(hit)
         })
     }
 

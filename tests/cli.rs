@@ -4,7 +4,7 @@
 
 use std::process::Command;
 
-const COMMANDS: [&str; 10] = [
+const COMMANDS: [&str; 11] = [
     "gen",
     "compress",
     "decompress",
@@ -15,6 +15,7 @@ const COMMANDS: [&str; 10] = [
     "torture",
     "trace",
     "lint",
+    "count",
 ];
 
 /// Run `tle` with `args`: (exit code, stdout, stderr).
