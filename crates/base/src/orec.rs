@@ -85,9 +85,12 @@ impl OrecTable {
         }
     }
 
-    /// The atomic word backing orec `idx` (indices wrap at [`Self::LEN`]).
+    /// The atomic word backing orec `idx`. Release builds mask the index,
+    /// so no access carries a bounds check; debug builds still reject an
+    /// index out of range, which would otherwise alias another orec.
     #[inline]
     fn word(&self, idx: usize) -> &AtomicU64 {
+        debug_assert!(idx < Self::LEN, "orec index {idx} out of range");
         &self.words[idx & Self::MASK]
     }
 
@@ -199,6 +202,14 @@ mod tests {
             assert!(i < t.len());
             assert_eq!(i, t.index_of(addr));
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of range")]
+    fn an_index_past_the_table_is_rejected_in_debug_builds() {
+        let t = OrecTable::new();
+        t.load(OrecTable::LEN);
     }
 
     #[test]

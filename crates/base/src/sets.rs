@@ -76,7 +76,7 @@ impl<T: Copy, const N: usize> SmallSet<T, N> {
 
     /// Append an entry to the inline tier, or return `false` and store
     /// nothing once it is full. A barrier's fast path calls this and leaves
-    /// a full tier to its slow path, so the fast path contains no call.
+    /// a full tier to a cold call, so its common case contains no call.
     #[inline]
     pub fn push_inline(&mut self, v: T) -> bool {
         if self.len < N {

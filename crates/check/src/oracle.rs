@@ -197,6 +197,7 @@ fn reconstruct(events: &[TxEvent]) -> Result<Vec<Tx>, String> {
 /// How a verdict names cells and threads: by rank of first appearance in
 /// the log. Heap addresses and thread numbers differ from run to run, so two
 /// runs of one schedule print the same reason only when the log names them.
+/// Built only to word a violation: consistent histories never need it.
 struct Names {
     cells: HashMap<u64, usize>,
     threads: HashMap<u64, usize>,
@@ -222,6 +223,31 @@ impl Names {
     }
 }
 
+/// A read that returned a value other than the one memory held: raw thread
+/// and address, named only when the verdict is worded.
+struct Stale {
+    thread: u32,
+    mode: TxMode,
+    addr: u64,
+    val: u64,
+    pos: usize,
+    expected: u64,
+}
+
+impl Stale {
+    fn describe(&self, names: &Names) -> String {
+        format!(
+            "thread#{} ({:?}) read cell#{}={} at event {}, expected {}",
+            names.threads[&u64::from(self.thread)],
+            self.mode,
+            names.cells[&self.addr],
+            self.val,
+            self.pos,
+            self.expected
+        )
+    }
+}
+
 /// Replay a transaction's ops against `base` (memory after some committed
 /// prefix) with own-write shadowing. Reads of addresses no committed writer
 /// has touched consult — and on first sight bind — `init`; bindings are
@@ -231,8 +257,7 @@ fn simulate(
     base: &HashMap<u64, u64>,
     init: &HashMap<u64, u64>,
     staged: &mut HashMap<u64, u64>,
-    names: &Names,
-) -> Result<(), String> {
+) -> Result<(), Stale> {
     let mut own: HashMap<u64, u64> = HashMap::new();
     for &(pos, op) in &tx.ops {
         let addr = op.detail;
@@ -249,14 +274,14 @@ fn simulate(
         match expected {
             Some(v) if v == op.val => {}
             Some(v) => {
-                return Err(format!(
-                    "thread#{} ({:?}) read cell#{}={} at event {pos}, expected {}",
-                    names.threads[&u64::from(tx.thread)],
-                    tx.mode,
-                    names.cells[&addr],
-                    op.val,
-                    v
-                ));
+                return Err(Stale {
+                    thread: tx.thread,
+                    mode: tx.mode,
+                    addr,
+                    val: op.val,
+                    pos,
+                    expected: v,
+                });
             }
             None => {
                 staged.insert(addr, op.val);
@@ -271,7 +296,6 @@ fn check_once(
     known_init: &HashMap<u64, u64>,
 ) -> Result<(usize, usize), String> {
     let txs = reconstruct(events)?;
-    let names = Names::of(events);
     let n_txs = txs.len();
     let n_commits = txs.iter().filter(|t| t.committed).count();
 
@@ -291,8 +315,12 @@ fn check_once(
     // Pass 1: strict replay of committed writers (binds inits as it goes).
     for (k, w) in writers.iter().enumerate() {
         let mut staged = HashMap::new();
-        simulate(w, &states[k], &init, &mut staged, &names)
-            .map_err(|e| format!("committed writer at commit position {k} inconsistent: {e}"))?;
+        simulate(w, &states[k], &init, &mut staged).map_err(|e| {
+            format!(
+                "committed writer at commit position {k} inconsistent: {}",
+                e.describe(&Names::of(events))
+            )
+        })?;
         init.extend(staged);
         let mut next = states[k].clone();
         for op in w.writes() {
@@ -318,17 +346,17 @@ fn check_once(
         } else {
             commits_before(tx.begin_pos)
         };
-        let mut last_err = String::new();
+        let mut last_err = None;
         let mut ok = false;
         for state in states.iter().take(hi + 1).skip(lo) {
             let mut staged = HashMap::new();
-            match simulate(tx, state, &init, &mut staged, &names) {
+            match simulate(tx, state, &init, &mut staged) {
                 Ok(()) => {
                     init.extend(staged);
                     ok = true;
                     break;
                 }
-                Err(e) => last_err = e,
+                Err(e) => last_err = Some(e),
             }
         }
         if !ok {
@@ -339,6 +367,7 @@ fn check_once(
             } else {
                 "aborted"
             };
+            let last_err = last_err.map_or(String::new(), |e| e.describe(&Names::of(events)));
             return Err(format!(
                 "{kind} transaction saw no consistent snapshot \
                  (tried commit prefixes {lo}..={hi}): {last_err}"

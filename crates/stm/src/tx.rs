@@ -157,12 +157,13 @@ impl<'g> StmTx<'g> {
     }
 
     /// The read barrier's fast path: an unlocked orec no newer than
-    /// `start` whose second sample matches the first, with room in the read
-    /// set's inline tier. It makes two orec loads, loads the cell, appends
+    /// `start` whose second sample matches the first. With room in the read
+    /// set's inline tier it makes two orec loads, loads the cell, appends
     /// to the read set and calls nothing; its one saved register keeps the
-    /// result slot across the slow-path call. Every other case (an owned or
-    /// foreign lock, a newer orec, a torn sample, a full inline tier) goes
-    /// to [`Self::read_slow`].
+    /// result slot across the other paths' calls. A full inline tier hands
+    /// the consistent sample to [`Self::read_spilled`], so nothing is loaded
+    /// twice; every other case (an owned or foreign lock, a newer orec, a
+    /// torn sample) goes to [`Self::read_slow`].
     #[inline(never)]
     fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortCause> {
         sched::yield_point(YieldPoint::OrecLoad);
@@ -172,13 +173,32 @@ impl<'g> StmTx<'g> {
         if let OrecValue::Unlocked(ver) = OrecValue::decode(v1) {
             if ver <= self.start {
                 let val = w.load(Ordering::Acquire);
-                if orecs.load(oi) == v1 && self.bufs.reads.push_inline((oi as u32, v1)) {
-                    trace::emit_access(TraceKind::Read, TxMode::Stm, addr as u64, val);
-                    return Ok(val);
+                if orecs.load(oi) == v1 {
+                    if self.bufs.reads.push_inline((oi as u32, v1)) {
+                        trace::emit_access(TraceKind::Read, TxMode::Stm, addr as u64, val);
+                        return Ok(val);
+                    }
+                    return self.read_spilled(addr, oi, v1, val);
                 }
             }
         }
         self.read_slow(w, addr, oi)
+    }
+
+    /// The fast path's consistent sample `(v1, val)` of orec `oi`, recorded
+    /// in the read set's heap tier once the inline tier is full.
+    #[cold]
+    #[inline(never)]
+    fn read_spilled(
+        &mut self,
+        addr: usize,
+        oi: usize,
+        v1: u64,
+        val: u64,
+    ) -> Result<u64, AbortCause> {
+        self.bufs.reads.push((oi as u32, v1));
+        trace::emit_access(TraceKind::Read, TxMode::Stm, addr as u64, val);
+        Ok(val)
     }
 
     /// The whole read loop: read-own-write, spinning on a foreign lock,
@@ -898,6 +918,34 @@ mod tests {
         assert!(writer.start_time() > start, "a write extends too");
         writer.commit().unwrap();
         assert_eq!(b.load_direct(), 4);
+        g.slots.unregister_raw(s1);
+        g.slots.unregister_raw(s2);
+    }
+
+    #[test]
+    fn reads_past_the_inline_tier_are_recorded_and_validated() {
+        let g = StmGlobal::new(crate::QuiescePolicy::Never);
+        let (s1, s2) = (
+            g.slots.register_raw().unwrap(),
+            g.slots.register_raw().unwrap(),
+        );
+        let n = crate::INLINE_READS as u64 + 8;
+        let cells: Vec<TCell<u64>> = (0..n).map(TCell::new).collect();
+        let mut reader = g.begin(s1);
+        for (k, c) in cells.iter().enumerate() {
+            assert_eq!(reader.read(c), Ok(k as u64));
+        }
+        assert_eq!(reader.read_set_len(), n as usize, "one entry per read");
+        assert!(reader.read_spill_capacity() > 0, "the last reads spilled");
+        // A commit to the last (spilled) cell must fail the extension that
+        // a newer orec forces, so its entry holds the sampled version.
+        let late = TCell::new(9u64);
+        let mut w = g.begin(s2);
+        w.write(&cells[n as usize - 1], 0u64).unwrap();
+        w.write(&late, 10u64).unwrap();
+        w.commit().unwrap();
+        assert_eq!(reader.read(&late), Err(AbortCause::ValidationFailed));
+        reader.abort(AbortCause::ValidationFailed);
         g.slots.unregister_raw(s1);
         g.slots.unregister_raw(s2);
     }

@@ -14,8 +14,8 @@
 //! change that adds or removes one fails until the table says so. The table
 //! holds for builds without the `trace` feature, whose event ring adds a
 //! fenced op per event; a traced build prints its counts unchecked.
-//! Instruction counts are printed, not gated. `--detail` attributes both to
-//! the functions they ran in, from the binary's own symbol table.
+//! Instruction counts are printed, not gated, each row followed by its
+//! split by function, from the binary's own symbol table.
 
 use crate::args::Args;
 use std::collections::HashMap;
@@ -32,6 +32,9 @@ use tle_kv::ShardedKv;
 /// every lazy initialisation done.
 const WARM: usize = 64;
 
+/// Cells one `scan` section reads: the read set's inline tier and 32 more.
+const SCAN: usize = tle_stm::INLINE_READS + 32;
+
 /// Exit code of a child whose `PTRACE_TRACEME` was refused.
 const REFUSED: i32 = 3;
 
@@ -42,13 +45,17 @@ const REFUSED: i32 = 3;
 /// read-write (the prologue's four, the presence publish and retire, the
 /// orec CAS and the clock advance) and 6 read-only; the simulated HTM 10
 /// read-write and 8 read-only. The kv get reads a chain; its HTM row marks
-/// two more lines than the counter does.
+/// two more lines than the counter does. `scan.stm` reads [`SCAN`] cells,
+/// more than the read set's inline tier holds, so its last reads take the
+/// spilled append, and the lease's return bumps the spill counter
+/// (`stm.buf.spills`): the read-only 6 and one.
 const ROWS: &[(&str, u64)] = &[
     ("elide.lock", 6),
     ("elide.stm", 8),
     ("elide.htm", 10),
     ("ro.stm", 6),
     ("ro.htm", 8),
+    ("scan.stm", 7),
     ("kv.get.lock", 6),
     ("kv.get.stm", 6),
     ("kv.get.htm", 12),
@@ -64,10 +71,9 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     if !cfg!(all(target_arch = "x86_64", target_os = "linux")) {
         return Err("counts single-step x86-64 Linux only".into());
     }
-    let detail = args.has("--detail");
     let exe = std::env::current_exe().map_err(|e| format!("own executable: {e}"))?;
-    let symbols = if detail { Symbols::read(&exe) } else { None };
-    let empty = match step("empty", &exe, symbols.as_ref()) {
+    let symbols = Symbols::read(&exe)?;
+    let empty = match step("empty", &exe, &symbols) {
         Ok(c) => c,
         Err(e) => {
             // Said and failed, never skipped: a count that cannot be taken
@@ -93,7 +99,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
     }
     let mut ok = true;
     for &(row, expect) in ROWS {
-        let c = match step(row, &exe, symbols.as_ref()) {
+        let c = match step(row, &exe, &symbols) {
             Ok(c) => c,
             Err(e) => {
                 println!("{row:<13} {e}");
@@ -107,9 +113,7 @@ pub fn run(args: &Args) -> Result<ExitCode, String> {
         let verdict = if matched { "" } else { "  MISMATCH" };
         ok &= matched;
         println!("{row:<13} {instrs:>7} {fenced:>7} {expect:>7}{verdict}");
-        if detail {
-            c.print_detail();
-        }
+        c.print_by_fn(&symbols);
     }
     Ok(if ok {
         ExitCode::SUCCESS
@@ -198,6 +202,22 @@ fn child(row: &str) -> ExitCode {
             measured(|| th.tx(&lock).run(|ctx| ctx.read(&cell)));
             cell.load_direct() == 7
         }
+        ("scan", Some(mode)) => {
+            let (_sys, th) = system(mode);
+            let lock = ElidableMutex::new("count");
+            let cells: Vec<TCell<u64>> = (0..SCAN as u64).map(TCell::new).collect();
+            let sum = || {
+                th.tx(&lock).run(|ctx| {
+                    let mut sum = 0;
+                    for c in &cells {
+                        sum += ctx.read(c)?;
+                    }
+                    Ok(sum)
+                })
+            };
+            measured(sum);
+            sum() == (SCAN * (SCAN - 1) / 2) as u64
+        }
         ("kv.get" | "kv.put", Some(mode)) => {
             let (_sys, th) = system(mode);
             let store = ShardedKv::new(8, 4096);
@@ -237,15 +257,21 @@ fn child(row: &str) -> ExitCode {
 struct Counts {
     instrs: u64,
     fenced: u64,
-    /// Per function: (instructions, entries, fenced ops), with `--detail`.
-    by_fn: HashMap<String, (u64, u64, u64)>,
+    /// Per function, by its start address: (instructions, entries, fenced
+    /// ops).
+    by_fn: HashMap<u64, (u64, u64, u64)>,
 }
 
 impl Counts {
-    fn print_detail(&self) {
-        let mut rows: Vec<_> = self.by_fn.iter().collect();
+    /// One line per function the row ran in, the busiest first.
+    fn print_by_fn(&self, symbols: &Symbols) {
+        let mut rows: Vec<_> = self
+            .by_fn
+            .iter()
+            .map(|(&start, &n)| (symbols.name_at(start), n))
+            .collect();
         rows.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(b.0)));
-        for (name, &(instrs, calls, fenced)) in rows {
+        for (name, (instrs, calls, fenced)) in rows {
             let fenced = if fenced > 0 {
                 format!("  fenced {fenced}")
             } else {
@@ -288,19 +314,29 @@ fn is_fenced(bytes: &[u8]) -> bool {
 }
 
 /// Spawn the row's child and single-step its measured region.
-fn step(row: &str, exe: &std::path::Path, symbols: Option<&Symbols>) -> Result<Counts, String> {
+fn step(row: &str, exe: &std::path::Path, symbols: &Symbols) -> Result<Counts, String> {
     let child = Command::new(exe)
         .args(["count", "--child", row])
         .stdin(Stdio::null())
         .spawn()
         .map_err(|e| format!("spawn: {e}"))?;
-    let pid = child.id() as c_int;
-    let region = stepped(pid, row, symbols);
-    if region.is_err() {
-        // SAFETY: signalling our own child.
-        unsafe { kill(pid, SIGKILL) };
-    }
-    let status = wait(pid);
+    let mut tracee = Tracee {
+        pid: child.id() as c_int,
+        ended: None,
+    };
+    let region = stepped(&mut tracee, row, symbols);
+    // A child a failed region left alive is killed; one that already ended
+    // has been reaped, and its pid may belong to another process by now.
+    let status = match tracee.ended {
+        Some(ended) => ended,
+        None => {
+            if region.is_err() {
+                // SAFETY: signalling our own child, not yet reaped.
+                unsafe { kill(tracee.pid, SIGKILL) };
+            }
+            tracee.wait()
+        }
+    };
     let counts = region?;
     match status {
         Wait::Exited(0) => Ok(counts),
@@ -310,29 +346,42 @@ fn step(row: &str, exe: &std::path::Path, symbols: Option<&Symbols>) -> Result<C
     }
 }
 
+#[derive(Clone, Copy)]
 enum Wait {
     Exited(i32),
     Signalled(i32),
     Stopped(i32),
 }
 
-fn wait(pid: c_int) -> Wait {
-    let mut status: c_int = 0;
-    // SAFETY: `status` is a valid out-pointer.
-    if unsafe { waitpid(pid, &mut status, 0) } == -1 {
-        return Wait::Signalled(-1);
-    }
-    if status & 0xff == 0x7f {
-        Wait::Stopped((status >> 8) & 0xff)
-    } else if status & 0x7f == 0 {
-        Wait::Exited((status >> 8) & 0xff)
-    } else {
-        Wait::Signalled(status & 0x7f)
+/// The traced child, and how it ended once a wait has reaped it.
+struct Tracee {
+    pid: c_int,
+    ended: Option<Wait>,
+}
+
+impl Tracee {
+    fn wait(&mut self) -> Wait {
+        let mut status: c_int = 0;
+        // SAFETY: `status` is a valid out-pointer.
+        let w = if unsafe { waitpid(self.pid, &mut status, 0) } == -1 {
+            Wait::Signalled(-1)
+        } else if status & 0xff == 0x7f {
+            Wait::Stopped((status >> 8) & 0xff)
+        } else if status & 0x7f == 0 {
+            Wait::Exited((status >> 8) & 0xff)
+        } else {
+            Wait::Signalled(status & 0x7f)
+        };
+        if !matches!(w, Wait::Stopped(_)) {
+            self.ended = Some(w);
+        }
+        w
     }
 }
 
-fn stepped(pid: c_int, row: &str, symbols: Option<&Symbols>) -> Result<Counts, String> {
-    match wait(pid) {
+fn stepped(tracee: &mut Tracee, row: &str, symbols: &Symbols) -> Result<Counts, String> {
+    let pid = tracee.pid;
+    match tracee.wait() {
         Wait::Stopped(SIGSTOP) => {}
         Wait::Exited(REFUSED) => {
             return Err("ptrace refused: PTRACE_TRACEME failed in the child".into())
@@ -346,7 +395,7 @@ fn stepped(pid: c_int, row: &str, symbols: Option<&Symbols>) -> Result<Counts, S
     }
     let mut mem = std::fs::File::open(format!("/proc/{pid}/mem"))
         .map_err(|e| format!("ptrace refused: /proc/{pid}/mem: {e}"))?;
-    let base = symbols.map_or(Ok(0), |_| load_base(pid))?;
+    let base = load_base(pid)?;
     let mut decoded: HashMap<u64, bool> = HashMap::new();
     let mut counts = Counts {
         instrs: 0,
@@ -362,7 +411,7 @@ fn stepped(pid: c_int, row: &str, symbols: Option<&Symbols>) -> Result<Counts, S
                 std::io::Error::last_os_error()
             ));
         }
-        match wait(pid) {
+        match tracee.wait() {
             Wait::Stopped(SIGTRAP) => {}
             Wait::Stopped(SIGSTOP) => break,
             Wait::Stopped(sig) => return Err(format!("{row}: unexpected signal {sig}")),
@@ -400,8 +449,8 @@ fn stepped(pid: c_int, row: &str, symbols: Option<&Symbols>) -> Result<Counts, S
         counts.instrs += 1;
         counts.fenced += u64::from(fenced);
         let at = rip.wrapping_sub(base);
-        if let Some((name, start)) = symbols.and_then(|s| s.lookup(at)) {
-            let e = counts.by_fn.entry(name.to_string()).or_default();
+        if let Some(start) = symbols.start_of(at) {
+            let e = counts.by_fn.entry(start).or_default();
             e.0 += 1;
             e.1 += u64::from(at == start);
             e.2 += u64::from(fenced);
@@ -430,8 +479,10 @@ fn load_base(pid: c_int) -> Result<u64, String> {
 struct Symbols(Vec<(u64, u64, String)>);
 
 impl Symbols {
-    fn read(path: &std::path::Path) -> Option<Symbols> {
-        let elf = std::fs::read(path).ok()?;
+    /// Read `path`'s `SHT_SYMTAB`; a stripped binary has none and splits
+    /// nothing.
+    fn read(path: &std::path::Path) -> Result<Symbols, String> {
+        let elf = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let u16_at = |o: usize| u16::from_le_bytes(elf[o..o + 2].try_into().unwrap());
         let u32_at = |o: usize| u32::from_le_bytes(elf[o..o + 4].try_into().unwrap());
         let u64_at = |o: usize| u64::from_le_bytes(elf[o..o + 8].try_into().unwrap());
@@ -456,19 +507,25 @@ impl Symbols {
                     continue; // not STT_FUNC
                 }
                 let name = &elf[strtab + u32_at(sym) as usize..];
-                let name = &name[..name.iter().position(|&b| b == 0)?];
+                let name = &name[..name.iter().position(|&b| b == 0).unwrap_or(name.len())];
                 out.push((value, len.max(1), demangle(&String::from_utf8_lossy(name))));
             }
         }
         out.sort();
-        Some(Symbols(out))
+        Ok(Symbols(out))
     }
 
-    /// The function containing `addr`: its name and start.
-    fn lookup(&self, addr: u64) -> Option<(&str, u64)> {
+    /// The start of the function containing `addr`.
+    fn start_of(&self, addr: u64) -> Option<u64> {
         let i = self.0.partition_point(|s| s.0 <= addr).checked_sub(1)?;
-        let (start, len, name) = &self.0[i];
-        (addr < start + len).then_some((name.as_str(), *start))
+        let (start, len, _) = &self.0[i];
+        (addr < start + len).then_some(*start)
+    }
+
+    /// The name of the function starting at `start`.
+    fn name_at(&self, start: u64) -> &str {
+        let i = self.0.partition_point(|s| s.0 < start);
+        &self.0[i].2
     }
 }
 

@@ -11,7 +11,7 @@
 //! $ tle torture --seed 7 --mode all --repro
 //! $ tle trace summary --mode htm --threads 8 --cells 1
 //! $ tle lint --deny --deny-stale
-//! $ tle count --detail
+//! $ tle count
 //! ```
 //!
 //! Every subcommand's flags live in [`COMMANDS`], the one argument table:
@@ -118,9 +118,9 @@ static COMMANDS: &[Command] = &[
 --faults N     run the probe under the torture fault plan seeded with N" },
     Command { name: "count", positionals: &[], run: count::run,
         about: "Exact instruction and fenced-op counts of one warm section per engine (x86-64 Linux).\n\
+                Each row is followed by its split by function.\n\
                 Exit 1 when a fenced-op count differs from the table, or ptrace is refused.",
         flags: "\
---detail       also attribute each row to the functions it ran in
 --child ROW    run ROW as the traced child (the counter re-executes itself)" },
     Command { name: "lint", positionals: &["[PATHS...]"], run: lint::run,
         about: "Transaction-safety static analysis for TLE atomic blocks.\n\

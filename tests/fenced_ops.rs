@@ -1,6 +1,7 @@
 //! Fenced operations per uncontended section, by exact count: `tle count`
 //! single-steps one warm section per row (the lock, `ml_wt` and HTM
-//! increment, a read-only section, a kv get and put under each engine) and
+//! increment, a read-only section, an `ml_wt` scan past the read set's
+//! inline tier, a kv get and put under each engine) and
 //! fails when any row's lock-prefixed / `xchg`-with-memory / `mfence`
 //! count differs from its table. A change that adds a fenced op fails
 //! here; one that removes one must say so in the table.
@@ -33,6 +34,7 @@ fn every_row_has_its_fenced_op_count() {
         "elide.htm",
         "ro.stm",
         "ro.htm",
+        "scan.stm",
         "kv.get.lock",
         "kv.get.stm",
         "kv.get.htm",
