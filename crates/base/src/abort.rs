@@ -1,7 +1,8 @@
 //! Abort causes shared by the STM and the HTM simulator.
 
-/// Why a transaction attempt failed. Returned as `Err(Abort(..))` from
-/// transactional reads/writes/commits; the runner in `tle-core` maps causes
+/// Why a transaction attempt failed. Returned as `Err(cause)` from the
+/// typed transactional reads/writes/commits (the word-level barriers return
+/// it widened, as an [`AbortWord`]); the runner in `tle-core` maps causes
 /// to retry/backoff/fallback policy, and the statistics layer
 /// ([`crate::stats::TxStats`]) counts every abort under its cause so the
 /// paper's Figure-4-style breakdowns are measured rather than inferred.
@@ -87,6 +88,51 @@ impl AbortCause {
     }
 }
 
+/// An [`AbortCause`] widened to a machine word: the error of every
+/// out-of-line barrier and commit.
+///
+/// `Result<u64, AbortCause>` puts the value at offset 8 and the one-byte
+/// cause at offset 1, so it is no scalar pair and rustc returns it through
+/// a stack slot in the caller. With the cause a whole word at the value's
+/// offset, `Result<u64, AbortWord>` (and `Result<(), AbortWord>`) come back
+/// in a register pair. A stored cause stays one byte: the word exists only
+/// in flight, and converts back to the cause where it leaves the
+/// transactional layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(transparent)]
+pub struct AbortWord(u64);
+
+impl AbortWord {
+    /// The cause this word carries.
+    #[inline(always)]
+    pub fn cause(self) -> AbortCause {
+        debug_assert!((self.0 as usize) < AbortCause::COUNT);
+        // SAFETY: the field is private and only `From<AbortCause>` writes
+        // it, with a valid `#[repr(u8)]` discriminant.
+        unsafe { std::mem::transmute::<u8, AbortCause>(self.0 as u8) }
+    }
+}
+
+impl From<AbortCause> for AbortWord {
+    #[inline(always)]
+    fn from(c: AbortCause) -> Self {
+        AbortWord(c as u8 as u64)
+    }
+}
+
+impl From<AbortWord> for AbortCause {
+    #[inline(always)]
+    fn from(w: AbortWord) -> Self {
+        w.cause()
+    }
+}
+
+impl std::fmt::Display for AbortWord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.cause().label())
+    }
+}
+
 impl std::fmt::Display for AbortCause {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
@@ -120,5 +166,20 @@ mod tests {
         }
         assert_eq!(AbortCause::from_u8(AbortCause::COUNT as u8), None);
         assert_eq!(AbortCause::ALL.len(), AbortCause::COUNT);
+    }
+
+    #[test]
+    fn every_cause_round_trips_through_its_word() {
+        for c in AbortCause::ALL {
+            let w = AbortWord::from(c);
+            assert_eq!(w.cause(), c);
+            assert_eq!(AbortCause::from(w), c);
+            assert_eq!(w.to_string(), c.label());
+        }
+        assert_eq!(std::mem::size_of::<AbortCause>(), 1);
+        assert_eq!(std::mem::size_of::<AbortWord>(), 8);
+        // The in-flight shapes a register pair carries.
+        assert_eq!(std::mem::size_of::<Result<u64, AbortWord>>(), 16);
+        assert_eq!(std::mem::size_of::<Result<(), AbortWord>>(), 16);
     }
 }

@@ -61,7 +61,7 @@ pub mod stats;
 pub mod trace;
 pub mod window;
 
-pub use abort::AbortCause;
+pub use abort::{AbortCause, AbortWord};
 pub use cell::{TCell, TxVal};
 pub use clock::Clock;
 pub use exec::Exec;

@@ -132,6 +132,11 @@ mod imp {
         ARMED.load(Ordering::Relaxed) == code(m)
     }
 
+    #[inline]
+    pub fn any_armed() -> bool {
+        ARMED.load(Ordering::Relaxed) != 0
+    }
+
     pub fn arm(m: Mutant) {
         ARMED.store(code(m), Ordering::SeqCst);
     }
@@ -156,6 +161,10 @@ mod imp {
     pub fn armed(_m: Mutant) -> bool {
         false
     }
+    #[inline(always)]
+    pub fn any_armed() -> bool {
+        false
+    }
     pub fn arm(_m: Mutant) {}
     pub fn disarm() {}
     pub fn current() -> Option<Mutant> {
@@ -168,6 +177,14 @@ mod imp {
 #[inline(always)]
 pub fn armed(m: Mutant) -> bool {
     imp::armed(m)
+}
+
+/// Is any mutant armed? A fast path that serves only the unmutated kernel
+/// checks this once and leaves every mutated line to its slow path.
+/// Compiles to `false` without the feature.
+#[inline(always)]
+pub fn any_armed() -> bool {
+    imp::any_armed()
 }
 
 /// Arm one mutant process-wide (disarming any other). No-op without the

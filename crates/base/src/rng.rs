@@ -70,7 +70,31 @@ impl XorShift64 {
     /// Bernoulli trial with probability `p`.
     #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
-        self.next_f64() < p
+        self.chance_below(chance_threshold(p))
+    }
+
+    /// Bernoulli trial against a threshold from [`chance_threshold`]: the
+    /// 53-bit draw [`next_f64`](Self::next_f64) scales, compared as an
+    /// integer. The same decision as `next_f64() < p`, with no float
+    /// conversion on the draw.
+    #[inline]
+    pub fn chance_below(&mut self, threshold: u64) -> bool {
+        (self.next_u64() >> 11) < threshold
+    }
+}
+
+/// The integer threshold of a [`XorShift64::chance`] at probability `p`:
+/// the least integer not below `p · 2^53`, so that for every 53-bit draw
+/// `k`, `k < threshold` exactly when `k · 2^-53 < p` (both products are
+/// exact in `f64`). 0 for `p ≤ 0` or NaN; past 2^53 for `p > 1`.
+pub fn chance_threshold(p: f64) -> u64 {
+    let x = p * (1u64 << 53) as f64;
+    // Saturating: negative and NaN give 0.
+    let t = x as u64;
+    if (t as f64) < x {
+        t + 1
+    } else {
+        t
     }
 }
 
@@ -121,6 +145,22 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| r.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
+
+    #[test]
+    fn integer_chance_decides_as_the_float_draw_did() {
+        for p in [0.0, 2e-4, 0.5, 1.0] {
+            let mut float = XorShift64::new(42);
+            let mut int = XorShift64::new(42);
+            for _ in 0..1_000_000 {
+                assert_eq!(float.next_f64() < p, int.chance(p), "p = {p}");
+            }
+        }
+        assert_eq!(chance_threshold(0.0), 0);
+        assert_eq!(chance_threshold(-1.0), 0);
+        assert_eq!(chance_threshold(f64::NAN), 0);
+        assert_eq!(chance_threshold(1.0), 1 << 53);
+        assert_eq!(chance_threshold(0.5), 1 << 52);
     }
 
     #[test]

@@ -237,13 +237,13 @@ impl TxCondvar {
         raw: *const Waiter,
     ) -> Result<(), AbortCause> {
         let cap = RING as u64;
-        let mut h = ctx.mem_read(&self.head)?;
-        let t = ctx.mem_read(&self.tail)?;
+        let mut h = ctx.mem_load(&self.head)?;
+        let t = ctx.mem_load(&self.tail)?;
         let h0 = h;
         // Compact leading cancelled entries so the ring cannot clog with
         // timed-out waiters.
         while h < t {
-            let p = ctx.mem_read(&self.ring[(h % cap) as usize])?;
+            let p = ctx.mem_load(&self.ring[(h % cap) as usize])?;
             if p.is_null() {
                 h += 1;
             } else {
@@ -265,13 +265,13 @@ impl TxCondvar {
     /// Transactionally pop the oldest live waiter, if any.
     pub(crate) fn dequeue(&self, ctx: &mut TxCtx<'_>) -> Result<Option<*const Waiter>, AbortCause> {
         let cap = RING as u64;
-        let mut h = ctx.mem_read(&self.head)?;
-        let t = ctx.mem_read(&self.tail)?;
+        let mut h = ctx.mem_load(&self.head)?;
+        let t = ctx.mem_load(&self.tail)?;
         let h0 = h;
         let mut found = None;
         while h < t {
             let idx = (h % cap) as usize;
-            let p = ctx.mem_read(&self.ring[idx])?;
+            let p = ctx.mem_load(&self.ring[idx])?;
             h += 1;
             if !p.is_null() {
                 ctx.mem_write(&self.ring[idx], std::ptr::null::<Waiter>())?;
@@ -294,12 +294,12 @@ impl TxCondvar {
         raw: *const Waiter,
     ) -> Result<bool, AbortCause> {
         let cap = RING as u64;
-        let h = ctx.mem_read(&self.head)?;
-        let t = ctx.mem_read(&self.tail)?;
+        let h = ctx.mem_load(&self.head)?;
+        let t = ctx.mem_load(&self.tail)?;
         let mut i = h;
         while i < t {
             let idx = (i % cap) as usize;
-            let p = ctx.mem_read(&self.ring[idx])?;
+            let p = ctx.mem_load(&self.ring[idx])?;
             if std::ptr::eq(p, raw) {
                 ctx.mem_write(&self.ring[idx], std::ptr::null::<Waiter>())?;
                 return Ok(true);

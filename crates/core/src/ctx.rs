@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tle_base::sched::{self, YieldPoint};
 use tle_base::trace::{self, TraceKind};
-use tle_base::{AbortCause, TCell, TxVal};
+use tle_base::{AbortCause, AbortWord, TCell, TxVal};
 use tle_htm::HtmTx;
 use tle_stm::SoftTx;
 
@@ -43,6 +43,15 @@ pub enum TxError {
 impl From<AbortCause> for TxError {
     fn from(c: AbortCause) -> Self {
         TxError::Abort(c)
+    }
+}
+
+/// Where a barrier's word-wide abort reaches the runner: back to the
+/// one-byte cause.
+impl From<AbortWord> for TxError {
+    #[inline]
+    fn from(w: AbortWord) -> Self {
+        TxError::Abort(w.cause())
     }
 }
 
@@ -123,8 +132,13 @@ impl<'a> TxCtx<'a> {
         matches!(self.kind, CtxKind::Stm { .. } | CtxKind::Htm { .. })
     }
 
-    /// Raw read used by both the public API and the condvar machinery.
-    pub(crate) fn mem_read<T: TxVal>(&mut self, c: &TCell<T>) -> Result<T, AbortCause> {
+    /// Raw read used by both the public API and the condvar machinery: the
+    /// cell's word, or the abort word-wide, in a register pair; the typed
+    /// callers decode the word. Returned through memory, this dispatch was
+    /// an out-of-line call on every path, the lock's included; returned in
+    /// registers it is small enough for LLVM to inline into its caller,
+    /// while the barriers it calls stay out of line.
+    pub(crate) fn mem_read<T: TxVal>(&mut self, c: &TCell<T>) -> Result<u64, AbortWord> {
         match &mut self.kind {
             CtxKind::Direct { .. } => {
                 // Interleaving point: on real hardware a lock/serial
@@ -133,13 +147,19 @@ impl<'a> TxCtx<'a> {
                 // must be able to split a serial section between accesses
                 // (the lazy-subscription hazards are invisible otherwise).
                 sched::yield_point(YieldPoint::MemStore);
-                let v = c.load_direct();
-                trace::emit_direct(TraceKind::Read, c.addr() as u64, v.to_word());
+                let v = c.load_direct().to_word();
+                trace::emit_direct(TraceKind::Read, c.addr() as u64, v);
                 Ok(v)
             }
-            CtxKind::Stm { tx, .. } => tx.read(c),
-            CtxKind::Htm { tx } => tx.read(c),
+            CtxKind::Stm { tx, .. } => tx.read_word(c.word(), c.addr()),
+            CtxKind::Htm { tx } => tx.read_word(c.word(), c.addr()),
         }
+    }
+
+    /// [`mem_read`](Self::mem_read), decoded.
+    #[inline]
+    pub(crate) fn mem_load<T: TxVal>(&mut self, c: &TCell<T>) -> Result<T, AbortWord> {
+        self.mem_read(c).map(T::from_word)
     }
 
     /// [`mem_read`](Self::mem_read) of a cell the section writes next: the
@@ -147,15 +167,15 @@ impl<'a> TxCtx<'a> {
     /// other kind *is* `mem_read`, called, not restated: a restated lock
     /// arm compiles into the shared runner instance differently and moved
     /// the lock path 3–5 % (EXPERIMENTS.md §21).
-    fn mem_read_owned<T: TxVal>(&mut self, c: &TCell<T>) -> Result<T, AbortCause> {
+    fn mem_read_owned<T: TxVal>(&mut self, c: &TCell<T>) -> Result<u64, AbortWord> {
         if let CtxKind::Htm { tx } = &mut self.kind {
-            return tx.read_for_write(c);
+            return tx.read_word_owned(c.word(), c.addr());
         }
         self.mem_read(c)
     }
 
     /// Raw write used by both the public API and the condvar machinery.
-    pub(crate) fn mem_write<T: TxVal>(&mut self, c: &TCell<T>, v: T) -> Result<(), AbortCause> {
+    pub(crate) fn mem_write<T: TxVal>(&mut self, c: &TCell<T>, v: T) -> Result<(), AbortWord> {
         match &mut self.kind {
             CtxKind::Direct { .. } => {
                 // Interleaving point: see `mem_read`.
@@ -164,28 +184,28 @@ impl<'a> TxCtx<'a> {
                 trace::emit_direct(TraceKind::Write, c.addr() as u64, v.to_word());
                 Ok(())
             }
-            CtxKind::Stm { tx, .. } => tx.write(c, v),
-            CtxKind::Htm { tx } => tx.write(c, v),
+            CtxKind::Stm { tx, .. } => tx.write_word(c.word(), c.addr(), v.to_word()),
+            CtxKind::Htm { tx } => tx.write_word(c.word(), c.addr(), v.to_word()),
         }
     }
 
     /// Read a transactional cell.
     #[inline]
     pub fn read<T: TxVal>(&mut self, c: &TCell<T>) -> Result<T, TxError> {
-        self.mem_read(c).map_err(TxError::from)
+        Ok(self.mem_load(c)?)
     }
 
     /// Write a transactional cell.
     #[inline]
     pub fn write<T: TxVal>(&mut self, c: &TCell<T>, v: T) -> Result<(), TxError> {
-        self.mem_write(c, v).map_err(TxError::from)
+        Ok(self.mem_write(c, v)?)
     }
 
     /// Read-modify-write convenience. Under the HTM the read claims the
     /// line for writing ([`HtmTx::read_for_write`]).
     #[inline]
     pub fn update<T: TxVal>(&mut self, c: &TCell<T>, f: impl FnOnce(T) -> T) -> Result<T, TxError> {
-        let old = self.mem_read_owned(c).map_err(TxError::from)?;
+        let old = T::from_word(self.mem_read_owned(c)?);
         let new = f(old);
         self.write(c, new)?;
         Ok(new)

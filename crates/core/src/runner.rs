@@ -418,8 +418,10 @@ fn commit_kind(
                 info.quiesce_wait_ns
             })
         }
-        CtxKind::Stm { tx, .. } => tx.commit().map(|info| info.quiesce_wait_ns),
-        CtxKind::Htm { tx } => tx.commit().map(|()| 0),
+        // In place: the descriptor is not moved into the commit, and the
+        // result comes back in registers; the finished attempt drops here.
+        CtxKind::Stm { mut tx, .. } => tx.commit_in_place().map_err(AbortCause::from),
+        CtxKind::Htm { mut tx } => tx.commit_in_place().map(|()| 0).map_err(AbortCause::from),
         _ => unreachable!("context kind changed mid-transaction"),
     }
 }

@@ -94,6 +94,9 @@ pub struct HtmGlobal {
     /// slot, bumped by the transaction running on it.
     pub stats: TxStats,
     pub(crate) config: HtmConfig,
+    /// `config.event_prob` as the integer threshold of the per-access
+    /// draw ([`tle_base::rng::chance_threshold`]; 0: no draw).
+    pub(crate) event_threshold: u64,
 }
 
 impl HtmGlobal {
@@ -104,6 +107,7 @@ impl HtmGlobal {
             slots: SlotRegistry::new(),
             tx_state: std::array::from_fn(|_| Padded(AtomicU32::new(state::IDLE))),
             stats: TxStats::new(),
+            event_threshold: tle_base::rng::chance_threshold(config.event_prob),
             config,
         }
     }
@@ -120,7 +124,7 @@ impl HtmGlobal {
 
     /// Try to doom the transaction in `victim_slot` (requester-wins).
     pub(crate) fn doom(&self, victim_slot: usize) -> DoomOutcome {
-        match self.tx_state[victim_slot].compare_exchange(
+        match self.state(victim_slot).compare_exchange(
             state::ACTIVE,
             state::DOOMED,
             Ordering::SeqCst,
@@ -204,7 +208,7 @@ impl HtmGlobal {
             let victim = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             if self.doom(victim) == DoomOutcome::Committing
-                && self.tx_state[victim].load(Ordering::SeqCst) == state::COMMITTED
+                && self.state(victim).load(Ordering::SeqCst) == state::COMMITTED
             {
                 clear = false;
             }
@@ -247,7 +251,7 @@ impl HtmGlobal {
         let mut clear = true;
         for slot in 0..tle_base::slots::MAX_SLOTS {
             if self.doom(slot) == DoomOutcome::Committing
-                && self.tx_state[slot].load(Ordering::SeqCst) == state::COMMITTED
+                && self.state(slot).load(Ordering::SeqCst) == state::COMMITTED
             {
                 clear = false;
             }
@@ -262,12 +266,12 @@ impl HtmGlobal {
     /// past its commit point reads busy until its redo log is published.
     pub fn all_idle(&self) -> bool {
         (0..self.slots.high_water())
-            .all(|slot| self.tx_state[slot].load(Ordering::SeqCst) == state::IDLE)
+            .all(|slot| self.state(slot).load(Ordering::SeqCst) == state::IDLE)
     }
 
     fn wait_not_committed(&self, slot: usize) {
         let mut spins = 0u32;
-        while self.tx_state[slot].load(Ordering::SeqCst) == state::COMMITTED {
+        while self.state(slot).load(Ordering::SeqCst) == state::COMMITTED {
             spins += 1;
             // The committing slot needs to run for this wait to end.
             tle_base::sched::spin_hint(tle_base::sched::YieldPoint::TxState);
@@ -280,7 +284,19 @@ impl HtmGlobal {
     }
 
     pub(crate) fn is_doomed(&self, slot: usize) -> bool {
-        self.tx_state[slot].load(Ordering::SeqCst) == state::DOOMED
+        self.state(slot).load(Ordering::SeqCst) == state::DOOMED
+    }
+
+    /// The lifecycle word of `slot`. Release builds mask the slot, so the
+    /// read path's two doom checks carry no bounds check; debug builds still
+    /// reject a slot the registry could not have handed out.
+    #[inline]
+    pub(crate) fn state(&self, slot: usize) -> &AtomicU32 {
+        debug_assert!(
+            slot < tle_base::slots::MAX_SLOTS,
+            "slot {slot} out of range"
+        );
+        &self.tx_state[slot & (tle_base::slots::MAX_SLOTS - 1)]
     }
 }
 

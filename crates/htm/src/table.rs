@@ -91,27 +91,26 @@ impl Line {
 }
 
 /// The striped table of per-cache-line `Line` entries.
+///
+/// Its size is a constant, like [`tle_base::OrecTable`]'s: the mask in
+/// [`index_of`](Self::index_of) is an immediate, and no access carries a
+/// bounds check or reloads a length.
 pub struct LineTable {
-    lines: Box<[Line]>,
-    mask: usize,
+    lines: Box<[Line; LineTable::LEN]>,
 }
 
 impl LineTable {
-    /// Default size: 2^14 entries.
-    pub const DEFAULT_LOG2: usize = 14;
+    /// Number of entries: 2^14.
+    pub const LEN: usize = 1 << 14;
 
-    /// Create a table with `1 << log2` entries.
-    pub fn with_log2(log2: usize) -> Self {
-        let n = 1usize << log2;
-        LineTable {
-            lines: (0..n).map(|_| Line::default()).collect(),
-            mask: n - 1,
-        }
-    }
+    const MASK: usize = Self::LEN - 1;
 
-    /// A table of the default size.
+    /// A table of [`LEN`](Self::LEN) empty entries.
     pub fn new() -> Self {
-        Self::with_log2(Self::DEFAULT_LOG2)
+        let lines: Box<[Line]> = (0..Self::LEN).map(|_| Line::default()).collect();
+        LineTable {
+            lines: lines.try_into().expect("collected exactly LEN lines"),
+        }
     }
 
     /// Map a byte address to its table index.
@@ -119,23 +118,26 @@ impl LineTable {
     pub fn index_of(&self, addr: usize) -> usize {
         let l = line_of(addr) as u64;
         let h = l.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 40) as usize & self.mask
+        (h >> 40) as usize & Self::MASK
     }
 
-    /// Access the entry at `idx`.
+    /// Access the entry at `idx`. Release builds mask the index, so no
+    /// access carries a bounds check; debug builds still reject an index
+    /// out of range, which would otherwise alias another line.
     #[inline]
     pub fn line(&self, idx: usize) -> &Line {
-        &self.lines[idx]
+        debug_assert!(idx < Self::LEN, "line index {idx} out of range");
+        &self.lines[idx & Self::MASK]
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.lines.len()
+        Self::LEN
     }
 
-    /// Whether the table is empty (never in practice).
+    /// Whether the table is empty (never).
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        false
     }
 }
 
@@ -162,6 +164,22 @@ mod tests {
             }
         }
         assert!(distinct > 95);
+    }
+
+    #[test]
+    fn every_index_is_in_range() {
+        let t = LineTable::new();
+        assert_eq!(t.len(), LineTable::LEN);
+        for k in 0..4096usize {
+            assert!(t.index_of(0x7f00_0000_0000 + 64 * k) < LineTable::LEN);
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn an_index_past_the_table_is_rejected_in_debug_builds() {
+        LineTable::new().line(LineTable::LEN);
     }
 
     #[test]

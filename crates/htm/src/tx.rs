@@ -10,7 +10,7 @@ use tle_base::sched::{self, YieldPoint};
 use tle_base::sets::{self, BufLease};
 use tle_base::stats::Stat;
 use tle_base::trace::{self, TraceKind, TxMode};
-use tle_base::{AbortCause, TCell, TxVal};
+use tle_base::{AbortCause, AbortWord, TCell, TxVal};
 
 /// A single hardware-transaction attempt.
 ///
@@ -41,7 +41,7 @@ pub struct HtmTx<'g> {
 impl<'g> HtmTx<'g> {
     pub(crate) fn begin(g: &'g HtmGlobal, slot: usize) -> Self {
         sched::yield_point(YieldPoint::TxState);
-        g.tx_state[slot].store(state::ACTIVE, Ordering::SeqCst);
+        g.state(slot).store(state::ACTIVE, Ordering::SeqCst);
         // Seed differs per (slot, begin) so event aborts are not correlated
         // across retries, yet the whole run is deterministic. The begin
         // count lives in the slot's own registry word, which no other
@@ -68,13 +68,13 @@ impl<'g> HtmTx<'g> {
     /// Transactionally read a cell.
     #[inline]
     pub fn read<T: TxVal>(&mut self, cell: &TCell<T>) -> Result<T, AbortCause> {
-        self.read_word(cell.word(), cell.addr()).map(T::from_word)
+        Ok(T::from_word(self.read_word(cell.word(), cell.addr())?))
     }
 
     /// Transactionally write a cell (buffered until commit).
     #[inline]
     pub fn write<T: TxVal>(&mut self, cell: &TCell<T>, v: T) -> Result<(), AbortCause> {
-        self.write_word(cell.word(), cell.addr(), v.to_word())
+        Ok(self.write_word(cell.word(), cell.addr(), v.to_word())?)
     }
 
     /// Read a cell the transaction is about to write (claim-on-update):
@@ -85,28 +85,75 @@ impl<'g> HtmTx<'g> {
     /// word) and clears the bit again at cleanup; this path does neither.
     #[inline]
     pub fn read_for_write<T: TxVal>(&mut self, cell: &TCell<T>) -> Result<T, AbortCause> {
-        self.read_word_owned(cell.word(), cell.addr())
-            .map(T::from_word)
+        Ok(T::from_word(
+            self.read_word_owned(cell.word(), cell.addr())?,
+        ))
     }
 
     // The access paths are word-level and non-generic, like `StmTx`'s: a
     // generic body would be instantiated (and inlined) in every downstream
     // closure, where its size decides whether `TxCtx::mem_read` — and with
-    // it the *lock* path's direct access — still gets inlined.
-    fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortCause> {
+    // it the *lock* path's direct access — still gets inlined. Their
+    // results are word-wide, so they come back in a register pair.
+
+    /// The read barrier of the word `w` at `addr`. Its fast path serves a
+    /// transaction that has written nothing, with no fault plan installed
+    /// and no mutant armed: the doom check, the event draw, the line
+    /// lookup, an out-of-line `mark_read_line` for a new line, the load and
+    /// the post-load doom check — the general `load_word`'s steps for that
+    /// case, in its order. Every other case goes to the cold `read_slow`.
+    #[inline(never)]
+    pub fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
+        if fault::enabled()
+            || mutant::any_armed()
+            || !self.bufs.redo.is_empty()
+            || !self.bufs.write_lines.is_empty()
+        {
+            return self.read_slow(w, addr);
+        }
+        if self.g.is_doomed(self.slot) {
+            return Err(AbortCause::Conflict.into());
+        }
+        self.accesses += 1;
+        if self.event_fires() {
+            return Err(self.event_abort());
+        }
+        let li = self.g.table.index_of(addr) as u32;
+        // Newest first: a walk reads a line's words back to back.
+        if !self.bufs.read_lines.iter().rev().any(|&l| l == li) {
+            self.mark_read_line(li)?;
+        }
+        let word = w.load(Ordering::SeqCst);
+        // The load and the line marking are not one atomic step; a writer
+        // that committed in between doomed us — re-check before returning.
+        if self.g.is_doomed(self.slot) {
+            return Err(AbortCause::Conflict.into());
+        }
+        trace::emit_access(TraceKind::Read, TxMode::Htm, addr as u64, word);
+        Ok(word)
+    }
+
+    /// Every read the fast path does not serve: read-own-write, a line in
+    /// the write set, the fault oracle and the mutants.
+    #[cold]
+    #[inline(never)]
+    fn read_slow(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
         self.load_word(w, addr, false)
     }
 
-    fn read_word_owned(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortCause> {
+    /// The read barrier of [`read_for_write`](Self::read_for_write).
+    #[inline(never)]
+    pub fn read_word_owned(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
         self.load_word(w, addr, true)
     }
 
-    /// The one read path: `claim` selects the line mark taken before the
-    /// load (the writer word for [`read_for_write`](Self::read_for_write),
-    /// the reader bit otherwise). Every other step — the access checks, both
-    /// doom checks, the capacity accounting and the events — is shared.
+    /// The one general read path: `claim` selects the line mark taken
+    /// before the load (the writer word for
+    /// [`read_for_write`](Self::read_for_write), the reader bit otherwise).
+    /// Every other step — the access checks, both doom checks, the capacity
+    /// accounting and the events — is shared.
     #[inline(always)]
-    fn load_word(&mut self, w: &AtomicU64, addr: usize, claim: bool) -> Result<u64, AbortCause> {
+    fn load_word(&mut self, w: &AtomicU64, addr: usize, claim: bool) -> Result<u64, AbortWord> {
         // Seeded bug (`SkipDoomCheck`): pretend the read path forgot both of
         // its doom checks, so a transaction invalidated by a committing
         // writer keeps consuming values.
@@ -134,13 +181,15 @@ impl<'g> HtmTx<'g> {
         // The load and the line marking are not one atomic step; a writer
         // that committed in between doomed us — re-check before returning.
         if !skip_doom && self.g.is_doomed(self.slot) {
-            return Err(AbortCause::Conflict);
+            return Err(AbortCause::Conflict.into());
         }
         trace::emit_access(TraceKind::Read, TxMode::Htm, addr as u64, word);
         Ok(word)
     }
 
-    fn write_word(&mut self, w: &AtomicU64, addr: usize, word: u64) -> Result<(), AbortCause> {
+    /// The write barrier of the word `w` at `addr` (buffered until commit).
+    #[inline(never)]
+    pub fn write_word(&mut self, w: &AtomicU64, addr: usize, word: u64) -> Result<(), AbortWord> {
         self.access_checks(false)?;
         let li = self.g.table.index_of(addr) as u32;
         if !self.bufs.write_lines.contains(&li) {
@@ -152,7 +201,7 @@ impl<'g> HtmTx<'g> {
             self.bufs.redo.push((w as *const AtomicU64, addr, word));
         }
         if self.g.is_doomed(self.slot) {
-            return Err(AbortCause::Conflict);
+            return Err(AbortCause::Conflict.into());
         }
         trace::emit_access(TraceKind::Write, TxMode::Htm, addr as u64, word);
         Ok(())
@@ -192,17 +241,31 @@ impl<'g> HtmTx<'g> {
                 return Err(cause);
             }
         }
-        let p = self.g.config.event_prob;
-        if p > 0.0 && self.rng.chance(p) {
-            trace::emit(
-                TraceKind::Conflict,
-                TxMode::Htm,
-                Some(AbortCause::Event),
-                self.slot as u64,
-            );
-            return Err(AbortCause::Event);
+        if self.event_fires() {
+            return Err(self.event_abort().cause());
         }
         Ok(())
+    }
+
+    /// The simulated asynchronous event's draw for this access (none at
+    /// `event_prob` 0).
+    #[inline(always)]
+    fn event_fires(&mut self) -> bool {
+        let t = self.g.event_threshold;
+        t > 0 && self.rng.chance_below(t)
+    }
+
+    /// The event abort a fired draw ends in.
+    #[cold]
+    #[inline(never)]
+    fn event_abort(&self) -> AbortWord {
+        trace::emit(
+            TraceKind::Conflict,
+            TxMode::Htm,
+            Some(AbortCause::Event),
+            self.slot as u64,
+        );
+        AbortCause::Event.into()
     }
 
     /// The slow half of the fault hook: ask the oracle about each HTM
@@ -228,8 +291,10 @@ impl<'g> HtmTx<'g> {
 
     /// Put this transaction in the line's reader set, dooming a conflicting
     /// writer (requester-wins) or self-aborting if the writer already won
-    /// its commit point.
-    fn mark_read_line(&mut self, li: u32) -> Result<(), AbortCause> {
+    /// its commit point. Out of line: the read fast path calls it only for
+    /// a line new to the read set.
+    #[inline(never)]
+    fn mark_read_line(&mut self, li: u32) -> Result<(), AbortWord> {
         let line = self.g.table.line(li as usize);
         line.trace_contention(li as usize, self.slot);
         line.add_reader(self.slot);
@@ -241,7 +306,7 @@ impl<'g> HtmTx<'g> {
             match self.g.doom(w as usize - 1) {
                 DoomOutcome::Committing => {
                     line.remove_reader(self.slot);
-                    return Err(AbortCause::Conflict);
+                    return Err(AbortCause::Conflict.into());
                 }
                 DoomOutcome::Doomed | DoomOutcome::Gone => {
                     // Evict the dead writer so later transactions do not
@@ -259,13 +324,13 @@ impl<'g> HtmTx<'g> {
                 Some(AbortCause::Capacity),
                 li as u64,
             );
-            return Err(AbortCause::Capacity);
+            return Err(AbortCause::Capacity.into());
         }
         Ok(())
     }
 
     /// Become the line's writer, dooming all other readers and any writer.
-    fn mark_write_line(&mut self, li: u32) -> Result<(), AbortCause> {
+    fn mark_write_line(&mut self, li: u32) -> Result<(), AbortWord> {
         let line = self.g.table.line(li as usize);
         line.trace_contention(li as usize, self.slot);
         // Acquire the writer word.
@@ -281,7 +346,7 @@ impl<'g> HtmTx<'g> {
                 continue;
             }
             match self.g.doom(w as usize - 1) {
-                DoomOutcome::Committing => return Err(AbortCause::Conflict),
+                DoomOutcome::Committing => return Err(AbortCause::Conflict.into()),
                 DoomOutcome::Doomed | DoomOutcome::Gone => {
                     let _ = line.cas_writer(w, 0);
                 }
@@ -294,7 +359,7 @@ impl<'g> HtmTx<'g> {
             let victim = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             if self.g.doom(victim) == DoomOutcome::Committing {
-                return Err(AbortCause::Conflict);
+                return Err(AbortCause::Conflict.into());
             }
         }
         self.bufs.write_lines.push(li);
@@ -305,7 +370,7 @@ impl<'g> HtmTx<'g> {
                 Some(AbortCause::Capacity),
                 li as u64,
             );
-            return Err(AbortCause::Capacity);
+            return Err(AbortCause::Capacity.into());
         }
         Ok(())
     }
@@ -314,7 +379,16 @@ impl<'g> HtmTx<'g> {
     /// release the footprint. A read-only attempt (empty redo log) has
     /// nothing to publish and no commit point to win: one `SeqCst` load of
     /// its state word decides it.
+    #[inline]
     pub fn commit(mut self) -> Result<(), AbortCause> {
+        Ok(self.commit_in_place()?)
+    }
+
+    /// [`HtmTx::commit`] without moving the descriptor; the result comes
+    /// back in a register pair, and the finished attempt is the caller's to
+    /// drop.
+    #[inline(never)]
+    pub fn commit_in_place(&mut self) -> Result<(), AbortWord> {
         debug_assert!(!self.finished);
         sched::yield_point(YieldPoint::TxState);
         if self.bufs.redo.is_empty() {
@@ -330,7 +404,9 @@ impl<'g> HtmTx<'g> {
             // The load above is the linearization point.
             trace::emit(TraceKind::Commit, TxMode::Htm, None, 0);
         } else {
-            if self.g.tx_state[self.slot]
+            if self
+                .g
+                .state(self.slot)
                 .compare_exchange(
                     state::ACTIVE,
                     state::COMMITTED,
@@ -366,7 +442,8 @@ impl<'g> HtmTx<'g> {
     }
 
     /// Doomed before the commit point: the attempt ends as a conflict abort.
-    fn doomed_at_commit(mut self) -> Result<(), AbortCause> {
+    #[cold]
+    fn doomed_at_commit(&mut self) -> Result<(), AbortWord> {
         self.cleanup();
         self.finished = true;
         self.g.stats.count_abort(self.slot, AbortCause::Conflict);
@@ -376,7 +453,7 @@ impl<'g> HtmTx<'g> {
             Some(AbortCause::Conflict),
             self.slot as u64,
         );
-        Err(AbortCause::Conflict)
+        Err(AbortCause::Conflict.into())
     }
 
     /// Abort this attempt, discarding buffered writes.
@@ -398,14 +475,16 @@ impl<'g> HtmTx<'g> {
     }
 
     fn cleanup(&mut self) {
-        for &li in &self.bufs.read_lines {
+        // Popped, not iterated: the lease clears both sets anyway, and a
+        // counted loop over a handful of lines gets unrolled four ways.
+        while let Some(li) = self.bufs.read_lines.pop() {
             self.g.table.line(li as usize).remove_reader(self.slot);
         }
-        for &li in &self.bufs.write_lines {
+        while let Some(li) = self.bufs.write_lines.pop() {
             let line = self.g.table.line(li as usize);
             let _ = line.cas_writer(self.slot as u64 + 1, 0);
         }
-        self.g.tx_state[self.slot].store(state::IDLE, Ordering::SeqCst);
+        self.g.state(self.slot).store(state::IDLE, Ordering::SeqCst);
     }
 }
 
@@ -542,6 +621,173 @@ mod tests {
             }
         }
         assert_eq!(err, Some(AbortCause::Capacity));
+        tx.abort(AbortCause::Capacity);
+        g.slots.unregister_raw(slot);
+    }
+
+    // ---- the read fast path's exits -------------------------------------
+    //
+    // Each test drives one way out of `read_word`'s fast path and checks
+    // the cause and the access count the general path (`load_word`) gives.
+
+    /// Two cells on one cache line.
+    #[repr(C, align(64))]
+    struct OneLine([TCell<u64>; 2]);
+
+    #[test]
+    fn fast_path_exit_read_own_write_from_the_redo_log() {
+        let g = quiet();
+        let slot = g.slots.register_raw().unwrap();
+        let a = TCell::new(1u64);
+        let mut tx = g.begin(slot);
+        tx.write(&a, 5u64).unwrap();
+        assert_eq!(tx.read(&a), Ok(5), "the buffered value, not memory's");
+        assert_eq!(tx.accesses, 2);
+        assert!(
+            tx.bufs.read_lines.is_empty(),
+            "a written line is not re-marked"
+        );
+        tx.commit().unwrap();
+        g.slots.unregister_raw(slot);
+    }
+
+    #[test]
+    fn fast_path_exit_a_line_already_in_the_write_set() {
+        let g = quiet();
+        let slot = g.slots.register_raw().unwrap();
+        let line = Box::new(OneLine([TCell::new(1), TCell::new(2)]));
+        let mut tx = g.begin(slot);
+        tx.write(&line.0[0], 7u64).unwrap();
+        assert_eq!(tx.read(&line.0[1]), Ok(2), "memory's value: no redo entry");
+        assert_eq!(tx.accesses, 2);
+        assert!(tx.bufs.read_lines.is_empty(), "the writer owns the line");
+        tx.commit().unwrap();
+        g.slots.unregister_raw(slot);
+    }
+
+    #[test]
+    fn fast_path_exit_doomed_before_the_access() {
+        let g = quiet();
+        let slot = g.slots.register_raw().unwrap();
+        let a = TCell::new(1u64);
+        let mut tx = g.begin(slot);
+        assert_eq!(g.doom(slot), DoomOutcome::Doomed);
+        assert_eq!(tx.read(&a), Err(AbortCause::Conflict));
+        assert_eq!(tx.accesses, 0, "the doom check precedes the count");
+        assert!(tx.bufs.read_lines.is_empty());
+        tx.abort(AbortCause::Conflict);
+        g.slots.unregister_raw(slot);
+    }
+
+    /// Dooms `slot` at the first line mark it is asked to yield at: after
+    /// the access's own doom check, before its load.
+    struct DoomAtMark {
+        g: std::sync::Arc<HtmGlobal>,
+        slot: usize,
+        fired: std::sync::atomic::AtomicBool,
+    }
+
+    impl sched::Scheduler for DoomAtMark {
+        fn yield_point(&self, p: YieldPoint) {
+            if p == YieldPoint::LineMark && !self.fired.swap(true, Ordering::Relaxed) {
+                self.g.doom(self.slot);
+            }
+        }
+        fn spin_hint(&self, _: YieldPoint) {}
+        fn block_enter(&self) {}
+        fn block_exit(&self) {}
+    }
+
+    #[test]
+    fn fast_path_exit_doomed_between_the_mark_and_the_load() {
+        assert!(
+            sched::compiled(),
+            "tle-htm's tests build tle-base with `check`"
+        );
+        let g = std::sync::Arc::new(quiet());
+        let slot = g.slots.register_raw().unwrap();
+        let a = TCell::new(1u64);
+        let mut tx = g.begin(slot);
+        sched::register(std::sync::Arc::new(DoomAtMark {
+            g: std::sync::Arc::clone(&g),
+            slot,
+            fired: std::sync::atomic::AtomicBool::new(false),
+        }));
+        let got = tx.read(&a);
+        sched::unregister();
+        assert_eq!(got, Err(AbortCause::Conflict), "the post-load doom check");
+        assert_eq!(tx.accesses, 1);
+        assert_eq!(tx.bufs.read_lines.len(), 1, "the line was marked");
+        tx.abort(AbortCause::Conflict);
+        g.slots.unregister_raw(slot);
+    }
+
+    #[test]
+    fn fast_path_exit_a_fault_plan_firing_at_access_k() {
+        // The plan is process-wide; an index no other test of this crate
+        // reaches in one transaction keeps their accesses clear of it.
+        const K: u64 = 128;
+        let g = quiet();
+        let slot = g.slots.register_raw().unwrap();
+        let cells: Vec<Box<TCell<u64>>> = (0..=K).map(|i| Box::new(TCell::new(i))).collect();
+        fault::install(
+            fault::FaultPlan::new(5)
+                .rule(fault::FaultRule::new(Hazard::HtmConflict, 1).at_access(K)),
+        );
+        let mut tx = g.begin(slot);
+        let mut got = Ok(0);
+        for c in &cells {
+            got = tx.read(c);
+            if got.is_err() {
+                break;
+            }
+        }
+        fault::clear();
+        assert_eq!(got, Err(AbortCause::Conflict));
+        assert_eq!(tx.accesses, K + 1);
+        tx.abort(AbortCause::Conflict);
+        g.slots.unregister_raw(slot);
+    }
+
+    #[test]
+    fn fast_path_exit_an_event_abort_at_probability_one() {
+        let g = HtmGlobal::new(HtmConfig {
+            event_prob: 1.0,
+            ..HtmConfig::default()
+        });
+        let slot = g.slots.register_raw().unwrap();
+        let a = TCell::new(1u64);
+        let mut tx = g.begin(slot);
+        assert_eq!(tx.read(&a), Err(AbortCause::Event));
+        assert_eq!(tx.accesses, 1);
+        assert!(tx.bufs.read_lines.is_empty(), "the draw precedes the mark");
+        tx.abort(AbortCause::Event);
+        g.slots.unregister_raw(slot);
+    }
+
+    #[test]
+    fn fast_path_exit_capacity_at_one_line_past_the_cap() {
+        const CAP: usize = 4;
+        let g = HtmGlobal::new(HtmConfig {
+            event_prob: 0.0,
+            read_cap_lines: CAP,
+            ..HtmConfig::default()
+        });
+        let slot = g.slots.register_raw().unwrap();
+        // Lines on distinct table entries, so each read marks a new one.
+        let mut seen = std::collections::HashSet::new();
+        let lines: Vec<Box<OneLine>> = (0..64u64)
+            .map(|i| Box::new(OneLine([TCell::new(i), TCell::new(0)])))
+            .filter(|l| seen.insert(g.table.index_of(l.0[0].addr())))
+            .take(CAP + 1)
+            .collect();
+        assert_eq!(lines.len(), CAP + 1);
+        let mut tx = g.begin(slot);
+        for l in &lines[..CAP] {
+            tx.read(&l.0[0]).unwrap();
+        }
+        assert_eq!(tx.read(&lines[CAP].0[0]), Err(AbortCause::Capacity));
+        assert_eq!(tx.accesses, CAP as u64 + 1);
         tx.abort(AbortCause::Capacity);
         g.slots.unregister_raw(slot);
     }

@@ -28,7 +28,7 @@ use tle_base::sched::{self, YieldPoint};
 use tle_base::sets::{self, BufLease};
 use tle_base::stats::Stat;
 use tle_base::trace::{self, TraceKind, TxMode};
-use tle_base::{AbortCause, TCell, TxVal};
+use tle_base::{AbortCause, AbortWord, TCell, TxVal};
 
 /// A single NOrec transaction attempt.
 pub struct NorecTx<'g> {
@@ -72,19 +72,34 @@ impl<'g> NorecTx<'g> {
     }
 
     /// Transactionally read a cell.
+    #[inline]
     pub fn read<T: TxVal>(&mut self, cell: &TCell<T>) -> Result<T, AbortCause> {
+        Ok(T::from_word(self.read_word(cell.word(), cell.addr())?))
+    }
+
+    /// Transactionally write a cell (buffered until commit).
+    #[inline]
+    pub fn write<T: TxVal>(&mut self, cell: &TCell<T>, v: T) -> Result<(), AbortCause> {
+        Ok(self.write_word(cell.word(), cell.addr(), v.to_word())?)
+    }
+
+    /// The read barrier of the word `w` at `addr`: read-own-write from the
+    /// redo log, else a load consistent with the snapshot. Word-level and
+    /// out of line like `ml_wt`'s, so the word (or the abort) comes back in
+    /// a register pair.
+    #[inline(never)]
+    pub fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
         sched::yield_point(YieldPoint::SeqLock);
-        let addr = cell.addr();
-        if let Some(&(_, _, w)) = self.bufs.nwrites.iter().find(|&&(_, a, _)| a == addr) {
-            trace::emit_access(TraceKind::Read, TxMode::Norec, addr as u64, w);
-            return Ok(T::from_word(w));
+        if let Some(&(_, _, v)) = self.bufs.nwrites.iter().find(|&&(_, a, _)| a == addr) {
+            trace::emit_access(TraceKind::Read, TxMode::Norec, addr as u64, v);
+            return Ok(v);
         }
         loop {
-            let v = cell.word().load(Ordering::Acquire);
+            let v = w.load(Ordering::Acquire);
             if self.g.norec_seq.load(Ordering::Acquire) == self.snapshot {
-                self.bufs.nreads.push((cell.word() as *const AtomicU64, v));
+                self.bufs.nreads.push((w as *const AtomicU64, v));
                 trace::emit_access(TraceKind::Read, TxMode::Norec, addr as u64, v);
-                return Ok(T::from_word(v));
+                return Ok(v);
             }
             // The world moved: value-validate and adopt the newer snapshot,
             // then retry the read against it.
@@ -92,18 +107,16 @@ impl<'g> NorecTx<'g> {
         }
     }
 
-    /// Transactionally write a cell (buffered until commit).
-    pub fn write<T: TxVal>(&mut self, cell: &TCell<T>, v: T) -> Result<(), AbortCause> {
-        let addr = cell.addr();
-        let word = v.to_word();
+    /// The write barrier of the word `w` at `addr`: buffer `val` in the
+    /// redo log, coalescing a repeated write.
+    #[inline(never)]
+    pub fn write_word(&mut self, w: &AtomicU64, addr: usize, val: u64) -> Result<(), AbortWord> {
         if let Some(entry) = self.bufs.nwrites.iter_mut().find(|e| e.1 == addr) {
-            entry.2 = word;
+            entry.2 = val;
         } else {
-            self.bufs
-                .nwrites
-                .push((cell.word() as *const AtomicU64, addr, word));
+            self.bufs.nwrites.push((w as *const AtomicU64, addr, val));
         }
-        trace::emit_access(TraceKind::Write, TxMode::Norec, addr as u64, word);
+        trace::emit_access(TraceKind::Write, TxMode::Norec, addr as u64, val);
         Ok(())
     }
 
@@ -162,7 +175,28 @@ impl<'g> NorecTx<'g> {
     }
 
     /// Attempt to commit.
+    #[inline]
     pub fn commit(mut self) -> Result<CommitInfo, AbortCause> {
+        let end = self.publish()?;
+        Ok(CommitInfo {
+            end_time: end,
+            quiesced: false,
+            quiesce_wait_ns: 0,
+        })
+    }
+
+    /// Commit without moving the descriptor; NOrec never drains, so `Ok`
+    /// is always 0 ns of drain (see [`StmTx::commit_in_place`]).
+    ///
+    /// [`StmTx::commit_in_place`]: crate::StmTx::commit_in_place
+    #[inline]
+    pub fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
+        self.publish().map(|_| 0)
+    }
+
+    /// The commit: `Ok` is the sequence value the commit ends at.
+    #[inline(never)]
+    fn publish(&mut self) -> Result<u64, AbortWord> {
         debug_assert!(!self.finished);
         let shard = self.slot_idx;
         if self.bufs.nwrites.is_empty() {
@@ -170,11 +204,7 @@ impl<'g> NorecTx<'g> {
             trace::emit(TraceKind::Commit, TxMode::Norec, None, self.snapshot);
             self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
             self.g.stats.bump_owned(shard, Stat::Commits);
-            return Ok(CommitInfo {
-                end_time: self.snapshot,
-                quiesced: false,
-                quiesce_wait_ns: 0,
-            });
+            return Ok(self.snapshot);
         }
         // Acquire the sequence lock at our snapshot; on contention,
         // value-validate against the newer state and retry.
@@ -196,7 +226,7 @@ impl<'g> NorecTx<'g> {
                         self.g.stats.count_abort(shard, cause);
                         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
                         trace::emit(TraceKind::Abort, TxMode::Norec, Some(cause), self.snapshot);
-                        return Err(cause);
+                        return Err(cause.into());
                     }
                 }
             }
@@ -217,11 +247,7 @@ impl<'g> NorecTx<'g> {
         self.finished = true;
         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
         self.g.stats.bump_owned(shard, Stat::Commits);
-        Ok(CommitInfo {
-            end_time: end,
-            quiesced: false,
-            quiesce_wait_ns: 0,
-        })
+        Ok(end)
     }
 
     /// Abort this attempt (nothing to roll back — lazy versioning).

@@ -4,7 +4,8 @@
 
 use crate::norec::NorecTx;
 use crate::tx::{CommitInfo, StmTx};
-use tle_base::{AbortCause, TCell, TxVal};
+use std::sync::atomic::AtomicU64;
+use tle_base::{AbortCause, AbortWord, TCell, TxVal};
 
 /// Which software TM algorithm a domain runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,6 +65,25 @@ impl<'g> SoftTx<'g> {
         }
     }
 
+    /// The read barrier of the word `w` at `addr`, word-wide result (see
+    /// [`StmTx::read_word`]).
+    #[inline]
+    pub fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
+        match self {
+            SoftTx::MlWt(tx) => tx.read_word(w, addr),
+            SoftTx::Norec(tx) => tx.read_word(w, addr),
+        }
+    }
+
+    /// The write barrier of the word `w` at `addr`, word-wide result.
+    #[inline]
+    pub fn write_word(&mut self, w: &AtomicU64, addr: usize, val: u64) -> Result<(), AbortWord> {
+        match self {
+            SoftTx::MlWt(tx) => tx.write_word(w, addr, val),
+            SoftTx::Norec(tx) => tx.write_word(w, addr, val),
+        }
+    }
+
     /// Read-modify-write convenience.
     #[inline]
     pub fn update<T: TxVal>(
@@ -116,6 +136,17 @@ impl<'g> SoftTx<'g> {
         match self {
             SoftTx::MlWt(tx) => tx.commit(),
             SoftTx::Norec(tx) => tx.commit(),
+        }
+    }
+
+    /// Commit without moving the descriptor ([`StmTx::commit_in_place`]):
+    /// `Ok` is the nanoseconds the post-commit drain waited, and the
+    /// finished attempt is the caller's to drop.
+    #[inline]
+    pub fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
+        match self {
+            SoftTx::MlWt(tx) => tx.commit_in_place(),
+            SoftTx::Norec(tx) => tx.commit_in_place(),
         }
     }
 

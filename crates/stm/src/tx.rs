@@ -12,7 +12,7 @@ use tle_base::sched::{self, YieldPoint};
 use tle_base::sets::{self, BufLease};
 use tle_base::stats::Stat;
 use tle_base::trace::{self, TraceKind, TxMode};
-use tle_base::{AbortCause, TCell, TxVal};
+use tle_base::{AbortCause, AbortWord, TCell, TxVal};
 
 /// How long to spin on a locked orec before reporting a conflict. Short, as
 /// orec hold times are bounded by the owner's critical-path work.
@@ -134,13 +134,13 @@ impl<'g> StmTx<'g> {
     /// Transactionally read a cell.
     #[inline]
     pub fn read<T: TxVal>(&mut self, cell: &TCell<T>) -> Result<T, AbortCause> {
-        self.read_word(cell.word(), cell.addr()).map(T::from_word)
+        Ok(T::from_word(self.read_word(cell.word(), cell.addr())?))
     }
 
     /// Transactionally write a cell.
     #[inline]
     pub fn write<T: TxVal>(&mut self, cell: &TCell<T>, v: T) -> Result<(), AbortCause> {
-        self.write_word(cell.word(), cell.addr(), v.to_word())
+        Ok(self.write_word(cell.word(), cell.addr(), v.to_word())?)
     }
 
     /// Read-modify-write convenience.
@@ -156,16 +156,17 @@ impl<'g> StmTx<'g> {
         Ok(new)
     }
 
-    /// The read barrier's fast path: an unlocked orec no newer than
-    /// `start` whose second sample matches the first. With room in the read
-    /// set's inline tier it makes two orec loads, loads the cell, appends
-    /// to the read set and calls nothing; its one saved register keeps the
-    /// result slot across the other paths' calls. A full inline tier hands
-    /// the consistent sample to [`Self::read_spilled`], so nothing is loaded
-    /// twice; every other case (an owned or foreign lock, a newer orec, a
-    /// torn sample) goes to [`Self::read_slow`].
+    /// The read barrier of the word `w` at `addr`; its fast path is an
+    /// unlocked orec no newer than `start` whose second sample matches the
+    /// first. With room in the read set's inline tier it makes two orec
+    /// loads, loads the cell, appends to the read set and calls nothing,
+    /// and the word (or the abort) comes back in a register pair. A full
+    /// inline tier hands the consistent sample to `read_spilled`,
+    /// so nothing is loaded twice; every other case (an owned or foreign
+    /// lock, a newer orec, a torn sample) goes to `read_slow`, a
+    /// tail call.
     #[inline(never)]
-    fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortCause> {
+    pub fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
         sched::yield_point(YieldPoint::OrecLoad);
         let orecs = &self.g.orecs;
         let oi = orecs.index_of(addr);
@@ -195,7 +196,7 @@ impl<'g> StmTx<'g> {
         oi: usize,
         v1: u64,
         val: u64,
-    ) -> Result<u64, AbortCause> {
+    ) -> Result<u64, AbortWord> {
         self.bufs.reads.push((oi as u32, v1));
         trace::emit_access(TraceKind::Read, TxMode::Stm, addr as u64, val);
         Ok(val)
@@ -207,7 +208,7 @@ impl<'g> StmTx<'g> {
     /// explorer the split is invisible.
     #[cold]
     #[inline(never)]
-    fn read_slow(&mut self, w: &AtomicU64, addr: usize, oi: usize) -> Result<u64, AbortCause> {
+    fn read_slow(&mut self, w: &AtomicU64, addr: usize, oi: usize) -> Result<u64, AbortWord> {
         let mut spins = 0u32;
         loop {
             let v1 = self.g.orecs.load(oi);
@@ -231,7 +232,7 @@ impl<'g> StmTx<'g> {
                         Some(AbortCause::ReadConflict),
                         oi as u64,
                     );
-                    return Err(AbortCause::ReadConflict);
+                    return Err(AbortCause::ReadConflict.into());
                 }
                 OrecValue::Unlocked(ver) => {
                     if ver > self.start {
@@ -254,12 +255,12 @@ impl<'g> StmTx<'g> {
         }
     }
 
-    /// The write barrier's fast path: an orec this transaction already
-    /// owns, or an unlocked one no newer than `start` whose `try_lock`
-    /// wins. A foreign lock, a newer orec and a lost CAS go to
-    /// [`Self::write_slow`].
+    /// The write barrier of the word `w` at `addr`; its fast path is an
+    /// orec this transaction already owns, or an unlocked one no newer than
+    /// `start` whose `try_lock` wins. A foreign lock, a newer orec and a
+    /// lost CAS go to `write_slow`.
     #[inline(never)]
-    fn write_word(&mut self, w: &AtomicU64, addr: usize, val: u64) -> Result<(), AbortCause> {
+    pub fn write_word(&mut self, w: &AtomicU64, addr: usize, val: u64) -> Result<(), AbortWord> {
         sched::yield_point(YieldPoint::OrecAcquire);
         let oi = self.g.orecs.index_of(addr);
         let cur = self.g.orecs.load(oi);
@@ -289,7 +290,7 @@ impl<'g> StmTx<'g> {
         addr: usize,
         val: u64,
         oi: usize,
-    ) -> Result<(), AbortCause> {
+    ) -> Result<(), AbortWord> {
         let mut spins = 0u32;
         loop {
             let cur = self.g.orecs.load(oi);
@@ -311,7 +312,7 @@ impl<'g> StmTx<'g> {
                         Some(AbortCause::WriteConflict),
                         oi as u64,
                     );
-                    return Err(AbortCause::WriteConflict);
+                    return Err(AbortCause::WriteConflict.into());
                 }
                 OrecValue::Unlocked(ver) => {
                     if ver > self.start {
@@ -432,8 +433,8 @@ impl<'g> StmTx<'g> {
     /// already rolled back and the caller retries.
     ///
     /// This is [`StmTx::commit_publish`] followed by the blocking drain of
-    /// whatever ticket it returned — the validate → release → publish front
-    /// half exists once, there.
+    /// whatever ticket it returned. The runner commits through
+    /// [`StmTx::commit_in_place`], which shares the front halves.
     pub fn commit(self) -> Result<CommitInfo, AbortCause> {
         let g = self.g;
         let (info, ticket) = self.commit_publish()?;
@@ -441,6 +442,56 @@ impl<'g> StmTx<'g> {
             None => info,
             Some(t) => g.quiesce_blocking(t),
         })
+    }
+
+    /// [`StmTx::commit`] without moving the descriptor and without its
+    /// `CommitInfo`: `Ok` is the nanoseconds the drain waited, and either
+    /// result comes back in a register pair. The attempt is finished
+    /// either way; the caller drops it. The read-only commit and the
+    /// writer's each run in a frame of their own.
+    #[inline]
+    pub fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
+        debug_assert!(!self.finished);
+        if self.bufs.locks.is_empty() {
+            Ok(self.commit_read_only())
+        } else {
+            self.commit_writer()
+        }
+    }
+
+    /// The read-only commit: one `SeqCst` store and two stat bumps, unless
+    /// the drain decision is still open.
+    #[inline(never)]
+    fn commit_read_only(&mut self) -> u64 {
+        if self.publish_read_only() {
+            return 0;
+        }
+        self.read_only_drain()
+    }
+
+    /// A read-only commit that must decide on a drain
+    /// (`will_free_memory`, or `TM_NoQuiesce` under the §IV-C audit).
+    #[cold]
+    #[inline(never)]
+    fn read_only_drain(&mut self) -> u64 {
+        self.drain_owed(self.g.clock.now())
+    }
+
+    #[inline(never)]
+    fn commit_writer(&mut self) -> Result<u64, AbortWord> {
+        let end = self.publish_writer()?;
+        Ok(self.drain_owed(end))
+    }
+
+    /// Count the commit, then run out the drain it owes, if any.
+    #[inline(always)]
+    fn drain_owed(&self, upto: u64) -> u64 {
+        let (_, ticket) = self.defer_quiesce(upto);
+        self.g.stats.bump_owned(self.slot_idx, Stat::Commits);
+        match ticket {
+            None => 0,
+            Some(t) => self.g.quiesce_blocking(t).quiesce_wait_ns,
+        }
     }
 
     /// The commit front half: validate, release the orecs at the new
@@ -454,45 +505,64 @@ impl<'g> StmTx<'g> {
     /// [`CommitInfo`] is final.
     // Inlined into `commit` on purpose: as a call, the by-memory return of
     // `(CommitInfo, Option<QuiesceTicket>)` cost the raw commit ~8 ns
-    // (`stm.tx_ro.ns` / `stm.tx_rw.ns` in the repo benchmark).
+    // (`stm.tx_ro.ns` / `stm.tx_rw.ns` in the repo benchmark). Only this
+    // form and `commit` return through memory; the sync runner's
+    // `commit_in_place` returns in registers.
     #[inline]
     pub fn commit_publish(mut self) -> Result<(CommitInfo, Option<QuiesceTicket>), AbortCause> {
         debug_assert!(!self.finished);
-        let shard = self.slot_idx;
-        if self.bufs.locks.is_empty() {
-            // Read-only commit: reads were validated incrementally, no
-            // clock advance needed (GCC/TinySTM do the same).
-            self.finished = true;
-            trace::emit(TraceKind::Commit, TxMode::Stm, None, 0);
-            self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
-            if !(self.must_quiesce || (self.no_quiesce && self.g.audit_noquiesce_enabled())) {
-                // Fast path: return before the quiescence machinery. Sound
-                // because only a *writer* commit can transfer data into
-                // private use: a privatizing reader observes the transfer
-                // only after the transferring writer committed, and that
-                // writer's own post-commit drain (policy permitting)
-                // already waited out every transaction older than the
-                // transfer — a read-only commit has nobody to wait for.
-                // Exceptions stay on the slow path: `will_free_memory`
-                // (allocator contract, §IV-B) and — when the §IV-C
-                // no-quiesce audit is on — `TM_NoQuiesce` transactions, so
-                // the audit's overlap scan stays complete.
-                self.g.stats.bump_owned(shard, Stat::QuiesceSkipped);
-                self.g.stats.bump_owned(shard, Stat::Commits);
-                return Ok((
-                    CommitInfo {
-                        end_time: 0,
-                        quiesced: false,
-                        quiesce_wait_ns: 0,
-                    },
-                    None,
-                ));
+        let upto = if self.bufs.locks.is_empty() {
+            if self.publish_read_only() {
+                let info = CommitInfo {
+                    end_time: 0,
+                    quiesced: false,
+                    quiesce_wait_ns: 0,
+                };
+                return Ok((info, None));
             }
-            let out = self.defer_quiesce(self.g.clock.now());
-            self.g.stats.bump_owned(shard, Stat::Commits);
-            return Ok(out);
-        }
+            self.g.clock.now()
+        } else {
+            self.publish_writer()?
+        };
+        let out = self.defer_quiesce(upto);
+        self.g.stats.bump_owned(self.slot_idx, Stat::Commits);
+        Ok(out)
+    }
 
+    /// The read-only front half; `true` when the commit is complete with
+    /// its drain skipped, `false` when the caller still owes the drain
+    /// decision (and the commit's count).
+    #[inline(always)]
+    fn publish_read_only(&mut self) -> bool {
+        // Reads were validated incrementally, no clock advance needed
+        // (GCC/TinySTM do the same).
+        let shard = self.slot_idx;
+        self.finished = true;
+        trace::emit(TraceKind::Commit, TxMode::Stm, None, 0);
+        self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
+        if self.must_quiesce || (self.no_quiesce && self.g.audit_noquiesce_enabled()) {
+            return false;
+        }
+        // Fast path: return before the quiescence machinery. Sound because
+        // only a *writer* commit can transfer data into private use: a
+        // privatizing reader observes the transfer only after the
+        // transferring writer committed, and that writer's own post-commit
+        // drain (policy permitting) already waited out every transaction
+        // older than the transfer — a read-only commit has nobody to wait
+        // for. Exceptions stay on the slow path: `will_free_memory`
+        // (allocator contract, §IV-B) and — when the §IV-C no-quiesce
+        // audit is on — `TM_NoQuiesce` transactions, so the audit's overlap
+        // scan stays complete.
+        self.g.stats.bump_owned(shard, Stat::QuiesceSkipped);
+        self.g.stats.bump_owned(shard, Stat::Commits);
+        true
+    }
+
+    /// The writer's front half: advance the clock, validate the read set
+    /// if anyone committed since `start`, release the orecs at the new
+    /// time and publish `INACTIVE`. `Ok` is the commit time.
+    #[inline(always)]
+    fn publish_writer(&mut self) -> Result<u64, AbortWord> {
         sched::yield_point(YieldPoint::ClockAdvance);
         let end = self.g.clock.advance();
         // Someone committed since our (possibly extended) start: the read
@@ -502,12 +572,7 @@ impl<'g> StmTx<'g> {
             && !mutant::armed(Mutant::SkipCommitValidation)
             && self.validate().is_err()
         {
-            let cause = AbortCause::CommitValidation;
-            self.rollback();
-            self.finished = true;
-            self.g.stats.count_abort(shard, cause);
-            trace::emit(TraceKind::Abort, TxMode::Stm, Some(cause), end);
-            return Err(cause);
+            return Err(self.commit_validation_failed(end));
         }
         // The commit event is emitted *before* the orecs are released: no
         // other thread can read our writes until release, so the stamp
@@ -520,9 +585,19 @@ impl<'g> StmTx<'g> {
         }
         self.finished = true;
         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
-        let out = self.defer_quiesce(end);
-        self.g.stats.bump_owned(shard, Stat::Commits);
-        Ok(out)
+        Ok(end)
+    }
+
+    /// Roll back and count a commit-time validation failure at `end`.
+    #[cold]
+    #[inline(never)]
+    fn commit_validation_failed(&mut self, end: u64) -> AbortWord {
+        let cause = AbortCause::CommitValidation;
+        self.rollback();
+        self.finished = true;
+        self.g.stats.count_abort(self.slot_idx, cause);
+        trace::emit(TraceKind::Abort, TxMode::Stm, Some(cause), end);
+        cause.into()
     }
 
     /// Explicitly abort this attempt (conflict, explicit cancel, or a

@@ -1,10 +1,12 @@
 //! Fenced operations per uncontended section, by exact count: `tle count`
-//! single-steps one warm section per row (the lock, `ml_wt` and HTM
+//! single-steps one warm section per row (the lock, `ml_wt`, HTM and NOrec
 //! increment, a read-only section, an `ml_wt` scan past the read set's
 //! inline tier, a kv get and put under each engine) and
 //! fails when any row's lock-prefixed / `xchg`-with-memory / `mfence`
 //! count differs from its table. A change that adds a fenced op fails
-//! here; one that removes one must say so in the table.
+//! here; one that removes one must say so in the table. This build is a
+//! debug one, so the table's release instruction column is printed but
+//! not checked here; CI's release run of `tle count` checks it.
 //!
 //! ptrace is required. Where it is refused the tool says so and this test
 //! fails: a count that could not be taken is not a pass. Built with the
@@ -41,13 +43,17 @@ fn every_row_has_its_fenced_op_count() {
         "kv.put.lock",
         "kv.put.stm",
         "kv.put.htm",
+        "elide.norec",
+        "ro.norec",
+        "kv.get.norec",
+        "kv.put.norec",
     ] {
         let line = stdout
             .lines()
             .find(|l| l.split_whitespace().next() == Some(row))
             .unwrap_or_else(|| panic!("no `{row}` row"));
         let cols: Vec<&str> = line.split_whitespace().collect();
-        assert_eq!(cols.len(), 4, "`{line}`");
+        assert_eq!(cols.len(), 5, "`{line}`");
         // With the event ring compiled in, its stamps add fenced ops and
         // the table (the kernels' own counts) does not apply.
         if !tle_repro::base::trace::compiled() {
