@@ -98,7 +98,7 @@ impl AbortCause {
 /// in a register pair. A stored cause stays one byte: the word exists only
 /// in flight, and converts back to the cause where it leaves the
 /// transactional layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(transparent)]
 pub struct AbortWord(u64);
 
@@ -124,12 +124,6 @@ impl From<AbortWord> for AbortCause {
     #[inline(always)]
     fn from(w: AbortWord) -> Self {
         w.cause()
-    }
-}
-
-impl std::fmt::Display for AbortWord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.cause().label())
     }
 }
 
@@ -174,7 +168,6 @@ mod tests {
             let w = AbortWord::from(c);
             assert_eq!(w.cause(), c);
             assert_eq!(AbortCause::from(w), c);
-            assert_eq!(w.to_string(), c.label());
         }
         assert_eq!(std::mem::size_of::<AbortCause>(), 1);
         assert_eq!(std::mem::size_of::<AbortWord>(), 8);

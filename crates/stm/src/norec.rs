@@ -88,7 +88,7 @@ impl<'g> NorecTx<'g> {
     /// out of line like `ml_wt`'s, so the word (or the abort) comes back in
     /// a register pair.
     #[inline(never)]
-    pub fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
+    pub(crate) fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
         sched::yield_point(YieldPoint::SeqLock);
         if let Some(&(_, _, v)) = self.bufs.nwrites.iter().find(|&&(_, a, _)| a == addr) {
             trace::emit_access(TraceKind::Read, TxMode::Norec, addr as u64, v);
@@ -110,7 +110,12 @@ impl<'g> NorecTx<'g> {
     /// The write barrier of the word `w` at `addr`: buffer `val` in the
     /// redo log, coalescing a repeated write.
     #[inline(never)]
-    pub fn write_word(&mut self, w: &AtomicU64, addr: usize, val: u64) -> Result<(), AbortWord> {
+    pub(crate) fn write_word(
+        &mut self,
+        w: &AtomicU64,
+        addr: usize,
+        val: u64,
+    ) -> Result<(), AbortWord> {
         if let Some(entry) = self.bufs.nwrites.iter_mut().find(|e| e.1 == addr) {
             entry.2 = val;
         } else {
@@ -186,11 +191,9 @@ impl<'g> NorecTx<'g> {
     }
 
     /// Commit without moving the descriptor; NOrec never drains, so `Ok`
-    /// is always 0 ns of drain (see [`StmTx::commit_in_place`]).
-    ///
-    /// [`StmTx::commit_in_place`]: crate::StmTx::commit_in_place
+    /// is always 0 ns of drain (as `StmTx::commit_in_place` reports it).
     #[inline]
-    pub fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
+    pub(crate) fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
         self.publish().map(|_| 0)
     }
 

@@ -65,8 +65,8 @@ impl<'g> SoftTx<'g> {
         }
     }
 
-    /// The read barrier of the word `w` at `addr`, word-wide result (see
-    /// [`StmTx::read_word`]).
+    /// The read barrier of the word `w` at `addr`; the word or the abort
+    /// comes back in a register pair.
     #[inline]
     pub fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
         match self {
@@ -139,9 +139,9 @@ impl<'g> SoftTx<'g> {
         }
     }
 
-    /// Commit without moving the descriptor ([`StmTx::commit_in_place`]):
-    /// `Ok` is the nanoseconds the post-commit drain waited, and the
-    /// finished attempt is the caller's to drop.
+    /// Commit without moving the descriptor: `Ok` is the nanoseconds the
+    /// post-commit drain waited, and the finished attempt is the caller's
+    /// to drop. The result comes back in a register pair.
     #[inline]
     pub fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
         match self {

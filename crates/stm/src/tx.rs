@@ -166,7 +166,7 @@ impl<'g> StmTx<'g> {
     /// lock, a newer orec, a torn sample) goes to `read_slow`, a
     /// tail call.
     #[inline(never)]
-    pub fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
+    pub(crate) fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
         sched::yield_point(YieldPoint::OrecLoad);
         let orecs = &self.g.orecs;
         let oi = orecs.index_of(addr);
@@ -260,7 +260,12 @@ impl<'g> StmTx<'g> {
     /// `start` whose `try_lock` wins. A foreign lock, a newer orec and a
     /// lost CAS go to `write_slow`.
     #[inline(never)]
-    pub fn write_word(&mut self, w: &AtomicU64, addr: usize, val: u64) -> Result<(), AbortWord> {
+    pub(crate) fn write_word(
+        &mut self,
+        w: &AtomicU64,
+        addr: usize,
+        val: u64,
+    ) -> Result<(), AbortWord> {
         sched::yield_point(YieldPoint::OrecAcquire);
         let oi = self.g.orecs.index_of(addr);
         let cur = self.g.orecs.load(oi);
@@ -434,7 +439,7 @@ impl<'g> StmTx<'g> {
     ///
     /// This is [`StmTx::commit_publish`] followed by the blocking drain of
     /// whatever ticket it returned. The runner commits through
-    /// [`StmTx::commit_in_place`], which shares the front halves.
+    /// `commit_in_place`, which shares the front halves.
     pub fn commit(self) -> Result<CommitInfo, AbortCause> {
         let g = self.g;
         let (info, ticket) = self.commit_publish()?;
@@ -450,7 +455,7 @@ impl<'g> StmTx<'g> {
     /// either way; the caller drops it. The read-only commit and the
     /// writer's each run in a frame of their own.
     #[inline]
-    pub fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
+    pub(crate) fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
         debug_assert!(!self.finished);
         if self.bufs.locks.is_empty() {
             Ok(self.commit_read_only())
