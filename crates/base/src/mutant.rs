@@ -70,11 +70,15 @@ pub enum Mutant {
     /// after its last read commits a snapshot its commit point no longer
     /// sees.
     HtmReadOnlyCommitIgnoresDoom,
+    /// Simulated-HTM writer tags: a claim whose writer is past its commit
+    /// point reads as ended, so a reader marks the line and loads without
+    /// waiting out the writer's half-published redo log (torn snapshot).
+    HtmCommittedClaimReadsStale,
 }
 
 impl Mutant {
     /// All mutants, for matrix-style tests.
-    pub const ALL: [Mutant; 12] = [
+    pub const ALL: [Mutant; 13] = [
         Mutant::SkipCommitValidation,
         Mutant::DropQuiesce,
         Mutant::EarlyOrecRelease,
@@ -87,6 +91,7 @@ impl Mutant {
         Mutant::GateSkipSweep,
         Mutant::HtmUpdateSkipsClaim,
         Mutant::HtmReadOnlyCommitIgnoresDoom,
+        Mutant::HtmCommittedClaimReadsStale,
     ];
 }
 
@@ -105,6 +110,7 @@ impl fmt::Display for Mutant {
             Mutant::GateSkipSweep => "gate-skip-sweep",
             Mutant::HtmUpdateSkipsClaim => "htm-update-skips-claim",
             Mutant::HtmReadOnlyCommitIgnoresDoom => "htm-read-only-commit-ignores-doom",
+            Mutant::HtmCommittedClaimReadsStale => "htm-committed-claim-reads-stale",
         };
         f.write_str(s)
     }

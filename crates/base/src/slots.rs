@@ -95,8 +95,14 @@ impl SlotRegistry {
     /// other thread reads the word — a relaxed load and store, nothing
     /// published. For a registry that uses the word as a private per-claim
     /// counter (the HTM's begin count), never one whose values are scanned.
+    ///
+    /// Release builds mask the index, so the call carries no bounds check;
+    /// debug builds still reject an index the registry could not have
+    /// handed out.
     #[inline]
     pub fn advance_owned(&self, idx: usize) -> u64 {
+        debug_assert!(idx < MAX_SLOTS, "slot {idx} out of range");
+        let idx = idx & (MAX_SLOTS - 1);
         let v = self.values[idx].load(Ordering::Relaxed).wrapping_add(1);
         self.values[idx].store(v, Ordering::Relaxed);
         v

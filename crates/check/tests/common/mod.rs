@@ -435,6 +435,53 @@ pub fn update_pair_scenario(mode: AlgoMode, async_driver: bool) -> Scenario {
     }
 }
 
+/// Transient claims reusing slots mid-race: three `update(A, +1)` sessions
+/// on two vthreads. The first vthread runs two sessions back to back, each
+/// on a slot claimed for it alone — the async driver claims a transient
+/// slot per attempt, and under the sync driver each session registers a
+/// handle and drops it — so its second session runs on the slot its first
+/// released, over that session's ended claim on A's line, while the other
+/// vthread's session races both. A writer tag repeated across claims of
+/// one slot would let two sessions own the line at once; the
+/// post-condition pins the sum.
+pub fn update_trio_scenario(mode: AlgoMode, async_driver: bool) -> Scenario {
+    let sys = Arc::new(TmSystem::new(mode));
+    let lock = Arc::new(ElidableMutex::new("check-updatetrio"));
+    let a = Arc::new(OwnLine(TCell::new(0u64)));
+    let init = vec![(a.0.addr(), 0)];
+
+    let mut threads: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+    for sessions in [2, 1] {
+        let (sys, lock, a) = (Arc::clone(&sys), Arc::clone(&lock), Arc::clone(&a));
+        threads.push(Box::new(move || {
+            let one = |th: &tle_core::ThreadHandle| {
+                run_section(th, &lock, async_driver, |ctx| ctx.update(&a.0, |v| v + 1));
+            };
+            if async_driver {
+                let th = sys.register();
+                for _ in 0..sessions {
+                    one(&th);
+                }
+            } else {
+                for _ in 0..sessions {
+                    one(&sys.register());
+                }
+            }
+        }));
+    }
+    let post_a = Arc::clone(&a);
+    Scenario {
+        threads,
+        init,
+        post: Box::new(move |_| match post_a.0.load_direct() {
+            3 => Ok(()),
+            v => Err(format!(
+                "lost update: counter = {v}, expected 3 under {mode:?}"
+            )),
+        }),
+    }
+}
+
 /// A cell alone on its cache line. The simulated HTM conflicts by line, so
 /// whether two heap cells share one decides which line marks — and which
 /// yield points — a schedule has; a token must not depend on the heap.

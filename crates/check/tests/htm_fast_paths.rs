@@ -1,20 +1,22 @@
-//! Explorer suites for the simulated HTM's two fast paths (DESIGN.md §2):
+//! Explorer suites for the simulated HTM's fast paths (DESIGN.md §2):
 //!
 //! - **claim-on-update** — `update`'s read claims the line's writer word
 //!   before it loads, so the line never carries the slot's reader bit;
 //! - **the read-only commit** — an attempt with an empty redo log commits
 //!   on one state-word load instead of winning the `ACTIVE → COMMITTED`
-//!   commit point.
+//!   commit point;
+//! - **writer tags** — a claim ends with its attempt, with no store to the
+//!   table, and a slot claimed again never repeats a tag.
 //!
 //! Each scenario exhausts a bounded DFS on both drivers, and every recorded
 //! history goes through the opacity oracle, which judges a read-only HTM
 //! commit at its commit event. The mutation matrix (`tests/mutants.rs`)
-//! arms `HtmUpdateSkipsClaim` and `HtmReadOnlyCommitIgnoresDoom` against
-//! the same builders.
+//! arms `HtmUpdateSkipsClaim`, `HtmReadOnlyCommitIgnoresDoom` and
+//! `HtmCommittedClaimReadsStale` against the same builders.
 
 mod common;
 
-use common::{torn_pair_scenario, update_pair_scenario};
+use common::{torn_pair_scenario, update_pair_scenario, update_trio_scenario};
 use tle_check::{explore, Config};
 use tle_core::AlgoMode;
 use tle_stm::StmAlgo;
@@ -55,6 +57,18 @@ fn dfs_clean_lazy_read_only_section_racing_a_lock_acquisition() {
     for async_driver in [false, true] {
         explore(&Config::dfs(2, 800), || {
             torn_pair_scenario(AlgoMode::AdaptiveHtmLazy, StmAlgo::MlWt, true, async_driver)
+        })
+        .assert_clean();
+    }
+}
+
+/// Three `update`s of one line over two vthreads, with slots released and
+/// claimed again mid-race: every increment lands.
+#[test]
+fn dfs_clean_transient_claims_reusing_slots_mid_race() {
+    for async_driver in [false, true] {
+        explore(&Config::dfs(2, 400), || {
+            update_trio_scenario(AlgoMode::HtmCondvar, async_driver)
         })
         .assert_clean();
     }

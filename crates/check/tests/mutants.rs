@@ -360,7 +360,7 @@ fn scenario_for(m: Mutant) -> (fn() -> Scenario, Config) {
             (|| update_pair_scenario(AlgoMode::HtmCondvar, false)) as fn() -> Scenario,
             Config::dfs(2, 400),
         ),
-        Mutant::HtmReadOnlyCommitIgnoresDoom => (
+        Mutant::HtmReadOnlyCommitIgnoresDoom | Mutant::HtmCommittedClaimReadsStale => (
             (|| torn_pair_scenario(AlgoMode::HtmCondvar, StmAlgo::MlWt, false, false))
                 as fn() -> Scenario,
             Config::dfs(2, 400),
@@ -520,6 +520,16 @@ fn catches_htm_read_only_commit_ignores_doom() {
             torn_pair_scenario(mode, StmAlgo::MlWt, locked, async_driver)
         },
     );
+}
+
+/// A reader meets the line of a writer past its commit point, whose redo
+/// log is half published: the writer's tag must read live, so the reader
+/// aborts instead of loading one new and one old cell.
+#[test]
+fn catches_htm_committed_claim_reads_stale() {
+    detects_htm_mutant(Mutant::HtmCommittedClaimReadsStale, |mode, async_driver| {
+        torn_pair_scenario(mode, StmAlgo::MlWt, false, async_driver)
+    });
 }
 
 /// Belt and braces for the matrix itself: every declared mutant resolves to

@@ -9,7 +9,7 @@
 //! the paper's evaluation depends on:
 //!
 //! - **Eager conflict detection at cache-line granularity.** Each 64-byte
-//!   line maps to a table entry carrying a reader bitmap and a writer slot.
+//!   line maps to a table entry carrying a reader bitmap and a writer tag.
 //!   Accesses "doom" conflicting transactions the way MESI invalidations
 //!   abort real hardware transactions (requester-wins).
 //! - **Bounded capacity.** Read/write sets are limited to a configurable
@@ -35,7 +35,8 @@ mod tx;
 pub use table::LineTable;
 pub use tx::HtmTx;
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use tle_base::mutant::{self, Mutant};
 use tle_base::stats::TxStats;
 use tle_base::{AbortCause, Padded, SlotRegistry};
 
@@ -82,6 +83,59 @@ pub(crate) enum DoomOutcome {
     Gone,
 }
 
+/// A slot's lifecycle word and its writer tag, on one padded line: an
+/// observer judging a writer word ([`HtmGlobal::tag_live`]) reads both from
+/// the line it would load for the state alone.
+pub(crate) struct SlotState {
+    pub(crate) state: AtomicU32,
+    /// The writer tag of the slot's latest attempt: the slot + 1 in the low
+    /// byte (so a tag is never 0, "no writer"), and above it the number of
+    /// attempts ever begun on the slot. Never reset — not when the slot is
+    /// released or claimed again — so no two attempts on one slot share a
+    /// tag. Only the slot's current owner writes it.
+    pub(crate) tag: AtomicU64,
+}
+
+impl SlotState {
+    fn new(slot: usize) -> Self {
+        SlotState {
+            state: AtomicU32::new(state::IDLE),
+            tag: AtomicU64::new(slot as u64 + 1),
+        }
+    }
+
+    /// Advance the tag to the next attempt's: one more attempt counted
+    /// above the slot byte. The owner's load and store, no RMW.
+    #[inline(always)]
+    pub(crate) fn next_tag(&self) {
+        // tle-lint: allow(R8, "the slot's owner reads back its own tag; the claim that made it the owner ordered every earlier owner's store")
+        let t = self.tag.load(Ordering::Relaxed);
+        self.tag.store(t + TAG_ATTEMPT, Ordering::Release);
+    }
+
+    /// The current attempt's tag, read back by the attempt itself.
+    #[inline(always)]
+    pub(crate) fn own_tag(&self) -> u64 {
+        // tle-lint: allow(R8, "the slot's owner reads back the tag it stored itself")
+        self.tag.load(Ordering::Relaxed)
+    }
+}
+
+/// One attempt in a writer tag: the count sits above the slot byte.
+const TAG_ATTEMPT: u64 = 1 << 8;
+
+/// The slot byte of a non-zero writer word (the slot + 1).
+#[inline(always)]
+pub(crate) fn tag_byte(w: u64) -> u8 {
+    w as u8
+}
+
+/// The slot that wrote the non-zero writer word `w`.
+#[inline(always)]
+pub(crate) fn tag_slot(w: u64) -> usize {
+    tag_byte(w) as usize - 1
+}
+
 /// Shared state of the simulated HTM: the conflict table, per-slot
 /// lifecycle words, and statistics.
 pub struct HtmGlobal {
@@ -89,7 +143,7 @@ pub struct HtmGlobal {
     /// Slot identities; at most 64 concurrent hardware transactions (the
     /// reader bitmap is a `u64`).
     pub slots: SlotRegistry,
-    pub(crate) tx_state: [Padded<AtomicU32>; tle_base::slots::MAX_SLOTS],
+    tx_state: [Padded<SlotState>; tle_base::slots::MAX_SLOTS],
     /// Statistics (aborts by cause in [`TxStats::cause`]), one row per
     /// slot, bumped by the transaction running on it.
     pub stats: TxStats,
@@ -105,7 +159,7 @@ impl HtmGlobal {
         HtmGlobal {
             table: LineTable::new(),
             slots: SlotRegistry::new(),
-            tx_state: std::array::from_fn(|_| Padded(AtomicU32::new(state::IDLE))),
+            tx_state: std::array::from_fn(|slot| Padded(SlotState::new(slot))),
             stats: TxStats::new(),
             event_threshold: tle_base::rng::chance_threshold(config.event_prob),
             config,
@@ -155,12 +209,13 @@ impl HtmGlobal {
         let li = self.table.index_of(cell.addr());
         let line = self.table.line(li);
         loop {
+            // A claim whose attempt has ended reads as a clear line.
             let w = line.writer();
-            if w == 0 {
+            if w == 0 || !self.tag_live(w) {
                 break;
             }
-            match self.doom(w as usize - 1) {
-                DoomOutcome::Committing => self.wait_not_committed(w as usize - 1),
+            match self.doom(tag_slot(w)) {
+                DoomOutcome::Committing => self.wait_not_committed(tag_slot(w)),
                 DoomOutcome::Doomed | DoomOutcome::Gone => {
                     let _ = line.cas_writer(w, 0);
                 }
@@ -190,10 +245,10 @@ impl HtmGlobal {
         let mut clear = true;
         loop {
             let w = line.writer();
-            if w == 0 {
+            if w == 0 || !self.tag_live(w) {
                 break;
             }
-            match self.doom(w as usize - 1) {
+            match self.doom(tag_slot(w)) {
                 DoomOutcome::Committing => {
                     clear = false;
                     break;
@@ -283,15 +338,39 @@ impl HtmGlobal {
         }
     }
 
-    pub(crate) fn is_doomed(&self, slot: usize) -> bool {
-        self.state(slot).load(Ordering::SeqCst) == state::DOOMED
+    /// Whether the attempt that wrote the non-zero writer word `w` is still
+    /// running: its slot is not `IDLE` (a `SeqCst` load, ordered after the
+    /// caller's load of `w`) and the slot's tag still equals `w`. Never
+    /// `false` for a running attempt: its state is not `IDLE` until its
+    /// last store, and only its own `begin` advances the slot's tag. A
+    /// just-finished attempt's tag may still read `true`; that costs a
+    /// false conflict with the slot's next attempt at most.
+    #[inline]
+    pub(crate) fn tag_live(&self, w: u64) -> bool {
+        let slot = self.slot_state(tag_slot(w));
+        let s = slot.state.load(Ordering::SeqCst);
+        // Seeded bug (`HtmCommittedClaimReadsStale`): a writer past its
+        // commit point reads as finished, so a reader marks the line and
+        // loads while the writer's redo log is half published.
+        if s == state::IDLE
+            || (s == state::COMMITTED && mutant::armed(Mutant::HtmCommittedClaimReadsStale))
+        {
+            return false;
+        }
+        slot.tag.load(Ordering::Acquire) == w
     }
 
-    /// The lifecycle word of `slot`. Release builds mask the slot, so the
-    /// read path's two doom checks carry no bounds check; debug builds still
-    /// reject a slot the registry could not have handed out.
+    /// The lifecycle word of `slot`.
     #[inline]
     pub(crate) fn state(&self, slot: usize) -> &AtomicU32 {
+        &self.slot_state(slot).state
+    }
+
+    /// `slot`'s padded line. Release builds mask the slot, so no access
+    /// carries a bounds check; debug builds still reject a slot the
+    /// registry could not have handed out.
+    #[inline]
+    pub(crate) fn slot_state(&self, slot: usize) -> &SlotState {
         debug_assert!(
             slot < tle_base::slots::MAX_SLOTS,
             "slot {slot} out of range"

@@ -6,9 +6,13 @@
 //! - `readers`: a bitmap of transaction slots with the line in their read
 //!   set (hardware analogue: the line is in those cores' caches in shared
 //!   state with the transactional-read bit set), and
-//! - `writer`: `slot + 1` of the single transaction with the line in its
-//!   write set (analogue: modified/exclusive with the transactional-write
-//!   bit), `0` if none.
+//! - `writer`: the writer tag of the last attempt that claimed the line
+//!   for writing — its slot + 1 in the low byte, the slot's attempt count
+//!   above — or `0` if none did since a committed claim was cleared
+//!   (analogue: modified/exclusive with the transactional-write bit). A
+//!   claim ends with its attempt: a committed attempt clears its words, an
+//!   aborted one leaves its tag behind, and `HtmGlobal::tag_live` tells a
+//!   running attempt's tag from an ended one's.
 //!
 //! Aliasing (two distinct lines hashing to one entry) produces spurious
 //! conflicts, exactly as a limited-associativity cache would.
@@ -33,7 +37,7 @@ impl Line {
         self.readers.load(Ordering::SeqCst)
     }
 
-    /// Current writer word (`slot + 1`, `0` = none).
+    /// Current writer word (a writer tag, `0` = none).
     #[inline]
     pub fn writer(&self) -> u64 {
         self.writer.load(Ordering::SeqCst)
@@ -56,8 +60,8 @@ impl Line {
     #[inline]
     pub fn cas_writer(&self, cur: u64, new: u64) -> bool {
         // Claiming the writer word is the HTM's conflict-visibility edge;
-        // clearing it (new == 0) happens on cleanup paths that are already
-        // bracketed by state-word hooks.
+        // clearing it (new == 0) evicts a doomed writer, after the doom
+        // CAS that already decided the conflict.
         if new != 0 {
             sched::yield_point(YieldPoint::LineMark);
         }
@@ -66,20 +70,35 @@ impl Line {
             .is_ok()
     }
 
+    /// Clear the writer word of a claim nobody else can take any more: its
+    /// attempt is past its commit point and has published its redo log. A
+    /// release store, not a CAS: it orders the published values before the
+    /// clear for whoever reads the word as `0`.
+    #[inline]
+    pub(crate) fn clear_committed_writer(&self) {
+        self.writer.store(0, Ordering::Release);
+    }
+
     /// When a transaction other than `self_slot` currently holds this line
-    /// (as reader or writer), so the access about to be marked will contend,
-    /// emit a [`TraceKind::Conflict`] event tagged with the table index: traces
+    /// (as reader, or as writer per `contends`, which judges a non-zero
+    /// writer word), so the access about to be marked will contend, emit a
+    /// [`TraceKind::Conflict`] event tagged with the table index: traces
     /// show conflicts at the line where the coherence protocol detected them,
     /// before the doom protocol picks a victim. Without the `trace` feature
-    /// nothing would record the event, so the two loads are not made.
+    /// nothing would record the event, so the loads are not made.
     #[inline]
-    pub fn trace_contention(&self, idx: usize, self_slot: usize) {
+    pub(crate) fn trace_contention(
+        &self,
+        idx: usize,
+        self_slot: usize,
+        contends: impl FnOnce(u64) -> bool,
+    ) {
         if !trace::compiled() {
             return;
         }
         let w = self.writer();
         let other_readers = self.readers() & !(1u64 << self_slot);
-        if (w != 0 && w as usize != self_slot + 1) || other_readers != 0 {
+        if (w != 0 && contends(w)) || other_readers != 0 {
             trace::emit(
                 TraceKind::Conflict,
                 TxMode::Htm,

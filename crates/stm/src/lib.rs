@@ -42,6 +42,9 @@ pub use tle_base::sets::{
 pub use tx::{CommitInfo, StmTx};
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::time::Instant;
+use tle_base::fault;
+use tle_base::sched::{self, YieldPoint};
 use tle_base::stats::TxStats;
 use tle_base::{Clock, OrecTable, SlotRegistry};
 
@@ -200,11 +203,30 @@ impl StmGlobal {
         Some(self.quiesced(t, wait_ns))
     }
 
-    /// Spin a pending post-commit drain out on the calling thread (the back
-    /// half of the blocking [`StmTx::commit`]).
-    pub(crate) fn quiesce_blocking(&self, mut t: QuiesceTicket) -> CommitInfo {
-        let wait_ns = t.spin(&self.slots, &self.watchdog(&t));
-        self.quiesced(&t, wait_ns)
+    /// The blocking post-commit drain of the writer on `slot_idx` that
+    /// committed at `upto`; returns the nanoseconds it waited. Its first
+    /// pass is made inline: the pass's one yield point, its scan and, when
+    /// no other slot is older, the drain's record. A fault plan or a
+    /// straggler continues in the cold `drain_rest`.
+    #[inline(always)]
+    pub(crate) fn drain(&self, upto: u64, slot_idx: usize, deadline: Option<Instant>) -> u64 {
+        sched::yield_point(YieldPoint::QuiesceScan);
+        if fault::enabled() || quiesce::straggler(&self.slots, slot_idx, upto) {
+            return self.drain_rest(upto, slot_idx, deadline);
+        }
+        self.stats.record_quiesce(slot_idx, 0);
+        0
+    }
+
+    /// The rest of a blocking drain whose first pass's yield point
+    /// [`StmGlobal::drain`] passed: that pass in full (the fault plan's
+    /// delay, the scan), then passes until no straggler is left.
+    #[cold]
+    #[inline(never)]
+    fn drain_rest(&self, upto: u64, slot_idx: usize, deadline: Option<Instant>) -> u64 {
+        let mut t = QuiesceTicket::new(upto, slot_idx, deadline);
+        let wait_ns = t.finish_first_pass(&self.slots, &self.watchdog(&t));
+        self.quiesced(&t, wait_ns).quiesce_wait_ns
     }
 
     fn watchdog(&self, t: &QuiesceTicket) -> Watchdog<'_> {

@@ -120,8 +120,9 @@ impl Watchdog<'_> {
 /// The commit itself has already happened — clock advanced, orecs released,
 /// slot deactivated — and only the privatization drain remains. There is one
 /// drain, `pass`: a single non-blocking sweep of the slot
-/// registry. The blocking [`StmTx::commit`](crate::StmTx::commit) repeats it
-/// on the calling thread (`spin`); the async driver calls
+/// registry. The blocking commits make the first sweep inline
+/// (`StmGlobal::drain`) and repeat it on the calling thread (`spin`) while
+/// a straggler stays; the async driver calls
 /// [`StmGlobal::quiesce_pass`](crate::StmGlobal::quiesce_pass) once per
 /// poll, yielding the executor worker between passes. Termination: atomic
 /// blocks never suspend mid-speculation (they are synchronous closures; lint
@@ -146,7 +147,7 @@ pub struct QuiesceTicket {
     /// has already happened and abandoning the drain would break
     /// privatization safety, so the drain still runs to completion and the
     /// budget overrun surfaces to the *next* retry-ladder decision point.
-    tx_deadline: Option<Instant>,
+    pub(crate) tx_deadline: Option<Instant>,
     /// When the first blocked pass was seen (`None` until a sweep finds a
     /// straggler: a ticket that drains on its first sweep never reads the
     /// clock).
@@ -180,16 +181,18 @@ impl QuiesceTicket {
     /// while a straggler is still inside the window.
     pub(crate) fn pass(&mut self, slots: &SlotRegistry, dog: &Watchdog<'_>) -> Option<u64> {
         sched::yield_point(YieldPoint::QuiesceScan);
+        self.sweep(slots, dog)
+    }
+
+    /// A pass after its yield point.
+    fn sweep(&mut self, slots: &SlotRegistry, dog: &Watchdog<'_>) -> Option<u64> {
         if !self.swept {
             self.swept = true;
             if fault::enabled() {
                 self.inject_delay(dog);
             }
         }
-        let blocked = slots
-            .scan()
-            .any(|(idx, v)| idx != self.slot_idx && v < self.upto);
-        if !blocked {
+        if !straggler(slots, self.slot_idx, self.upto) {
             let Some(since) = self.blocked_since else {
                 return Some(0);
             };
@@ -197,13 +200,29 @@ impl QuiesceTicket {
             trace::emit(TraceKind::QuiesceEnd, TxMode::Stm, None, ns);
             return Some(ns);
         }
+        self.blocked(dog);
+        None
+    }
+
+    /// The end of a pass that found a straggler: start the timer on the
+    /// first such pass, then hand the token on and supervise.
+    fn blocked(&mut self, dog: &Watchdog<'_>) {
         let since = *self.blocked_since.get_or_insert_with(|| {
             trace::emit(TraceKind::QuiesceStart, TxMode::Stm, None, self.upto);
             Instant::now()
         });
         sched::spin_hint(YieldPoint::QuiesceScan);
         self.supervise(since, dog);
-        None
+    }
+
+    /// Finish a blocking drain whose first pass's yield point the caller
+    /// already passed ([`StmGlobal::drain`](crate::StmGlobal)): the rest of
+    /// that pass, then [`spin`](Self::spin). Returns the nanoseconds waited.
+    pub(crate) fn finish_first_pass(&mut self, slots: &SlotRegistry, dog: &Watchdog<'_>) -> u64 {
+        match self.sweep(slots, dog) {
+            Some(ns) => ns,
+            None => self.spin(slots, dog),
+        }
     }
 
     /// Fault oracle: delay the drain itself. The timer starts before the
@@ -258,6 +277,13 @@ impl QuiesceTicket {
             }
         }
     }
+}
+
+/// Whether a slot other than `me` still runs a transaction that started
+/// before `upto`: one sweep of the registry.
+#[inline]
+pub(crate) fn straggler(slots: &SlotRegistry, me: usize, upto: u64) -> bool {
+    slots.scan().any(|(idx, v)| idx != me && v < upto)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! acquisition, timestamp extension, commit-time validation, and the
 //! post-commit quiescence drain.
 
-use crate::quiesce::{QuiescePolicy, QuiesceTicket};
+use crate::quiesce::{self, QuiescePolicy, QuiesceTicket};
 use crate::StmGlobal;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tle_base::fault::{self, Hazard};
@@ -199,7 +199,11 @@ impl<'g> StmTx<'g> {
     ) -> Result<u64, AbortWord> {
         self.bufs.reads.push((oi as u32, v1));
         trace::emit_access(TraceKind::Read, TxMode::Stm, addr as u64, val);
-        Ok(val)
+        // Opaque on purpose: a result the optimizer can see is `Ok(val)`
+        // gets narrowed out of this function's signature, and `read_word`
+        // then rebuilds it after a call instead of tail-calling, which
+        // costs every read a stack adjustment around the call.
+        std::hint::black_box(Ok(val))
     }
 
     /// The whole read loop: read-own-write, spinning on a foreign lock,
@@ -442,11 +446,11 @@ impl<'g> StmTx<'g> {
     /// `commit_in_place`, which shares the front halves.
     pub fn commit(self) -> Result<CommitInfo, AbortCause> {
         let g = self.g;
-        let (info, ticket) = self.commit_publish()?;
-        Ok(match ticket {
-            None => info,
-            Some(t) => g.quiesce_blocking(t),
-        })
+        let (mut info, ticket) = self.commit_publish()?;
+        if let Some(t) = ticket {
+            info.quiesce_wait_ns = g.drain(t.upto, t.slot_idx, t.tx_deadline);
+        }
+        Ok(info)
     }
 
     /// [`StmTx::commit`] without moving the descriptor and without its
@@ -488,15 +492,17 @@ impl<'g> StmTx<'g> {
         Ok(self.drain_owed(end))
     }
 
-    /// Count the commit, then run out the drain it owes, if any.
+    /// Count the commit, then run out the drain it owes, if any
+    /// ([`StmGlobal::drain`]).
     #[inline(always)]
     fn drain_owed(&self, upto: u64) -> u64 {
-        let (_, ticket) = self.defer_quiesce(upto);
-        self.g.stats.bump_owned(self.slot_idx, Stat::Commits);
-        match ticket {
-            None => 0,
-            Some(t) => self.g.quiesce_blocking(t).quiesce_wait_ns,
+        if !self.quiesce_needed() {
+            self.note_quiesce_skip(upto);
+            self.g.stats.bump_owned(self.slot_idx, Stat::Commits);
+            return 0;
         }
+        self.g.stats.bump_owned(self.slot_idx, Stat::Commits);
+        self.g.drain(upto, self.slot_idx, self.deadline)
     }
 
     /// The commit front half: validate, release the orecs at the new
@@ -669,12 +675,7 @@ impl<'g> StmTx<'g> {
         self.g.stats.bump_owned(self.slot_idx, Stat::QuiesceSkipped);
         if self.no_quiesce && self.g.audit_noquiesce_enabled() {
             // §IV-C audit: would the skipped drain have waited?
-            let overlapped = self
-                .g
-                .slots
-                .scan()
-                .any(|(idx, v)| idx != self.slot_idx && v < upto);
-            if overlapped {
+            if quiesce::straggler(&self.g.slots, self.slot_idx, upto) {
                 self.g.noquiesce_overlaps.inc(self.slot_idx);
             }
         }

@@ -50,9 +50,15 @@ const REFUSED: i32 = 3;
 /// The expectations are the uncontended counts: lock 6 (the common
 /// prologue's four and the lock word's acquire and release); `ml_wt` 8
 /// read-write (the prologue's four, the presence publish and retire, the
-/// orec CAS and the clock advance) and 6 read-only; the simulated HTM 10
-/// read-write and 8 read-only. The kv get reads a chain; its HTM row marks
-/// two more lines than the counter does. `scan.stm` reads [`SCAN`] cells,
+/// orec CAS and the clock advance) and 6 read-only; the simulated HTM 9
+/// read-write (the prologue's four, the `ACTIVE` and `IDLE` stores, the
+/// writer-word claim, the commit-point CAS and the redo store: a claim ends
+/// with its attempt, and a committed one is cleared with a plain store, so
+/// no release CAS) and 8 read-only. `handoff.htm` is the increment made by
+/// two handles of one thread in turn, so every claim takes a line the
+/// other slot's committed section cleared, still in one CAS. The kv get
+/// reads a chain; its HTM row marks two more lines than the counter does.
+/// `scan.stm` reads [`SCAN`] cells,
 /// more than the read set's inline tier holds, so its last reads take the
 /// spilled append, and the lease's return bumps the spill counter
 /// (`stm.buf.spills`): the read-only 6 and one. NOrec (the `stm` mode with
@@ -64,17 +70,18 @@ const REFUSED: i32 = 3;
 /// `trace` or `check`, as this table's change counted them.
 const ROWS: &[(&str, u64, u64)] = &[
     ("elide.lock", 6, 301),
-    ("elide.stm", 8, 799),
-    ("elide.htm", 10, 829),
-    ("ro.stm", 6, 581),
-    ("ro.htm", 8, 670),
-    ("scan.stm", 7, 6837),
+    ("elide.stm", 8, 734),
+    ("elide.htm", 9, 780),
+    ("handoff.htm", 9, 783),
+    ("ro.stm", 6, 579),
+    ("ro.htm", 8, 663),
+    ("scan.stm", 7, 6805),
     ("kv.get.lock", 6, 520),
-    ("kv.get.stm", 6, 966),
-    ("kv.get.htm", 12, 1256),
+    ("kv.get.stm", 6, 956),
+    ("kv.get.htm", 12, 1241),
     ("kv.put.lock", 6, 562),
-    ("kv.put.stm", 8, 1221),
-    ("kv.put.htm", 16, 1497),
+    ("kv.put.stm", 8, 1148),
+    ("kv.put.htm", 15, 1453),
     ("elide.norec", 7, 686),
     ("ro.norec", 6, 604),
     ("kv.get.norec", 6, 1041),
@@ -229,6 +236,20 @@ fn child(row: &str) -> ExitCode {
             let lock = ElidableMutex::new("count");
             let cell = TCell::new(0u64);
             measured(|| th.tx(&lock).run(|ctx| ctx.update(&cell, |v| v + 1)));
+            cell.load_direct() == WARM as u64 + 1
+        }
+        ("handoff", Some((sys, th))) => {
+            // Two handles on this thread take turns, so each section's
+            // claim takes the line the other slot's section cleared.
+            let other = sys.register();
+            let lock = ElidableMutex::new("count");
+            let cell = TCell::new(0u64);
+            let mut turn = false;
+            measured(|| {
+                turn = !turn;
+                let h = if turn { &th } else { &other };
+                h.tx(&lock).run(|ctx| ctx.update(&cell, |v| v + 1))
+            });
             cell.load_direct() == WARM as u64 + 1
         }
         ("ro", Some((_sys, th))) => {

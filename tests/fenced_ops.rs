@@ -1,8 +1,8 @@
 //! Fenced operations per uncontended section, by exact count: `tle count`
 //! single-steps one warm section per row (the lock, `ml_wt`, HTM and NOrec
-//! increment, a read-only section, an `ml_wt` scan past the read set's
-//! inline tier, a kv get and put under each engine) and
-//! fails when any row's lock-prefixed / `xchg`-with-memory / `mfence`
+//! increment, the HTM increment by two handles in turn, a read-only
+//! section, an `ml_wt` scan past the read set's inline tier, a kv get and
+//! put under each engine) and fails when any row's lock-prefixed / `xchg`-with-memory / `mfence`
 //! count differs from its table. A change that adds a fenced op fails
 //! here; one that removes one must say so in the table. This build is a
 //! debug one, so the table's release instruction column is printed but
@@ -34,6 +34,7 @@ fn every_row_has_its_fenced_op_count() {
         "elide.lock",
         "elide.stm",
         "elide.htm",
+        "handoff.htm",
         "ro.stm",
         "ro.htm",
         "scan.stm",
