@@ -94,7 +94,6 @@ use tle_base::stats::Stat;
 use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::AbortCause;
 use tle_htm::HtmTx;
-use tle_stm::QuiesceTicket;
 
 // ---------------------------------------------------------------------------
 // Core: vocabulary
@@ -103,10 +102,9 @@ use tle_stm::QuiesceTicket;
 /// Deferred post-commit actions carried out of an attempt.
 pub(crate) type Defers = Vec<Box<dyn FnOnce() + Send + 'static>>;
 
-/// Which driver is running the core. Selects the three edges that live
+/// Which driver is running the core. Selects the two edges that live
 /// *inside* it: condvar waits produce a pollable ring registration even
-/// under the baseline mutex, the post-commit drain is returned as a ticket
-/// instead of spun out, and the [`NestGuard`] is taken per closure call
+/// under the baseline mutex, and the [`NestGuard`] is taken per closure call
 /// (between attempts an async task is suspended and other tasks
 /// legitimately run their own sections on the same worker).
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -404,20 +402,11 @@ where
 }
 
 /// Commit a finished attempt's transaction; `Ok` is the nanoseconds its
-/// quiescence drain waited (0 when the drain went to `owed` instead).
+/// quiescence drain waited (0 when the drain was handed back to a
+/// [`tle_stm::defer_drain`] caller).
 #[inline(always)]
-fn commit_kind(
-    kind: CtxKind<'_>,
-    driver: Driver,
-    owed: &mut Option<QuiesceTicket>,
-) -> Result<u64, AbortCause> {
+fn commit_kind(kind: CtxKind<'_>) -> Result<u64, AbortCause> {
     match kind {
-        CtxKind::Stm { tx, .. } if driver == Driver::Async => {
-            tx.commit_publish().map(|(info, ticket)| {
-                *owed = ticket;
-                info.quiesce_wait_ns
-            })
-        }
         // In place: the descriptor is not moved into the commit, and the
         // result comes back in registers; the finished attempt drops here.
         CtxKind::Stm { mut tx, .. } => tx.commit_in_place().map_err(AbortCause::from),
@@ -727,17 +716,9 @@ pub(crate) struct Committed<'a> {
     quiesce_ns: u64,
     /// The wait registration to park on after [`Next::Park`].
     wait: Option<PendingWait<'a>>,
-    /// Under [`Driver::Async`], the drain still to be polled.
-    owed: Option<QuiesceTicket>,
 }
 
 impl<'a> Committed<'a> {
-    /// The drain a committed [`Driver::Async`] attempt still owes, if any.
-    #[inline(always)]
-    pub(crate) fn take_owed(&mut self) -> Option<QuiesceTicket> {
-        self.owed.take()
-    }
-
     /// Record the wait of a drain the driver polled out itself.
     #[inline(always)]
     pub(crate) fn quiesced(&mut self, wait_ns: u64) {
@@ -833,10 +814,10 @@ impl<'a> Ladder<'a> {
 
     /// One speculative attempt of `f` on the ladder's engine, start to
     /// finish, on the given slot pair. Nothing in here blocks or suspends —
-    /// except that under [`Driver::Sync`] the STM commit spins its
-    /// quiescence drain out inline, as the blocking `commit` always has.
-    /// Under [`Driver::Async`] the drain is instead left for the caller to
-    /// poll ([`Committed::take_owed`], then [`Committed::quiesced`]).
+    /// except that the STM commit spins its quiescence drain out inline, as
+    /// the blocking `commit` always has. The async driver runs the attempt
+    /// inside [`tle_stm::defer_drain`] and polls the drain it hands back
+    /// instead (then [`Committed::quiesced`]).
     #[inline(always)]
     pub(crate) fn attempt<R, F>(
         &self,
@@ -962,7 +943,7 @@ impl<'a> Ladder<'a> {
                 abort_kind(ctx.kind, cause);
                 cause
             }
-            None => match commit_kind(ctx.kind, driver, &mut left.owed) {
+            None => match commit_kind(ctx.kind) {
                 Ok(quiesce_ns) => {
                     left.quiesce_ns = quiesce_ns;
                     // Hand over only what exists: the common section defers
@@ -1268,9 +1249,7 @@ pub(crate) enum Removal {
 /// caller's unpinned read of the lock's mode; it is pinned here the way
 /// [`Ladder::attempt`] pins the epoch — begin, read the gate open, read the
 /// mode again under the published presence (a flip's serial entry would have
-/// to sweep this transaction first). Like `attempt`, leaves a pending drain
-/// in `owed` for the [`Driver::Async`] caller.
-#[allow(clippy::too_many_arguments)]
+/// to sweep this transaction first).
 pub(crate) fn remove_waiter_tx(
     sys: &TmSystem,
     lock: &ElidableMutex,
@@ -1279,7 +1258,6 @@ pub(crate) fn remove_waiter_tx(
     cv: &TxCondvar,
     raw: RawWaiter,
     driver: Driver,
-    owed: &mut Option<QuiesceTicket>,
 ) -> Removal {
     let kind = if mode == AlgoMode::HtmCondvar {
         CtxKind::Htm {
@@ -1297,7 +1275,7 @@ pub(crate) fn remove_waiter_tx(
     }
     let mut ctx = TxCtx::new(kind, None, driver);
     let committed = match cv.remove(&mut ctx, raw.ptr()) {
-        Ok(found) => commit_kind(ctx.kind, driver, owed).map(|_| found),
+        Ok(found) => commit_kind(ctx.kind).map(|_| found),
         Err(cause) => {
             abort_kind(ctx.kind, cause);
             Err(cause)
@@ -1583,7 +1561,7 @@ pub(crate) fn cancel_wait(th: &ThreadHandle, lock: &ElidableMutex, cv: &TxCondva
             break remove_waiter_excluded(th, lock, cv, raw);
         }
         let slots = (th.stm_slot, th.htm_slot);
-        match remove_waiter_tx(sys, lock, mode, slots, cv, raw, Driver::Sync, &mut None) {
+        match remove_waiter_tx(sys, lock, mode, slots, cv, raw, Driver::Sync) {
             Removal::Done(found) => break found,
             Removal::Retreat => sys.gate.wait_open(),
             Removal::Aborted => {
@@ -1713,9 +1691,9 @@ mod tests {
                     assert!(matches!(ladder.settle(step, left), Next::AwaitGate));
                 }
                 drop(pending);
-                let step = ladder.attempt(slots, driver, left, f);
+                let (step, owed) = tle_stm::defer_drain(|| ladder.attempt(slots, driver, left, f));
                 assert!(matches!(step, Step::Done(1)), "{mode:?}/{algo:?}");
-                if let Some(mut ticket) = left.take_owed() {
+                if let Some(mut ticket) = owed {
                     while sys.stm.quiesce_pass(&mut ticket).is_none() {}
                 }
                 assert!(matches!(ladder.settle(step, left), Next::Done(1)));

@@ -19,8 +19,9 @@
 //!   section's exit and yields between presence sweeps
 //!   (`TmSystem::enter_serial_async`);
 //! - slots come from a transient [`SlotClaim`], not the handle (below);
-//! - a post-commit quiescence drain comes back from the core as a ticket
-//!   and is polled one slot sweep per `StmGlobal::quiesce_pass`;
+//! - each attempt runs inside `tle_stm::defer_drain`: a post-commit drain
+//!   its first sweep cannot finish comes back as a ticket, polled one slot
+//!   sweep per `StmGlobal::quiesce_pass`;
 //! - backoff is the core's bounded spin plus an executor yield;
 //! - condvar blocks arm a waker (`Waiter::poll_signaled`, plus executor
 //!   timers for timed waits) instead of parking;
@@ -187,8 +188,9 @@ where
                 }
                 let slots = claim_slots(sys).await;
                 let claimed = (slots.stm, slots.htm);
-                let step = ladder.attempt(claimed, Driver::Async, &mut left, f);
-                if let Some(ticket) = left.take_owed() {
+                let (step, owed) =
+                    tle_stm::defer_drain(|| ladder.attempt(claimed, Driver::Async, &mut left, f));
+                if let Some(ticket) = owed {
                     left.quiesced(drain_ticket(sys, ticket).await);
                 }
                 drop(slots);
@@ -227,8 +229,8 @@ where
 /// safety), so suspending between sweeps is sound.
 async fn drain_ticket(sys: &TmSystem, mut t: QuiesceTicket) -> u64 {
     loop {
-        if let Some(info) = sys.stm.quiesce_pass(&mut t) {
-            return info.quiesce_wait_ns;
+        if let Some(wait_ns) = sys.stm.quiesce_pass(&mut t) {
+            return wait_ns;
         }
         exec::yield_now().await;
     }
@@ -446,9 +448,9 @@ async fn cancel_wait_async<'a>(
         }
         let slots = claim_slots(sys).await;
         let claimed = (slots.stm, slots.htm);
-        let mut owed = None;
-        let removal =
-            runner::remove_waiter_tx(sys, lock, mode, claimed, cv, raw, Driver::Async, &mut owed);
+        let (removal, owed) = tle_stm::defer_drain(|| {
+            runner::remove_waiter_tx(sys, lock, mode, claimed, cv, raw, Driver::Async)
+        });
         if let Some(ticket) = owed {
             drain_ticket(sys, ticket).await;
         }

@@ -399,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_commit_publishes_writes() {
+    fn single_thread_commit_makes_its_writes_visible() {
         let g = HtmGlobal::new(quiet_config());
         let slot = g.slots.register_raw().unwrap();
         let a = TCell::new(1u64);

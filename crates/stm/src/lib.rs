@@ -33,18 +33,15 @@ mod soft;
 mod tx;
 
 pub use norec::NorecTx;
-pub use quiesce::{QuiescePolicy, QuiesceTicket, Watchdog};
+pub use quiesce::{defer_drain, QuiescePolicy, QuiesceTicket, Watchdog};
 pub use soft::{SoftTx, StmAlgo};
 pub use tle_base::sets::{
     buf_alloc_stats, drain_buf_pool, reset_buf_alloc_stats, BufAllocStats, SmallSet, INLINE_READS,
     INLINE_WRITES,
 };
-pub use tx::{CommitInfo, StmTx};
+pub use tx::StmTx;
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::time::Instant;
-use tle_base::fault;
-use tle_base::sched::{self, YieldPoint};
 use tle_base::stats::TxStats;
 use tle_base::{Clock, OrecTable, SlotRegistry};
 
@@ -193,40 +190,21 @@ impl StmGlobal {
         StmTx::begin(self, slot_idx)
     }
 
-    /// Run one non-blocking sweep of a pending post-commit drain
-    /// ([`StmTx::commit_publish`]). `Some(info)` once the drain completes —
-    /// quiescence statistics are recorded at that point — and `None` while
-    /// an older transaction is still inside the window (the async driver
-    /// yields its worker and polls again).
-    pub fn quiesce_pass(&self, t: &mut QuiesceTicket) -> Option<CommitInfo> {
+    /// Continue a post-commit drain that a deferring commit handed back
+    /// ([`defer_drain`]) by one non-blocking sweep. `Some(wait_ns)`
+    /// once the drain completes — its record is made at that point — and
+    /// `None` while an older transaction is still inside the window (the
+    /// async driver yields its worker and polls again).
+    pub fn quiesce_pass(&self, t: &mut QuiesceTicket) -> Option<u64> {
         let wait_ns = t.pass(&self.slots, &self.watchdog(t))?;
         Some(self.quiesced(t, wait_ns))
     }
 
-    /// The blocking post-commit drain of the writer on `slot_idx` that
-    /// committed at `upto`; returns the nanoseconds it waited. Its first
-    /// pass is made inline: the pass's one yield point, its scan and, when
-    /// no other slot is older, the drain's record. A fault plan or a
-    /// straggler continues in the cold `drain_rest`.
-    #[inline(always)]
-    pub(crate) fn drain(&self, upto: u64, slot_idx: usize, deadline: Option<Instant>) -> u64 {
-        sched::yield_point(YieldPoint::QuiesceScan);
-        if fault::enabled() || quiesce::straggler(&self.slots, slot_idx, upto) {
-            return self.drain_rest(upto, slot_idx, deadline);
-        }
-        self.stats.record_quiesce(slot_idx, 0);
-        0
-    }
-
-    /// The rest of a blocking drain whose first pass's yield point
-    /// [`StmGlobal::drain`] passed: that pass in full (the fault plan's
-    /// delay, the scan), then passes until no straggler is left.
-    #[cold]
-    #[inline(never)]
-    fn drain_rest(&self, upto: u64, slot_idx: usize, deadline: Option<Instant>) -> u64 {
-        let mut t = QuiesceTicket::new(upto, slot_idx, deadline);
-        let wait_ns = t.finish_first_pass(&self.slots, &self.watchdog(&t));
-        self.quiesced(&t, wait_ns).quiesce_wait_ns
+    /// Continue a drain on the calling thread until no straggler is left;
+    /// returns the nanoseconds it waited.
+    pub(crate) fn quiesce_spin(&self, mut t: QuiesceTicket) -> u64 {
+        let wait_ns = t.spin(&self.slots, &self.watchdog(&t));
+        self.quiesced(&t, wait_ns)
     }
 
     fn watchdog(&self, t: &QuiesceTicket) -> Watchdog<'_> {
@@ -239,13 +217,9 @@ impl StmGlobal {
 
     /// Account for a completed drain on the drainer's own stats row: both
     /// drivers finish the drain before they give the ticket's slot up.
-    fn quiesced(&self, t: &QuiesceTicket, wait_ns: u64) -> CommitInfo {
+    fn quiesced(&self, t: &QuiesceTicket, wait_ns: u64) -> u64 {
         self.stats.record_quiesce(t.slot_idx, wait_ns);
-        CommitInfo {
-            end_time: t.upto,
-            quiesced: true,
-            quiesce_wait_ns: wait_ns,
-        }
+        wait_ns
     }
 }
 

@@ -20,7 +20,6 @@
 //! ablation against `ml_wt` (`ablate_stm_algo` bench): the drain the paper
 //! optimizes is an artifact of *in-place* STMs.
 
-use crate::tx::CommitInfo;
 use crate::StmGlobal;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tle_base::fault::{self, Hazard};
@@ -179,27 +178,16 @@ impl<'g> NorecTx<'g> {
         }
     }
 
-    /// Attempt to commit.
+    /// Attempt to commit; NOrec never drains, so `Ok` is always 0 ns of
+    /// drain (as [`StmTx::commit`](crate::StmTx::commit) reports it).
     #[inline]
-    pub fn commit(mut self) -> Result<CommitInfo, AbortCause> {
-        let end = self.publish()?;
-        Ok(CommitInfo {
-            end_time: end,
-            quiesced: false,
-            quiesce_wait_ns: 0,
-        })
+    pub fn commit(mut self) -> Result<u64, AbortCause> {
+        Ok(self.commit_in_place()?)
     }
 
-    /// Commit without moving the descriptor; NOrec never drains, so `Ok`
-    /// is always 0 ns of drain (as `StmTx::commit_in_place` reports it).
-    #[inline]
-    pub(crate) fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
-        self.publish().map(|_| 0)
-    }
-
-    /// The commit: `Ok` is the sequence value the commit ends at.
+    /// [`NorecTx::commit`] without moving the descriptor.
     #[inline(never)]
-    fn publish(&mut self) -> Result<u64, AbortWord> {
+    pub(crate) fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
         debug_assert!(!self.finished);
         let shard = self.slot_idx;
         if self.bufs.nwrites.is_empty() {
@@ -207,7 +195,7 @@ impl<'g> NorecTx<'g> {
             trace::emit(TraceKind::Commit, TxMode::Norec, None, self.snapshot);
             self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
             self.g.stats.bump_owned(shard, Stat::Commits);
-            return Ok(self.snapshot);
+            return Ok(0);
         }
         // Acquire the sequence lock at our snapshot; on contention,
         // value-validate against the newer state and retry.
@@ -250,7 +238,7 @@ impl<'g> NorecTx<'g> {
         self.finished = true;
         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
         self.g.stats.bump_owned(shard, Stat::Commits);
-        Ok(end)
+        Ok(0)
     }
 
     /// Abort this attempt (nothing to roll back — lazy versioning).

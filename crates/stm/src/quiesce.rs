@@ -8,8 +8,12 @@
 //! committing thread waits until every concurrent transaction with an older
 //! start time has committed, or aborted and finished rolling back.
 //!
-//! The drain is the RCU-style epoch scan of [`QuiesceTicket`]: sweep every
-//! thread slot until each published start time is `INACTIVE` or ≥ `upto`.
+//! The drain is an RCU-style epoch scan: sweep every thread slot until each
+//! published start time is `INACTIVE` or ≥ `upto`. The commit makes the
+//! first sweep inline; only a fault plan or a straggler makes a
+//! [`QuiesceTicket`], which continues that sweep under both drivers — spun
+//! out on the committing thread by the sync one, handed back by a commit
+//! inside [`defer_drain`] and polled once per poll by the async one.
 //! Doomed transactions are guaranteed to make progress out of the window:
 //! their next read observes the advanced clock, fails validation, and the
 //! abort path deactivates the slot; a transaction that instead keeps running
@@ -23,6 +27,7 @@
 //!   contention (§VII-C) — committers pause instead of immediately starting
 //!   the next conflicting transaction.
 
+use std::cell::Cell;
 use std::time::Instant;
 use tle_base::fault::{self, Hazard};
 use tle_base::sched::{self, YieldPoint};
@@ -114,15 +119,16 @@ impl Watchdog<'_> {
     }
 }
 
-/// A post-commit drain owed by a committed transaction
-/// ([`StmTx::commit_publish`](crate::StmTx::commit_publish)).
+/// A post-commit drain owed by a committed transaction, continued after
+/// the commit's inline first sweep met a fault plan or a straggler.
 ///
 /// The commit itself has already happened — clock advanced, orecs released,
 /// slot deactivated — and only the privatization drain remains. There is one
-/// drain, `pass`: a single non-blocking sweep of the slot
-/// registry. The blocking commits make the first sweep inline
-/// (`StmGlobal::drain`) and repeat it on the calling thread (`spin`) while
-/// a straggler stays; the async driver calls
+/// drain: the commit makes its first sweep inline, and the ticket continues
+/// it with `pass`, a single non-blocking sweep of the slot
+/// registry. The sync driver repeats it on the calling thread (`spin`) while
+/// a straggler stays; the async driver, whose commits hand the ticket back
+/// ([`defer_drain`]), calls
 /// [`StmGlobal::quiesce_pass`](crate::StmGlobal::quiesce_pass) once per
 /// poll, yielding the executor worker between passes. Termination: atomic
 /// blocks never suspend mid-speculation (they are synchronous closures; lint
@@ -130,10 +136,10 @@ impl Watchdog<'_> {
 /// some live thread or task and must commit, abort, or extend past `upto` in
 /// bounded steps.
 ///
-/// A drain that passes on its first sweep — every uncontended commit — reads
-/// no clock: the timer starts when a sweep first finds a straggler (or
-/// before a stall the fault plane injects, so the stall counts as waiting
-/// time and can drive the watchdog past its deadline).
+/// A drain that passes on its first sweep — every uncontended commit — makes
+/// no ticket and reads no clock: the timer starts when a sweep first finds a
+/// straggler (or before a stall the fault plane injects, so the stall counts
+/// as waiting time and can drive the watchdog past its deadline).
 ///
 /// Watchdog supervision carries over: a ticket that stays blocked past the
 /// domain's drain deadline trips once (report + counter), then keeps
@@ -152,7 +158,9 @@ pub struct QuiesceTicket {
     /// straggler: a ticket that drains on its first sweep never reads the
     /// clock).
     blocked_since: Option<Instant>,
-    /// Whether the first pass (the one that consults the fault plane) ran.
+    /// Whether the first pass — the one that continues the commit's inline
+    /// sweep, consults the fault plane and has no yield point of its own —
+    /// ran.
     swept: bool,
     tripped: bool,
     budget_noted: bool,
@@ -171,26 +179,19 @@ impl QuiesceTicket {
         }
     }
 
-    /// Commit timestamp of the transaction that owes this drain.
-    pub fn end_time(&self) -> u64 {
-        self.upto
-    }
-
     /// One non-blocking sweep. `Some(waited_ns)` once every older slot has
     /// drained (0 when the very first sweep was already clean); `None`
-    /// while a straggler is still inside the window.
+    /// while a straggler is still inside the window. The first pass
+    /// continues the commit's inline sweep, whose yield point it shares;
+    /// every later one is its own preemption candidate.
     pub(crate) fn pass(&mut self, slots: &SlotRegistry, dog: &Watchdog<'_>) -> Option<u64> {
-        sched::yield_point(YieldPoint::QuiesceScan);
-        self.sweep(slots, dog)
-    }
-
-    /// A pass after its yield point.
-    fn sweep(&mut self, slots: &SlotRegistry, dog: &Watchdog<'_>) -> Option<u64> {
         if !self.swept {
             self.swept = true;
             if fault::enabled() {
                 self.inject_delay(dog);
             }
+        } else {
+            sched::yield_point(YieldPoint::QuiesceScan);
         }
         if !straggler(slots, self.slot_idx, self.upto) {
             let Some(since) = self.blocked_since else {
@@ -213,16 +214,6 @@ impl QuiesceTicket {
         });
         sched::spin_hint(YieldPoint::QuiesceScan);
         self.supervise(since, dog);
-    }
-
-    /// Finish a blocking drain whose first pass's yield point the caller
-    /// already passed ([`StmGlobal::drain`](crate::StmGlobal)): the rest of
-    /// that pass, then [`spin`](Self::spin). Returns the nanoseconds waited.
-    pub(crate) fn finish_first_pass(&mut self, slots: &SlotRegistry, dog: &Watchdog<'_>) -> u64 {
-        match self.sweep(slots, dog) {
-            Some(ns) => ns,
-            None => self.spin(slots, dog),
-        }
     }
 
     /// Fault oracle: delay the drain itself. The timer starts before the
@@ -277,6 +268,52 @@ impl QuiesceTicket {
             }
         }
     }
+}
+
+thread_local! {
+    /// Whether a commit on this thread hands a drain its first sweep cannot
+    /// finish back instead of spinning it out ([`defer_drain`]).
+    static DEFER: Cell<bool> = const { Cell::new(false) };
+    /// The drain a deferring commit on this thread handed back.
+    static OWED: Cell<Option<QuiesceTicket>> = const { Cell::new(None) };
+}
+
+/// Run one transaction attempt with its post-commit drain deferred; returns
+/// the attempt's result and the drain its commit owes, if any.
+///
+/// A commit inside `attempt` makes the drain's first sweep inline as always;
+/// only when that sweep meets a fault plan or a straggler does the commit
+/// hand the rest back as a [`QuiesceTicket`] instead of spinning it out. The
+/// async driver runs each attempt in here, because an executor worker must
+/// not spin, and polls the ticket with
+/// [`StmGlobal::quiesce_pass`](crate::StmGlobal::quiesce_pass) before it
+/// gives the attempt's slot up. The deferral is the thread's, not the
+/// descriptor's, so the sync path's descriptor and commit carry nothing for
+/// it: `attempt` is synchronous and runs on this thread from begin to
+/// commit.
+pub fn defer_drain<R>(attempt: impl FnOnce() -> R) -> (R, Option<QuiesceTicket>) {
+    /// Ends the deferral on every exit, unwinding included, so no later
+    /// blocking commit on this thread skips its drain.
+    struct Scope(bool);
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            DEFER.set(self.0);
+            OWED.take();
+        }
+    }
+    let _scope = Scope(DEFER.replace(true));
+    let r = attempt();
+    (r, OWED.take())
+}
+
+/// A commit's drain that its first sweep could not finish: `None` when it
+/// is deferred ([`defer_drain`]), handed back; else the ticket, to spin out.
+pub(crate) fn hand_back(t: QuiesceTicket) -> Option<QuiesceTicket> {
+    if !DEFER.get() {
+        return Some(t);
+    }
+    OWED.set(Some(t));
+    None
 }
 
 /// Whether a slot other than `me` still runs a transaction that started

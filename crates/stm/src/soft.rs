@@ -3,7 +3,7 @@
 //! at one predictable branch.
 
 use crate::norec::NorecTx;
-use crate::tx::{CommitInfo, StmTx};
+use crate::tx::StmTx;
 use std::sync::atomic::AtomicU64;
 use tle_base::{AbortCause, AbortWord, TCell, TxVal};
 
@@ -45,6 +45,11 @@ pub enum SoftTx<'g> {
     /// A NOrec attempt.
     Norec(NorecTx<'g>),
 }
+
+// The runner moves this descriptor through its context by value, so its
+// size is part of the runner's code shape (see the assertion beside
+// `StmTx`).
+const _: () = assert!(std::mem::size_of::<SoftTx<'static>>() == 64);
 
 impl<'g> SoftTx<'g> {
     /// Transactionally read a cell.
@@ -131,12 +136,10 @@ impl<'g> SoftTx<'g> {
         }
     }
 
-    /// Attempt to commit.
-    pub fn commit(self) -> Result<CommitInfo, AbortCause> {
-        match self {
-            SoftTx::MlWt(tx) => tx.commit(),
-            SoftTx::Norec(tx) => tx.commit(),
-        }
+    /// Attempt to commit; `Ok` is the nanoseconds the post-commit drain
+    /// waited.
+    pub fn commit(mut self) -> Result<u64, AbortCause> {
+        Ok(self.commit_in_place()?)
     }
 
     /// Commit without moving the descriptor: `Ok` is the nanoseconds the
@@ -147,17 +150,6 @@ impl<'g> SoftTx<'g> {
         match self {
             SoftTx::MlWt(tx) => tx.commit_in_place(),
             SoftTx::Norec(tx) => tx.commit_in_place(),
-        }
-    }
-
-    /// The async commit split ([`StmTx::commit_publish`]): non-blocking
-    /// commit, pending drain returned as a ticket. NOrec commits abort on
-    /// sequence-lock contention rather than waiting and never drain, so its
-    /// ordinary commit already is non-blocking and the ticket is `None`.
-    pub fn commit_publish(self) -> Result<(CommitInfo, Option<crate::QuiesceTicket>), AbortCause> {
-        match self {
-            SoftTx::MlWt(tx) => tx.commit_publish(),
-            SoftTx::Norec(tx) => tx.commit().map(|info| (info, None)),
         }
     }
 

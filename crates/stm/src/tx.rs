@@ -18,18 +18,6 @@ use tle_base::{AbortCause, AbortWord, TCell, TxVal};
 /// orec hold times are bounded by the owner's critical-path work.
 const LOCKED_SPIN: u32 = 64;
 
-/// Outcome data of a successful commit, for statistics and benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitInfo {
-    /// Commit timestamp (0 for read-only transactions, which do not advance
-    /// the clock).
-    pub end_time: u64,
-    /// Whether the post-commit quiescence drain ran.
-    pub quiesced: bool,
-    /// Nanoseconds spent in the drain.
-    pub quiesce_wait_ns: u64,
-}
-
 /// A single software-transaction attempt.
 ///
 /// Created by [`StmGlobal::begin`]; ends in exactly one of
@@ -55,6 +43,14 @@ pub struct StmTx<'g> {
     finished: bool,
     deadline: Option<std::time::Instant>,
 }
+
+// The descriptor's size is part of the runner's code shape: every
+// closure's `runner::run` instance carries every engine's arm, so a
+// descriptor one word larger recompiles that shared instance and moves the
+// lock rows with no source of theirs changed (EXPERIMENTS.md §16, §24).
+// Even a flag in the padding cost `elide-1t/tput_vs_lock.stm` 7.6 % (§25),
+// which is why the async driver's drain deferral is a thread-local scope.
+const _: () = assert!(std::mem::size_of::<StmTx<'static>>() == 64);
 
 impl<'g> StmTx<'g> {
     pub(crate) fn begin(g: &'g StmGlobal, slot_idx: usize) -> Self {
@@ -438,26 +434,16 @@ impl<'g> StmTx<'g> {
     }
 
     /// Attempt to commit, blocking through the post-commit quiescence drain.
-    /// On success returns drain information; on failure the transaction has
-    /// already rolled back and the caller retries.
-    ///
-    /// This is [`StmTx::commit_publish`] followed by the blocking drain of
-    /// whatever ticket it returned. The runner commits through
-    /// `commit_in_place`, which shares the front halves.
-    pub fn commit(self) -> Result<CommitInfo, AbortCause> {
-        let g = self.g;
-        let (mut info, ticket) = self.commit_publish()?;
-        if let Some(t) = ticket {
-            info.quiesce_wait_ns = g.drain(t.upto, t.slot_idx, t.tx_deadline);
-        }
-        Ok(info)
+    /// `Ok` is the nanoseconds the drain waited; on failure the transaction
+    /// has already rolled back and the caller retries.
+    pub fn commit(mut self) -> Result<u64, AbortCause> {
+        Ok(self.commit_in_place()?)
     }
 
-    /// [`StmTx::commit`] without moving the descriptor and without its
-    /// `CommitInfo`: `Ok` is the nanoseconds the drain waited, and either
-    /// result comes back in a register pair. The attempt is finished
-    /// either way; the caller drops it. The read-only commit and the
-    /// writer's each run in a frame of their own.
+    /// [`StmTx::commit`] without moving the descriptor: either result comes
+    /// back in a register pair, and the attempt is finished either way; the
+    /// caller drops it. The read-only commit and the writer's each run in a
+    /// frame of their own.
     #[inline]
     pub(crate) fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
         debug_assert!(!self.finished);
@@ -472,79 +458,6 @@ impl<'g> StmTx<'g> {
     /// the drain decision is still open.
     #[inline(never)]
     fn commit_read_only(&mut self) -> u64 {
-        if self.publish_read_only() {
-            return 0;
-        }
-        self.read_only_drain()
-    }
-
-    /// A read-only commit that must decide on a drain
-    /// (`will_free_memory`, or `TM_NoQuiesce` under the §IV-C audit).
-    #[cold]
-    #[inline(never)]
-    fn read_only_drain(&mut self) -> u64 {
-        self.drain_owed(self.g.clock.now())
-    }
-
-    #[inline(never)]
-    fn commit_writer(&mut self) -> Result<u64, AbortWord> {
-        let end = self.publish_writer()?;
-        Ok(self.drain_owed(end))
-    }
-
-    /// Count the commit, then run out the drain it owes, if any
-    /// ([`StmGlobal::drain`]).
-    #[inline(always)]
-    fn drain_owed(&self, upto: u64) -> u64 {
-        if !self.quiesce_needed() {
-            self.note_quiesce_skip(upto);
-            self.g.stats.bump_owned(self.slot_idx, Stat::Commits);
-            return 0;
-        }
-        self.g.stats.bump_owned(self.slot_idx, Stat::Commits);
-        self.g.drain(upto, self.slot_idx, self.deadline)
-    }
-
-    /// The commit front half: validate, release the orecs at the new
-    /// timestamp, publish `INACTIVE`. When a post-commit drain is required
-    /// it is *returned* as a pending [`QuiesceTicket`] instead of being spun
-    /// out inline. Everything executed here is non-blocking (clock CAS, orec
-    /// releases, slot store), so the async driver may call it from an
-    /// executor worker and poll the ticket via
-    /// [`StmGlobal::quiesce_pass`](crate::StmGlobal::quiesce_pass) with
-    /// yields in between. When the ticket is `None` the returned
-    /// [`CommitInfo`] is final.
-    // Inlined into `commit` on purpose: as a call, the by-memory return of
-    // `(CommitInfo, Option<QuiesceTicket>)` cost the raw commit ~8 ns
-    // (`stm.tx_ro.ns` / `stm.tx_rw.ns` in the repo benchmark). Only this
-    // form and `commit` return through memory; the sync runner's
-    // `commit_in_place` returns in registers.
-    #[inline]
-    pub fn commit_publish(mut self) -> Result<(CommitInfo, Option<QuiesceTicket>), AbortCause> {
-        debug_assert!(!self.finished);
-        let upto = if self.bufs.locks.is_empty() {
-            if self.publish_read_only() {
-                let info = CommitInfo {
-                    end_time: 0,
-                    quiesced: false,
-                    quiesce_wait_ns: 0,
-                };
-                return Ok((info, None));
-            }
-            self.g.clock.now()
-        } else {
-            self.publish_writer()?
-        };
-        let out = self.defer_quiesce(upto);
-        self.g.stats.bump_owned(self.slot_idx, Stat::Commits);
-        Ok(out)
-    }
-
-    /// The read-only front half; `true` when the commit is complete with
-    /// its drain skipped, `false` when the caller still owes the drain
-    /// decision (and the commit's count).
-    #[inline(always)]
-    fn publish_read_only(&mut self) -> bool {
         // Reads were validated incrementally, no clock advance needed
         // (GCC/TinySTM do the same).
         let shard = self.slot_idx;
@@ -552,7 +465,7 @@ impl<'g> StmTx<'g> {
         trace::emit(TraceKind::Commit, TxMode::Stm, None, 0);
         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
         if self.must_quiesce || (self.no_quiesce && self.g.audit_noquiesce_enabled()) {
-            return false;
+            return self.read_only_drain();
         }
         // Fast path: return before the quiescence machinery. Sound because
         // only a *writer* commit can transfer data into private use: a
@@ -566,14 +479,22 @@ impl<'g> StmTx<'g> {
         // scan stays complete.
         self.g.stats.bump_owned(shard, Stat::QuiesceSkipped);
         self.g.stats.bump_owned(shard, Stat::Commits);
-        true
+        0
     }
 
-    /// The writer's front half: advance the clock, validate the read set
-    /// if anyone committed since `start`, release the orecs at the new
-    /// time and publish `INACTIVE`. `Ok` is the commit time.
-    #[inline(always)]
-    fn publish_writer(&mut self) -> Result<u64, AbortWord> {
+    /// A read-only commit that must decide on a drain
+    /// (`will_free_memory`, or `TM_NoQuiesce` under the §IV-C audit).
+    #[cold]
+    #[inline(never)]
+    fn read_only_drain(&mut self) -> u64 {
+        self.drain_owed(self.g.clock.now())
+    }
+
+    /// The writer's commit: advance the clock, validate the read set if
+    /// anyone committed since `start`, release the orecs at the new time,
+    /// publish `INACTIVE`, then drain.
+    #[inline(never)]
+    fn commit_writer(&mut self) -> Result<u64, AbortWord> {
         sched::yield_point(YieldPoint::ClockAdvance);
         let end = self.g.clock.advance();
         // Someone committed since our (possibly extended) start: the read
@@ -596,7 +517,41 @@ impl<'g> StmTx<'g> {
         }
         self.finished = true;
         self.g.slots.publish_raw(self.slot_idx, tle_base::INACTIVE);
-        Ok(end)
+        Ok(self.drain_owed(end))
+    }
+
+    /// Count the commit, then make the drain it owes, if any. The first
+    /// sweep is inline: its one yield point, its scan and, when no other
+    /// slot is older, the drain's record. A fault plan or a straggler
+    /// continues in the cold `drain_rest`.
+    #[inline(always)]
+    fn drain_owed(&mut self, upto: u64) -> u64 {
+        if !self.quiesce_needed() {
+            self.note_quiesce_skip(upto);
+            self.g.stats.bump_owned(self.slot_idx, Stat::Commits);
+            return 0;
+        }
+        self.g.stats.bump_owned(self.slot_idx, Stat::Commits);
+        sched::yield_point(YieldPoint::QuiesceScan);
+        if fault::enabled() || quiesce::straggler(&self.g.slots, self.slot_idx, upto) {
+            return self.drain_rest(upto);
+        }
+        self.g.stats.record_quiesce(self.slot_idx, 0);
+        0
+    }
+
+    /// The rest of a drain whose first sweep met a fault plan or a
+    /// straggler, as a [`QuiesceTicket`] that continues that sweep: spun
+    /// out on this thread, or handed back inside
+    /// [`defer_drain`](crate::defer_drain) (0 ns waited here).
+    #[cold]
+    #[inline(never)]
+    fn drain_rest(&mut self, upto: u64) -> u64 {
+        let ticket = QuiesceTicket::new(upto, self.slot_idx, self.deadline);
+        match quiesce::hand_back(ticket) {
+            None => 0,
+            Some(ticket) => self.g.quiesce_spin(ticket),
+        }
     }
 
     /// Roll back and count a commit-time validation failure at `end`.
@@ -679,24 +634,6 @@ impl<'g> StmTx<'g> {
                 self.g.noquiesce_overlaps.inc(self.slot_idx);
             }
         }
-    }
-
-    /// The post-commit drain decision: skip (with the skip accounting) or
-    /// owe a drain, handed to the caller as a pending [`QuiesceTicket`].
-    #[inline]
-    fn defer_quiesce(&self, upto: u64) -> (CommitInfo, Option<QuiesceTicket>) {
-        let ticket = if self.quiesce_needed() {
-            Some(QuiesceTicket::new(upto, self.slot_idx, self.deadline))
-        } else {
-            self.note_quiesce_skip(upto);
-            None
-        };
-        let info = CommitInfo {
-            end_time: upto,
-            quiesced: ticket.is_some(),
-            quiesce_wait_ns: 0,
-        };
-        (info, ticket)
     }
 }
 
@@ -855,29 +792,43 @@ mod tests {
         g.slots.unregister_raw(s2);
     }
 
+    /// Commit `tx` and say whether its drain ran, from the domain's
+    /// `Quiesces` / `QuiesceSkipped` counts: exactly one of them moves.
+    fn drained(tx: StmTx<'_>) -> bool {
+        let g = tx.g;
+        let (q, skipped) = (
+            g.stats.get(Stat::Quiesces),
+            g.stats.get(Stat::QuiesceSkipped),
+        );
+        tx.commit().unwrap();
+        let moved = (
+            g.stats.get(Stat::Quiesces) - q,
+            g.stats.get(Stat::QuiesceSkipped) - skipped,
+        );
+        assert!(matches!(moved, (1, 0) | (0, 1)), "{moved:?}");
+        moved == (1, 0)
+    }
+
     #[test]
-    fn commit_info_reports_quiescence_per_policy() {
+    fn commit_reports_quiescence_per_policy() {
         let g = StmGlobal::new(crate::QuiescePolicy::Selective);
         let slot = g.slots.register_raw().unwrap();
         let a = TCell::new(0u64);
 
         let mut tx = g.begin(slot);
         tx.write(&a, 1u64).unwrap();
-        let info = tx.commit().unwrap();
-        assert!(info.quiesced, "selective without no_quiesce must drain");
+        assert!(drained(tx), "selective without no_quiesce must drain");
 
         let mut tx = g.begin(slot);
         tx.write(&a, 2u64).unwrap();
         tx.no_quiesce();
-        let info = tx.commit().unwrap();
-        assert!(!info.quiesced, "no_quiesce must skip the drain");
+        assert!(!drained(tx), "no_quiesce must skip the drain");
 
         let mut tx = g.begin(slot);
         tx.write(&a, 3u64).unwrap();
         tx.no_quiesce();
         tx.will_free_memory();
-        let info = tx.commit().unwrap();
-        assert!(info.quiesced, "freeing memory overrides no_quiesce");
+        assert!(drained(tx), "freeing memory overrides no_quiesce");
         g.slots.unregister_raw(slot);
     }
 
@@ -913,19 +864,19 @@ mod tests {
         let g = StmGlobal::new(crate::QuiescePolicy::Always);
         let slot = g.slots.register_raw().unwrap();
         let a = TCell::new(1u64);
+        let clock = g.clock.now();
 
         let mut tx = g.begin(slot);
         tx.read(&a).unwrap();
-        let info = tx.commit().unwrap();
-        assert!(!info.quiesced, "read-only commit must skip the drain");
-        assert_eq!(info.end_time, 0);
+        assert!(!drained(tx), "read-only commit must skip the drain");
+        assert_eq!(g.clock.now(), clock, "a read-only commit takes no time");
         assert_eq!(g.stats.get(Stat::QuiesceSkipped), 1);
 
         // The allocator contract (§IV-B) still forces a drain.
         let mut tx = g.begin(slot);
         tx.read(&a).unwrap();
         tx.will_free_memory();
-        assert!(tx.commit().unwrap().quiesced);
+        assert!(drained(tx));
         g.slots.unregister_raw(slot);
     }
 
@@ -1081,11 +1032,78 @@ mod tests {
         let a = TCell::new(0u64);
         let mut tx = g.begin(slot);
         tx.write(&a, 1u64).unwrap();
-        assert!(!tx.commit().unwrap().quiesced);
+        assert!(!drained(tx));
         let mut tx = g.begin(slot);
         tx.write(&a, 2u64).unwrap();
         tx.will_free_memory();
-        assert!(tx.commit().unwrap().quiesced);
+        assert!(drained(tx));
         g.slots.unregister_raw(slot);
+    }
+
+    /// Counts the drain's yield points.
+    #[derive(Default)]
+    struct CountScans(std::sync::atomic::AtomicU32);
+
+    impl sched::Scheduler for CountScans {
+        fn yield_point(&self, p: YieldPoint) {
+            if p == YieldPoint::QuiesceScan {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        fn spin_hint(&self, _: YieldPoint) {}
+        fn block_enter(&self) {}
+        fn block_exit(&self) {}
+    }
+
+    #[test]
+    fn a_deferred_drain_comes_back_from_the_commit_its_first_sweep_left() {
+        assert!(
+            sched::compiled(),
+            "tle-stm's tests build tle-base with `check`"
+        );
+        let g = StmGlobal::new(crate::QuiescePolicy::Always);
+        let (me, other) = (
+            g.slots.register_raw().unwrap(),
+            g.slots.register_raw().unwrap(),
+        );
+        let a = TCell::new(0u64);
+        let straggler = g.begin(other);
+        let scans = Arc::new(CountScans::default());
+        sched::register(scans.clone());
+        let (waited, owed) = crate::defer_drain(|| {
+            let mut tx = g.begin(me);
+            tx.write(&a, 1u64).unwrap();
+            tx.commit()
+        });
+        assert_eq!(waited, Ok(0), "nothing waited inline");
+        assert_eq!(scans.0.load(Ordering::Relaxed), 1, "the inline sweep");
+        let mut ticket = owed.expect("the straggler left a drain");
+        assert_eq!(g.quiesce_pass(&mut ticket), None, "still blocked");
+        assert_eq!(
+            scans.0.load(Ordering::Relaxed),
+            1,
+            "the first poll continues the inline sweep"
+        );
+        assert_eq!(g.quiesce_pass(&mut ticket), None);
+        assert_eq!(scans.0.load(Ordering::Relaxed), 2, "later polls yield");
+        straggler.abort(AbortCause::Explicit);
+        assert!(
+            g.quiesce_pass(&mut ticket).is_some(),
+            "its slot is INACTIVE"
+        );
+        sched::unregister();
+        assert_eq!(g.stats.get(Stat::Quiesces), 1, "recorded on completion");
+        assert_eq!(a.load_direct(), 1);
+
+        // Without a straggler the first sweep finishes the drain inline.
+        let (_, owed) = crate::defer_drain(|| {
+            let mut tx = g.begin(me);
+            tx.write(&a, 2u64).unwrap();
+            tx.commit()
+        });
+        assert!(owed.is_none());
+        assert_eq!(g.stats.get(Stat::Quiesces), 2);
+        g.slots.unregister_raw(me);
+        g.slots.unregister_raw(other);
     }
 }

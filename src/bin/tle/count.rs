@@ -23,9 +23,11 @@
 use crate::args::Args;
 use std::collections::HashMap;
 use std::ffi::{c_int, c_long, c_void};
+use std::future::Future;
 use std::io::{Read, Seek, SeekFrom};
 use std::process::{Command, ExitCode, Stdio};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use tle_base::TCell;
 use tle_core::{AlgoMode, ElidableMutex, ThreadHandle, TmSystem};
 use tle_htm::HtmConfig;
@@ -64,28 +66,33 @@ const REFUSED: i32 = 3;
 /// (`stm.buf.spills`): the read-only 6 and one. NOrec (the `stm` mode with
 /// the domain's algorithm switched) makes 7 read-write (its commit's
 /// sequence-lock CAS in place of the orec CAS and the clock advance) and 6
-/// read-only.
+/// read-only. `async.stm` and `async.ro.stm` are the `ml_wt` increment and
+/// read, each one poll of `run_async` on a no-op waker: the sync rows' 8
+/// and 6 plus the transient slot pair's claim (a CAS and a `fetch_max`
+/// per registry).
 ///
 /// The last column is the row's instructions in a release build without
 /// `trace` or `check`, as this table's change counted them.
 const ROWS: &[(&str, u64, u64)] = &[
     ("elide.lock", 6, 301),
-    ("elide.stm", 8, 734),
-    ("elide.htm", 9, 780),
-    ("handoff.htm", 9, 783),
-    ("ro.stm", 6, 579),
-    ("ro.htm", 8, 663),
-    ("scan.stm", 7, 6805),
-    ("kv.get.lock", 6, 520),
-    ("kv.get.stm", 6, 956),
-    ("kv.get.htm", 12, 1241),
-    ("kv.put.lock", 6, 562),
-    ("kv.put.stm", 8, 1148),
-    ("kv.put.htm", 15, 1453),
-    ("elide.norec", 7, 686),
-    ("ro.norec", 6, 604),
-    ("kv.get.norec", 6, 1041),
-    ("kv.put.norec", 7, 1169),
+    ("elide.stm", 8, 718),
+    ("elide.htm", 9, 767),
+    ("handoff.htm", 9, 770),
+    ("ro.stm", 6, 571),
+    ("ro.htm", 8, 655),
+    ("scan.stm", 7, 6797),
+    ("kv.get.lock", 6, 523),
+    ("kv.get.stm", 6, 944),
+    ("kv.get.htm", 12, 1231),
+    ("kv.put.lock", 6, 564),
+    ("kv.put.stm", 8, 1133),
+    ("kv.put.htm", 15, 1442),
+    ("elide.norec", 7, 679),
+    ("ro.norec", 6, 601),
+    ("kv.get.norec", 6, 1035),
+    ("kv.put.norec", 7, 1163),
+    ("async.stm", 12, 1139),
+    ("async.ro.stm", 10, 961),
 ];
 
 pub fn run(args: &Args) -> Result<ExitCode, String> {
@@ -272,6 +279,29 @@ fn child(row: &str) -> ExitCode {
             };
             measured(sum);
             sum() == (SCAN * (SCAN - 1) / 2) as u64
+        }
+        ("async" | "async.ro", Some((_sys, th))) => {
+            // One poll of the async section on a no-op waker: uncontended,
+            // it completes inside that poll, and a suspension is a failure
+            // (nothing would ever wake it).
+            let lock = ElidableMutex::new("count");
+            let cell = TCell::new(7u64);
+            let ro = what == "async.ro";
+            measured(|| {
+                let section = th.tx(&lock).run_async(|ctx| {
+                    if ro {
+                        ctx.read(&cell)
+                    } else {
+                        ctx.update(&cell, |v| v + 1)
+                    }
+                });
+                let mut cx = Context::from_waker(Waker::noop());
+                match std::pin::pin!(section).poll(&mut cx) {
+                    Poll::Ready(v) => v,
+                    Poll::Pending => panic!("an uncontended async section suspended"),
+                }
+            });
+            cell.load_direct() == if ro { 7 } else { 7 + WARM as u64 + 1 }
         }
         ("kv.get" | "kv.put", Some((_sys, th))) => {
             let store = ShardedKv::new(8, 4096);

@@ -2,7 +2,8 @@
 //! single-steps one warm section per row (the lock, `ml_wt`, HTM and NOrec
 //! increment, the HTM increment by two handles in turn, a read-only
 //! section, an `ml_wt` scan past the read set's inline tier, a kv get and
-//! put under each engine) and fails when any row's lock-prefixed / `xchg`-with-memory / `mfence`
+//! put under each engine, the `ml_wt` increment and read through one poll
+//! of the async driver) and fails when any row's lock-prefixed / `xchg`-with-memory / `mfence`
 //! count differs from its table. A change that adds a fenced op fails
 //! here; one that removes one must say so in the table. This build is a
 //! debug one, so the table's release instruction column is printed but
@@ -48,6 +49,8 @@ fn every_row_has_its_fenced_op_count() {
         "ro.norec",
         "kv.get.norec",
         "kv.put.norec",
+        "async.stm",
+        "async.ro.stm",
     ] {
         let line = stdout
             .lines()

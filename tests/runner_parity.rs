@@ -453,3 +453,40 @@ fn admission_serialize_and_shed() {
         },
     );
 }
+
+#[test]
+fn drain_decisions() {
+    // The edge table's drain row: one commit per descriptor under both
+    // drivers, so each post-commit drain decision — a writer's drain, the
+    // drain `will_free_memory` forces on a read-only section, the skip
+    // `TM_NoQuiesce` buys under the `Selective` policy — counts alike.
+    assert_parity(
+        "drain decisions",
+        modes(),
+        |_| true,
+        |mode, drive| {
+            let rig = rig(mode, None);
+            rig.sys.stm.set_policy(QuiescePolicy::Selective);
+            let th = rig.sys.register();
+            let seen = observe(&rig, || {
+                let wrote = run(drive, th.tx(&rig.lock), |ctx| {
+                    ctx.update(&rig.cell, |v| v + 1)
+                });
+                let freed = run(drive, th.tx(&rig.lock), |ctx| {
+                    ctx.will_free_memory();
+                    ctx.read(&rig.cell)
+                });
+                let skipped = run(drive, th.tx(&rig.lock), |ctx| {
+                    ctx.no_quiesce();
+                    ctx.update(&rig.cell, |v| v + 1)
+                });
+                (wrote, freed, skipped)
+            });
+            let stm = rig.sys.stm.stats.snapshot();
+            if stm.commits > 0 {
+                assert_eq!((stm.quiesces, stm.quiesce_skipped), (2, 1), "{mode:?}");
+            }
+            seen
+        },
+    );
+}
