@@ -17,9 +17,10 @@
 //! only past `N` entries, and the [`lease`]/[`BufLease`] pool fixes (1) by
 //! handing each attempt the previous attempt's (cleared, capacity-intact)
 //! buffers. One pooled [`TxBufs`] block serves every transaction flavour
-//! (`ml_wt`, NOrec and the simulated HTM), so switching algorithms
-//! mid-bench reuses the same storage — which is why the pool lives down
-//! here, below both TM crates.
+//! (`ml_wt`, NOrec and the simulated HTM), so one thread running sections
+//! under locks of different modes — or a lock whose mode flips — reuses
+//! the same storage, which is why the pool lives down here, below both TM
+//! crates.
 //!
 //! The pool keeps at most one buffer block per thread (the steady state is
 //! one live transaction per thread; a same-thread *nested/interleaved*

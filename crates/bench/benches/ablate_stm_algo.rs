@@ -8,11 +8,11 @@
 //! depends on write-commit frequency and read-set sizes.
 
 use std::sync::Arc;
-use tle_bench::workloads::{micro_trial_algo, Mix};
+use tle_bench::workloads::{micro_trial, Mix};
 use tle_bench::{fmt_secs, thread_sweep, Table};
 use tle_core::{AlgoMode, TmSystem};
 use tle_pbz::{compress_parallel, PipelineConfig};
-use tle_stm::{QuiescePolicy, StmAlgo};
+use tle_stm::QuiescePolicy;
 
 fn main() {
     println!("STM algorithm ablation: ml_wt vs NOrec");
@@ -29,12 +29,12 @@ fn main() {
         );
         for threads in thread_sweep() {
             let mut row = vec![threads.to_string()];
-            for (algo, policy) in [
-                (StmAlgo::MlWt, QuiescePolicy::Always),
-                (StmAlgo::MlWt, QuiescePolicy::Selective),
-                (StmAlgo::Norec, QuiescePolicy::Always),
+            for (mode, policy) in [
+                (AlgoMode::StmCondvar, QuiescePolicy::Always),
+                (AlgoMode::StmCondvar, QuiescePolicy::Selective),
+                (AlgoMode::StmNorec, QuiescePolicy::Always),
             ] {
-                let (tput, _) = micro_trial_algo(kind, policy, algo, threads, mix, 60_000);
+                let (tput, _) = micro_trial(kind, mode, policy, threads, mix, 60_000);
                 row.push(format!("{:.3}", tput / 1e6));
             }
             table.row(row);
@@ -46,11 +46,10 @@ fn main() {
     let input = tle_pbz::gen_text(0x650, 2_000_000);
     let mut table = Table::new(
         "PBZip2 compress (2 MB, 4 workers, 100K blocks) — seconds",
-        &["algo", "seconds"],
+        &["mode", "seconds"],
     );
-    for algo in [StmAlgo::MlWt, StmAlgo::Norec] {
-        let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-        sys.set_stm_algo(algo);
+    for mode in [AlgoMode::StmCondvar, AlgoMode::StmNorec] {
+        let sys = Arc::new(TmSystem::new(mode));
         let cfg = PipelineConfig {
             workers: 4,
             block_size: 100_000,
@@ -60,7 +59,7 @@ fn main() {
         let out = compress_parallel(&sys, &input, &cfg);
         std::hint::black_box(&out);
         table.row(vec![
-            algo.label().to_string(),
+            mode.label().to_string(),
             fmt_secs(t0.elapsed().as_secs_f64()),
         ]);
     }

@@ -11,6 +11,7 @@
 
 use tle_bench::workloads::{micro_trial, Mix};
 use tle_bench::{full_sweep, thread_sweep, trials, Table};
+use tle_core::AlgoMode;
 use tle_stm::QuiescePolicy;
 
 const POLICIES: [QuiescePolicy; 3] = [
@@ -45,7 +46,7 @@ fn main() {
             for policy in POLICIES {
                 let mut total = 0.0;
                 for _ in 0..n_trials {
-                    total += micro_trial(kind, policy, threads, mix, ops).0;
+                    total += micro_trial(kind, AlgoMode::StmCondvar, policy, threads, mix, ops).0;
                 }
                 row.push(format!("{:.3}", total / n_trials as f64 / 1e6));
             }

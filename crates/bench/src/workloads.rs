@@ -299,7 +299,7 @@ impl Mix {
 }
 
 /// One operation of `mix` against `set` — the shared inner loop of the
-/// warmup and measured windows of [`micro_trial_algo`].
+/// warmup and measured windows of [`micro_trial`].
 #[inline]
 fn mix_op(
     set: &dyn TxSet,
@@ -345,43 +345,25 @@ pub fn prefill(set: &dyn TxSet, th: &ThreadHandle) {
 }
 
 /// One Figure 5 trial: `threads` workers each run `ops_per_thread`
-/// operations of `mix` against `set` under `policy`. Returns throughput in
-/// operations per second plus stats.
-pub fn micro_trial(
-    kind: &str,
-    policy: QuiescePolicy,
-    threads: usize,
-    mix: Mix,
-    ops_per_thread: u64,
-) -> (f64, TrialStats) {
-    micro_trial_algo(
-        kind,
-        policy,
-        tle_stm::StmAlgo::MlWt,
-        threads,
-        mix,
-        ops_per_thread,
-    )
-}
-
-/// [`micro_trial`] with an explicit STM algorithm (the `ablate_stm_algo`
-/// bench). The trial runs in three barrier phases: *sync0* (all workers
+/// operations of `mix` against `set` under the software mode `mode` (the
+/// paper's `StmCondvar`, or `StmNorec` for the `ablate_stm_algo` bench) and
+/// the quiescence `policy`. Returns throughput in operations per second
+/// plus stats. The trial runs in three barrier phases: *sync0* (all workers
 /// registered) → `ops_per_thread / 10` warmup ops on a dedicated rng
 /// stream → *sync1* (stats reset, clock armed) → *sync2* (measured window
 /// opens).
-pub fn micro_trial_algo(
+pub fn micro_trial(
     kind: &str,
+    mode: AlgoMode,
     policy: QuiescePolicy,
-    algo: tle_stm::StmAlgo,
     threads: usize,
     mix: Mix,
     ops_per_thread: u64,
 ) -> (f64, TrialStats) {
-    // Microbenchmarks always run the STM (the paper's Figure 5 machine has
-    // no HTM); the policy is the independent variable.
-    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+    // Microbenchmarks always run a software TM (the paper's Figure 5
+    // machine has no HTM); the policy is the independent variable.
+    let sys = Arc::new(TmSystem::new(mode));
     sys.stm.set_policy(policy);
-    sys.set_stm_algo(algo);
     let set = make_set(kind);
     {
         let th = sys.register();
@@ -451,7 +433,14 @@ mod tests {
             QuiescePolicy::Never,
             QuiescePolicy::Selective,
         ] {
-            let (tput, stats) = micro_trial("hash", policy, 2, Mix::HalfLookup, 2_000);
+            let (tput, stats) = micro_trial(
+                "hash",
+                AlgoMode::StmCondvar,
+                policy,
+                2,
+                Mix::HalfLookup,
+                2_000,
+            );
             assert!(tput > 0.0);
             assert!(stats.stm.commits > 0);
             if policy == QuiescePolicy::Selective {
@@ -636,6 +625,7 @@ mod tests {
         let ops = 2_000u64;
         let (tput, stats) = micro_trial(
             "hash",
+            AlgoMode::StmCondvar,
             QuiescePolicy::Selective,
             threads,
             Mix::HalfLookup,
@@ -667,7 +657,14 @@ mod tests {
     #[test]
     fn read_mostly_mix_exercises_the_ro_fast_path() {
         assert_eq!(Mix::ReadMostly.label(), "90l/5i/5r");
-        let (_, stats) = micro_trial("hash", QuiescePolicy::Always, 2, Mix::ReadMostly, 2_000);
+        let (_, stats) = micro_trial(
+            "hash",
+            AlgoMode::StmCondvar,
+            QuiescePolicy::Always,
+            2,
+            Mix::ReadMostly,
+            2_000,
+        );
         assert!(stats.stm.quiesce_skipped > 0, "fast path never taken");
     }
 

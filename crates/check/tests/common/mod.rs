@@ -17,7 +17,6 @@ use tle_base::sched::{self, YieldPoint};
 use tle_base::TCell;
 use tle_check::Scenario;
 use tle_core::{AlgoMode, ElidableMutex, TmSystem, TxCondvar};
-use tle_stm::StmAlgo;
 
 /// The waker behind [`block_on_manual`]: a woken flag plus a condvar so the
 /// polling vthread can park (OS-level) between true suspensions.
@@ -90,15 +89,8 @@ pub fn block_on_manual<F: Future>(fut: F) -> F::Output {
 /// them all. The post-condition pins the final counter value, the recorded
 /// history goes to the opacity oracle, and `init` closes the oracle's
 /// first-read binding blind spot.
-pub fn snapshot_scenario(
-    mode: AlgoMode,
-    algo: StmAlgo,
-    threads: usize,
-    ops: u64,
-    n_cells: usize,
-) -> Scenario {
+pub fn snapshot_scenario(mode: AlgoMode, threads: usize, ops: u64, n_cells: usize) -> Scenario {
     let sys = Arc::new(TmSystem::new(mode));
-    sys.set_stm_algo(algo);
     let lock = Arc::new(ElidableMutex::new("check-snapshot"));
     let cells: Arc<Vec<TCell<u64>>> = Arc::new((0..n_cells).map(|_| TCell::new(0)).collect());
     let init: Vec<(usize, u64)> = cells.iter().map(|c| (c.addr(), 0)).collect();
@@ -115,7 +107,7 @@ pub fn snapshot_scenario(
                     let first = ctx.read(&cells[0])?;
                     for c in cells.iter().skip(1) {
                         let v = ctx.read(c)?;
-                        assert_eq!(v, first, "torn snapshot under {mode:?}/{algo:?}");
+                        assert_eq!(v, first, "torn snapshot under {mode:?}");
                     }
                     for c in cells.iter() {
                         ctx.write(c, first + 1)?;
@@ -135,9 +127,7 @@ pub fn snapshot_scenario(
             for (i, c) in post_cells.iter().enumerate() {
                 let v = c.load_direct();
                 if v != expect {
-                    return Err(format!(
-                        "cell {i} = {v}, expected {expect} under {mode:?}/{algo:?}"
-                    ));
+                    return Err(format!("cell {i} = {v}, expected {expect} under {mode:?}"));
                 }
             }
             Ok(())
@@ -150,9 +140,8 @@ pub fn snapshot_scenario(
 /// the producer sets the flag and signals. Any interleaving must end with
 /// the consumer observing the flagged value — a lost wakeup shows up as a
 /// deadlock, a torn handoff as an opacity violation.
-pub fn handoff_scenario(mode: AlgoMode, algo: StmAlgo) -> Scenario {
+pub fn handoff_scenario(mode: AlgoMode) -> Scenario {
     let sys = Arc::new(TmSystem::new(mode));
-    sys.set_stm_algo(algo);
     let lock = Arc::new(ElidableMutex::new("check-handoff"));
     let cv = Arc::new(TxCondvar::new());
     let flag = Arc::new(TCell::new(0u64));
@@ -222,12 +211,10 @@ pub fn handoff_scenario(mode: AlgoMode, algo: StmAlgo) -> Scenario {
 /// up as a deadlock, a torn handoff as an opacity violation.
 pub fn handoff_scenario_async(
     mode: AlgoMode,
-    algo: StmAlgo,
     async_consumer: bool,
     async_producer: bool,
 ) -> Scenario {
     let sys = Arc::new(TmSystem::new(mode));
-    sys.set_stm_algo(algo);
     let lock = Arc::new(ElidableMutex::new("check-handoff-async"));
     let cv = Arc::new(TxCondvar::new());
     let flag = Arc::new(TCell::new(0u64));
@@ -308,10 +295,10 @@ pub fn handoff_scenario_async(
 
 /// The engines the serial gate supervises (the adaptive ones fall back to
 /// the lock word instead).
-pub const GATE_ENGINES: [(AlgoMode, StmAlgo); 3] = [
-    (AlgoMode::StmCondvar, StmAlgo::MlWt),
-    (AlgoMode::StmCondvar, StmAlgo::Norec),
-    (AlgoMode::HtmCondvar, StmAlgo::MlWt),
+pub const GATE_ENGINES: [AlgoMode; 3] = [
+    AlgoMode::StmCondvar,
+    AlgoMode::StmNorec,
+    AlgoMode::HtmCondvar,
 ];
 
 /// Run one critical section on the driver under test: blocking, or as a
@@ -345,14 +332,8 @@ pub fn run_section<'a, R>(
 ///   reader doomed before the load must abort, not commit a snapshot T1
 ///   has since replaced (`HtmReadOnlyCommitIgnoresDoom`). Locked under the
 ///   lazy mode, T1's acquisition is what dooms it.
-pub fn torn_pair_scenario(
-    mode: AlgoMode,
-    algo: StmAlgo,
-    locked: bool,
-    async_driver: bool,
-) -> Scenario {
+pub fn torn_pair_scenario(mode: AlgoMode, locked: bool, async_driver: bool) -> Scenario {
     let sys = Arc::new(TmSystem::new(mode));
-    sys.set_stm_algo(algo);
     let lock = Arc::new(ElidableMutex::new("check-serialtorn"));
     let a = Arc::new(OwnLine(TCell::new(0u64)));
     let b = Arc::new(OwnLine(TCell::new(0u64)));
@@ -369,7 +350,7 @@ pub fn torn_pair_scenario(
                 assert_eq!(
                     va, vb,
                     "torn snapshot: a transaction saw T1's stores half done \
-                     under {mode:?}/{algo:?}"
+                     under {mode:?}"
                 );
                 Ok(())
             });

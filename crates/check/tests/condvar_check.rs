@@ -19,12 +19,11 @@ use std::time::Duration;
 use tle_base::TCell;
 use tle_check::{explore, Config, Scenario};
 use tle_core::{AlgoMode, ElidableMutex, TmSystem, TxCondvar};
-use tle_stm::StmAlgo;
 
 #[test]
 fn commit_then_block_stm_mlwt() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt)
+        handoff_scenario(AlgoMode::StmCondvar)
     })
     .assert_clean();
 }
@@ -32,7 +31,7 @@ fn commit_then_block_stm_mlwt() {
 #[test]
 fn commit_then_block_stm_norec() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario(AlgoMode::StmCondvar, StmAlgo::Norec)
+        handoff_scenario(AlgoMode::StmNorec)
     })
     .assert_clean();
 }
@@ -40,7 +39,7 @@ fn commit_then_block_stm_norec() {
 #[test]
 fn commit_then_block_htm() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario(AlgoMode::HtmCondvar, StmAlgo::MlWt)
+        handoff_scenario(AlgoMode::HtmCondvar)
     })
     .assert_clean();
 }
@@ -48,7 +47,7 @@ fn commit_then_block_htm() {
 #[test]
 fn commit_then_block_adaptive_htm() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario(AlgoMode::AdaptiveHtm, StmAlgo::MlWt)
+        handoff_scenario(AlgoMode::AdaptiveHtm)
     })
     .assert_clean();
 }
@@ -56,7 +55,7 @@ fn commit_then_block_adaptive_htm() {
 #[test]
 fn commit_then_block_baseline() {
     explore(&Config::dfs(2, 200), || {
-        handoff_scenario(AlgoMode::Baseline, StmAlgo::MlWt)
+        handoff_scenario(AlgoMode::Baseline)
     })
     .assert_clean();
 }

@@ -28,12 +28,11 @@ use std::time::Duration;
 use tle_base::TCell;
 use tle_check::{explore, Config, Scenario};
 use tle_core::{AlgoMode, ElidableMutex, TmSystem, TxCondvar};
-use tle_stm::StmAlgo;
 
 #[test]
 fn commit_then_block_async_stm_mlwt() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario_async(AlgoMode::StmCondvar, StmAlgo::MlWt, true, true)
+        handoff_scenario_async(AlgoMode::StmCondvar, true, true)
     })
     .assert_clean();
 }
@@ -41,7 +40,7 @@ fn commit_then_block_async_stm_mlwt() {
 #[test]
 fn commit_then_block_async_stm_norec() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario_async(AlgoMode::StmCondvar, StmAlgo::Norec, true, true)
+        handoff_scenario_async(AlgoMode::StmNorec, true, true)
     })
     .assert_clean();
 }
@@ -52,7 +51,7 @@ fn commit_then_block_async_stm_norec() {
 #[test]
 fn commit_then_block_async_stm_spin() {
     explore(&Config::dfs(2, 200), || {
-        handoff_scenario_async(AlgoMode::StmSpin, StmAlgo::MlWt, true, true)
+        handoff_scenario_async(AlgoMode::StmSpin, true, true)
     })
     .assert_clean();
 }
@@ -60,7 +59,7 @@ fn commit_then_block_async_stm_spin() {
 #[test]
 fn commit_then_block_async_htm() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario_async(AlgoMode::HtmCondvar, StmAlgo::MlWt, true, true)
+        handoff_scenario_async(AlgoMode::HtmCondvar, true, true)
     })
     .assert_clean();
 }
@@ -68,7 +67,7 @@ fn commit_then_block_async_htm() {
 #[test]
 fn commit_then_block_async_adaptive_htm() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario_async(AlgoMode::AdaptiveHtm, StmAlgo::MlWt, true, true)
+        handoff_scenario_async(AlgoMode::AdaptiveHtm, true, true)
     })
     .assert_clean();
 }
@@ -76,7 +75,7 @@ fn commit_then_block_async_adaptive_htm() {
 #[test]
 fn commit_then_block_async_baseline() {
     explore(&Config::dfs(2, 200), || {
-        handoff_scenario_async(AlgoMode::Baseline, StmAlgo::MlWt, true, true)
+        handoff_scenario_async(AlgoMode::Baseline, true, true)
     })
     .assert_clean();
 }
@@ -86,7 +85,7 @@ fn commit_then_block_async_baseline() {
 #[test]
 fn sync_signal_wakes_async_waiter_stm() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario_async(AlgoMode::StmCondvar, StmAlgo::MlWt, true, false)
+        handoff_scenario_async(AlgoMode::StmCondvar, true, false)
     })
     .assert_clean();
 }
@@ -94,7 +93,7 @@ fn sync_signal_wakes_async_waiter_stm() {
 #[test]
 fn sync_signal_wakes_async_waiter_htm() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario_async(AlgoMode::HtmCondvar, StmAlgo::MlWt, true, false)
+        handoff_scenario_async(AlgoMode::HtmCondvar, true, false)
     })
     .assert_clean();
 }
@@ -104,7 +103,7 @@ fn sync_signal_wakes_async_waiter_htm() {
 #[test]
 fn async_signal_wakes_sync_waiter_stm() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario_async(AlgoMode::StmCondvar, StmAlgo::MlWt, false, true)
+        handoff_scenario_async(AlgoMode::StmCondvar, false, true)
     })
     .assert_clean();
 }
@@ -112,7 +111,7 @@ fn async_signal_wakes_sync_waiter_stm() {
 #[test]
 fn async_signal_wakes_sync_waiter_htm() {
     explore(&Config::dfs(2, 300), || {
-        handoff_scenario_async(AlgoMode::HtmCondvar, StmAlgo::MlWt, false, true)
+        handoff_scenario_async(AlgoMode::HtmCondvar, false, true)
     })
     .assert_clean();
 }

@@ -13,22 +13,18 @@ use common::{handoff_scenario, snapshot_scenario};
 use std::time::Duration;
 use tle_check::{explore, replay, Config, FailKind, Scenario};
 use tle_core::AlgoMode;
-use tle_stm::StmAlgo;
 
 #[test]
 fn dfs_clean_stm_mlwt() {
     let cfg = Config::dfs(2, 300);
-    explore(&cfg, || {
-        snapshot_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt, 2, 2, 2)
-    })
-    .assert_clean();
+    explore(&cfg, || snapshot_scenario(AlgoMode::StmCondvar, 2, 2, 2)).assert_clean();
 }
 
 #[test]
 fn dfs_clean_stm_mlwt_noquiesce() {
     let cfg = Config::dfs(2, 300);
     explore(&cfg, || {
-        snapshot_scenario(AlgoMode::StmCondvarNoQuiesce, StmAlgo::MlWt, 2, 2, 2)
+        snapshot_scenario(AlgoMode::StmCondvarNoQuiesce, 2, 2, 2)
     })
     .assert_clean();
 }
@@ -36,37 +32,25 @@ fn dfs_clean_stm_mlwt_noquiesce() {
 #[test]
 fn dfs_clean_stm_norec() {
     let cfg = Config::dfs(2, 300);
-    explore(&cfg, || {
-        snapshot_scenario(AlgoMode::StmCondvar, StmAlgo::Norec, 2, 2, 2)
-    })
-    .assert_clean();
+    explore(&cfg, || snapshot_scenario(AlgoMode::StmNorec, 2, 2, 2)).assert_clean();
 }
 
 #[test]
 fn dfs_clean_htm() {
     let cfg = Config::dfs(2, 300);
-    explore(&cfg, || {
-        snapshot_scenario(AlgoMode::HtmCondvar, StmAlgo::MlWt, 2, 2, 2)
-    })
-    .assert_clean();
+    explore(&cfg, || snapshot_scenario(AlgoMode::HtmCondvar, 2, 2, 2)).assert_clean();
 }
 
 #[test]
 fn dfs_clean_adaptive_htm() {
     let cfg = Config::dfs(2, 300);
-    explore(&cfg, || {
-        snapshot_scenario(AlgoMode::AdaptiveHtm, StmAlgo::MlWt, 2, 2, 2)
-    })
-    .assert_clean();
+    explore(&cfg, || snapshot_scenario(AlgoMode::AdaptiveHtm, 2, 2, 2)).assert_clean();
 }
 
 #[test]
 fn dfs_clean_baseline() {
     let cfg = Config::dfs(2, 200);
-    explore(&cfg, || {
-        snapshot_scenario(AlgoMode::Baseline, StmAlgo::MlWt, 2, 2, 2)
-    })
-    .assert_clean();
+    explore(&cfg, || snapshot_scenario(AlgoMode::Baseline, 2, 2, 2)).assert_clean();
 }
 
 #[test]
@@ -74,31 +58,25 @@ fn dfs_clean_three_threads() {
     // Three virtual threads widen every decision to arity 3; keep the
     // per-thread work minimal so the budget-2 tree stays small.
     let cfg = Config::dfs(2, 400);
-    explore(&cfg, || {
-        snapshot_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt, 3, 1, 2)
-    })
-    .assert_clean();
+    explore(&cfg, || snapshot_scenario(AlgoMode::StmCondvar, 3, 1, 2)).assert_clean();
 }
 
 #[test]
 fn random_sampling_clean_across_modes() {
-    for (mode, algo) in [
-        (AlgoMode::StmCondvar, StmAlgo::MlWt),
-        (AlgoMode::StmCondvar, StmAlgo::Norec),
-        (AlgoMode::HtmCondvar, StmAlgo::MlWt),
+    for mode in [
+        AlgoMode::StmCondvar,
+        AlgoMode::StmNorec,
+        AlgoMode::HtmCondvar,
     ] {
         let cfg = Config::random(0xBADC0DE, 40);
-        explore(&cfg, || snapshot_scenario(mode, algo, 2, 2, 2)).assert_clean();
+        explore(&cfg, || snapshot_scenario(mode, 2, 2, 2)).assert_clean();
     }
 }
 
 #[test]
 fn dfs_clean_condvar_handoff() {
     let cfg = Config::dfs(2, 300);
-    explore(&cfg, || {
-        handoff_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt)
-    })
-    .assert_clean();
+    explore(&cfg, || handoff_scenario(AlgoMode::StmCondvar)).assert_clean();
 }
 
 /// An *application-level* race the kernels cannot save: read in one
@@ -173,7 +151,7 @@ fn random_token_replays_deterministically() {
     // without failure and without wedging — the seeded stream is stable.
     let fail = replay(
         "r:12345",
-        snapshot_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt, 2, 1, 2),
+        snapshot_scenario(AlgoMode::StmCondvar, 2, 1, 2),
         Duration::from_secs(2),
     );
     assert!(
@@ -182,7 +160,7 @@ fn random_token_replays_deterministically() {
     );
     let fail = replay(
         "r:12345",
-        snapshot_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt, 2, 1, 2),
+        snapshot_scenario(AlgoMode::StmCondvar, 2, 1, 2),
         Duration::from_secs(2),
     );
     assert!(fail.is_none(), "replay diverged under r:12345: {fail:?}");

@@ -18,7 +18,6 @@ use std::sync::Arc;
 use tle_base::TCell;
 use tle_check::{explore, Config, Scenario};
 use tle_core::{AlgoMode, ElidableMutex, TmSystem};
-use tle_stm::StmAlgo;
 
 /// Neither side of the handshake lets a transaction run beside a serial
 /// section's direct stores, under every engine and both drivers. Under the
@@ -29,9 +28,9 @@ use tle_stm::StmAlgo;
 #[test]
 fn dfs_clean_serial_section_beside_a_speculating_reader() {
     let cfg = Config::dfs(2, 400);
-    for (mode, algo) in GATE_ENGINES {
+    for mode in GATE_ENGINES {
         for async_driver in [false, true] {
-            explore(&cfg, || torn_pair_scenario(mode, algo, true, async_driver)).assert_clean();
+            explore(&cfg, || torn_pair_scenario(mode, true, async_driver)).assert_clean();
         }
     }
 }
@@ -41,14 +40,8 @@ fn dfs_clean_serial_section_beside_a_speculating_reader() {
 /// never deadlock: a retired entrant holds nothing the serial side waits
 /// for, a pending async serial request is woken by the serial exit before
 /// it, and a suspended async entrant by the exit that reopens the gate.
-fn mixed_driver_counter(
-    mode: AlgoMode,
-    algo: StmAlgo,
-    async_entrant: bool,
-    async_serial: bool,
-) -> Scenario {
+fn mixed_driver_counter(mode: AlgoMode, async_entrant: bool, async_serial: bool) -> Scenario {
     let sys = Arc::new(TmSystem::new(mode));
-    sys.set_stm_algo(algo);
     let lock = Arc::new(ElidableMutex::new("check-retire"));
     let cell = Arc::new(TCell::new(0u64));
     let init = vec![(cell.addr(), 0)];
@@ -90,10 +83,10 @@ fn mixed_driver_counter(
 #[test]
 fn dfs_clean_retire_then_wait_never_deadlocks() {
     let cfg = Config::dfs(2, 300);
-    for (mode, algo) in GATE_ENGINES {
+    for mode in GATE_ENGINES {
         for (async_entrant, async_serial) in [(false, true), (true, false), (true, true)] {
             explore(&cfg, || {
-                mixed_driver_counter(mode, algo, async_entrant, async_serial)
+                mixed_driver_counter(mode, async_entrant, async_serial)
             })
             .assert_clean();
         }
@@ -102,9 +95,9 @@ fn dfs_clean_retire_then_wait_never_deadlocks() {
 
 #[test]
 fn random_sampling_clean_mixed_drivers() {
-    for (mode, algo) in GATE_ENGINES {
+    for mode in GATE_ENGINES {
         let cfg = Config::random(0x5E71A1, 40);
-        explore(&cfg, || mixed_driver_counter(mode, algo, false, true)).assert_clean();
+        explore(&cfg, || mixed_driver_counter(mode, false, true)).assert_clean();
     }
 }
 

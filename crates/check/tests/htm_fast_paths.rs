@@ -19,7 +19,6 @@ mod common;
 use common::{torn_pair_scenario, update_pair_scenario, update_trio_scenario};
 use tle_check::{explore, Config};
 use tle_core::AlgoMode;
-use tle_stm::StmAlgo;
 
 /// Two `update`s of one line: both increments land, whichever claims the
 /// line second dooms the first or retries against its commit.
@@ -42,7 +41,7 @@ fn dfs_clean_two_updates_of_one_line() {
 fn dfs_clean_read_only_section_beside_a_committing_writer() {
     for async_driver in [false, true] {
         explore(&Config::dfs(2, 400), || {
-            torn_pair_scenario(AlgoMode::HtmCondvar, StmAlgo::MlWt, false, async_driver)
+            torn_pair_scenario(AlgoMode::HtmCondvar, false, async_driver)
         })
         .assert_clean();
     }
@@ -56,7 +55,7 @@ fn dfs_clean_read_only_section_beside_a_committing_writer() {
 fn dfs_clean_lazy_read_only_section_racing_a_lock_acquisition() {
     for async_driver in [false, true] {
         explore(&Config::dfs(2, 800), || {
-            torn_pair_scenario(AlgoMode::AdaptiveHtmLazy, StmAlgo::MlWt, true, async_driver)
+            torn_pair_scenario(AlgoMode::AdaptiveHtmLazy, true, async_driver)
         })
         .assert_clean();
     }

@@ -19,7 +19,6 @@ use tle_base::mutant::{self, Mutant};
 use tle_base::TCell;
 use tle_check::{explore, replay, Config, Scenario};
 use tle_core::{AlgoMode, ElidableMutex, TmSystem};
-use tle_stm::StmAlgo;
 
 static MATRIX_LOCK: Mutex<()> = Mutex::new(());
 
@@ -44,7 +43,6 @@ impl Drop for Armed {
 /// read and the oracle's strict commit-order replay flags the mismatch.
 fn stale_read_scenario() -> Scenario {
     let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-    sys.set_stm_algo(StmAlgo::MlWt);
     let lock = Arc::new(ElidableMutex::new("mut-staleread"));
     let a = Arc::new(TCell::new(0u64));
     let c = Arc::new(TCell::new(0u64));
@@ -84,7 +82,6 @@ fn stale_read_scenario() -> Scenario {
 /// post-condition pins X to the privatizer's value.
 fn privatization_scenario() -> Scenario {
     let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-    sys.set_stm_algo(StmAlgo::MlWt);
     let lock = Arc::new(ElidableMutex::new("mut-priv"));
     let flag = Arc::new(TCell::new(0u64));
     let x = Arc::new(TCell::new(0u64));
@@ -138,7 +135,6 @@ fn privatization_scenario() -> Scenario {
 /// since T0's committed retry lands only after T1 is done).
 fn dirty_read_scenario() -> Scenario {
     let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-    sys.set_stm_algo(StmAlgo::MlWt);
     let lock = Arc::new(ElidableMutex::new("mut-dirtyread"));
     let x = Arc::new(TCell::new(0u64));
     let init = vec![(x.addr(), 0)];
@@ -332,7 +328,7 @@ fn scenario_for(m: Mutant) -> (fn() -> Scenario, Config) {
             // window short so the failing schedule reports quickly.
             cfg.stall_timeout = Duration::from_millis(800);
             (
-                (|| handoff_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt)) as fn() -> Scenario,
+                (|| handoff_scenario(AlgoMode::StmCondvar)) as fn() -> Scenario,
                 cfg,
             )
         }
@@ -352,8 +348,7 @@ fn scenario_for(m: Mutant) -> (fn() -> Scenario, Config) {
         // Both halves of the serial handshake share one witness (the full
         // engine × driver sweep is `detects_gate_mutant`).
         Mutant::GateSkipClosedCheck | Mutant::GateSkipSweep => (
-            (|| torn_pair_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt, true, false))
-                as fn() -> Scenario,
+            (|| torn_pair_scenario(AlgoMode::StmCondvar, true, false)) as fn() -> Scenario,
             Config::dfs(2, 800),
         ),
         Mutant::HtmUpdateSkipsClaim => (
@@ -361,8 +356,7 @@ fn scenario_for(m: Mutant) -> (fn() -> Scenario, Config) {
             Config::dfs(2, 400),
         ),
         Mutant::HtmReadOnlyCommitIgnoresDoom | Mutant::HtmCommittedClaimReadsStale => (
-            (|| torn_pair_scenario(AlgoMode::HtmCondvar, StmAlgo::MlWt, false, false))
-                as fn() -> Scenario,
+            (|| torn_pair_scenario(AlgoMode::HtmCondvar, false, false)) as fn() -> Scenario,
             Config::dfs(2, 400),
         ),
     }
@@ -440,7 +434,7 @@ fn catches_lost_signal_async() {
     cfg.stall_timeout = Duration::from_millis(800);
     detects_with(
         Mutant::LostSignal,
-        || common::handoff_scenario_async(AlgoMode::StmCondvar, StmAlgo::MlWt, true, true),
+        || common::handoff_scenario_async(AlgoMode::StmCondvar, true, true),
         &cfg,
     );
 }
@@ -470,14 +464,10 @@ fn catches_lazy_subscription_reorder() {
 /// everywhere.
 fn detects_gate_mutant(m: Mutant) {
     let (_, cfg) = scenario_for(m);
-    for (mode, algo) in GATE_ENGINES {
+    for mode in GATE_ENGINES {
         for async_driver in [false, true] {
-            println!("{m} under {mode:?}/{algo:?}, async driver: {async_driver}");
-            detects_with(
-                m,
-                || torn_pair_scenario(mode, algo, true, async_driver),
-                &cfg,
-            );
+            println!("{m} under {mode:?}, async driver: {async_driver}");
+            detects_with(m, || torn_pair_scenario(mode, true, async_driver), &cfg);
         }
     }
 }
@@ -517,7 +507,7 @@ fn catches_htm_read_only_commit_ignores_doom() {
         Mutant::HtmReadOnlyCommitIgnoresDoom,
         |mode, async_driver| {
             let locked = mode == AlgoMode::AdaptiveHtmLazy;
-            torn_pair_scenario(mode, StmAlgo::MlWt, locked, async_driver)
+            torn_pair_scenario(mode, locked, async_driver)
         },
     );
 }
@@ -528,7 +518,7 @@ fn catches_htm_read_only_commit_ignores_doom() {
 #[test]
 fn catches_htm_committed_claim_reads_stale() {
     detects_htm_mutant(Mutant::HtmCommittedClaimReadsStale, |mode, async_driver| {
-        torn_pair_scenario(mode, StmAlgo::MlWt, false, async_driver)
+        torn_pair_scenario(mode, false, async_driver)
     });
 }
 

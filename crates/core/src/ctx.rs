@@ -14,7 +14,7 @@ use tle_base::sched::{self, YieldPoint};
 use tle_base::trace::{self, TraceKind};
 use tle_base::{AbortCause, AbortWord, TCell, TxVal};
 use tle_htm::HtmTx;
-use tle_stm::SoftTx;
+use tle_stm::{NorecTx, StmTx};
 
 /// Error type flowing out of transactional closures.
 #[derive(Debug)]
@@ -60,10 +60,11 @@ pub(crate) enum CtxKind<'a> {
     /// baseline mutex (`baseline`), else the global serial gate or the
     /// adaptive lock word.
     Direct { baseline: bool },
-    /// Software transaction (of the domain's selected [`tle_stm::StmAlgo`]).
-    /// `spin_waits` selects the paper's "STM + Spin" degradation where
-    /// waiting becomes polling.
-    Stm { tx: SoftTx<'a>, spin_waits: bool },
+    /// `ml_wt` software transaction. `spin_waits` selects the paper's
+    /// "STM + Spin" degradation where waiting becomes polling.
+    Stm { tx: StmTx<'a>, spin_waits: bool },
+    /// NOrec software transaction ([`crate::AlgoMode::StmNorec`]).
+    Norec { tx: NorecTx<'a> },
     /// Simulated hardware transaction.
     Htm { tx: HtmTx<'a> },
 }
@@ -129,7 +130,7 @@ impl<'a> TxCtx<'a> {
     /// Whether the section is running as a transaction (vs. under a real
     /// lock or global serialization).
     pub fn is_transactional(&self) -> bool {
-        matches!(self.kind, CtxKind::Stm { .. } | CtxKind::Htm { .. })
+        !matches!(self.kind, CtxKind::Direct { .. })
     }
 
     /// Raw read used by both the public API and the condvar machinery: the
@@ -152,6 +153,7 @@ impl<'a> TxCtx<'a> {
                 Ok(v)
             }
             CtxKind::Stm { tx, .. } => tx.read_word(c.word(), c.addr()),
+            CtxKind::Norec { tx } => tx.read_word(c.word(), c.addr()),
             CtxKind::Htm { tx } => tx.read_word(c.word(), c.addr()),
         }
     }
@@ -185,6 +187,7 @@ impl<'a> TxCtx<'a> {
                 Ok(())
             }
             CtxKind::Stm { tx, .. } => tx.write_word(c.word(), c.addr(), v.to_word()),
+            CtxKind::Norec { tx } => tx.write_word(c.word(), c.addr(), v.to_word()),
             CtxKind::Htm { tx } => tx.write_word(c.word(), c.addr(), v.to_word()),
         }
     }
@@ -222,8 +225,9 @@ impl<'a> TxCtx<'a> {
 
     /// The paper's `TM_NoQuiesce` (§IV-B): assert this transaction does not
     /// privatize, skipping the post-commit quiescence drain. No-op outside
-    /// STM (HTM never quiesces; baseline/serial have no drain), and ignored
-    /// unless the system's quiescence policy is `Selective`.
+    /// `ml_wt` (HTM and NOrec never quiesce; baseline/serial have no
+    /// drain), and ignored unless the system's quiescence policy is
+    /// `Selective`.
     pub fn no_quiesce(&mut self) {
         if let CtxKind::Stm { tx, .. } = &mut self.kind {
             tx.no_quiesce();
@@ -246,7 +250,7 @@ impl<'a> TxCtx<'a> {
     pub fn unsafe_op(&mut self) -> Result<(), TxError> {
         match &mut self.kind {
             CtxKind::Direct { .. } => Ok(()),
-            CtxKind::Stm { .. } => Err(TxError::Abort(AbortCause::Unsafe)),
+            CtxKind::Stm { .. } | CtxKind::Norec { .. } => Err(TxError::Abort(AbortCause::Unsafe)),
             CtxKind::Htm { tx } => {
                 tx.unsafe_op()?;
                 Ok(())
@@ -283,7 +287,7 @@ impl<'a> TxCtx<'a> {
         let ring_wait = match &self.kind {
             CtxKind::Direct { baseline } => !baseline || self.async_waits,
             CtxKind::Stm { spin_waits, .. } => !spin_waits,
-            CtxKind::Htm { .. } => true,
+            CtxKind::Norec { .. } | CtxKind::Htm { .. } => true,
         };
         if !ring_wait {
             self.pending_wait = Some(PendingWait {

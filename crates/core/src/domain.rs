@@ -228,9 +228,12 @@ pub fn decide(
         }
         // NoQuiesce is an application correctness contract; the glibc-style
         // elision family (eager and lazy subscription alike) carries its
-        // own adaptation, and the lazy modes are opt-in only — the
-        // controller never enters or leaves any of them.
-        AlgoMode::StmCondvarNoQuiesce | AlgoMode::AdaptiveHtm | AlgoMode::AdaptiveHtmLazy => None,
+        // own adaptation, and the lazy modes and NOrec are opt-in only —
+        // the controller never enters or leaves any of them.
+        AlgoMode::StmCondvarNoQuiesce
+        | AlgoMode::AdaptiveHtm
+        | AlgoMode::AdaptiveHtmLazy
+        | AlgoMode::StmNorec => None,
     }
 }
 

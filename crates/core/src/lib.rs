@@ -16,6 +16,10 @@
 //! | `StmCondvarNoQuiesce`    | STM + CondVar + NoQuiesce |
 //! | `HtmCondvar`             | HTM + CondVar             |
 //!
+//! Three extensions sit outside [`ALL_MODES`]: glibc-style adaptive elision
+//! (`AdaptiveHtm`), its safe-lazy-subscription variant (`AdaptiveHtmLazy`)
+//! and the NOrec software TM (`StmNorec`).
+//!
 //! Critical sections are expressed as closures over a [`TxCtx`]; under
 //! `Baseline` the [`ElidableMutex`] really locks and accesses go straight to
 //! memory, under the TM modes the lock is *erased* (paper §IV-A) and the
@@ -261,49 +265,57 @@ mod tests {
     }
 
     #[test]
-    fn norec_backend_supports_all_stm_modes() {
-        use tle_stm::StmAlgo;
-        for mode in [
-            AlgoMode::StmSpin,
-            AlgoMode::StmCondvar,
-            AlgoMode::StmCondvarNoQuiesce,
-        ] {
-            let sys = Arc::new(TmSystem::new(mode));
-            sys.set_stm_algo(StmAlgo::Norec);
-            let lock = Arc::new(ElidableMutex::new("norec"));
-            let cell = Arc::new(TCell::new(0u64));
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let sys = Arc::clone(&sys);
-                    let lock = Arc::clone(&lock);
-                    let cell = Arc::clone(&cell);
-                    std::thread::spawn(move || {
-                        let th = sys.register();
-                        for _ in 0..1_000 {
-                            th.tx(&lock).run(|ctx| {
-                                ctx.update(&*cell, |v| v + 1)?;
-                                Ok(())
-                            });
-                        }
-                    })
+    fn norec_mode_loses_no_updates() {
+        let sys = Arc::new(TmSystem::new(AlgoMode::StmNorec));
+        let lock = Arc::new(ElidableMutex::new("norec"));
+        let cell = Arc::new(TCell::new(0u64));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let sys = Arc::clone(&sys);
+                let lock = Arc::clone(&lock);
+                let cell = Arc::clone(&cell);
+                std::thread::spawn(move || {
+                    let th = sys.register();
+                    for _ in 0..1_000 {
+                        th.tx(&lock).run(|ctx| {
+                            ctx.update(&*cell, |v| v + 1)?;
+                            Ok(())
+                        });
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(
-                cell.load_direct(),
-                4_000,
-                "lost updates with NOrec under {mode:?}"
-            );
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        assert_eq!(cell.load_direct(), 4_000, "lost updates under NOrec");
+    }
+
+    /// A section's begin follows its lock's resolved mode: `ml_wt` and a
+    /// NOrec-pinned lock share one domain but no conflict metadata, so an
+    /// `ml_wt` writer moves only the version clock and a NOrec writer only
+    /// the sequence lock.
+    #[test]
+    fn stm_begin_follows_the_mode() {
+        use std::sync::atomic::Ordering;
+        let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+        let th = sys.register();
+        let (ml_wt, norec) = (ElidableMutex::new("ml_wt"), ElidableMutex::new("norec"));
+        sys.set_lock_mode(&norec, AlgoMode::StmNorec);
+        let cell = TCell::new(1u64);
+        let seq = || sys.stm.norec_seq.load(Ordering::Acquire);
+        let clock = sys.stm.clock.now();
+        th.tx(&norec).run(|ctx| ctx.update(&cell, |v| v * 2));
+        assert_eq!((seq(), sys.stm.clock.now()), (2, clock));
+        th.tx(&ml_wt).run(|ctx| ctx.update(&cell, |v| v * 2));
+        assert_eq!(seq(), 2);
+        assert!(sys.stm.clock.now() > clock);
+        assert_eq!(cell.load_direct(), 4);
     }
 
     #[test]
     fn norec_condvar_producer_consumer() {
-        use tle_stm::StmAlgo;
-        let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-        sys.set_stm_algo(StmAlgo::Norec);
+        let sys = Arc::new(TmSystem::new(AlgoMode::StmNorec));
         let lock = Arc::new(ElidableMutex::new("pc"));
         let cv = Arc::new(TxCondvar::new());
         let flag = Arc::new(TCell::new(false));

@@ -116,9 +116,12 @@ pub(crate) enum Driver {
 /// The speculative engine a section's attempts run on.
 #[derive(Clone, Copy)]
 pub(crate) enum Engine {
-    /// Software lock elision; `spin` is the paper's "STM + Spin" wait
-    /// degradation.
+    /// Software lock elision on `ml_wt`; `spin` is the paper's "STM +
+    /// Spin" wait degradation.
     Stm { spin: bool },
+    /// Software lock elision on NOrec (extension; see
+    /// [`AlgoMode::StmNorec`]).
+    Norec,
     /// Simulated hardware lock elision with the global serial fallback
     /// (the paper's configuration).
     Htm,
@@ -139,6 +142,7 @@ impl Engine {
             AlgoMode::StmCondvar | AlgoMode::StmCondvarNoQuiesce => {
                 Some(Engine::Stm { spin: false })
             }
+            AlgoMode::StmNorec => Some(Engine::Norec),
             AlgoMode::HtmCondvar => Some(Engine::Htm),
             // The glibc family: eager and lazy subscription.
             mode => Some(Engine::Adaptive { mode }),
@@ -157,6 +161,7 @@ impl Engine {
     fn tx_mode(self) -> TxMode {
         match self {
             Engine::Stm { .. } => TxMode::Stm,
+            Engine::Norec => TxMode::Norec,
             _ => TxMode::Htm,
         }
     }
@@ -410,6 +415,7 @@ fn commit_kind(kind: CtxKind<'_>) -> Result<u64, AbortCause> {
         // In place: the descriptor is not moved into the commit, and the
         // result comes back in registers; the finished attempt drops here.
         CtxKind::Stm { mut tx, .. } => tx.commit_in_place().map_err(AbortCause::from),
+        CtxKind::Norec { mut tx } => tx.commit_in_place().map_err(AbortCause::from),
         CtxKind::Htm { mut tx } => tx.commit_in_place().map(|()| 0).map_err(AbortCause::from),
         _ => unreachable!("context kind changed mid-transaction"),
     }
@@ -419,6 +425,7 @@ fn commit_kind(kind: CtxKind<'_>) -> Result<u64, AbortCause> {
 fn abort_kind(kind: CtxKind<'_>, cause: AbortCause) {
     match kind {
         CtxKind::Stm { tx, .. } => tx.abort(cause),
+        CtxKind::Norec { tx } => tx.abort(cause),
         CtxKind::Htm { tx } => tx.abort(cause),
         _ => unreachable!("context kind changed mid-transaction"),
     }
@@ -427,6 +434,7 @@ fn abort_kind(kind: CtxKind<'_>, cause: AbortCause) {
 fn retire_kind(kind: CtxKind<'_>) {
     match kind {
         CtxKind::Stm { tx, .. } => tx.retire(),
+        CtxKind::Norec { tx } => tx.retire(),
         CtxKind::Htm { tx } => tx.retire(),
         _ => unreachable!("only a transaction retires"),
     }
@@ -744,7 +752,7 @@ impl<'a> Ladder<'a> {
     ) -> Self {
         let policy = th.sys.policy();
         let retries = match engine {
-            Engine::Stm { .. } => hints
+            Engine::Stm { .. } | Engine::Norec => hints
                 .stm_retries
                 .unwrap_or_else(|| lock.domain().stm_retries(policy.stm_retries)),
             _ => hints
@@ -836,7 +844,7 @@ impl<'a> Ladder<'a> {
         // merged into (and copied through) a common one.
         match self.engine {
             Engine::Stm { spin } => {
-                let mut tx = sys.stm.begin_soft(stm_slot);
+                let mut tx = sys.stm.begin(stm_slot);
                 if let Some(step) = self.turned_away() {
                     tx.retire();
                     return step;
@@ -852,6 +860,15 @@ impl<'a> Ladder<'a> {
                     spin_waits: spin,
                 };
                 let ctx = TxCtx::new(kind, deadline, driver);
+                self.speculate(ctx, driver, left, f, || Ok(()))
+            }
+            Engine::Norec => {
+                let tx = sys.stm.begin_norec(stm_slot);
+                if let Some(step) = self.turned_away() {
+                    tx.retire();
+                    return step;
+                }
+                let ctx = TxCtx::new(CtxKind::Norec { tx }, deadline, driver);
                 self.speculate(ctx, driver, left, f, || Ok(()))
             }
             Engine::Htm => {
@@ -1069,7 +1086,7 @@ impl<'a> Ladder<'a> {
     pub(crate) fn backoff(&self) {
         let th = self.th;
         let (salt, consec) = match self.engine {
-            Engine::Stm { .. } => (th.stm_slot, th.consecutive_aborts()),
+            Engine::Stm { .. } | Engine::Norec => (th.stm_slot, th.consecutive_aborts()),
             Engine::Htm => (th.htm_slot, th.consecutive_aborts()),
             Engine::Adaptive { .. } => (th.htm_slot, 0),
         };
@@ -1244,6 +1261,22 @@ pub(crate) enum Removal {
     Aborted,
 }
 
+/// Begin a transaction on the engine a ring-transactional `mode` runs.
+fn begin_kind(sys: &TmSystem, mode: AlgoMode, (stm_slot, htm_slot): (usize, usize)) -> CtxKind<'_> {
+    match mode {
+        AlgoMode::HtmCondvar => CtxKind::Htm {
+            tx: sys.htm.begin(htm_slot),
+        },
+        AlgoMode::StmNorec => CtxKind::Norec {
+            tx: sys.stm.begin_norec(stm_slot),
+        },
+        _ => CtxKind::Stm {
+            tx: sys.stm.begin(stm_slot),
+            spin_waits: false,
+        },
+    }
+}
+
 /// One transactional attempt at cancelling `raw`'s ring entry (a small
 /// transaction of its own, on the engine `mode` runs). `mode` is the
 /// caller's unpinned read of the lock's mode; it is pinned here the way
@@ -1254,21 +1287,12 @@ pub(crate) fn remove_waiter_tx(
     sys: &TmSystem,
     lock: &ElidableMutex,
     mode: AlgoMode,
-    (stm_slot, htm_slot): (usize, usize),
+    slots: (usize, usize),
     cv: &TxCondvar,
     raw: RawWaiter,
     driver: Driver,
 ) -> Removal {
-    let kind = if mode == AlgoMode::HtmCondvar {
-        CtxKind::Htm {
-            tx: sys.htm.begin(htm_slot),
-        }
-    } else {
-        CtxKind::Stm {
-            tx: sys.stm.begin_soft(stm_slot),
-            spin_waits: false,
-        }
-    };
+    let kind = begin_kind(sys, mode, slots);
     if gate_closed(sys) || lock.resolved_mode(sys.mode()) != mode {
         retire_kind(kind);
         return Removal::Retreat;
@@ -1321,6 +1345,7 @@ where
                 Some(Engine::Stm { spin }) => {
                     drive(th, lock, Engine::Stm { spin }, epoch, hints, budget, f)
                 }
+                Some(Engine::Norec) => drive(th, lock, Engine::Norec, epoch, hints, budget, f),
                 Some(Engine::Htm) => drive(th, lock, Engine::Htm, epoch, hints, budget, f),
                 Some(Engine::Adaptive { mode }) => {
                     drive(th, lock, Engine::Adaptive { mode }, epoch, hints, budget, f)
@@ -1659,16 +1684,14 @@ mod tests {
     #[test]
     fn retreats_under_a_held_gate_count_nothing() {
         use tle_base::TCell;
-        use tle_stm::StmAlgo;
         const K: usize = 5;
-        for (mode, algo) in [
-            (AlgoMode::StmCondvar, StmAlgo::MlWt),
-            (AlgoMode::StmCondvar, StmAlgo::Norec),
-            (AlgoMode::HtmCondvar, StmAlgo::MlWt),
+        for mode in [
+            AlgoMode::StmCondvar,
+            AlgoMode::StmNorec,
+            AlgoMode::HtmCondvar,
         ] {
             for driver in [Driver::Sync, Driver::Async] {
                 let sys = Arc::new(TmSystem::new(mode));
-                sys.set_stm_algo(algo);
                 let th = sys.register();
                 let lock = ElidableMutex::new("retreat");
                 let cell = TCell::new(0u64);
@@ -1686,13 +1709,13 @@ mod tests {
                 for _ in 0..K {
                     assert!(ladder.gate::<u64>().is_none());
                     let step = ladder.attempt(slots, driver, left, f);
-                    assert!(matches!(step, Step::Retreat), "{mode:?}/{algo:?}");
+                    assert!(matches!(step, Step::Retreat), "{mode:?}");
                     assert!(sys.presence_idle(), "a retired transaction is not present");
                     assert!(matches!(ladder.settle(step, left), Next::AwaitGate));
                 }
                 drop(pending);
                 let (step, owed) = tle_stm::defer_drain(|| ladder.attempt(slots, driver, left, f));
-                assert!(matches!(step, Step::Done(1)), "{mode:?}/{algo:?}");
+                assert!(matches!(step, Step::Done(1)), "{mode:?}");
                 if let Some(mut ticket) = owed {
                     while sys.stm.quiesce_pass(&mut ticket).is_none() {}
                 }
@@ -1706,13 +1729,96 @@ mod tests {
                     &d.stm
                 };
                 // `core.attempts_per_commit` = (commits + aborts) / commits = 1.
-                assert_eq!((tm.commits, tm.aborts), (1, 0), "{mode:?}/{algo:?}: {d:?}");
+                assert_eq!((tm.commits, tm.aborts), (1, 0), "{mode:?}: {d:?}");
                 assert_eq!(d.tle.serial_fallbacks, 0);
                 let w = lock.domain().window.snapshot();
-                assert_eq!((w.commits, w.attempts()), (1, 1), "{mode:?}/{algo:?}");
+                assert_eq!((w.commits, w.attempts()), (1, 1), "{mode:?}");
                 assert_eq!(cell.load_direct(), 1);
             }
         }
+    }
+
+    /// A transaction begun for a software mode runs that mode's algorithm,
+    /// and an attempt of either algorithm that wrote and then aborts or
+    /// retires leaves no write, no presence and — when retired — no count.
+    #[test]
+    fn stm_modes_begin_their_algorithm_and_end_without_a_trace() {
+        use tle_base::TCell;
+        for mode in [AlgoMode::StmCondvar, AlgoMode::StmNorec] {
+            for retire in [false, true] {
+                let sys = Arc::new(TmSystem::new(mode));
+                let th = sys.register();
+                let cell = TCell::new(5u64);
+                let kind = begin_kind(&sys, mode, (th.stm_slot, th.htm_slot));
+                assert!(matches!(
+                    (&kind, mode),
+                    (CtxKind::Stm { .. }, AlgoMode::StmCondvar)
+                        | (CtxKind::Norec { .. }, AlgoMode::StmNorec)
+                ));
+                let mut ctx = TxCtx::new(kind, None, Driver::Sync);
+                ctx.write(&cell, 100u64).unwrap();
+                assert!(!sys.presence_idle());
+                if retire {
+                    retire_kind(ctx.kind);
+                } else {
+                    abort_kind(ctx.kind, AbortCause::Explicit);
+                }
+                assert!(sys.presence_idle(), "{mode:?} stayed present");
+                assert_eq!(cell.load_direct(), 5, "{mode:?} leaked a write");
+                let stm = sys.domain_stats().stm;
+                assert_eq!(
+                    (stm.commits, stm.aborts),
+                    (0, u64::from(!retire)),
+                    "{mode:?}"
+                );
+            }
+        }
+    }
+
+    /// A NOrec section's retries are NOrec events: the ring books an
+    /// aborted attempt's `Retry` under `TxMode::Norec`, as it books the
+    /// attempt's `Begin` and the retry's `Commit` (not under `ml_wt`'s
+    /// `TxMode::Stm`). Needs the `trace` feature's ring.
+    #[test]
+    fn norec_retries_carry_the_norec_mode() {
+        if !trace::compiled() {
+            return;
+        }
+        const MARK: u64 = 0x4E0E_C000_0000;
+        let sys = Arc::new(TmSystem::new(AlgoMode::StmNorec));
+        let th = sys.register();
+        let lock = ElidableMutex::new("norec-retry");
+        trace::emit(TraceKind::Begin, TxMode::Locked, None, MARK);
+        let mut first = true;
+        th.tx(&lock).run(|ctx| {
+            if std::mem::take(&mut first) {
+                return Err(ctx.cancel());
+            }
+            Ok(())
+        });
+        let events = trace::snapshot();
+        let mark = events
+            .iter()
+            .find(|e| e.detail == MARK && e.mode == TxMode::Locked)
+            .expect("the marker was just emitted");
+        let section: Vec<_> = events
+            .iter()
+            .filter(|e| e.thread == mark.thread && e.ts > mark.ts)
+            .map(|e| (e.kind, e.mode, e.cause))
+            .collect();
+        let retries: Vec<_> = section
+            .iter()
+            .filter(|(kind, ..)| *kind == TraceKind::Retry)
+            .collect();
+        assert_eq!(
+            retries,
+            [&(TraceKind::Retry, TxMode::Norec, Some(AbortCause::Explicit))],
+            "{section:?}"
+        );
+        assert!(
+            section.iter().all(|&(_, mode, _)| mode == TxMode::Norec),
+            "{section:?}"
+        );
     }
 
     #[test]

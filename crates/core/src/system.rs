@@ -19,7 +19,9 @@ use tle_base::{AbortCause, Gate};
 use tle_htm::{HtmConfig, HtmGlobal};
 use tle_stm::{QuiescePolicy, StmGlobal};
 
-/// The five synchronization algorithms evaluated in the paper (§VII).
+/// The five synchronization algorithms evaluated in the paper (§VII), plus
+/// three extensions: glibc-style adaptive elision, its safe-lazy variant,
+/// and the NOrec software TM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum AlgoMode {
@@ -50,6 +52,12 @@ pub enum AlgoMode {
     /// before the commit point, proving the lock was free for the whole
     /// speculation window. Never a controller target — strictly opt-in.
     AdaptiveHtmLazy = 6,
+    /// `StmCondvar` on NOrec (extension, not one of the paper's five): a
+    /// global sequence lock, value-based validation and write-back make it
+    /// privatization-safe without any quiescence drain, so it is the
+    /// ablation that the paper's drain optimizations are measured against.
+    /// Never a controller target.
+    StmNorec = 7,
 }
 
 /// Error returned when a byte is not a valid [`AlgoMode`] discriminant.
@@ -76,6 +84,7 @@ impl TryFrom<u8> for AlgoMode {
             4 => Ok(AlgoMode::HtmCondvar),
             5 => Ok(AlgoMode::AdaptiveHtm),
             6 => Ok(AlgoMode::AdaptiveHtmLazy),
+            7 => Ok(AlgoMode::StmNorec),
             other => Err(InvalidAlgoMode(other)),
         }
     }
@@ -91,7 +100,8 @@ impl std::fmt::Display for ParseAlgoModeError {
         write!(
             f,
             "unknown algorithm mode {:?} (expected one of: baseline, stm-spin, \
-             stm-condvar, stm-noquiesce, htm, adaptive-htm, adaptive-htm-lazy)",
+             stm-condvar, stm-noquiesce, htm, adaptive-htm, adaptive-htm-lazy, \
+             stm-norec)",
             self.0
         )
     }
@@ -115,6 +125,7 @@ impl std::str::FromStr for AlgoMode {
             "htm" | "htm-condvar" => Ok(AlgoMode::HtmCondvar),
             "adaptive-htm" | "adaptive" | "glibc" => Ok(AlgoMode::AdaptiveHtm),
             "adaptive-htm-lazy" | "lazy" => Ok(AlgoMode::AdaptiveHtmLazy),
+            "stm-norec" | "norec" => Ok(AlgoMode::StmNorec),
             other => Err(ParseAlgoModeError(other.to_string())),
         }
     }
@@ -131,6 +142,7 @@ impl AlgoMode {
             AlgoMode::HtmCondvar => "HTM+CondVar",
             AlgoMode::AdaptiveHtm => "AdaptiveHTM(glibc)",
             AlgoMode::AdaptiveHtmLazy => "AdaptiveHTM(lazy)",
+            AlgoMode::StmNorec => "NOrec+CondVar",
         }
     }
 
@@ -426,13 +438,6 @@ impl TmSystem {
     /// The admission-ladder thresholds, when admission control is on.
     pub fn admission_config(&self) -> Option<&AdmissionConfig> {
         self.admission.as_ref()
-    }
-
-    /// Select the software-TM algorithm (`ml_wt`, the paper's; or NOrec,
-    /// the privatization-safe-by-construction ablation). Takes effect for
-    /// subsequently started transactions; switch only between phases.
-    pub fn set_stm_algo(&self, algo: tle_stm::StmAlgo) {
-        self.stm.set_algo(algo);
     }
 
     /// Adopt `lock` into the adaptive/admission controllers: subsequent
@@ -1096,6 +1101,7 @@ mod tests {
         );
         assert_eq!(AlgoMode::HtmCondvar.label(), "HTM+CondVar");
         assert_eq!(AlgoMode::AdaptiveHtmLazy.label(), "AdaptiveHTM(lazy)");
+        assert_eq!(AlgoMode::StmNorec.label(), "NOrec+CondVar");
     }
 
     #[test]
@@ -1105,11 +1111,12 @@ mod tests {
         }
         assert_eq!(AlgoMode::try_from(5), Ok(AlgoMode::AdaptiveHtm));
         assert_eq!(AlgoMode::try_from(6), Ok(AlgoMode::AdaptiveHtmLazy));
+        assert_eq!(AlgoMode::try_from(7), Ok(AlgoMode::StmNorec));
     }
 
     #[test]
     fn invalid_mode_bytes_are_rejected() {
-        for v in [7u8, 8, 100, u8::MAX] {
+        for v in [8u8, 9, 100, u8::MAX] {
             assert_eq!(AlgoMode::try_from(v), Err(InvalidAlgoMode(v)));
         }
         let msg = InvalidAlgoMode(9).to_string();
@@ -1118,7 +1125,7 @@ mod tests {
 
     #[test]
     fn mode_family_helpers_are_consistent() {
-        for v in 0..=6u8 {
+        for v in 0..=7u8 {
             let m = AlgoMode::try_from(v).unwrap();
             if m.is_lazy() {
                 assert!(m.is_glibc_family(), "{m:?}: lazy implies glibc-family");
@@ -1146,6 +1153,8 @@ mod tests {
             ("adaptive", AlgoMode::AdaptiveHtm),
             ("adaptive-htm-lazy", AlgoMode::AdaptiveHtmLazy),
             ("lazy", AlgoMode::AdaptiveHtmLazy),
+            ("stm-norec", AlgoMode::StmNorec),
+            ("norec", AlgoMode::StmNorec),
         ] {
             assert_eq!(s.parse::<AlgoMode>(), Ok(m), "{s}");
         }

@@ -166,7 +166,8 @@ fn algo_mode_tryfrom_rejects_unknown_discriminants() {
         Ok(AlgoMode::AdaptiveHtmLazy),
         "6 is the safe lazy-subscription mode in every build"
     );
-    for bad in [7u8, 8, 100, u8::MAX] {
+    assert_eq!(AlgoMode::try_from(7u8), Ok(AlgoMode::StmNorec));
+    for bad in [8u8, 9, 100, u8::MAX] {
         assert_eq!(AlgoMode::try_from(bad), Err(InvalidAlgoMode(bad)));
     }
 }
@@ -191,6 +192,8 @@ fn algo_mode_fromstr_spellings_and_errors() {
         ("glibc", AlgoMode::AdaptiveHtm),
         ("adaptive-htm-lazy", AlgoMode::AdaptiveHtmLazy),
         ("lazy", AlgoMode::AdaptiveHtmLazy),
+        ("stm-norec", AlgoMode::StmNorec),
+        ("norec", AlgoMode::StmNorec),
     ];
     for (spelling, want) in cases {
         assert_eq!(spelling.parse::<AlgoMode>(), Ok(want), "{spelling}");
@@ -203,7 +206,7 @@ fn algo_mode_fromstr_spellings_and_errors() {
     assert!(msg.contains("unknown algorithm mode \"quantum\""), "{msg}");
     assert!(msg.contains("baseline"), "{msg}");
     assert!(msg.contains("adaptive-htm-lazy"), "{msg}");
-    assert!(msg.ends_with("adaptive-htm-lazy)"), "{msg}");
+    assert!(msg.ends_with("adaptive-htm-lazy, stm-norec)"), "{msg}");
     assert!(!msg.contains("dev/check"), "{msg}");
 }
 

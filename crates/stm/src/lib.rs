@@ -25,16 +25,15 @@
 //!
 //! The serial-irrevocable fallback and the retry policy live one layer up,
 //! in `tle-core`; this crate provides single-attempt transactions
-//! ([`StmTx`]) over a shared [`StmGlobal`].
+//! ([`StmTx`], and [`NorecTx`] for the NOrec mode) over a shared
+//! [`StmGlobal`].
 
 mod norec;
 mod quiesce;
-mod soft;
 mod tx;
 
 pub use norec::NorecTx;
 pub use quiesce::{defer_drain, QuiescePolicy, QuiesceTicket, Watchdog};
-pub use soft::{SoftTx, StmAlgo};
 pub use tle_base::sets::{
     buf_alloc_stats, drain_buf_pool, reset_buf_alloc_stats, BufAllocStats, SmallSet, INLINE_READS,
     INLINE_WRITES,
@@ -65,7 +64,6 @@ pub struct StmGlobal {
     /// NOrec's global sequence lock (even = free, odd = writer committing).
     pub norec_seq: std::sync::atomic::AtomicU64,
     policy: AtomicU8,
-    algo: AtomicU8,
     audit_noquiesce: std::sync::atomic::AtomicBool,
     /// Quiescence-watchdog deadline (ns); a drain waiting longer trips the
     /// watchdog (report + counter, see [`Watchdog`]).
@@ -89,7 +87,6 @@ impl StmGlobal {
             noquiesce_overlaps: tle_base::stats::Counter::new(),
             norec_seq: std::sync::atomic::AtomicU64::new(0),
             policy: AtomicU8::new(policy as u8),
-            algo: AtomicU8::new(StmAlgo::MlWt as u8),
             audit_noquiesce: std::sync::atomic::AtomicBool::new(false),
             quiesce_deadline_ns: AtomicU64::new(DEFAULT_QUIESCE_DEADLINE_NS),
         }
@@ -109,32 +106,6 @@ impl StmGlobal {
     /// trips; 0 trips on any slow-path drain).
     pub fn set_quiesce_deadline_ns(&self, ns: u64) {
         self.quiesce_deadline_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// The active software-TM algorithm.
-    ///
-    /// Ordering audit: `Acquire`, pairing with the `Release` in
-    /// [`StmGlobal::set_algo`]. The two algorithms do not share conflict
-    /// metadata (orecs vs `norec_seq`), so a thread beginning a transaction
-    /// after an algorithm switch must observe any state the switching thread
-    /// prepared (e.g. a reset clock) — `Relaxed` would let `begin_soft` run
-    /// the new algorithm against stale setup.
-    #[inline]
-    pub fn algo(&self) -> StmAlgo {
-        StmAlgo::from_u8(self.algo.load(Ordering::Acquire))
-    }
-
-    /// Select the software-TM algorithm (between runs, like the policy).
-    pub fn set_algo(&self, algo: StmAlgo) {
-        self.algo.store(algo as u8, Ordering::Release);
-    }
-
-    /// Begin a transaction of the domain's selected algorithm.
-    pub fn begin_soft(&self, slot_idx: usize) -> SoftTx<'_> {
-        match self.algo() {
-            StmAlgo::MlWt => SoftTx::MlWt(StmTx::begin(self, slot_idx)),
-            StmAlgo::Norec => SoftTx::Norec(NorecTx::begin(self, slot_idx)),
-        }
     }
 
     /// Enable/disable the `TM_NoQuiesce` audit (paper §IV-C).
@@ -188,6 +159,14 @@ impl StmGlobal {
     /// (claimed via `self.slots.register_raw()`).
     pub fn begin(&self, slot_idx: usize) -> StmTx<'_> {
         StmTx::begin(self, slot_idx)
+    }
+
+    /// Begin a NOrec transaction attempt on the thread occupying `slot_idx`.
+    /// NOrec shares this domain's slot registry (and so the serial sweep)
+    /// but none of `ml_wt`'s conflict metadata: its sequence lock is
+    /// [`StmGlobal::norec_seq`].
+    pub fn begin_norec(&self, slot_idx: usize) -> NorecTx<'_> {
+        NorecTx::begin(self, slot_idx)
     }
 
     /// Continue a post-commit drain that a deferring commit handed back

@@ -17,8 +17,9 @@
 //! under the global commit lock and doomed transactions never write to
 //! shared memory, so the paper's quiescence machinery (and `TM_NoQuiesce`)
 //! has nothing to do here. That contrast is exactly why it makes a good
-//! ablation against `ml_wt` (`ablate_stm_algo` bench): the drain the paper
-//! optimizes is an artifact of *in-place* STMs.
+//! ablation against `ml_wt` (the `StmNorec` algorithm mode, and the
+//! `ablate_stm_algo` bench): the drain the paper optimizes is an artifact of
+//! *in-place* STMs.
 
 use crate::StmGlobal;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +30,8 @@ use tle_base::stats::Stat;
 use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::{AbortCause, AbortWord, TCell, TxVal};
 
-/// A single NOrec transaction attempt.
+/// A single NOrec transaction attempt, created by
+/// [`StmGlobal::begin_norec`].
 pub struct NorecTx<'g> {
     g: &'g StmGlobal,
     slot_idx: usize,
@@ -87,7 +89,7 @@ impl<'g> NorecTx<'g> {
     /// out of line like `ml_wt`'s, so the word (or the abort) comes back in
     /// a register pair.
     #[inline(never)]
-    pub(crate) fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
+    pub fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
         sched::yield_point(YieldPoint::SeqLock);
         if let Some(&(_, _, v)) = self.bufs.nwrites.iter().find(|&&(_, a, _)| a == addr) {
             trace::emit_access(TraceKind::Read, TxMode::Norec, addr as u64, v);
@@ -109,12 +111,7 @@ impl<'g> NorecTx<'g> {
     /// The write barrier of the word `w` at `addr`: buffer `val` in the
     /// redo log, coalescing a repeated write.
     #[inline(never)]
-    pub(crate) fn write_word(
-        &mut self,
-        w: &AtomicU64,
-        addr: usize,
-        val: u64,
-    ) -> Result<(), AbortWord> {
+    pub fn write_word(&mut self, w: &AtomicU64, addr: usize, val: u64) -> Result<(), AbortWord> {
         if let Some(entry) = self.bufs.nwrites.iter_mut().find(|e| e.1 == addr) {
             entry.2 = val;
         } else {
@@ -187,7 +184,7 @@ impl<'g> NorecTx<'g> {
 
     /// [`NorecTx::commit`] without moving the descriptor.
     #[inline(never)]
-    pub(crate) fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
+    pub fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
         debug_assert!(!self.finished);
         let shard = self.slot_idx;
         if self.bufs.nwrites.is_empty() {
@@ -298,13 +295,11 @@ fn wait_even(seq: &AtomicU64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{QuiescePolicy, StmAlgo, StmGlobal};
+    use crate::{QuiescePolicy, StmGlobal};
     use std::sync::Arc;
 
     fn norec_global() -> StmGlobal {
-        let g = StmGlobal::new(QuiescePolicy::Always);
-        g.set_algo(StmAlgo::Norec);
-        g
+        StmGlobal::new(QuiescePolicy::Always)
     }
 
     #[test]

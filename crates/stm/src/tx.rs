@@ -162,7 +162,7 @@ impl<'g> StmTx<'g> {
     /// lock, a newer orec, a torn sample) goes to `read_slow`, a
     /// tail call.
     #[inline(never)]
-    pub(crate) fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
+    pub fn read_word(&mut self, w: &AtomicU64, addr: usize) -> Result<u64, AbortWord> {
         sched::yield_point(YieldPoint::OrecLoad);
         let orecs = &self.g.orecs;
         let oi = orecs.index_of(addr);
@@ -260,12 +260,7 @@ impl<'g> StmTx<'g> {
     /// `start` whose `try_lock` wins. A foreign lock, a newer orec and a
     /// lost CAS go to `write_slow`.
     #[inline(never)]
-    pub(crate) fn write_word(
-        &mut self,
-        w: &AtomicU64,
-        addr: usize,
-        val: u64,
-    ) -> Result<(), AbortWord> {
+    pub fn write_word(&mut self, w: &AtomicU64, addr: usize, val: u64) -> Result<(), AbortWord> {
         sched::yield_point(YieldPoint::OrecAcquire);
         let oi = self.g.orecs.index_of(addr);
         let cur = self.g.orecs.load(oi);
@@ -445,7 +440,7 @@ impl<'g> StmTx<'g> {
     /// caller drops it. The read-only commit and the writer's each run in a
     /// frame of their own.
     #[inline]
-    pub(crate) fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
+    pub fn commit_in_place(&mut self) -> Result<u64, AbortWord> {
         debug_assert!(!self.finished);
         if self.bufs.locks.is_empty() {
             Ok(self.commit_read_only())

@@ -197,8 +197,7 @@ mod tests {
 
     #[test]
     fn sets_work_on_norec_backend() {
-        let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-        sys.set_stm_algo(tle_stm::StmAlgo::Norec);
+        let sys = Arc::new(TmSystem::new(AlgoMode::StmNorec));
         let th = sys.register();
         let sets: [Box<dyn TxSet>; 3] = [
             Box::new(TxListSet::new()),

@@ -157,7 +157,14 @@ pub fn micro(args: &Args) -> Result<ExitCode, String> {
     };
     let threads: usize = args.get("--threads", 4)?;
     let ops: u64 = args.get("--ops", 200_000)?;
-    let (tput, stats) = micro_trial(&kind, policy, threads, Mix::HalfLookup, ops);
+    let (tput, stats) = micro_trial(
+        &kind,
+        AlgoMode::StmCondvar,
+        policy,
+        threads,
+        Mix::HalfLookup,
+        ops,
+    );
     println!(
         "{kind} set, {} policy, {threads} threads: {:.3} Mops/s",
         policy.label(),

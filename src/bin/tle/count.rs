@@ -32,7 +32,6 @@ use tle_base::TCell;
 use tle_core::{AlgoMode, ElidableMutex, ThreadHandle, TmSystem};
 use tle_htm::HtmConfig;
 use tle_kv::ShardedKv;
-use tle_stm::StmAlgo;
 
 /// Sections run before the measured one: buffers leased, pools filled,
 /// every lazy initialisation done.
@@ -63,10 +62,9 @@ const REFUSED: i32 = 3;
 /// `scan.stm` reads [`SCAN`] cells,
 /// more than the read set's inline tier holds, so its last reads take the
 /// spilled append, and the lease's return bumps the spill counter
-/// (`stm.buf.spills`): the read-only 6 and one. NOrec (the `stm` mode with
-/// the domain's algorithm switched) makes 7 read-write (its commit's
-/// sequence-lock CAS in place of the orec CAS and the clock advance) and 6
-/// read-only. `async.stm` and `async.ro.stm` are the `ml_wt` increment and
+/// (`stm.buf.spills`): the read-only 6 and one. NOrec (the `StmNorec`
+/// mode) makes 7 read-write (its commit's sequence-lock CAS in place of the
+/// orec CAS and the clock advance) and 6 read-only. `async.stm` and `async.ro.stm` are the `ml_wt` increment and
 /// read, each one poll of `run_async` on a no-op waker: the sync rows' 8
 /// and 6 plus the transient slot pair's claim (a CAS and a `fetch_max`
 /// per registry).
@@ -74,25 +72,25 @@ const REFUSED: i32 = 3;
 /// The last column is the row's instructions in a release build without
 /// `trace` or `check`, as this table's change counted them.
 const ROWS: &[(&str, u64, u64)] = &[
-    ("elide.lock", 6, 301),
-    ("elide.stm", 8, 718),
-    ("elide.htm", 9, 767),
-    ("handoff.htm", 9, 770),
-    ("ro.stm", 6, 571),
-    ("ro.htm", 8, 655),
-    ("scan.stm", 7, 6797),
-    ("kv.get.lock", 6, 523),
-    ("kv.get.stm", 6, 944),
-    ("kv.get.htm", 12, 1231),
-    ("kv.put.lock", 6, 564),
-    ("kv.put.stm", 8, 1133),
-    ("kv.put.htm", 15, 1442),
-    ("elide.norec", 7, 679),
-    ("ro.norec", 6, 601),
-    ("kv.get.norec", 6, 1035),
-    ("kv.put.norec", 7, 1163),
-    ("async.stm", 12, 1139),
-    ("async.ro.stm", 10, 961),
+    ("elide.lock", 6, 302),
+    ("elide.stm", 8, 720),
+    ("elide.htm", 9, 770),
+    ("handoff.htm", 9, 773),
+    ("ro.stm", 6, 578),
+    ("ro.htm", 8, 662),
+    ("scan.stm", 7, 6801),
+    ("kv.get.lock", 6, 534),
+    ("kv.get.stm", 6, 942),
+    ("kv.get.htm", 12, 1245),
+    ("kv.put.lock", 6, 569),
+    ("kv.put.stm", 8, 1126),
+    ("kv.put.htm", 15, 1451),
+    ("elide.norec", 7, 627),
+    ("ro.norec", 6, 552),
+    ("kv.get.norec", 6, 989),
+    ("kv.put.norec", 7, 1113),
+    ("async.stm", 12, 1162),
+    ("async.ro.stm", 10, 981),
 ];
 
 pub fn run(args: &Args) -> Result<ExitCode, String> {
@@ -203,11 +201,11 @@ fn measured<R>(mut section: impl FnMut() -> R) {
 
 /// A single-thread system for `mode`; HTM rows draw no spurious events, so
 /// every attempt commits and the count is the same on every run.
-/// `norec` is the `stm` mode with the domain's algorithm switched to NOrec.
 fn system(engine: &str) -> Option<(Arc<TmSystem>, ThreadHandle)> {
     let mode = match engine {
         "lock" => AlgoMode::Baseline,
-        "stm" | "norec" => AlgoMode::StmCondvar,
+        "stm" => AlgoMode::StmCondvar,
+        "norec" => AlgoMode::StmNorec,
         "htm" => AlgoMode::HtmCondvar,
         _ => return None,
     };
@@ -220,9 +218,6 @@ fn system(engine: &str) -> Option<(Arc<TmSystem>, ThreadHandle)> {
             })
             .build(),
     );
-    if engine == "norec" {
-        sys.set_stm_algo(StmAlgo::Norec);
-    }
     let th = sys.register();
     Some((sys, th))
 }

@@ -43,7 +43,8 @@ static COMMANDS: &[Command] = &[
         about: "Compress IN to OUT on the PBZip2-style pipeline (Figure 2).",
         flags: "\
 --mode M       algorithm mode (default stm-condvar): baseline|stm-spin|
-               stm-condvar|stm-noquiesce|htm|adaptive-htm|adaptive-htm-lazy
+               stm-condvar|stm-noquiesce|htm|adaptive-htm|adaptive-htm-lazy|
+               stm-norec
 --threads N    compression workers (default 4)
 --block N      block size in bytes (default 300000)" },
     Command { name: "decompress", positionals: &["IN", "OUT"], run: apps::decompress,
@@ -97,7 +98,7 @@ static COMMANDS: &[Command] = &[
         flags: "\
 --seed N       fault-schedule and workload seed (default 1)
 --mode M       all, or one algorithm mode (default all; adaptive-htm-lazy
-               is opt-in and not part of `all`)
+               and stm-norec are opt-in and not part of `all`)
 --workers N    txset/pipeline worker threads (default 3)
 --ops N        set operations per worker (default 1500)
 --adaptive     also torture per-lock mode flips (exact count + flip sequence)

@@ -102,7 +102,8 @@ fn an_unknown_mode_lists_every_mode() {
                 "stm-noquiesce,",
                 "htm,",
                 "adaptive-htm,",
-                "adaptive-htm-lazy)",
+                "adaptive-htm-lazy,",
+                "stm-norec)",
             ] {
                 assert!(err.contains(mode), "mode `{mode}` missing from: {err}");
             }

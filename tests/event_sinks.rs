@@ -22,12 +22,10 @@ use tle_repro::base::history;
 use tle_repro::base::trace::{self, TraceKind, TxEvent, TxMode};
 use tle_repro::htm::HtmConfig;
 use tle_repro::prelude::*;
-use tle_repro::stm::StmAlgo;
 
 struct Case {
     name: &'static str,
     mode: AlgoMode,
-    algo: StmAlgo,
     /// Raise an unsafe operation first, so the section re-runs serially.
     unsafe_first: bool,
     /// Modes of the recorded attempts, in order; the last one commits.
@@ -38,42 +36,36 @@ const CASES: [Case; 6] = [
     Case {
         name: "ml_wt",
         mode: AlgoMode::StmCondvar,
-        algo: StmAlgo::MlWt,
         unsafe_first: false,
         attempts: &[TxMode::Stm],
     },
     Case {
         name: "NOrec",
-        mode: AlgoMode::StmCondvar,
-        algo: StmAlgo::Norec,
+        mode: AlgoMode::StmNorec,
         unsafe_first: false,
         attempts: &[TxMode::Norec],
     },
     Case {
         name: "HTM",
         mode: AlgoMode::HtmCondvar,
-        algo: StmAlgo::MlWt,
         unsafe_first: false,
         attempts: &[TxMode::Htm],
     },
     Case {
         name: "serial fallback",
         mode: AlgoMode::StmCondvar,
-        algo: StmAlgo::MlWt,
         unsafe_first: true,
         attempts: &[TxMode::Stm, TxMode::Serial],
     },
     Case {
         name: "baseline lock",
         mode: AlgoMode::Baseline,
-        algo: StmAlgo::MlWt,
         unsafe_first: false,
         attempts: &[TxMode::Locked],
     },
     Case {
         name: "AdaptiveHtmLazy",
         mode: AlgoMode::AdaptiveHtmLazy,
-        algo: StmAlgo::MlWt,
         unsafe_first: false,
         attempts: &[TxMode::Htm],
     },
@@ -91,7 +83,6 @@ fn record(case: &Case) -> (Vec<TxEvent>, Vec<TxEvent>, [u64; 2]) {
             })
             .build(),
     );
-    sys.set_stm_algo(case.algo);
     let lock = ElidableMutex::new("sinks");
     sys.adopt_lock(&lock);
     let a = TCell::new(1u64);

@@ -10,7 +10,6 @@
 
 use std::sync::Arc;
 use tle_repro::prelude::*;
-use tle_repro::stm::StmAlgo;
 
 const CELLS: usize = 8;
 const WRITERS: usize = 3;
@@ -21,9 +20,8 @@ const READERS: usize = 3;
 const OPS: u64 = if cfg!(debug_assertions) { 400 } else { 4_000 };
 const ORDER_OPS: u64 = if cfg!(debug_assertions) { 300 } else { 2_000 };
 
-fn run_opacity(mode: AlgoMode, algo: StmAlgo) {
+fn run_opacity(mode: AlgoMode) {
     let sys = Arc::new(TmSystem::new(mode));
-    sys.set_stm_algo(algo);
     let lock = Arc::new(ElidableMutex::new("opacity"));
     let cells: Arc<Vec<TCell<u64>>> = Arc::new((0..CELLS).map(|_| TCell::new(0)).collect());
 
@@ -39,10 +37,7 @@ fn run_opacity(mode: AlgoMode, algo: StmAlgo) {
                     let first = ctx.read(&cells[0])?;
                     for c in cells.iter().skip(1) {
                         let v = ctx.read(c)?;
-                        assert_eq!(
-                            v, first,
-                            "writer observed a torn snapshot under {mode:?}/{algo:?}"
-                        );
+                        assert_eq!(v, first, "writer observed a torn snapshot under {mode:?}");
                     }
                     for c in cells.iter() {
                         ctx.write(c, first + 1)?;
@@ -69,10 +64,7 @@ fn run_opacity(mode: AlgoMode, algo: StmAlgo) {
                     }
                     Ok((lo, hi))
                 });
-                assert_eq!(
-                    lo, hi,
-                    "reader observed a torn snapshot under {mode:?}/{algo:?}"
-                );
+                assert_eq!(lo, hi, "reader observed a torn snapshot under {mode:?}");
             }
         }));
     }
@@ -81,42 +73,38 @@ fn run_opacity(mode: AlgoMode, algo: StmAlgo) {
     }
     let expect = WRITERS as u64 * OPS;
     for c in cells.iter() {
-        assert_eq!(
-            c.load_direct(),
-            expect,
-            "lost increments under {mode:?}/{algo:?}"
-        );
+        assert_eq!(c.load_direct(), expect, "lost increments under {mode:?}");
     }
 }
 
 #[test]
 fn opacity_baseline() {
-    run_opacity(AlgoMode::Baseline, StmAlgo::MlWt);
+    run_opacity(AlgoMode::Baseline);
 }
 
 #[test]
 fn opacity_stm_mlwt() {
-    run_opacity(AlgoMode::StmCondvar, StmAlgo::MlWt);
+    run_opacity(AlgoMode::StmCondvar);
 }
 
 #[test]
 fn opacity_stm_mlwt_noquiesce() {
-    run_opacity(AlgoMode::StmCondvarNoQuiesce, StmAlgo::MlWt);
+    run_opacity(AlgoMode::StmCondvarNoQuiesce);
 }
 
 #[test]
 fn opacity_stm_norec() {
-    run_opacity(AlgoMode::StmCondvar, StmAlgo::Norec);
+    run_opacity(AlgoMode::StmNorec);
 }
 
 #[test]
 fn opacity_htm() {
-    run_opacity(AlgoMode::HtmCondvar, StmAlgo::MlWt);
+    run_opacity(AlgoMode::HtmCondvar);
 }
 
 #[test]
 fn opacity_adaptive_htm() {
-    run_opacity(AlgoMode::AdaptiveHtm, StmAlgo::MlWt);
+    run_opacity(AlgoMode::AdaptiveHtm);
 }
 
 /// Commit-order consistency: transactions tag themselves with a sequence
@@ -124,9 +112,8 @@ fn opacity_adaptive_htm() {
 /// reproduce the final memory state (serializability witness).
 #[test]
 fn commit_order_replay_matches_final_state() {
-    for algo in [StmAlgo::MlWt, StmAlgo::Norec] {
-        let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-        sys.set_stm_algo(algo);
+    for mode in [AlgoMode::StmCondvar, AlgoMode::StmNorec] {
+        let sys = Arc::new(TmSystem::new(mode));
         let lock = Arc::new(ElidableMutex::new("serial-witness"));
         let seq = Arc::new(TCell::new(0u64));
         let slots: Arc<Vec<TCell<u64>>> = Arc::new((0..4).map(|_| TCell::new(0)).collect());
@@ -162,7 +149,7 @@ fn commit_order_replay_matches_final_state() {
         // Tags must be unique and dense (each transaction got its own).
         log.sort_unstable();
         for (i, &(tag, _, _)) in log.iter().enumerate() {
-            assert_eq!(tag, i as u64 + 1, "sequence tags not dense under {algo:?}");
+            assert_eq!(tag, i as u64 + 1, "sequence tags not dense under {mode:?}");
         }
         // Replay in commit (tag) order.
         let mut replay = [0u64; 4];
@@ -173,7 +160,7 @@ fn commit_order_replay_matches_final_state() {
             assert_eq!(
                 c.load_direct(),
                 replay[i],
-                "slot {i} diverges from commit-order replay under {algo:?}"
+                "slot {i} diverges from commit-order replay under {mode:?}"
             );
         }
     }

@@ -17,16 +17,14 @@ use tle_check::{explore, Config, Scenario};
 use tle_repro::base::trace::TraceKind;
 use tle_repro::base::TCell;
 use tle_repro::prelude::*;
-use tle_repro::stm::StmAlgo;
 
 /// All threads repeatedly assert every cell equal (inside the transaction —
 /// a torn read panics the virtual thread) and increment them all. The
 /// post-condition pins the final counter; `init` gives the oracle the
 /// starting memory image.
-fn snapshot_scenario(mode: AlgoMode, algo: StmAlgo, threads: usize, ops: u64) -> Scenario {
+fn snapshot_scenario(mode: AlgoMode, threads: usize, ops: u64) -> Scenario {
     const CELLS: usize = 2;
     let sys = Arc::new(TmSystem::new(mode));
-    sys.set_stm_algo(algo);
     let lock = Arc::new(ElidableMutex::new("opacity-check"));
     let cells: Arc<Vec<TCell<u64>>> = Arc::new((0..CELLS).map(|_| TCell::new(0)).collect());
     let init: Vec<(usize, u64)> = cells.iter().map(|c| (c.addr(), 0)).collect();
@@ -43,7 +41,7 @@ fn snapshot_scenario(mode: AlgoMode, algo: StmAlgo, threads: usize, ops: u64) ->
                     let first = ctx.read(&cells[0])?;
                     for c in cells.iter().skip(1) {
                         let v = ctx.read(c)?;
-                        assert_eq!(v, first, "torn snapshot under {mode:?}/{algo:?}");
+                        assert_eq!(v, first, "torn snapshot under {mode:?}");
                     }
                     for c in cells.iter() {
                         ctx.write(c, first + 1)?;
@@ -63,9 +61,7 @@ fn snapshot_scenario(mode: AlgoMode, algo: StmAlgo, threads: usize, ops: u64) ->
             for (i, c) in post_cells.iter().enumerate() {
                 let v = c.load_direct();
                 if v != expect {
-                    return Err(format!(
-                        "cell {i} = {v}, expected {expect} under {mode:?}/{algo:?}"
-                    ));
+                    return Err(format!("cell {i} = {v}, expected {expect} under {mode:?}"));
                 }
             }
             Ok(())
@@ -76,7 +72,7 @@ fn snapshot_scenario(mode: AlgoMode, algo: StmAlgo, threads: usize, ops: u64) ->
 #[test]
 fn check_baseline() {
     explore(&Config::dfs(2, 200), || {
-        snapshot_scenario(AlgoMode::Baseline, StmAlgo::MlWt, 2, 2)
+        snapshot_scenario(AlgoMode::Baseline, 2, 2)
     })
     .assert_clean();
 }
@@ -84,7 +80,7 @@ fn check_baseline() {
 #[test]
 fn check_stm_mlwt() {
     explore(&Config::dfs(2, 300), || {
-        snapshot_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt, 2, 2)
+        snapshot_scenario(AlgoMode::StmCondvar, 2, 2)
     })
     .assert_clean();
 }
@@ -96,7 +92,7 @@ fn check_stm_mlwt() {
 #[test]
 fn check_stm_mlwt_noquiesce() {
     explore(&Config::dfs(2, 300), || {
-        snapshot_scenario(AlgoMode::StmCondvarNoQuiesce, StmAlgo::MlWt, 2, 2)
+        snapshot_scenario(AlgoMode::StmCondvarNoQuiesce, 2, 2)
     })
     .assert_clean();
 }
@@ -104,7 +100,7 @@ fn check_stm_mlwt_noquiesce() {
 #[test]
 fn check_stm_norec() {
     explore(&Config::dfs(2, 300), || {
-        snapshot_scenario(AlgoMode::StmCondvar, StmAlgo::Norec, 2, 2)
+        snapshot_scenario(AlgoMode::StmNorec, 2, 2)
     })
     .assert_clean();
 }
@@ -112,7 +108,7 @@ fn check_stm_norec() {
 #[test]
 fn check_htm() {
     explore(&Config::dfs(2, 300), || {
-        snapshot_scenario(AlgoMode::HtmCondvar, StmAlgo::MlWt, 2, 2)
+        snapshot_scenario(AlgoMode::HtmCondvar, 2, 2)
     })
     .assert_clean();
 }
@@ -120,7 +116,7 @@ fn check_htm() {
 #[test]
 fn check_adaptive_htm() {
     explore(&Config::dfs(2, 300), || {
-        snapshot_scenario(AlgoMode::AdaptiveHtm, StmAlgo::MlWt, 2, 2)
+        snapshot_scenario(AlgoMode::AdaptiveHtm, 2, 2)
     })
     .assert_clean();
 }
@@ -130,7 +126,7 @@ fn check_adaptive_htm() {
 #[test]
 fn check_three_threads_noquiesce() {
     explore(&Config::dfs(2, 500), || {
-        snapshot_scenario(AlgoMode::StmCondvarNoQuiesce, StmAlgo::MlWt, 3, 1)
+        snapshot_scenario(AlgoMode::StmCondvarNoQuiesce, 3, 1)
     })
     .assert_clean();
 }
@@ -139,13 +135,13 @@ fn check_three_threads_noquiesce() {
 /// placements, same invariants, still fully reproducible from the seed.
 #[test]
 fn check_random_sampling() {
-    for (mode, algo) in [
-        (AlgoMode::StmCondvar, StmAlgo::MlWt),
-        (AlgoMode::StmCondvarNoQuiesce, StmAlgo::MlWt),
-        (AlgoMode::HtmCondvar, StmAlgo::MlWt),
+    for mode in [
+        AlgoMode::StmCondvar,
+        AlgoMode::StmCondvarNoQuiesce,
+        AlgoMode::HtmCondvar,
     ] {
         explore(&Config::random(0x0AC17E5, 40), || {
-            snapshot_scenario(mode, algo, 2, 2)
+            snapshot_scenario(mode, 2, 2)
         })
         .assert_clean();
     }
@@ -160,7 +156,7 @@ fn check_history_carries_all_commits() {
     let threads = 2usize;
     let ops = 2u64;
     explore(&Config::dfs(2, 300), || {
-        let mut s = snapshot_scenario(AlgoMode::StmCondvar, StmAlgo::MlWt, threads, ops);
+        let mut s = snapshot_scenario(AlgoMode::StmCondvar, threads, ops);
         let inner = s.post;
         s.post = Box::new(move |events| {
             inner(events)?;

@@ -85,13 +85,15 @@ const SAMPLED_MODES: [AlgoMode; 3] = [
 ];
 
 /// Every mode, for invariants that must hold regardless.
-const EVERY_MODE: [AlgoMode; 6] = [
+const EVERY_MODE: [AlgoMode; 8] = [
     AlgoMode::Baseline,
     AlgoMode::StmSpin,
     AlgoMode::StmCondvar,
     AlgoMode::StmCondvarNoQuiesce,
     AlgoMode::HtmCondvar,
     AlgoMode::AdaptiveHtm,
+    AlgoMode::AdaptiveHtmLazy,
+    AlgoMode::StmNorec,
 ];
 
 const EVERY_REASON: [Option<SwitchReason>; 5] = [
@@ -257,8 +259,9 @@ proptest! {
 
     /// Whatever the inputs, a switch decision is to a *different* mode and
     /// only ever targets the three dispatchable modes; the hands-off modes
-    /// (`StmCondvarNoQuiesce` is an application contract, `AdaptiveHtm`
-    /// self-adapts) never move at all.
+    /// (`StmCondvarNoQuiesce` is an application contract, the glibc family
+    /// self-adapts, `AdaptiveHtmLazy` and `StmNorec` are opt-in) never move
+    /// at all.
     #[test]
     fn targets_are_legal(
         mode_i in 0usize..EVERY_MODE.len(),
@@ -277,7 +280,13 @@ proptest! {
             quiesce_ns: 0,
         };
         let d = decide(mode, &s, dwell, EVERY_REASON[reason_i], &cfg);
-        if matches!(mode, AlgoMode::StmCondvarNoQuiesce | AlgoMode::AdaptiveHtm) {
+        if matches!(
+            mode,
+            AlgoMode::StmCondvarNoQuiesce
+                | AlgoMode::AdaptiveHtm
+                | AlgoMode::AdaptiveHtmLazy
+                | AlgoMode::StmNorec
+        ) {
             prop_assert_eq!(d, None, "hands-off mode switched");
         }
         if let Some((target, _reason)) = d {

@@ -38,7 +38,11 @@ enum Drive {
 
 fn modes() -> Vec<AlgoMode> {
     let mut modes = ALL_MODES.to_vec();
-    modes.extend([AlgoMode::AdaptiveHtm, AlgoMode::AdaptiveHtmLazy]);
+    modes.extend([
+        AlgoMode::AdaptiveHtm,
+        AlgoMode::AdaptiveHtmLazy,
+        AlgoMode::StmNorec,
+    ]);
     modes
 }
 
@@ -482,9 +486,15 @@ fn drain_decisions() {
                 });
                 (wrote, freed, skipped)
             });
+            // NOrec never drains, so it makes no drain decision at all.
             let stm = rig.sys.stm.stats.snapshot();
             if stm.commits > 0 {
-                assert_eq!((stm.quiesces, stm.quiesce_skipped), (2, 1), "{mode:?}");
+                let drains = if mode == AlgoMode::StmNorec {
+                    (0, 0)
+                } else {
+                    (2, 1)
+                };
+                assert_eq!((stm.quiesces, stm.quiesce_skipped), drains, "{mode:?}");
             }
             seen
         },
