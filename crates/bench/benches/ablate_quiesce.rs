@@ -79,20 +79,19 @@ fn drain_scaling() {
     table.print();
 }
 
-/// A long-running transaction delays an unrelated committer's drain.
+/// A long-running transaction delays an unrelated committer's drain. The
+/// committer asserts `TM_NoQuiesce` under both modes; only the NoQuiesce
+/// mode honours it.
 fn long_tx_blocking() {
+    let modes = [AlgoMode::StmCondvar, AlgoMode::StmCondvarNoQuiesce];
     let mut table = Table::new(
         "§IV: unrelated-committer latency with one long transaction in flight (us/commit)",
-        &["long-tx", "Always", "Selective+NoQuiesce"],
+        &["long-tx", modes[0].label(), modes[1].label()],
     );
     for long_running in [false, true] {
         let mut cells = vec![long_running.to_string()];
-        for (policy, use_noq) in [
-            (QuiescePolicy::Always, false),
-            (QuiescePolicy::Selective, true),
-        ] {
-            let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-            sys.stm.set_policy(policy);
+        for mode in modes {
+            let sys = Arc::new(TmSystem::new(mode));
             let stop = Arc::new(AtomicBool::new(false));
             let long = if long_running {
                 let sys = Arc::clone(&sys);
@@ -127,9 +126,7 @@ fn long_tx_blocking() {
             for _ in 0..OPS {
                 th.tx(&lock).run(|ctx| {
                     ctx.update(&cell, |v| v + 1)?;
-                    if use_noq {
-                        ctx.no_quiesce();
-                    }
+                    ctx.no_quiesce();
                     Ok(())
                 });
             }

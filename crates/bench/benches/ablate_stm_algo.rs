@@ -31,7 +31,7 @@ fn main() {
             let mut row = vec![threads.to_string()];
             for (mode, policy) in [
                 (AlgoMode::StmCondvar, QuiescePolicy::Always),
-                (AlgoMode::StmCondvar, QuiescePolicy::Selective),
+                (AlgoMode::StmCondvarNoQuiesce, QuiescePolicy::Always),
                 (AlgoMode::StmNorec, QuiescePolicy::Always),
             ] {
                 let (tput, _) = micro_trial(kind, mode, policy, threads, mix, 60_000);

@@ -9,16 +9,8 @@
 //! - hash/tree (lower contention): SelectNoQ on par with, slightly below,
 //!   NoQ; both above STM.
 
-use tle_bench::workloads::{micro_trial, Mix};
+use tle_bench::workloads::{micro_trial, Mix, FIG5_CONFIGS};
 use tle_bench::{full_sweep, thread_sweep, trials, Table};
-use tle_core::AlgoMode;
-use tle_stm::QuiescePolicy;
-
-const POLICIES: [QuiescePolicy; 3] = [
-    QuiescePolicy::Always,
-    QuiescePolicy::Never,
-    QuiescePolicy::Selective,
-];
 
 fn main() {
     let ops: u64 = if full_sweep() { 300_000 } else { 100_000 };
@@ -43,10 +35,10 @@ fn main() {
         );
         for threads in thread_sweep() {
             let mut row = vec![threads.to_string()];
-            for policy in POLICIES {
+            for (_, mode, policy) in FIG5_CONFIGS {
                 let mut total = 0.0;
                 for _ in 0..n_trials {
-                    total += micro_trial(kind, AlgoMode::StmCondvar, policy, threads, mix, ops).0;
+                    total += micro_trial(kind, mode, policy, threads, mix, ops).0;
                 }
                 row.push(format!("{:.3}", total / n_trials as f64 / 1e6));
             }

@@ -531,15 +531,18 @@ fn torture_flips(
     use tle_core::ElidableMutex;
 
     const FLIPS: usize = 12;
-    /// Flip targets: every mode except `StmCondvarNoQuiesce`, which the
-    /// controller and the torture schedule alike must never select (the
-    /// no-quiesce contract is a per-lock application opt-in only).
-    const TARGETS: [AlgoMode; 5] = [
+    /// Flip targets: every mode except `StmCondvarNoQuiesce`, which stays
+    /// out because it is an application assertion (its sections promise not
+    /// to privatize), not a runtime choice — the controller and the torture
+    /// schedule alike must never select it.
+    const TARGETS: [AlgoMode; 7] = [
         AlgoMode::Baseline,
         AlgoMode::StmSpin,
         AlgoMode::StmCondvar,
+        AlgoMode::StmNorec,
         AlgoMode::HtmCondvar,
         AlgoMode::AdaptiveHtm,
+        AlgoMode::AdaptiveHtmLazy,
     ];
 
     let lock = ElidableMutex::new("torture-flips");
@@ -629,10 +632,13 @@ fn torture_flips(
             "flips: counter {got} != {expect} — a section completed under a stale mode"
         ));
     }
-    if lock.is_no_quiesce() {
+    let events = sys.mode_switches();
+    if events
+        .iter()
+        .any(|e| e.lock == lock.name() && e.to == AlgoMode::StmCondvarNoQuiesce)
+    {
         violations.push("flips: lock entered NoQuiesce without an opt-in".into());
     }
-    let events = sys.mode_switches();
     let seq: Vec<String> = events
         .iter()
         .filter(|e| e.lock == lock.name())

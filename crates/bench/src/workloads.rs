@@ -344,10 +344,23 @@ pub fn prefill(set: &dyn TxSet, th: &ThreadHandle) {
     }
 }
 
+/// Figure 5's three quiescence configurations as `(legend, mode, policy)`.
+/// NoQ is the domain's policy switch; SelectNoQ is the mode that honours
+/// the sections' `TM_NoQuiesce` annotations.
+pub const FIG5_CONFIGS: [(&str, AlgoMode, QuiescePolicy); 3] = [
+    ("STM", AlgoMode::StmCondvar, QuiescePolicy::Always),
+    ("NoQ", AlgoMode::StmCondvar, QuiescePolicy::Never),
+    (
+        "SelectNoQ",
+        AlgoMode::StmCondvarNoQuiesce,
+        QuiescePolicy::Always,
+    ),
+];
+
 /// One Figure 5 trial: `threads` workers each run `ops_per_thread`
-/// operations of `mix` against `set` under the software mode `mode` (the
-/// paper's `StmCondvar`, or `StmNorec` for the `ablate_stm_algo` bench) and
-/// the quiescence `policy`. Returns throughput in operations per second
+/// operations of `mix` against `set` under the software mode `mode` and the
+/// quiescence `policy` (one of [`FIG5_CONFIGS`], or `StmNorec` for the
+/// `ablate_stm_algo` bench). Returns throughput in operations per second
 /// plus stats. The trial runs in three barrier phases: *sync0* (all workers
 /// registered) → `ops_per_thread / 10` warmup ops on a dedicated rng
 /// stream → *sync1* (stats reset, clock armed) → *sync2* (measured window
@@ -361,7 +374,7 @@ pub fn micro_trial(
     ops_per_thread: u64,
 ) -> (f64, TrialStats) {
     // Microbenchmarks always run a software TM (the paper's Figure 5
-    // machine has no HTM); the policy is the independent variable.
+    // machine has no HTM); the configuration is the independent variable.
     let sys = Arc::new(TmSystem::new(mode));
     sys.stm.set_policy(policy);
     let set = make_set(kind);
@@ -428,22 +441,11 @@ mod tests {
 
     #[test]
     fn micro_trial_smoke_all_policies() {
-        for policy in [
-            QuiescePolicy::Always,
-            QuiescePolicy::Never,
-            QuiescePolicy::Selective,
-        ] {
-            let (tput, stats) = micro_trial(
-                "hash",
-                AlgoMode::StmCondvar,
-                policy,
-                2,
-                Mix::HalfLookup,
-                2_000,
-            );
+        for (label, mode, policy) in FIG5_CONFIGS {
+            let (tput, stats) = micro_trial("hash", mode, policy, 2, Mix::HalfLookup, 2_000);
             assert!(tput > 0.0);
             assert!(stats.stm.commits > 0);
-            if policy == QuiescePolicy::Selective {
+            if label == "SelectNoQ" {
                 assert!(
                     stats.stm.quiesce_skipped > 0,
                     "SelectNoQ should skip some drains"
@@ -625,8 +627,8 @@ mod tests {
         let ops = 2_000u64;
         let (tput, stats) = micro_trial(
             "hash",
-            AlgoMode::StmCondvar,
-            QuiescePolicy::Selective,
+            AlgoMode::StmCondvarNoQuiesce,
+            QuiescePolicy::Always,
             threads,
             Mix::HalfLookup,
             ops,

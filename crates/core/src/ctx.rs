@@ -61,8 +61,13 @@ pub(crate) enum CtxKind<'a> {
     /// adaptive lock word.
     Direct { baseline: bool },
     /// `ml_wt` software transaction. `spin_waits` selects the paper's
-    /// "STM + Spin" degradation where waiting becomes polling.
-    Stm { tx: StmTx<'a>, spin_waits: bool },
+    /// "STM + Spin" degradation where waiting becomes polling; `select`
+    /// its SelectNoQ, where `TM_NoQuiesce` reaches the transaction.
+    Stm {
+        tx: StmTx<'a>,
+        spin_waits: bool,
+        select: bool,
+    },
     /// NOrec software transaction ([`crate::AlgoMode::StmNorec`]).
     Norec { tx: NorecTx<'a> },
     /// Simulated hardware transaction.
@@ -224,12 +229,16 @@ impl<'a> TxCtx<'a> {
     }
 
     /// The paper's `TM_NoQuiesce` (§IV-B): assert this transaction does not
-    /// privatize, skipping the post-commit quiescence drain. No-op outside
-    /// `ml_wt` (HTM and NOrec never quiesce; baseline/serial have no
-    /// drain), and ignored unless the system's quiescence policy is
-    /// `Selective`.
+    /// privatize, skipping the post-commit quiescence drain. Honoured only
+    /// when the section runs under
+    /// [`StmCondvarNoQuiesce`](crate::AlgoMode::StmCondvarNoQuiesce) (the
+    /// paper's SelectNoQ); a no-op under every other mode (HTM and NOrec
+    /// never quiesce, baseline and serial have no drain).
     pub fn no_quiesce(&mut self) {
-        if let CtxKind::Stm { tx, .. } = &mut self.kind {
+        if let CtxKind::Stm {
+            tx, select: true, ..
+        } = &mut self.kind
+        {
             tx.no_quiesce();
         }
     }

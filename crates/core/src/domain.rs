@@ -5,7 +5,7 @@
 //! synchronization algorithm wins across workloads**: HTM wins short
 //! critical sections, STM wins capacity-bound ones, and the plain lock wins
 //! conflict storms. A [`LockDomain`] therefore attaches the full policy
-//! state — mode override, retry budgets, quiescence opt-in, and a sliding
+//! state — mode override, retry budgets, and a sliding
 //! [`StatWindow`] of per-cause outcomes — to each
 //! [`ElidableMutex`](crate::ElidableMutex) instead of pinning one global
 //! [`AlgoMode`] for the whole process.
@@ -33,8 +33,9 @@
 //!
 //! `*NoQuiesce` is **never** a controller target and never a source: skipping
 //! the privatization drain is a correctness contract only the application can
-//! assert (paper §IV-B), so it remains strictly per-lock opt-in via
-//! [`TmSystem::set_lock_no_quiesce`](crate::TmSystem::set_lock_no_quiesce).
+//! assert (paper §IV-B), so a lock enters it only by a manual pin,
+//! [`TmSystem::set_lock_mode`](crate::TmSystem::set_lock_mode), and then
+//! skips only the drains its sections' `no_quiesce()` calls ask to skip.
 
 use crate::system::AlgoMode;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -398,9 +399,6 @@ pub(crate) struct LockDomain {
     htm_retries: AtomicU32,
     /// Per-lock software retry budget ([`RETRIES_INHERIT`] = policy value).
     stm_retries: AtomicU32,
-    /// Per-lock `TM_NoQuiesce` opt-in: when set, every software transaction
-    /// under this lock asserts it does not privatize.
-    no_quiesce: AtomicBool,
     /// Whether the lock was adopted into a system's adaptive controller.
     adopted: AtomicBool,
     /// Sliding window of recent section outcomes.
@@ -434,7 +432,6 @@ impl LockDomain {
             epoch: AtomicU64::new(0),
             htm_retries: AtomicU32::new(RETRIES_INHERIT),
             stm_retries: AtomicU32::new(RETRIES_INHERIT),
-            no_quiesce: AtomicBool::new(false),
             adopted: AtomicBool::new(false),
             window: StatWindow::new(),
             dwell: AtomicU32::new(0),
@@ -503,14 +500,6 @@ impl LockDomain {
                 .unwrap_or(RETRIES_INHERIT),
             Ordering::Relaxed,
         );
-    }
-
-    pub(crate) fn no_quiesce(&self) -> bool {
-        self.no_quiesce.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set_no_quiesce(&self, on: bool) {
-        self.no_quiesce.store(on, Ordering::Relaxed);
     }
 
     pub(crate) fn adopted(&self) -> bool {
@@ -818,7 +807,6 @@ mod tests {
         assert_eq!(d.resolved(AlgoMode::StmSpin), AlgoMode::StmSpin);
         assert_eq!(d.htm_retries(2), 2);
         assert_eq!(d.stm_retries(64), 64);
-        assert!(!d.no_quiesce());
         assert!(!d.adopted());
         assert_eq!(d.epoch(), 0);
         assert_eq!(d.switch_count(), 0);

@@ -9,7 +9,7 @@
 //! when the original program used disjoint locks.
 //!
 //! Each lock additionally carries a [`LockDomain`]: per-lock policy state
-//! (mode override, retry budgets, `TM_NoQuiesce` opt-in) plus a sliding
+//! (mode override, retry budgets) plus a sliding
 //! window of per-cause outcomes. The adaptive controller
 //! ([`TmSystem`](crate::TmSystem)) holds a weak reference to the shared
 //! inner state, which is why the mutex is an `Arc` handle internally — a
@@ -154,12 +154,6 @@ impl ElidableMutex {
     /// or [`TmSystem::set_lock_mode`](crate::TmSystem::set_lock_mode)).
     pub fn mode_override(&self) -> Option<AlgoMode> {
         self.domain().override_mode()
-    }
-
-    /// Whether this lock opted into per-lock `TM_NoQuiesce` (see
-    /// [`TmSystem::set_lock_no_quiesce`](crate::TmSystem::set_lock_no_quiesce)).
-    pub fn is_no_quiesce(&self) -> bool {
-        self.domain().no_quiesce()
     }
 
     /// Override the retry budgets for sections under this lock (`None` =
@@ -347,7 +341,6 @@ mod tests {
         let m = ElidableMutex::new("d");
         assert_eq!(m.mode_override(), None);
         assert_eq!(m.resolved_mode(AlgoMode::HtmCondvar), AlgoMode::HtmCondvar);
-        assert!(!m.is_no_quiesce());
         assert_eq!(m.switches(), 0);
     }
 

@@ -117,8 +117,9 @@ pub(crate) enum Driver {
 #[derive(Clone, Copy)]
 pub(crate) enum Engine {
     /// Software lock elision on `ml_wt`; `spin` is the paper's "STM +
-    /// Spin" wait degradation.
-    Stm { spin: bool },
+    /// Spin" wait degradation, `select` its SelectNoQ (`TM_NoQuiesce`
+    /// honoured).
+    Stm { spin: bool, select: bool },
     /// Software lock elision on NOrec (extension; see
     /// [`AlgoMode::StmNorec`]).
     Norec,
@@ -138,9 +139,11 @@ impl Engine {
     pub(crate) fn of(mode: AlgoMode) -> Option<Engine> {
         match mode {
             AlgoMode::Baseline => None,
-            AlgoMode::StmSpin => Some(Engine::Stm { spin: true }),
-            AlgoMode::StmCondvar | AlgoMode::StmCondvarNoQuiesce => {
-                Some(Engine::Stm { spin: false })
+            AlgoMode::StmSpin | AlgoMode::StmCondvar | AlgoMode::StmCondvarNoQuiesce => {
+                Some(Engine::Stm {
+                    spin: mode == AlgoMode::StmSpin,
+                    select: mode == AlgoMode::StmCondvarNoQuiesce,
+                })
             }
             AlgoMode::StmNorec => Some(Engine::Norec),
             AlgoMode::HtmCondvar => Some(Engine::Htm),
@@ -843,21 +846,17 @@ impl<'a> Ladder<'a> {
         // then stays in one stack slot from begin to commit instead of being
         // merged into (and copied through) a common one.
         match self.engine {
-            Engine::Stm { spin } => {
+            Engine::Stm { spin, select } => {
                 let mut tx = sys.stm.begin(stm_slot);
                 if let Some(step) = self.turned_away() {
                     tx.retire();
                     return step;
                 }
-                // Per-lock TM_NoQuiesce opt-in (strictly an application
-                // contract; see TmSystem::set_lock_no_quiesce).
-                if lock.is_no_quiesce() {
-                    tx.no_quiesce();
-                }
                 tx.set_deadline(deadline);
                 let kind = CtxKind::Stm {
                     tx,
                     spin_waits: spin,
+                    select,
                 };
                 let ctx = TxCtx::new(kind, deadline, driver);
                 self.speculate(ctx, driver, left, f, || Ok(()))
@@ -1273,6 +1272,7 @@ fn begin_kind(sys: &TmSystem, mode: AlgoMode, (stm_slot, htm_slot): (usize, usiz
         _ => CtxKind::Stm {
             tx: sys.stm.begin(stm_slot),
             spin_waits: false,
+            select: false,
         },
     }
 }
@@ -1342,8 +1342,9 @@ where
             // per-mode loop the sync path has always been.
             None => match Engine::of(mode) {
                 None => run_locked(th, lock, epoch, budget.deadline, f),
-                Some(Engine::Stm { spin }) => {
-                    drive(th, lock, Engine::Stm { spin }, epoch, hints, budget, f)
+                Some(Engine::Stm { spin, select }) => {
+                    let stm = Engine::Stm { spin, select };
+                    drive(th, lock, stm, epoch, hints, budget, f)
                 }
                 Some(Engine::Norec) => drive(th, lock, Engine::Norec, epoch, hints, budget, f),
                 Some(Engine::Htm) => drive(th, lock, Engine::Htm, epoch, hints, budget, f),
@@ -1830,7 +1831,7 @@ mod tests {
             deadline: None,
             fallible: true,
         };
-        let engine = Engine::Stm { spin: false };
+        let engine = Engine::of(AlgoMode::StmCondvar).expect("a TM mode");
         let mut ladder = Ladder::new(&th, &lock, engine, 0, TxHints::default(), budget);
         let left = &mut Committed::default();
         assert!(matches!(

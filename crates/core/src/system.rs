@@ -17,7 +17,7 @@ use tle_base::stats::{fmt_ns, LatencyHistSnapshot, TxStats, TxStatsSnapshot};
 use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::{AbortCause, Gate};
 use tle_htm::{HtmConfig, HtmGlobal};
-use tle_stm::{QuiescePolicy, StmGlobal};
+use tle_stm::StmGlobal;
 
 /// The five synchronization algorithms evaluated in the paper (§VII), plus
 /// three extensions: glibc-style adaptive elision, its safe-lazy variant,
@@ -31,7 +31,8 @@ pub enum AlgoMode {
     StmSpin = 1,
     /// STM elision with transaction-friendly condition variables.
     StmCondvar = 2,
-    /// `StmCondvar` plus selective quiescence disabling (`TM_NoQuiesce`).
+    /// `StmCondvar` plus selective quiescence disabling: its sections'
+    /// `TM_NoQuiesce` annotations skip their drains (the paper's SelectNoQ).
     StmCondvarNoQuiesce = 3,
     /// Simulated-HTM elision with condition variables and serial fallback.
     HtmCondvar = 4,
@@ -143,14 +144,6 @@ impl AlgoMode {
             AlgoMode::AdaptiveHtm => "AdaptiveHTM(glibc)",
             AlgoMode::AdaptiveHtmLazy => "AdaptiveHTM(lazy)",
             AlgoMode::StmNorec => "NOrec+CondVar",
-        }
-    }
-
-    /// The quiescence policy this algorithm implies for its STM domain.
-    pub fn quiesce_policy(self) -> QuiescePolicy {
-        match self {
-            AlgoMode::StmCondvarNoQuiesce => QuiescePolicy::Selective,
-            _ => QuiescePolicy::Always,
         }
     }
 
@@ -342,7 +335,7 @@ impl TmSystemBuilder {
     pub fn build(self) -> TmSystem {
         let mode = self.mode.unwrap_or(AlgoMode::HtmCondvar);
         TmSystem {
-            stm: StmGlobal::new(mode.quiesce_policy()),
+            stm: StmGlobal::default(),
             htm: HtmGlobal::new(self.htm_cfg),
             gate: Gate::new(),
             stats: TxStats::new(),
@@ -409,7 +402,6 @@ impl TmSystem {
     /// [`TmSystem::set_lock_mode`] are unaffected.
     pub fn set_mode(&self, mode: AlgoMode) {
         self.mode.store(mode as u8, Ordering::Relaxed);
-        self.stm.set_policy(mode.quiesce_policy());
     }
 
     /// The retry/fallback policy.
@@ -465,12 +457,10 @@ impl TmSystem {
     /// threads are running — but must not be called from inside a critical
     /// section (it would self-deadlock on the serialization gate).
     ///
-    /// Pinning [`AlgoMode::StmCondvarNoQuiesce`] counts as the per-lock
-    /// `TM_NoQuiesce` opt-in (it is an explicit application assertion).
+    /// Pinning [`AlgoMode::StmCondvarNoQuiesce`] is how one lock opts into
+    /// the paper's SelectNoQ: the `TM_NoQuiesce` annotations of its sections
+    /// are honoured, and nobody else's.
     pub fn set_lock_mode(&self, lock: &ElidableMutex, mode: AlgoMode) {
-        if mode == AlgoMode::StmCondvarNoQuiesce {
-            self.opt_in_no_quiesce(lock);
-        }
         self.flip_lock(lock.inner(), Some(mode), SwitchReason::Manual);
     }
 
@@ -479,28 +469,6 @@ impl TmSystem {
     /// [`set_lock_mode`](TmSystem::set_lock_mode).
     pub fn clear_lock_mode(&self, lock: &ElidableMutex) {
         self.flip_lock(lock.inner(), None, SwitchReason::Manual);
-    }
-
-    /// Per-lock `TM_NoQuiesce` opt-in: every software transaction under
-    /// `lock` asserts it does not privatize, skipping the post-commit
-    /// quiescence drain. This is a **correctness contract** the application
-    /// makes (paper §IV-B); the adaptive controller never infers it.
-    pub fn set_lock_no_quiesce(&self, lock: &ElidableMutex, on: bool) {
-        if on {
-            self.opt_in_no_quiesce(lock);
-        } else {
-            lock.domain().set_no_quiesce(false);
-        }
-    }
-
-    fn opt_in_no_quiesce(&self, lock: &ElidableMutex) {
-        lock.domain().set_no_quiesce(true);
-        // The per-transaction assertion only matters under the Selective
-        // policy; upgrade a default Always domain so the opt-in takes
-        // effect (Never is left alone — it already skips every drain).
-        if self.stm.policy() == QuiescePolicy::Always {
-            self.stm.set_policy(QuiescePolicy::Selective);
-        }
     }
 
     /// One sweep of the serial handshake's load half: every STM slot reads
@@ -1164,15 +1132,6 @@ mod tests {
     }
 
     #[test]
-    fn noquiesce_mode_selects_selective_policy() {
-        assert_eq!(
-            AlgoMode::StmCondvarNoQuiesce.quiesce_policy(),
-            QuiescePolicy::Selective
-        );
-        assert_eq!(AlgoMode::StmCondvar.quiesce_policy(), QuiescePolicy::Always);
-    }
-
-    #[test]
     fn register_claims_and_releases_slots() {
         let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
         {
@@ -1183,15 +1142,6 @@ mod tests {
         }
         assert_eq!(sys.stm.slots.claimed_count(), 0);
         assert_eq!(sys.htm.slots.claimed_count(), 0);
-    }
-
-    #[test]
-    fn set_mode_updates_quiesce_policy() {
-        let sys = TmSystem::new(AlgoMode::StmCondvar);
-        assert_eq!(sys.stm.policy(), QuiescePolicy::Always);
-        sys.set_mode(AlgoMode::StmCondvarNoQuiesce);
-        assert_eq!(sys.stm.policy(), QuiescePolicy::Selective);
-        assert_eq!(sys.mode(), AlgoMode::StmCondvarNoQuiesce);
     }
 
     #[test]
@@ -1251,16 +1201,87 @@ mod tests {
         assert_eq!(log[0].reason, SwitchReason::Manual);
     }
 
+    /// A writer section's drain follows its resolved mode — which decides
+    /// whether its `TM_NoQuiesce` counts — and the domain's policy, nothing
+    /// else: no pin leaks to another lock or outlives itself, and no mode
+    /// switch rewrites the policy. Each case starts a fresh system; each
+    /// row runs one writer section and compares its
+    /// `(quiesces, quiesce_skipped)` delta. Every mismatch is reported.
     #[test]
-    fn no_quiesce_opt_in_upgrades_policy() {
-        let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-        let lock = ElidableMutex::new("nq");
-        assert_eq!(sys.stm.policy(), QuiescePolicy::Always);
-        sys.set_lock_no_quiesce(&lock, true);
-        assert!(lock.is_no_quiesce());
-        assert_eq!(sys.stm.policy(), QuiescePolicy::Selective);
-        sys.set_lock_no_quiesce(&lock, false);
-        assert!(!lock.is_no_quiesce());
+    fn drain_decision_follows_the_section_mode() {
+        use tle_base::TCell;
+        use tle_stm::QuiescePolicy;
+        use AlgoMode::{StmCondvar, StmCondvarNoQuiesce as SelectNoQ};
+        const DRAIN: (u64, u64) = (1, 0);
+        const SKIP: (u64, u64) = (0, 1);
+        let fresh = || {
+            let sys = Arc::new(TmSystem::new(StmCondvar));
+            (
+                sys.register(),
+                ElidableMutex::new("a"),
+                ElidableMutex::new("b"),
+            )
+        };
+        let cell = TCell::new(0u64);
+        let mut wrong = Vec::new();
+        let mut row = |case: &str, th: &ThreadHandle, lock: &ElidableMutex, annotated, want| {
+            let before = th.sys.stm.stats.snapshot();
+            th.tx(lock).run(|ctx| {
+                if annotated {
+                    ctx.no_quiesce();
+                }
+                ctx.update(&cell, |v| v + 1)
+            });
+            let after = th.sys.stm.stats.snapshot();
+            let got = (
+                after.quiesces - before.quiesces,
+                after.quiesce_skipped - before.quiesce_skipped,
+            );
+            if got != want {
+                let name = lock.name();
+                wrong.push(format!(
+                    "{case}: {name} annotated={annotated}: {got:?} != {want:?}"
+                ));
+            }
+        };
+
+        let case = "re-pin and clear restore every drain";
+        let (th, a, _) = fresh();
+        th.sys.set_lock_mode(&a, SelectNoQ);
+        th.sys.set_lock_mode(&a, StmCondvar);
+        row(case, &th, &a, false, DRAIN);
+        row(case, &th, &a, true, DRAIN);
+        th.sys.set_lock_mode(&a, SelectNoQ);
+        th.sys.clear_lock_mode(&a);
+        row(case, &th, &a, false, DRAIN);
+        row(case, &th, &a, true, DRAIN);
+
+        let case = "a pin on one lock leaves another alone";
+        let (th, a, b) = fresh();
+        th.sys.set_lock_mode(&a, SelectNoQ);
+        row(case, &th, &b, false, DRAIN);
+        row(case, &th, &b, true, DRAIN);
+
+        let case = "set_mode leaves the domain policy as it was";
+        let (th, a, b) = fresh();
+        th.sys.set_lock_mode(&a, SelectNoQ);
+        th.sys.set_mode(StmCondvar);
+        row(case, &th, &a, true, SKIP);
+        th.sys.stm.set_policy(QuiescePolicy::Never);
+        th.sys.set_mode(SelectNoQ);
+        row(case, &th, &b, false, SKIP);
+        th.sys.set_mode(StmCondvar);
+        row(case, &th, &b, false, SKIP);
+
+        let case = "pinned and global SelectNoQ agree";
+        let (th, a, b) = fresh();
+        th.sys.set_lock_mode(&a, SelectNoQ);
+        th.sys.set_mode(SelectNoQ);
+        for lock in [&a, &b] {
+            row(case, &th, lock, false, DRAIN);
+            row(case, &th, lock, true, SKIP);
+        }
+        assert!(wrong.is_empty(), "{wrong:#?}");
     }
 
     #[test]

@@ -163,7 +163,6 @@ fn no_quiesce_requires_per_lock_opt_in() {
     });
     let lock = ElidableMutex::new("contract");
     sys.adopt_lock(&lock);
-    assert!(!lock.is_no_quiesce());
     for step in 0..50 {
         lock.synthesize_window(
             if step % 3 == 0 { 50 } else { 1 },
@@ -172,20 +171,21 @@ fn no_quiesce_requires_per_lock_opt_in() {
             3,
         );
         sys.controller_step();
-        assert!(!lock.is_no_quiesce(), "controller set NoQuiesce at {step}");
         assert_ne!(
             lock.resolved_mode(sys.mode()),
-            AlgoMode::StmCondvarNoQuiesce
+            AlgoMode::StmCondvarNoQuiesce,
+            "controller set NoQuiesce at {step}"
         );
     }
     for ev in sys.mode_switches() {
         assert_ne!(ev.to, AlgoMode::StmCondvarNoQuiesce, "{ev}");
     }
-    // Opt-in (and only opt-in) turns it on; clearing turns it off.
-    sys.set_lock_no_quiesce(&lock, true);
-    assert!(lock.is_no_quiesce());
-    sys.set_lock_no_quiesce(&lock, false);
-    assert!(!lock.is_no_quiesce());
+    // Opt-in (and only opt-in) turns it on: a manual pin.
+    sys.set_lock_mode(&lock, AlgoMode::StmCondvarNoQuiesce);
+    assert_eq!(
+        lock.resolved_mode(sys.mode()),
+        AlgoMode::StmCondvarNoQuiesce
+    );
 }
 
 /// Worker threads hammer one counter while the main thread flips the

@@ -462,40 +462,6 @@ pub fn scan_site(site: &Site) -> Vec<Finding> {
     out
 }
 
-/// File-level R4: `set_lock_no_quiesce` promotes every section under that
-/// lock to the no-drain path, so any privatizing body in the same file is
-/// suspect even without an in-body `no_quiesce()`.
-pub fn scan_set_lock_no_quiesce(file_toks: &[crate::lexer::Tok], sites: &[Site]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let Some(call) = file_toks.iter().enumerate().find(|(i, f)| {
-        f.ident() == Some("set_lock_no_quiesce") && *i > 0 && file_toks[*i - 1].is_punct('.')
-    }) else {
-        return out;
-    };
-    for site in sites {
-        let will_free = site.body.iter().enumerate().any(|(i, f)| {
-            f.ident() == Some("will_free_memory") && i > 0 && site.body[i - 1].is_punct('.')
-        });
-        if will_free {
-            continue;
-        }
-        if let Some(marker) = privatization_marker(&site.body) {
-            out.push(finding(
-                Rule::NoQuiescePrivatization,
-                call.1.span,
-                format!(
-                    "set_lock_no_quiesce on a lock whose critical section privatizes \
-                     (`{}` at {}): the skipped drain races doomed readers; keep the lock \
-                     quiescing or declare ctx.will_free_memory() in that section",
-                    marker.0, marker.1
-                ),
-            ));
-            return out; // one finding per call site is enough
-        }
-    }
-    out
-}
-
 /// First privatization marker in a body: `drop(..)`, `..::from_raw(..)`,
 /// `..::dealloc(..)`.
 fn privatization_marker(flat: &[Flat]) -> Option<(String, Span)> {

@@ -14,7 +14,7 @@ use crate::extract::{find_sites, flatten_trees, Site};
 use crate::lexer::{lex, Comment, Span, Tok};
 use crate::lockorder::{self, LockNames};
 use crate::ordering;
-use crate::rules::{scan_set_lock_no_quiesce, scan_site, Finding, Rule};
+use crate::rules::{scan_site, Finding, Rule};
 use crate::suppress::{apply, parse_directives};
 use crate::symbols::SymbolTable;
 use crate::tree::{parse, Tree};
@@ -189,7 +189,6 @@ pub fn lint_sources(inputs: Vec<(PathBuf, String)>) -> Report {
                 callgraph::resolved_edges(&site.body, site.ctx.as_deref(), i, &symbols);
             lock_edges.extend(lockorder::edges_for_site(site, i, &lock_names, &symbols));
         }
-        findings.extend(scan_set_lock_no_quiesce(&ctx.toks, &ctx.sites));
         pending.push(findings);
     }
     stats.lock_edges = lock_edges.len();

@@ -19,9 +19,10 @@
 //!   Since 2016 GCC performs this drain after **every** transaction; that is
 //!   our [`QuiescePolicy::Always`].
 //! - **`TM_NoQuiesce`** (the paper's proposed API, §IV-B): a transaction may
-//!   declare that it does not privatize, skipping the drain —
-//!   [`QuiescePolicy::Selective`] honours it, and the unsafe-in-general
-//!   global disable studied in Figure 5 is [`QuiescePolicy::Never`].
+//!   declare that it does not privatize, skipping the drain
+//!   ([`StmTx::no_quiesce`]; `tle-core` forwards the annotation only under
+//!   its `StmCondvarNoQuiesce` mode), and the unsafe-in-general global
+//!   disable studied in Figure 5 is [`QuiescePolicy::Never`].
 //!
 //! The serial-irrevocable fallback and the retry policy live one layer up,
 //! in `tle-core`; this crate provides single-attempt transactions
@@ -359,13 +360,11 @@ mod tests {
         assert_eq!(g.policy(), QuiescePolicy::Always);
         g.set_policy(QuiescePolicy::Never);
         assert_eq!(g.policy(), QuiescePolicy::Never);
-        g.set_policy(QuiescePolicy::Selective);
-        assert_eq!(g.policy(), QuiescePolicy::Selective);
     }
 
     #[test]
     fn noquiesce_audit_counts_overlapping_skips() {
-        let g = StmGlobal::new(QuiescePolicy::Selective);
+        let g = StmGlobal::default();
         g.set_audit_noquiesce(true);
         let s1 = g.slots.register_raw().unwrap();
         let s2 = g.slots.register_raw().unwrap();
@@ -394,7 +393,7 @@ mod tests {
 
     #[test]
     fn noquiesce_audit_off_by_default() {
-        let g = StmGlobal::new(QuiescePolicy::Selective);
+        let g = StmGlobal::default();
         let s1 = g.slots.register_raw().unwrap();
         let s2 = g.slots.register_raw().unwrap();
         let a = TCell::new(0u64);

@@ -30,6 +30,13 @@ use tle_base::stats::Stat;
 use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::{AbortCause, AbortWord, TCell, TxVal};
 
+/// The slot value a running NOrec transaction publishes. The serial sweep
+/// (`SlotRegistry::all_inactive`) must see it; an `ml_wt` drain must not
+/// wait for it — the two algorithms share no data, and NOrec's sequence
+/// numbers are not `ml_wt` clock times — so it sits above every `ml_wt`
+/// start time, one below `INACTIVE`.
+const PRESENT: u64 = tle_base::INACTIVE - 1;
+
 /// A single NOrec transaction attempt, created by
 /// [`StmGlobal::begin_norec`].
 pub struct NorecTx<'g> {
@@ -48,8 +55,7 @@ impl<'g> NorecTx<'g> {
     pub(crate) fn begin(g: &'g StmGlobal, slot_idx: usize) -> Self {
         sched::yield_point(YieldPoint::SeqLock);
         let snapshot = wait_even(&g.norec_seq);
-        // Publish for the (ml_wt-oriented) drain scans; harmless here.
-        g.slots.publish_raw(slot_idx, snapshot);
+        g.slots.publish_raw(slot_idx, PRESENT);
         trace::emit(TraceKind::Begin, TxMode::Norec, None, snapshot);
         NorecTx {
             g,
@@ -168,7 +174,6 @@ impl<'g> NorecTx<'g> {
             }
             if self.g.norec_seq.load(Ordering::Acquire) == s {
                 self.snapshot = s;
-                self.g.slots.publish_raw(self.slot_idx, s);
                 trace::emit(TraceKind::Extend, TxMode::Norec, None, s);
                 return Ok(());
             }
@@ -315,6 +320,33 @@ mod tests {
         tx.commit().unwrap();
         assert_eq!(a.load_direct(), 11);
         g.slots.unregister_raw(slot);
+    }
+
+    /// An `ml_wt` writer's drain waits for older `ml_wt` transactions only:
+    /// an open NOrec transaction on the same domain stays visible to the
+    /// serial sweep but is no straggler.
+    #[test]
+    fn an_open_norec_transaction_holds_no_ml_wt_drain() {
+        let g = norec_global();
+        let (s_norec, s_mlwt) = (
+            g.slots.register_raw().unwrap(),
+            g.slots.register_raw().unwrap(),
+        );
+        let (a, b) = (TCell::new(1u64), TCell::new(2u64));
+        let mut reader = NorecTx::begin(&g, s_norec);
+        assert_eq!(reader.read(&a).unwrap(), 1);
+
+        let mut writer = g.begin(s_mlwt);
+        writer.write(&b, 3u64).unwrap();
+        let (committed, owed) = crate::defer_drain(|| writer.commit());
+        assert!(committed.is_ok());
+        assert!(owed.is_none(), "the NOrec reader held the ml_wt drain");
+        assert!(!g.slots.all_inactive(), "the serial sweep must see NOrec");
+
+        assert_eq!(reader.commit(), Ok(0));
+        assert!(g.slots.all_inactive());
+        g.slots.unregister_raw(s_norec);
+        g.slots.unregister_raw(s_mlwt);
     }
 
     #[test]

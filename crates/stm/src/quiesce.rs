@@ -37,13 +37,16 @@ use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::INACTIVE;
 use tle_base::{AbortCause, SlotRegistry};
 
-/// Quiescence policy for an STM domain. Maps to the paper's three
-/// configurations in Figure 5.
+/// Quiescence policy for an STM domain: the paper's Figure 5 switch
+/// between the "STM" and "NoQ" configurations. "SelectNoQ" is `Always` with
+/// the `TM_NoQuiesce` annotations honoured, which the algorithm mode
+/// decides (`tle-core`'s `StmCondvarNoQuiesce`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum QuiescePolicy {
-    /// Drain after every transaction (GCC ≥ 2016; supports proxy
-    /// privatization). The paper's "STM" baseline.
+    /// Drain after every writer commit unless the transaction called
+    /// `TM_NoQuiesce` ([`crate::StmTx::no_quiesce`]) — GCC ≥ 2016, which
+    /// supports proxy privatization. The paper's "STM" baseline.
     Always = 0,
     /// Never drain, except for allocator-mandated frees. The paper's "NoQ" —
     /// fast but *not privatization-safe in general*; safe here only because
@@ -51,9 +54,6 @@ pub enum QuiescePolicy {
     /// (type-stable word cells), but application-level invariants mirroring
     /// C++ would be racy. Provided for the Figure 5 comparison.
     Never = 1,
-    /// Drain unless the transaction called `TM_NoQuiesce`
-    /// ([`crate::StmTx::no_quiesce`]). The paper's "SelectNoQ" proposal.
-    Selective = 2,
 }
 
 impl QuiescePolicy {
@@ -61,17 +61,7 @@ impl QuiescePolicy {
     pub fn from_u8(v: u8) -> Self {
         match v {
             0 => QuiescePolicy::Always,
-            1 => QuiescePolicy::Never,
-            _ => QuiescePolicy::Selective,
-        }
-    }
-
-    /// Stable label for benchmark tables (matches the paper's legend).
-    pub fn label(self) -> &'static str {
-        match self {
-            QuiescePolicy::Always => "STM",
-            QuiescePolicy::Never => "NoQ",
-            QuiescePolicy::Selective => "SelectNoQ",
+            _ => QuiescePolicy::Never,
         }
     }
 }
@@ -458,19 +448,8 @@ mod tests {
     }
 
     #[test]
-    fn policy_labels_match_paper_legend() {
-        assert_eq!(QuiescePolicy::Always.label(), "STM");
-        assert_eq!(QuiescePolicy::Never.label(), "NoQ");
-        assert_eq!(QuiescePolicy::Selective.label(), "SelectNoQ");
-    }
-
-    #[test]
     fn policy_u8_roundtrip() {
-        for p in [
-            QuiescePolicy::Always,
-            QuiescePolicy::Never,
-            QuiescePolicy::Selective,
-        ] {
+        for p in [QuiescePolicy::Always, QuiescePolicy::Never] {
             assert_eq!(QuiescePolicy::from_u8(p as u8), p);
         }
     }

@@ -102,9 +102,9 @@ impl<'g> StmTx<'g> {
     }
 
     /// The paper's `TM_NoQuiesce`: assert that this transaction does not
-    /// privatize data, so it need not drain after committing. Only honoured
-    /// under [`QuiescePolicy::Selective`], and overridden if the transaction
-    /// later frees memory (see [`StmTx::will_free_memory`]).
+    /// privatize data, so it need not drain after committing (under
+    /// [`QuiescePolicy::Never`] nothing drains anyway). Overridden if the
+    /// transaction also frees memory (see [`StmTx::will_free_memory`]).
     #[inline]
     pub fn no_quiesce(&mut self) {
         self.no_quiesce = true;
@@ -613,11 +613,8 @@ impl<'g> StmTx<'g> {
     /// Whether the domain policy (plus this transaction's annotations)
     /// requires a post-commit drain.
     fn quiesce_needed(&self) -> bool {
-        (match self.g.policy() {
-            QuiescePolicy::Always => true,
-            QuiescePolicy::Never => self.must_quiesce,
-            QuiescePolicy::Selective => self.must_quiesce || !self.no_quiesce,
-        }) && !mutant::armed(Mutant::DropQuiesce)
+        (self.must_quiesce || (!self.no_quiesce && self.g.policy() == QuiescePolicy::Always))
+            && !mutant::armed(Mutant::DropQuiesce)
     }
 
     /// Account for a skipped drain (counter + the §IV-C overlap audit).
@@ -806,25 +803,35 @@ mod tests {
 
     #[test]
     fn commit_reports_quiescence_per_policy() {
-        let g = StmGlobal::new(crate::QuiescePolicy::Selective);
-        let slot = g.slots.register_raw().unwrap();
-        let a = TCell::new(0u64);
+        use crate::QuiescePolicy::{Always, Never};
+        for (policy, plain_drains) in [(Always, true), (Never, false)] {
+            let g = StmGlobal::new(policy);
+            let slot = g.slots.register_raw().unwrap();
+            let a = TCell::new(0u64);
 
-        let mut tx = g.begin(slot);
-        tx.write(&a, 1u64).unwrap();
-        assert!(drained(tx), "selective without no_quiesce must drain");
+            let mut tx = g.begin(slot);
+            tx.write(&a, 1u64).unwrap();
+            assert_eq!(
+                drained(tx),
+                plain_drains,
+                "{policy:?}: an unannotated writer"
+            );
 
-        let mut tx = g.begin(slot);
-        tx.write(&a, 2u64).unwrap();
-        tx.no_quiesce();
-        assert!(!drained(tx), "no_quiesce must skip the drain");
+            let mut tx = g.begin(slot);
+            tx.write(&a, 2u64).unwrap();
+            tx.no_quiesce();
+            assert!(!drained(tx), "{policy:?}: no_quiesce must skip the drain");
 
-        let mut tx = g.begin(slot);
-        tx.write(&a, 3u64).unwrap();
-        tx.no_quiesce();
-        tx.will_free_memory();
-        assert!(drained(tx), "freeing memory overrides no_quiesce");
-        g.slots.unregister_raw(slot);
+            let mut tx = g.begin(slot);
+            tx.write(&a, 3u64).unwrap();
+            tx.no_quiesce();
+            tx.will_free_memory();
+            assert!(
+                drained(tx),
+                "{policy:?}: freeing memory overrides no_quiesce"
+            );
+            g.slots.unregister_raw(slot);
+        }
     }
 
     #[test]

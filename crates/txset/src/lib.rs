@@ -23,9 +23,11 @@
 //! The *SelectNoQ* behaviour (the paper's `TM_NoQuiesce` proposal) is baked
 //! into the operations: lookups, failed updates and inserts publish rather
 //! than privatize, so they call [`TxCtx::no_quiesce`]; successful removes
-//! privatize a node and free it, so they quiesce. Which calls take effect is
-//! decided by the system-wide [`QuiescePolicy`](tle_stm::QuiescePolicy).
+//! privatize a node and free it, so they quiesce. The calls take effect
+//! only under [`AlgoMode::StmCondvarNoQuiesce`], which is SelectNoQ; the
+//! domain's [`QuiescePolicy`](tle_stm::QuiescePolicy) is the NoQ switch.
 //!
+//! [`AlgoMode::StmCondvarNoQuiesce`]: tle_core::AlgoMode::StmCondvarNoQuiesce
 //! [`TxCtx::will_free_memory`]: tle_core::TxCtx::will_free_memory
 //! [`TxCtx::no_quiesce`]: tle_core::TxCtx::no_quiesce
 

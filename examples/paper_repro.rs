@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
+use tle_bench::workloads::FIG5_CONFIGS;
 use tle_repro::pbz::{compress_parallel, decompress_parallel, gen_text, PipelineConfig};
 use tle_repro::prelude::*;
 use tle_repro::wfe::{encode_video, EncoderConfig, VideoSource};
@@ -83,11 +84,11 @@ fn main() {
     }
 
     // 3. §IV: quiescence economics — a long transaction stalls unrelated
-    // committers; TM_NoQuiesce decouples them.
+    // committers; TM_NoQuiesce decouples them under the mode that honours
+    // it.
     println!("\nQuiescence (§IV):");
-    let measure = |policy: QuiescePolicy, annotate: bool| -> (f64, u64) {
-        let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
-        sys.stm.set_policy(policy);
+    let measure = |mode: AlgoMode| -> (f64, u64) {
+        let sys = Arc::new(TmSystem::new(mode));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let long = {
             let sys = Arc::clone(&sys);
@@ -122,9 +123,7 @@ fn main() {
         for _ in 0..OPS {
             th.tx(&lock).run(|ctx| {
                 ctx.update(&cell, |v| v + 1)?;
-                if annotate {
-                    ctx.no_quiesce();
-                }
+                ctx.no_quiesce();
                 Ok(())
             });
         }
@@ -134,10 +133,10 @@ fn main() {
         long.join().unwrap();
         (us, waited_ns)
     };
-    let (with_drain, wait_ns) = measure(QuiescePolicy::Always, false);
-    let (without, _) = measure(QuiescePolicy::Selective, true);
+    let (with_drain, wait_ns) = measure(AlgoMode::StmCondvar);
+    let (without, _) = measure(AlgoMode::StmCondvarNoQuiesce);
     check(
-        "long txn stalls unrelated committers (Always)",
+        "long txn stalls unrelated committers (STM)",
         format!(
             "{with_drain:.2} us/commit, {:.1} ms total drain wait",
             wait_ns as f64 / 1e6
@@ -145,7 +144,7 @@ fn main() {
         wait_ns > 0,
     );
     check(
-        "TM_NoQuiesce removes the coupling (Selective)",
+        "TM_NoQuiesce removes the coupling (SelectNoQ)",
         format!(
             "{without:.2} us/commit ({:.1}x faster)",
             with_drain / without
@@ -156,13 +155,8 @@ fn main() {
     // 4. Figure 5 in one line per structure.
     println!("\nSet microbenchmarks (Fig. 5, 4 threads, 50% lookups):");
     for kind in ["list", "hash", "tree"] {
-        let tput = |policy: QuiescePolicy| {
-            let (t, _) = tle_bench_like(kind, policy);
-            t / 1e6
-        };
-        let stm = tput(QuiescePolicy::Always);
-        let noq = tput(QuiescePolicy::Never);
-        let sel = tput(QuiescePolicy::Selective);
+        let [stm, noq, sel] =
+            FIG5_CONFIGS.map(|(_, mode, policy)| tle_bench_like(kind, mode, policy).0 / 1e6);
         check(
             &format!("{kind}: NoQ/SelectNoQ vs STM"),
             format!("STM {stm:.2} | NoQ {noq:.2} | SelectNoQ {sel:.2} Mops/s"),
@@ -174,14 +168,14 @@ fn main() {
 }
 
 /// A minimal inline version of the Figure 5 trial (4 threads, 40k ops).
-fn tle_bench_like(kind: &str, policy: QuiescePolicy) -> (f64, ()) {
+fn tle_bench_like(kind: &str, mode: AlgoMode, policy: QuiescePolicy) -> (f64, ()) {
     use tle_repro::txset::{TxHashSet, TxListSet, TxSet, TxTreeSet};
     let set: Arc<dyn TxSet> = match kind {
         "list" => Arc::new(TxListSet::new()),
         "hash" => Arc::new(TxHashSet::new()),
         _ => Arc::new(TxTreeSet::new()),
     };
-    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+    let sys = Arc::new(TmSystem::new(mode));
     sys.stm.set_policy(policy);
     {
         let th = sys.register();

@@ -1,17 +1,19 @@
 //! The paper's Listing 2, live: a producer/consumer queue where the
 //! producer never quiesces and consumers quiesce only when they extract an
-//! element. Prints how many quiescence drains each policy performed.
+//! element. Prints how many quiescence drains each Figure 5 configuration
+//! performed.
 //!
 //! Run: `cargo run --release --example producer_consumer`
 
 use std::sync::Arc;
+use tle_bench::workloads::FIG5_CONFIGS;
 use tle_repro::pbz::TleFifo;
 use tle_repro::prelude::*;
 
 const ITEMS: u64 = 50_000;
 
-fn run(policy: QuiescePolicy) -> (f64, u64, u64) {
-    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+fn run(mode: AlgoMode, policy: QuiescePolicy) -> (f64, u64, u64) {
+    let sys = Arc::new(TmSystem::new(mode));
     sys.stm.set_policy(policy);
     let q: Arc<TleFifo<u64>> = Arc::new(TleFifo::new("pc", 16));
 
@@ -57,21 +59,11 @@ fn main() {
     );
     println!(
         "{:<12} {:>8} {:>12} {:>14}",
-        "policy", "secs", "drains", "drains-skipped"
+        "config", "secs", "drains", "drains-skipped"
     );
-    for policy in [
-        QuiescePolicy::Always,
-        QuiescePolicy::Selective,
-        QuiescePolicy::Never,
-    ] {
-        let (secs, drains, skipped) = run(policy);
-        println!(
-            "{:<12} {:>8.3} {:>12} {:>14}",
-            policy.label(),
-            secs,
-            drains,
-            skipped
-        );
+    for (label, mode, policy) in FIG5_CONFIGS {
+        let (secs, drains, skipped) = run(mode, policy);
+        println!("{label:<12} {secs:>8.3} {drains:>12} {skipped:>14}");
     }
     println!(
         "\nSelectNoQ: the producer's transactions and empty-pop transactions skip the\n\

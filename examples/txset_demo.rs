@@ -1,16 +1,17 @@
 //! Figure 5 in miniature: throughput of the three transactional sets under
-//! the three quiescence policies, at one thread count.
+//! the three quiescence configurations, at one thread count.
 //!
 //! Run: `cargo run --release --example txset_demo [-- <threads>]`
 
 use std::sync::{Arc, Barrier};
+use tle_bench::workloads::FIG5_CONFIGS;
 use tle_repro::prelude::*;
 use tle_repro::txset::{TxHashSet, TxListSet, TxSet, TxTreeSet};
 
 const OPS_PER_THREAD: u64 = 100_000;
 
-fn run(set: Arc<dyn TxSet>, policy: QuiescePolicy, threads: usize) -> f64 {
-    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+fn run(set: Arc<dyn TxSet>, mode: AlgoMode, policy: QuiescePolicy, threads: usize) -> f64 {
+    let sys = Arc::new(TmSystem::new(mode));
     sys.stm.set_policy(policy);
     {
         let th = sys.register();
@@ -61,10 +62,11 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(4);
     println!("transactional sets, {threads} threads, 50% lookups (Mops/s)\n");
-    println!(
-        "{:<6} {:>10} {:>10} {:>10}",
-        "set", "STM", "NoQ", "SelectNoQ"
-    );
+    let mut header = format!("{:<6}", "set");
+    for (label, _, _) in FIG5_CONFIGS {
+        header.push_str(&format!(" {label:>10}"));
+    }
+    println!("{header}");
     for kind in ["list", "hash", "tree"] {
         let mk = |k: &str| -> Arc<dyn TxSet> {
             match k {
@@ -74,12 +76,8 @@ fn main() {
             }
         };
         let mut row = format!("{kind:<6}");
-        for policy in [
-            QuiescePolicy::Always,
-            QuiescePolicy::Never,
-            QuiescePolicy::Selective,
-        ] {
-            let tput = run(mk(kind), policy, threads);
+        for (_, mode, policy) in FIG5_CONFIGS {
+            let tput = run(mk(kind), mode, policy, threads);
             row.push_str(&format!(" {tput:>10.3}"));
         }
         println!("{row}");

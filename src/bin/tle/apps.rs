@@ -7,7 +7,7 @@ use crate::fail;
 use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
-use tle_bench::workloads::{micro_trial, Mix, TrialStats};
+use tle_bench::workloads::{micro_trial, Mix, TrialStats, FIG5_CONFIGS};
 use tle_repro::pbz::{PipelineConfig, StreamCompressor, StreamDecompressor};
 use tle_repro::prelude::*;
 use tle_repro::wfe::{encode_video, EncoderConfig, VideoSource};
@@ -149,25 +149,17 @@ pub fn micro(args: &Args) -> Result<ExitCode, String> {
         return Err(format!("--set: `{kind}` is not list, hash or tree"));
     }
     let policy: String = args.get("--policy", "stm".into())?;
-    let policy = match policy.as_str() {
-        "stm" => QuiescePolicy::Always,
-        "noq" => QuiescePolicy::Never,
-        "selectnoq" => QuiescePolicy::Selective,
+    let (label, mode, policy) = match policy.as_str() {
+        "stm" => FIG5_CONFIGS[0],
+        "noq" => FIG5_CONFIGS[1],
+        "selectnoq" => FIG5_CONFIGS[2],
         _ => return Err(format!("--policy: `{policy}` is not stm, noq or selectnoq")),
     };
     let threads: usize = args.get("--threads", 4)?;
     let ops: u64 = args.get("--ops", 200_000)?;
-    let (tput, stats) = micro_trial(
-        &kind,
-        AlgoMode::StmCondvar,
-        policy,
-        threads,
-        Mix::HalfLookup,
-        ops,
-    );
+    let (tput, stats) = micro_trial(&kind, mode, policy, threads, Mix::HalfLookup, ops);
     println!(
-        "{kind} set, {} policy, {threads} threads: {:.3} Mops/s",
-        policy.label(),
+        "{kind} set, {label} policy, {threads} threads: {:.3} Mops/s",
         tput / 1e6
     );
     print_stats(&stats);

@@ -73,24 +73,24 @@ const REFUSED: i32 = 3;
 /// `trace` or `check`, as this table's change counted them.
 const ROWS: &[(&str, u64, u64)] = &[
     ("elide.lock", 6, 302),
-    ("elide.stm", 8, 720),
+    ("elide.stm", 8, 715),
     ("elide.htm", 9, 770),
     ("handoff.htm", 9, 773),
-    ("ro.stm", 6, 578),
-    ("ro.htm", 8, 662),
-    ("scan.stm", 7, 6801),
-    ("kv.get.lock", 6, 534),
-    ("kv.get.stm", 6, 942),
-    ("kv.get.htm", 12, 1245),
+    ("ro.stm", 6, 559),
+    ("ro.htm", 8, 652),
+    ("scan.stm", 7, 6782),
+    ("kv.get.lock", 6, 530),
+    ("kv.get.stm", 6, 925),
+    ("kv.get.htm", 12, 1239),
     ("kv.put.lock", 6, 569),
-    ("kv.put.stm", 8, 1126),
-    ("kv.put.htm", 15, 1451),
+    ("kv.put.stm", 8, 1120),
+    ("kv.put.htm", 15, 1454),
     ("elide.norec", 7, 627),
-    ("ro.norec", 6, 552),
-    ("kv.get.norec", 6, 989),
-    ("kv.put.norec", 7, 1113),
-    ("async.stm", 12, 1162),
-    ("async.ro.stm", 10, 981),
+    ("ro.norec", 6, 543),
+    ("kv.get.norec", 6, 984),
+    ("kv.put.norec", 7, 1112),
+    ("async.stm", 12, 1149),
+    ("async.ro.stm", 10, 965),
 ];
 
 pub fn run(args: &Args) -> Result<ExitCode, String> {

@@ -132,16 +132,22 @@ fn abort_storm_escapes_to_serial() {
     );
 }
 
-/// Quiescence accounting: Always drains every commit; Selective only the
-/// non-annotated ones; Never none (except frees).
+/// Quiescence accounting over Figure 5's three configurations: STM drains
+/// every commit; SelectNoQ only the unannotated ones; NoQ none (except
+/// frees). Every section here is annotated.
 #[test]
 fn quiesce_accounting_matches_policy() {
-    for (policy, expect_drains, expect_skips) in [
-        (QuiescePolicy::Always, true, false),
-        (QuiescePolicy::Selective, false, true),
-        (QuiescePolicy::Never, false, true),
+    for (mode, policy, expect_drains, expect_skips) in [
+        (AlgoMode::StmCondvar, QuiescePolicy::Always, true, false),
+        (
+            AlgoMode::StmCondvarNoQuiesce,
+            QuiescePolicy::Always,
+            false,
+            true,
+        ),
+        (AlgoMode::StmCondvar, QuiescePolicy::Never, false, true),
     ] {
-        let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+        let sys = Arc::new(TmSystem::new(mode));
         sys.stm.set_policy(policy);
         let th = sys.register();
         let lock = ElidableMutex::new("q");
@@ -154,8 +160,9 @@ fn quiesce_accounting_matches_policy() {
             });
         }
         let snap = sys.stm.stats.snapshot();
-        assert_eq!(snap.quiesces > 0, expect_drains, "{policy:?} drains");
-        assert_eq!(snap.quiesce_skipped > 0, expect_skips, "{policy:?} skips");
+        let row = format!("{mode:?}, {policy:?}");
+        assert_eq!(snap.quiesces > 0, expect_drains, "{row} drains");
+        assert_eq!(snap.quiesce_skipped > 0, expect_skips, "{row} skips");
     }
 }
 

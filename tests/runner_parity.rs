@@ -463,14 +463,13 @@ fn drain_decisions() {
     // The edge table's drain row: one commit per descriptor under both
     // drivers, so each post-commit drain decision — a writer's drain, the
     // drain `will_free_memory` forces on a read-only section, the skip
-    // `TM_NoQuiesce` buys under the `Selective` policy — counts alike.
+    // `TM_NoQuiesce` buys under `StmCondvarNoQuiesce` — counts alike.
     assert_parity(
         "drain decisions",
         modes(),
         |_| true,
         |mode, drive| {
             let rig = rig(mode, None);
-            rig.sys.stm.set_policy(QuiescePolicy::Selective);
             let th = rig.sys.register();
             let seen = observe(&rig, || {
                 let wrote = run(drive, th.tx(&rig.lock), |ctx| {
@@ -480,19 +479,19 @@ fn drain_decisions() {
                     ctx.will_free_memory();
                     ctx.read(&rig.cell)
                 });
-                let skipped = run(drive, th.tx(&rig.lock), |ctx| {
+                let annotated = run(drive, th.tx(&rig.lock), |ctx| {
                     ctx.no_quiesce();
                     ctx.update(&rig.cell, |v| v + 1)
                 });
-                (wrote, freed, skipped)
+                (wrote, freed, annotated)
             });
             // NOrec never drains, so it makes no drain decision at all.
             let stm = rig.sys.stm.stats.snapshot();
             if stm.commits > 0 {
-                let drains = if mode == AlgoMode::StmNorec {
-                    (0, 0)
-                } else {
-                    (2, 1)
+                let drains = match mode {
+                    AlgoMode::StmNorec => (0, 0),
+                    AlgoMode::StmCondvarNoQuiesce => (2, 1),
+                    _ => (3, 0),
                 };
                 assert_eq!((stm.quiesces, stm.quiesce_skipped), drains, "{mode:?}");
             }
