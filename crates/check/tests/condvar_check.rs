@@ -7,7 +7,8 @@
 //!   stress scheduler hits the bad window;
 //! - **signal races timeout**: a timed waiter and a signaller race; either
 //!   winner must leave the ring consistent (the loser's entry is removed or
-//!   falls on the floor harmlessly);
+//!   falls on the floor harmlessly) — transactionally under the TM modes,
+//!   under total exclusion under the baseline;
 //! - **deferred signal**: a signaller whose attempt aborts after calling
 //!   `signal` must wake no one — only the committed retry delivers.
 
@@ -153,6 +154,27 @@ fn signal_races_timeout_htm() {
 fn timeout_cancellation_converges_without_signal() {
     explore(&Config::dfs(2, 150), || {
         timed_handoff(AlgoMode::StmCondvar, false)
+    })
+    .assert_clean();
+}
+
+/// The baseline's timed waiter: it registered on the ring under the mutex,
+/// so a timeout leaves through `cancel_wait`'s excluded removal (serial
+/// gate, mutex and lock word) while the producer races it for the mutex.
+#[test]
+fn signal_races_timeout_baseline() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff(AlgoMode::Baseline, true)
+    })
+    .assert_clean();
+}
+
+/// The baseline's no-signal case: every wakeup is a timeout and every
+/// timeout an excluded removal.
+#[test]
+fn timeout_cancellation_converges_without_signal_baseline() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff(AlgoMode::Baseline, false)
     })
     .assert_clean();
 }

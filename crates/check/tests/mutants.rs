@@ -439,6 +439,19 @@ fn catches_lost_signal_async() {
     );
 }
 
+/// The lost wakeup under the baseline mutex on the sync driver: a baseline
+/// waiter registers on the same ring as every other mode and parks on its
+/// `Waiter`, so the mutant's dropped notify must strand it here too.
+#[test]
+fn catches_lost_signal_baseline() {
+    let (_, cfg) = scenario_for(Mutant::LostSignal);
+    detects_with(
+        Mutant::LostSignal,
+        || handoff_scenario(AlgoMode::Baseline),
+        &cfg,
+    );
+}
+
 #[test]
 fn catches_skip_doom_check() {
     detects(Mutant::SkipDoomCheck);

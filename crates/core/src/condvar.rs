@@ -16,12 +16,16 @@
 //!   channel with a timeout; on timeout the waiter cancels its queue entry
 //!   in a small follow-up transaction.
 //!
-//! Under the baseline algorithm the same object degrades to a plain
-//! `parking_lot::Condvar` used with the un-elided mutex.
+//! The ring is the only waiter channel, in every mode. A section that runs
+//! under an exclusion instead of a transaction — the baseline mutex, the
+//! serial gate, the adaptive lock word — reads and writes it with plain
+//! loads and stores, which the exclusion makes safe. Under the baseline
+//! that keeps pthread's semantics: the enqueue happens under the mutex, so
+//! no signaller can run between predicate check and registration, and the
+//! wake is delivered after the signaller's unlock.
 
 use crate::ctx::TxCtx;
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 use tle_base::fault::{self, Hazard};
 use tle_base::mutant::{self, Mutant};
@@ -199,13 +203,6 @@ pub struct TxCondvar {
     head: TCell<u64>,
     tail: TCell<u64>,
     ring: Box<[TCell<*const Waiter>]>,
-    native: Condvar,
-    /// Threads currently parked in [`native_wait`](Self::native_wait)
-    /// (baseline-mode waiters). Per-lock mode flips mean a TM-mode
-    /// signaller can coexist with waiters parked natively before the flip;
-    /// the signaller consults this counter to know it must also poke the
-    /// native channel.
-    native_waiters: AtomicUsize,
 }
 
 impl TxCondvar {
@@ -217,8 +214,6 @@ impl TxCondvar {
             ring: (0..RING)
                 .map(|_| TCell::new(std::ptr::null::<Waiter>()))
                 .collect(),
-            native: Condvar::new(),
-            native_waiters: AtomicUsize::new(0),
         }
     }
 
@@ -307,48 +302,6 @@ impl TxCondvar {
             i += 1;
         }
         Ok(false)
-    }
-
-    /// Baseline-mode wakeups (plain pthread semantics).
-    pub(crate) fn notify_native_one(&self) {
-        self.native.notify_one();
-    }
-
-    pub(crate) fn notify_native_all(&self) {
-        self.native.notify_all();
-    }
-
-    /// Whether any thread is parked on the native channel. A transactional
-    /// signaller that finds the ring empty (or even non-empty — over-notify
-    /// is harmless, waiters re-check their predicate) must wake these too:
-    /// they may have parked while the lock ran baseline, before a flip.
-    ///
-    /// Visibility: a native waiter increments the counter *while holding
-    /// the raw mutex*, and a flip away from baseline acquires that mutex,
-    /// so any signaller running after the flip observes the increment.
-    pub(crate) fn has_native_waiters(&self) -> bool {
-        self.native_waiters.load(Ordering::SeqCst) > 0
-    }
-
-    /// Baseline-mode wait: atomically release `guard` and sleep. Returns
-    /// `true` if (possibly spuriously) woken before the timeout.
-    pub(crate) fn native_wait(
-        &self,
-        guard: &mut parking_lot::MutexGuard<'_, ()>,
-        timeout: Option<Duration>,
-    ) -> bool {
-        // Incremented while the mutex is still held — see
-        // `has_native_waiters` for why that ordering matters.
-        self.native_waiters.fetch_add(1, Ordering::SeqCst);
-        let woke = match timeout {
-            None => {
-                self.native.wait(guard);
-                true
-            }
-            Some(d) => !self.native.wait_for(guard, d).timed_out(),
-        };
-        self.native_waiters.fetch_sub(1, Ordering::SeqCst);
-        woke
     }
 }
 

@@ -7,7 +7,7 @@
 //! compile into lock, STM and HTM flavours.
 
 use crate::condvar::{RawWaiter, TxCondvar, Waiter};
-use crate::runner::{drop_ring_ref, Driver};
+use crate::runner::drop_ring_ref;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tle_base::sched::{self, YieldPoint};
@@ -57,9 +57,8 @@ impl From<AbortWord> for TxError {
 
 pub(crate) enum CtxKind<'a> {
     /// Direct memory access under an exclusion the runner holds: the
-    /// baseline mutex (`baseline`), else the global serial gate or the
-    /// adaptive lock word.
-    Direct { baseline: bool },
+    /// baseline mutex, the global serial gate or the adaptive lock word.
+    Direct,
     /// `ml_wt` software transaction. `spin_waits` selects the paper's
     /// "STM + Spin" degradation where waiting becomes polling; `select`
     /// its SelectNoQ, where `TM_NoQuiesce` reaches the transaction.
@@ -77,8 +76,8 @@ pub(crate) enum CtxKind<'a> {
 /// A recorded wait request, consumed by the runner after the transaction
 /// commits.
 pub(crate) struct PendingWait<'a> {
-    /// Private wakeup channel (None for baseline/spin waits, which do not
-    /// enqueue).
+    /// Private wakeup channel (None for `StmSpin` waits, which poll
+    /// instead of enqueueing).
     pub waiter: Option<Arc<Waiter>>,
     /// The extra `Arc` reference owned by the condvar queue entry (null
     /// when nothing was enqueued); the runner reclaims it if the enqueue
@@ -97,21 +96,15 @@ pub struct TxCtx<'a> {
     /// Absolute expiry of the section's retry-time budget
     /// ([`crate::TxHints::with_deadline`]); `None` when unbounded.
     pub(crate) deadline: Option<Instant>,
-    /// Set under the async driver: waits must produce a pollable registration
-    /// instead of relying on OS parking. Only the baseline path behaves
-    /// differently (it enqueues into the transactional ring — safe under
-    /// the held mutex — rather than using the native condvar channel).
-    pub(crate) async_waits: bool,
 }
 
 impl<'a> TxCtx<'a> {
-    pub(crate) fn new(kind: CtxKind<'a>, deadline: Option<Instant>, driver: Driver) -> Self {
+    pub(crate) fn new(kind: CtxKind<'a>, deadline: Option<Instant>) -> Self {
         TxCtx {
             kind,
             defers: Vec::new(),
             pending_wait: None,
             deadline,
-            async_waits: driver == Driver::Async,
         }
     }
 
@@ -135,7 +128,7 @@ impl<'a> TxCtx<'a> {
     /// Whether the section is running as a transaction (vs. under a real
     /// lock or global serialization).
     pub fn is_transactional(&self) -> bool {
-        !matches!(self.kind, CtxKind::Direct { .. })
+        !matches!(self.kind, CtxKind::Direct)
     }
 
     /// Raw read used by both the public API and the condvar machinery: the
@@ -146,7 +139,7 @@ impl<'a> TxCtx<'a> {
     /// while the barriers it calls stay out of line.
     pub(crate) fn mem_read<T: TxVal>(&mut self, c: &TCell<T>) -> Result<u64, AbortWord> {
         match &mut self.kind {
-            CtxKind::Direct { .. } => {
+            CtxKind::Direct => {
                 // Interleaving point: on real hardware a lock/serial
                 // section's plain loads race freely with everything a
                 // broken elision lets run concurrently, so the explorer
@@ -184,7 +177,7 @@ impl<'a> TxCtx<'a> {
     /// Raw write used by both the public API and the condvar machinery.
     pub(crate) fn mem_write<T: TxVal>(&mut self, c: &TCell<T>, v: T) -> Result<(), AbortWord> {
         match &mut self.kind {
-            CtxKind::Direct { .. } => {
+            CtxKind::Direct => {
                 // Interleaving point: see `mem_read`.
                 sched::yield_point(YieldPoint::MemStore);
                 c.store_direct(v);
@@ -258,7 +251,7 @@ impl<'a> TxCtx<'a> {
     /// serial-irrevocable mode.
     pub fn unsafe_op(&mut self) -> Result<(), TxError> {
         match &mut self.kind {
-            CtxKind::Direct { .. } => Ok(()),
+            CtxKind::Direct => Ok(()),
             CtxKind::Stm { .. } | CtxKind::Norec { .. } => Err(TxError::Abort(AbortCause::Unsafe)),
             CtxKind::Htm { tx } => {
                 tx.unsafe_op()?;
@@ -281,24 +274,19 @@ impl<'a> TxCtx<'a> {
     /// propagate; the runner then commits the transaction (making the
     /// waiter registration visible atomically with the predicate check —
     /// Wang's construction, no lost wakeups), blocks, and re-runs the
-    /// closure. Under `StmSpin` the registration is skipped and the closure
-    /// is simply re-run — polling.
+    /// closure. A section under an exclusion (the baseline mutex included)
+    /// registers with direct writes while it still holds it, then releases
+    /// it before blocking. Under `StmSpin` the registration is skipped and
+    /// the closure is simply re-run — polling.
     /// When the section carries a deadline hint the effective timeout is
     /// clamped to the remaining retry budget, whichever is sooner — a wait
     /// can never sleep past its transaction's deadline.
     pub fn wait(&mut self, cv: &'a TxCondvar, timeout: Option<Duration>) -> Result<(), TxError> {
         let timeout = self.clamp_to_deadline(timeout);
-        // Async baseline sections cannot use the native condvar channel
-        // (parking would stall an executor worker); they enqueue into the
-        // transactional ring instead — direct ring access is safe under the
-        // held mutex, exactly as in [`signal`](Self::signal) — and the
-        // runner awaits the waiter's waker.
-        let ring_wait = match &self.kind {
-            CtxKind::Direct { baseline } => !baseline || self.async_waits,
-            CtxKind::Stm { spin_waits, .. } => !spin_waits,
-            CtxKind::Norec { .. } | CtxKind::Htm { .. } => true,
-        };
-        if !ring_wait {
+        if let CtxKind::Stm {
+            spin_waits: true, ..
+        } = self.kind
+        {
             self.pending_wait = Some(PendingWait {
                 waiter: None,
                 raw: RawWaiter::new(std::ptr::null()),
@@ -324,59 +312,22 @@ impl<'a> TxCtx<'a> {
         Err(TxError::Wait)
     }
 
-    /// Wake one waiter of `cv`. Under transactions the wakeup is a deferred
-    /// action delivered at commit (so an aborted signaller wakes no one).
-    ///
-    /// Per-lock mode flips mean the waiter population can be mixed: threads
-    /// that registered transactionally in the ring before a flip to
-    /// baseline, and threads parked on the native channel before a flip
-    /// away from it. Every arm therefore services both populations; the
-    /// worst case is an extra wakeup, which waiters absorb by re-checking
-    /// their predicate.
+    /// Wake one waiter of `cv`. The wakeup is a deferred action, delivered
+    /// after the section commits or releases its exclusion (so an aborted
+    /// signaller wakes no one).
     pub fn signal(&mut self, cv: &TxCondvar) -> Result<(), TxError> {
-        match &mut self.kind {
-            CtxKind::Direct { baseline: true } => {
-                // Direct ring access is safe here: the raw mutex is held,
-                // and the flip that made this lock baseline excluded (and
-                // doomed) all transactional ring users first.
-                if let Some(raw) = cv.dequeue(self)? {
-                    self.defer_notify(raw);
-                }
-                cv.notify_native_one();
-                Ok(())
-            }
-            _ => {
-                if let Some(raw) = cv.dequeue(self)? {
-                    self.defer_notify(raw);
-                } else if cv.has_native_waiters() {
-                    cv.notify_native_all();
-                }
-                Ok(())
-            }
+        if let Some(raw) = cv.dequeue(self)? {
+            self.defer_notify(raw);
         }
+        Ok(())
     }
 
-    /// Wake all waiters of `cv` (both the transactional ring and any
-    /// natively parked pre-flip waiters; see [`signal`](Self::signal)).
+    /// Wake all waiters of `cv` (see [`signal`](Self::signal)).
     pub fn broadcast(&mut self, cv: &TxCondvar) -> Result<(), TxError> {
-        match &mut self.kind {
-            CtxKind::Direct { baseline: true } => {
-                while let Some(raw) = cv.dequeue(self)? {
-                    self.defer_notify(raw);
-                }
-                cv.notify_native_all();
-                Ok(())
-            }
-            _ => {
-                while let Some(raw) = cv.dequeue(self)? {
-                    self.defer_notify(raw);
-                }
-                if cv.has_native_waiters() {
-                    cv.notify_native_all();
-                }
-                Ok(())
-            }
+        while let Some(raw) = cv.dequeue(self)? {
+            self.defer_notify(raw);
         }
+        Ok(())
     }
 
     fn defer_notify(&mut self, raw: *const Waiter) {

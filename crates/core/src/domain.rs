@@ -5,7 +5,7 @@
 //! synchronization algorithm wins across workloads**: HTM wins short
 //! critical sections, STM wins capacity-bound ones, and the plain lock wins
 //! conflict storms. A [`LockDomain`] therefore attaches the full policy
-//! state — mode override, retry budgets, and a sliding
+//! state — mode override, flip epoch, admission step and a sliding
 //! [`StatWindow`] of per-cause outcomes — to each
 //! [`ElidableMutex`](crate::ElidableMutex) instead of pinning one global
 //! [`AlgoMode`] for the whole process.
@@ -43,10 +43,6 @@ use tle_base::{StatWindow, WindowSnapshot};
 
 /// Sentinel in the packed override byte: inherit the system's global mode.
 const MODE_INHERIT: u8 = u8::MAX;
-/// Sentinel in the packed retry-budget words: inherit [`TlePolicy`]'s value.
-///
-/// [`TlePolicy`]: crate::TlePolicy
-const RETRIES_INHERIT: u32 = u32::MAX;
 
 /// Why the controller (or a manual call) switched a lock's mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -395,10 +391,6 @@ pub(crate) struct LockDomain {
     /// change. Runners capture it at dispatch and re-check after taking
     /// their exclusion foothold; a mismatch forces a re-dispatch.
     epoch: AtomicU64,
-    /// Per-lock hardware retry budget ([`RETRIES_INHERIT`] = policy value).
-    htm_retries: AtomicU32,
-    /// Per-lock software retry budget ([`RETRIES_INHERIT`] = policy value).
-    stm_retries: AtomicU32,
     /// Whether the lock was adopted into a system's adaptive controller.
     adopted: AtomicBool,
     /// Sliding window of recent section outcomes.
@@ -430,8 +422,6 @@ impl LockDomain {
         LockDomain {
             mode_override: AtomicU8::new(MODE_INHERIT),
             epoch: AtomicU64::new(0),
-            htm_retries: AtomicU32::new(RETRIES_INHERIT),
-            stm_retries: AtomicU32::new(RETRIES_INHERIT),
             adopted: AtomicBool::new(false),
             window: StatWindow::new(),
             dwell: AtomicU32::new(0),
@@ -473,33 +463,6 @@ impl LockDomain {
 
     pub(crate) fn bump_epoch(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    pub(crate) fn htm_retries(&self, inherit: u32) -> u32 {
-        match self.htm_retries.load(Ordering::Relaxed) {
-            RETRIES_INHERIT => inherit,
-            n => n,
-        }
-    }
-
-    pub(crate) fn stm_retries(&self, inherit: u32) -> u32 {
-        match self.stm_retries.load(Ordering::Relaxed) {
-            RETRIES_INHERIT => inherit,
-            n => n,
-        }
-    }
-
-    pub(crate) fn set_retry_budgets(&self, htm: Option<u32>, stm: Option<u32>) {
-        self.htm_retries.store(
-            htm.map(|n| n.min(RETRIES_INHERIT - 1))
-                .unwrap_or(RETRIES_INHERIT),
-            Ordering::Relaxed,
-        );
-        self.stm_retries.store(
-            stm.map(|n| n.min(RETRIES_INHERIT - 1))
-                .unwrap_or(RETRIES_INHERIT),
-            Ordering::Relaxed,
-        );
     }
 
     pub(crate) fn adopted(&self) -> bool {
@@ -805,25 +768,17 @@ mod tests {
         let d = LockDomain::new();
         assert_eq!(d.override_mode(), None);
         assert_eq!(d.resolved(AlgoMode::StmSpin), AlgoMode::StmSpin);
-        assert_eq!(d.htm_retries(2), 2);
-        assert_eq!(d.stm_retries(64), 64);
         assert!(!d.adopted());
         assert_eq!(d.epoch(), 0);
         assert_eq!(d.switch_count(), 0);
     }
 
     #[test]
-    fn domain_override_and_budget_roundtrip() {
+    fn domain_override_roundtrip() {
         let d = LockDomain::new();
         d.set_override(Some(AlgoMode::Baseline));
         assert_eq!(d.resolved(AlgoMode::HtmCondvar), AlgoMode::Baseline);
         d.set_override(None);
         assert_eq!(d.resolved(AlgoMode::HtmCondvar), AlgoMode::HtmCondvar);
-        d.set_retry_budgets(Some(7), Some(9));
-        assert_eq!(d.htm_retries(2), 7);
-        assert_eq!(d.stm_retries(64), 9);
-        d.set_retry_budgets(None, None);
-        assert_eq!(d.htm_retries(2), 2);
-        assert_eq!(d.stm_retries(64), 64);
     }
 }

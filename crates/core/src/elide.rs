@@ -9,7 +9,7 @@
 //! when the original program used disjoint locks.
 //!
 //! Each lock additionally carries a [`LockDomain`]: per-lock policy state
-//! (mode override, retry budgets) plus a sliding
+//! (mode override and flip epoch) plus a sliding
 //! window of per-cause outcomes. The adaptive controller
 //! ([`TmSystem`](crate::TmSystem)) holds a weak reference to the shared
 //! inner state, which is why the mutex is an `Arc` handle internally — a
@@ -154,13 +154,6 @@ impl ElidableMutex {
     /// or [`TmSystem::set_lock_mode`](crate::TmSystem::set_lock_mode)).
     pub fn mode_override(&self) -> Option<AlgoMode> {
         self.domain().override_mode()
-    }
-
-    /// Override the retry budgets for sections under this lock (`None` =
-    /// inherit the system [`TlePolicy`](crate::TlePolicy)). Per-section
-    /// [`TxHints`](crate::TxHints) still take precedence over these.
-    pub fn set_retry_budgets(&self, htm: Option<u32>, stm: Option<u32>) {
-        self.domain().set_retry_budgets(htm, stm);
     }
 
     /// Point-in-time view of this lock's sliding outcome window.

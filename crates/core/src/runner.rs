@@ -19,7 +19,9 @@
 //!   actions). `gate` and `settle` answer with a [`Next`].
 //! - [`exclusive_body`] — the closure under an [`Exclusion`] the driver
 //!   already holds (serial gate, adaptive lock word, or baseline mutex);
-//!   answers with a [`SerialStep`].
+//!   answers with a [`SerialStep`]. The baseline is not a path of its own:
+//!   a section whose lock runs [`AlgoMode::Baseline`] goes straight to the
+//!   driver's exclusive path with the mutex as its foothold.
 //! - [`remove_waiter_tx`] — the transactional ring removal behind both
 //!   drivers' `cancel_wait`.
 //!
@@ -30,12 +32,10 @@
 //! closed serial gate and sweeps on its way into one, where its slots come
 //! from (the handle's own vs a transient claim), how it drains a post-commit
 //! quiescence ticket (inline in
-//! `commit` vs polled), how it backs off, parks and waits for the adaptive
-//! lock word (spin/park vs yield/waker), and how long it holds the
-//! [`NestGuard`]. The [`Driver`] tag carries the three of those that show
-//! up inside the core. The baseline path stays a function of its own per
-//! driver (`run_locked` here): parking on the native condvar needs the
-//! mutex guard alive across the wait, which no future may do.
+//! `commit` vs polled), how it backs off, parks, takes the baseline mutex
+//! and waits for the adaptive lock word (block/spin vs `try_lock`/yield/
+//! waker), and how long it holds the [`NestGuard`]. The [`Driver`] tag
+//! carries the one of those that shows up inside the core: the guard.
 //!
 //! ## Shaped by measurement
 //!
@@ -102,11 +102,10 @@ use tle_htm::HtmTx;
 /// Deferred post-commit actions carried out of an attempt.
 pub(crate) type Defers = Vec<Box<dyn FnOnce() + Send + 'static>>;
 
-/// Which driver is running the core. Selects the two edges that live
-/// *inside* it: condvar waits produce a pollable ring registration even
-/// under the baseline mutex, and the [`NestGuard`] is taken per closure call
-/// (between attempts an async task is suspended and other tasks
-/// legitimately run their own sections on the same worker).
+/// Which driver is running the core. Selects the one edge that lives
+/// *inside* it: under the async driver the [`NestGuard`] is taken per
+/// closure call (between attempts an async task is suspended and other
+/// tasks legitimately run their own sections on the same worker).
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Driver {
     Sync,
@@ -161,6 +160,14 @@ impl Engine {
         }
     }
 
+    /// The exclusion the engine falls back to.
+    pub(crate) fn exclusion(self) -> Exclusion {
+        match self {
+            Engine::Adaptive { mode } => Exclusion::LockWord(mode),
+            _ => Exclusion::SerialGate,
+        }
+    }
+
     fn tx_mode(self) -> TxMode {
         match self {
             Engine::Stm { .. } => TxMode::Stm,
@@ -189,8 +196,8 @@ pub(crate) enum Outcome<R> {
 /// What one pass through an exclusive path produced.
 pub(crate) enum SerialOutcome<R> {
     Done(R),
-    /// The section committed a condvar wait and was woken; re-run it
-    /// concurrently.
+    /// The section committed a condvar wait, released the exclusion and was
+    /// woken (or timed out); re-run it.
     Retry,
     /// A mode flip landed before the exclusion foothold; re-resolve.
     Redispatch,
@@ -565,19 +572,21 @@ fn lazy_precommit_gate(lock: &ElidableMutex, mode: AlgoMode, g0: u64) -> Result<
 pub(crate) enum Exclusion {
     /// The global serial gate (serial-irrevocable mode).
     SerialGate,
-    /// The adaptive lock word, taken as a real lock.
-    LockWord,
+    /// The adaptive lock word of the named glibc-family mode, taken as a
+    /// real lock.
+    LockWord(AlgoMode),
     /// The baseline mutex.
     Mutex,
 }
 
 /// Run the closure with direct memory access under an exclusion the driver
 /// holds (and releases afterwards, before it runs the step's deferred
-/// actions). Effects are irrevocable here: the closure can only finish or
-/// wait, the budget still clamps condvar waits but cannot abort the
-/// section, and anything else is a usage error that panics. The commit event
-/// is recorded before the driver's release — the hold window is the
-/// section's serialization interval.
+/// actions and parks on a wait). Effects are irrevocable here: the closure
+/// can only finish or wait, the budget still clamps condvar waits but
+/// cannot abort the section, and anything else is a usage error that
+/// panics. Every round is recorded in the lock's window, a waiting one
+/// included, and its commit event before the driver's release — the hold
+/// window is the round's serialization interval.
 #[inline(always)]
 pub(crate) fn exclusive_body<'a, R, F>(
     th: &'a ThreadHandle,
@@ -592,14 +601,13 @@ where
 {
     let stats = &th.sys.stats;
     let serial = excl == Exclusion::SerialGate;
-    let baseline = excl == Exclusion::Mutex;
     let mode = if serial {
         TxMode::Serial
     } else {
         TxMode::Locked
     };
     trace::begin_direct(mode);
-    let mut ctx = TxCtx::new(CtxKind::Direct { baseline }, deadline, driver);
+    let mut ctx = TxCtx::new(CtxKind::Direct, deadline);
     let res = call_body(lock, driver, f, &mut ctx);
     let step = match res {
         Ok(r) => {
@@ -611,12 +619,7 @@ where
             SerialStep::Done(r, ctx.defers)
         }
         Err(TxError::Wait) => {
-            // A baseline section that waits keeps the mutex across the wait
-            // and is recorded once, when it finally completes; the other
-            // exclusions end at the wait (the section re-runs concurrently).
-            if !baseline {
-                lock.domain().window.record_serial();
-            }
+            lock.domain().window.record_serial();
             let pw = ctx
                 .pending_wait
                 .expect("Wait reported without a wait request");
@@ -625,7 +628,7 @@ where
         Err(e) => {
             let held = match excl {
                 Exclusion::SerialGate => "in serial-irrevocable mode",
-                Exclusion::LockWord => "while holding the elided lock",
+                Exclusion::LockWord(_) => "while holding the elided lock",
                 Exclusion::Mutex => "while holding the baseline lock",
             };
             match e {
@@ -755,12 +758,8 @@ impl<'a> Ladder<'a> {
     ) -> Self {
         let policy = th.sys.policy();
         let retries = match engine {
-            Engine::Stm { .. } | Engine::Norec => hints
-                .stm_retries
-                .unwrap_or_else(|| lock.domain().stm_retries(policy.stm_retries)),
-            _ => hints
-                .htm_retries
-                .unwrap_or_else(|| lock.domain().htm_retries(policy.htm_retries)),
+            Engine::Stm { .. } | Engine::Norec => hints.stm_retries.unwrap_or(policy.stm_retries),
+            _ => hints.htm_retries.unwrap_or(policy.htm_retries),
         };
         Ladder {
             th,
@@ -858,7 +857,7 @@ impl<'a> Ladder<'a> {
                     spin_waits: spin,
                     select,
                 };
-                let ctx = TxCtx::new(kind, deadline, driver);
+                let ctx = TxCtx::new(kind, deadline);
                 self.speculate(ctx, driver, left, f, || Ok(()))
             }
             Engine::Norec => {
@@ -867,7 +866,7 @@ impl<'a> Ladder<'a> {
                     tx.retire();
                     return step;
                 }
-                let ctx = TxCtx::new(CtxKind::Norec { tx }, deadline, driver);
+                let ctx = TxCtx::new(CtxKind::Norec { tx }, deadline);
                 self.speculate(ctx, driver, left, f, || Ok(()))
             }
             Engine::Htm => {
@@ -876,7 +875,7 @@ impl<'a> Ladder<'a> {
                     tx.retire();
                     return step;
                 }
-                let ctx = TxCtx::new(CtxKind::Htm { tx }, deadline, driver);
+                let ctx = TxCtx::new(CtxKind::Htm { tx }, deadline);
                 self.speculate(ctx, driver, left, f, || Ok(()))
             }
             Engine::Adaptive { mode } => {
@@ -888,7 +887,7 @@ impl<'a> Ladder<'a> {
                     // path's doom sweep closes the window between check and
                     // CAS.
                     Ok(g0) => {
-                        let ctx = TxCtx::new(CtxKind::Htm { tx }, deadline, driver);
+                        let ctx = TxCtx::new(CtxKind::Htm { tx }, deadline);
                         self.speculate(ctx, driver, left, f, || lazy_precommit_gate(lock, mode, g0))
                     }
                     Err((cause, step)) => {
@@ -1290,14 +1289,13 @@ pub(crate) fn remove_waiter_tx(
     slots: (usize, usize),
     cv: &TxCondvar,
     raw: RawWaiter,
-    driver: Driver,
 ) -> Removal {
     let kind = begin_kind(sys, mode, slots);
     if gate_closed(sys) || lock.resolved_mode(sys.mode()) != mode {
         retire_kind(kind);
         return Removal::Retreat;
     }
-    let mut ctx = TxCtx::new(kind, None, driver);
+    let mut ctx = TxCtx::new(kind, None);
     let committed = match cv.remove(&mut ctx, raw.ptr()) {
         Ok(found) => commit_kind(ctx.kind).map(|_| found),
         Err(cause) => {
@@ -1333,15 +1331,22 @@ where
         let (epoch, mode, early) = dispatch(th, lock, budget);
         let outcome = match early {
             Some(Early::Refuse(e)) => return Err(e),
-            Some(Early::Serialize) => match exclusive(th, lock, None, epoch, budget.deadline, f) {
-                SerialOutcome::Done(r) => return Ok(r),
-                SerialOutcome::Retry | SerialOutcome::Redispatch => continue,
-            },
+            Some(Early::Serialize) => {
+                match exclusive(th, lock, Exclusion::SerialGate, epoch, budget.deadline, f) {
+                    SerialOutcome::Done(r) => return Ok(r),
+                    SerialOutcome::Retry | SerialOutcome::Redispatch => continue,
+                }
+            }
             // One inlined copy of the ladder loop per engine: each then sees
             // its engine as a constant and compiles to the straight-line
-            // per-mode loop the sync path has always been.
+            // per-mode loop the sync path has always been. The baseline has
+            // no ladder: its section runs under the mutex, and after a wait
+            // it re-runs through dispatch like a serialized one.
             None => match Engine::of(mode) {
-                None => run_locked(th, lock, epoch, budget.deadline, f),
+                None => match exclusive(th, lock, Exclusion::Mutex, epoch, budget.deadline, f) {
+                    SerialOutcome::Done(r) => return Ok(r),
+                    SerialOutcome::Retry | SerialOutcome::Redispatch => continue,
+                },
                 Some(Engine::Stm { spin, select }) => {
                     let stm = Engine::Stm { spin, select };
                     drive(th, lock, stm, epoch, hints, budget, f)
@@ -1404,7 +1409,7 @@ where
             Next::RetryNow => {}
             Next::AwaitGate => th.sys.gate.wait_open(),
             Next::Fallback => {
-                match exclusive(th, lock, engine.lock_path(), epoch, budget.deadline, f) {
+                match exclusive(th, lock, engine.exclusion(), epoch, budget.deadline, f) {
                     SerialOutcome::Done(r) => return Outcome::Done(r),
                     SerialOutcome::Retry => ladder.rearm(),
                     SerialOutcome::Redispatch => return Outcome::Redispatch,
@@ -1427,13 +1432,19 @@ fn pause(spins: &mut u32, spin_limit: u32) {
     }
 }
 
-/// Run the section under its engine's exclusive path: the adaptive lock
-/// word taken as a real lock (`lock_path` names the mode), else the global
-/// serial gate.
+/// Run the section under an exclusion: the adaptive lock word taken as a
+/// real lock, the global serial gate, or the baseline mutex, each blocking
+/// until held. After a wait the exclusion is released before the thread
+/// parks, and the caller re-runs the section.
+///
+/// Inlined so that each call site keeps only its own arm: the baseline's
+/// (called from [`run`] alone) compiles into the lock path, and the two
+/// fallbacks of the speculative engines stay one out-of-line function.
+#[inline(always)]
 fn exclusive<'a, R, F>(
     th: &'a ThreadHandle,
     lock: &'a ElidableMutex,
-    lock_path: Option<AlgoMode>,
+    excl: Exclusion,
     epoch: u64,
     deadline: Option<Instant>,
     f: &mut F,
@@ -1441,34 +1452,69 @@ fn exclusive<'a, R, F>(
 where
     F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
 {
-    let step = match lock_path {
-        Some(mode) => {
-            adaptive_acquire(th, lock, mode);
-            // Holding the lock word blocks a flip's word acquisition, so
-            // the epoch is stable from here until release.
-            if lock.domain().epoch() != epoch {
-                adaptive_release(lock, mode);
-                return SerialOutcome::Redispatch;
-            }
-            let step = exclusive_body(th, lock, Exclusion::LockWord, deadline, Driver::Sync, f);
-            adaptive_release(lock, mode);
-            step
+    if excl != Exclusion::Mutex {
+        return exclusive_fallback(th, lock, excl, epoch, deadline, f);
+    }
+    let step = {
+        let _guard = lock_mutex(lock);
+        // The raw mutex is the foothold: a flip acquires it too.
+        if lock.domain().epoch() != epoch {
+            return SerialOutcome::Redispatch;
         }
-        None => {
-            // Unwind audit: the token releases the gate in its `Drop` impl,
-            // so a panic inside `f` reopens the gate while unwinding.
-            // Without that, one panicking serial section would wedge every
-            // thread forever (the `serial_gate_reopens_after_panic`
-            // regression test pins this; the same goes for a transaction's
-            // presence and the baseline mutex guard).
-            let _token = th.sys.enter_serial();
-            // The serial token is the foothold: a flip needs the gate too.
-            if lock.domain().epoch() != epoch {
-                return SerialOutcome::Redispatch;
-            }
-            exclusive_body(th, lock, Exclusion::SerialGate, deadline, Driver::Sync, f)
-        }
+        exclusive_body(th, lock, excl, deadline, Driver::Sync, f)
     };
+    release_exclusive(th, lock, step)
+}
+
+/// [`exclusive`] under a speculative engine's fallback: the adaptive lock
+/// word or the global serial gate.
+fn exclusive_fallback<'a, R, F>(
+    th: &'a ThreadHandle,
+    lock: &'a ElidableMutex,
+    excl: Exclusion,
+    epoch: u64,
+    deadline: Option<Instant>,
+    f: &mut F,
+) -> SerialOutcome<R>
+where
+    F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
+{
+    let step = if let Exclusion::LockWord(mode) = excl {
+        adaptive_acquire(th, lock, mode);
+        // Holding the lock word blocks a flip's word acquisition, so
+        // the epoch is stable from here until release.
+        if lock.domain().epoch() != epoch {
+            adaptive_release(lock, mode);
+            return SerialOutcome::Redispatch;
+        }
+        let step = exclusive_body(th, lock, excl, deadline, Driver::Sync, f);
+        adaptive_release(lock, mode);
+        step
+    } else {
+        // Unwind audit: the token releases the gate in its `Drop` impl,
+        // so a panic inside `f` reopens the gate while unwinding.
+        // Without that, one panicking serial section would wedge every
+        // thread forever (the `serial_gate_reopens_after_panic`
+        // regression test pins this; the same goes for a transaction's
+        // presence and the baseline mutex guard).
+        let _token = th.sys.enter_serial();
+        // The serial token is the foothold: a flip needs the gate too.
+        if lock.domain().epoch() != epoch {
+            return SerialOutcome::Redispatch;
+        }
+        exclusive_body(th, lock, excl, deadline, Driver::Sync, f)
+    };
+    release_exclusive(th, lock, step)
+}
+
+/// The exclusion is released: run the step's deferred actions, and park on
+/// its wait, if it made one.
+#[inline(always)]
+fn release_exclusive<'a, R>(
+    th: &'a ThreadHandle,
+    lock: &'a ElidableMutex,
+    step: SerialStep<'a, R>,
+) -> SerialOutcome<R> {
     match step.run_defers() {
         Ok(r) => SerialOutcome::Done(r),
         Err(pw) => {
@@ -1478,52 +1524,34 @@ where
     }
 }
 
-/// Baseline pthread semantics (no elision). Its own function rather than an
-/// arm of [`exclusive`]: a waiting section parks on the **native** condvar,
-/// which atomically releases and re-takes the mutex — the guard stays alive
-/// across the wait, and the deferred actions of the waiting round run still
-/// holding the lock, like the original pthread program.
-fn run_locked<'a, R, F>(
-    th: &'a ThreadHandle,
-    lock: &'a ElidableMutex,
-    epoch: u64,
-    deadline: Option<Instant>,
-    f: &mut F,
-) -> Outcome<R>
-where
-    F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-{
+/// Take the baseline mutex, blocking.
+#[inline(always)]
+fn lock_mutex(lock: &ElidableMutex) -> parking_lot::MutexGuard<'_, ()> {
     sched::yield_point(YieldPoint::LockWord);
-    // Bracket the raw-mutex acquisition for the cooperative scheduler: the
-    // thread may park in the OS here, and the holder needs to run.
-    sched::block_enter();
-    let mut guard = lock.raw().lock();
-    sched::block_exit();
-    loop {
-        // The raw mutex is the foothold: a flip acquires it too, so a
-        // matching epoch here cannot change until we release — which a wait
-        // below does, hence the re-check on every round.
-        if lock.domain().epoch() != epoch {
-            return Outcome::Redispatch;
-        }
-        match exclusive_body(th, lock, Exclusion::Mutex, deadline, Driver::Sync, f) {
-            SerialStep::Done(r, defers) => {
-                drop(guard);
-                for d in defers {
-                    d();
-                }
-                return Outcome::Done(r);
-            }
-            SerialStep::Wait(pw, defers) => {
-                for d in defers {
-                    d();
-                }
-                sched::block_enter();
-                pw.cv.native_wait(&mut guard, pw.timeout);
-                sched::block_exit();
-            }
+    match lock.raw().try_lock() {
+        Some(guard) => guard,
+        None => lock_mutex_contended(lock),
+    }
+}
+
+/// A contended [`lock_mutex`] parks in the OS, bracketed for the
+/// cooperative scheduler (the holder needs to run) — except under a
+/// registered scheduler, where it spins on `try_lock` with a spin hint
+/// instead: a thread parked in the OS rejoins the token ring whenever the
+/// OS wakes it, which no schedule token could replay.
+#[cold]
+#[inline(never)]
+fn lock_mutex_contended(lock: &ElidableMutex) -> parking_lot::MutexGuard<'_, ()> {
+    while sched::registered() {
+        sched::spin_hint(YieldPoint::LockWord);
+        if let Some(guard) = lock.raw().try_lock() {
+            return guard;
         }
     }
+    sched::block_enter();
+    let guard = lock.raw_lock();
+    sched::block_exit();
+    guard
 }
 
 /// Acquire the subscription word as a real lock: CAS it, then doom whoever
@@ -1566,8 +1594,7 @@ fn block_on<'a>(th: &'a ThreadHandle, lock: &'a ElidableMutex, pw: PendingWait<'
 
 /// Timed-out waiter: remove our ring entry or, if a signaller already
 /// claimed it, let the signaller's wakeup fall on the floor harmlessly.
-/// Only reachable from ring waits (sync baseline waiters use the native
-/// condvar) — but by the time the timeout fires the *lock* may have been
+/// By the time the timeout fires the *lock* may have been
 /// flipped to any mode, so the removal algorithm is chosen per attempt from
 /// the lock's current resolved mode, pinned by the removal transaction's own
 /// presence (mode flips need the serial gate, whose sweep waits it out; see
@@ -1587,7 +1614,7 @@ pub(crate) fn cancel_wait(th: &ThreadHandle, lock: &ElidableMutex, cv: &TxCondva
             break remove_waiter_excluded(th, lock, cv, raw);
         }
         let slots = (th.stm_slot, th.htm_slot);
-        match remove_waiter_tx(sys, lock, mode, slots, cv, raw, Driver::Sync) {
+        match remove_waiter_tx(sys, lock, mode, slots, cv, raw) {
             Removal::Done(found) => break found,
             Removal::Retreat => sys.gate.wait_open(),
             Removal::Aborted => {
@@ -1613,9 +1640,7 @@ fn remove_waiter_excluded(
 ) -> bool {
     let sys = &*th.sys;
     let _token = sys.enter_serial();
-    sched::block_enter();
-    let _guard = lock.raw_lock();
-    sched::block_exit();
+    let _guard = lock_mutex(lock);
     // Serial gate held: the resolved mode cannot flip under us, so the
     // acquire/release pair keeps the lazy seqlock parity consistent.
     let mode = lock.resolved_mode(sys.mode());
@@ -1625,13 +1650,16 @@ fn remove_waiter_excluded(
     removed
 }
 
-/// Direct ring removal; the caller holds total exclusion.
+/// Direct ring removal; the caller holds total exclusion. Bracketed as a
+/// serial section of its own, so its accesses reach the event stream (and
+/// the opacity oracle) inside one.
 pub(crate) fn remove_waiter_direct(cv: &TxCondvar, raw: RawWaiter) -> bool {
-    cv.remove(
-        &mut TxCtx::new(CtxKind::Direct { baseline: false }, None, Driver::Sync),
-        raw.ptr(),
-    )
-    .expect("direct access cannot abort")
+    trace::begin_direct(TxMode::Serial);
+    let found = cv
+        .remove(&mut TxCtx::new(CtxKind::Direct, None), raw.ptr())
+        .expect("direct access cannot abort");
+    trace::emit(TraceKind::Commit, TxMode::Serial, None, 0);
+    found
 }
 
 #[cfg(test)]
@@ -1756,7 +1784,7 @@ mod tests {
                     (CtxKind::Stm { .. }, AlgoMode::StmCondvar)
                         | (CtxKind::Norec { .. }, AlgoMode::StmNorec)
                 ));
-                let mut ctx = TxCtx::new(kind, None, Driver::Sync);
+                let mut ctx = TxCtx::new(kind, None);
                 ctx.write(&cell, 100u64).unwrap();
                 assert!(!sys.presence_idle());
                 if retire {

@@ -23,6 +23,9 @@
 //!   its first sweep cannot finish comes back as a ticket, polled one slot
 //!   sweep per `StmGlobal::quiesce_pass`;
 //! - backoff is the core's bounded spin plus an executor yield;
+//! - the baseline mutex is taken with `try_lock` + yield (an executor
+//!   worker must never park in the OS — `tle_base::park` asserts this under
+//!   the waker backend);
 //! - condvar blocks arm a waker (`Waiter::poll_signaled`, plus executor
 //!   timers for timed waits) instead of parking;
 //! - waits for the adaptive lock word, and the doom sweeps of its
@@ -46,14 +49,6 @@
 //! span condvar waits, so parked sessions cannot starve runnable ones out
 //! of slots; registry exhaustion backpressures with a scheduler yield.
 //!
-//! ## Baseline mode
-//!
-//! The baseline path acquires the real mutex with `try_lock` + yield (an
-//! executor worker must never park in the OS — `tle_base::park` asserts
-//! this under the waker backend), and waits enqueue into the transactional
-//! ring under the held mutex instead of using the native condvar channel
-//! (see `TxCtx::wait`); signallers already service the ring in every mode.
-//!
 //! ## Cancellation
 //!
 //! Ring entries self-cancel: [`WaitEntryGuard`] removes the entry
@@ -66,7 +61,7 @@ use crate::ctx::{PendingWait, TxCtx, TxError};
 use crate::elide::ElidableMutex;
 use crate::runner::{
     self, Budget, Committed, Doom, Driver, Early, Engine, Exclusion, Ladder, Next, Outcome,
-    Removal, Section, SerialOutcome, SerialStep,
+    Removal, Section, SerialOutcome,
 };
 use crate::system::{AlgoMode, ThreadHandle, TmSystem, TxHints};
 use std::future::Future as _;
@@ -137,23 +132,23 @@ where
     let budget = section.budget;
     loop {
         let (epoch, mode, early) = runner::dispatch(th, lock, budget);
-        let outcome = match early {
+        let excl = match early {
             Some(Early::Refuse(e)) => return Err(e),
-            Some(Early::Serialize) => {
-                match exclusive_async(th, lock, None, epoch, budget.deadline, f).await {
-                    SerialOutcome::Done(r) => return Ok(r),
-                    SerialOutcome::Retry | SerialOutcome::Redispatch => continue,
-                }
-            }
+            Some(Early::Serialize) => Exclusion::SerialGate,
             None => match Engine::of(mode) {
-                None => run_locked_async(th, lock, epoch, budget.deadline, f).await,
-                Some(engine) => drive_async(th, lock, engine, epoch, hints, budget, f).await,
+                None => Exclusion::Mutex,
+                Some(engine) => {
+                    match drive_async(th, lock, engine, epoch, hints, budget, f).await {
+                        Outcome::Done(r) => return Ok(r),
+                        Outcome::Redispatch => continue,
+                        Outcome::Expired(e) => return Err(e),
+                    }
+                }
             },
         };
-        match outcome {
-            Outcome::Done(r) => return Ok(r),
-            Outcome::Redispatch => continue,
-            Outcome::Expired(e) => return Err(e),
+        match exclusive_async(th, lock, excl, epoch, budget.deadline, f).await {
+            SerialOutcome::Done(r) => return Ok(r),
+            SerialOutcome::Retry | SerialOutcome::Redispatch => continue,
         }
     }
 }
@@ -210,7 +205,8 @@ where
             Next::RetryNow => {}
             Next::AwaitGate => gate_open(sys).await,
             Next::Fallback => {
-                match exclusive_async(th, lock, lock_path, epoch, budget.deadline, f).await {
+                match exclusive_async(th, lock, engine.exclusion(), epoch, budget.deadline, f).await
+                {
                     SerialOutcome::Done(r) => return Outcome::Done(r),
                     SerialOutcome::Retry => ladder.rearm(),
                     SerialOutcome::Redispatch => return Outcome::Redispatch,
@@ -237,16 +233,16 @@ async fn drain_ticket(sys: &TmSystem, mut t: QuiesceTicket) -> u64 {
 }
 
 /// Async form of the sync driver's `exclusive`: suspend into the adaptive
-/// lock word (`lock_path`) or the serial gate, run the core's exclusive
-/// body inside one poll, release, then await a committed wait.
+/// lock word, the serial gate or the baseline mutex, run the core's
+/// exclusive body inside one poll, release, then await a committed wait.
 ///
 /// Cancel audit: the serial token releases the gate in its `Drop` impl, so
 /// this future being dropped while suspended reopens the gate; the lock
-/// word is only ever held inside one poll.
+/// word and the mutex are only ever held inside one poll.
 async fn exclusive_async<'a, R, F>(
     th: &'a ThreadHandle,
     lock: &'a ElidableMutex,
-    lock_path: Option<AlgoMode>,
+    excl: Exclusion,
     epoch: u64,
     deadline: Option<Instant>,
     f: &mut F,
@@ -255,24 +251,36 @@ where
     F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
 {
     let sys = &*th.sys;
-    let step = match lock_path {
-        Some(mode) => {
+    let step = match excl {
+        Exclusion::LockWord(mode) => {
             adaptive_acquire_async(sys, lock, mode).await;
             if lock.domain().epoch() != epoch {
                 runner::adaptive_release(lock, mode);
                 return SerialOutcome::Redispatch;
             }
-            let step =
-                runner::exclusive_body(th, lock, Exclusion::LockWord, deadline, Driver::Async, f);
+            let step = runner::exclusive_body(th, lock, excl, deadline, Driver::Async, f);
             runner::adaptive_release(lock, mode);
             step
         }
-        None => {
+        Exclusion::SerialGate => {
             let _token = sys.enter_serial_async().await;
             if lock.domain().epoch() != epoch {
                 return SerialOutcome::Redispatch;
             }
-            runner::exclusive_body(th, lock, Exclusion::SerialGate, deadline, Driver::Async, f)
+            runner::exclusive_body(th, lock, excl, deadline, Driver::Async, f)
+        }
+        Exclusion::Mutex => {
+            sched::yield_point(YieldPoint::LockWord);
+            loop {
+                // The guard never crosses an `.await`.
+                if let Some(_guard) = lock.raw().try_lock() {
+                    if lock.domain().epoch() != epoch {
+                        return SerialOutcome::Redispatch;
+                    }
+                    break runner::exclusive_body(th, lock, excl, deadline, Driver::Async, f);
+                }
+                yield_on_lock_word().await;
+            }
         }
     };
     match step.run_defers() {
@@ -280,46 +288,6 @@ where
         Err(pw) => {
             block_on_async(th, lock, pw).await;
             SerialOutcome::Retry
-        }
-    }
-}
-
-/// Baseline mode on a worker that must never park: `try_lock` + yield, and
-/// a waiting section *releases* the mutex and awaits its ring registration
-/// (the core enqueued it under the held mutex, `Driver::Async`) — where the
-/// sync `run_locked` keeps the guard alive across a native condvar wait.
-/// The guard never crosses an `.await`.
-async fn run_locked_async<'a, R, F>(
-    th: &'a ThreadHandle,
-    lock: &'a ElidableMutex,
-    epoch: u64,
-    deadline: Option<Instant>,
-    f: &mut F,
-) -> Outcome<R>
-where
-    F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
-{
-    sched::yield_point(YieldPoint::LockWord);
-    loop {
-        // `None`: the mutex was busy. It is released across a wait, so a
-        // flip may have completed in between: the epoch is checked on
-        // every round. The guard never crosses an `.await`.
-        let step = match lock.raw().try_lock() {
-            None => None,
-            Some(_) if lock.domain().epoch() != epoch => return Outcome::Redispatch,
-            Some(_guard) => Some(runner::exclusive_body(
-                th,
-                lock,
-                Exclusion::Mutex,
-                deadline,
-                Driver::Async,
-                f,
-            )),
-        };
-        match step.map(SerialStep::run_defers) {
-            None => yield_on_lock_word().await,
-            Some(Ok(r)) => return Outcome::Done(r),
-            Some(Err(pw)) => block_on_async(th, lock, pw).await,
         }
     }
 }
@@ -448,9 +416,8 @@ async fn cancel_wait_async<'a>(
         }
         let slots = claim_slots(sys).await;
         let claimed = (slots.stm, slots.htm);
-        let (removal, owed) = tle_stm::defer_drain(|| {
-            runner::remove_waiter_tx(sys, lock, mode, claimed, cv, raw, Driver::Async)
-        });
+        let (removal, owed) =
+            tle_stm::defer_drain(|| runner::remove_waiter_tx(sys, lock, mode, claimed, cv, raw));
         if let Some(ticket) = owed {
             drain_ticket(sys, ticket).await;
         }

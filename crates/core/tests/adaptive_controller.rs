@@ -1,11 +1,17 @@
 //! Controller-level integration tests for the per-lock adaptive policy:
 //! hysteresis (no flapping), decision determinism, the `*NoQuiesce`
-//! opt-in contract, and counter exactness under continuous mode flips.
+//! opt-in contract, counter exactness under continuous mode flips, and
+//! condvar waits that span a flip.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+use tle_base::exec::Exec;
 use tle_base::TCell;
-use tle_core::{decide, AdaptiveConfig, AlgoMode, ElidableMutex, SwitchReason, TmSystem};
+use tle_core::{
+    decide, AdaptiveConfig, AlgoMode, ElidableMutex, SwitchReason, TmSystem, TxCondvar, TxCtx,
+    TxError,
+};
 
 fn adaptive_sys(cfg: AdaptiveConfig) -> Arc<TmSystem> {
     Arc::new(
@@ -256,4 +262,110 @@ fn counter_exact_under_continuous_flips() {
         lock.switches() > 0,
         "the flipper should have actually flipped"
     );
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Drive {
+    Sync,
+    Async,
+}
+
+/// One section over the flag: the signaller sets it and signals, the waiter
+/// waits until it is set.
+fn flag_section(
+    drive: Drive,
+    sys: &Arc<TmSystem>,
+    lock: &ElidableMutex,
+    cv: &TxCondvar,
+    flag: &TCell<u64>,
+    set: bool,
+) -> u64 {
+    fn body<'a>(
+        cv: &'a TxCondvar,
+        flag: &'a TCell<u64>,
+        set: bool,
+    ) -> impl FnMut(&mut TxCtx<'a>) -> Result<u64, TxError> {
+        move |ctx| {
+            if set {
+                ctx.write(flag, 1)?;
+                return ctx.signal(cv).map(|()| 1);
+            }
+            if ctx.read(flag)? == 0 {
+                return ctx.wait(cv, None).map(|()| 0);
+            }
+            Ok(2)
+        }
+    }
+    let th = sys.register();
+    match drive {
+        Drive::Sync => th.tx(lock).run(body(cv, flag, set)),
+        Drive::Async => Exec::new(1).block_on(th.tx(lock).run_async(body(cv, flag, set))),
+    }
+}
+
+/// A waiter parks while its lock runs one mode, `flip` moves the lock to
+/// another, and a signaller running that one must wake it: every mode
+/// registers on the one ring every mode's signaller services. Both sides
+/// run through `drive`.
+fn wait_spans_flip(
+    drive: Drive,
+    global: AlgoMode,
+    pin: Option<AlgoMode>,
+    flip: fn(&TmSystem, &ElidableMutex),
+) {
+    let sys = Arc::new(TmSystem::new(global));
+    let lock = ElidableMutex::new("flip-wait");
+    if let Some(mode) = pin {
+        sys.set_lock_mode(&lock, mode);
+    }
+    let parked_under = lock.resolved_mode(sys.mode());
+    let cv = Arc::new(TxCondvar::new());
+    let flag = Arc::new(TCell::new(0u64));
+    let (done_tx, done) = mpsc::channel();
+    let waiter = {
+        let (sys, lock, cv, flag) = (
+            Arc::clone(&sys),
+            lock.clone(),
+            Arc::clone(&cv),
+            Arc::clone(&flag),
+        );
+        std::thread::spawn(move || {
+            let got = flag_section(drive, &sys, &lock, &cv, &flag, false);
+            done_tx.send(got).unwrap();
+        })
+    };
+    // The registration has committed: the waiter is parked, or about to.
+    while cv.approx_len() == 0 {
+        std::thread::yield_now();
+    }
+    flip(&sys, &lock);
+    let signalled_under = lock.resolved_mode(sys.mode());
+    assert_ne!(parked_under, signalled_under, "the lock did not flip");
+    assert_eq!(flag_section(drive, &sys, &lock, &cv, &flag, true), 1);
+    let got = done
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| {
+            panic!(
+                "{drive:?}: a waiter parked under {parked_under:?} slept through \
+             a {signalled_under:?} signal"
+            )
+        });
+    assert_eq!(got, 2);
+    waiter.join().unwrap();
+    assert_eq!(cv.approx_len(), 0, "the signal left the ring entry behind");
+}
+
+#[test]
+fn wait_spans_a_mode_flip() {
+    for drive in [Drive::Sync, Drive::Async] {
+        wait_spans_flip(drive, AlgoMode::Baseline, None, |sys, lock| {
+            sys.set_lock_mode(lock, AlgoMode::StmCondvar)
+        });
+        wait_spans_flip(
+            drive,
+            AlgoMode::Baseline,
+            Some(AlgoMode::HtmCondvar),
+            |sys, lock| sys.clear_lock_mode(lock),
+        );
+    }
 }

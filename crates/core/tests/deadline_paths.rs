@@ -19,11 +19,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tle_base::exec::Exec;
 use tle_base::stats::Stat;
 use tle_base::trace::TraceKind;
 use tle_base::TCell;
 use tle_core::{
-    AdmissionConfig, AdmissionStep, AlgoMode, ElidableMutex, TmSystem, TxCondvar, TxError, TxHints,
+    AdmissionConfig, AdmissionStep, AlgoMode, ElidableMutex, TmSystem, TxCondvar, TxCtx, TxError,
+    TxHints,
 };
 
 /// A zero budget is already spent when the dispatch gate first looks at it:
@@ -78,43 +80,59 @@ fn zero_budget_refused_under_htm() {
     zero_budget_refused(AlgoMode::HtmCondvar);
 }
 
+/// A section that waits on `cv`, untimed, until `flag` is set.
+fn wait_for<'a>(
+    flag: &'a TCell<bool>,
+    cv: &'a TxCondvar,
+) -> impl FnMut(&mut TxCtx<'a>) -> Result<(), TxError> {
+    move |ctx| {
+        if ctx.read(flag)? {
+            Ok(())
+        } else {
+            ctx.wait(cv, None).map(|_| ())
+        }
+    }
+}
+
 /// An *untimed* wait inside a budgeted section must not outsleep the
 /// deadline: the clamp turns `wait(cv, None)` into a park bounded by the
-/// remaining budget, and the post-wakeup retry gate converts the expiry
-/// into `Err(DeadlineExceeded)`. Without the clamp this test hangs.
+/// remaining budget, and the re-run after the wakeup converts the expiry
+/// into `Err(DeadlineExceeded)` — at the retry gate of a transaction, at
+/// dispatch for a baseline section, which re-runs through dispatch after a
+/// wait. Without the clamp this test hangs. Run under both drivers.
 fn untimed_wait_clamped_to_deadline(mode: AlgoMode) {
-    let sys = Arc::new(TmSystem::new(mode));
-    let lock = ElidableMutex::new("clamp");
-    let cv = TxCondvar::new();
-    let never = TCell::new(false);
-    let th = sys.register();
+    for asynch in [false, true] {
+        let sys = Arc::new(TmSystem::new(mode));
+        let lock = ElidableMutex::new("clamp");
+        let cv = TxCondvar::new();
+        let never = TCell::new(false);
+        let th = sys.register();
 
-    let budget = Duration::from_millis(20);
-    let t0 = Instant::now();
-    let res = th
-        .tx(&lock)
-        .hints(TxHints::new().with_deadline(budget))
-        .try_run(|ctx| {
-            if ctx.read(&never)? {
-                Ok(())
-            } else {
-                ctx.wait(&cv, None).map(|_| ())
-            }
-        });
-    let elapsed = t0.elapsed();
-    assert!(
-        matches!(res, Err(TxError::DeadlineExceeded)),
-        "{mode:?}: unsignalled wait produced {res:?}"
-    );
-    assert!(
-        elapsed >= budget,
-        "{mode:?}: returned at {elapsed:?}, before the {budget:?} budget"
-    );
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "{mode:?}: wait was not clamped (took {elapsed:?})"
-    );
-    assert_eq!(sys.stats.snapshot().deadline_exceeded, 1);
+        let budget = Duration::from_millis(20);
+        let t0 = Instant::now();
+        let req = th.tx(&lock).hints(TxHints::new().with_deadline(budget));
+        let body = wait_for(&never, &cv);
+        let res = if asynch {
+            Exec::new(1).block_on(req.try_run_async(body))
+        } else {
+            req.try_run(body)
+        };
+        let elapsed = t0.elapsed();
+        let name = format!("{mode:?} (async: {asynch})");
+        assert!(
+            matches!(res, Err(TxError::DeadlineExceeded)),
+            "{name}: unsignalled wait produced {res:?}"
+        );
+        assert!(
+            elapsed >= budget,
+            "{name}: returned at {elapsed:?}, before the {budget:?} budget"
+        );
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "{name}: wait was not clamped (took {elapsed:?})"
+        );
+        assert_eq!(sys.stats.snapshot().deadline_exceeded, 1, "{name}");
+    }
 }
 
 #[test]
@@ -125,6 +143,11 @@ fn untimed_wait_clamped_under_stm() {
 #[test]
 fn untimed_wait_clamped_under_htm() {
     untimed_wait_clamped_to_deadline(AlgoMode::HtmCondvar);
+}
+
+#[test]
+fn untimed_wait_clamped_under_baseline() {
+    untimed_wait_clamped_to_deadline(AlgoMode::Baseline);
 }
 
 /// A signaller firing right as deadlines expire: the expiry path's

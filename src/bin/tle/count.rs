@@ -72,25 +72,25 @@ const REFUSED: i32 = 3;
 /// The last column is the row's instructions in a release build without
 /// `trace` or `check`, as this table's change counted them.
 const ROWS: &[(&str, u64, u64)] = &[
-    ("elide.lock", 6, 302),
-    ("elide.stm", 8, 715),
-    ("elide.htm", 9, 770),
-    ("handoff.htm", 9, 773),
-    ("ro.stm", 6, 559),
-    ("ro.htm", 8, 652),
-    ("scan.stm", 7, 6782),
-    ("kv.get.lock", 6, 530),
-    ("kv.get.stm", 6, 925),
-    ("kv.get.htm", 12, 1239),
-    ("kv.put.lock", 6, 569),
-    ("kv.put.stm", 8, 1120),
-    ("kv.put.htm", 15, 1454),
-    ("elide.norec", 7, 627),
-    ("ro.norec", 6, 543),
-    ("kv.get.norec", 6, 984),
-    ("kv.put.norec", 7, 1112),
-    ("async.stm", 12, 1149),
-    ("async.ro.stm", 10, 965),
+    ("elide.lock", 6, 292),
+    ("elide.stm", 8, 710),
+    ("elide.htm", 9, 768),
+    ("handoff.htm", 9, 771),
+    ("ro.stm", 6, 548),
+    ("ro.htm", 8, 648),
+    ("scan.stm", 7, 6784),
+    ("kv.get.lock", 6, 537),
+    ("kv.get.stm", 6, 910),
+    ("kv.get.htm", 12, 1224),
+    ("kv.put.lock", 6, 577),
+    ("kv.put.stm", 8, 1105),
+    ("kv.put.htm", 15, 1439),
+    ("elide.norec", 7, 632),
+    ("ro.norec", 6, 542),
+    ("kv.get.norec", 6, 968),
+    ("kv.put.norec", 7, 1101),
+    ("async.stm", 12, 1138),
+    ("async.ro.stm", 10, 954),
 ];
 
 pub fn run(args: &Args) -> Result<ExitCode, String> {

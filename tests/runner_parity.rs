@@ -12,12 +12,11 @@
 //! STM's and the HTM's statistics — and, with `--features trace`, equal
 //! [`TraceKind`] sequences on the section's thread.
 //!
-//! Two edges are *meant* to differ and are left out of the comparison, each
-//! where it applies: a sync baseline section waits on the native condvar
-//! and so never parks on (or cancels) a ring entry, which shows in the
-//! trace of the baseline wait scenarios only; and `StmSpin` waits by
-//! polling, so how many times a waiting section re-runs before the signal
-//! lands is a matter of timing.
+//! One edge is *meant* to differ and is left out of the comparison where it
+//! applies: `StmSpin` waits by polling, so how many times a waiting section
+//! re-runs before the signal lands is a matter of timing. Every other mode,
+//! the baseline included, waits on the transactional ring under both
+//! drivers.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -190,24 +189,14 @@ fn try_run<'a, R>(
     }
 }
 
-/// Run `scenario` under both drivers for every mode and demand equality
-/// (of everything, or of everything but the trace where `same_trace` says
-/// the drivers legitimately differ).
-fn assert_parity(
-    name: &str,
-    modes: Vec<AlgoMode>,
-    same_trace: impl Fn(AlgoMode) -> bool,
-    scenario: impl Fn(AlgoMode, Drive) -> Observed,
-) {
+/// Run `scenario` under both drivers for every mode and demand equality of
+/// everything it observed, the trace included.
+fn assert_parity(name: &str, modes: Vec<AlgoMode>, scenario: impl Fn(AlgoMode, Drive) -> Observed) {
     let mut traced = false;
     for mode in modes {
-        let mut sync = scenario(mode, Drive::Sync);
-        let mut asynch = scenario(mode, Drive::Async);
+        let sync = scenario(mode, Drive::Sync);
+        let asynch = scenario(mode, Drive::Async);
         traced |= !sync.trace.is_empty();
-        if !same_trace(mode) {
-            sync.trace.clear();
-            asynch.trace.clear();
-        }
         assert_eq!(
             sync, asynch,
             "{name} under {mode:?}: sync (left) and async (right) disagree"
@@ -219,68 +208,53 @@ fn assert_parity(
 
 #[test]
 fn plain_commit() {
-    assert_parity(
-        "plain commit",
-        modes(),
-        |_| true,
-        |mode, drive| {
-            let rig = rig(mode, None);
-            let th = rig.sys.register();
-            observe(&rig, || {
-                run(drive, th.tx(&rig.lock), |ctx| {
-                    ctx.update(&rig.cell, |v| v + 1)
-                })
+    assert_parity("plain commit", modes(), |mode, drive| {
+        let rig = rig(mode, None);
+        let th = rig.sys.register();
+        observe(&rig, || {
+            run(drive, th.tx(&rig.lock), |ctx| {
+                ctx.update(&rig.cell, |v| v + 1)
             })
-        },
-    );
+        })
+    });
 }
 
 #[test]
 fn explicit_aborts_then_commit() {
-    assert_parity(
-        "3 aborts then commit",
-        modes(),
-        |_| true,
-        |mode, drive| {
-            let rig = rig(mode, None);
-            let th = rig.sys.register();
-            let mut cancels = 0;
-            // Room for the aborts under every engine's retry budget: cancelling
-            // in serial-irrevocable mode is a usage error.
-            let hints = TxHints::new().with_htm_retries(8).with_stm_retries(8);
-            let seen = observe(&rig, || {
-                run(drive, th.tx(&rig.lock).hints(hints), |ctx| {
-                    ctx.update(&rig.cell, |v| v + 1)?;
-                    if ctx.is_transactional() && cancels < 3 {
-                        cancels += 1;
-                        return Err(ctx.cancel());
-                    }
-                    ctx.read(&rig.cell)
-                })
-            });
-            assert_eq!(rig.cell.load_direct(), 1, "aborted increments leaked");
-            seen
-        },
-    );
+    assert_parity("3 aborts then commit", modes(), |mode, drive| {
+        let rig = rig(mode, None);
+        let th = rig.sys.register();
+        let mut cancels = 0;
+        // Room for the aborts under every engine's retry budget: cancelling
+        // in serial-irrevocable mode is a usage error.
+        let hints = TxHints::new().with_htm_retries(8).with_stm_retries(8);
+        let seen = observe(&rig, || {
+            run(drive, th.tx(&rig.lock).hints(hints), |ctx| {
+                ctx.update(&rig.cell, |v| v + 1)?;
+                if ctx.is_transactional() && cancels < 3 {
+                    cancels += 1;
+                    return Err(ctx.cancel());
+                }
+                ctx.read(&rig.cell)
+            })
+        });
+        assert_eq!(rig.cell.load_direct(), 1, "aborted increments leaked");
+        seen
+    });
 }
 
 #[test]
 fn unsafe_op_takes_the_exclusive_path() {
-    assert_parity(
-        "unsafe_op",
-        modes(),
-        |_| true,
-        |mode, drive| {
-            let rig = rig(mode, None);
-            let th = rig.sys.register();
-            observe(&rig, || {
-                run(drive, th.tx(&rig.lock), |ctx| {
-                    ctx.unsafe_op()?;
-                    ctx.update(&rig.cell, |v| v + 1)
-                })
+    assert_parity("unsafe_op", modes(), |mode, drive| {
+        let rig = rig(mode, None);
+        let th = rig.sys.register();
+        observe(&rig, || {
+            run(drive, th.tx(&rig.lock), |ctx| {
+                ctx.unsafe_op()?;
+                ctx.update(&rig.cell, |v| v + 1)
             })
-        },
-    );
+        })
+    });
 }
 
 #[test]
@@ -291,10 +265,7 @@ fn wait_then_signal() {
         .into_iter()
         .filter(|&m| m != AlgoMode::StmSpin)
         .collect();
-    // The sync baseline waiter parks on the native condvar, the async one
-    // on a ring entry: the one edge where the traces are meant to differ.
-    let same_trace = |mode| mode != AlgoMode::Baseline;
-    assert_parity("wait then signal", modes, same_trace, |mode, drive| {
+    assert_parity("wait then signal", modes, |mode, drive| {
         let rig = rig(mode, None);
         let th = rig.sys.register();
         let entered = AtomicBool::new(false);
@@ -338,8 +309,7 @@ fn wait_then_signal() {
 
 #[test]
 fn timed_wait_expires() {
-    let same_trace = |mode| mode != AlgoMode::Baseline;
-    assert_parity("timed wait expires", modes(), same_trace, |mode, drive| {
+    assert_parity("timed wait expires", modes(), |mode, drive| {
         let rig = rig(mode, None);
         let th = rig.sys.register();
         let mut waited = false;
@@ -364,54 +334,44 @@ fn closure_raised_deadline_under_try_run() {
         .into_iter()
         .filter(|m| m.is_transactional())
         .collect();
-    assert_parity(
-        "closure-raised deadline",
-        modes,
-        |_| true,
-        |mode, drive| {
-            let rig = rig(mode, None);
-            let th = rig.sys.register();
-            let seen = observe(&rig, || {
-                try_run(drive, th.tx(&rig.lock), |ctx| {
-                    ctx.update(&rig.cell, |v| v + 1)?;
-                    Err::<u64, _>(TxError::DeadlineExceeded)
-                })
-            });
-            assert!(seen.result.contains("DeadlineExceeded"), "{seen:?}");
-            assert_eq!(rig.cell.load_direct(), 0, "the refused attempt leaked");
-            seen
-        },
-    );
+    assert_parity("closure-raised deadline", modes, |mode, drive| {
+        let rig = rig(mode, None);
+        let th = rig.sys.register();
+        let seen = observe(&rig, || {
+            try_run(drive, th.tx(&rig.lock), |ctx| {
+                ctx.update(&rig.cell, |v| v + 1)?;
+                Err::<u64, _>(TxError::DeadlineExceeded)
+            })
+        });
+        assert!(seen.result.contains("DeadlineExceeded"), "{seen:?}");
+        assert_eq!(rig.cell.load_direct(), 0, "the refused attempt leaked");
+        seen
+    });
 }
 
 #[test]
 fn budget_spent_before_dispatch() {
-    assert_parity(
-        "spent budget",
-        modes(),
-        |_| true,
-        |mode, drive| {
-            let rig = rig(mode, None);
-            let th = rig.sys.register();
-            let spent = TxHints::new().with_deadline(Duration::ZERO);
-            let seen = observe(&rig, || {
-                let refused = try_run(drive, th.tx(&rig.lock).hints(spent), |ctx| {
-                    ctx.update(&rig.cell, |v| v + 1)
-                });
-                // The infallible terminal has no error channel: it bounds retry
-                // time by taking the exclusive path instead.
-                let forced = run(drive, th.tx(&rig.lock).hints(spent), |ctx| {
-                    ctx.update(&rig.cell, |v| v + 1)
-                });
-                (refused, forced)
+    assert_parity("spent budget", modes(), |mode, drive| {
+        let rig = rig(mode, None);
+        let th = rig.sys.register();
+        let spent = TxHints::new().with_deadline(Duration::ZERO);
+        let seen = observe(&rig, || {
+            let refused = try_run(drive, th.tx(&rig.lock).hints(spent), |ctx| {
+                ctx.update(&rig.cell, |v| v + 1)
             });
-            assert!(
-                seen.result.starts_with("(Err(DeadlineExceeded), 1"),
-                "{seen:?}"
-            );
-            seen
-        },
-    );
+            // The infallible terminal has no error channel: it bounds retry
+            // time by taking the exclusive path instead.
+            let forced = run(drive, th.tx(&rig.lock).hints(spent), |ctx| {
+                ctx.update(&rig.cell, |v| v + 1)
+            });
+            (refused, forced)
+        });
+        assert!(
+            seen.result.starts_with("(Err(DeadlineExceeded), 1"),
+            "{seen:?}"
+        );
+        seen
+    });
 }
 
 #[test]
@@ -428,34 +388,29 @@ fn admission_serialize_and_shed() {
         recover_queue_depth: 0,
         recover_probe_steps: 1,
     };
-    assert_parity(
-        "admission ladder",
-        gate_modes(),
-        |_| true,
-        |mode, drive| {
-            let rig = rig(mode, Some(cfg.clone()));
-            let th = rig.sys.register();
-            let bump = |ctx: &mut TxCtx| ctx.update(&rig.cell, |v| v + 1);
-            th.tx(&rig.lock).run(bump);
-            assert_eq!(rig.sys.controller_step(), 1);
-            assert_eq!(rig.lock.admission_step(), AdmissionStep::Serialize);
-            let serialized = observe(&rig, || run(drive, th.tx(&rig.lock), bump));
-            assert_eq!(rig.sys.controller_step(), 1);
-            assert_eq!(rig.lock.admission_step(), AdmissionStep::Shed);
-            let shed = observe(&rig, || {
-                (
-                    try_run(drive, th.tx(&rig.lock), bump),
-                    run(drive, th.tx(&rig.lock), bump),
-                )
-            });
-            assert!(shed.result.starts_with("(Err(Overloaded), 3"), "{shed:?}");
-            Observed {
-                result: format!("{} then {}", serialized.result, shed.result),
-                counters: [serialized.counters, shed.counters].concat(),
-                trace: [serialized.trace, shed.trace].concat(),
-            }
-        },
-    );
+    assert_parity("admission ladder", gate_modes(), |mode, drive| {
+        let rig = rig(mode, Some(cfg.clone()));
+        let th = rig.sys.register();
+        let bump = |ctx: &mut TxCtx| ctx.update(&rig.cell, |v| v + 1);
+        th.tx(&rig.lock).run(bump);
+        assert_eq!(rig.sys.controller_step(), 1);
+        assert_eq!(rig.lock.admission_step(), AdmissionStep::Serialize);
+        let serialized = observe(&rig, || run(drive, th.tx(&rig.lock), bump));
+        assert_eq!(rig.sys.controller_step(), 1);
+        assert_eq!(rig.lock.admission_step(), AdmissionStep::Shed);
+        let shed = observe(&rig, || {
+            (
+                try_run(drive, th.tx(&rig.lock), bump),
+                run(drive, th.tx(&rig.lock), bump),
+            )
+        });
+        assert!(shed.result.starts_with("(Err(Overloaded), 3"), "{shed:?}");
+        Observed {
+            result: format!("{} then {}", serialized.result, shed.result),
+            counters: [serialized.counters, shed.counters].concat(),
+            trace: [serialized.trace, shed.trace].concat(),
+        }
+    });
 }
 
 #[test]
@@ -464,38 +419,33 @@ fn drain_decisions() {
     // drivers, so each post-commit drain decision — a writer's drain, the
     // drain `will_free_memory` forces on a read-only section, the skip
     // `TM_NoQuiesce` buys under `StmCondvarNoQuiesce` — counts alike.
-    assert_parity(
-        "drain decisions",
-        modes(),
-        |_| true,
-        |mode, drive| {
-            let rig = rig(mode, None);
-            let th = rig.sys.register();
-            let seen = observe(&rig, || {
-                let wrote = run(drive, th.tx(&rig.lock), |ctx| {
-                    ctx.update(&rig.cell, |v| v + 1)
-                });
-                let freed = run(drive, th.tx(&rig.lock), |ctx| {
-                    ctx.will_free_memory();
-                    ctx.read(&rig.cell)
-                });
-                let annotated = run(drive, th.tx(&rig.lock), |ctx| {
-                    ctx.no_quiesce();
-                    ctx.update(&rig.cell, |v| v + 1)
-                });
-                (wrote, freed, annotated)
+    assert_parity("drain decisions", modes(), |mode, drive| {
+        let rig = rig(mode, None);
+        let th = rig.sys.register();
+        let seen = observe(&rig, || {
+            let wrote = run(drive, th.tx(&rig.lock), |ctx| {
+                ctx.update(&rig.cell, |v| v + 1)
             });
-            // NOrec never drains, so it makes no drain decision at all.
-            let stm = rig.sys.stm.stats.snapshot();
-            if stm.commits > 0 {
-                let drains = match mode {
-                    AlgoMode::StmNorec => (0, 0),
-                    AlgoMode::StmCondvarNoQuiesce => (2, 1),
-                    _ => (3, 0),
-                };
-                assert_eq!((stm.quiesces, stm.quiesce_skipped), drains, "{mode:?}");
-            }
-            seen
-        },
-    );
+            let freed = run(drive, th.tx(&rig.lock), |ctx| {
+                ctx.will_free_memory();
+                ctx.read(&rig.cell)
+            });
+            let annotated = run(drive, th.tx(&rig.lock), |ctx| {
+                ctx.no_quiesce();
+                ctx.update(&rig.cell, |v| v + 1)
+            });
+            (wrote, freed, annotated)
+        });
+        // NOrec never drains, so it makes no drain decision at all.
+        let stm = rig.sys.stm.stats.snapshot();
+        if stm.commits > 0 {
+            let drains = match mode {
+                AlgoMode::StmNorec => (0, 0),
+                AlgoMode::StmCondvarNoQuiesce => (2, 1),
+                _ => (3, 0),
+            };
+            assert_eq!((stm.quiesces, stm.quiesce_skipped), drains, "{mode:?}");
+        }
+        seen
+    });
 }
