@@ -148,8 +148,9 @@ fn signal_races_timeout_htm() {
 }
 
 /// No signal at all: every wakeup is a timeout, every timeout runs
-/// `cancel_wait` (the transactional ring removal), and the consumer still
-/// converges because the producer's flag write lands while it is parked.
+/// `cancel_wait` (the ring removal, a section of its own on the lock), and
+/// the consumer still converges because the producer's flag write lands
+/// while it is parked.
 #[test]
 fn timeout_cancellation_converges_without_signal() {
     explore(&Config::dfs(2, 150), || {
@@ -159,8 +160,8 @@ fn timeout_cancellation_converges_without_signal() {
 }
 
 /// The baseline's timed waiter: it registered on the ring under the mutex,
-/// so a timeout leaves through `cancel_wait`'s excluded removal (serial
-/// gate, mutex and lock word) while the producer races it for the mutex.
+/// and a timeout leaves it through `cancel_wait`'s removal section, which
+/// takes the mutex too, while the producer races it for the mutex.
 #[test]
 fn signal_races_timeout_baseline() {
     explore(&Config::dfs(2, 150), || {
@@ -170,11 +171,46 @@ fn signal_races_timeout_baseline() {
 }
 
 /// The baseline's no-signal case: every wakeup is a timeout and every
-/// timeout an excluded removal.
+/// timeout a removal section under the mutex.
 #[test]
 fn timeout_cancellation_converges_without_signal_baseline() {
     explore(&Config::dfs(2, 150), || {
         timed_handoff(AlgoMode::Baseline, false)
+    })
+    .assert_clean();
+}
+
+/// Adaptive elision's timed waiter: the removal section subscribes to the
+/// lock word, or takes it after its retries, like any section on the lock.
+#[test]
+fn signal_races_timeout_adaptive_htm() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff(AlgoMode::AdaptiveHtm, true)
+    })
+    .assert_clean();
+}
+
+#[test]
+fn timeout_cancellation_converges_without_signal_adaptive_htm() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff(AlgoMode::AdaptiveHtm, false)
+    })
+    .assert_clean();
+}
+
+/// NOrec's timed waiter: the removal section is a NOrec transaction.
+#[test]
+fn signal_races_timeout_norec() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff(AlgoMode::StmNorec, true)
+    })
+    .assert_clean();
+}
+
+#[test]
+fn timeout_cancellation_converges_without_signal_norec() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff(AlgoMode::StmNorec, false)
     })
     .assert_clean();
 }

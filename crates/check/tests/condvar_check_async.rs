@@ -214,6 +214,57 @@ fn timeout_cancellation_converges_async() {
     .assert_clean();
 }
 
+/// The async removal section under each remaining lock-path and software
+/// mode: the baseline mutex (taken by `try_lock` and yield), adaptive
+/// elision's lock word, and NOrec.
+#[test]
+fn signal_races_timeout_async_baseline() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff_async(AlgoMode::Baseline, true)
+    })
+    .assert_clean();
+}
+
+#[test]
+fn timeout_cancellation_converges_async_baseline() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff_async(AlgoMode::Baseline, false)
+    })
+    .assert_clean();
+}
+
+#[test]
+fn signal_races_timeout_async_adaptive_htm() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff_async(AlgoMode::AdaptiveHtm, true)
+    })
+    .assert_clean();
+}
+
+#[test]
+fn timeout_cancellation_converges_async_adaptive_htm() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff_async(AlgoMode::AdaptiveHtm, false)
+    })
+    .assert_clean();
+}
+
+#[test]
+fn signal_races_timeout_async_norec() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff_async(AlgoMode::StmNorec, true)
+    })
+    .assert_clean();
+}
+
+#[test]
+fn timeout_cancellation_converges_async_norec() {
+    explore(&Config::dfs(2, 150), || {
+        timed_handoff_async(AlgoMode::StmNorec, false)
+    })
+    .assert_clean();
+}
+
 /// Async twin of `condvar_check::aborted_signaller`: the async producer's
 /// first attempt writes, signals, then cancels — the aborted attempt's
 /// deferred notify must roll back with it (no waker fires), and only the

@@ -14,7 +14,10 @@
 //!   the actual wakeup to its commit — an aborted signaller wakes no one.
 //! - timed waits (x265's soft real-time requirement) block on the private
 //!   channel with a timeout; on timeout the waiter cancels its queue entry
-//!   in a small follow-up transaction.
+//!   in a small follow-up section: an ordinary section on the waiter's
+//!   lock, run by the same dispatch as every other (its mode, retries and
+//!   fallback are that lock's). A condvar is used with one lock, as pthreads
+//!   requires of `pthread_cond_wait`; the ring's safety rests on that.
 //!
 //! The ring is the only waiter channel, in every mode. A section that runs
 //! under an exclusion instead of a transaction — the baseline mutex, the
@@ -33,9 +36,10 @@ use tle_base::sched::{self, YieldPoint};
 use tle_base::trace::{self, TraceKind, TxMode};
 use tle_base::{AbortCause, TCell};
 
-/// Ring capacity. Bounded by `MAX_SLOTS` concurrent threads each having at
-/// most one pending wait, plus cancelled (null) residue; 256 gives ample
-/// slack.
+/// Ring capacity: the number of *live* waiters one condvar can hold. A
+/// thread has at most one pending wait, but async tasks are not bounded by
+/// `MAX_SLOTS`. Cancelled (null) residue does not count against it: a full
+/// ring compacts before it overflows ([`TxCondvar::compact`]).
 const RING: usize = 256;
 
 /// The state behind a waiter's private channel: the signalled flag plus an
@@ -248,6 +252,11 @@ impl TxCondvar {
         if h != h0 {
             ctx.mem_write(&self.head, h)?;
         }
+        let t = if t - h < cap {
+            t
+        } else {
+            self.compact(ctx, h, t)?
+        };
         assert!(
             t - h < cap,
             "TxCondvar ring overflow: too many pending waiters"
@@ -255,6 +264,29 @@ impl TxCondvar {
         ctx.mem_write(&self.ring[(t % cap) as usize], raw)?;
         ctx.mem_write(&self.tail, t + 1)?;
         Ok(())
+    }
+
+    /// Slide the live entries of `[h, t)` down in order, over the holes that
+    /// cancelled waiters left behind a live one, and return the new tail.
+    /// At most `RING` reads and one write per moved entry. Slots past the
+    /// new tail keep stale pointers; nothing reads outside `[head, tail)`.
+    #[cold]
+    #[inline(never)]
+    fn compact(&self, ctx: &mut TxCtx<'_>, h: u64, t: u64) -> Result<u64, AbortCause> {
+        let cap = RING as u64;
+        let mut j = h;
+        for i in h..t {
+            let p = ctx.mem_load(&self.ring[(i % cap) as usize])?;
+            if p.is_null() {
+                continue;
+            }
+            if j != i {
+                ctx.mem_write(&self.ring[(j % cap) as usize], p)?;
+            }
+            j += 1;
+        }
+        // The caller writes the slot at the returned tail and then the tail.
+        Ok(j)
     }
 
     /// Transactionally pop the oldest live waiter, if any.

@@ -231,13 +231,17 @@ mod tests {
     }
 
     #[test]
-    fn retry_hints_reduce_serial_fallbacks() {
+    fn retry_budgets_reduce_serial_fallbacks() {
         use tle_htm::HtmConfig;
         // Event-abort-heavy HTM: 2 retries serialize often, 64 rarely.
-        let run = |hints: TxHints| {
+        let run = |htm_retries: u32| {
             let sys = Arc::new(
                 TmSystem::builder()
                     .mode(AlgoMode::HtmCondvar)
+                    .policy(TlePolicy {
+                        htm_retries,
+                        ..TlePolicy::default()
+                    })
                     .htm_config(HtmConfig {
                         event_prob: 0.3,
                         ..HtmConfig::default()
@@ -245,10 +249,10 @@ mod tests {
                     .build(),
             );
             let th = sys.register();
-            let lock = ElidableMutex::new("hinted");
+            let lock = ElidableMutex::new("budgeted");
             let cell = TCell::new(0u64);
             for _ in 0..500 {
-                th.tx(&lock).hints(hints).run(|ctx| {
+                th.tx(&lock).run(|ctx| {
                     ctx.update(&cell, |v| v + 1)?;
                     Ok(())
                 });
@@ -256,11 +260,11 @@ mod tests {
             assert_eq!(cell.load_direct(), 500);
             sys.stats.get(Stat::SerialFallbacks)
         };
-        let default_fallbacks = run(TxHints::default());
-        let hinted_fallbacks = run(TxHints::new().with_htm_retries(64));
+        let default_fallbacks = run(TlePolicy::default().htm_retries);
+        let budgeted_fallbacks = run(64);
         assert!(
-            hinted_fallbacks < default_fallbacks / 2,
-            "hinting more retries should cut fallbacks: {hinted_fallbacks} vs {default_fallbacks}"
+            budgeted_fallbacks < default_fallbacks / 2,
+            "a larger retry budget should cut fallbacks: {budgeted_fallbacks} vs {default_fallbacks}"
         );
     }
 

@@ -22,8 +22,8 @@
 //!   answers with a [`SerialStep`]. The baseline is not a path of its own:
 //!   a section whose lock runs [`AlgoMode::Baseline`] goes straight to the
 //!   driver's exclusive path with the mutex as its foothold.
-//! - [`remove_waiter_tx`] — the transactional ring removal behind both
-//!   drivers' `cancel_wait`.
+//! - [`NestGuard`] — nested-section detection, held around each closure
+//!   call and nowhere else.
 //!
 //! ## Drivers: one loop over the ladder, different only at the wait edges
 //!
@@ -34,8 +34,13 @@
 //! quiescence ticket (inline in
 //! `commit` vs polled), how it backs off, parks, takes the baseline mutex
 //! and waits for the adaptive lock word (block/spin vs `try_lock`/yield/
-//! waker), and how long it holds the [`NestGuard`]. The [`Driver`] tag
-//! carries the one of those that shows up inside the core: the guard.
+//! waker). None of those edges shows up inside the core, so the core does
+//! not know which driver runs it.
+//!
+//! A timed-out condvar waiter leaves the ring through one more section on
+//! its lock ([`cancel_wait`]): an ordinary infallible section that runs
+//! `TxCondvar::remove`, so its mode, flip epoch, retries, fallback and
+//! admission come from the same dispatch as every other section's.
 //!
 //! ## Shaped by measurement
 //!
@@ -101,16 +106,6 @@ use tle_htm::HtmTx;
 
 /// Deferred post-commit actions carried out of an attempt.
 pub(crate) type Defers = Vec<Box<dyn FnOnce() + Send + 'static>>;
-
-/// Which driver is running the core. Selects the one edge that lives
-/// *inside* it: under the async driver the [`NestGuard`] is taken per
-/// closure call (between attempts an async task is suspended and other
-/// tasks legitimately run their own sections on the same worker).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Driver {
-    Sync,
-    Async,
-}
 
 /// The speculative engine a section's attempts run on.
 #[derive(Clone, Copy)]
@@ -400,19 +395,17 @@ pub(crate) fn dispatch(
 // Core: one speculative attempt
 // ---------------------------------------------------------------------------
 
-/// Call the closure once over `ctx` (under the per-call [`NestGuard`] of
-/// the async driver).
+/// Call the closure once over `ctx`, under the [`NestGuard`].
 #[inline(always)]
 fn call_body<'a, R, F>(
     lock: &'a ElidableMutex,
-    driver: Driver,
     f: &mut F,
     ctx: &mut TxCtx<'a>,
 ) -> Result<R, TxError>
 where
     F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
 {
-    let _nest = (driver == Driver::Async).then(|| NestGuard::enter(lock));
+    let _nest = NestGuard::enter(lock);
     f(ctx)
 }
 
@@ -438,15 +431,6 @@ fn abort_kind(kind: CtxKind<'_>, cause: AbortCause) {
         CtxKind::Norec { tx } => tx.abort(cause),
         CtxKind::Htm { tx } => tx.abort(cause),
         _ => unreachable!("context kind changed mid-transaction"),
-    }
-}
-
-fn retire_kind(kind: CtxKind<'_>) {
-    match kind {
-        CtxKind::Stm { tx, .. } => tx.retire(),
-        CtxKind::Norec { tx } => tx.retire(),
-        CtxKind::Htm { tx } => tx.retire(),
-        _ => unreachable!("only a transaction retires"),
     }
 }
 
@@ -593,7 +577,6 @@ pub(crate) fn exclusive_body<'a, R, F>(
     lock: &'a ElidableMutex,
     excl: Exclusion,
     deadline: Option<Instant>,
-    driver: Driver,
     f: &mut F,
 ) -> SerialStep<'a, R>
 where
@@ -608,7 +591,7 @@ where
     };
     trace::begin_direct(mode);
     let mut ctx = TxCtx::new(CtxKind::Direct, deadline);
-    let res = call_body(lock, driver, f, &mut ctx);
+    let res = call_body(lock, f, &mut ctx);
     let step = match res {
         Ok(r) => {
             debug_assert!(
@@ -753,13 +736,12 @@ impl<'a> Ladder<'a> {
         lock: &'a ElidableMutex,
         engine: Engine,
         epoch: u64,
-        hints: TxHints,
         budget: Budget,
     ) -> Self {
         let policy = th.sys.policy();
         let retries = match engine {
-            Engine::Stm { .. } | Engine::Norec => hints.stm_retries.unwrap_or(policy.stm_retries),
-            _ => hints.htm_retries.unwrap_or(policy.htm_retries),
+            Engine::Stm { .. } | Engine::Norec => policy.stm_retries,
+            _ => policy.htm_retries,
         };
         Ladder {
             th,
@@ -832,7 +814,6 @@ impl<'a> Ladder<'a> {
     pub(crate) fn attempt<R, F>(
         &self,
         (stm_slot, htm_slot): (usize, usize),
-        driver: Driver,
         left: &mut Committed<'a>,
         f: &mut F,
     ) -> Step<R>
@@ -858,7 +839,7 @@ impl<'a> Ladder<'a> {
                     select,
                 };
                 let ctx = TxCtx::new(kind, deadline);
-                self.speculate(ctx, driver, left, f, || Ok(()))
+                self.speculate(ctx, left, f, || Ok(()))
             }
             Engine::Norec => {
                 let tx = sys.stm.begin_norec(stm_slot);
@@ -867,7 +848,7 @@ impl<'a> Ladder<'a> {
                     return step;
                 }
                 let ctx = TxCtx::new(CtxKind::Norec { tx }, deadline);
-                self.speculate(ctx, driver, left, f, || Ok(()))
+                self.speculate(ctx, left, f, || Ok(()))
             }
             Engine::Htm => {
                 let tx = sys.htm.begin(htm_slot);
@@ -876,7 +857,7 @@ impl<'a> Ladder<'a> {
                     return step;
                 }
                 let ctx = TxCtx::new(CtxKind::Htm { tx }, deadline);
-                self.speculate(ctx, driver, left, f, || Ok(()))
+                self.speculate(ctx, left, f, || Ok(()))
             }
             Engine::Adaptive { mode } => {
                 let hoisted = hoisted_window_capture(lock, mode);
@@ -888,7 +869,7 @@ impl<'a> Ladder<'a> {
                     // CAS.
                     Ok(g0) => {
                         let ctx = TxCtx::new(CtxKind::Htm { tx }, deadline);
-                        self.speculate(ctx, driver, left, f, || lazy_precommit_gate(lock, mode, g0))
+                        self.speculate(ctx, left, f, || lazy_precommit_gate(lock, mode, g0))
                     }
                     Err((cause, step)) => {
                         tx.abort(cause);
@@ -920,7 +901,6 @@ impl<'a> Ladder<'a> {
     fn speculate<R, F>(
         &self,
         mut ctx: TxCtx<'a>,
-        driver: Driver,
         left: &mut Committed<'a>,
         f: &mut F,
         precommit: impl FnOnce() -> Result<(), AbortCause>,
@@ -928,7 +908,7 @@ impl<'a> Ladder<'a> {
     where
         F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
     {
-        let res = call_body(self.lock, driver, f, &mut ctx);
+        let res = call_body(self.lock, f, &mut ctx);
         // From here on `ctx` is taken apart field by field, in place: moving
         // it (or its transaction) wholesale costs a copy per hop.
         let (cause, step) = match res {
@@ -1159,7 +1139,7 @@ fn serial_storm_due() -> bool {
 ///   instead of re-sampling one fixed window, which both desynchronizes
 ///   repeat colliders faster and keeps a lucky short draw from snapping the
 ///   window back to zero. The exponential `bound` still caps the walk.
-pub(crate) fn backoff(salt: usize, attempts: u32, consec: u32, ceiling: u32) {
+fn backoff(salt: usize, attempts: u32, consec: u32, ceiling: u32) {
     use std::sync::atomic::AtomicU64;
     /// Decorrelates the initial states of threads spawned back-to-back.
     static THREAD_SEED: AtomicU64 = AtomicU64::new(0x9E37_79B9_7F4A_7C15);
@@ -1209,9 +1189,11 @@ thread_local! {
 /// instead of corrupting; restructure with a ready flag (Listing 4) or
 /// merge the sections (Yoo-style coarsening).
 ///
-/// The sync driver holds the guard across the whole dispatch; the async
-/// driver holds it only around each closure call (see [`Driver`]). Clears
-/// the flag even if the section panics.
+/// Both drivers hold the guard around each closure call and nowhere else:
+/// between attempts an async task is suspended while other tasks run their
+/// own sections on the same worker, and a section's deferred actions and
+/// its timed-out wait's removal are sections of their own. Clears the flag
+/// even if the section panics.
 pub(crate) struct NestGuard {
     _priv: (),
 }
@@ -1237,76 +1219,6 @@ impl Drop for NestGuard {
 }
 
 // ---------------------------------------------------------------------------
-// Core: transactional ring removal
-// ---------------------------------------------------------------------------
-
-/// Whether `mode`'s ring users all access the ring inside gate-supervised
-/// transactions. Baseline touches it directly under the raw mutex and
-/// adaptive elision from its lock path, so for those a timed-out waiter
-/// must be removed under total exclusion instead.
-pub(crate) fn ring_is_transactional(mode: AlgoMode) -> bool {
-    mode != AlgoMode::Baseline && !mode.is_glibc_family()
-}
-
-/// What one transactional attempt at a ring removal came to.
-pub(crate) enum Removal {
-    /// Committed; `false`: a signaller already claimed the entry.
-    Done(bool),
-    /// The transaction retired before touching the ring — the serial gate
-    /// was closed, or the lock's mode is no longer the one it was begun for.
-    /// Wait for the gate, read the mode again; not an attempt.
-    Retreat,
-    Aborted,
-}
-
-/// Begin a transaction on the engine a ring-transactional `mode` runs.
-fn begin_kind(sys: &TmSystem, mode: AlgoMode, (stm_slot, htm_slot): (usize, usize)) -> CtxKind<'_> {
-    match mode {
-        AlgoMode::HtmCondvar => CtxKind::Htm {
-            tx: sys.htm.begin(htm_slot),
-        },
-        AlgoMode::StmNorec => CtxKind::Norec {
-            tx: sys.stm.begin_norec(stm_slot),
-        },
-        _ => CtxKind::Stm {
-            tx: sys.stm.begin(stm_slot),
-            spin_waits: false,
-            select: false,
-        },
-    }
-}
-
-/// One transactional attempt at cancelling `raw`'s ring entry (a small
-/// transaction of its own, on the engine `mode` runs). `mode` is the
-/// caller's unpinned read of the lock's mode; it is pinned here the way
-/// [`Ladder::attempt`] pins the epoch — begin, read the gate open, read the
-/// mode again under the published presence (a flip's serial entry would have
-/// to sweep this transaction first).
-pub(crate) fn remove_waiter_tx(
-    sys: &TmSystem,
-    lock: &ElidableMutex,
-    mode: AlgoMode,
-    slots: (usize, usize),
-    cv: &TxCondvar,
-    raw: RawWaiter,
-) -> Removal {
-    let kind = begin_kind(sys, mode, slots);
-    if gate_closed(sys) || lock.resolved_mode(sys.mode()) != mode {
-        retire_kind(kind);
-        return Removal::Retreat;
-    }
-    let mut ctx = TxCtx::new(kind, None);
-    let committed = match cv.remove(&mut ctx, raw.ptr()) {
-        Ok(found) => commit_kind(ctx.kind).map(|_| found),
-        Err(cause) => {
-            abort_kind(ctx.kind, cause);
-            Err(cause)
-        }
-    };
-    committed.map_or(Removal::Aborted, Removal::Done)
-}
-
-// ---------------------------------------------------------------------------
 // Sync driver
 // ---------------------------------------------------------------------------
 
@@ -1324,7 +1236,6 @@ where
     F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
 {
     let f = &mut f;
-    let _nest = NestGuard::enter(lock);
     let section = Section::enter(lock, hints, fallible);
     let budget = section.budget;
     loop {
@@ -1349,12 +1260,12 @@ where
                 },
                 Some(Engine::Stm { spin, select }) => {
                     let stm = Engine::Stm { spin, select };
-                    drive(th, lock, stm, epoch, hints, budget, f)
+                    drive(th, lock, stm, epoch, budget, f)
                 }
-                Some(Engine::Norec) => drive(th, lock, Engine::Norec, epoch, hints, budget, f),
-                Some(Engine::Htm) => drive(th, lock, Engine::Htm, epoch, hints, budget, f),
+                Some(Engine::Norec) => drive(th, lock, Engine::Norec, epoch, budget, f),
+                Some(Engine::Htm) => drive(th, lock, Engine::Htm, epoch, budget, f),
                 Some(Engine::Adaptive { mode }) => {
-                    drive(th, lock, Engine::Adaptive { mode }, epoch, hints, budget, f)
+                    drive(th, lock, Engine::Adaptive { mode }, epoch, budget, f)
                 }
             },
         };
@@ -1373,14 +1284,13 @@ fn drive<'a, R, F>(
     lock: &'a ElidableMutex,
     engine: Engine,
     epoch: u64,
-    hints: TxHints,
     budget: Budget,
     f: &mut F,
 ) -> Outcome<R>
 where
     F: FnMut(&mut TxCtx<'a>) -> Result<R, TxError>,
 {
-    let mut ladder = Ladder::new(th, lock, engine, epoch, hints, budget);
+    let mut ladder = Ladder::new(th, lock, engine, epoch, budget);
     let mut left = Committed::default();
     loop {
         let next = match ladder.gate() {
@@ -1398,7 +1308,7 @@ where
                     }
                 }
                 let slots = (th.stm_slot, th.htm_slot);
-                let step = ladder.attempt(slots, Driver::Sync, &mut left, f);
+                let step = ladder.attempt(slots, &mut left, f);
                 ladder.settle(step, &mut left)
             }
         };
@@ -1461,7 +1371,7 @@ where
         if lock.domain().epoch() != epoch {
             return SerialOutcome::Redispatch;
         }
-        exclusive_body(th, lock, excl, deadline, Driver::Sync, f)
+        exclusive_body(th, lock, excl, deadline, f)
     };
     release_exclusive(th, lock, step)
 }
@@ -1487,7 +1397,7 @@ where
             adaptive_release(lock, mode);
             return SerialOutcome::Redispatch;
         }
-        let step = exclusive_body(th, lock, excl, deadline, Driver::Sync, f);
+        let step = exclusive_body(th, lock, excl, deadline, f);
         adaptive_release(lock, mode);
         step
     } else {
@@ -1502,7 +1412,7 @@ where
         if lock.domain().epoch() != epoch {
             return SerialOutcome::Redispatch;
         }
-        exclusive_body(th, lock, excl, deadline, Driver::Sync, f)
+        exclusive_body(th, lock, excl, deadline, f)
     };
     release_exclusive(th, lock, step)
 }
@@ -1593,73 +1503,25 @@ fn block_on<'a>(th: &'a ThreadHandle, lock: &'a ElidableMutex, pw: PendingWait<'
 }
 
 /// Timed-out waiter: remove our ring entry or, if a signaller already
-/// claimed it, let the signaller's wakeup fall on the floor harmlessly.
-/// By the time the timeout fires the *lock* may have been
-/// flipped to any mode, so the removal algorithm is chosen per attempt from
-/// the lock's current resolved mode, pinned by the removal transaction's own
-/// presence (mode flips need the serial gate, whose sweep waits it out; see
-/// [`remove_waiter_tx`]). Never suspends, so the async driver's
-/// `WaitEntryGuard` may also call it from `Drop`.
+/// claimed it, let the signaller's wakeup fall on the floor harmlessly. The
+/// removal is an ordinary section on the waiter's lock, so by the time the
+/// timeout fires the lock may run any mode: dispatch resolves it like any
+/// other section's. Cold and out of line, so the section instance the
+/// removal needs stays out of every caller's `run`. Never suspends, so the
+/// async driver's `WaitEntryGuard` may also call it from `Drop`.
+#[cold]
+#[inline(never)]
 pub(crate) fn cancel_wait(th: &ThreadHandle, lock: &ElidableMutex, cv: &TxCondvar, raw: RawWaiter) {
-    let sys = &*th.sys;
-    let mut attempts = 0u32;
-    let removed = loop {
-        // Abort storm, or a mode whose ring is not transactional: do it
-        // under total exclusion.
-        if attempts >= sys.policy().stm_retries {
-            break remove_waiter_excluded(th, lock, cv, raw);
-        }
-        let mode = lock.resolved_mode(sys.mode());
-        if !ring_is_transactional(mode) {
-            break remove_waiter_excluded(th, lock, cv, raw);
-        }
-        let slots = (th.stm_slot, th.htm_slot);
-        match remove_waiter_tx(sys, lock, mode, slots, cv, raw) {
-            Removal::Done(found) => break found,
-            Removal::Retreat => sys.gate.wait_open(),
-            Removal::Aborted => {
-                attempts += 1;
-                backoff(th.stm_slot, attempts, 0, sys.policy().backoff_ceiling);
-            }
-        }
-    };
-    if removed {
+    let removed = run(
+        th,
+        lock,
+        TxHints::default(),
+        |ctx| Ok(cv.remove(ctx, raw.ptr())?),
+        false,
+    );
+    if removed.expect("an infallible section cannot fail") {
         drop_ring_ref(raw);
     }
-}
-
-/// Remove a waiter entry under **total exclusion** (serial gate, raw mutex,
-/// and adaptive lock word — the same protocol as a mode flip): direct ring
-/// access is then safe regardless of which mode the lock's other users run
-/// under. Returns whether the entry was still present.
-fn remove_waiter_excluded(
-    th: &ThreadHandle,
-    lock: &ElidableMutex,
-    cv: &TxCondvar,
-    raw: RawWaiter,
-) -> bool {
-    let sys = &*th.sys;
-    let _token = sys.enter_serial();
-    let _guard = lock_mutex(lock);
-    // Serial gate held: the resolved mode cannot flip under us, so the
-    // acquire/release pair keeps the lazy seqlock parity consistent.
-    let mode = lock.resolved_mode(sys.mode());
-    adaptive_acquire(th, lock, mode);
-    let removed = remove_waiter_direct(cv, raw);
-    adaptive_release(lock, mode);
-    removed
-}
-
-/// Direct ring removal; the caller holds total exclusion. Bracketed as a
-/// serial section of its own, so its accesses reach the event stream (and
-/// the opacity oracle) inside one.
-pub(crate) fn remove_waiter_direct(cv: &TxCondvar, raw: RawWaiter) -> bool {
-    trace::begin_direct(TxMode::Serial);
-    let found = cv
-        .remove(&mut TxCtx::new(CtxKind::Direct, None), raw.ptr())
-        .expect("direct access cannot abort");
-    trace::emit(TraceKind::Commit, TxMode::Serial, None, 0);
-    found
 }
 
 #[cfg(test)]
@@ -1682,7 +1544,7 @@ mod tests {
         };
         for mode in [AlgoMode::AdaptiveHtm, AlgoMode::AdaptiveHtmLazy] {
             let engine = Engine::Adaptive { mode };
-            let mut ladder = Ladder::new(&th, &lock, engine, 0, TxHints::default(), budget);
+            let mut ladder = Ladder::new(&th, &lock, engine, 0, budget);
             let left = &mut Committed::default();
             assert!(matches!(
                 ladder.settle::<()>(Step::SubscribedHeld, left),
@@ -1708,8 +1570,7 @@ mod tests {
     /// A retreat is not an attempt: a section a held gate turns away `K`
     /// times and that then commits reports one commit and nothing else — no
     /// abort in any stat row, the retry budget, the starvation ladder and the
-    /// lock's outcome window untouched — on every gate-supervised engine and
-    /// under both drivers.
+    /// lock's outcome window untouched — on every gate-supervised engine.
     #[test]
     fn retreats_under_a_held_gate_count_nothing() {
         use tle_base::TCell;
@@ -1719,51 +1580,49 @@ mod tests {
             AlgoMode::StmNorec,
             AlgoMode::HtmCondvar,
         ] {
-            for driver in [Driver::Sync, Driver::Async] {
-                let sys = Arc::new(TmSystem::new(mode));
-                let th = sys.register();
-                let lock = ElidableMutex::new("retreat");
-                let cell = TCell::new(0u64);
-                let budget = Budget {
-                    deadline: None,
-                    fallible: false,
-                };
-                let engine = Engine::of(mode).expect("a TM mode");
-                let mut ladder = Ladder::new(&th, &lock, engine, 0, TxHints::default(), budget);
-                let left = &mut Committed::default();
-                let f = &mut |ctx: &mut TxCtx<'_>| ctx.update(&cell, |v| v + 1);
-                let slots = (th.stm_slot, th.htm_slot);
+            let sys = Arc::new(TmSystem::new(mode));
+            let th = sys.register();
+            let lock = ElidableMutex::new("retreat");
+            let cell = TCell::new(0u64);
+            let budget = Budget {
+                deadline: None,
+                fallible: false,
+            };
+            let engine = Engine::of(mode).expect("a TM mode");
+            let mut ladder = Ladder::new(&th, &lock, engine, 0, budget);
+            let left = &mut Committed::default();
+            let f = &mut |ctx: &mut TxCtx<'_>| ctx.update(&cell, |v| v + 1);
+            let slots = (th.stm_slot, th.htm_slot);
 
-                let pending = sys.gate.request_serial();
-                for _ in 0..K {
-                    assert!(ladder.gate::<u64>().is_none());
-                    let step = ladder.attempt(slots, driver, left, f);
-                    assert!(matches!(step, Step::Retreat), "{mode:?}");
-                    assert!(sys.presence_idle(), "a retired transaction is not present");
-                    assert!(matches!(ladder.settle(step, left), Next::AwaitGate));
-                }
-                drop(pending);
-                let (step, owed) = tle_stm::defer_drain(|| ladder.attempt(slots, driver, left, f));
-                assert!(matches!(step, Step::Done(1)), "{mode:?}");
-                if let Some(mut ticket) = owed {
-                    while sys.stm.quiesce_pass(&mut ticket).is_none() {}
-                }
-                assert!(matches!(ladder.settle(step, left), Next::Done(1)));
-
-                assert_eq!((ladder.attempts, th.consecutive_aborts()), (0, 0));
-                let d = sys.domain_stats();
-                let tm = if mode == AlgoMode::HtmCondvar {
-                    &d.htm
-                } else {
-                    &d.stm
-                };
-                // `core.attempts_per_commit` = (commits + aborts) / commits = 1.
-                assert_eq!((tm.commits, tm.aborts), (1, 0), "{mode:?}: {d:?}");
-                assert_eq!(d.tle.serial_fallbacks, 0);
-                let w = lock.domain().window.snapshot();
-                assert_eq!((w.commits, w.attempts()), (1, 1), "{mode:?}");
-                assert_eq!(cell.load_direct(), 1);
+            let pending = sys.gate.request_serial();
+            for _ in 0..K {
+                assert!(ladder.gate::<u64>().is_none());
+                let step = ladder.attempt(slots, left, f);
+                assert!(matches!(step, Step::Retreat), "{mode:?}");
+                assert!(sys.presence_idle(), "a retired transaction is not present");
+                assert!(matches!(ladder.settle(step, left), Next::AwaitGate));
             }
+            drop(pending);
+            let (step, owed) = tle_stm::defer_drain(|| ladder.attempt(slots, left, f));
+            assert!(matches!(step, Step::Done(1)), "{mode:?}");
+            if let Some(mut ticket) = owed {
+                while sys.stm.quiesce_pass(&mut ticket).is_none() {}
+            }
+            assert!(matches!(ladder.settle(step, left), Next::Done(1)));
+
+            assert_eq!((ladder.attempts, th.consecutive_aborts()), (0, 0));
+            let d = sys.domain_stats();
+            let tm = if mode == AlgoMode::HtmCondvar {
+                &d.htm
+            } else {
+                &d.stm
+            };
+            // `core.attempts_per_commit` = (commits + aborts) / commits = 1.
+            assert_eq!((tm.commits, tm.aborts), (1, 0), "{mode:?}: {d:?}");
+            assert_eq!(d.tle.serial_fallbacks, 0);
+            let w = lock.domain().window.snapshot();
+            assert_eq!((w.commits, w.attempts()), (1, 1), "{mode:?}");
+            assert_eq!(cell.load_direct(), 1);
         }
     }
 
@@ -1778,7 +1637,17 @@ mod tests {
                 let sys = Arc::new(TmSystem::new(mode));
                 let th = sys.register();
                 let cell = TCell::new(5u64);
-                let kind = begin_kind(&sys, mode, (th.stm_slot, th.htm_slot));
+                let kind = match Engine::of(mode) {
+                    Some(Engine::Stm { .. }) => CtxKind::Stm {
+                        tx: sys.stm.begin(th.stm_slot),
+                        spin_waits: false,
+                        select: false,
+                    },
+                    Some(Engine::Norec) => CtxKind::Norec {
+                        tx: sys.stm.begin_norec(th.stm_slot),
+                    },
+                    _ => unreachable!("{mode:?} is a software mode"),
+                };
                 assert!(matches!(
                     (&kind, mode),
                     (CtxKind::Stm { .. }, AlgoMode::StmCondvar)
@@ -1787,10 +1656,12 @@ mod tests {
                 let mut ctx = TxCtx::new(kind, None);
                 ctx.write(&cell, 100u64).unwrap();
                 assert!(!sys.presence_idle());
-                if retire {
-                    retire_kind(ctx.kind);
-                } else {
-                    abort_kind(ctx.kind, AbortCause::Explicit);
+                match (ctx.kind, retire) {
+                    (CtxKind::Stm { tx, .. }, true) => tx.retire(),
+                    (CtxKind::Stm { tx, .. }, false) => tx.abort(AbortCause::Explicit),
+                    (CtxKind::Norec { tx }, true) => tx.retire(),
+                    (CtxKind::Norec { tx }, false) => tx.abort(AbortCause::Explicit),
+                    _ => unreachable!("a software transaction"),
                 }
                 assert!(sys.presence_idle(), "{mode:?} stayed present");
                 assert_eq!(cell.load_direct(), 5, "{mode:?} leaked a write");
@@ -1860,7 +1731,7 @@ mod tests {
             fallible: true,
         };
         let engine = Engine::of(AlgoMode::StmCondvar).expect("a TM mode");
-        let mut ladder = Ladder::new(&th, &lock, engine, 0, TxHints::default(), budget);
+        let mut ladder = Ladder::new(&th, &lock, engine, 0, budget);
         let left = &mut Committed::default();
         assert!(matches!(
             ladder.settle::<()>(Step::RunnerErr(TxError::Overloaded), left),

@@ -30,8 +30,8 @@
 //!   timers for timed waits) instead of parking;
 //! - waits for the adaptive lock word, and the doom sweeps of its
 //!   acquisition (`HtmGlobal::try_invalidate`), yield instead of spinning;
-//! - the nested-section guard is held per closure call
-//!   ([`Driver::Async`](runner::Driver)), not across the dispatch.
+//! - a timed-out wait's ring removal is a section run through this driver
+//!   too ([`cancel_wait_async`]).
 //!
 //! This split is also what makes the returned futures `Send` without extra
 //! locking: no transaction, context, or lock guard is ever live across an
@@ -60,8 +60,8 @@ use crate::condvar::{RawWaiter, TxCondvar, Waiter};
 use crate::ctx::{PendingWait, TxCtx, TxError};
 use crate::elide::ElidableMutex;
 use crate::runner::{
-    self, Budget, Committed, Doom, Driver, Early, Engine, Exclusion, Ladder, Next, Outcome,
-    Removal, Section, SerialOutcome,
+    self, Budget, Committed, Doom, Early, Engine, Exclusion, Ladder, Next, Outcome, Section,
+    SerialOutcome,
 };
 use crate::system::{AlgoMode, ThreadHandle, TmSystem, TxHints};
 use std::future::Future as _;
@@ -137,13 +137,11 @@ where
             Some(Early::Serialize) => Exclusion::SerialGate,
             None => match Engine::of(mode) {
                 None => Exclusion::Mutex,
-                Some(engine) => {
-                    match drive_async(th, lock, engine, epoch, hints, budget, f).await {
-                        Outcome::Done(r) => return Ok(r),
-                        Outcome::Redispatch => continue,
-                        Outcome::Expired(e) => return Err(e),
-                    }
-                }
+                Some(engine) => match drive_async(th, lock, engine, epoch, budget, f).await {
+                    Outcome::Done(r) => return Ok(r),
+                    Outcome::Redispatch => continue,
+                    Outcome::Expired(e) => return Err(e),
+                },
             },
         };
         match exclusive_async(th, lock, excl, epoch, budget.deadline, f).await {
@@ -159,7 +157,6 @@ async fn drive_async<'a, R, F>(
     lock: &'a ElidableMutex,
     engine: Engine,
     epoch: u64,
-    hints: TxHints,
     budget: Budget,
     f: &mut F,
 ) -> Outcome<R>
@@ -168,7 +165,7 @@ where
 {
     let sys = &*th.sys;
     let lock_path = engine.lock_path();
-    let mut ladder = Ladder::new(th, lock, engine, epoch, hints, budget);
+    let mut ladder = Ladder::new(th, lock, engine, epoch, budget);
     let mut left = Committed::default();
     loop {
         let next = match ladder.gate() {
@@ -183,8 +180,7 @@ where
                 }
                 let slots = claim_slots(sys).await;
                 let claimed = (slots.stm, slots.htm);
-                let (step, owed) =
-                    tle_stm::defer_drain(|| ladder.attempt(claimed, Driver::Async, &mut left, f));
+                let (step, owed) = tle_stm::defer_drain(|| ladder.attempt(claimed, &mut left, f));
                 if let Some(ticket) = owed {
                     left.quiesced(drain_ticket(sys, ticket).await);
                 }
@@ -258,7 +254,7 @@ where
                 runner::adaptive_release(lock, mode);
                 return SerialOutcome::Redispatch;
             }
-            let step = runner::exclusive_body(th, lock, excl, deadline, Driver::Async, f);
+            let step = runner::exclusive_body(th, lock, excl, deadline, f);
             runner::adaptive_release(lock, mode);
             step
         }
@@ -267,7 +263,7 @@ where
             if lock.domain().epoch() != epoch {
                 return SerialOutcome::Redispatch;
             }
-            runner::exclusive_body(th, lock, excl, deadline, Driver::Async, f)
+            runner::exclusive_body(th, lock, excl, deadline, f)
         }
         Exclusion::Mutex => {
             sched::yield_point(YieldPoint::LockWord);
@@ -277,7 +273,7 @@ where
                     if lock.domain().epoch() != epoch {
                         return SerialOutcome::Redispatch;
                     }
-                    break runner::exclusive_body(th, lock, excl, deadline, Driver::Async, f);
+                    break runner::exclusive_body(th, lock, excl, deadline, f);
                 }
                 yield_on_lock_word().await;
             }
@@ -321,8 +317,8 @@ async fn adaptive_acquire_async(sys: &TmSystem, lock: &ElidableMutex, mode: Algo
 /// instead of polled to completion: without this, the entry would linger
 /// and a later signal could be consumed by the ghost waiter (the PR-8
 /// cancellation caveat, DESIGN.md §16). The removal runs synchronously in
-/// `Drop` via `runner::cancel_wait` — ring-entry ownership transfer never
-/// suspends, and the dropping thread is by definition outside any poll.
+/// `Drop` via `runner::cancel_wait`, a section on the sync driver — the
+/// dropping thread is by definition outside any poll.
 /// Defused on every normal exit path (signal, timeout-cancel).
 struct WaitEntryGuard<'a> {
     th: &'a ThreadHandle,
@@ -396,78 +392,22 @@ async fn wait_signaled(waiter: &Waiter, timeout: Option<Duration>) -> bool {
 }
 
 /// Timed-out waiter: remove our ring entry, as `runner::cancel_wait` does,
-/// but suspending on a closed gate, with transient slot claims, a polled
-/// drain and an async-safe excluded path.
+/// through this driver. The removal future is boxed: it is an instance of
+/// `run_async` that reaches this function again through its own
+/// `block_on_async`, and a future cannot contain itself. One allocation per
+/// timed-out wait, on a cold path.
 async fn cancel_wait_async<'a>(
     th: &'a ThreadHandle,
     lock: &'a ElidableMutex,
     cv: &'a TxCondvar,
     raw: RawWaiter,
 ) {
-    let sys = &*th.sys;
-    let mut attempts = 0u32;
-    let removed = loop {
-        if attempts >= sys.policy().stm_retries {
-            break remove_waiter_excluded_async(th, lock, cv, raw).await;
-        }
-        let mode = lock.resolved_mode(sys.mode());
-        if !runner::ring_is_transactional(mode) {
-            break remove_waiter_excluded_async(th, lock, cv, raw).await;
-        }
-        let slots = claim_slots(sys).await;
-        let claimed = (slots.stm, slots.htm);
-        let (removal, owed) =
-            tle_stm::defer_drain(|| runner::remove_waiter_tx(sys, lock, mode, claimed, cv, raw));
-        if let Some(ticket) = owed {
-            drain_ticket(sys, ticket).await;
-        }
-        drop(slots);
-        match removal {
-            Removal::Done(found) => break found,
-            Removal::Retreat => gate_open(sys).await,
-            Removal::Aborted => {
-                attempts += 1;
-                runner::backoff(th.stm_slot, attempts, 0, sys.policy().backoff_ceiling);
-                exec::yield_now().await;
-            }
-        }
-    };
-    if removed {
+    let hints = TxHints::default();
+    let remove = run_async(th, lock, hints, |ctx| Ok(cv.remove(ctx, raw.ptr())?), false);
+    if Box::pin(remove)
+        .await
+        .expect("an infallible section cannot fail")
+    {
         runner::drop_ring_ref(raw);
     }
-}
-
-/// Remove a waiter entry under total exclusion without ever parking the
-/// worker. Lock-order note: the sync `remove_waiter_excluded` takes
-/// serial gate → raw mutex → adaptive word; here the word is taken
-/// *before* the raw mutex because word acquisition may suspend (it dooms
-/// transactions via `try_invalidate`) while a mutex guard must stay inside
-/// one poll. The inversion is safe **under the serial token**: every other
-/// gate-supervised word+mutex claimant (mode flips, sync excluded removal)
-/// queues behind the gate first, and raw-mutex holders that bypass the gate
-/// (baseline sections) never take the word, so no cycle exists.
-async fn remove_waiter_excluded_async<'a>(
-    th: &'a ThreadHandle,
-    lock: &'a ElidableMutex,
-    cv: &'a TxCondvar,
-    raw: RawWaiter,
-) -> bool {
-    let sys = &*th.sys;
-    let _token = sys.enter_serial_async().await;
-    // Serial token held: the resolved mode cannot flip under us, so the
-    // acquire/release pair keeps the lazy seqlock parity consistent.
-    let mode = lock.resolved_mode(sys.mode());
-    adaptive_acquire_async(sys, lock, mode).await;
-    let removed = loop {
-        let removed = lock
-            .raw()
-            .try_lock()
-            .map(|_guard| runner::remove_waiter_direct(cv, raw));
-        match removed {
-            Some(found) => break found,
-            None => exec::yield_now().await,
-        }
-    };
-    runner::adaptive_release(lock, mode);
-    removed
 }

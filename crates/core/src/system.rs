@@ -201,23 +201,17 @@ impl Default for TlePolicy {
     }
 }
 
-/// Per-critical-section overrides of the global [`TlePolicy`] — the
-/// transaction-by-transaction retry tuning the paper's §VII-A asks for.
-///
-/// Build fluently from the default:
+/// Per-critical-section hints: the section's time budget. Retry budgets are
+/// global ([`TlePolicy`]).
 ///
 /// ```
+/// use std::time::Duration;
 /// use tle_core::TxHints;
-/// let hints = TxHints::new().with_htm_retries(8).with_stm_retries(128);
-/// assert_eq!(hints.htm_retries, Some(8));
-/// assert_eq!(hints.stm_retries, Some(128));
+/// let hints = TxHints::new().with_deadline(Duration::from_micros(50));
+/// assert_eq!(hints.deadline, Some(Duration::from_micros(50)));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxHints {
-    /// Override the hardware-retry budget for this section.
-    pub htm_retries: Option<u32>,
-    /// Override the software-retry budget for this section.
-    pub stm_retries: Option<u32>,
     /// Retry-time budget for this section, measured from dispatch. The
     /// runner checks it before every retry tier and serial-gate entry and
     /// clamps condvar waits to the remainder. Under
@@ -229,22 +223,10 @@ pub struct TxHints {
 }
 
 impl TxHints {
-    /// No overrides (same as `TxHints::default()`); starting point for the
-    /// fluent setters.
+    /// No hints (same as `TxHints::default()`); starting point for the
+    /// fluent setter.
     pub fn new() -> Self {
         TxHints::default()
-    }
-
-    /// Override the hardware-retry budget for this section.
-    pub fn with_htm_retries(mut self, n: u32) -> Self {
-        self.htm_retries = Some(n);
-        self
-    }
-
-    /// Override the software-retry budget for this section.
-    pub fn with_stm_retries(mut self, n: u32) -> Self {
-        self.stm_retries = Some(n);
-        self
     }
 
     /// Give this section a retry-time budget (see
@@ -252,13 +234,6 @@ impl TxHints {
     pub fn with_deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(d);
         self
-    }
-}
-
-/// `(htm_retries, stm_retries)` shorthand for [`TxRequest::hints`].
-impl From<(u32, u32)> for TxHints {
-    fn from((htm, stm): (u32, u32)) -> Self {
-        TxHints::new().with_htm_retries(htm).with_stm_retries(stm)
     }
 }
 
@@ -943,25 +918,15 @@ pub struct TxRequest<'a> {
 }
 
 impl<'a> TxRequest<'a> {
-    /// Attach per-section policy hints (anything [`Into<TxHints>`], e.g. a
-    /// `TxHints` value or an `(htm_retries, stm_retries)` pair).
-    ///
-    /// This implements the tuning interface the paper calls for in §VII-A
-    /// ("it would be beneficial for programmers to be able to suggest retry
-    /// policies on a transaction-by-transaction basis: for queues that are
-    /// expected to be un-contended, more retries before serialization might
-    /// be appropriate") — a capability the C++ TMTS does not offer.
+    /// Attach per-section hints ([`TxHints`]: the section's time budget).
+    /// Retry budgets are global ([`TlePolicy`]); §VII-A's per-transaction
+    /// retry tuning is measured by the `ablate_htm_retry` bench instead.
     #[inline]
-    pub fn hints(mut self, hints: impl Into<TxHints>) -> Self {
-        let h: TxHints = hints.into();
+    pub fn hints(mut self, hints: TxHints) -> Self {
         // Merge instead of replace so `.deadline_us(..).hints(..)` and the
-        // reverse order agree: explicit fields win, unset fields keep what
-        // the request already had.
-        self.hints = TxHints {
-            htm_retries: h.htm_retries.or(self.hints.htm_retries),
-            stm_retries: h.stm_retries.or(self.hints.stm_retries),
-            deadline: h.deadline.or(self.hints.deadline),
-        };
+        // reverse order agree: an explicit deadline wins, an unset one keeps
+        // what the request already had.
+        self.hints.deadline = hints.deadline.or(self.hints.deadline);
         self
     }
 
@@ -1173,15 +1138,6 @@ mod tests {
         assert_eq!(sys.adaptive_config().unwrap().min_dwell_steps, 4);
         let off = TmSystem::builder().adaptive(true).adaptive(false).build();
         assert!(!off.adaptive_enabled());
-    }
-
-    #[test]
-    fn tx_hints_fluent_and_tuple() {
-        let h = TxHints::new().with_htm_retries(3).with_stm_retries(9);
-        assert_eq!(h.htm_retries, Some(3));
-        assert_eq!(h.stm_retries, Some(9));
-        let t: TxHints = (4u32, 8u32).into();
-        assert_eq!(t, TxHints::new().with_htm_retries(4).with_stm_retries(8));
     }
 
     #[test]

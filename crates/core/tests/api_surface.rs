@@ -89,25 +89,18 @@ fn legacy_and_builder_systems_run_identically() {
     );
 }
 
-/// The fluent hint type can set both budgets at once; the tuple shorthand
-/// converts.
+/// The hint type carries the section's deadline, set fluently.
 #[test]
-fn tx_hints_fluent_and_conversions() {
-    let both = TxHints::new().with_htm_retries(3).with_stm_retries(9);
-    assert_eq!(both.htm_retries, Some(3));
-    assert_eq!(both.stm_retries, Some(9));
-
-    let from_tuple: TxHints = (3u32, 9u32).into();
-    assert_eq!(from_tuple, both);
-
+fn tx_hints_fluent() {
+    let d = std::time::Duration::from_micros(50);
+    assert_eq!(TxHints::new().with_deadline(d).deadline, Some(d));
     assert_eq!(TxHints::new(), TxHints::default());
-    assert_eq!(TxHints::default().htm_retries, None);
+    assert_eq!(TxHints::default().deadline, None);
 
-    // `hints()` accepts anything Into<TxHints>.
     let sys = Arc::new(TmSystem::new(AlgoMode::HtmCondvar));
     let th = sys.register();
-    let lock = ElidableMutex::new("into-hints");
-    let got = th.tx(&lock).hints((2u32, 2u32)).run(|_ctx| Ok(42u64));
+    let lock = ElidableMutex::new("hints");
+    let got = th.tx(&lock).hints(TxHints::new()).run(|_ctx| Ok(42u64));
     assert_eq!(got, 42);
 }
 
@@ -123,14 +116,14 @@ fn tx_request_deadline_and_hint_merge_compose() {
     let r = th
         .tx(&lock)
         .deadline_us(60_000_000)
-        .hints(TxHints::new().with_stm_retries(5))
+        .hints(TxHints::new())
         .try_run(|_ctx| Ok(1u64));
     assert_eq!(r.unwrap(), 1);
 
     // hints(..) then deadline_us(..): same result.
     let r = th
         .tx(&lock)
-        .hints(TxHints::new().with_stm_retries(5))
+        .hints(TxHints::new())
         .deadline_us(60_000_000)
         .try_run(|_ctx| Ok(1u64));
     assert_eq!(r.unwrap(), 1);

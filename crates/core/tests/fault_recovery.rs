@@ -10,7 +10,7 @@ use tle_base::exec::Exec;
 use tle_base::fault::{self, FaultPlan, FaultRule, Hazard};
 use tle_base::trace::TraceKind;
 use tle_base::{AbortCause, TCell};
-use tle_core::{AlgoMode, ElidableMutex, TlePolicy, TmSystem, TxError, TxHints};
+use tle_core::{AlgoMode, ElidableMutex, TlePolicy, TmSystem, TxError};
 use tle_htm::HtmConfig;
 
 fn guard() -> MutexGuard<'static, ()> {
@@ -263,38 +263,39 @@ fn panic_in_elided_section_poisons_lock_but_not_the_system() {
 #[test]
 fn serial_gate_reopens_after_panic() {
     let _g = guard();
-    let sys = Arc::new(TmSystem::new(AlgoMode::StmCondvar));
+    // A zero retry budget goes straight to the serial gate.
+    let sys = Arc::new(
+        TmSystem::builder()
+            .mode(AlgoMode::StmCondvar)
+            .policy(TlePolicy {
+                stm_retries: 0,
+                ..TlePolicy::default()
+            })
+            .build(),
+    );
     let lock = Arc::new(ElidableMutex::new("gate"));
     let panicker = {
         let sys = Arc::clone(&sys);
         let lock = Arc::clone(&lock);
         std::thread::spawn(move || {
             let th = sys.register();
-            // A zero retry budget goes straight to the serial gate; the
-            // panic then unwinds while the gate token is live.
-            th.tx(&lock).hints(TxHints::new().with_stm_retries(0)).run(
-                |_ctx| -> Result<(), TxError> {
-                    panic!("injected panic in serial-irrevocable mode");
-                },
-            );
+            // The panic unwinds while the gate token is live.
+            th.tx(&lock).run(|_ctx| -> Result<(), TxError> {
+                panic!("injected panic in serial-irrevocable mode");
+            });
         })
     };
     assert!(panicker.join().is_err());
     // If the token leaked the gate bit, both of these would deadlock.
     let cell = TCell::new(0u64);
     let th = sys.register();
-    th.tx(&lock)
-        .hints(TxHints::new().with_stm_retries(0))
-        .run(|ctx| {
+    for _ in 0..2 {
+        th.tx(&lock).run(|ctx| {
             let v = ctx.read(&cell)?;
             ctx.write(&cell, v + 1)?;
             Ok(())
         });
-    th.tx(&lock).run(|ctx| {
-        let v = ctx.read(&cell)?;
-        ctx.write(&cell, v + 1)?;
-        Ok(())
-    });
+    }
     assert_eq!(cell.load_direct(), 2);
     assert!(lock.is_poisoned());
 }

@@ -72,25 +72,25 @@ const REFUSED: i32 = 3;
 /// The last column is the row's instructions in a release build without
 /// `trace` or `check`, as this table's change counted them.
 const ROWS: &[(&str, u64, u64)] = &[
-    ("elide.lock", 6, 292),
-    ("elide.stm", 8, 710),
-    ("elide.htm", 9, 768),
-    ("handoff.htm", 9, 771),
-    ("ro.stm", 6, 548),
-    ("ro.htm", 8, 648),
-    ("scan.stm", 7, 6784),
-    ("kv.get.lock", 6, 537),
-    ("kv.get.stm", 6, 910),
-    ("kv.get.htm", 12, 1224),
-    ("kv.put.lock", 6, 577),
-    ("kv.put.stm", 8, 1105),
-    ("kv.put.htm", 15, 1439),
-    ("elide.norec", 7, 632),
-    ("ro.norec", 6, 542),
-    ("kv.get.norec", 6, 968),
-    ("kv.put.norec", 7, 1101),
-    ("async.stm", 12, 1138),
-    ("async.ro.stm", 10, 954),
+    ("elide.lock", 6, 288),
+    ("elide.stm", 8, 687),
+    ("elide.htm", 9, 751),
+    ("handoff.htm", 9, 754),
+    ("ro.stm", 6, 540),
+    ("ro.htm", 8, 649),
+    ("scan.stm", 7, 6380),
+    ("kv.get.lock", 6, 523),
+    ("kv.get.stm", 6, 892),
+    ("kv.get.htm", 12, 1207),
+    ("kv.put.lock", 6, 560),
+    ("kv.put.stm", 8, 1084),
+    ("kv.put.htm", 15, 1417),
+    ("elide.norec", 7, 621),
+    ("ro.norec", 6, 541),
+    ("kv.get.norec", 6, 954),
+    ("kv.put.norec", 7, 1081),
+    ("async.stm", 12, 1095),
+    ("async.ro.stm", 10, 911),
 ];
 
 pub fn run(args: &Args) -> Result<ExitCode, String> {

@@ -64,12 +64,20 @@ struct Rig {
 }
 
 fn rig(mode: AlgoMode, admission: Option<AdmissionConfig>) -> Rig {
-    let mut builder = TmSystem::builder().mode(mode).htm_config(HtmConfig {
-        // Simulated asynchronous events are seeded per slot, and the async
-        // driver runs on claimed slots: keep the hardware quiet.
-        event_prob: 0.0,
-        ..HtmConfig::default()
-    });
+    rig_with(mode, admission, TlePolicy::default())
+}
+
+/// [`rig`] under a retry policy of its own.
+fn rig_with(mode: AlgoMode, admission: Option<AdmissionConfig>, policy: TlePolicy) -> Rig {
+    let mut builder = TmSystem::builder()
+        .mode(mode)
+        .policy(policy)
+        .htm_config(HtmConfig {
+            // Simulated asynchronous events are seeded per slot, and the async
+            // driver runs on claimed slots: keep the hardware quiet.
+            event_prob: 0.0,
+            ..HtmConfig::default()
+        });
     if let Some(cfg) = admission {
         builder = builder.admission_config(cfg);
     }
@@ -222,14 +230,18 @@ fn plain_commit() {
 #[test]
 fn explicit_aborts_then_commit() {
     assert_parity("3 aborts then commit", modes(), |mode, drive| {
-        let rig = rig(mode, None);
-        let th = rig.sys.register();
-        let mut cancels = 0;
         // Room for the aborts under every engine's retry budget: cancelling
         // in serial-irrevocable mode is a usage error.
-        let hints = TxHints::new().with_htm_retries(8).with_stm_retries(8);
+        let policy = TlePolicy {
+            htm_retries: 8,
+            stm_retries: 8,
+            ..TlePolicy::default()
+        };
+        let rig = rig_with(mode, None, policy);
+        let th = rig.sys.register();
+        let mut cancels = 0;
         let seen = observe(&rig, || {
-            run(drive, th.tx(&rig.lock).hints(hints), |ctx| {
+            run(drive, th.tx(&rig.lock), |ctx| {
                 ctx.update(&rig.cell, |v| v + 1)?;
                 if ctx.is_transactional() && cancels < 3 {
                     cancels += 1;
